@@ -56,6 +56,7 @@ from .matched import (
     homotopy_witness,
     is_quasi_projection_pair,
     matched_projection,
+    matched_projection_closed_form,
     matched_via_factor,
     mp_inverse_abs_qstar,
     qpp_symmetry_closure,

@@ -39,6 +39,7 @@ from .matched import (
     homotopy_witness,
     is_quasi_projection_pair,
     matched_projection,
+    matched_projection_closed_form,
     matched_via_factor,
     mp_inverse_abs_qstar,
     qpp_symmetry_closure,
@@ -189,9 +190,16 @@ def _matched_identities(report: BatteryReport, rng, dim, q, tol, context):
     pair = matched_projection(q, tol)
     m = pair.projection.matrix
 
+    # the production SVD route against the three oracles, pairwise
     tt, vv = matched_via_factor(q, tol)
     wit = homotopy_witness(q, tol)
-    routes = {"closed": m, "tt": tt, "vv": vv, "block": wit.projection.matrix}
+    routes = {
+        "svd": m,
+        "closed": matched_projection_closed_form(q, tol),
+        "tt": tt,
+        "vv": vv,
+        "block": wit.projection.matrix,
+    }
     names = list(routes)
     agree = max(
         operator_norm(routes[a] - routes[b])

@@ -1,19 +1,32 @@
-"""The matched projection of an idempotent, by three routes, with its identities.
+"""The matched projection of an idempotent, its oracles, and its identities.
 
-For an idempotent Q the matched projection is
+For an idempotent Q the matched projection m(Q) is a projection that is
+similar and homotopic to Q and commutes with every quasi-projection-pair
+partner of Q.  The production route, ``matched_projection``, takes it from
+one SVD Q = U S V*.  Idempotency gives V_r* U_r = S_r^(-1) on the nonzero
+singular values (the Halmos two-subspace form: Q is a direct sum of I, 0
+and 2x2 blocks), so the columns u_i + v_i are mutually orthogonal and
 
-    m(Q) = (1/2) (|Q*| + Q*) |Q*|^dag (|Q*| + I)^(-1) (|Q*| + Q),
+    m(Q) = sum_{s_i > 0} s_i / (2 (s_i + 1)) (u_i + v_i)(u_i + v_i)*,
 
-a projection that is similar and homotopic to Q and commutes with every
-quasi-projection-pair partner of Q.  The same projection arises as T T^dag
-for T = |Q*| + Q* and from a 2x2 block construction over range(Q); the
-routes are kept separate so they can certify each other.
+while the same SVD gives |Q| = V S V*, |Q*| = U S U* and
+|Q*|^dag = U_r S_r^(-1) U_r*.
+
+Three further routes are kept only as independent oracles for ``verify``
+and the tests, each built from its own factorizations:
+
+- the closed formula (1/2) (|Q*| + Q*) |Q*|^dag (|Q*| + I)^(-1) (|Q*| + Q)
+  (``matched_projection_closed_form``);
+- T T^dag and V V* for T = |Q*| + Q* (``matched_via_factor``);
+- the 2x2 block construction over range(Q), which also yields the
+  similarity witness W (``homotopy_witness``).
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,20 +61,22 @@ from .linalg import (
 )
 from .report import Check, boolean_check
 
-# Self-test hook: flips one sign inside the closed formula so the verification
-# harness can prove it detects a corrupted m(Q).  Never set outside testing.
-_FORMULA_SIGN = 1.0
+# Self-test hook: the sign of v_i in the columns u_i + v_i of the production
+# route.  ``sabotaged_formula`` flips it to u_i - v_i so the verification
+# harness can prove it detects a corrupted m(Q); the oracles never read it.
+# Never set outside testing.
+_PAIR_SIGN = 1.0
 
 
 @contextmanager
 def sabotaged_formula():
-    """Temporarily corrupt the closed formula (harness self-test only)."""
-    global _FORMULA_SIGN
-    _FORMULA_SIGN = -1.0
+    """Temporarily corrupt the production SVD route (harness self-test only)."""
+    global _PAIR_SIGN
+    _PAIR_SIGN = -1.0
     try:
         yield
     finally:
-        _FORMULA_SIGN = 1.0
+        _PAIR_SIGN = 1.0
 
 
 def mp_inverse_abs_qstar(q: Idempotent, tol: Tolerances | None = None) -> np.ndarray:
@@ -72,17 +87,32 @@ def mp_inverse_abs_qstar(q: Idempotent, tol: Tolerances | None = None) -> np.nda
     return psd_power(p_r @ p_rs @ p_r, 0.5, tol)
 
 
+def _v_factor(q: Idempotent, abs_qs: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """V = T (|Q*|^dag)^(1/2) (I + |Q*|)^(-1/2) / sqrt 2 for T = |Q*| + Q*; V V* = m(Q)."""
+    return (
+        np.sqrt(0.5)
+        * (abs_qs + adjoint(q.matrix))
+        @ psd_power(mp_inverse_abs_qstar(q, tol), 0.5, tol)
+        @ psd_power(identity(q.dim) + abs_qs, -0.5, tol)
+    )
+
+
 @dataclass(frozen=True)
 class MatchedPair:
-    """Q together with m(Q) and the factors behind the closed formula."""
+    """Q with m(Q) and the spectral factors |Q|, |Q*|, |Q*|^dag and T = |Q*| + Q*."""
 
     source: Idempotent
     projection: Projection
     t_factor: np.ndarray
-    v_factor: np.ndarray
     abs_q: np.ndarray
     abs_q_star: np.ndarray
     abs_q_star_pinv: np.ndarray
+    tol: Tolerances = DEFAULT_TOL
+
+    @cached_property
+    def v_factor(self) -> np.ndarray:
+        """V with V V* = m(Q), from Koliha projections and eigh; built on first use."""
+        return _v_factor(self.source, self.abs_q_star, self.tol)
 
     def invariant_residuals(self, tol: Tolerances | None = None) -> dict[str, float]:
         """Residuals of the defining cross-identities of the pair."""
@@ -97,51 +127,69 @@ class MatchedPair:
         }
 
 
-def _factors(q: Idempotent, tol: Tolerances) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(|Q|, |Q*|, |Q*|^dag, T) for the closed formula."""
-    abs_q = abs_value(q.matrix)
-    abs_qs = abs_value(adjoint(q.matrix))
-    dag = mp_inverse_abs_qstar(q, tol)
-    t_factor = abs_qs + adjoint(q.matrix)
-    return abs_q, abs_qs, dag, t_factor
-
-
 def matched_projection(q: Idempotent, tol: Tolerances | None = None) -> MatchedPair:
-    """m(Q) by the closed formula, packaged with its factors.
+    """m(Q) from one SVD Q = U S V*, packaged with the factors that SVD gives.
 
-    The result is validated as a projection; the cross-route identities are
-    exposed through ``MatchedPair.invariant_residuals`` and exercised by the
+    With W = U_r + V_r over the singular values s_i > 0, m(Q) is the
+    orthogonal projection W (W* W)^(-1) W*, and in exact arithmetic
+    W* W = D = 2 (I + S_r^(-1)).  Computed singular vectors satisfy that
+    only to about n eps ||Q||, so W D^(-1) W* misses idempotency by as much
+    (3e-10 at ||A|| = 1e6, n = 32).  (W* W)^(-1) is therefore taken as one
+    Newton step from D^(-1), D^(-1) (2D - W* W) D^(-1), which leaves a
+    projection defect of order (n eps ||Q||)^2 plus round-off, without a
+    second factorization.  The singular values of an idempotent are 0 or at
+    least 1, so the cut at 1/2 separates them without a rank tolerance.
+
+    The result is certified by ``as_projection``; the oracle routes are
+    compared with it through ``MatchedPair.invariant_residuals`` and by the
     verification battery.
     """
     tol = tol or DEFAULT_TOL
-    abs_q, abs_qs, dag, t_factor = _factors(q, tol)
-    eye = identity(q.dim)
-    right = np.linalg.solve(abs_qs + eye, abs_qs + _FORMULA_SIGN * q.matrix)
-    m = 0.5 * t_factor @ dag @ right
-    v_factor = (
-        np.sqrt(0.5)
-        * t_factor
-        @ psd_power(dag, 0.5, tol)
-        @ psd_power(eye + abs_qs, -0.5, tol)
-    )
+    qm = q.matrix
+    u, s, vh = np.linalg.svd(qm)
+    keep = s > 0.5
+    u_r, s_r = u[:, keep], s[keep]
+    w = u_r + _PAIR_SIGN * adjoint(vh[keep])
+    d = 2.0 * (1.0 + 1.0 / s_r)
+    x = w / d
+    m = x @ (np.diag(2.0 * d) - adjoint(w) @ w) @ adjoint(x)
+    abs_qs = (u * s) @ adjoint(u)
     return MatchedPair(
         source=q,
         projection=as_projection(m, tol),
-        t_factor=t_factor,
-        v_factor=v_factor,
-        abs_q=abs_q,
+        t_factor=abs_qs + adjoint(qm),
+        abs_q=(adjoint(vh) * s) @ vh,
         abs_q_star=abs_qs,
-        abs_q_star_pinv=dag,
+        abs_q_star_pinv=(u_r / s_r) @ adjoint(u_r),
+        tol=tol,
     )
 
 
-def matched_via_factor(q: Idempotent, tol: Tolerances | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(T T^dag, V V*) for T = |Q*| + Q*; both equal m(Q)."""
+def matched_projection_closed_form(q: Idempotent, tol: Tolerances | None = None) -> np.ndarray:
+    """Oracle: m(Q) = (1/2) (|Q*| + Q*) |Q*|^dag (|Q*| + I)^(-1) (|Q*| + Q).
+
+    Built from its own SVD of Q*, the Koliha route to |Q*|^dag and a solve,
+    never from the production SVD.  Returned uncertified so that a
+    comparison reports its gap: from ||A|| ~ 1e3 up its projection defect
+    exceeds the default check tolerance.
+    """
     tol = tol or DEFAULT_TOL
-    pair = matched_projection(q, tol)
-    tt = pair.t_factor @ moore_penrose(pair.t_factor, tol)
-    vv = pair.v_factor @ adjoint(pair.v_factor)
-    return tt, vv
+    qm = q.matrix
+    abs_qs = abs_value(adjoint(qm))
+    right = np.linalg.solve(abs_qs + identity(q.dim), abs_qs + qm)
+    return 0.5 * (abs_qs + adjoint(qm)) @ mp_inverse_abs_qstar(q, tol) @ right
+
+
+def matched_via_factor(q: Idempotent, tol: Tolerances | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle: (T T^dag, V V*) for T = |Q*| + Q*; both equal m(Q).
+
+    T comes from its own SVD of Q*, not from the production route.
+    """
+    tol = tol or DEFAULT_TOL
+    abs_qs = abs_value(adjoint(q.matrix))
+    t_factor = abs_qs + adjoint(q.matrix)
+    v_factor = _v_factor(q, abs_qs, tol)
+    return t_factor @ moore_penrose(t_factor, tol), v_factor @ adjoint(v_factor)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,14 @@
 """Tests for the matched projection, its routes, and the pair predicates."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from matchedproj import (
     NotQuasiProjectionPairError,
     NotUnitaryError,
+    Projection,
     ValidationError,
     abs_value,
     adjoint,
@@ -18,6 +21,7 @@ from matchedproj import (
     homotopy_witness,
     is_quasi_projection_pair,
     matched_projection,
+    matched_projection_closed_form,
     matched_via_factor,
     moore_penrose,
     mp_inverse_abs_qstar,
@@ -34,6 +38,7 @@ from matchedproj import (
 from matchedproj.matched import sabotaged_formula
 
 RT2 = np.sqrt(2.0)
+EPS = np.finfo(np.float64).eps
 CANONICAL = [[1.0, 1.0], [0.0, 0.0]]
 # nearest projection to the canonical idempotent, from the 2x2 closed form
 MATCHED_CANONICAL = np.array([[RT2 + 1.0, 1.0], [1.0, RT2 - 1.0]]) / (2.0 * RT2)
@@ -142,6 +147,82 @@ class TestMatchedProjection:
             assert operator_norm(pair.abs_q @ pair.abs_q_star - adjoint(qm)) <= scale
             sandwich = adjoint(qm) @ pair.abs_q_star_pinv @ qm
             assert operator_norm(sandwich - pair.abs_q) <= scale
+
+
+def envelope_inputs(norms):
+    """Seeded idempotents: n in {1, 2, 8, 32}, rank 0, mixed and full, each ||A||."""
+    for dim in (1, 2, 8, 32):
+        for rank in sorted({0, dim // 4, dim // 2, 3 * dim // 4, dim}):
+            for nu in norms:
+                yield random_idempotent(dim, rank, nu, 1000 * dim + rank)
+
+
+class TestProductionRoute:
+    def test_agrees_with_oracles(self):
+        for q in envelope_inputs((1e-10, 1e-4, 1.0, 1e2)):
+            m = matched_projection(q).projection.matrix
+            tt, _ = matched_via_factor(q)
+            # backward-stable routes differ by O(n eps ||Q||) in Q, and m is
+            # Lipschitz in Q with a constant of order 1 + ||Q||
+            tol = 16 * q.dim * EPS * (1.0 + operator_norm(q.matrix)) ** 2
+            assert operator_norm(m - matched_projection_closed_form(q)) <= tol
+            assert operator_norm(m - tt) <= tol
+
+    def test_certified_at_large_offdiag_norm(self):
+        # the closed formula fails projection validation from ||A|| ~ 1e3 up;
+        # the production route's Newton step on the Gram matrix leaves a
+        # projection defect at round-off level whatever ||Q||
+        for q in envelope_inputs((1e3, 1e4, 1e6)):
+            pair = matched_projection(q)
+            assert isinstance(pair.projection, Projection)
+            assert pair.projection.defect <= 16 * q.dim * EPS
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """Count dense factorizations in numpy.linalg; norm(., 2) is an SVD."""
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("svd", "eig", "eigh", "eigvals", "eigvalsh", "solve", "inv",
+                 "qr", "cholesky", "lstsq", "pinv"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    norm = np.linalg.norm
+
+    def counted_norm(x, ord=None, *args, **kwargs):
+        if ord in (2, -2, "nuc"):
+            counts["norm2"] += 1
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counted_norm)
+    return counts
+
+
+class TestFactorizationCount:
+    def test_at_most_three_per_call(self, factorizations):
+        q = random_idempotent(8, 3, 2.0, 5)
+        factorizations.clear()
+        pair = matched_projection(q)
+        per_call = sum(factorizations.values())
+        assert per_call <= 3, dict(factorizations)
+        for name in ("abs_q", "abs_q_star", "abs_q_star_pinv", "t_factor"):
+            getattr(pair, name)
+        assert sum(factorizations.values()) == per_call
+
+    def test_v_factor_built_once_on_first_read(self, factorizations):
+        pair = matched_projection(random_idempotent(8, 3, 2.0, 5))
+        before = sum(factorizations.values())
+        first = pair.v_factor
+        after_first = sum(factorizations.values())
+        assert after_first > before
+        assert pair.v_factor is first
+        assert sum(factorizations.values()) == after_first
 
 
 class TestMatchedViaFactor:
@@ -419,3 +500,9 @@ class TestSabotageHook:
                 matched_projection(q)
         pair = matched_projection(q)
         np.testing.assert_allclose(pair.projection.matrix, MATCHED_CANONICAL, atol=1e-13)
+
+    def test_closed_form_oracle_untouched(self):
+        q = canonical()
+        with sabotaged_formula():
+            closed = matched_projection_closed_form(q)
+        np.testing.assert_allclose(closed, MATCHED_CANONICAL, atol=1e-13)
