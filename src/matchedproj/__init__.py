@@ -54,6 +54,7 @@ from .matched import (
     fractional_power_limit,
     homotopy_path,
     homotopy_witness,
+    homotopy_witness_block,
     is_quasi_projection_pair,
     matched_projection,
     matched_projection_closed_form,

@@ -37,6 +37,7 @@ from .matched import (
     fractional_power_limit,
     homotopy_path,
     homotopy_witness,
+    homotopy_witness_block,
     is_quasi_projection_pair,
     matched_projection,
     matched_projection_closed_form,
@@ -192,13 +193,12 @@ def _matched_identities(report: BatteryReport, rng, dim, q, tol, context):
 
     # the production SVD route against the three oracles, pairwise
     tt, vv = matched_via_factor(q, tol)
-    wit = homotopy_witness(q, tol)
     routes = {
         "svd": m,
         "closed": matched_projection_closed_form(q, tol),
         "tt": tt,
         "vv": vv,
-        "block": wit.projection.matrix,
+        "block": homotopy_witness_block(q, tol).projection.matrix,
     }
     names = list(routes)
     agree = max(
@@ -211,11 +211,10 @@ def _matched_identities(report: BatteryReport, rng, dim, q, tol, context):
     )
 
     t_fac = pair.t_factor
+    p_r = range_projection(q, tol).matrix
     report.tally("factor-recovers-range-projection").record(
-        operator_norm(moore_penrose(t_fac, tol) @ t_fac - range_projection(q, tol).matrix)
-        <= scale
-        and operator_norm(adjoint(pair.v_factor) @ pair.v_factor - range_projection(q, tol).matrix)
-        <= scale,
+        operator_norm(moore_penrose(t_fac, tol) @ t_fac - p_r) <= scale
+        and operator_norm(adjoint(pair.v_factor) @ pair.v_factor - p_r) <= scale,
         context,
     )
 

@@ -44,13 +44,24 @@ class Projection:
 
 def as_idempotent(m, tol: Tolerances | None = None) -> Idempotent:
     """Validate Q^2 = Q up to tol.check * (1 + ||Q||^2)."""
+    return as_idempotents(as_matrix(m)[np.newaxis], tol)[0]
+
+
+def as_idempotents(stack: np.ndarray, tol: Tolerances | None = None) -> list[Idempotent]:
+    """Validate each Q of a (k, n, n) stack as ``as_idempotent`` does.
+
+    Defects and norms come from one stacked ``norm(., 2)`` each; the first
+    sample over its gate raises.
+    """
     tol = tol or DEFAULT_TOL
-    q = as_matrix(m)
-    defect = operator_norm(q @ q - q)
-    bound = tol.check * (1.0 + operator_norm(q) ** 2)
-    if defect > bound:
-        raise ValidationError(f"idempotency defect {defect:.3e} exceeds {bound:.3e}")
-    return Idempotent(matrix=q, defect=defect)
+    if not np.isfinite(stack).all():
+        raise ValueError("matrix entries must be finite")
+    defects = np.linalg.norm(stack @ stack - stack, 2, axis=(-2, -1))
+    bounds = tol.check * (1.0 + np.linalg.norm(stack, 2, axis=(-2, -1)) ** 2)
+    for defect, bound in zip(defects, bounds):
+        if defect > bound:
+            raise ValidationError(f"idempotency defect {defect:.3e} exceeds {bound:.3e}")
+    return [Idempotent(matrix=q, defect=float(d)) for q, d in zip(stack, defects)]
 
 
 def as_projection(m, tol: Tolerances | None = None) -> Projection:

@@ -19,6 +19,7 @@ from matchedproj import (
     random_projection,
     range_projection,
 )
+from matchedproj.idempotents import as_idempotents
 
 RT2 = np.sqrt(2.0)
 CANONICAL = [[1.0, 1.0], [0.0, 0.0]]
@@ -41,6 +42,25 @@ class TestValidation:
     def test_projection_accepts_orthogonal(self):
         p = as_projection(0.5 * np.array([[1, 1], [1, 1]]))
         assert p.defect <= 1e-15
+
+
+class TestStackedValidation:
+    def test_matches_single_validation(self):
+        stack = np.stack([random_idempotent(4, 2, nu, 7).matrix for nu in (0.1, 1.0, 10.0)])
+        for sample, q in zip(as_idempotents(stack), stack):
+            single = as_idempotent(q)
+            np.testing.assert_array_equal(sample.matrix, single.matrix)
+            assert sample.defect == single.defect
+
+    def test_rejects_any_bad_sample(self):
+        stack = np.array([CANONICAL, [[1.0, 1.0], [0.0, 0.5]]], dtype=np.complex128)
+        with pytest.raises(ValidationError, match="idempotency defect"):
+            as_idempotents(stack)
+
+    def test_rejects_non_finite_sample(self):
+        stack = np.array([CANONICAL, [[np.nan, 0.0], [0.0, 0.0]]], dtype=np.complex128)
+        with pytest.raises(ValueError, match="finite"):
+            as_idempotents(stack)
 
 
 class TestRangeProjection:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from matchedproj import (
+    Idempotent,
     NotQuasiProjectionPairError,
     NotUnitaryError,
     Projection,
@@ -19,6 +20,7 @@ from matchedproj import (
     fractional_power_limit,
     homotopy_path,
     homotopy_witness,
+    homotopy_witness_block,
     is_quasi_projection_pair,
     matched_projection,
     matched_projection_closed_form,
@@ -149,12 +151,19 @@ class TestMatchedProjection:
             assert operator_norm(sandwich - pair.abs_q) <= scale
 
 
-def envelope_inputs(norms):
-    """Seeded idempotents: n in {1, 2, 8, 32}, rank 0, mixed and full, each ||A||."""
-    for dim in (1, 2, 8, 32):
-        for rank in sorted({0, dim // 4, dim // 2, 3 * dim // 4, dim}):
+def envelope_inputs(norms, dims=(1, 2, 8, 32), every_rank=False):
+    """Seeded idempotents: each n in dims, rank 0, mixed and full (or every rank), each ||A||."""
+    for dim in dims:
+        mixed = {0, dim // 4, dim // 2, 3 * dim // 4, dim}
+        for rank in range(dim + 1) if every_rank else sorted(mixed):
             for nu in norms:
                 yield random_idempotent(dim, rank, nu, 1000 * dim + rank)
+
+
+def route_tolerance(q):
+    # backward-stable routes differ by O(n eps ||Q||) in Q, and m is
+    # Lipschitz in Q with a constant of order 1 + ||Q||
+    return 16 * q.dim * EPS * (1.0 + operator_norm(q.matrix)) ** 2
 
 
 class TestProductionRoute:
@@ -162,9 +171,7 @@ class TestProductionRoute:
         for q in envelope_inputs((1e-10, 1e-4, 1.0, 1e2)):
             m = matched_projection(q).projection.matrix
             tt, _ = matched_via_factor(q)
-            # backward-stable routes differ by O(n eps ||Q||) in Q, and m is
-            # Lipschitz in Q with a constant of order 1 + ||Q||
-            tol = 16 * q.dim * EPS * (1.0 + operator_norm(q.matrix)) ** 2
+            tol = route_tolerance(q)
             assert operator_norm(m - matched_projection_closed_form(q)) <= tol
             assert operator_norm(m - tt) <= tol
 
@@ -204,6 +211,40 @@ def factorizations(monkeypatch):
     return counts
 
 
+class TestWitnessRoute:
+    def test_agrees_with_block_oracle(self):
+        for q in envelope_inputs((1e-10, 1e-4, 1.0, 1e2), every_rank=True):
+            wit, block = homotopy_witness(q), homotopy_witness_block(q)
+            tol = route_tolerance(q)
+            assert operator_norm(wit.projection.matrix - block.projection.matrix) <= tol
+            assert operator_norm(wit.w - block.w) <= tol
+
+    def test_path_certified_at_large_offdiag_norm(self):
+        # the block construction's m(Q) fails projection validation from
+        # ||A|| ~ 1e3 up; the SVD witness keeps the whole path certified
+        for q in envelope_inputs((1e3, 1e4, 1e5), dims=(4, 8, 16, 32)):
+            path = homotopy_path(q, 11)
+            assert len(path) == 11
+            assert all(isinstance(sample, Idempotent) for sample in path)
+            tol = route_tolerance(q)
+            m = matched_projection(q).projection.matrix
+            assert operator_norm(path[0].matrix - m) <= tol
+            assert operator_norm(path[-1].matrix - q.matrix) <= tol
+
+    def test_stacked_path_equals_per_sample_loop(self):
+        # one stacked solve and stacked norms run the same LAPACK calls on the
+        # same data as the loop, so the samples agree exactly
+        for q in envelope_inputs((1e-4, 1.0, 1e2, 1e4), dims=(2, 8, 32)):
+            path = homotopy_path(q, 11)
+            wit = homotopy_witness(q)
+            eye = np.eye(q.dim)
+            for t, sample in zip(np.linspace(0.0, 1.0, 11), path):
+                w_t = eye + t * (wit.w - eye)
+                ref = as_idempotent(np.linalg.solve(w_t, wit.projection.matrix @ w_t))
+                np.testing.assert_array_equal(sample.matrix, ref.matrix)
+                assert sample.defect == ref.defect
+
+
 class TestFactorizationCount:
     def test_at_most_three_per_call(self, factorizations):
         q = random_idempotent(8, 3, 2.0, 5)
@@ -214,6 +255,18 @@ class TestFactorizationCount:
         for name in ("abs_q", "abs_q_star", "abs_q_star_pinv", "t_factor"):
             getattr(pair, name)
         assert sum(factorizations.values()) == per_call
+
+    def test_witness_at_most_nine(self, factorizations):
+        q = random_idempotent(8, 3, 2.0, 5)
+        factorizations.clear()
+        homotopy_witness(q)
+        assert sum(factorizations.values()) <= 9, dict(factorizations)
+
+    def test_path_at_most_twelve(self, factorizations):
+        q = random_idempotent(8, 3, 2.0, 5)
+        factorizations.clear()
+        homotopy_path(q, 11)
+        assert sum(factorizations.values()) <= 12, dict(factorizations)
 
     def test_v_factor_built_once_on_first_read(self, factorizations):
         pair = matched_projection(random_idempotent(8, 3, 2.0, 5))
@@ -377,7 +430,7 @@ class TestHomotopy:
             q = random_idempotent(
                 dim, int(rng.integers(1, dim)), 2.0, int(rng.integers(2**32))
             )
-            wit = homotopy_witness(q)
+            wit = homotopy_witness_block(q)
             pair = matched_projection(q)
             assert operator_norm(wit.projection.matrix - pair.projection.matrix) <= 1e-9
 
@@ -506,3 +559,11 @@ class TestSabotageHook:
         with sabotaged_formula():
             closed = matched_projection_closed_form(q)
         np.testing.assert_allclose(closed, MATCHED_CANONICAL, atol=1e-13)
+
+    def test_witness_fails_block_oracle_untouched(self):
+        q = canonical()
+        with sabotaged_formula():
+            with pytest.raises(ValidationError):
+                homotopy_witness(q)
+            block = homotopy_witness_block(q)
+        np.testing.assert_allclose(block.projection.matrix, MATCHED_CANONICAL, atol=1e-13)
