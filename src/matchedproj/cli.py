@@ -77,7 +77,7 @@ def cmd_analyze(args) -> int:
         checks = list(rep.checks) + range_identities(q, tol)
 
         inv = pair.invariant_residuals(tol)
-        scale = tol.check * (1.0 + operator_norm(q.matrix))
+        scale = tol.check * (1.0 + q.norm)
         checks.append(Check("matched_equals_tt_factor", inv["factor_tt"], 10 * tol.check))
         checks.append(Check("matched_equals_vv_factor", inv["factor_vv"], 10 * tol.check))
         checks.append(Check("matched_reflection_identity", inv["adjoint_reflection"], scale))
@@ -139,7 +139,7 @@ def cmd_generate(args) -> int:
     save_matrix(args.output, q.matrix)
     print(
         f"wrote {args.output}: dim {args.dim}, rank {args.rank}, "
-        f"norm {operator_norm(q.matrix):.12f}, defect {q.defect:.3e}"
+        f"norm {q.norm:.12f}, defect {q.defect:.3e}"
     )
     return E_OK
 

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable, Hashable, TypeVar
 
 import numpy as np
 
@@ -10,6 +11,7 @@ from .errors import BadRankError, SingularPencilError, ValidationError
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
+    abs_value,
     adjoint,
     as_matrix,
     hermitian_eigen,
@@ -18,16 +20,55 @@ from .linalg import (
 )
 
 
+_T = TypeVar("_T")
+
+
 @dataclass(frozen=True)
 class Idempotent:
-    """A matrix Q with Q^2 = Q, certified by its defect ||Q^2 - Q||."""
+    """A matrix Q with Q^2 = Q, certified by its defect ||Q^2 - Q||.
+
+    An idempotent carries its own analysis: values that depend on Q alone
+    (||Q||, the SVD of Q, |Q*|, and per tolerance the pencil check, the
+    range and null projections and the spectral core of m(Q)) are computed
+    on first use and kept in a private memo, so every report on the same Q
+    reads them instead of factoring Q again.  The matrix must not be
+    mutated: that voids the certified defect and the memo alike.  Memoized
+    arrays are shared with every caller and are read-only by contract.
+    ``dataclasses.replace`` starts a fresh memo.
+    """
 
     matrix: np.ndarray
     defect: float
+    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    @property
+    def norm(self) -> float:
+        """||Q||, as ``operator_norm(Q)``."""
+        return self._memoized("norm", lambda: operator_norm(self.matrix))
+
+    @property
+    def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The SVD (U, s, V*) of Q, as ``np.linalg.svd(Q)``."""
+        return self._memoized("svd", lambda: np.linalg.svd(self.matrix))
+
+    @property
+    def abs_q_star(self) -> np.ndarray:
+        """|Q*| = (Q Q*)^(1/2), as ``abs_value(Q*)``."""
+        return self._memoized("abs_q_star", lambda: abs_value(adjoint(self.matrix)))
+
+    def _memoized(self, key: Hashable, compute: Callable[[], _T]) -> _T:
+        """The value kept under ``key``, computed and kept on first use.
+
+        Never keep a value that refers back to this idempotent (such as a
+        ``MatchedPair``): the cycle would outlive the last reference to Q.
+        """
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
 
 
 @dataclass(frozen=True)
@@ -80,24 +121,40 @@ def _solve_right(numerator: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 def _pencil(q: Idempotent, tol: Tolerances) -> np.ndarray:
-    s = q.matrix + adjoint(q.matrix) - identity(q.dim)
-    sv = np.linalg.svd(s, compute_uv=False)
-    if sv[-1] <= tol.rank_factor(q.dim) * sv[0]:
-        raise SingularPencilError("Q + Q* - I is numerically singular")
-    return s
+    def checked() -> np.ndarray:
+        s = q.matrix + adjoint(q.matrix) - identity(q.dim)
+        sv = np.linalg.svd(s, compute_uv=False)
+        if sv[-1] <= tol.rank_factor(q.dim) * sv[0]:
+            raise SingularPencilError("Q + Q* - I is numerically singular")
+        return s
+
+    return q._memoized(("pencil", tol), checked)
 
 
 def range_projection(q: Idempotent, tol: Tolerances | None = None) -> Projection:
-    """Orthogonal projection onto the range of Q, as Q (Q + Q* - I)^(-1)."""
+    """Orthogonal projection onto the range of Q, as Q (Q + Q* - I)^(-1).
+
+    Memoized on Q per tolerance.
+    """
     tol = tol or DEFAULT_TOL
-    return as_projection(_solve_right(q.matrix, _pencil(q, tol)), tol)
+    return q._memoized(
+        ("range_projection", tol),
+        lambda: as_projection(_solve_right(q.matrix, _pencil(q, tol)), tol),
+    )
 
 
 def null_projection(q: Idempotent, tol: Tolerances | None = None) -> Projection:
-    """Orthogonal projection onto the null space of Q, as (Q - I)(Q + Q* - I)^(-1)."""
+    """Orthogonal projection onto the null space of Q, as (Q - I)(Q + Q* - I)^(-1).
+
+    Memoized on Q per tolerance.
+    """
     tol = tol or DEFAULT_TOL
-    num = q.matrix - identity(q.dim)
-    return as_projection(_solve_right(num, _pencil(q, tol)), tol)
+    return q._memoized(
+        ("null_projection", tol),
+        lambda: as_projection(
+            _solve_right(q.matrix - identity(q.dim), _pencil(q, tol)), tol
+        ),
+    )
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -147,11 +147,17 @@ def moore_penrose(m: np.ndarray, tol: Tolerances | None = None) -> np.ndarray:
 
 
 def psd_order(a: np.ndarray, b: np.ndarray, tol: Tolerances | None = None) -> bool:
-    """Loewner order test A <= B with slack on the smallest eigenvalue of B - A."""
+    """Loewner order test A <= B with slack on the smallest eigenvalue of B - A.
+
+    For A = 0, B - A equals B, so B is validated once.
+    """
     tol = tol or DEFAULT_TOL
-    require_hermitian(a, tol)
-    require_hermitian(b, tol)
-    d = require_hermitian(b - a, tol)
+    if a.any():
+        require_hermitian(a, tol)
+        require_hermitian(b, tol)
+        d = require_hermitian(b - a, tol)
+    else:
+        d = require_hermitian(b, tol)
     w = np.linalg.eigvalsh(d)
     scale = float(np.abs(w).max()) if w.size else 0.0
     return bool(w.min() >= -tol.psd * (1.0 + scale))

@@ -144,14 +144,22 @@ def _svd_core(
     projection defect of order (n eps ||Q||)^2 plus round-off, without a
     second factorization.  The singular values of an idempotent are 0 or at
     least 1, so the cut at 1/2 separates them without a rank tolerance.
+
+    The SVD is Q's memoized one, and the core is memoized on Q per
+    (tol, _PAIR_SIGN), so a core built outside ``sabotaged_formula`` is
+    never served inside it.
     """
-    u, s, vh = np.linalg.svd(q.matrix)
-    r = int(np.count_nonzero(s > 0.5))
-    w = u[:, :r] + _PAIR_SIGN * adjoint(vh[:r])
-    d = 2.0 * (1.0 + 1.0 / s[:r])
-    x = w / d
-    m = x @ (np.diag(2.0 * d) - adjoint(w) @ w) @ adjoint(x)
-    return u, s, vh, r, as_projection(m, tol)
+
+    def build():
+        u, s, vh = q.svd
+        r = int(np.count_nonzero(s > 0.5))
+        w = u[:, :r] + _PAIR_SIGN * adjoint(vh[:r])
+        d = 2.0 * (1.0 + 1.0 / s[:r])
+        x = w / d
+        m = x @ (np.diag(2.0 * d) - adjoint(w) @ w) @ adjoint(x)
+        return u, s, vh, r, as_projection(m, tol)
+
+    return q._memoized(("svd_core", tol, _PAIR_SIGN), build)
 
 
 def matched_projection(q: Idempotent, tol: Tolerances | None = None) -> MatchedPair:
@@ -161,6 +169,9 @@ def matched_projection(q: Idempotent, tol: Tolerances | None = None) -> MatchedP
     same SVD gives |Q| = V S V*, |Q*| = U S U*, |Q*|^dag = U_r S_r^(-1) U_r*
     and T = |Q*| + Q*.  The oracle routes are compared with it through
     ``MatchedPair.invariant_residuals`` and by the verification battery.
+
+    The core is memoized on Q, but the pair is rebuilt on every call: it
+    refers to Q, so keeping it in Q's memo would make a reference cycle.
     """
     tol = tol or DEFAULT_TOL
     u, s, vh, r, projection = _svd_core(q, tol)
@@ -235,16 +246,17 @@ def is_quasi_projection_pair(
     eye = identity(q.dim)
     comp = eye - pm
     reflect = 2.0 * pm - eye
+    # |Q| as abs_value(Q) forms it, from Q's memoized SVD
+    _, s, vh = q.svd
+    abs_q = (adjoint(vh) * s) @ vh
     residuals = {
         "block_range": operator_norm(pm @ (adjoint(qm) - qm) @ pm),
         "block_cross": operator_norm(pm @ adjoint(qm) @ comp + pm @ qm @ comp),
         "block_null": operator_norm(comp @ (adjoint(qm) - qm) @ comp),
         "adjoint_reflection": operator_norm(adjoint(qm) - reflect @ qm @ reflect),
-        "abs_reflection": operator_norm(
-            abs_value(adjoint(qm)) - reflect @ abs_value(qm) @ reflect
-        ),
+        "abs_reflection": operator_norm(q.abs_q_star - reflect @ abs_q @ reflect),
     }
-    gate = tol.check * (1.0 + operator_norm(qm))
+    gate = tol.check * (1.0 + q.norm)
     return QppVerdict(
         holds=all(r <= gate for r in residuals.values()),
         residuals=residuals,
@@ -411,12 +423,13 @@ def _column_space_projector(m: np.ndarray, tol: Tolerances) -> np.ndarray:
     return cols @ adjoint(cols)
 
 
-def _orthonormal_basis(m: np.ndarray, tol: Tolerances, of_null: bool = False) -> np.ndarray:
-    u, s, vh = np.linalg.svd(m)
-    cutoff = tol.rank_factor(m.shape[0]) * (s[0] if s.size and s[0] > 0 else 1.0)
-    if of_null:
-        return adjoint(vh)[:, s <= cutoff] if s.size else adjoint(vh)
-    return u[:, s > cutoff]
+def _orthonormal_bases(
+    usv: tuple[np.ndarray, np.ndarray, np.ndarray], tol: Tolerances
+) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases of the range and the null space of M = U S V*."""
+    u, s, vh = usv
+    cutoff = tol.rank_factor(u.shape[0]) * (s[0] if s[0] > 0 else 1.0)
+    return u[:, s > cutoff], adjoint(vh)[:, s <= cutoff]
 
 
 def _rank(m: np.ndarray, tol: Tolerances) -> int:
@@ -481,19 +494,17 @@ def range_identities(
         Check(
             "mq_times_qstar",
             operator_norm(m @ adjoint(qm) - 0.5 * (abs_qs + adjoint(qm))),
-            tol.check * (1.0 + operator_norm(qm)),
+            tol.check * (1.0 + q.norm),
         ),
         Check(
             "mq_times_q",
             operator_norm(m @ qm - 0.5 * (abs_q + qm)),
-            tol.check * (1.0 + operator_norm(qm)),
+            tol.check * (1.0 + q.norm),
         ),
     ]
 
-    range_m = _orthonormal_basis(m, tol)
-    null_q = _orthonormal_basis(qm, tol, of_null=True)
-    range_q = _orthonormal_basis(qm, tol)
-    null_m = _orthonormal_basis(m, tol, of_null=True)
+    range_m, null_m = _orthonormal_bases(np.linalg.svd(m), tol)
+    range_q, null_q = _orthonormal_bases(q.svd, tol)
     checks.append(
         boolean_check(
             "range_mq_meets_null_q_trivially",
@@ -537,7 +548,7 @@ def fractional_power_limit(
         raise ValidationError("m(Q) Q m(Q) does not dominate m(Q)")
     quarter = 0.25 * (pair.abs_q_star + pair.abs_q + qm + adjoint(qm))
     gap = operator_norm(k - quarter)
-    if gap > tol.check * (1.0 + operator_norm(qm)):
+    if gap > tol.check * (1.0 + q.norm):
         raise ValidationError(f"four-term identity residual {gap:.3e}")
     return [operator_norm(psd_power(k, 1.0 / n, tol) - m) for n in n_list]
 

@@ -30,10 +30,11 @@ def matrix_from_obj(obj) -> np.ndarray:
     if not isinstance(obj, dict) or "dim" not in obj or "entries" not in obj:
         raise MatrixFileError("expected an object with 'dim' and 'entries'")
     dim = obj["dim"]
+    # JSON true/false load as bool, a subclass of int: rejected explicitly
     if (
         not isinstance(dim, list)
         or len(dim) != 2
-        or not all(isinstance(d, int) and d >= 1 for d in dim)
+        or not all(isinstance(d, int) and not isinstance(d, bool) and d >= 1 for d in dim)
         or dim[0] != dim[1]
     ):
         raise MatrixFileError(f"'dim' must be [n, n] with n >= 1, got {dim!r}")
@@ -49,7 +50,9 @@ def matrix_from_obj(obj) -> np.ndarray:
             if (
                 not isinstance(pair, list)
                 or len(pair) != 2
-                or not all(isinstance(v, (int, float)) for v in pair)
+                or not all(
+                    isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair
+                )
             ):
                 raise MatrixFileError(f"entry ({i}, {j}) must be an [re, im] pair")
             out[i, j] = complex(pair[0], pair[1])

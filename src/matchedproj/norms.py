@@ -88,7 +88,7 @@ def distance_report(q: Idempotent, tol: Tolerances | None = None) -> DistanceRep
     pair = matched_projection(q, tol)
     m = pair.projection.matrix
 
-    norm_q = operator_norm(qm)
+    norm_q = q.norm
     norm_c = operator_norm(eye - qm)
     d_matched = operator_norm(m - qm)
     d_closed = closed_form_distance(norm_q)
@@ -368,8 +368,8 @@ def qpp_minimality(
     qm = q.matrix
     d_matched = operator_norm(m - qm)
     d_candidate = operator_norm(p.matrix - qm)
-    scale = tol.check * (1.0 + operator_norm(qm))
-    scale_sq = tol.check * (1.0 + operator_norm(qm) ** 2)
+    scale = tol.check * (1.0 + q.norm)
+    scale_sq = tol.check * (1.0 + q.norm**2)
 
     checks = [
         Check("matched_within_twice_candidate", max(0.0, d_matched - 2.0 * d_candidate), scale)
@@ -400,7 +400,7 @@ def qpp_minimality(
             checks.append(
                 Check(
                     "small_distance_bounds_norm",
-                    max(0.0, operator_norm(qm) - 5.0 / 3.0),
+                    max(0.0, q.norm - 5.0 / 3.0),
                     tol.check,
                 )
             )

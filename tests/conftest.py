@@ -1,0 +1,32 @@
+"""Fixtures shared by the test modules."""
+
+from collections import Counter
+
+import numpy as np
+import pytest
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """Count dense factorizations in numpy.linalg; norm(., 2) is an SVD."""
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("svd", "eig", "eigh", "eigvals", "eigvalsh", "solve", "inv",
+                 "qr", "cholesky", "lstsq", "pinv"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    norm = np.linalg.norm
+
+    def counted_norm(x, ord=None, *args, **kwargs):
+        if ord in (2, -2, "nuc"):
+            counts["norm2"] += 1
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counted_norm)
+    return counts

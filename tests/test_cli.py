@@ -132,6 +132,26 @@ class TestAnalyze:
         save_matrix(q, as_matrix([[1.0, 1.0], [0.0, 0.0]]))
         assert run("analyze", "--input", q, "--tol-check", "1e-18") == 1
 
+    def test_boolean_dim_is_usage_error(self, tmp_path):
+        q = tmp_path / "q.json"
+        q.write_text('{"dim": [true, true], "entries": [[[1, 0]]]}')
+        assert run("analyze", "--input", q) == 2
+
+    def test_boolean_entry_is_usage_error(self, tmp_path):
+        # would otherwise load as [[1]], a valid idempotent
+        q = tmp_path / "q.json"
+        q.write_text('{"dim": [1, 1], "entries": [[[true, false]]]}')
+        assert run("analyze", "--input", q) == 2
+
+    def test_factorizations_with_cold_memo(self, tmp_path, factorizations):
+        # the ceiling is the measured count; without the memo analyze makes 156
+        q = tmp_path / "q.json"
+        assert run("generate", "--dim", 8, "--rank", 3, "--offdiag-norm", 2,
+                   "--seed", 42, "--output", q) == 0
+        factorizations.clear()
+        assert run("analyze", "--input", q) == 0
+        assert sum(factorizations.values()) <= 103, dict(factorizations)
+
     def test_report_json_round_trips(self, tmp_path):
         q, rep = tmp_path / "q.json", tmp_path / "rep.json"
         save_matrix(q, as_matrix([[1.0, 1.0], [0.0, 0.0]]))

@@ -1,5 +1,7 @@
 """Tests for validated idempotents, Koliha projections, and block forms."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,28 @@ class TestStackedValidation:
         stack = np.array([CANONICAL, [[np.nan, 0.0], [0.0, 0.0]]], dtype=np.complex128)
         with pytest.raises(ValueError, match="finite"):
             as_idempotents(stack)
+
+
+class TestMemo:
+    def test_replace_starts_a_fresh_memo(self):
+        q = random_idempotent(6, 2, 3.0, 11)
+        other = random_idempotent(6, 4, 0.5, 12)
+        q.norm, range_projection(q)
+        moved = dataclasses.replace(q, matrix=other.matrix, defect=other.defect)
+        assert moved.norm == operator_norm(other.matrix)
+        np.testing.assert_array_equal(
+            range_projection(moved).matrix, range_projection(other).matrix
+        )
+
+    def test_projections_keyed_on_tolerance(self):
+        # certified at the default gate, the same projections cannot meet 1e-18
+        q = random_idempotent(6, 2, 3.0, 11)
+        range_projection(q), null_projection(q)
+        strict = Tolerances(check=1e-18)
+        with pytest.raises(ValidationError):
+            range_projection(q, strict)
+        with pytest.raises(ValidationError):
+            null_projection(q, strict)
 
 
 class TestRangeProjection:

@@ -1,6 +1,7 @@
 """Tests for the matched projection, its routes, and the pair predicates."""
 
-from collections import Counter
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -10,12 +11,14 @@ from matchedproj import (
     NotQuasiProjectionPairError,
     NotUnitaryError,
     Projection,
+    Tolerances,
     ValidationError,
     abs_value,
     adjoint,
     all_passed,
     as_idempotent,
     as_projection,
+    distance_report,
     failures,
     fractional_power_limit,
     homotopy_path,
@@ -185,32 +188,6 @@ class TestProductionRoute:
             assert pair.projection.defect <= 16 * q.dim * EPS
 
 
-@pytest.fixture
-def factorizations(monkeypatch):
-    """Count dense factorizations in numpy.linalg; norm(., 2) is an SVD."""
-    counts = Counter()
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    for name in ("svd", "eig", "eigh", "eigvals", "eigvalsh", "solve", "inv",
-                 "qr", "cholesky", "lstsq", "pinv"):
-        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
-    norm = np.linalg.norm
-
-    def counted_norm(x, ord=None, *args, **kwargs):
-        if ord in (2, -2, "nuc"):
-            counts["norm2"] += 1
-        return norm(x, ord, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "norm", counted_norm)
-    return counts
-
-
 class TestWitnessRoute:
     def test_agrees_with_block_oracle(self):
         for q in envelope_inputs((1e-10, 1e-4, 1.0, 1e2), every_rank=True):
@@ -268,6 +245,16 @@ class TestFactorizationCount:
         homotopy_path(q, 11)
         assert sum(factorizations.values()) <= 12, dict(factorizations)
 
+    @pytest.mark.parametrize("first", [matched_projection, homotopy_witness])
+    def test_warm_memo_runs_no_svd(self, factorizations, first):
+        q = random_idempotent(8, 3, 2.0, 5)
+        first(q)
+        factorizations.clear()
+        matched_projection(q)
+        assert sum(factorizations.values()) == 0, dict(factorizations)
+        homotopy_witness(q)
+        assert factorizations["svd"] == 0, dict(factorizations)
+
     def test_v_factor_built_once_on_first_read(self, factorizations):
         pair = matched_projection(random_idempotent(8, 3, 2.0, 5))
         before = sum(factorizations.values())
@@ -276,6 +263,40 @@ class TestFactorizationCount:
         assert after_first > before
         assert pair.v_factor is first
         assert sum(factorizations.values()) == after_first
+
+
+class TestMemo:
+    def test_q_freed_by_refcount(self):
+        # nothing kept in Q's memo may refer back to Q, or Q would live on in
+        # a cycle that only the cyclic collector frees
+        gc.disable()
+        try:
+            q = random_idempotent(8, 3, 2.0, 5)
+            alive = weakref.ref(q)
+            matched_projection(q)
+            homotopy_path(q, 3)
+            distance_report(q)
+            range_identities(q)
+            del q
+            assert alive() is None
+        finally:
+            gc.enable()
+
+    def test_core_not_served_under_sabotage(self):
+        q = canonical()
+        matched_projection(q)
+        homotopy_witness(q)
+        with sabotaged_formula():
+            with pytest.raises(ValidationError):
+                matched_projection(q)
+            with pytest.raises(ValidationError):
+                homotopy_witness(q)
+
+    def test_core_keyed_on_tolerance(self):
+        q = random_idempotent(8, 3, 2.0, 5)
+        matched_projection(q)
+        with pytest.raises(ValidationError):
+            matched_projection(q, Tolerances(check=1e-18))
 
 
 class TestMatchedViaFactor:
