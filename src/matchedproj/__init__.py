@@ -43,6 +43,7 @@ from .linalg import (
     identity,
     matrix_function,
     moore_penrose,
+    numerical_rank,
     operator_norm,
     psd_order,
     psd_power,

@@ -155,7 +155,7 @@ def _core_kernels(report: BatteryReport, rng, dim, tol, context):
 
 def _projection_structure(report: BatteryReport, rng, dim, q, tol, context):
     qm = q.matrix
-    scale = tol.check * (1.0 + operator_norm(qm))
+    scale = tol.check * (1.0 + q.norm)
     p_r = range_projection(q, tol)
     p_n = null_projection(q, tol)
     report.tally("range-projection-absorbs").record(
@@ -186,8 +186,7 @@ def _projection_structure(report: BatteryReport, rng, dim, q, tol, context):
 def _matched_identities(report: BatteryReport, rng, dim, q, tol, context):
     qm = q.matrix
     eye = identity(dim)
-    norm_q = operator_norm(qm)
-    scale = tol.check * (1.0 + norm_q)
+    scale = tol.check * (1.0 + q.norm)
     pair = matched_projection(q, tol)
     m = pair.projection.matrix
 
@@ -227,21 +226,21 @@ def _matched_identities(report: BatteryReport, rng, dim, q, tol, context):
 
     reflect = 2.0 * m - eye
     report.tally("reflection-gives-abs").record(
-        operator_norm(reflect @ qm - pair.abs_q) <= scale, context
+        operator_norm(reflect @ qm - q.abs_q) <= scale, context
     )
     comp_abs = abs_value(eye - qm)
     report.tally("reflection-gives-abs-sum").record(
-        operator_norm(reflect @ (2.0 * qm - eye) - (pair.abs_q + comp_abs)) <= scale,
+        operator_norm(reflect @ (2.0 * qm - eye) - (q.abs_q + comp_abs)) <= scale,
         context,
     )
     report.tally("abs-product-gives-q").record(
-        operator_norm(pair.abs_q_star @ pair.abs_q - qm) <= scale, context
+        operator_norm(q.abs_q_star @ q.abs_q - qm) <= scale, context
     )
     report.tally("abs-product-gives-qstar").record(
-        operator_norm(pair.abs_q @ pair.abs_q_star - adjoint(qm)) <= scale, context
+        operator_norm(q.abs_q @ q.abs_q_star - adjoint(qm)) <= scale, context
     )
     report.tally("sandwich-pinv-gives-abs").record(
-        operator_norm(adjoint(qm) @ pair.abs_q_star_pinv @ qm - pair.abs_q) <= scale,
+        operator_norm(adjoint(qm) @ q.abs_q_star_pinv @ qm - q.abs_q) <= scale,
         context,
     )
 
@@ -259,7 +258,7 @@ def _matched_identities(report: BatteryReport, rng, dim, q, tol, context):
         unitary_equivariance(q, u, tol) <= scale, context
     )
 
-    inv = pair.invariant_residuals(tol)
+    inv = pair.invariant_residuals()
     report.tally("pair-factor-invariants").record(
         inv["factor_tt"] <= 10.0 * tol.check and inv["factor_vv"] <= 10.0 * tol.check,
         context,
@@ -295,7 +294,7 @@ def _qpp_suite(report: BatteryReport, rng, dim, q, tol, context):
     m_qpp = matched_projection(q_qpp, tol).projection.matrix
     commute = operator_norm(p_qpp.matrix @ m_qpp - m_qpp @ p_qpp.matrix)
     report.tally("qpp-partner-commutes-with-matched").record(
-        commute <= tol.check * (1.0 + operator_norm(q_qpp.matrix)), context
+        commute <= tol.check * (1.0 + q_qpp.norm), context
     )
     mini = qpp_minimality(p_qpp, q_qpp, tol)
     _record_checks(report, "qpp-minimality", mini.checks, context)
@@ -305,7 +304,7 @@ def _qpp_suite(report: BatteryReport, rng, dim, q, tol, context):
 def _homotopy(report: BatteryReport, rng, dim, q, tol, context):
     wit = homotopy_witness(q, tol)
     report.tally("witness-contraction").record(wit.contraction_norm < 1.0, context)
-    norm_a = np.sqrt(max(operator_norm(q.matrix) ** 2 - 1.0, 0.0))
+    norm_a = np.sqrt(max(q.norm**2 - 1.0, 0.0))
     norm_b = np.sqrt(1.0 + norm_a**2)
     report.tally("witness-contraction-bound").record(
         wit.contraction_norm**2 <= norm_b / (norm_b + 1.0) + tol.check, context
@@ -322,7 +321,7 @@ def _homotopy(report: BatteryReport, rng, dim, q, tol, context):
         operator_norm(path[-1].matrix - q.matrix),
     )
     report.tally("path-endpoints").record(
-        ends <= tol.check * (1.0 + operator_norm(q.matrix)), context
+        ends <= tol.check * (1.0 + q.norm), context
     )
 
 

@@ -76,7 +76,7 @@ def cmd_analyze(args) -> int:
         rep = distance_report(q, tol)
         checks = list(rep.checks) + range_identities(q, tol)
 
-        inv = pair.invariant_residuals(tol)
+        inv = pair.invariant_residuals()
         scale = tol.check * (1.0 + q.norm)
         checks.append(Check("matched_equals_tt_factor", inv["factor_tt"], 10 * tol.check))
         checks.append(Check("matched_equals_vv_factor", inv["factor_vv"], 10 * tol.check))

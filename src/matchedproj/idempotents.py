@@ -11,11 +11,11 @@ from .errors import BadRankError, SingularPencilError, ValidationError
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
-    abs_value,
     adjoint,
     as_matrix,
     hermitian_eigen,
     identity,
+    numerical_rank,
     operator_norm,
 )
 
@@ -27,13 +27,16 @@ _T = TypeVar("_T")
 class Idempotent:
     """A matrix Q with Q^2 = Q, certified by its defect ||Q^2 - Q||.
 
-    An idempotent carries its own analysis: values that depend on Q alone
-    (||Q||, the SVD of Q, |Q*|, and per tolerance the pencil check, the
-    range and null projections and the spectral core of m(Q)) are computed
-    on first use and kept in a private memo, so every report on the same Q
-    reads them instead of factoring Q again.  The matrix must not be
-    mutated: that voids the certified defect and the memo alike.  Memoized
-    arrays are shared with every caller and are read-only by contract.
+    An idempotent carries its own analysis, kept in a private memo and
+    computed on first use, so every report on the same Q reads it instead
+    of factoring Q again.  Every value that depends on Q alone comes from
+    the one SVD Q = U S V* (``svd``): ||Q|| = s_0, the rank (the singular
+    values of an idempotent are 0 or at least 1, so the cut at 1/2 needs no
+    tolerance), |Q| = V S V*, |Q*| = U S U* and |Q*|^dag = U_r S_r^(-1) U_r*.
+    Per tolerance the memo also keeps the pencil check, the range and null
+    projections and the certified m(Q).  The matrix must not be mutated:
+    that voids the certified defect and the memo alike.  Memoized arrays
+    are shared with every caller and are read-only by contract.
     ``dataclasses.replace`` starts a fresh memo.
     """
 
@@ -46,19 +49,38 @@ class Idempotent:
         return self.matrix.shape[0]
 
     @property
-    def norm(self) -> float:
-        """||Q||, as ``operator_norm(Q)``."""
-        return self._memoized("norm", lambda: operator_norm(self.matrix))
-
-    @property
     def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The SVD (U, s, V*) of Q, as ``np.linalg.svd(Q)``."""
         return self._memoized("svd", lambda: np.linalg.svd(self.matrix))
 
     @property
+    def norm(self) -> float:
+        """||Q||, the largest singular value."""
+        return float(self.svd[1][0])
+
+    @property
+    def rank(self) -> int:
+        """The number of singular values above 1/2."""
+        return int(np.count_nonzero(self.svd[1] > 0.5))
+
+    @property
+    def abs_q(self) -> np.ndarray:
+        """|Q| = (Q* Q)^(1/2) = V S V*."""
+        _, s, vh = self.svd
+        return self._memoized("abs_q", lambda: (adjoint(vh) * s) @ vh)
+
+    @property
     def abs_q_star(self) -> np.ndarray:
-        """|Q*| = (Q Q*)^(1/2), as ``abs_value(Q*)``."""
-        return self._memoized("abs_q_star", lambda: abs_value(adjoint(self.matrix)))
+        """|Q*| = (Q Q*)^(1/2) = U S U*."""
+        u, s, _ = self.svd
+        return self._memoized("abs_q_star", lambda: (u * s) @ adjoint(u))
+
+    @property
+    def abs_q_star_pinv(self) -> np.ndarray:
+        """|Q*|^dag = U_r S_r^(-1) U_r*."""
+        u, s, _ = self.svd
+        r = self.rank
+        return self._memoized("abs_q_star_pinv", lambda: (u[:, :r] / s[:r]) @ adjoint(u[:, :r]))
 
     def _memoized(self, key: Hashable, compute: Callable[[], _T]) -> _T:
         """The value kept under ``key``, computed and kept on first use.
@@ -123,8 +145,7 @@ def _solve_right(numerator: np.ndarray, s: np.ndarray) -> np.ndarray:
 def _pencil(q: Idempotent, tol: Tolerances) -> np.ndarray:
     def checked() -> np.ndarray:
         s = q.matrix + adjoint(q.matrix) - identity(q.dim)
-        sv = np.linalg.svd(s, compute_uv=False)
-        if sv[-1] <= tol.rank_factor(q.dim) * sv[0]:
+        if numerical_rank(np.linalg.svd(s, compute_uv=False), q.dim, tol) < q.dim:
             raise SingularPencilError("Q + Q* - I is numerically singular")
         return s
 

@@ -125,6 +125,18 @@ def psd_power(m: np.ndarray, power: float, tol: Tolerances | None = None) -> np.
     return matrix_function(m, lambda x: 0.0 if x <= cutoff else x**power, tol)
 
 
+def numerical_rank(s: np.ndarray, dim: int, tol: Tolerances | None = None) -> int:
+    """Number of singular values s_i > f s_0, f the tolerance's rank factor at ``dim``.
+
+    ``s`` is descending, as ``np.linalg.svd`` returns it, so the kept values
+    are its first ``rank`` entries.  An empty or zero spectrum has rank 0.
+    """
+    tol = tol or DEFAULT_TOL
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    return int(np.count_nonzero(s > tol.rank_factor(dim) * s[0]))
+
+
 def abs_value(m: np.ndarray) -> np.ndarray:
     """Operator absolute value (M*M)^(1/2).
 
@@ -137,12 +149,10 @@ def abs_value(m: np.ndarray) -> np.ndarray:
 
 def moore_penrose(m: np.ndarray, tol: Tolerances | None = None) -> np.ndarray:
     """Pseudoinverse via SVD with a relative singular-value cutoff."""
-    tol = tol or DEFAULT_TOL
     u, s, vh = np.linalg.svd(m)
+    r = numerical_rank(s, m.shape[0], tol)
     inv = np.zeros_like(s)
-    if s[0] > 0.0:
-        keep = s > tol.rank_factor(m.shape[0]) * s[0]
-        inv[keep] = 1.0 / s[keep]
+    inv[:r] = 1.0 / s[:r]
     return (vh.conj().T * inv) @ u.conj().T
 
 

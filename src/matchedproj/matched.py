@@ -9,13 +9,19 @@ and 2x2 blocks), so the columns u_i + v_i are mutually orthogonal and
 
     m(Q) = sum_{s_i > 0} s_i / (2 (s_i + 1)) (u_i + v_i)(u_i + v_i)*,
 
-while the same SVD gives |Q| = V S V*, |Q*| = U S U*,
-|Q*|^dag = U_r S_r^(-1) U_r* and the similarity witness W with
-Q = W^(-1) m(Q) W, ||I - W|| < 1 (``homotopy_witness``), from which
-``homotopy_path`` samples the homotopy in one stacked solve.
+while the same SVD gives the similarity witness W with Q = W^(-1) m(Q) W,
+||I - W|| < 1 (``homotopy_witness``), from which ``homotopy_path`` samples
+the homotopy in one stacked solve.  The SVD is the one ``Idempotent``
+memoizes; ||Q||, |Q| = V S V*, |Q*| = U S U* and |Q*|^dag = U_r S_r^(-1) U_r*
+come from it too, and every function here reads them from Q.  A
+``MatchedPair`` holds only Q, its certified m(Q) and the tolerance, with
+the factorizations T T^dag and V V* of m(Q) (T = |Q*| + Q*) built on first
+use.  Relative rank cutoffs on computed singular values all go through
+``linalg.numerical_rank``.
 
 Three further routes are kept only as independent oracles for ``verify``
-and the tests, each built from its own factorizations:
+and the tests, each built from its own factorizations (the first two take
+|Q*| from their own ``abs_value(Q*)``, never from Q's memo):
 
 - the closed formula (1/2) (|Q*| + Q*) |Q*|^dag (|Q*| + I)^(-1) (|Q*| + Q)
   (``matched_projection_closed_form``);
@@ -33,7 +39,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
-    NotHermitianError,
     NotQuasiProjectionPairError,
     NotUnitaryError,
     ValidationError,
@@ -57,12 +62,16 @@ from .linalg import (
     hermitian_gap,
     identity,
     moore_penrose,
+    numerical_rank,
     operator_norm,
     psd_order,
     psd_power,
     require_hermitian,
 )
 from .report import Check, boolean_check
+
+# Gate on the gap between two orthoprojectors for "these subspaces are equal".
+SUBSPACE_TOL = 1e-8
 
 # Self-test hook: the sign of v_i in the columns u_i + v_i of the production
 # route.  ``sabotaged_formula`` flips it to u_i - v_i so the verification
@@ -102,48 +111,49 @@ def _v_factor(q: Idempotent, abs_qs: np.ndarray, tol: Tolerances) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MatchedPair:
-    """Q with m(Q) and the spectral factors |Q|, |Q*|, |Q*|^dag and T = |Q*| + Q*."""
+    """Q with its certified m(Q); the factorizations T T^dag and V V* of m(Q) are lazy.
+
+    Values of Q alone (|Q|, |Q*|, |Q*|^dag, ||Q||) are read from Q itself.
+    """
 
     source: Idempotent
     projection: Projection
-    t_factor: np.ndarray
-    abs_q: np.ndarray
-    abs_q_star: np.ndarray
-    abs_q_star_pinv: np.ndarray
     tol: Tolerances = DEFAULT_TOL
+
+    @cached_property
+    def t_factor(self) -> np.ndarray:
+        """T = |Q*| + Q*, with T T^dag = m(Q)."""
+        return self.source.abs_q_star + adjoint(self.source.matrix)
 
     @cached_property
     def v_factor(self) -> np.ndarray:
         """V with V V* = m(Q), from Koliha projections and eigh; built on first use."""
-        return _v_factor(self.source, self.abs_q_star, self.tol)
+        return _v_factor(self.source, self.source.abs_q_star, self.tol)
 
-    def invariant_residuals(self, tol: Tolerances | None = None) -> dict[str, float]:
-        """Residuals of the defining cross-identities of the pair."""
-        tol = tol or DEFAULT_TOL
+    def invariant_residuals(self) -> dict[str, float]:
+        """Residuals of the defining cross-identities of the pair, at the pair's tolerance."""
         q = self.source.matrix
         m = self.projection.matrix
+        t = self.t_factor
         reflect = 2.0 * m - identity(self.source.dim)
         return {
-            "factor_tt": operator_norm(m - self.t_factor @ moore_penrose(self.t_factor, tol)),
+            "factor_tt": operator_norm(m - t @ moore_penrose(t, self.tol)),
             "factor_vv": operator_norm(m - self.v_factor @ adjoint(self.v_factor)),
             "adjoint_reflection": operator_norm(adjoint(q) - reflect @ q @ reflect),
         }
 
 
-def _svd_core(
-    q: Idempotent, tol: Tolerances
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, Projection]:
-    """One SVD Q = U S V* and the certified m(Q) it gives: (U, s, V*, r, m(Q)).
+def _svd_core(q: Idempotent, tol: Tolerances) -> Projection:
+    """The certified m(Q) from Q's SVD Q = U S V*.
 
-    With W = U_r + V_r over the r singular values s_i > 1/2, m(Q) is the
-    orthogonal projection W (W* W)^(-1) W*, and in exact arithmetic
-    W* W = D = 2 (I + S_r^(-1)).  Computed singular vectors satisfy that
-    only to about n eps ||Q||, so W D^(-1) W* misses idempotency by as much
-    (3e-10 at ||A|| = 1e6, n = 32).  (W* W)^(-1) is therefore taken as one
-    Newton step from D^(-1), D^(-1) (2D - W* W) D^(-1), which leaves a
-    projection defect of order (n eps ||Q||)^2 plus round-off, without a
-    second factorization.  The singular values of an idempotent are 0 or at
-    least 1, so the cut at 1/2 separates them without a rank tolerance.
+    With W = U_r + V_r over the r = ``q.rank`` singular values s_i > 1/2,
+    m(Q) is the orthogonal projection W (W* W)^(-1) W*, and in exact
+    arithmetic W* W = D = 2 (I + S_r^(-1)).  Computed singular vectors
+    satisfy that only to about n eps ||Q||, so W D^(-1) W* misses
+    idempotency by as much (3e-10 at ||A|| = 1e6, n = 32).  (W* W)^(-1) is
+    therefore taken as one Newton step from D^(-1), D^(-1) (2D - W* W) D^(-1),
+    which leaves a projection defect of order (n eps ||Q||)^2 plus
+    round-off, without a second factorization.
 
     The SVD is Q's memoized one, and the core is memoized on Q per
     (tol, _PAIR_SIGN), so a core built outside ``sabotaged_formula`` is
@@ -152,40 +162,26 @@ def _svd_core(
 
     def build():
         u, s, vh = q.svd
-        r = int(np.count_nonzero(s > 0.5))
+        r = q.rank
         w = u[:, :r] + _PAIR_SIGN * adjoint(vh[:r])
         d = 2.0 * (1.0 + 1.0 / s[:r])
         x = w / d
-        m = x @ (np.diag(2.0 * d) - adjoint(w) @ w) @ adjoint(x)
-        return u, s, vh, r, as_projection(m, tol)
+        return as_projection(x @ (np.diag(2.0 * d) - adjoint(w) @ w) @ adjoint(x), tol)
 
     return q._memoized(("svd_core", tol, _PAIR_SIGN), build)
 
 
 def matched_projection(q: Idempotent, tol: Tolerances | None = None) -> MatchedPair:
-    """m(Q) from one SVD Q = U S V*, packaged with the factors that SVD gives.
+    """m(Q) from one SVD Q = U S V*, certified by ``as_projection`` in ``_svd_core``.
 
-    m(Q) is built and certified by ``as_projection`` in ``_svd_core``; the
-    same SVD gives |Q| = V S V*, |Q*| = U S U*, |Q*|^dag = U_r S_r^(-1) U_r*
-    and T = |Q*| + Q*.  The oracle routes are compared with it through
+    The same SVD gives |Q|, |Q*|, |Q*|^dag and ||Q|| (``Idempotent``).  The
+    oracle routes are compared with m(Q) through
     ``MatchedPair.invariant_residuals`` and by the verification battery.
-
-    The core is memoized on Q, but the pair is rebuilt on every call: it
-    refers to Q, so keeping it in Q's memo would make a reference cycle.
+    The pair is not memoized: it refers to Q, so keeping it in Q's memo
+    would make a reference cycle.
     """
     tol = tol or DEFAULT_TOL
-    u, s, vh, r, projection = _svd_core(q, tol)
-    u_r = u[:, :r]
-    abs_qs = (u * s) @ adjoint(u)
-    return MatchedPair(
-        source=q,
-        projection=projection,
-        t_factor=abs_qs + adjoint(q.matrix),
-        abs_q=(adjoint(vh) * s) @ vh,
-        abs_q_star=abs_qs,
-        abs_q_star_pinv=(u_r / s[:r]) @ adjoint(u_r),
-        tol=tol,
-    )
+    return MatchedPair(source=q, projection=_svd_core(q, tol), tol=tol)
 
 
 def matched_projection_closed_form(q: Idempotent, tol: Tolerances | None = None) -> np.ndarray:
@@ -246,15 +242,12 @@ def is_quasi_projection_pair(
     eye = identity(q.dim)
     comp = eye - pm
     reflect = 2.0 * pm - eye
-    # |Q| as abs_value(Q) forms it, from Q's memoized SVD
-    _, s, vh = q.svd
-    abs_q = (adjoint(vh) * s) @ vh
     residuals = {
         "block_range": operator_norm(pm @ (adjoint(qm) - qm) @ pm),
         "block_cross": operator_norm(pm @ adjoint(qm) @ comp + pm @ qm @ comp),
         "block_null": operator_norm(comp @ (adjoint(qm) - qm) @ comp),
         "adjoint_reflection": operator_norm(adjoint(qm) - reflect @ qm @ reflect),
-        "abs_reflection": operator_norm(q.abs_q_star - reflect @ abs_q @ reflect),
+        "abs_reflection": operator_norm(q.abs_q_star - reflect @ q.abs_q @ reflect),
     }
     gate = tol.check * (1.0 + q.norm)
     return QppVerdict(
@@ -321,7 +314,8 @@ def homotopy_witness(q: Idempotent, tol: Tolerances | None = None) -> Similarity
             projection=as_projection(qm, tol), w=eye, contraction_norm=0.0
         )
 
-    u, s, vh, r, projection = _svd_core(q, tol)
+    u, s, vh = q.svd
+    r = q.rank
     if r == 0 or r == q.dim:
         # a genuine idempotent with full or empty range is 0 or I and was
         # caught above; reaching here means the input sits in the defect band
@@ -332,7 +326,7 @@ def homotopy_witness(q: Idempotent, tol: Tolerances | None = None) -> Similarity
     w_block[r:, :r] = 0.5 * (adjoint(u[:, r:]) @ adjoint(vh[:r])) / (1.0 + s_r)
     w_block[r:, r:] = np.eye(q.dim - r)
     w_mat = u @ w_block @ adjoint(u)
-    return _certified_witness(q, projection, w_mat, tol)
+    return _certified_witness(q, _svd_core(q, tol), w_mat, tol)
 
 
 def _certified_witness(
@@ -417,9 +411,7 @@ def homotopy_path(
 
 def _column_space_projector(m: np.ndarray, tol: Tolerances) -> np.ndarray:
     u, s, _ = np.linalg.svd(m)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros_like(m)
-    cols = u[:, s > tol.rank_factor(m.shape[0]) * s[0]]
+    cols = u[:, : numerical_rank(s, m.shape[0], tol)]
     return cols @ adjoint(cols)
 
 
@@ -428,33 +420,21 @@ def _orthonormal_bases(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal bases of the range and the null space of M = U S V*."""
     u, s, vh = usv
-    cutoff = tol.rank_factor(u.shape[0]) * (s[0] if s[0] > 0 else 1.0)
-    return u[:, s > cutoff], adjoint(vh)[:, s <= cutoff]
+    r = numerical_rank(s, u.shape[0], tol)
+    return u[:, :r], adjoint(vh)[:, r:]
 
 
-def _rank(m: np.ndarray, tol: Tolerances) -> int:
-    s = np.linalg.svd(m, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol.rank_factor(m.shape[0]) * s[0]))
-
-
-def range_identities(
-    q: Idempotent,
-    tol: Tolerances | None = None,
-    subspace_tol: float = 1e-8,
-) -> list[Check]:
+def range_identities(q: Idempotent, tol: Tolerances | None = None) -> list[Check]:
     """Range/kernel identities of m(Q), verified through orthogonal projectors.
 
     Subspace equality is tested as the gap between the corresponding
     orthoprojectors; trivial intersections through the rank of stacked bases.
     """
     tol = tol or DEFAULT_TOL
-    pair = matched_projection(q, tol)
     qm = q.matrix
-    m = pair.projection.matrix
+    m = matched_projection(q, tol).projection.matrix
     eye = identity(q.dim)
-    abs_q, abs_qs = pair.abs_q, pair.abs_q_star
+    abs_q, abs_qs = q.abs_q, q.abs_q_star
     sum_qs = qm + adjoint(qm)
     proj_sum = _column_space_projector(sum_qs, tol)
 
@@ -462,34 +442,34 @@ def range_identities(
         Check(
             "range_mq_eq_range_absqstar_plus_qstar",
             operator_norm(m - _column_space_projector(abs_qs + adjoint(qm), tol)),
-            subspace_tol,
+            SUBSPACE_TOL,
         ),
         Check(
             "range_mq_eq_range_absq_plus_q",
             operator_norm(m - _column_space_projector(abs_q + qm, tol)),
-            subspace_tol,
+            SUBSPACE_TOL,
         ),
         Check(
             "kernel_mq_eq_kernel_absqstar_plus_q",
             operator_norm(
                 (eye - m) - (eye - _column_space_projector(adjoint(abs_qs + qm), tol))
             ),
-            subspace_tol,
+            SUBSPACE_TOL,
         ),
         Check(
             "range_mq_inside_range_q_plus_qstar",
             operator_norm((eye - proj_sum) @ m),
-            subspace_tol,
+            SUBSPACE_TOL,
         ),
         Check(
             "range_q_plus_qstar_eq_range_absqstar_plus_absq",
             operator_norm(proj_sum - _column_space_projector(abs_qs + abs_q, tol)),
-            subspace_tol,
+            SUBSPACE_TOL,
         ),
         Check(
             "range_mq_eq_range_four_term_sum",
             operator_norm(m - _column_space_projector(abs_qs + abs_q + sum_qs, tol)),
-            subspace_tol,
+            SUBSPACE_TOL,
         ),
         Check(
             "mq_times_qstar",
@@ -505,22 +485,14 @@ def range_identities(
 
     range_m, null_m = _orthonormal_bases(np.linalg.svd(m), tol)
     range_q, null_q = _orthonormal_bases(q.svd, tol)
-    checks.append(
-        boolean_check(
-            "range_mq_meets_null_q_trivially",
-            _rank(np.hstack([range_m, null_q]), tol)
-            == range_m.shape[1] + null_q.shape[1],
-        )
-    )
-    checks.append(
-        boolean_check(
-            "null_mq_meets_range_q_trivially",
-            _rank(np.hstack([null_m, range_q]), tol)
-            == null_m.shape[1] + range_q.shape[1],
-        )
-    )
+    for name, a, b in (
+        ("range_mq_meets_null_q_trivially", range_m, null_q),
+        ("null_mq_meets_range_q_trivially", null_m, range_q),
+    ):
+        rank = numerical_rank(np.linalg.svd(np.hstack([a, b]), compute_uv=False), q.dim, tol)
+        checks.append(boolean_check(name, rank == a.shape[1] + b.shape[1]))
 
-    ranges_equal = operator_norm(m - proj_sum) <= subspace_tol
+    ranges_equal = operator_norm(m - proj_sum) <= SUBSPACE_TOL
     is_projection = hermitian_gap(qm) <= tol.check
     checks.append(
         boolean_check("range_equality_iff_projection", ranges_equal == is_projection)
@@ -537,16 +509,12 @@ def fractional_power_limit(
     and equals (|Q*| + |Q| + Q + Q*) / 4.
     """
     tol = tol or DEFAULT_TOL
-    pair = matched_projection(q, tol)
-    m = pair.projection.matrix
+    m = matched_projection(q, tol).projection.matrix
     qm = q.matrix
-    k_raw = m @ qm @ m
-    if hermitian_gap(k_raw) > tol.check * (1.0 + operator_norm(k_raw)):
-        raise NotHermitianError("m(Q) Q m(Q) is not Hermitian within tolerance")
-    k = require_hermitian(k_raw, tol)
+    k = require_hermitian(m @ qm @ m, tol)
     if not psd_order(m, k, tol):
         raise ValidationError("m(Q) Q m(Q) does not dominate m(Q)")
-    quarter = 0.25 * (pair.abs_q_star + pair.abs_q + qm + adjoint(qm))
+    quarter = 0.25 * (q.abs_q_star + q.abs_q + qm + adjoint(qm))
     gap = operator_norm(k - quarter)
     if gap > tol.check * (1.0 + q.norm):
         raise ValidationError(f"four-term identity residual {gap:.3e}")

@@ -85,8 +85,7 @@ def distance_report(q: Idempotent, tol: Tolerances | None = None) -> DistanceRep
     tol = tol or DEFAULT_TOL
     qm = q.matrix
     eye = identity(q.dim)
-    pair = matched_projection(q, tol)
-    m = pair.projection.matrix
+    m = matched_projection(q, tol).projection.matrix
 
     norm_q = q.norm
     norm_c = operator_norm(eye - qm)
@@ -95,7 +94,7 @@ def distance_report(q: Idempotent, tol: Tolerances | None = None) -> DistanceRep
     d_range = operator_norm(range_projection(q, tol).matrix - qm)
     d_null = operator_norm(null_projection(q, tol).matrix - qm)
 
-    v_sim = 0.5 * (pair.abs_q + abs_value(eye - qm) + eye)
+    v_sim = 0.5 * (q.abs_q + abs_value(eye - qm) + eye)
 
     cross_range = m @ (eye - qm) @ m
     cross_null = (eye - m) @ qm @ (eye - m)
@@ -363,8 +362,7 @@ def qpp_minimality(
     ||P - Q|| < 1 forces P = m(Q) and ||Q|| < 5/3.
     """
     tol = tol or DEFAULT_TOL
-    pair = matched_projection(q, tol)
-    m = pair.projection.matrix
+    m = matched_projection(q, tol).projection.matrix
     qm = q.matrix
     d_matched = operator_norm(m - qm)
     d_candidate = operator_norm(p.matrix - qm)

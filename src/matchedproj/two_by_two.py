@@ -60,8 +60,10 @@ def halmos_projection(
     return as_projection(u @ inner @ adjoint(u), tol or DEFAULT_TOL)
 
 
-def distance_objective(a: complex, x: float, t: float) -> float:
+def distance_objective(a: complex, x: float | np.ndarray, t: float) -> float | np.ndarray:
     """||P - Q||^2 for the Halmos projection at (x, t) against [[1, a], [0, 0]].
+
+    ``x`` may be an array of Re z values, giving the objective along that row.
 
     Analytic form: (2 sin^2 t + |a| (mu + sqrt(mu^2 + 4 sin^4 t))) / 2 with
     mu = |a| - 2 |cos t sin t| x.
@@ -132,15 +134,12 @@ def grid_minimize(
 
     best = np.inf
     best_x, best_t = xs[0], ts[0]
-    max_g = -np.inf
     for t in ts:
-        s2 = np.sin(t) ** 2
-        mu = mod - 2.0 * abs(np.cos(t) * np.sin(t)) * xs
-        vals = 0.5 * (2.0 * s2 + mod * (mu + np.sqrt(mu**2 + 4.0 * s2**2)))
+        vals = distance_objective(a, xs, t)
         i = int(np.argmin(vals))
         if vals[i] < best:
             best, best_x, best_t = float(vals[i]), float(xs[i]), float(t)
-        max_g = max(max_g, np.cos(2.0 * t) + mod * abs(np.sin(2.0 * t)))
+    max_g = np.max(np.cos(2.0 * ts) + mod * np.abs(np.sin(2.0 * ts)))
 
     optimum = distance_objective(a, 1.0, problem.t0)
     gap = best - optimum

@@ -109,11 +109,11 @@ def stress():
         structural = max(
             operator_norm(m_star - m),
             operator_norm(m_comp - (eye - m)),
-            operator_norm(reflect @ qm - pair.abs_q),
+            operator_norm(reflect @ qm - q.abs_q),
             operator_norm(
-                reflect @ (2.0 * qm - eye) - (pair.abs_q + abs_value(eye - qm))
+                reflect @ (2.0 * qm - eye) - (q.abs_q + abs_value(eye - qm))
             ),
-            operator_norm(pair.abs_q_star @ pair.abs_q - qm),
+            operator_norm(q.abs_q_star @ q.abs_q - qm),
         )
         worst["structural"] = max(worst["structural"], structural)
 

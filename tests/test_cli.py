@@ -1,6 +1,7 @@
 """Tests for the command-line front end: exit codes, files, determinism."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -150,7 +151,7 @@ class TestAnalyze:
                    "--seed", 42, "--output", q) == 0
         factorizations.clear()
         assert run("analyze", "--input", q) == 0
-        assert sum(factorizations.values()) <= 103, dict(factorizations)
+        assert sum(factorizations.values()) <= 101, dict(factorizations)
 
     def test_report_json_round_trips(self, tmp_path):
         q, rep = tmp_path / "q.json", tmp_path / "rep.json"
@@ -229,3 +230,10 @@ class TestVerify:
     def test_sabotage_fails_fast(self):
         assert run("verify", "--dim-max", 4, "--trials", 2, "--seed", 7,
                    "--sabotage") == 1
+
+    def test_tallies_match_golden(self, capsys):
+        # the golden file is this command's stdout at an earlier release; a
+        # change that alters any tally, or the continuity constant, shows here
+        assert run("verify", "--trials", 5, "--dim-max", 8, "--seed", 7) == 0
+        golden = Path(__file__).parent / "data" / "verify_seed7.txt"
+        assert capsys.readouterr().out == golden.read_text(encoding="utf-8")

@@ -10,11 +10,13 @@ from matchedproj import (
     SingularPencilError,
     Tolerances,
     ValidationError,
+    abs_value,
     adjoint,
     as_idempotent,
     as_matrix,
     as_projection,
     block_form,
+    moore_penrose,
     null_projection,
     operator_norm,
     random_idempotent,
@@ -76,6 +78,23 @@ class TestMemo:
             range_projection(moved).matrix, range_projection(other).matrix
         )
 
+    def test_q_only_values_from_one_svd(self, factorizations):
+        q = random_idempotent(8, 3, 2.0, 5)
+        factorizations.clear()
+        q.norm, q.rank, q.abs_q, q.abs_q_star, q.abs_q_star_pinv
+        assert dict(factorizations) == {"svd": 1}
+
+    def test_q_only_values_match_independent_routes(self):
+        q = random_idempotent(8, 3, 2.0, 5)
+        qm = q.matrix
+        scale = 1e-12 * (1 + operator_norm(qm))
+        assert q.rank == 3
+        assert abs(q.norm - operator_norm(qm)) <= scale
+        assert operator_norm(q.abs_q - abs_value(qm)) <= scale
+        assert operator_norm(q.abs_q_star - abs_value(adjoint(qm))) <= scale
+        pinv = moore_penrose(abs_value(adjoint(qm)))
+        assert operator_norm(q.abs_q_star_pinv - pinv) <= scale
+
     def test_projections_keyed_on_tolerance(self):
         # certified at the default gate, the same projections cannot meet 1e-18
         q = random_idempotent(6, 2, 3.0, 11)
@@ -120,6 +139,12 @@ class TestRangeProjection:
         half = as_idempotent(0.5 * np.eye(2), loose)
         with pytest.raises(SingularPencilError):
             range_projection(half, loose)
+
+    def test_singular_pencil_under_rank_override(self):
+        # Q + Q* - I = diag(1, 2e-3) is numerically singular only under a cutoff above 2e-3
+        near = as_idempotent(np.diag([1.0, 0.501]), Tolerances(check=1.0))
+        with pytest.raises(SingularPencilError):
+            range_projection(near, Tolerances(check=1.0, rank=1e-2))
 
 
 class TestNullProjection:

@@ -15,6 +15,7 @@ from matchedproj import (
     matched_projection,
     matrix_function,
     moore_penrose,
+    numerical_rank,
     operator_norm,
     psd_order,
     psd_power,
@@ -189,6 +190,32 @@ class TestAbsValue:
             assert operator_norm(a @ a - adjoint(m) @ m) <= 1e-11 * (
                 1 + operator_norm(m) ** 2
             )
+
+
+class TestNumericalRank:
+    def test_zero_matrix(self):
+        s = np.linalg.svd(np.zeros((3, 3), dtype=complex), compute_uv=False)
+        assert numerical_rank(s, 3) == 0
+        assert numerical_rank(np.zeros(0), 3) == 0
+
+    def test_rank_deficient(self):
+        m = random_complex(np.random.default_rng(10), 5)
+        m[:, 0] = m[:, 1]
+        assert numerical_rank(np.linalg.svd(m, compute_uv=False), 5) == 4
+
+    def test_rank_override(self):
+        s = np.array([1.0, 1e-3, 1e-12])
+        assert numerical_rank(s, 3) == 3
+        assert numerical_rank(s, 3, Tolerances(rank=1e-6)) == 2
+        assert numerical_rank(s, 3, Tolerances(rank=1e-2)) == 1
+        # the cutoff itself is dropped
+        assert numerical_rank(s, 3, Tolerances(rank=1e-3)) == 1
+
+    def test_pseudoinverse_follows_the_rule(self):
+        m = np.diag([1.0, 1e-3]).astype(complex)
+        np.testing.assert_allclose(
+            moore_penrose(m, Tolerances(rank=1e-2)), np.diag([1.0, 0.0]), atol=1e-14
+        )
 
 
 class TestMoorePenrose:
