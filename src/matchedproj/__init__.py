@@ -26,6 +26,7 @@ from .idempotents import (
     as_idempotent,
     as_projection,
     block_form,
+    koliha_projections,
     null_projection,
     random_idempotent,
     random_projection,

@@ -16,6 +16,7 @@ from .errors import MatchedProjectionError
 from .idempotents import (
     as_idempotent,
     block_form,
+    koliha_projections,
     null_projection,
     random_idempotent,
     random_projection,
@@ -163,6 +164,15 @@ def _projection_structure(report: BatteryReport, rng, dim, q, tol, context):
     )
     report.tally("range-projection-fixed").record(
         operator_norm(qm @ p_r.matrix - p_r.matrix) <= scale, context
+    )
+    # the SVD routes against Koliha's pencil, P_N(Q) = I - P_R(Q*)
+    k_r, k_rs = koliha_projections(q, tol)
+    routes = max(
+        operator_norm(p_r.matrix - k_r.matrix),
+        operator_norm(p_n.matrix - (identity(dim) - k_rs.matrix)),
+    )
+    report.tally("range-projection-routes-agree").record(
+        routes <= scale, context, f"max gap {routes:.3e}"
     )
     complement = as_idempotent(identity(dim) - qm, tol)
     report.tally("null-is-range-of-complement").record(

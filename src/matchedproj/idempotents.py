@@ -1,4 +1,4 @@
-"""Validated idempotent/projection wrappers, Koliha projections, and block forms."""
+"""Validated idempotents and projections, range/null projections, the Koliha oracle, block forms."""
 
 from __future__ import annotations
 
@@ -33,11 +33,11 @@ class Idempotent:
     the one SVD Q = U S V* (``svd``): ||Q|| = s_0, the rank (the singular
     values of an idempotent are 0 or at least 1, so the cut at 1/2 needs no
     tolerance), |Q| = V S V*, |Q*| = U S U* and |Q*|^dag = U_r S_r^(-1) U_r*.
-    Per tolerance the memo also keeps the pencil check, the range and null
-    projections and the certified m(Q).  The matrix must not be mutated:
-    that voids the certified defect and the memo alike.  Memoized arrays
-    are shared with every caller and are read-only by contract.
-    ``dataclasses.replace`` starts a fresh memo.
+    Per tolerance the memo also keeps P_R(Q) = U_r U_r*, P_N(Q) = I - V_r V_r*,
+    the certified m(Q) and its witness, and the Koliha oracle's projections.
+    The matrix must not be mutated: that voids the certified defect and the
+    memo alike.  Memoized arrays are shared with every caller and are
+    read-only by contract.  ``dataclasses.replace`` starts a fresh memo.
     """
 
     matrix: np.ndarray
@@ -137,45 +137,46 @@ def as_projection(m, tol: Tolerances | None = None) -> Projection:
     return Projection(matrix=p, defect=defect)
 
 
-def _solve_right(numerator: np.ndarray, s: np.ndarray) -> np.ndarray:
-    # X = numerator @ inv(s) for Hermitian s, via one solve
-    return adjoint(np.linalg.solve(s, adjoint(numerator)))
-
-
-def _pencil(q: Idempotent, tol: Tolerances) -> np.ndarray:
-    def checked() -> np.ndarray:
-        s = q.matrix + adjoint(q.matrix) - identity(q.dim)
-        if numerical_rank(np.linalg.svd(s, compute_uv=False), q.dim, tol) < q.dim:
-            raise SingularPencilError("Q + Q* - I is numerically singular")
-        return s
-
-    return q._memoized(("pencil", tol), checked)
-
-
 def range_projection(q: Idempotent, tol: Tolerances | None = None) -> Projection:
-    """Orthogonal projection onto the range of Q, as Q (Q + Q* - I)^(-1).
+    """Orthogonal projection onto the range of Q, U_r U_r* from Q's SVD (r = ``q.rank``).
 
     Memoized on Q per tolerance.
     """
     tol = tol or DEFAULT_TOL
-    return q._memoized(
-        ("range_projection", tol),
-        lambda: as_projection(_solve_right(q.matrix, _pencil(q, tol)), tol),
-    )
+    u_r = q.svd[0][:, : q.rank]
+    return q._memoized(("range_projection", tol), lambda: as_projection(u_r @ adjoint(u_r), tol))
 
 
 def null_projection(q: Idempotent, tol: Tolerances | None = None) -> Projection:
-    """Orthogonal projection onto the null space of Q, as (Q - I)(Q + Q* - I)^(-1).
+    """Orthogonal projection onto the null space of Q, I - V_r V_r* from Q's SVD.
 
     Memoized on Q per tolerance.
     """
     tol = tol or DEFAULT_TOL
+    v_r = adjoint(q.svd[2][: q.rank])
     return q._memoized(
-        ("null_projection", tol),
-        lambda: as_projection(
-            _solve_right(q.matrix - identity(q.dim), _pencil(q, tol)), tol
-        ),
+        ("null_projection", tol), lambda: as_projection(identity(q.dim) - v_r @ adjoint(v_r), tol)
     )
+
+
+def koliha_projections(q: Idempotent, tol: Tolerances | None = None) -> tuple[Projection, Projection]:
+    """Oracle: (P_R(Q), P_R(Q*)) as (Q S^(-1), Q* S^(-1)) for the pencil S = Q + Q* - I.
+
+    Koliha's formulas, independent of Q's SVD; P_N(Q) = I - P_R(Q*).  S is
+    Hermitian, so one stacked solve S^(-1) [Q* | Q] gives both as adjoints.
+    Raises ``SingularPencilError`` if S is numerically singular.  Memoized.
+    """
+    tol = tol or DEFAULT_TOL
+
+    def build() -> tuple[Projection, Projection]:
+        qm, n = q.matrix, q.dim
+        s = qm + adjoint(qm) - identity(n)
+        if numerical_rank(np.linalg.svd(s, compute_uv=False), n, tol) < n:
+            raise SingularPencilError("Q + Q* - I is numerically singular")
+        x = np.linalg.solve(s, np.hstack([adjoint(qm), qm]))
+        return as_projection(adjoint(x[:, :n]), tol), as_projection(adjoint(x[:, n:]), tol)
+
+    return q._memoized(("koliha", tol), build)
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -121,8 +121,13 @@ def psd_power(m: np.ndarray, power: float, tol: Tolerances | None = None) -> np.
     the cutoff is not optional here.
     """
     tol = tol or DEFAULT_TOL
-    cutoff = tol.rank_factor(m.shape[0]) * operator_norm(m)
-    return matrix_function(m, lambda x: 0.0 if x <= cutoff else x**power, tol)
+    eig = hermitian_eigen(m, tol)
+    lam = eig.eigenvalues
+    keep = lam > tol.rank_factor(m.shape[0]) * np.abs(lam).max()
+    vals = np.zeros_like(lam)
+    vals[keep] = lam[keep] ** power
+    v = eig.eigenvectors
+    return (v * vals) @ adjoint(v)
 
 
 def numerical_rank(s: np.ndarray, dim: int, tol: Tolerances | None = None) -> int:

@@ -12,22 +12,22 @@ and 2x2 blocks), so the columns u_i + v_i are mutually orthogonal and
 while the same SVD gives the similarity witness W with Q = W^(-1) m(Q) W,
 ||I - W|| < 1 (``homotopy_witness``), from which ``homotopy_path`` samples
 the homotopy in one stacked solve.  The SVD is the one ``Idempotent``
-memoizes; ||Q||, |Q| = V S V*, |Q*| = U S U* and |Q*|^dag = U_r S_r^(-1) U_r*
-come from it too, and every function here reads them from Q.  A
-``MatchedPair`` holds only Q, its certified m(Q) and the tolerance, with
-the factorizations T T^dag and V V* of m(Q) (T = |Q*| + Q*) built on first
-use.  Relative rank cutoffs on computed singular values all go through
-``linalg.numerical_rank``.
+memoizes; ||Q||, |Q| = V S V*, |Q*| = U S U*, |Q*|^dag = U_r S_r^(-1) U_r*
+and P_R(Q) = U_r U_r* come from it, and every function here reads them from
+Q.  A ``MatchedPair`` holds only Q, its certified m(Q) and the tolerance,
+with the factorizations T T^dag and V V* of m(Q) (T = |Q*| + Q*) built on
+first use.  Relative rank cutoffs all go through ``linalg.numerical_rank``.
 
 Three further routes are kept only as independent oracles for ``verify``
-and the tests, each built from its own factorizations (the first two take
-|Q*| from their own ``abs_value(Q*)``, never from Q's memo):
+and the tests, each built from its own factorizations: |Q*| from its own
+``abs_value(Q*)``, |Q*|^dag and P_R(Q) from the one memoized Koliha pencil
+of ``koliha_projections``, never from Q's SVD:
 
 - the closed formula (1/2) (|Q*| + Q*) |Q*|^dag (|Q*| + I)^(-1) (|Q*| + Q)
   (``matched_projection_closed_form``);
 - T T^dag and V V* for T = |Q*| + Q* (``matched_via_factor``);
-- the 2x2 block construction over range(Q) from the Koliha range
-  projection, which yields both m(Q) and W (``homotopy_witness_block``).
+- the 2x2 block construction over range(Q), which yields both m(Q) and W
+  (``homotopy_witness_block``).
 """
 
 from __future__ import annotations
@@ -50,9 +50,9 @@ from .idempotents import (
     as_idempotents,
     as_projection,
     block_form,
+    koliha_projections,
     random_idempotent,
     random_unitary,
-    range_projection,
 )
 from .linalg import (
     DEFAULT_TOL,
@@ -92,10 +92,8 @@ def sabotaged_formula():
 
 
 def mp_inverse_abs_qstar(q: Idempotent, tol: Tolerances | None = None) -> np.ndarray:
-    """|Q*|^dag computed as (P_R(Q) P_R(Q*) P_R(Q))^(1/2)."""
-    tol = tol or DEFAULT_TOL
-    p_r = range_projection(q, tol).matrix
-    p_rs = range_projection(as_idempotent(adjoint(q.matrix), tol), tol).matrix
+    """|Q*|^dag computed as (P_R(Q) P_R(Q*) P_R(Q))^(1/2), both from ``koliha_projections``."""
+    p_r, p_rs = (p.matrix for p in koliha_projections(q, tol))
     return psd_power(p_r @ p_rs @ p_r, 0.5, tol)
 
 
@@ -127,7 +125,7 @@ class MatchedPair:
 
     @cached_property
     def v_factor(self) -> np.ndarray:
-        """V with V V* = m(Q), from Koliha projections and eigh; built on first use."""
+        """V with V V* = m(Q), from the Koliha oracle's projections and eigh; built on first use."""
         return _v_factor(self.source, self.source.abs_q_star, self.tol)
 
     def invariant_residuals(self) -> dict[str, float]:
@@ -304,29 +302,33 @@ def homotopy_witness(q: Idempotent, tol: Tolerances | None = None) -> Similarity
     with ||A|| in [1e5, 1e6) (none in U's basis).  The projection is the
     certified m(Q) of the same SVD (``_svd_core``).
 
-    A projection input short-circuits to the trivial witness W = I.
+    A projection input short-circuits to the trivial witness W = I.  The
+    witness is memoized on Q per (tol, _PAIR_SIGN), as the core is.
     """
     tol = tol or DEFAULT_TOL
-    qm = q.matrix
-    eye = identity(q.dim)
-    if hermitian_gap(qm) <= tol.check and q.defect <= tol.check:
-        return SimilarityWitness(
-            projection=as_projection(qm, tol), w=eye, contraction_norm=0.0
-        )
 
-    u, s, vh = q.svd
-    r = q.rank
-    if r == 0 or r == q.dim:
-        # a genuine idempotent with full or empty range is 0 or I and was
-        # caught above; reaching here means the input sits in the defect band
-        raise ValidationError("idempotent is numerically trivial but not a projection")
-    s_r = s[:r]
-    w_block = np.zeros((q.dim, q.dim), dtype=np.complex128)
-    w_block[:r, :r] = np.diag(0.5 / s_r)
-    w_block[r:, :r] = 0.5 * (adjoint(u[:, r:]) @ adjoint(vh[:r])) / (1.0 + s_r)
-    w_block[r:, r:] = np.eye(q.dim - r)
-    w_mat = u @ w_block @ adjoint(u)
-    return _certified_witness(q, _svd_core(q, tol), w_mat, tol)
+    def build() -> SimilarityWitness:
+        qm = q.matrix
+        eye = identity(q.dim)
+        if hermitian_gap(qm) <= tol.check and q.defect <= tol.check:
+            return SimilarityWitness(
+                projection=as_projection(qm, tol), w=eye, contraction_norm=0.0
+            )
+
+        u, s, vh = q.svd
+        r = q.rank
+        if r == 0 or r == q.dim:
+            # a genuine idempotent with full or empty range is 0 or I and was
+            # caught above; reaching here means the input sits in the defect band
+            raise ValidationError("idempotent is numerically trivial but not a projection")
+        s_r = s[:r]
+        w_block = np.zeros((q.dim, q.dim), dtype=np.complex128)
+        w_block[:r, :r] = np.diag(0.5 / s_r)
+        w_block[r:, :r] = 0.5 * (adjoint(u[:, r:]) @ adjoint(vh[:r])) / (1.0 + s_r)
+        w_block[r:, r:] = np.eye(q.dim - r)
+        return _certified_witness(q, _svd_core(q, tol), u @ w_block @ adjoint(u), tol)
+
+    return q._memoized(("witness", tol, _PAIR_SIGN), build)
 
 
 def _certified_witness(
@@ -349,9 +351,10 @@ def _certified_witness(
 def homotopy_witness_block(q: Idempotent, tol: Tolerances | None = None) -> SimilarityWitness:
     """Oracle: the 2x2 block construction of (m(Q), W) over range(Q) + null(Q*).
 
-    Built from the Koliha range projection, ``block_form`` and ``psd_power``,
-    never from the production SVD, so it also serves as an m(Q) route in
-    the verification battery.  A projection input short-circuits to W = I.
+    Built from the P_R(Q) of ``koliha_projections``, ``block_form`` and
+    ``psd_power``, never from the production SVD, so it also serves as an
+    m(Q) route in the verification battery.  A projection input
+    short-circuits to W = I.
     """
     tol = tol or DEFAULT_TOL
     qm = q.matrix
@@ -361,8 +364,7 @@ def homotopy_witness_block(q: Idempotent, tol: Tolerances | None = None) -> Simi
             projection=as_projection(qm, tol), w=eye, contraction_norm=0.0
         )
 
-    p_r = range_projection(q, tol)
-    form = block_form(qm, p_r, tol)
+    form = block_form(qm, koliha_projections(q, tol)[0], tol)
     r = form.rank
     if r == 0 or r == q.dim:
         raise ValidationError("idempotent is numerically trivial but not a projection")

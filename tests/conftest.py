@@ -1,9 +1,11 @@
-"""Fixtures shared by the test modules."""
+"""Fixtures and input generators shared by the test modules."""
 
 from collections import Counter
 
 import numpy as np
 import pytest
+
+from matchedproj import random_idempotent
 
 
 @pytest.fixture
@@ -30,3 +32,12 @@ def factorizations(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "norm", counted_norm)
     return counts
+
+
+def envelope_inputs(norms, dims=(1, 2, 8, 32), every_rank=False):
+    """Seeded idempotents: each n in dims, rank 0, mixed and full (or every rank), each ||A||."""
+    for dim in dims:
+        mixed = {0, dim // 4, dim // 2, 3 * dim // 4, dim}
+        for rank in range(dim + 1) if every_rank else sorted(mixed):
+            for nu in norms:
+                yield random_idempotent(dim, rank, nu, 1000 * dim + rank)

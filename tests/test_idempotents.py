@@ -1,4 +1,4 @@
-"""Tests for validated idempotents, Koliha projections, and block forms."""
+"""Tests for validated idempotents, range/null projections, the Koliha oracle, and block forms."""
 
 import dataclasses
 
@@ -16,6 +16,7 @@ from matchedproj import (
     as_matrix,
     as_projection,
     block_form,
+    koliha_projections,
     moore_penrose,
     null_projection,
     operator_norm,
@@ -25,8 +26,12 @@ from matchedproj import (
 )
 from matchedproj.idempotents import as_idempotents
 
+from conftest import envelope_inputs
+
 RT2 = np.sqrt(2.0)
+EPS = np.finfo(np.float64).eps
 CANONICAL = [[1.0, 1.0], [0.0, 0.0]]
+NORM_LADDER = (1e-10, 1e-7, 1e-4, 1e-2, 1.0, 1e2, 1e4)
 
 
 class TestValidation:
@@ -95,6 +100,12 @@ class TestMemo:
         pinv = moore_penrose(abs_value(adjoint(qm)))
         assert operator_norm(q.abs_q_star_pinv - pinv) <= scale
 
+    def test_projections_from_the_one_svd(self, factorizations):
+        q = random_idempotent(8, 3, 2.0, 5)
+        factorizations.clear()
+        range_projection(q), null_projection(q)
+        assert dict(factorizations) == {"svd": 1, "norm2": 4}
+
     def test_projections_keyed_on_tolerance(self):
         # certified at the default gate, the same projections cannot meet 1e-18
         q = random_idempotent(6, 2, 3.0, 11)
@@ -133,18 +144,47 @@ class TestRangeProjection:
             assert operator_norm(p @ q.matrix - q.matrix) <= scale
             assert operator_norm(q.matrix @ p - p) <= scale
 
+    def test_certified_at_large_offdiag_norm(self):
+        # Koliha's Q (Q + Q* - I)^(-1) fails projection validation on 7 of
+        # these 20 inputs; U_r U_r* and I - V_r V_r* are exact to round-off
+        for q in envelope_inputs((1e6,), dims=(4, 8, 16, 32)):
+            p_r, p_n = range_projection(q), null_projection(q)
+            assert max(p_r.defect, p_n.defect) <= 16 * q.dim * EPS
+            scale = 1e-10 * (1 + q.norm)
+            assert operator_norm(p_r.matrix @ q.matrix - q.matrix) <= scale
+            assert operator_norm(q.matrix @ p_n.matrix) <= scale
+
+
+class TestKolihaProjections:
+    def test_routes_agree(self):
+        # both routes are backward stable for P_R(Q), whose condition grows
+        # like ||Q||; measured gaps stay below 5.5e-15 (1 + ||Q||)
+        for q in envelope_inputs(NORM_LADDER, dims=(8, 16, 32), every_rank=True):
+            k_r, k_rs = koliha_projections(q)
+            bound = 1e-13 * (1 + q.norm)
+            assert operator_norm(range_projection(q).matrix - k_r.matrix) <= bound
+            complement = np.eye(q.dim) - k_rs.matrix
+            assert operator_norm(null_projection(q).matrix - complement) <= bound
+
+    def test_one_pencil_per_q(self, factorizations):
+        q = random_idempotent(8, 3, 2.0, 5)
+        factorizations.clear()
+        koliha_projections(q)
+        koliha_projections(q)
+        assert dict(factorizations) == {"svd": 1, "solve": 1, "norm2": 4}
+
     def test_singular_pencil_on_defective_input(self):
         # a "validated" non-idempotent (loose gate) makes Q + Q* - I singular
         loose = Tolerances(check=1.0)
         half = as_idempotent(0.5 * np.eye(2), loose)
         with pytest.raises(SingularPencilError):
-            range_projection(half, loose)
+            koliha_projections(half, loose)
 
     def test_singular_pencil_under_rank_override(self):
         # Q + Q* - I = diag(1, 2e-3) is numerically singular only under a cutoff above 2e-3
         near = as_idempotent(np.diag([1.0, 0.501]), Tolerances(check=1.0))
         with pytest.raises(SingularPencilError):
-            range_projection(near, Tolerances(check=1.0, rank=1e-2))
+            koliha_projections(near, Tolerances(check=1.0, rank=1e-2))
 
 
 class TestNullProjection:

@@ -288,3 +288,11 @@ class TestPsdPower:
         m = np.diag([4.0, 1.0]).astype(complex)
         out = psd_power(m, -0.5)
         np.testing.assert_allclose(out, np.diag([0.5, 1.0]), atol=1e-14)
+
+    def test_cutoff_from_its_own_eigenvalues(self, factorizations):
+        # the Hermiticity gate takes two norms; the cutoff takes no third one
+        m = np.diag([4.0, 1e-17, -1e-17]).astype(complex)
+        factorizations.clear()
+        out = psd_power(m, -0.5)
+        np.testing.assert_allclose(out, np.diag([0.5, 0.0, 0.0]), atol=1e-14)
+        assert dict(factorizations) == {"eigh": 1, "norm2": 2}

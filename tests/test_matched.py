@@ -42,6 +42,8 @@ from matchedproj import (
 )
 from matchedproj.matched import sabotaged_formula
 
+from conftest import envelope_inputs
+
 RT2 = np.sqrt(2.0)
 EPS = np.finfo(np.float64).eps
 CANONICAL = [[1.0, 1.0], [0.0, 0.0]]
@@ -154,15 +156,6 @@ class TestMatchedProjection:
             assert operator_norm(sandwich - q.abs_q) <= scale
 
 
-def envelope_inputs(norms, dims=(1, 2, 8, 32), every_rank=False):
-    """Seeded idempotents: each n in dims, rank 0, mixed and full (or every rank), each ||A||."""
-    for dim in dims:
-        mixed = {0, dim // 4, dim // 2, 3 * dim // 4, dim}
-        for rank in range(dim + 1) if every_rank else sorted(mixed):
-            for nu in norms:
-                yield random_idempotent(dim, rank, nu, 1000 * dim + rank)
-
-
 def route_tolerance(q):
     # backward-stable routes differ by O(n eps ||Q||) in Q, and m is
     # Lipschitz in Q with a constant of order 1 + ||Q||
@@ -255,6 +248,14 @@ class TestFactorizationCount:
         assert sum(factorizations.values()) == 0, dict(factorizations)
         homotopy_witness(q)
         assert factorizations["svd"] == 0, dict(factorizations)
+
+    def test_path_reuses_the_witness(self, factorizations):
+        q = random_idempotent(8, 3, 2.0, 5)
+        wit = homotopy_witness(q)
+        factorizations.clear()
+        assert homotopy_witness(q) is wit
+        homotopy_path(q, 11)
+        assert dict(factorizations) == {"solve": 1, "norm2": 2}
 
     def test_v_factor_built_once_on_first_read(self, factorizations):
         pair = matched_projection(random_idempotent(8, 3, 2.0, 5))
