@@ -50,9 +50,11 @@ from .linalg import (
     psd_power,
 )
 from .matched import (
+    FactorOracle,
     MatchedPair,
     QppVerdict,
     SimilarityWitness,
+    factor_oracle,
     fractional_power_limit,
     homotopy_path,
     homotopy_witness,

@@ -35,6 +35,7 @@ from .linalg import (
     operator_norm,
 )
 from .matched import (
+    factor_oracle,
     fractional_power_limit,
     homotopy_path,
     homotopy_witness,
@@ -43,7 +44,6 @@ from .matched import (
     matched_projection,
     matched_projection_closed_form,
     matched_via_factor,
-    mp_inverse_abs_qstar,
     qpp_symmetry_closure,
     random_qpp_pair,
     range_identities,
@@ -197,8 +197,7 @@ def _matched_identities(report: BatteryReport, rng, dim, q, tol, context):
     qm = q.matrix
     eye = identity(dim)
     scale = tol.check * (1.0 + q.norm)
-    pair = matched_projection(q, tol)
-    m = pair.projection.matrix
+    m = matched_projection(q, tol).projection.matrix
 
     # the production SVD route against the three oracles, pairwise
     tt, vv = matched_via_factor(q, tol)
@@ -210,20 +209,21 @@ def _matched_identities(report: BatteryReport, rng, dim, q, tol, context):
         "block": homotopy_witness_block(q, tol).projection.matrix,
     }
     names = list(routes)
-    agree = max(
-        operator_norm(routes[a] - routes[b])
+    gaps = {
+        (a, b): operator_norm(routes[a] - routes[b])
         for i, a in enumerate(names)
         for b in names[i + 1 :]
-    )
+    }
+    agree = max(gaps.values())
     report.tally("matched-routes-agree").record(
         agree <= 10.0 * tol.check, context, f"max gap {agree:.3e}"
     )
 
-    t_fac = pair.t_factor
+    fo = factor_oracle(q, tol)
     p_r = range_projection(q, tol).matrix
     report.tally("factor-recovers-range-projection").record(
-        operator_norm(moore_penrose(t_fac, tol) @ t_fac - p_r) <= scale
-        and operator_norm(adjoint(pair.v_factor) @ pair.v_factor - p_r) <= scale,
+        operator_norm(fo.t_pinv @ fo.t - p_r) <= scale
+        and operator_norm(adjoint(fo.v) @ fo.v - p_r) <= scale,
         context,
     )
 
@@ -254,13 +254,12 @@ def _matched_identities(report: BatteryReport, rng, dim, q, tol, context):
         context,
     )
 
-    dag = mp_inverse_abs_qstar(q, tol)
     report.tally("pinv-abs-route-agreement").record(
-        operator_norm(dag - moore_penrose(abs_value(adjoint(qm)), tol)) <= tol.check,
+        operator_norm(fo.abs_q_star_pinv - moore_penrose(fo.abs_q_star, tol)) <= tol.check,
         context,
     )
     report.tally("pinv-abs-contraction").record(
-        operator_norm(dag) <= 1.0 + tol.check, context
+        operator_norm(fo.abs_q_star_pinv) <= 1.0 + tol.check, context
     )
 
     u = random_unitary(dim, rng)
@@ -268,13 +267,12 @@ def _matched_identities(report: BatteryReport, rng, dim, q, tol, context):
         unitary_equivariance(q, u, tol) <= scale, context
     )
 
-    inv = pair.invariant_residuals()
     report.tally("pair-factor-invariants").record(
-        inv["factor_tt"] <= 10.0 * tol.check and inv["factor_vv"] <= 10.0 * tol.check,
+        gaps["svd", "tt"] <= 10.0 * tol.check and gaps["svd", "vv"] <= 10.0 * tol.check,
         context,
     )
     report.tally("pair-reflection-invariant").record(
-        inv["adjoint_reflection"] <= scale, context
+        operator_norm(adjoint(qm) - reflect @ qm @ reflect) <= scale, context
     )
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import sys
 from pathlib import Path
 
@@ -26,6 +27,7 @@ from .matched import (
     homotopy_path,
     is_quasi_projection_pair,
     matched_projection,
+    matched_via_factor,
     range_identities,
     sabotaged_formula,
 )
@@ -73,16 +75,24 @@ def cmd_analyze(args) -> int:
     digest = hashlib.sha256(Path(args.input).read_bytes()).hexdigest()
     try:
         pair = matched_projection(q, tol)
+        m = pair.projection.matrix
         rep = distance_report(q, tol)
         checks = list(rep.checks) + range_identities(q, tol)
 
-        inv = pair.invariant_residuals()
-        scale = tol.check * (1.0 + q.norm)
-        checks.append(Check("matched_equals_tt_factor", inv["factor_tt"], 10 * tol.check))
-        checks.append(Check("matched_equals_vv_factor", inv["factor_vv"], 10 * tol.check))
-        checks.append(Check("matched_reflection_identity", inv["adjoint_reflection"], scale))
-
+        # an oracle that cannot certify its own inputs fails its checks, not the report
+        try:
+            tt, vv = matched_via_factor(q, tol)
+            factor_gaps = operator_norm(m - tt), operator_norm(m - vv)
+        except MatchedProjectionError as exc:
+            print(f"check failed: factor oracle: {exc}", file=sys.stderr)
+            factor_gaps = math.inf, math.inf
         qpp_matched = is_quasi_projection_pair(pair.projection, q, tol)
+        scale = tol.check * (1.0 + q.norm)
+        checks.append(Check("matched_equals_tt_factor", factor_gaps[0], 10 * tol.check))
+        checks.append(Check("matched_equals_vv_factor", factor_gaps[1], 10 * tol.check))
+        reflection = qpp_matched.residuals["adjoint_reflection"]
+        checks.append(Check("matched_reflection_identity", reflection, scale))
+
         qpp_range = is_quasi_projection_pair(range_projection(q, tol), q, tol)
         qpp_null = is_quasi_projection_pair(null_projection(q, tol), q, tol)
         checks.append(boolean_check("matched_pair_is_qpp", qpp_matched.holds))
@@ -95,7 +105,7 @@ def cmd_analyze(args) -> int:
         "input": {"path": args.input, "sha256": digest, "dim": q.dim},
         "tolerances": {"check": tol.check, "psd": tol.psd, "rank": tol.rank},
         "idempotent_defect": q.defect,
-        "matched_projection": matrix_to_obj(pair.projection.matrix),
+        "matched_projection": matrix_to_obj(m),
         "distances": {
             "norm_q": rep.norm_q,
             "norm_complement": rep.norm_complement,

@@ -34,7 +34,8 @@ class Idempotent:
     values of an idempotent are 0 or at least 1, so the cut at 1/2 needs no
     tolerance), |Q| = V S V*, |Q*| = U S U* and |Q*|^dag = U_r S_r^(-1) U_r*.
     Per tolerance the memo also keeps P_R(Q) = U_r U_r*, P_N(Q) = I - V_r V_r*,
-    the certified m(Q) and its witness, and the Koliha oracle's projections.
+    the certified m(Q), its witness, and the oracles' records (Koliha's
+    projections and ``matched.factor_oracle``), which never read the SVD.
     The matrix must not be mutated: that voids the certified defect and the
     memo alike.  Memoized arrays are shared with every caller and are
     read-only by contract.  ``dataclasses.replace`` starts a fresh memo.

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -113,21 +113,26 @@ def matrix_function(
     return (v * vals) @ adjoint(v)
 
 
-def psd_power(m: np.ndarray, power: float, tol: Tolerances | None = None) -> np.ndarray:
+def psd_power(
+    m: np.ndarray, power: float | Sequence[float], tol: Tolerances | None = None
+) -> np.ndarray:
     """Fractional power of a PSD matrix with the relative rank cutoff applied.
 
     Eigenvalues at or below ``rank_factor * max|eig|`` are treated as exact
     zeros; fractional powers amplify round-off jitter near zero violently, so
-    the cutoff is not optional here.
+    the cutoff is not optional here.  A sequence of k powers gives the k
+    results, stacked, from one eigendecomposition.
     """
     tol = tol or DEFAULT_TOL
     eig = hermitian_eigen(m, tol)
     lam = eig.eigenvalues
     keep = lam > tol.rank_factor(m.shape[0]) * np.abs(lam).max()
-    vals = np.zeros_like(lam)
-    vals[keep] = lam[keep] ** power
+    powers = np.asarray(power, dtype=np.float64)
+    vals = np.zeros(powers.shape + lam.shape)
+    for index, p in np.ndenumerate(powers):
+        vals[index][keep] = lam[keep] ** float(p)
     v = eig.eigenvectors
-    return (v * vals) @ adjoint(v)
+    return (v * vals[..., np.newaxis, :]) @ adjoint(v)
 
 
 def numerical_rank(s: np.ndarray, dim: int, tol: Tolerances | None = None) -> int:

@@ -14,14 +14,14 @@ while the same SVD gives the similarity witness W with Q = W^(-1) m(Q) W,
 the homotopy in one stacked solve.  The SVD is the one ``Idempotent``
 memoizes; ||Q||, |Q| = V S V*, |Q*| = U S U*, |Q*|^dag = U_r S_r^(-1) U_r*
 and P_R(Q) = U_r U_r* come from it, and every function here reads them from
-Q.  A ``MatchedPair`` holds only Q, its certified m(Q) and the tolerance,
-with the factorizations T T^dag and V V* of m(Q) (T = |Q*| + Q*) built on
-first use.  Relative rank cutoffs all go through ``linalg.numerical_rank``.
+Q.  A ``MatchedPair`` holds only Q and its certified m(Q).  Relative rank
+cutoffs all go through ``linalg.numerical_rank``.
 
 Three further routes are kept only as independent oracles for ``verify``
-and the tests, each built from its own factorizations: |Q*| from its own
-``abs_value(Q*)``, |Q*|^dag and P_R(Q) from the one memoized Koliha pencil
-of ``koliha_projections``, never from Q's SVD:
+and the tests, never built from Q's SVD.  The first two read one record
+per Q, ``factor_oracle``: |Q*| from its own ``abs_value(Q*)``, |Q*|^dag
+from the memoized Koliha pencil of ``koliha_projections``, T = |Q*| + Q*,
+T^dag and V; the block witness takes P_R(Q) from the same pencil:
 
 - the closed formula (1/2) (|Q*| + Q*) |Q*|^dag (|Q*| + I)^(-1) (|Q*| + Q)
   (``matched_projection_closed_form``);
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -91,54 +90,48 @@ def sabotaged_formula():
         _PAIR_SIGN = 1.0
 
 
+@dataclass(frozen=True)
+class FactorOracle:
+    """Oracle values of Q: |Q*|, |Q*|^dag, T = |Q*| + Q*, T^dag and V; T T^dag = V V* = m(Q)."""
+
+    abs_q_star: np.ndarray
+    abs_q_star_pinv: np.ndarray
+    t: np.ndarray
+    t_pinv: np.ndarray
+    v: np.ndarray
+
+
+def factor_oracle(q: Idempotent, tol: Tolerances | None = None) -> FactorOracle:
+    """The ``FactorOracle`` of Q, never read from Q's SVD; memoized on Q per tolerance.
+
+    |Q*| is ``abs_value(Q*)``, |Q*|^dag = (P_R(Q) P_R(Q*) P_R(Q))^(1/2) from
+    ``koliha_projections`` and V = T (|Q*|^dag)^(1/2) (I + |Q*|)^(-1/2) / sqrt 2.
+    """
+    tol = tol or DEFAULT_TOL
+
+    def build() -> FactorOracle:
+        abs_qs = abs_value(adjoint(q.matrix))
+        p_r, p_rs = (p.matrix for p in koliha_projections(q, tol))
+        dag = psd_power(p_r @ p_rs @ p_r, 0.5, tol)
+        t = abs_qs + adjoint(q.matrix)
+        dag_root = psd_power(dag, 0.5, tol)
+        v = np.sqrt(0.5) * t @ dag_root @ psd_power(identity(q.dim) + abs_qs, -0.5, tol)
+        return FactorOracle(abs_qs, dag, t, moore_penrose(t, tol), v)
+
+    return q._memoized(("factor_oracle", tol), build)
+
+
 def mp_inverse_abs_qstar(q: Idempotent, tol: Tolerances | None = None) -> np.ndarray:
-    """|Q*|^dag computed as (P_R(Q) P_R(Q*) P_R(Q))^(1/2), both from ``koliha_projections``."""
-    p_r, p_rs = (p.matrix for p in koliha_projections(q, tol))
-    return psd_power(p_r @ p_rs @ p_r, 0.5, tol)
-
-
-def _v_factor(q: Idempotent, abs_qs: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """V = T (|Q*|^dag)^(1/2) (I + |Q*|)^(-1/2) / sqrt 2 for T = |Q*| + Q*; V V* = m(Q)."""
-    return (
-        np.sqrt(0.5)
-        * (abs_qs + adjoint(q.matrix))
-        @ psd_power(mp_inverse_abs_qstar(q, tol), 0.5, tol)
-        @ psd_power(identity(q.dim) + abs_qs, -0.5, tol)
-    )
+    """Oracle: |Q*|^dag = (P_R(Q) P_R(Q*) P_R(Q))^(1/2), from ``factor_oracle``."""
+    return factor_oracle(q, tol).abs_q_star_pinv
 
 
 @dataclass(frozen=True)
 class MatchedPair:
-    """Q with its certified m(Q); the factorizations T T^dag and V V* of m(Q) are lazy.
-
-    Values of Q alone (|Q|, |Q*|, |Q*|^dag, ||Q||) are read from Q itself.
-    """
+    """Q with its certified m(Q); values of Q alone are read from Q itself."""
 
     source: Idempotent
     projection: Projection
-    tol: Tolerances = DEFAULT_TOL
-
-    @cached_property
-    def t_factor(self) -> np.ndarray:
-        """T = |Q*| + Q*, with T T^dag = m(Q)."""
-        return self.source.abs_q_star + adjoint(self.source.matrix)
-
-    @cached_property
-    def v_factor(self) -> np.ndarray:
-        """V with V V* = m(Q), from the Koliha oracle's projections and eigh; built on first use."""
-        return _v_factor(self.source, self.source.abs_q_star, self.tol)
-
-    def invariant_residuals(self) -> dict[str, float]:
-        """Residuals of the defining cross-identities of the pair, at the pair's tolerance."""
-        q = self.source.matrix
-        m = self.projection.matrix
-        t = self.t_factor
-        reflect = 2.0 * m - identity(self.source.dim)
-        return {
-            "factor_tt": operator_norm(m - t @ moore_penrose(t, self.tol)),
-            "factor_vv": operator_norm(m - self.v_factor @ adjoint(self.v_factor)),
-            "adjoint_reflection": operator_norm(adjoint(q) - reflect @ q @ reflect),
-        }
 
 
 def _svd_core(q: Idempotent, tol: Tolerances) -> Projection:
@@ -173,40 +166,29 @@ def matched_projection(q: Idempotent, tol: Tolerances | None = None) -> MatchedP
     """m(Q) from one SVD Q = U S V*, certified by ``as_projection`` in ``_svd_core``.
 
     The same SVD gives |Q|, |Q*|, |Q*|^dag and ||Q|| (``Idempotent``).  The
-    oracle routes are compared with m(Q) through
-    ``MatchedPair.invariant_residuals`` and by the verification battery.
-    The pair is not memoized: it refers to Q, so keeping it in Q's memo
-    would make a reference cycle.
+    pair is not memoized: it refers to Q, so keeping it in Q's memo would
+    make a reference cycle.
     """
     tol = tol or DEFAULT_TOL
-    return MatchedPair(source=q, projection=_svd_core(q, tol), tol=tol)
+    return MatchedPair(source=q, projection=_svd_core(q, tol))
 
 
 def matched_projection_closed_form(q: Idempotent, tol: Tolerances | None = None) -> np.ndarray:
     """Oracle: m(Q) = (1/2) (|Q*| + Q*) |Q*|^dag (|Q*| + I)^(-1) (|Q*| + Q).
 
-    Built from its own SVD of Q*, the Koliha route to |Q*|^dag and a solve,
-    never from the production SVD.  Returned uncertified so that a
-    comparison reports its gap: from ||A|| ~ 1e3 up its projection defect
-    exceeds the default check tolerance.
+    Built from ``factor_oracle`` and a solve, never from the production SVD.
+    Returned uncertified so that a comparison reports its gap: from
+    ||A|| ~ 1e3 up its projection defect exceeds the default check tolerance.
     """
-    tol = tol or DEFAULT_TOL
-    qm = q.matrix
-    abs_qs = abs_value(adjoint(qm))
-    right = np.linalg.solve(abs_qs + identity(q.dim), abs_qs + qm)
-    return 0.5 * (abs_qs + adjoint(qm)) @ mp_inverse_abs_qstar(q, tol) @ right
+    fo = factor_oracle(q, tol)
+    right = np.linalg.solve(fo.abs_q_star + identity(q.dim), fo.abs_q_star + q.matrix)
+    return 0.5 * fo.t @ fo.abs_q_star_pinv @ right
 
 
 def matched_via_factor(q: Idempotent, tol: Tolerances | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Oracle: (T T^dag, V V*) for T = |Q*| + Q*; both equal m(Q).
-
-    T comes from its own SVD of Q*, not from the production route.
-    """
-    tol = tol or DEFAULT_TOL
-    abs_qs = abs_value(adjoint(q.matrix))
-    t_factor = abs_qs + adjoint(q.matrix)
-    v_factor = _v_factor(q, abs_qs, tol)
-    return t_factor @ moore_penrose(t_factor, tol), v_factor @ adjoint(v_factor)
+    """Oracle: (T T^dag, V V*) from ``factor_oracle``; both equal m(Q)."""
+    fo = factor_oracle(q, tol)
+    return fo.t @ fo.t_pinv, fo.v @ adjoint(fo.v)
 
 
 @dataclass(frozen=True)
@@ -520,7 +502,7 @@ def fractional_power_limit(
     gap = operator_norm(k - quarter)
     if gap > tol.check * (1.0 + q.norm):
         raise ValidationError(f"four-term identity residual {gap:.3e}")
-    return [operator_norm(psd_power(k, 1.0 / n, tol) - m) for n in n_list]
+    return [operator_norm(p - m) for p in psd_power(k, [1.0 / n for n in n_list], tol)]
 
 
 def unitary_equivariance(

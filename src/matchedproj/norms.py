@@ -103,6 +103,7 @@ def distance_report(q: Idempotent, tol: Tolerances | None = None) -> DistanceRep
     x_op = diff @ adjoint(diff)
     y_op = adjoint(diff) @ diff
     gap_adj = adjoint(qm) - qm
+    norm_gap_adj = operator_norm(gap_adj)
 
     scale = tol.check * (1.0 + norm_q)
     scale_sq = tol.check * (1.0 + norm_q**2)
@@ -110,7 +111,7 @@ def distance_report(q: Idempotent, tol: Tolerances | None = None) -> DistanceRep
 
     checks = [
         Check("closed_form_agreement", abs(d_matched - d_closed), scale),
-        Check("range_gap_equals_adjoint_gap", abs(d_range - operator_norm(gap_adj)), scale),
+        Check("range_gap_equals_adjoint_gap", abs(d_range - norm_gap_adj), scale),
         Check(
             "range_gap_closed_form",
             abs(d_range - np.sqrt(max(norm_q**2 - 1.0, 0.0))),
@@ -163,7 +164,7 @@ def distance_report(q: Idempotent, tol: Tolerances | None = None) -> DistanceRep
         ),
         Check(
             "adjoint_gap_norm_identity",
-            abs(operator_norm(gap_adj) ** 2 - (4.0 * norm_d**2 + 4.0 * norm_d)),
+            abs(norm_gap_adj**2 - (4.0 * norm_d**2 + 4.0 * norm_d)),
             scale_sq,
         ),
     ]
@@ -285,8 +286,8 @@ def convergence_report(
     m2 = matched_projection(q2, tol).projection.matrix
     k1 = require_hermitian(m1 @ q1.matrix @ m1, tol)
     k2 = require_hermitian(m2 @ q2.matrix @ m2, tol)
-    pow1 = [psd_power(k1, 1.0 / n, tol) for n in exponents]
-    pow2 = [psd_power(k2, 1.0 / n, tol) for n in exponents]
+    roots = [1.0 / n for n in exponents]
+    pow1, pow2 = psd_power(k1, roots, tol), psd_power(k2, roots, tol)
 
     alpha = np.array([[operator_norm(a - b) for b in pow2] for a in pow1])
     beta = np.array([operator_norm(a - m2) for a in pow1])

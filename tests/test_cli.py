@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from matchedproj import as_matrix, operator_norm
+from matchedproj import as_matrix, operator_norm, random_idempotent
+from matchedproj.battery import run_battery
 from matchedproj.cli import main
 from matchedproj.matrixio import load_matrix, matrix_from_obj, matrix_to_obj, save_matrix
 from matchedproj.errors import MatrixFileError
@@ -152,8 +153,20 @@ class TestAnalyze:
                    "--seed", 42, "--output", q) == 0
         factorizations.clear()
         assert run("analyze", "--input", q) == 0
-        assert sum(factorizations.values()) <= 95, dict(factorizations)
+        assert sum(factorizations.values()) <= 94, dict(factorizations)
         assert factorizations["solve"] == 1, dict(factorizations)
+
+    def test_oracle_failure_fails_its_checks_only(self, tmp_path, capsys):
+        # at ||A|| = 1e6 the Koliha projections behind the T/V factor oracle
+        # miss certification; the production checks all pass and are reported
+        q, rep = tmp_path / "q.json", tmp_path / "rep.json"
+        save_matrix(q, random_idempotent(64, 20, 1e6, 3).matrix)
+        assert run("analyze", "--input", q, "--output", rep) == 1
+        assert "factor oracle: projection defect" in capsys.readouterr().err
+        report = json.loads(rep.read_text())
+        failed = [c["name"] for c in report["checks"] if not c["passed"]]
+        assert failed == ["matched_equals_tt_factor", "matched_equals_vv_factor"]
+        assert report["all_passed"] is False
 
     def test_report_json_round_trips(self, tmp_path):
         q, rep = tmp_path / "q.json", tmp_path / "rep.json"
@@ -228,6 +241,11 @@ class TestVerify:
 
     def test_small_battery_passes(self):
         assert run("verify", "--dim-max", 5, "--trials", 4, "--seed", 7) == 0
+
+    def test_factorizations_per_battery(self, factorizations):
+        # the ceiling is the measured count: a second build of an oracle shows here
+        run_battery(12, 2, 7)
+        assert sum(factorizations.values()) <= 1851, dict(factorizations)
 
     def test_sabotage_fails_fast(self):
         assert run("verify", "--dim-max", 4, "--trials", 2, "--seed", 7,

@@ -296,3 +296,16 @@ class TestPsdPower:
         out = psd_power(m, -0.5)
         np.testing.assert_allclose(out, np.diag([0.5, 0.0, 0.0]), atol=1e-14)
         assert dict(factorizations) == {"eigh": 1, "norm2": 2}
+
+    def test_stacked_powers_equal_single_calls(self, factorizations):
+        rng = np.random.default_rng(83)
+        for dim in (1, 2, 5, 12, 33):
+            x = random_complex(rng, dim)[:, : max(dim // 2, 1)]
+            m = x @ adjoint(x)
+            powers = [1.0 / 2**k for k in range(11)] + [-0.5]
+            factorizations.clear()
+            stack = psd_power(m, powers)
+            assert stack.shape == (len(powers), dim, dim)
+            assert factorizations["eigh"] == 1
+            for p, got in zip(powers, stack):
+                np.testing.assert_array_equal(got, psd_power(m, p))

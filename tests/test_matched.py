@@ -19,6 +19,7 @@ from matchedproj import (
     as_idempotent,
     as_projection,
     distance_report,
+    factor_oracle,
     failures,
     fractional_power_limit,
     homotopy_path,
@@ -131,10 +132,13 @@ class TestMatchedProjection:
         for seed in range(15):
             q = random_idempotent(6, 2, 1.5, seed)
             pair = matched_projection(q)
-            res = pair.invariant_residuals()
-            assert res["factor_tt"] <= 1e-10
-            assert res["factor_vv"] <= 1e-10
-            assert res["adjoint_reflection"] <= 1e-10 * (1 + operator_norm(q.matrix))
+            m = pair.projection.matrix
+            tt, vv = matched_via_factor(q)
+            verdict = is_quasi_projection_pair(pair.projection, q)
+            reflection = verdict.residuals["adjoint_reflection"]
+            assert operator_norm(m - tt) <= 1e-10
+            assert operator_norm(m - vv) <= 1e-10
+            assert reflection <= 1e-10 * (1 + operator_norm(q.matrix))
 
     def test_reflection_identities(self):
         rng = np.random.default_rng(23)
@@ -219,12 +223,11 @@ class TestFactorizationCount:
     def test_at_most_three_per_call(self, factorizations):
         q = random_idempotent(8, 3, 2.0, 5)
         factorizations.clear()
-        pair = matched_projection(q)
+        matched_projection(q)
         per_call = sum(factorizations.values())
         assert per_call <= 3, dict(factorizations)
         for name in ("abs_q", "abs_q_star", "abs_q_star_pinv"):
             getattr(q, name)
-        pair.t_factor
         assert sum(factorizations.values()) == per_call
 
     def test_witness_at_most_nine(self, factorizations):
@@ -258,13 +261,28 @@ class TestFactorizationCount:
         assert dict(factorizations) == {"solve": 1, "norm2": 2}
 
     def test_v_factor_built_once_on_first_read(self, factorizations):
-        pair = matched_projection(random_idempotent(8, 3, 2.0, 5))
+        q = random_idempotent(8, 3, 2.0, 5)
         before = sum(factorizations.values())
-        first = pair.v_factor
+        first = factor_oracle(q).v
         after_first = sum(factorizations.values())
         assert after_first > before
-        assert pair.v_factor is first
+        assert factor_oracle(q).v is first
         assert sum(factorizations.values()) == after_first
+
+    def test_factor_oracle_never_reads_the_svd(self):
+        q = random_idempotent(8, 3, 2.0, 5)
+        factor_oracle(q)
+        assert "svd" not in q._memo
+
+    def test_oracles_share_one_record(self, factorizations):
+        q = random_idempotent(8, 3, 2.0, 5)
+        oracles = (mp_inverse_abs_qstar, matched_projection_closed_form, matched_via_factor)
+        for oracle in oracles:
+            oracle(q)
+        factorizations.clear()
+        for oracle in oracles:
+            oracle(q)
+        assert factorizations["svd"] == factorizations["eigh"] == 0, dict(factorizations)
 
 
 class TestMemo:
@@ -305,11 +323,9 @@ class TestMatchedViaFactor:
     def test_projection_factors(self):
         p = as_projection(np.diag([1.0, 0.0]))
         q = as_idempotent(p.matrix)
-        pair = matched_projection(q)
-        np.testing.assert_allclose(pair.t_factor, 2 * p.matrix, atol=1e-14)
-        np.testing.assert_allclose(
-            moore_penrose(pair.t_factor), 0.5 * p.matrix, atol=1e-14
-        )
+        fo = factor_oracle(q)
+        np.testing.assert_allclose(fo.t, 2 * p.matrix, atol=1e-14)
+        np.testing.assert_allclose(fo.t_pinv, 0.5 * p.matrix, atol=1e-14)
         tt, vv = matched_via_factor(q)
         np.testing.assert_allclose(tt, p.matrix, atol=1e-13)
         np.testing.assert_allclose(vv, p.matrix, atol=1e-13)
@@ -320,13 +336,9 @@ class TestMatchedViaFactor:
         np.testing.assert_allclose(vv, MATCHED_CANONICAL, atol=1e-12)
 
     def test_gram_sides_give_range_projection(self):
-        q = canonical()
-        pair = matched_projection(q)
-        t_dag = moore_penrose(pair.t_factor)
-        np.testing.assert_allclose(t_dag @ pair.t_factor, np.diag([1.0, 0.0]), atol=1e-12)
-        np.testing.assert_allclose(
-            adjoint(pair.v_factor) @ pair.v_factor, np.diag([1.0, 0.0]), atol=1e-12
-        )
+        fo = factor_oracle(canonical())
+        np.testing.assert_allclose(fo.t_pinv @ fo.t, np.diag([1.0, 0.0]), atol=1e-12)
+        np.testing.assert_allclose(adjoint(fo.v) @ fo.v, np.diag([1.0, 0.0]), atol=1e-12)
 
     def test_routes_agree_random(self):
         rng = np.random.default_rng(31)
