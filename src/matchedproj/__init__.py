@@ -44,6 +44,8 @@ from .linalg import (
     identity,
     matrix_function,
     moore_penrose,
+    norm_at_most,
+    norm_bounds,
     numerical_rank,
     operator_norm,
     psd_order,
@@ -60,6 +62,7 @@ from .matched import (
     homotopy_witness,
     homotopy_witness_block,
     is_quasi_projection_pair,
+    matched_distance,
     matched_projection,
     matched_projection_closed_form,
     matched_via_factor,

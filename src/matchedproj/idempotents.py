@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Hashable, TypeVar
 
 import numpy as np
@@ -15,6 +16,7 @@ from .linalg import (
     as_matrix,
     hermitian_eigen,
     identity,
+    norm_at_most,
     numerical_rank,
     operator_norm,
 )
@@ -96,14 +98,26 @@ class Idempotent:
 
 @dataclass(frozen=True)
 class Projection:
-    """A self-adjoint idempotent, certified by max(||P^2 - P||, ||P - P*||)."""
+    """A self-adjoint idempotent, certified by max(||P^2 - P||, ||P - P*||) <= tol.check.
+
+    ``as_projection`` certifies from O(n^2) norm bounds and so takes no 2-norm
+    on clean input; ``defect``, the exact max(||P^2 - P||, ||P - P*||), is
+    taken on first read and kept.  The matrix must not be mutated.
+    """
 
     matrix: np.ndarray
-    defect: float
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    @cached_property
+    def defect(self) -> float:
+        return _projection_defect(self.matrix)
+
+
+def _projection_defect(p: np.ndarray) -> float:
+    return max(operator_norm(p @ p - p), operator_norm(p - adjoint(p)))
 
 
 def as_idempotent(m, tol: Tolerances | None = None) -> Idempotent:
@@ -129,13 +143,17 @@ def as_idempotents(stack: np.ndarray, tol: Tolerances | None = None) -> list[Ide
 
 
 def as_projection(m, tol: Tolerances | None = None) -> Projection:
-    """Validate P^2 = P = P* up to tol.check."""
+    """Validate P^2 = P = P* up to tol.check, each defect by ``norm_at_most``.
+
+    The decision is the exact max(||P^2 - P||, ||P - P*||) <= tol.check; a
+    rejected input takes both norms exactly for the message.
+    """
     tol = tol or DEFAULT_TOL
     p = as_matrix(m)
-    defect = max(operator_norm(p @ p - p), operator_norm(p - adjoint(p)))
-    if defect > tol.check:
+    if not (norm_at_most(p @ p - p, tol.check) and norm_at_most(p - adjoint(p), tol.check)):
+        defect = _projection_defect(p)
         raise ValidationError(f"projection defect {defect:.3e} exceeds {tol.check:.3e}")
-    return Projection(matrix=p, defect=defect)
+    return Projection(matrix=p)
 
 
 def range_projection(q: Idempotent, tol: Tolerances | None = None) -> Projection:

@@ -1,4 +1,14 @@
-"""Dense complex matrix kernels: adjoint, operator norm, Hermitian calculus, pseudoinverse."""
+"""Dense complex matrix kernels: adjoint, operator norm, Hermitian calculus, pseudoinverse.
+
+Operator norms come in two kinds.  ``operator_norm`` is the exact 2-norm, an
+SVD; it is taken wherever a number is reported or read: every ``Check``
+residual and distance, idempotency defects, contraction norms and the
+battery's tallies.  A pass/fail gate whose number is never reported decides
+from ``norm_bounds`` first, two O(n^2) bounds (Frobenius norm above, largest
+column norm below), and takes the exact norm only when they cannot settle
+it: ``norm_at_most``, ``require_hermitian``, the projection certificate of
+``idempotents.as_projection`` and the witness similarity gate.
+"""
 
 from __future__ import annotations
 
@@ -62,17 +72,56 @@ def operator_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m, 2))
 
 
+def norm_bounds(m: np.ndarray) -> tuple[float, float]:
+    """(lower, upper) bounds on ``operator_norm(m)`` from O(n^2) work, no factorization.
+
+    ||M||_F >= ||M||_2 >= max_j ||M e_j||, and both are taken from one array
+    of squared moduli.  Each is pushed outward by the relative slack 4 n eps
+    (n the larger dimension), so that, to first order, the bounds hold for
+    the *computed* 2-norm: the column sums and their total are off by at
+    most (n + log2 n + 2) eps relative (two roundings per squared modulus, a
+    running sum down each column, a pairwise sum across), the square root
+    halves that, and LAPACK's backward-stable SVD puts the computed largest
+    singular value within a few n eps of the exact one.
+    """
+    sq = m.real**2 + m.imag**2
+    cols = sq.sum(axis=0)
+    slack = 4.0 * max(m.shape) * EPS
+    return float(np.sqrt(cols.max())) * (1.0 - slack), float(np.sqrt(cols.sum())) * (1.0 + slack)
+
+
+def norm_at_most(m: np.ndarray, bound: float) -> bool:
+    """Whether ``operator_norm(m) <= bound``, taking the 2-norm only if ``norm_bounds`` cannot tell.
+
+    An answer from the bounds is the one the exact comparison gives; near
+    the bound (within the bounds' gap and slack) the exact norm decides.
+    """
+    lower, upper = norm_bounds(m)
+    if upper <= bound:
+        return True
+    if lower > bound:
+        return False
+    return operator_norm(m) <= bound
+
+
 def hermitian_gap(m: np.ndarray) -> float:
     """How far the matrix is from being Hermitian, ||M - M*||."""
     return operator_norm(m - adjoint(m))
 
 
 def require_hermitian(m: np.ndarray, tol: Tolerances | None = None) -> np.ndarray:
-    """Return the symmetrized matrix, rejecting visibly non-Hermitian input."""
+    """Return the symmetrized matrix, rejecting ||M - M*|| > tol.check (1 + ||M||).
+
+    Accepts from ``norm_bounds`` when upper(||M - M*||) <= tol.check (1 +
+    lower(||M||)), which implies the exact test; otherwise both norms are
+    taken exactly.
+    """
     tol = tol or DEFAULT_TOL
-    gap = hermitian_gap(m)
-    if gap > tol.check * (1.0 + operator_norm(m)):
-        raise NotHermitianError(f"asymmetry {gap:.3e} exceeds tolerance")
+    skew = m - adjoint(m)
+    if norm_bounds(skew)[1] > tol.check * (1.0 + norm_bounds(m)[0]):
+        gap = operator_norm(skew)
+        if gap > tol.check * (1.0 + operator_norm(m)):
+            raise NotHermitianError(f"asymmetry {gap:.3e} exceeds tolerance")
     return (m + adjoint(m)) / 2.0
 
 

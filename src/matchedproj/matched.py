@@ -58,9 +58,10 @@ from .linalg import (
     Tolerances,
     abs_value,
     adjoint,
-    hermitian_gap,
     identity,
     moore_penrose,
+    norm_at_most,
+    norm_bounds,
     numerical_rank,
     operator_norm,
     psd_order,
@@ -171,6 +172,15 @@ def matched_projection(q: Idempotent, tol: Tolerances | None = None) -> MatchedP
     """
     tol = tol or DEFAULT_TOL
     return MatchedPair(source=q, projection=_svd_core(q, tol))
+
+
+def matched_distance(q: Idempotent, tol: Tolerances | None = None) -> float:
+    """||m(Q) - Q||, memoized on Q per (tol, _PAIR_SIGN) as the core is."""
+    tol = tol or DEFAULT_TOL
+    return q._memoized(
+        ("d_matched", tol, _PAIR_SIGN),
+        lambda: operator_norm(_svd_core(q, tol).matrix - q.matrix),
+    )
 
 
 def matched_projection_closed_form(q: Idempotent, tol: Tolerances | None = None) -> np.ndarray:
@@ -292,7 +302,7 @@ def homotopy_witness(q: Idempotent, tol: Tolerances | None = None) -> Similarity
     def build() -> SimilarityWitness:
         qm = q.matrix
         eye = identity(q.dim)
-        if hermitian_gap(qm) <= tol.check and q.defect <= tol.check:
+        if q.defect <= tol.check and norm_at_most(qm - adjoint(qm), tol.check):
             return SimilarityWitness(
                 projection=as_projection(qm, tol), w=eye, contraction_norm=0.0
             )
@@ -316,17 +326,25 @@ def homotopy_witness(q: Idempotent, tol: Tolerances | None = None) -> Similarity
 def _certified_witness(
     q: Idempotent, projection: Projection, w_mat: np.ndarray, tol: Tolerances
 ) -> SimilarityWitness:
-    """Check ||I - W|| < 1 and W^(-1) P W = Q, then package the witness."""
+    """Check ||I - W|| < 1 and W^(-1) P W = Q, then package the witness.
+
+    The similarity gate ||W^(-1) P W - Q|| <= tol.check (1 + ||W^(-1)|| ||W||)
+    accepts from ``norm_bounds`` (upper bound on the left, lower bounds on
+    the right) and otherwise takes all three norms exactly.
+    """
     qm = q.matrix
     p_mat = projection.matrix
     contraction = operator_norm(identity(q.dim) - w_mat)
     if contraction >= 1.0:
         raise ValidationError(f"witness contraction norm {contraction:.6f} not < 1")
     w_inv = np.linalg.inv(w_mat)
-    residual = operator_norm(w_inv @ p_mat @ w_mat - qm)
-    bound = tol.check * (1.0 + operator_norm(w_inv) * operator_norm(w_mat))
-    if residual > bound:
-        raise ValidationError(f"similarity residual {residual:.3e} exceeds {bound:.3e}")
+    diff = w_inv @ p_mat @ w_mat - qm
+    fast = tol.check * (1.0 + norm_bounds(w_inv)[0] * norm_bounds(w_mat)[0])
+    if norm_bounds(diff)[1] > fast:
+        residual = operator_norm(diff)
+        bound = tol.check * (1.0 + operator_norm(w_inv) * operator_norm(w_mat))
+        if residual > bound:
+            raise ValidationError(f"similarity residual {residual:.3e} exceeds {bound:.3e}")
     return SimilarityWitness(projection=projection, w=w_mat, contraction_norm=contraction)
 
 
@@ -341,7 +359,7 @@ def homotopy_witness_block(q: Idempotent, tol: Tolerances | None = None) -> Simi
     tol = tol or DEFAULT_TOL
     qm = q.matrix
     eye = identity(q.dim)
-    if hermitian_gap(qm) <= tol.check and q.defect <= tol.check:
+    if q.defect <= tol.check and norm_at_most(qm - adjoint(qm), tol.check):
         return SimilarityWitness(
             projection=as_projection(qm, tol), w=eye, contraction_norm=0.0
         )
@@ -476,8 +494,8 @@ def range_identities(q: Idempotent, tol: Tolerances | None = None) -> list[Check
         rank = numerical_rank(np.linalg.svd(np.hstack([a, b]), compute_uv=False), q.dim, tol)
         checks.append(boolean_check(name, rank == a.shape[1] + b.shape[1]))
 
-    ranges_equal = operator_norm(m - proj_sum) <= SUBSPACE_TOL
-    is_projection = hermitian_gap(qm) <= tol.check
+    ranges_equal = norm_at_most(m - proj_sum, SUBSPACE_TOL)
+    is_projection = norm_at_most(qm - adjoint(qm), tol.check)
     checks.append(
         boolean_check("range_equality_iff_projection", ranges_equal == is_projection)
     )

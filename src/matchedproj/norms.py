@@ -19,14 +19,14 @@ from .linalg import (
     Tolerances,
     abs_value,
     adjoint,
-    hermitian_gap,
     identity,
+    norm_at_most,
     operator_norm,
     psd_order,
     psd_power,
     require_hermitian,
 )
-from .matched import is_quasi_projection_pair, matched_projection
+from .matched import is_quasi_projection_pair, matched_distance, matched_projection
 from .report import Check, boolean_check
 
 
@@ -89,7 +89,7 @@ def distance_report(q: Idempotent, tol: Tolerances | None = None) -> DistanceRep
 
     norm_q = q.norm
     norm_c = operator_norm(eye - qm)
-    d_matched = operator_norm(m - qm)
+    d_matched = matched_distance(q, tol)
     d_closed = closed_form_distance(norm_q)
     d_range = operator_norm(range_projection(q, tol).matrix - qm)
     d_null = operator_norm(null_projection(q, tol).matrix - qm)
@@ -175,7 +175,7 @@ def distance_report(q: Idempotent, tol: Tolerances | None = None) -> DistanceRep
 
     lower_tight = abs(0.5 * d_range - d_matched) <= scale
     upper_tight = abs(d_matched - d_range) <= scale
-    is_projection = hermitian_gap(qm) <= tol.check
+    is_projection = norm_at_most(qm - adjoint(qm), tol.check)
     checks.append(
         boolean_check(
             "sandwich_equality_iff_projection",
@@ -365,7 +365,7 @@ def qpp_minimality(
     tol = tol or DEFAULT_TOL
     m = matched_projection(q, tol).projection.matrix
     qm = q.matrix
-    d_matched = operator_norm(m - qm)
+    d_matched = matched_distance(q, tol)
     d_candidate = operator_norm(p.matrix - qm)
     scale = tol.check * (1.0 + q.norm)
     scale_sq = tol.check * (1.0 + q.norm**2)

@@ -34,6 +34,25 @@ def factorizations(monkeypatch):
     return counts
 
 
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """Names of every numpy.linalg function called, in order, whatever its arguments."""
+    calls = []
+
+    def recorded(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in dir(np.linalg):
+        fn = getattr(np.linalg, name)
+        if not name.startswith("_") and callable(fn) and not isinstance(fn, type):
+            monkeypatch.setattr(np.linalg, name, recorded(name, fn))
+    return calls
+
+
 def envelope_inputs(norms, dims=(1, 2, 8, 32), every_rank=False):
     """Seeded idempotents: each n in dims, rank 0, mixed and full (or every rank), each ||A||."""
     for dim in dims:

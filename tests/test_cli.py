@@ -83,6 +83,17 @@ class TestGenerate:
 
 
 class TestAnalyze:
+    def test_report_matches_golden(self, tmp_path, monkeypatch):
+        # the golden file is this command's report at an earlier release, on
+        # the committed input (generate --dim 8 --rank 3 --offdiag-norm 2
+        # --seed 42); the input path is relative, so the report's is fixed.
+        # A change to any reported number, check or gate shows here
+        data = Path(__file__).parent / "data"
+        monkeypatch.chdir(data)
+        rep = tmp_path / "rep.json"
+        assert run("analyze", "--input", "q_n8.json", "--output", rep) == 0
+        assert rep.read_bytes() == (data / "analyze_n8.json").read_bytes()
+
     def test_generated_file_round_trips(self, tmp_path):
         q, rep = tmp_path / "q.json", tmp_path / "rep.json"
         assert run("generate", "--dim", 8, "--rank", 3, "--offdiag-norm", 2,
@@ -147,13 +158,14 @@ class TestAnalyze:
 
     def test_factorizations_with_cold_memo(self, tmp_path, factorizations):
         # the ceiling is the measured count; without the memo analyze makes
-        # 156; the Koliha pencil is solved once per Q, in the V V* oracle
+        # 156, and 94 with exact norms at every gate; the Koliha pencil is
+        # solved once per Q, in the V V* oracle
         q = tmp_path / "q.json"
         assert run("generate", "--dim", 8, "--rank", 3, "--offdiag-norm", 2,
                    "--seed", 42, "--output", q) == 0
         factorizations.clear()
         assert run("analyze", "--input", q) == 0
-        assert sum(factorizations.values()) <= 94, dict(factorizations)
+        assert sum(factorizations.values()) <= 65, dict(factorizations)
         assert factorizations["solve"] == 1, dict(factorizations)
 
     def test_oracle_failure_fails_its_checks_only(self, tmp_path, capsys):
@@ -245,7 +257,7 @@ class TestVerify:
     def test_factorizations_per_battery(self, factorizations):
         # the ceiling is the measured count: a second build of an oracle shows here
         run_battery(12, 2, 7)
-        assert sum(factorizations.values()) <= 1851, dict(factorizations)
+        assert sum(factorizations.values()) <= 1305, dict(factorizations)
 
     def test_sabotage_fails_fast(self):
         assert run("verify", "--dim-max", 4, "--trials", 2, "--seed", 7,

@@ -52,6 +52,24 @@ class TestValidation:
         p = as_projection(0.5 * np.array([[1, 1], [1, 1]]))
         assert p.defect <= 1e-15
 
+    def test_projection_certified_without_factorization(self, linalg_calls):
+        u = np.linalg.qr(np.random.default_rng(3).standard_normal((16, 5)))[0]
+        linalg_calls.clear()
+        as_projection(u @ u.T)
+        assert linalg_calls == []
+
+    def test_projection_defect_is_the_exact_max(self):
+        u = np.linalg.qr(np.random.default_rng(4).standard_normal((16, 5)) + 0j)[0]
+        pm = u @ adjoint(u)
+        exact = max(operator_norm(pm @ pm - pm), operator_norm(pm - adjoint(pm)))
+        assert as_projection(pm).defect == exact
+
+    def test_projection_rejection_reports_the_exact_defect(self):
+        pm = as_matrix([[1.0, 1e-6], [0.0, 0.0]])
+        exact = max(operator_norm(pm @ pm - pm), operator_norm(pm - adjoint(pm)))
+        with pytest.raises(ValidationError, match=f"projection defect {exact:.3e} exceeds"):
+            as_projection(pm)
+
 
 class TestStackedValidation:
     def test_matches_single_validation(self):
@@ -104,7 +122,8 @@ class TestMemo:
         q = random_idempotent(8, 3, 2.0, 5)
         factorizations.clear()
         range_projection(q), null_projection(q)
-        assert dict(factorizations) == {"svd": 1, "norm2": 4}
+        # certified from norm bounds: no 2-norm on clean input
+        assert dict(factorizations) == {"svd": 1}
 
     def test_projections_keyed_on_tolerance(self):
         # certified at the default gate, the same projections cannot meet 1e-18
@@ -171,7 +190,7 @@ class TestKolihaProjections:
         factorizations.clear()
         koliha_projections(q)
         koliha_projections(q)
-        assert dict(factorizations) == {"svd": 1, "solve": 1, "norm2": 4}
+        assert dict(factorizations) == {"svd": 1, "solve": 1}
 
     def test_singular_pencil_on_defective_input(self):
         # a "validated" non-idempotent (loose gate) makes Q + Q* - I singular

@@ -15,11 +15,14 @@ from matchedproj import (
     matched_projection,
     matrix_function,
     moore_penrose,
+    norm_at_most,
+    norm_bounds,
     numerical_rank,
     operator_norm,
     psd_order,
     psd_power,
 )
+from matchedproj.linalg import hermitian_gap, require_hermitian
 
 RT2 = np.sqrt(2.0)
 
@@ -94,6 +97,71 @@ class TestOperatorNorm:
             m = random_complex(rng, int(rng.integers(1, 9)))
             n = operator_norm(m)
             assert abs(operator_norm(adjoint(m) @ m) - n**2) < 1e-11 * (1 + n**2)
+
+
+def norm_test_matrices(rng, dim):
+    """A random matrix, a rank-one one (Frobenius norm = 2-norm) and zero."""
+    x, y = random_complex(rng, dim)[:, :1], random_complex(rng, dim)[:, :1]
+    return {"random": random_complex(rng, dim), "rank_one": x @ adjoint(y),
+            "zero": np.zeros((dim, dim), dtype=complex)}
+
+
+class TestNormAtMost:
+    @pytest.mark.parametrize("dim", [1, 2, 8, 64])
+    def test_agrees_with_exact_comparison(self, dim):
+        # at the computed norm and one ulp either side of it
+        rng = np.random.default_rng(dim)
+        for m in norm_test_matrices(rng, dim).values():
+            exact = operator_norm(m)
+            for bound in (np.nextafter(exact, -np.inf), exact, np.nextafter(exact, np.inf)):
+                assert norm_at_most(m, bound) == (exact <= bound)
+
+    @pytest.mark.parametrize("dim", [1, 2, 8, 64])
+    def test_bounds_bracket_the_norm(self, dim):
+        rng = np.random.default_rng(100 + dim)
+        for m in norm_test_matrices(rng, dim).values():
+            lower, upper = norm_bounds(m)
+            assert lower <= operator_norm(m) <= upper
+
+    def test_clear_cases_take_no_factorization(self, linalg_calls):
+        # one nonzero column: both bounds are within their slack of the norm
+        m = np.zeros((8, 8), dtype=complex)
+        m[:, 2] = random_complex(np.random.default_rng(7), 8)[:, 0]
+        exact = operator_norm(m)
+        linalg_calls.clear()
+        assert norm_at_most(m, exact * (1 + 1e-9))
+        assert not norm_at_most(m, exact * (1 - 1e-9))
+        assert norm_at_most(np.zeros((8, 8)), 0.0)
+        assert linalg_calls == []
+
+
+class TestRequireHermitian:
+    def test_clean_input_takes_no_factorization(self, linalg_calls):
+        rng = np.random.default_rng(5)
+        x = random_complex(rng, 16)
+        h = x @ adjoint(x)
+        linalg_calls.clear()
+        np.testing.assert_array_equal(require_hermitian(h), (h + adjoint(h)) / 2.0)
+        assert linalg_calls == []
+
+    def test_rejection_reports_the_exact_gap(self):
+        m = as_matrix([[1.0, 1e-3], [0.0, 1.0]])
+        with pytest.raises(NotHermitianError, match=f"asymmetry {hermitian_gap(m):.3e} "):
+            require_hermitian(m)
+
+    def test_near_gate_decided_exactly(self):
+        # ||M - M*|| just inside and just outside tol.check (1 + ||M||), where
+        # the Frobenius bound (sqrt 2 times the gap) cannot accept
+        check = Tolerances().check
+        for scale, ok in ((0.999, True), (1.001, False)):
+            m = np.diag([1.0, 0.5]).astype(complex)
+            m[0, 1] = scale * check * 2.0
+            assert (hermitian_gap(m) <= check * (1.0 + operator_norm(m))) == ok
+            if ok:
+                require_hermitian(m)
+            else:
+                with pytest.raises(NotHermitianError):
+                    require_hermitian(m)
 
 
 class TestHermitianEigen:
@@ -290,12 +358,12 @@ class TestPsdPower:
         np.testing.assert_allclose(out, np.diag([0.5, 1.0]), atol=1e-14)
 
     def test_cutoff_from_its_own_eigenvalues(self, factorizations):
-        # the Hermiticity gate takes two norms; the cutoff takes no third one
+        # the Hermiticity gate accepts from norm bounds; the cutoff takes no norm
         m = np.diag([4.0, 1e-17, -1e-17]).astype(complex)
         factorizations.clear()
         out = psd_power(m, -0.5)
         np.testing.assert_allclose(out, np.diag([0.5, 0.0, 0.0]), atol=1e-14)
-        assert dict(factorizations) == {"eigh": 1, "norm2": 2}
+        assert dict(factorizations) == {"eigh": 1}
 
     def test_stacked_powers_equal_single_calls(self, factorizations):
         rng = np.random.default_rng(83)
