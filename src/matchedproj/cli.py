@@ -31,7 +31,7 @@ from .matched import (
     range_identities,
     sabotaged_formula,
 )
-from .matrixio import dumps, load_matrix, matrix_to_obj, save_matrix
+from .matrixio import dumps, load_matrix, save_matrix
 from .norms import distance_report
 from .report import Check, all_passed, boolean_check, failures
 from .two_by_two import canonical_idempotent, closed_form_p0, grid_minimize
@@ -105,7 +105,7 @@ def cmd_analyze(args) -> int:
         "input": {"path": args.input, "sha256": digest, "dim": q.dim},
         "tolerances": {"check": tol.check, "psd": tol.psd, "rank": tol.rank},
         "idempotent_defect": q.defect,
-        "matched_projection": matrix_to_obj(m),
+        "matched_projection": m,
         "distances": {
             "norm_q": rep.norm_q,
             "norm_complement": rep.norm_complement,
@@ -166,7 +166,7 @@ def cmd_path(args) -> int:
     except MatchedProjectionError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return E_MATH
-    _write(args.output, dumps([matrix_to_obj(s.matrix) for s in samples]))
+    _write(args.output, dumps([s.matrix for s in samples]))
     worst = max(s.defect for s in samples)
     print(f"{len(samples)} samples from m(Q) to Q, max idempotency defect {worst:.3e}")
     return E_OK
@@ -196,7 +196,7 @@ def cmd_min2x2(args) -> int:
         "b": problem.b,
         "theta0": problem.theta0,
         "t0": problem.t0,
-        "closed_form": matrix_to_obj(problem.p0.matrix),
+        "closed_form": problem.p0.matrix,
         "grid": {
             "points": args.grid,
             "min_value": gm.min_value,

@@ -261,11 +261,9 @@ def qpp_symmetry_closure(p: Projection, q: Idempotent, tol: Tolerances | None = 
         as_idempotent(eye - qm, tol),
         as_idempotent(eye - adjoint(qm), tol),
     ]
-    return all(
-        is_quasi_projection_pair(a, b, tol).holds
-        for a in projections
-        for b in idempotents
-    )
+    pairs = [(a, b) for a in projections for b in idempotents]
+    # pairs[0] is (P, Q), whose verdict the guard has just given
+    return all(is_quasi_projection_pair(a, b, tol).holds for a, b in pairs[1:])
 
 
 @dataclass(frozen=True)
