@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import MatchedProjectionError
 from .idempotents import (
+    Idempotent,
     as_idempotent,
     block_form,
     koliha_projections,
@@ -229,7 +230,8 @@ def _matched_identities(report: BatteryReport, rng, dim, q, tol, context):
 
     m_star = matched_projection(as_idempotent(adjoint(qm), tol), tol).projection.matrix
     report.tally("matched-of-adjoint").record(operator_norm(m_star - m) <= scale, context)
-    m_comp = matched_projection(as_idempotent(eye - qm, tol), tol).projection.matrix
+    comp = as_idempotent(eye - qm, tol)
+    m_comp = matched_projection(comp, tol).projection.matrix
     report.tally("matched-of-complement").record(
         operator_norm(m_comp - (eye - m)) <= scale, context
     )
@@ -238,9 +240,8 @@ def _matched_identities(report: BatteryReport, rng, dim, q, tol, context):
     report.tally("reflection-gives-abs").record(
         operator_norm(reflect @ qm - q.abs_q) <= scale, context
     )
-    comp_abs = abs_value(eye - qm)
     report.tally("reflection-gives-abs-sum").record(
-        operator_norm(reflect @ (2.0 * qm - eye) - (q.abs_q + comp_abs)) <= scale,
+        operator_norm(reflect @ (2.0 * qm - eye) - (q.abs_q + comp.abs_q)) <= scale,
         context,
     )
     report.tally("abs-product-gives-q").record(
@@ -458,16 +459,33 @@ def _static_checks(report: BatteryReport, tol: Tolerances):
         )
 
 
+def sabotaged(q: Idempotent) -> Idempotent:
+    """A copy of Q whose memoized SVD is (U, s, -V*): the harness self-test input.
+
+    The production route then builds W = U_r - V_r, so m(Q) and the witness
+    fail their certificates.  ||Q||, the rank, |Q|, |Q*|, P_R(Q) and P_N(Q)
+    do not see the sign, and the oracles never read the SVD.  The copy has
+    its own memo, so Q's analysis is left as it was.
+    """
+    u, s, vh = q.svd
+    copy = Idempotent(q.matrix, q.defect)
+    copy._memoized("svd", lambda: (u, s, -vh))
+    return copy
+
+
 def run_battery(
     dim_max: int,
     trials: int,
     seed: int,
     tol: Tolerances | None = None,
+    sabotage: bool = False,
 ) -> BatteryReport:
-    """Drive every invariant suite over seeded random inputs."""
+    """Drive every invariant suite over seeded random inputs (on ``sabotaged`` Q if asked)."""
     tol = tol or DEFAULT_TOL
+    if trials < 0:
+        raise ValueError("trials must be non-negative")
     report = BatteryReport()
-    if trials <= 0:
+    if trials == 0:
         return report
     try:
         _static_checks(report, tol)
@@ -483,6 +501,8 @@ def run_battery(
         context = f"(seed={trial_seed}, dim={dim})"
         try:
             q = random_idempotent(dim, rank, nu, int(rng.integers(2**32)), tol)
+            if sabotage:
+                q = sabotaged(q)
             q2 = random_idempotent(
                 dim, int(rng.integers(1, dim)), float(10.0 ** rng.uniform(-2.0, 1.0)),
                 int(rng.integers(2**32)), tol,

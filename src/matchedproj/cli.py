@@ -29,7 +29,6 @@ from .matched import (
     matched_projection,
     matched_via_factor,
     range_identities,
-    sabotaged_formula,
 )
 from .matrixio import dumps, load_matrix, save_matrix
 from .norms import distance_report
@@ -221,11 +220,7 @@ def cmd_min2x2(args) -> int:
 
 def cmd_verify(args) -> int:
     tol = _tolerances(args)
-    if args.sabotage:
-        with sabotaged_formula():
-            report = run_battery(args.dim_max, args.trials, args.seed, tol)
-    else:
-        report = run_battery(args.dim_max, args.trials, args.seed, tol)
+    report = run_battery(args.dim_max, args.trials, args.seed, tol, sabotage=args.sabotage)
 
     width = max([len(n) for n in report.tallies] + [5])
     print(f"{'check':<{width}}  {'pass':>6}  {'fail':>6}")

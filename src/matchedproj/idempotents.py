@@ -38,6 +38,7 @@ class Idempotent:
     Per tolerance the memo also keeps P_R(Q) = U_r U_r*, P_N(Q) = I - V_r V_r*,
     the certified m(Q), its witness, and the oracles' records (Koliha's
     projections and ``matched.factor_oracle``), which never read the SVD.
+    A key is a name, or (name, tol): a kept value depends on Q and its key alone.
     The matrix must not be mutated: that voids the certified defect and the
     memo alike.  Memoized arrays are shared with every caller and are
     read-only by contract.  ``dataclasses.replace`` starts a fresh memo.

@@ -36,10 +36,11 @@ class Tolerances:
     rank: float | None = None
 
     def __post_init__(self):
-        if self.check <= 0.0 or self.psd <= 0.0:
-            raise ValueError("tolerances must be positive")
-        if self.rank is not None and self.rank <= 0.0:
-            raise ValueError("rank cutoff factor must be positive")
+        # chained comparisons, so that NaN, which fails them all, is rejected too
+        if not (0.0 < self.check < np.inf and 0.0 < self.psd < np.inf):
+            raise ValueError("tolerances must be finite and positive")
+        if self.rank is not None and not 0.0 < self.rank < np.inf:
+            raise ValueError("rank cutoff factor must be finite and positive")
 
     def rank_factor(self, dim: int) -> float:
         return self.rank if self.rank is not None else dim * EPS

@@ -15,7 +15,9 @@ the homotopy in one stacked solve.  The SVD is the one ``Idempotent``
 memoizes; ||Q||, |Q| = V S V*, |Q*| = U S U*, |Q*|^dag = U_r S_r^(-1) U_r*
 and P_R(Q) = U_r U_r* come from it, and every function here reads them from
 Q.  A ``MatchedPair`` holds only Q and its certified m(Q).  Relative rank
-cutoffs all go through ``linalg.numerical_rank``.
+cutoffs all go through ``linalg.numerical_rank``.  The module keeps no state
+of its own: the harness self-test corrupts an input instead, a copy of Q
+whose memoized SVD has V negated (``battery.sabotaged``).
 
 Three further routes are kept only as independent oracles for ``verify``
 and the tests, never built from Q's SVD.  The first two read one record
@@ -32,7 +34,6 @@ T^dag and V; the block witness takes P_R(Q) from the same pencil:
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,24 +73,6 @@ from .report import Check, boolean_check
 
 # Gate on the gap between two orthoprojectors for "these subspaces are equal".
 SUBSPACE_TOL = 1e-8
-
-# Self-test hook: the sign of v_i in the columns u_i + v_i of the production
-# route.  ``sabotaged_formula`` flips it to u_i - v_i so the verification
-# harness can prove it detects a corrupted m(Q); the oracles never read it.
-# Never set outside testing.
-_PAIR_SIGN = 1.0
-
-
-@contextmanager
-def sabotaged_formula():
-    """Temporarily corrupt the production SVD route (harness self-test only)."""
-    global _PAIR_SIGN
-    _PAIR_SIGN = -1.0
-    try:
-        yield
-    finally:
-        _PAIR_SIGN = 1.0
-
 
 @dataclass(frozen=True)
 class FactorOracle:
@@ -147,20 +130,18 @@ def _svd_core(q: Idempotent, tol: Tolerances) -> Projection:
     which leaves a projection defect of order (n eps ||Q||)^2 plus
     round-off, without a second factorization.
 
-    The SVD is Q's memoized one, and the core is memoized on Q per
-    (tol, _PAIR_SIGN), so a core built outside ``sabotaged_formula`` is
-    never served inside it.
+    The SVD is Q's memoized one, and the core is memoized on Q per tolerance.
     """
 
     def build():
         u, s, vh = q.svd
         r = q.rank
-        w = u[:, :r] + _PAIR_SIGN * adjoint(vh[:r])
+        w = u[:, :r] + adjoint(vh[:r])
         d = 2.0 * (1.0 + 1.0 / s[:r])
         x = w / d
         return as_projection(x @ (np.diag(2.0 * d) - adjoint(w) @ w) @ adjoint(x), tol)
 
-    return q._memoized(("svd_core", tol, _PAIR_SIGN), build)
+    return q._memoized(("svd_core", tol), build)
 
 
 def matched_projection(q: Idempotent, tol: Tolerances | None = None) -> MatchedPair:
@@ -175,11 +156,10 @@ def matched_projection(q: Idempotent, tol: Tolerances | None = None) -> MatchedP
 
 
 def matched_distance(q: Idempotent, tol: Tolerances | None = None) -> float:
-    """||m(Q) - Q||, memoized on Q per (tol, _PAIR_SIGN) as the core is."""
+    """||m(Q) - Q||, memoized on Q per tolerance as the core is."""
     tol = tol or DEFAULT_TOL
     return q._memoized(
-        ("d_matched", tol, _PAIR_SIGN),
-        lambda: operator_norm(_svd_core(q, tol).matrix - q.matrix),
+        ("d_matched", tol), lambda: operator_norm(_svd_core(q, tol).matrix - q.matrix)
     )
 
 
@@ -293,7 +273,7 @@ def homotopy_witness(q: Idempotent, tol: Tolerances | None = None) -> Similarity
     certified m(Q) of the same SVD (``_svd_core``).
 
     A projection input short-circuits to the trivial witness W = I.  The
-    witness is memoized on Q per (tol, _PAIR_SIGN), as the core is.
+    witness is memoized on Q per tolerance, as the core is.
     """
     tol = tol or DEFAULT_TOL
 
@@ -318,7 +298,7 @@ def homotopy_witness(q: Idempotent, tol: Tolerances | None = None) -> Similarity
         w_block[r:, r:] = np.eye(q.dim - r)
         return _certified_witness(q, _svd_core(q, tol), u @ w_block @ adjoint(u), tol)
 
-    return q._memoized(("witness", tol, _PAIR_SIGN), build)
+    return q._memoized(("witness", tol), build)
 
 
 def _certified_witness(

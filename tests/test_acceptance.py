@@ -34,7 +34,6 @@ from matchedproj import (
 )
 from matchedproj.battery import run_battery
 from matchedproj.cli import main
-from matchedproj.matched import sabotaged_formula
 
 RT2 = np.sqrt(2.0)
 TRIALS = 500
@@ -354,8 +353,7 @@ class TestCriterion10:
 
 class TestCriterion11:
     def test_sabotage_self_test(self):
-        with sabotaged_formula():
-            battery = run_battery(dim_max=4, trials=2, seed=1)
+        battery = run_battery(dim_max=4, trials=2, seed=1, sabotage=True)
         cli_exit = main(
             ["verify", "--dim-max", "4", "--trials", "2", "--seed", "1", "--sabotage"]
         )

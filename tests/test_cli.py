@@ -6,8 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from matchedproj import as_matrix, operator_norm, random_idempotent
-from matchedproj.battery import run_battery
+from matchedproj import as_matrix, cli, operator_norm, random_idempotent
+from matchedproj.battery import run_battery, sabotaged
 from matchedproj.cli import main
 from matchedproj.matrixio import dumps, load_matrix, matrix_from_obj, save_matrix
 from matchedproj.errors import MatrixFileError
@@ -226,13 +226,20 @@ class TestAnalyze:
     def test_missing_file_is_usage_error(self, tmp_path):
         assert run("analyze", "--input", tmp_path / "absent.json") == 2
 
-    def test_corrupted_formula_is_math_error(self, tmp_path):
-        from matchedproj.matched import sabotaged_formula
-
+    def test_corrupted_formula_is_math_error(self, tmp_path, monkeypatch):
         q = tmp_path / "q.json"
         save_matrix(q, as_matrix([[1.0, 1.0], [0.0, 0.0]]))
-        with sabotaged_formula():
-            assert run("analyze", "--input", q) == 1
+        certify = cli.as_idempotent
+        monkeypatch.setattr(cli, "as_idempotent", lambda m, tol=None: sabotaged(certify(m, tol)))
+        assert run("analyze", "--input", q) == 1
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
+    @pytest.mark.parametrize("flag", ["--tol-check", "--tol-rank"])
+    def test_non_finite_tolerance_is_usage_error(self, tmp_path, flag, value):
+        # a defect-0.56 matrix must not pass as an idempotent under an infinite gate
+        q = tmp_path / "bad.json"
+        save_matrix(q, as_matrix([[1.0, 1.0], [0.0, 0.5]]))
+        assert run("analyze", "--input", q, f"{flag}={value}") == 2
 
     def test_unreachable_tolerance_is_math_error(self, tmp_path):
         # the exact idempotent passes validation at any gate, but no computed
@@ -355,13 +362,17 @@ class TestVerify:
     def test_zero_trials_vacuous_pass(self):
         assert run("verify", "--trials", 0) == 0
 
+    def test_negative_trials_is_usage_error(self, capsys):
+        assert run("verify", "--trials", -3) == 2
+        assert "all checks passed" not in capsys.readouterr().out
+
     def test_small_battery_passes(self):
         assert run("verify", "--dim-max", 5, "--trials", 4, "--seed", 7) == 0
 
     def test_factorizations_per_battery(self, factorizations):
         # the ceiling is the measured count: a second build of an oracle shows here
         run_battery(12, 2, 7)
-        assert sum(factorizations.values()) <= 1295, dict(factorizations)
+        assert sum(factorizations.values()) <= 1293, dict(factorizations)
 
     def test_sabotage_fails_fast(self):
         assert run("verify", "--dim-max", 4, "--trials", 2, "--seed", 7,

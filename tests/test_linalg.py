@@ -54,6 +54,12 @@ class TestTolerances:
         with pytest.raises(ValueError):
             Tolerances(rank=0.0)
 
+    @pytest.mark.parametrize("field", ["check", "psd", "rank"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError):
+            Tolerances(**{field: value})
+
     def test_default_rank_factor_scales_with_dim(self):
         eps = np.finfo(np.float64).eps
         assert Tolerances().rank_factor(16) == 16 * eps

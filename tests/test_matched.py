@@ -41,7 +41,8 @@ from matchedproj import (
     range_projection,
     unitary_equivariance,
 )
-from matchedproj.matched import sabotaged_formula
+from matchedproj import matched as matched_module
+from matchedproj.battery import sabotaged
 
 from conftest import envelope_inputs
 
@@ -303,15 +304,23 @@ class TestMemo:
         finally:
             gc.enable()
 
-    def test_core_not_served_under_sabotage(self):
-        q = canonical()
-        matched_projection(q)
-        homotopy_witness(q)
-        with sabotaged_formula():
-            with pytest.raises(ValidationError):
-                matched_projection(q)
-            with pytest.raises(ValidationError):
-                homotopy_witness(q)
+    def test_sabotaged_copy_leaves_memo_unchanged(self):
+        q = random_idempotent(8, 3, 2.0, 5)
+
+        def results():
+            return (*q.svd, matched_projection(q).projection.matrix,
+                    homotopy_witness(q).w, distance_report(q).d_matched)
+
+        before = [np.copy(x) for x in results()]
+        memo = dict(q._memo)
+        bad = sabotaged(q)
+        with pytest.raises(ValidationError):
+            matched_projection(bad)
+        with pytest.raises(ValidationError):
+            homotopy_witness(bad)
+        assert q._memo.keys() == memo.keys()
+        assert all(q._memo[k] is v for k, v in memo.items())
+        assert all(np.array_equal(a, b) for a, b in zip(results(), before))
 
     def test_core_keyed_on_tolerance(self):
         q = random_idempotent(8, 3, 2.0, 5)
@@ -582,24 +591,43 @@ class TestGeneratedQppPairs:
 
 
 class TestSabotageHook:
-    def test_flips_and_restores(self):
+    def test_copy_fails_original_intact(self):
         q = canonical()
-        with sabotaged_formula():
-            with pytest.raises(ValidationError):
-                matched_projection(q)
+        with pytest.raises(ValidationError):
+            matched_projection(sabotaged(q))
         pair = matched_projection(q)
         np.testing.assert_allclose(pair.projection.matrix, MATCHED_CANONICAL, atol=1e-13)
 
     def test_closed_form_oracle_untouched(self):
-        q = canonical()
-        with sabotaged_formula():
-            closed = matched_projection_closed_form(q)
+        bad = sabotaged(canonical())
+        with pytest.raises(ValidationError):
+            matched_projection(bad)
+        closed = matched_projection_closed_form(bad)
         np.testing.assert_allclose(closed, MATCHED_CANONICAL, atol=1e-13)
 
     def test_witness_fails_block_oracle_untouched(self):
-        q = canonical()
-        with sabotaged_formula():
-            with pytest.raises(ValidationError):
-                homotopy_witness(q)
-            block = homotopy_witness_block(q)
+        bad = sabotaged(canonical())
+        with pytest.raises(ValidationError):
+            homotopy_witness(bad)
+        block = homotopy_witness_block(bad)
         np.testing.assert_allclose(block.projection.matrix, MATCHED_CANONICAL, atol=1e-13)
+
+    def test_builds_u_minus_v(self, monkeypatch):
+        # the copy's core is the production one with W = U_r - V_r, bitwise
+        q = random_idempotent(8, 3, 2.0, 5)
+        u, s, vh = q.svd
+        r = q.rank
+        candidates = []
+        certify = matched_module.as_projection
+
+        def spy(m, tol=None):
+            candidates.append(m)
+            return certify(m, tol)
+
+        monkeypatch.setattr(matched_module, "as_projection", spy)
+        with pytest.raises(ValidationError):
+            matched_projection(sabotaged(q))
+        w = u[:, :r] - adjoint(vh[:r])
+        d = 2.0 * (1.0 + 1.0 / s[:r])
+        x = w / d
+        assert np.array_equal(candidates, [x @ (np.diag(2.0 * d) - adjoint(w) @ w) @ adjoint(x)])
