@@ -67,6 +67,7 @@ from .matched import (
     matched_projection_closed_form,
     matched_via_factor,
     mp_inverse_abs_qstar,
+    qpp_holds,
     qpp_symmetry_closure,
     random_qpp_pair,
     range_identities,

@@ -17,6 +17,7 @@ from .linalg import (
     hermitian_eigen,
     identity,
     norm_at_most,
+    norm_bounds,
     numerical_rank,
     operator_norm,
 )
@@ -27,7 +28,7 @@ _T = TypeVar("_T")
 
 @dataclass(frozen=True)
 class Idempotent:
-    """A matrix Q with Q^2 = Q, certified by its defect ||Q^2 - Q||.
+    """A matrix Q with Q^2 = Q, certified by ``as_idempotent(s)``.
 
     An idempotent carries its own analysis, kept in a private memo and
     computed on first use, so every report on the same Q reads it instead
@@ -39,18 +40,26 @@ class Idempotent:
     the certified m(Q), its witness, and the oracles' records (Koliha's
     projections and ``matched.factor_oracle``), which never read the SVD.
     A key is a name, or (name, tol): a kept value depends on Q and its key alone.
-    The matrix must not be mutated: that voids the certified defect and the
-    memo alike.  Memoized arrays are shared with every caller and are
-    read-only by contract.  ``dataclasses.replace`` starts a fresh memo.
+    The idempotent is built from its matrix alone: the certificate decides
+    from O(n^2) norm bounds, and ``defect``, the exact ||Q^2 - Q||, is taken
+    on first read and kept.  The matrix must not be mutated: that voids the
+    certificate and the memo alike.  Memoized arrays are shared with every
+    caller and are read-only by contract.  ``dataclasses.replace`` starts a
+    fresh memo.
     """
 
     matrix: np.ndarray
-    defect: float
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    @property
+    def defect(self) -> float:
+        """||Q^2 - Q||, the exact 2-norm."""
+        qm = self.matrix
+        return self._memoized("defect", lambda: operator_norm(qm @ qm - qm))
 
     @property
     def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -122,25 +131,30 @@ def _projection_defect(p: np.ndarray) -> float:
 
 
 def as_idempotent(m, tol: Tolerances | None = None) -> Idempotent:
-    """Validate Q^2 = Q up to tol.check * (1 + ||Q||^2)."""
+    """Validate ||Q^2 - Q|| <= tol.check * (1 + ||Q||^2), bound-first as ``as_idempotents``."""
     return as_idempotents(as_matrix(m)[np.newaxis], tol)[0]
 
 
 def as_idempotents(stack: np.ndarray, tol: Tolerances | None = None) -> list[Idempotent]:
     """Validate each Q of a (k, n, n) stack as ``as_idempotent`` does.
 
-    Defects and norms come from one stacked ``norm(., 2)`` each; the first
-    sample over its gate raises.
+    A sample is accepted when upper(||Q^2 - Q||) <= tol.check (1 +
+    lower(||Q||)^2) by ``norm_bounds``, which implies the exact test; the
+    others take both 2-norms exactly, stacked, and the first one over its
+    gate raises.
     """
     tol = tol or DEFAULT_TOL
     if not np.isfinite(stack).all():
         raise ValueError("matrix entries must be finite")
-    defects = np.linalg.norm(stack @ stack - stack, 2, axis=(-2, -1))
-    bounds = tol.check * (1.0 + np.linalg.norm(stack, 2, axis=(-2, -1)) ** 2)
-    for defect, bound in zip(defects, bounds):
-        if defect > bound:
-            raise ValidationError(f"idempotency defect {defect:.3e} exceeds {bound:.3e}")
-    return [Idempotent(matrix=q, defect=float(d)) for q, d in zip(stack, defects)]
+    diffs = stack @ stack - stack
+    unsettled = norm_bounds(diffs)[1] > tol.check * (1.0 + norm_bounds(stack)[0] ** 2)
+    if unsettled.any():
+        defects = np.linalg.norm(diffs[unsettled], 2, axis=(-2, -1))
+        bounds = tol.check * (1.0 + np.linalg.norm(stack[unsettled], 2, axis=(-2, -1)) ** 2)
+        for defect, bound in zip(defects, bounds):
+            if defect > bound:
+                raise ValidationError(f"idempotency defect {defect:.3e} exceeds {bound:.3e}")
+    return [Idempotent(q) for q in stack]
 
 
 def as_projection(m, tol: Tolerances | None = None) -> Projection:

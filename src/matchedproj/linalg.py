@@ -2,12 +2,14 @@
 
 Operator norms come in two kinds.  ``operator_norm`` is the exact 2-norm, an
 SVD; it is taken wherever a number is reported or read: every ``Check``
-residual and distance, idempotency defects, contraction norms and the
-battery's tallies.  A pass/fail gate whose number is never reported decides
-from ``norm_bounds`` first, two O(n^2) bounds (Frobenius norm above, largest
+residual and distance, quasi-projection-pair residuals, idempotency and
+projection defects (on first read), contraction norms and the battery's
+tallies.  A pass/fail gate whose number is never reported decides from
+``norm_bounds`` first, two O(n^2) bounds (Frobenius norm above, largest
 column norm below), and takes the exact norm only when they cannot settle
-it: ``norm_at_most``, ``require_hermitian``, the projection certificate of
-``idempotents.as_projection`` and the witness similarity gate.
+it: ``norm_at_most``, ``require_hermitian``, the certificates of
+``idempotents.as_idempotent(s)`` and ``as_projection``, ``matched.qpp_holds``,
+the witness projection short-circuit and its similarity gate.
 """
 
 from __future__ import annotations
@@ -76,6 +78,8 @@ def operator_norm(m: np.ndarray) -> float:
 def norm_bounds(m: np.ndarray) -> tuple[float, float]:
     """(lower, upper) bounds on ``operator_norm(m)`` from O(n^2) work, no factorization.
 
+    A (k, n, n) stack gives two length-k arrays, the bounds of each matrix.
+
     ||M||_F >= ||M||_2 >= max_j ||M e_j||, and both are taken from one array
     of squared moduli.  Each is pushed outward by the relative slack 4 n eps
     (n the larger dimension), so that, to first order, the bounds hold for
@@ -86,9 +90,9 @@ def norm_bounds(m: np.ndarray) -> tuple[float, float]:
     singular value within a few n eps of the exact one.
     """
     sq = m.real**2 + m.imag**2
-    cols = sq.sum(axis=0)
-    slack = 4.0 * max(m.shape) * EPS
-    return float(np.sqrt(cols.max())) * (1.0 - slack), float(np.sqrt(cols.sum())) * (1.0 + slack)
+    cols = sq.sum(axis=-2)
+    slack = 4.0 * max(m.shape[-2:]) * EPS
+    return np.sqrt(cols.max(axis=-1)) * (1.0 - slack), np.sqrt(cols.sum(axis=-1)) * (1.0 + slack)
 
 
 def norm_at_most(m: np.ndarray, bound: float) -> bool:

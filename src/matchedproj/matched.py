@@ -35,6 +35,7 @@ T^dag and V; the block witness takes P_R(Q) from the same pencil:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -203,22 +204,29 @@ class QppVerdict:
         return self.residuals["abs_reflection"] <= self.gate
 
 
-def is_quasi_projection_pair(
-    p: Projection, q: Idempotent, tol: Tolerances | None = None
-) -> QppVerdict:
-    """Test the three block conditions plus both reflection characterizations."""
-    tol = tol or DEFAULT_TOL
+def _qpp_matrices(p: Projection, q: Idempotent) -> Iterator[tuple[str, np.ndarray]]:
+    """The residual matrices of the five quasi-projection-pair conditions, built one at a time."""
     pm, qm = p.matrix, q.matrix
     eye = identity(q.dim)
     comp = eye - pm
     reflect = 2.0 * pm - eye
-    residuals = {
-        "block_range": operator_norm(pm @ (adjoint(qm) - qm) @ pm),
-        "block_cross": operator_norm(pm @ adjoint(qm) @ comp + pm @ qm @ comp),
-        "block_null": operator_norm(comp @ (adjoint(qm) - qm) @ comp),
-        "adjoint_reflection": operator_norm(adjoint(qm) - reflect @ qm @ reflect),
-        "abs_reflection": operator_norm(q.abs_q_star - reflect @ q.abs_q @ reflect),
-    }
+    yield "block_range", pm @ (adjoint(qm) - qm) @ pm
+    yield "block_cross", pm @ adjoint(qm) @ comp + pm @ qm @ comp
+    yield "block_null", comp @ (adjoint(qm) - qm) @ comp
+    yield "adjoint_reflection", adjoint(qm) - reflect @ qm @ reflect
+    yield "abs_reflection", q.abs_q_star - reflect @ q.abs_q @ reflect
+
+
+def is_quasi_projection_pair(
+    p: Projection, q: Idempotent, tol: Tolerances | None = None
+) -> QppVerdict:
+    """Test the three block conditions plus both reflection characterizations.
+
+    Every residual is an exact 2-norm; ``qpp_holds`` gives ``holds`` alone
+    for less.
+    """
+    tol = tol or DEFAULT_TOL
+    residuals = {name: operator_norm(mat) for name, mat in _qpp_matrices(p, q)}
     gate = tol.check * (1.0 + q.norm)
     return QppVerdict(
         holds=all(r <= gate for r in residuals.values()),
@@ -227,10 +235,20 @@ def is_quasi_projection_pair(
     )
 
 
+def qpp_holds(p: Projection, q: Idempotent, tol: Tolerances | None = None) -> bool:
+    """``is_quasi_projection_pair(p, q, tol).holds``, each condition by ``norm_at_most``.
+
+    Stops at the first condition that fails.
+    """
+    tol = tol or DEFAULT_TOL
+    gate = tol.check * (1.0 + q.norm)
+    return all(norm_at_most(mat, gate) for _, mat in _qpp_matrices(p, q))
+
+
 def qpp_symmetry_closure(p: Projection, q: Idempotent, tol: Tolerances | None = None) -> bool:
     """Whether all eight pairs {P, I-P} x {Q, Q*, I-Q, I-Q*} are quasi-projection pairs."""
     tol = tol or DEFAULT_TOL
-    if not is_quasi_projection_pair(p, q, tol).holds:
+    if not qpp_holds(p, q, tol):
         raise NotQuasiProjectionPairError("(P, Q) is not a quasi-projection pair")
     eye = identity(q.dim)
     qm = q.matrix
@@ -243,7 +261,7 @@ def qpp_symmetry_closure(p: Projection, q: Idempotent, tol: Tolerances | None = 
     ]
     pairs = [(a, b) for a in projections for b in idempotents]
     # pairs[0] is (P, Q), whose verdict the guard has just given
-    return all(is_quasi_projection_pair(a, b, tol).holds for a, b in pairs[1:])
+    return all(qpp_holds(a, b, tol) for a, b in pairs[1:])
 
 
 @dataclass(frozen=True)
@@ -280,7 +298,7 @@ def homotopy_witness(q: Idempotent, tol: Tolerances | None = None) -> Similarity
     def build() -> SimilarityWitness:
         qm = q.matrix
         eye = identity(q.dim)
-        if q.defect <= tol.check and norm_at_most(qm - adjoint(qm), tol.check):
+        if _is_projection(qm, tol):
             return SimilarityWitness(
                 projection=as_projection(qm, tol), w=eye, contraction_norm=0.0
             )
@@ -299,6 +317,11 @@ def homotopy_witness(q: Idempotent, tol: Tolerances | None = None) -> Similarity
         return _certified_witness(q, _svd_core(q, tol), u @ w_block @ adjoint(u), tol)
 
     return q._memoized(("witness", tol), build)
+
+
+def _is_projection(qm: np.ndarray, tol: Tolerances) -> bool:
+    """||Q - Q*|| <= tol.check and ||Q^2 - Q|| <= tol.check, each by ``norm_at_most``."""
+    return norm_at_most(qm - adjoint(qm), tol.check) and norm_at_most(qm @ qm - qm, tol.check)
 
 
 def _certified_witness(
@@ -337,7 +360,7 @@ def homotopy_witness_block(q: Idempotent, tol: Tolerances | None = None) -> Simi
     tol = tol or DEFAULT_TOL
     qm = q.matrix
     eye = identity(q.dim)
-    if q.defect <= tol.check and norm_at_most(qm - adjoint(qm), tol.check):
+    if _is_projection(qm, tol):
         return SimilarityWitness(
             projection=as_projection(qm, tol), w=eye, contraction_norm=0.0
         )

@@ -26,7 +26,7 @@ from .linalg import (
     psd_power,
     require_hermitian,
 )
-from .matched import is_quasi_projection_pair, matched_distance, matched_projection
+from .matched import matched_distance, matched_projection, qpp_holds
 from .report import Check, boolean_check
 
 
@@ -255,6 +255,11 @@ def matched_lipschitz_bounds(
     )
 
 
+def _stacked_norms(stack: np.ndarray) -> np.ndarray:
+    """``operator_norm`` of each matrix of a (k, n, n) stack, from one stacked SVD."""
+    return np.linalg.svd(stack, compute_uv=False)[:, 0]
+
+
 @dataclass(frozen=True)
 class ConvergenceReport:
     """Fractional-power distance tables whose infimum is ||m(Q1) - m(Q2)||."""
@@ -289,10 +294,12 @@ def convergence_report(
     roots = [1.0 / n for n in exponents]
     pow1, pow2 = psd_power(k1, roots, tol), psd_power(k2, roots, tol)
 
-    alpha = np.array([[operator_norm(a - b) for b in pow2] for a in pow1])
-    beta = np.array([operator_norm(a - m2) for a in pow1])
-    gamma = np.array([operator_norm(m1 - b) for b in pow2])
-    target = operator_norm(m1 - m2)
+    # 2-norms from stacked SVDs, one per row of the alpha table and one for
+    # beta, gamma and the target, so no stack holds more than 2k + 1 matrices
+    alpha = np.array([_stacked_norms(a - pow2) for a in pow1])
+    rest = _stacked_norms(np.concatenate([pow1 - m2, m1 - pow2, [m1 - m2]]))
+    k = len(exponents)
+    beta, gamma, target = rest[:k], rest[k:-1], float(rest[-1])
 
     tabulated_min = min(alpha.min(), beta.min(), gamma.min())
     monotone_slack = max(
@@ -373,8 +380,8 @@ def qpp_minimality(
     checks = [
         Check("matched_within_twice_candidate", max(0.0, d_matched - 2.0 * d_candidate), scale)
     ]
-    verdict = is_quasi_projection_pair(p, q, tol)
-    if verdict.holds:
+    holds = qpp_holds(p, q, tol)
+    if holds:
         diff_m = m - qm
         diff_p = p.matrix - qm
         left_m, left_p = diff_m @ adjoint(diff_m), diff_p @ adjoint(diff_p)
@@ -406,6 +413,6 @@ def qpp_minimality(
     return MinimalityReport(
         d_matched=d_matched,
         d_candidate=d_candidate,
-        qpp_holds=verdict.holds,
+        qpp_holds=holds,
         checks=checks,
     )

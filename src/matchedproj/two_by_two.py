@@ -20,6 +20,10 @@ from .idempotents import Idempotent, Projection, as_idempotent, as_projection
 from .linalg import DEFAULT_TOL, Tolerances, adjoint, operator_norm
 from .report import Check, boolean_check
 
+# t-rows per block of ``grid_minimize``: a block of 32 x 512 objective values
+# stays small where the whole grid at once would add megabytes of temporaries
+GRID_ROWS = 32
+
 
 @dataclass(frozen=True)
 class HalmosPoint:
@@ -60,10 +64,13 @@ def halmos_projection(
     return as_projection(u @ inner @ adjoint(u), tol or DEFAULT_TOL)
 
 
-def distance_objective(a: complex, x: float | np.ndarray, t: float) -> float | np.ndarray:
+def distance_objective(
+    a: complex, x: float | np.ndarray, t: float | np.ndarray
+) -> float | np.ndarray:
     """||P - Q||^2 for the Halmos projection at (x, t) against [[1, a], [0, 0]].
 
-    ``x`` may be an array of Re z values, giving the objective along that row.
+    ``x`` and ``t`` may be arrays, which broadcast: an x-row against a t-column
+    gives the objective on that block of the grid.
 
     Analytic form: (2 sin^2 t + |a| (mu + sqrt(mu^2 + 4 sin^4 t))) / 2 with
     mu = |a| - 2 |cos t sin t| x.
@@ -132,13 +139,15 @@ def grid_minimize(
     xs = np.linspace(-1.0, 1.0, grid_x)
     ts = np.linspace(0.0, np.pi, grid_t)
 
+    # blocks of t-rows, each scanned row-major; a later block replaces the best
+    # only on a strict improvement, so the first row-major minimum wins
     best = np.inf
     best_x, best_t = xs[0], ts[0]
-    for t in ts:
-        vals = distance_objective(a, xs, t)
-        i = int(np.argmin(vals))
-        if vals[i] < best:
-            best, best_x, best_t = float(vals[i]), float(xs[i]), float(t)
+    for lo in range(0, grid_t, GRID_ROWS):
+        vals = distance_objective(a, xs[None, :], ts[lo : lo + GRID_ROWS, None])
+        i, j = np.unravel_index(np.argmin(vals), vals.shape)
+        if vals[i, j] < best:
+            best, best_x, best_t = float(vals[i, j]), float(xs[j]), float(ts[lo + i])
     max_g = np.max(np.cos(2.0 * ts) + mod * np.abs(np.sin(2.0 * ts)))
 
     optimum = distance_objective(a, 1.0, problem.t0)

@@ -79,6 +79,31 @@ class TestStackedValidation:
             np.testing.assert_array_equal(sample.matrix, single.matrix)
             assert sample.defect == single.defect
 
+    def test_clean_input_takes_no_factorization(self, factorizations):
+        # the certificate decides from norm bounds; the defect waits for a read
+        m = random_idempotent(256, 100, 3.0, 21).matrix
+        stacked = np.linalg.norm(m[np.newaxis] @ m - m, 2, axis=(-2, -1))[0]
+        factorizations.clear()
+        q = as_idempotent(m)
+        assert dict(factorizations) == {}
+        # exact on first read, bitwise the stacked norm, and kept
+        assert q.defect == stacked
+        assert q.defect == stacked
+        assert dict(factorizations) == {"norm2": 1}
+
+    def test_bounds_decide_as_the_exact_test(self):
+        # gates just above and below each sample's exact defect ratio
+        stack = np.stack([random_idempotent(6, 3, nu, 8).matrix for nu in (1e-3, 1.0, 1e3)])
+        for q in stack:
+            ratio = operator_norm(q @ q - q) / (1.0 + operator_norm(q) ** 2)
+            for factor, ok in ((1.0 + 1e-9, True), (1.0 - 1e-9, False)):
+                tol = Tolerances(check=factor * ratio)
+                if ok:
+                    as_idempotent(q, tol)
+                else:
+                    with pytest.raises(ValidationError, match="idempotency defect"):
+                        as_idempotent(q, tol)
+
     def test_rejects_any_bad_sample(self):
         stack = np.array([CANONICAL, [[1.0, 1.0], [0.0, 0.5]]], dtype=np.complex128)
         with pytest.raises(ValidationError, match="idempotency defect"):
@@ -95,8 +120,10 @@ class TestMemo:
         q = random_idempotent(6, 2, 3.0, 11)
         other = random_idempotent(6, 4, 0.5, 12)
         q.norm, range_projection(q)
-        moved = dataclasses.replace(q, matrix=other.matrix, defect=other.defect)
+        q.defect
+        moved = dataclasses.replace(q, matrix=other.matrix)
         assert moved.norm == operator_norm(other.matrix)
+        assert moved.defect == other.defect
         np.testing.assert_array_equal(
             range_projection(moved).matrix, range_projection(other).matrix
         )

@@ -32,6 +32,7 @@ from matchedproj import (
     moore_penrose,
     mp_inverse_abs_qstar,
     operator_norm,
+    qpp_holds,
     qpp_symmetry_closure,
     random_idempotent,
     random_projection,
@@ -260,7 +261,7 @@ class TestFactorizationCount:
         factorizations.clear()
         assert homotopy_witness(q) is wit
         homotopy_path(q, 11)
-        assert dict(factorizations) == {"solve": 1, "norm2": 2}
+        assert dict(factorizations) == {"solve": 1}
 
     def test_v_factor_built_once_on_first_read(self, factorizations):
         q = random_idempotent(8, 3, 2.0, 5)
@@ -410,6 +411,42 @@ class TestQuasiProjectionPair:
             assert v.blocks_hold == v.reflection_holds == v.abs_reflection_holds
 
 
+class TestQppHolds:
+    @staticmethod
+    def pairs():
+        """Seeded pairs and non-pairs: matched, generated, range and random partners."""
+        rng = np.random.default_rng(47)
+        for _ in range(30):
+            dim = int(rng.integers(2, 9))
+            q = random_idempotent(
+                dim, int(rng.integers(1, dim)), float(10.0 ** rng.uniform(-3, 3)),
+                int(rng.integers(2**32)),
+            )
+            yield matched_projection(q).projection, q
+            yield range_projection(q), q
+            yield random_projection(dim, int(rng.integers(0, dim + 1)), int(rng.integers(2**32))), q
+            yield random_qpp_pair(dim, int(rng.integers(2**32)))
+
+    def test_agrees_with_the_verdict(self):
+        held = 0
+        for p, q in self.pairs():
+            holds = is_quasi_projection_pair(p, q).holds
+            assert qpp_holds(p, q) == holds
+            held += holds
+        assert 0 < held < 120
+
+    def test_agrees_with_gates_straddling_each_residual(self):
+        # gates placed just above and just below every residual of the verdict
+        for p, q in self.pairs():
+            for r in is_quasi_projection_pair(p, q).residuals.values():
+                for factor in (0.5, 1.0 - 1e-9, 1.0 + 1e-9, 2.0):
+                    check = factor * r / (1.0 + q.norm)
+                    if not 0.0 < check < np.inf:
+                        continue
+                    tol = Tolerances(check=check)
+                    assert qpp_holds(p, q, tol) == is_quasi_projection_pair(p, q, tol).holds
+
+
 class TestSymmetryClosure:
     def test_projection_pair(self):
         p = random_projection(4, 2, 13)
@@ -425,6 +462,15 @@ class TestSymmetryClosure:
         for seed in range(20):
             p, q = random_qpp_pair(6, seed)
             assert qpp_symmetry_closure(p, q)
+
+    def test_clean_closure_takes_no_norm(self, factorizations):
+        # the nine verdicts decide from norm bounds; the only factorizations
+        # are the memoized SVDs of the fresh Q*, I - Q and I - Q* wrappers
+        q = random_idempotent(8, 3, 2.0, 5)
+        p = matched_projection(q).projection
+        factorizations.clear()
+        assert qpp_symmetry_closure(p, q)
+        assert dict(factorizations) == {"svd": 3}
 
     def test_non_pair_raises(self):
         q = canonical()

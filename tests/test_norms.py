@@ -20,6 +20,7 @@ from matchedproj import (
     matched_projection,
     null_projection,
     operator_norm,
+    psd_power,
     qpp_minimality,
     random_idempotent,
     random_projection,
@@ -27,6 +28,7 @@ from matchedproj import (
     range_projection,
     two_projection_construction,
 )
+from matchedproj.linalg import require_hermitian
 
 RT2 = np.sqrt(2.0)
 
@@ -176,6 +178,29 @@ class TestConvergenceReport:
             rep = convergence_report(q1, q2, [2**k for k in range(11)])
             assert all_passed(rep.checks), [c.name for c in failures(rep.checks)]
             assert rep.alpha.min() >= rep.target - 1e-10
+
+    def test_tables_equal_per_slice_norms(self):
+        # a stacked SVD runs the same LAPACK call on each slice as operator_norm
+        rng = np.random.default_rng(37)
+        exponents = [2**k for k in range(11)]
+        roots = [1.0 / n for n in exponents]
+        for _ in range(60):
+            q1 = random_stress_idempotent(rng, dim_max=12)
+            q2 = random_idempotent(
+                q1.dim, int(rng.integers(1, q1.dim)), float(10.0 ** rng.uniform(-2, 1)),
+                int(rng.integers(2**32)),
+            )
+            rep = convergence_report(q1, q2, exponents)
+            m1 = matched_projection(q1).projection.matrix
+            m2 = matched_projection(q2).projection.matrix
+            pow1 = psd_power(require_hermitian(m1 @ q1.matrix @ m1), roots)
+            pow2 = psd_power(require_hermitian(m2 @ q2.matrix @ m2), roots)
+            np.testing.assert_array_equal(
+                rep.alpha, [[operator_norm(a - b) for b in pow2] for a in pow1]
+            )
+            np.testing.assert_array_equal(rep.beta, [operator_norm(a - m2) for a in pow1])
+            np.testing.assert_array_equal(rep.gamma, [operator_norm(m1 - b) for b in pow2])
+            assert rep.target == operator_norm(m1 - m2)
 
     def test_rejects_bad_exponents(self):
         q = canonical_idempotent(1.0)
