@@ -23,9 +23,12 @@ from .idempotents import (
     BlockForm,
     Idempotent,
     Projection,
+    adjoint_of,
     as_idempotent,
     as_projection,
     block_form,
+    complement_of,
+    is_projection,
     koliha_projections,
     null_projection,
     random_idempotent,
@@ -66,7 +69,6 @@ from .matched import (
     matched_projection,
     matched_projection_closed_form,
     matched_via_factor,
-    mp_inverse_abs_qstar,
     qpp_holds,
     qpp_symmetry_closure,
     random_qpp_pair,

@@ -15,8 +15,10 @@ import numpy as np
 from .errors import MatchedProjectionError
 from .idempotents import (
     Idempotent,
+    adjoint_of,
     as_idempotent,
     block_form,
+    complement_of,
     koliha_projections,
     null_projection,
     random_idempotent,
@@ -141,10 +143,11 @@ def _core_kernels(report: BatteryReport, rng, dim, tol, context):
     # pseudoinverse involution on a full-rank and a rank-deficient input
     deficient = m.copy()
     deficient[:, 0] = deficient[:, 1] if dim > 1 else 0.0
-    for label, mat in (("full", m), ("deficient", deficient)):
+    cases = (("full", m, norm), ("deficient", deficient, operator_norm(deficient)))
+    for label, mat, mat_norm in cases:
         back = moore_penrose(moore_penrose(mat, tol), tol)
         report.tally("pseudoinverse-involution").record(
-            operator_norm(back - mat) <= tol.check * (1.0 + operator_norm(mat)),
+            operator_norm(back - mat) <= tol.check * (1.0 + mat_norm),
             context,
             label,
         )
@@ -177,9 +180,8 @@ def _projection_structure(report: BatteryReport, rng, dim, q, tol, context):
     report.tally("range-projection-routes-agree").record(
         routes <= scale, context, f"max gap {routes:.3e}"
     )
-    complement = as_idempotent(identity(dim) - qm, tol)
     report.tally("null-is-range-of-complement").record(
-        operator_norm(p_n.matrix - range_projection(complement, tol).matrix) <= scale,
+        operator_norm(p_n.matrix - range_projection(complement_of(q, tol), tol).matrix) <= scale,
         context,
     )
 
@@ -230,9 +232,9 @@ def _matched_identities(report: BatteryReport, rng, dim, q, tol, context):
         context,
     )
 
-    m_star = matched_projection(as_idempotent(adjoint(qm), tol), tol).projection.matrix
+    m_star = matched_projection(adjoint_of(q, tol), tol).projection.matrix
     report.tally("matched-of-adjoint").record(operator_norm(m_star - m) <= scale, context)
-    comp = as_idempotent(eye - qm, tol)
+    comp = complement_of(q, tol)
     m_comp = matched_projection(comp, tol).projection.matrix
     report.tally("matched-of-complement").record(
         operator_norm(m_comp - (eye - m)) <= scale, context
@@ -480,11 +482,10 @@ def run_battery(
     dim_max: int,
     trials: int,
     seed: int,
-    tol: Tolerances | None = None,
+    tol: Tolerances = DEFAULT_TOL,
     sabotage: bool = False,
 ) -> BatteryReport:
     """Drive every invariant suite over seeded random inputs (on ``sabotaged`` Q if asked)."""
-    tol = tol or DEFAULT_TOL
     if trials < 0:
         raise ValueError("trials must be non-negative")
     report = BatteryReport()

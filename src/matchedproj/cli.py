@@ -21,7 +21,7 @@ from .idempotents import (
     random_idempotent,
     range_projection,
 )
-from .linalg import Tolerances, operator_norm
+from .linalg import DEFAULT_TOL, Tolerances, operator_norm
 from .matched import (
     QppVerdict,
     homotopy_path,
@@ -243,7 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_tols(p):
-        p.add_argument("--tol-check", type=float, default=1e-10, help="identity residual tolerance")
+        p.add_argument(
+            "--tol-check", type=float, default=DEFAULT_TOL.check, help="identity residual tolerance"
+        )
         p.add_argument(
             "--tol-rank",
             type=float,

@@ -37,8 +37,10 @@ class Idempotent:
     values of an idempotent are 0 or at least 1, so the cut at 1/2 needs no
     tolerance), |Q| = V S V*, |Q*| = U S U* and |Q*|^dag = U_r S_r^(-1) U_r*.
     Per tolerance the memo also keeps P_R(Q) = U_r U_r*, P_N(Q) = I - V_r V_r*,
-    the certified m(Q), its witness, and the oracles' records (Koliha's
-    projections and ``matched.factor_oracle``), which never read the SVD.
+    the certified m(Q), its witness, the oracles' records (Koliha's
+    projections and ``matched.factor_oracle``), which never read the SVD,
+    and the partners Q* (key ``("adjoint", tol)``) and I - Q
+    (``("complement", tol)``), each a new ``Idempotent``, never Q itself.
     A key is a name, or (name, tol): a kept value depends on Q and its key alone.
     The idempotent is built from its matrix alone: the certificate decides
     from O(n^2) norm bounds, and ``defect``, the exact ||Q^2 - Q||, is taken
@@ -130,12 +132,12 @@ def _projection_defect(p: np.ndarray) -> float:
     return max(operator_norm(p @ p - p), operator_norm(p - adjoint(p)))
 
 
-def as_idempotent(m, tol: Tolerances | None = None) -> Idempotent:
+def as_idempotent(m, tol: Tolerances = DEFAULT_TOL) -> Idempotent:
     """Validate ||Q^2 - Q|| <= tol.check * (1 + ||Q||^2), bound-first as ``as_idempotents``."""
     return as_idempotents(as_matrix(m)[np.newaxis], tol)[0]
 
 
-def as_idempotents(stack: np.ndarray, tol: Tolerances | None = None) -> list[Idempotent]:
+def as_idempotents(stack: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> list[Idempotent]:
     """Validate each Q of a (k, n, n) stack as ``as_idempotent`` does.
 
     A sample is accepted when upper(||Q^2 - Q||) <= tol.check (1 +
@@ -143,64 +145,84 @@ def as_idempotents(stack: np.ndarray, tol: Tolerances | None = None) -> list[Ide
     others take both 2-norms exactly, stacked, and the first one over its
     gate raises.
     """
-    tol = tol or DEFAULT_TOL
     if not np.isfinite(stack).all():
         raise ValueError("matrix entries must be finite")
     diffs = stack @ stack - stack
     unsettled = norm_bounds(diffs)[1] > tol.check * (1.0 + norm_bounds(stack)[0] ** 2)
     if unsettled.any():
-        defects = np.linalg.norm(diffs[unsettled], 2, axis=(-2, -1))
-        bounds = tol.check * (1.0 + np.linalg.norm(stack[unsettled], 2, axis=(-2, -1)) ** 2)
+        defects = operator_norm(diffs[unsettled])
+        bounds = tol.check * (1.0 + operator_norm(stack[unsettled]) ** 2)
         for defect, bound in zip(defects, bounds):
             if defect > bound:
                 raise ValidationError(f"idempotency defect {defect:.3e} exceeds {bound:.3e}")
     return [Idempotent(q) for q in stack]
 
 
-def as_projection(m, tol: Tolerances | None = None) -> Projection:
-    """Validate P^2 = P = P* up to tol.check, each defect by ``norm_at_most``.
+def is_projection(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
+    """Whether ||M - M*|| <= tol.check and ||M^2 - M|| <= tol.check, each by ``norm_at_most``.
+
+    The Hermitian test comes first: it needs no product, and most non-projections fail it.
+    """
+    return norm_at_most(m - adjoint(m), tol.check) and norm_at_most(m @ m - m, tol.check)
+
+
+def as_projection(m, tol: Tolerances = DEFAULT_TOL) -> Projection:
+    """Validate P^2 = P = P* up to tol.check by ``is_projection``.
 
     The decision is the exact max(||P^2 - P||, ||P - P*||) <= tol.check; a
     rejected input takes both norms exactly for the message.
     """
-    tol = tol or DEFAULT_TOL
     p = as_matrix(m)
-    if not (norm_at_most(p @ p - p, tol.check) and norm_at_most(p - adjoint(p), tol.check)):
+    if not is_projection(p, tol):
         defect = _projection_defect(p)
         raise ValidationError(f"projection defect {defect:.3e} exceeds {tol.check:.3e}")
     return Projection(matrix=p)
 
 
-def range_projection(q: Idempotent, tol: Tolerances | None = None) -> Projection:
+def adjoint_of(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> Idempotent:
+    """Q*, certified by ``as_idempotent``; memoized on Q per tolerance.
+
+    Nothing of Q's analysis is carried over: an identity between Q and Q*
+    compares two independent computations.
+    """
+    return q._memoized(("adjoint", tol), lambda: as_idempotent(adjoint(q.matrix), tol))
+
+
+def complement_of(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> Idempotent:
+    """I - Q, certified by ``as_idempotent``; memoized on Q per tolerance, as ``adjoint_of``.
+
+    I - Q* is ``adjoint_of(complement_of(q, tol), tol)``.
+    """
+    return q._memoized(("complement", tol), lambda: as_idempotent(identity(q.dim) - q.matrix, tol))
+
+
+def range_projection(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> Projection:
     """Orthogonal projection onto the range of Q, U_r U_r* from Q's SVD (r = ``q.rank``).
 
     Memoized on Q per tolerance.
     """
-    tol = tol or DEFAULT_TOL
     u_r = q.svd[0][:, : q.rank]
     return q._memoized(("range_projection", tol), lambda: as_projection(u_r @ adjoint(u_r), tol))
 
 
-def null_projection(q: Idempotent, tol: Tolerances | None = None) -> Projection:
+def null_projection(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> Projection:
     """Orthogonal projection onto the null space of Q, I - V_r V_r* from Q's SVD.
 
     Memoized on Q per tolerance.
     """
-    tol = tol or DEFAULT_TOL
     v_r = adjoint(q.svd[2][: q.rank])
     return q._memoized(
         ("null_projection", tol), lambda: as_projection(identity(q.dim) - v_r @ adjoint(v_r), tol)
     )
 
 
-def koliha_projections(q: Idempotent, tol: Tolerances | None = None) -> tuple[Projection, Projection]:
+def koliha_projections(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> tuple[Projection, Projection]:
     """Oracle: (P_R(Q), P_R(Q*)) as (Q S^(-1), Q* S^(-1)) for the pencil S = Q + Q* - I.
 
     Koliha's formulas, independent of Q's SVD; P_N(Q) = I - P_R(Q*).  S is
     Hermitian, so one stacked solve S^(-1) [Q* | Q] gives both as adjoints.
     Raises ``SingularPencilError`` if S is numerically singular.  Memoized.
     """
-    tol = tol or DEFAULT_TOL
 
     def build() -> tuple[Projection, Projection]:
         qm, n = q.matrix, q.dim
@@ -226,7 +248,7 @@ def random_idempotent(
     rank: int,
     offdiag_norm: float,
     seed: int,
-    tol: Tolerances | None = None,
+    tol: Tolerances = DEFAULT_TOL,
 ) -> Idempotent:
     """Seeded random idempotent with prescribed rank and ||A|| = offdiag_norm.
 
@@ -234,7 +256,6 @@ def random_idempotent(
     unitary, so the result is an exact idempotent up to round-off and
     ||Q|| = sqrt(1 + offdiag_norm^2).
     """
-    tol = tol or DEFAULT_TOL
     if not 0 <= rank <= dim:
         raise BadRankError(f"rank {rank} outside [0, {dim}]")
     if offdiag_norm < 0.0:
@@ -250,9 +271,8 @@ def random_idempotent(
     return as_idempotent(u @ base @ adjoint(u), tol)
 
 
-def random_projection(dim: int, rank: int, seed: int, tol: Tolerances | None = None) -> Projection:
+def random_projection(dim: int, rank: int, seed: int, tol: Tolerances = DEFAULT_TOL) -> Projection:
     """Seeded random orthogonal projection of the given rank."""
-    tol = tol or DEFAULT_TOL
     if not 0 <= rank <= dim:
         raise BadRankError(f"rank {rank} outside [0, {dim}]")
     u = random_unitary(dim, np.random.default_rng(seed))[:, :rank]
@@ -278,9 +298,8 @@ class BlockForm:
         return self.u @ np.vstack([top, bottom]) @ adjoint(self.u)
 
 
-def block_form(t_mat: np.ndarray, p: Projection, tol: Tolerances | None = None) -> BlockForm:
+def block_form(t_mat: np.ndarray, p: Projection, tol: Tolerances = DEFAULT_TOL) -> BlockForm:
     """Block decomposition of T induced by a projection (eigenvalue-1 columns first)."""
-    tol = tol or DEFAULT_TOL
     t_mat = as_matrix(t_mat)
     eig = hermitian_eigen(p.matrix, tol)
     ones = eig.eigenvalues > 0.5

@@ -1,15 +1,16 @@
 """Dense complex matrix kernels: adjoint, operator norm, Hermitian calculus, pseudoinverse.
 
 Operator norms come in two kinds.  ``operator_norm`` is the exact 2-norm, an
-SVD; it is taken wherever a number is reported or read: every ``Check``
-residual and distance, quasi-projection-pair residuals, idempotency and
-projection defects (on first read), contraction norms and the battery's
-tallies.  A pass/fail gate whose number is never reported decides from
-``norm_bounds`` first, two O(n^2) bounds (Frobenius norm above, largest
-column norm below), and takes the exact norm only when they cannot settle
-it: ``norm_at_most``, ``require_hermitian``, the certificates of
-``idempotents.as_idempotent(s)`` and ``as_projection``, ``matched.qpp_holds``,
-the witness projection short-circuit and its similarity gate.
+SVD (a (k, n, n) stack gives the k norms); it is taken wherever a number is
+reported or read: every ``Check`` residual and distance, quasi-projection-pair
+residuals, idempotency and projection defects (on first read), contraction
+norms, convergence tables and the battery's tallies.  A pass/fail gate whose
+number is never reported decides from ``norm_bounds`` first, two O(n^2)
+bounds (Frobenius norm above, largest column norm below), and takes the
+exact norm only when they cannot settle it: ``norm_at_most``,
+``require_hermitian``, the certificates of ``idempotents.as_idempotent(s)``
+and ``as_projection`` (``is_projection``), ``matched.qpp_holds``, the
+witness projection short-circuit and its similarity gate.
 """
 
 from __future__ import annotations
@@ -70,9 +71,10 @@ def adjoint(m: np.ndarray) -> np.ndarray:
     return m.conj().T
 
 
-def operator_norm(m: np.ndarray) -> float:
-    """Largest singular value (the C*-norm)."""
-    return float(np.linalg.norm(m, 2))
+def operator_norm(m: np.ndarray) -> float | np.ndarray:
+    """Largest singular value (the C*-norm); a (k, n, n) stack gives the k norms."""
+    norms = np.linalg.norm(m, 2, axis=(-2, -1))
+    return float(norms) if m.ndim == 2 else norms
 
 
 def norm_bounds(m: np.ndarray) -> tuple[float, float]:
@@ -114,14 +116,13 @@ def hermitian_gap(m: np.ndarray) -> float:
     return operator_norm(m - adjoint(m))
 
 
-def require_hermitian(m: np.ndarray, tol: Tolerances | None = None) -> np.ndarray:
+def require_hermitian(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Return the symmetrized matrix, rejecting ||M - M*|| > tol.check (1 + ||M||).
 
     Accepts from ``norm_bounds`` when upper(||M - M*||) <= tol.check (1 +
     lower(||M||)), which implies the exact test; otherwise both norms are
     taken exactly.
     """
-    tol = tol or DEFAULT_TOL
     skew = m - adjoint(m)
     if norm_bounds(skew)[1] > tol.check * (1.0 + norm_bounds(m)[0]):
         gap = operator_norm(skew)
@@ -138,7 +139,7 @@ class HermitianEigen:
     eigenvectors: np.ndarray
 
 
-def hermitian_eigen(m: np.ndarray, tol: Tolerances | None = None) -> HermitianEigen:
+def hermitian_eigen(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> HermitianEigen:
     """Eigendecomposition of a Hermitian matrix (symmetrized before factoring)."""
     w, v = np.linalg.eigh(require_hermitian(m, tol))
     return HermitianEigen(w, v)
@@ -147,14 +148,13 @@ def hermitian_eigen(m: np.ndarray, tol: Tolerances | None = None) -> HermitianEi
 def matrix_function(
     m: np.ndarray,
     f: Callable[[float], float],
-    tol: Tolerances | None = None,
+    tol: Tolerances = DEFAULT_TOL,
 ) -> np.ndarray:
     """Apply a real scalar map to a Hermitian matrix through its spectrum.
 
     Eigenvalues in [-tol.psd, 0) are clamped to zero first, so maps such as
     sqrt stay defined on positive semidefinite input jittered by round-off.
     """
-    tol = tol or DEFAULT_TOL
     eig = hermitian_eigen(m, tol)
     lam = eig.eigenvalues.copy()
     lam[(lam >= -tol.psd) & (lam < 0.0)] = 0.0
@@ -168,7 +168,7 @@ def matrix_function(
 
 
 def psd_power(
-    m: np.ndarray, power: float | Sequence[float], tol: Tolerances | None = None
+    m: np.ndarray, power: float | Sequence[float], tol: Tolerances = DEFAULT_TOL
 ) -> np.ndarray:
     """Fractional power of a PSD matrix with the relative rank cutoff applied.
 
@@ -177,7 +177,6 @@ def psd_power(
     the cutoff is not optional here.  A sequence of k powers gives the k
     results, stacked, from one eigendecomposition.
     """
-    tol = tol or DEFAULT_TOL
     eig = hermitian_eigen(m, tol)
     lam = eig.eigenvalues
     keep = lam > tol.rank_factor(m.shape[0]) * np.abs(lam).max()
@@ -189,13 +188,12 @@ def psd_power(
     return (v * vals[..., np.newaxis, :]) @ adjoint(v)
 
 
-def numerical_rank(s: np.ndarray, dim: int, tol: Tolerances | None = None) -> int:
+def numerical_rank(s: np.ndarray, dim: int, tol: Tolerances = DEFAULT_TOL) -> int:
     """Number of singular values s_i > f s_0, f the tolerance's rank factor at ``dim``.
 
     ``s`` is descending, as ``np.linalg.svd`` returns it, so the kept values
     are its first ``rank`` entries.  An empty or zero spectrum has rank 0.
     """
-    tol = tol or DEFAULT_TOL
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.count_nonzero(s > tol.rank_factor(dim) * s[0]))
@@ -211,7 +209,7 @@ def abs_value(m: np.ndarray) -> np.ndarray:
     return (vh.conj().T * s) @ vh
 
 
-def moore_penrose(m: np.ndarray, tol: Tolerances | None = None) -> np.ndarray:
+def moore_penrose(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Pseudoinverse via SVD with a relative singular-value cutoff."""
     u, s, vh = np.linalg.svd(m)
     r = numerical_rank(s, m.shape[0], tol)
@@ -220,12 +218,11 @@ def moore_penrose(m: np.ndarray, tol: Tolerances | None = None) -> np.ndarray:
     return (vh.conj().T * inv) @ u.conj().T
 
 
-def psd_order(a: np.ndarray, b: np.ndarray, tol: Tolerances | None = None) -> bool:
+def psd_order(a: np.ndarray, b: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Loewner order test A <= B with slack on the smallest eigenvalue of B - A.
 
     For A = 0, B - A equals B, so B is validated once.
     """
-    tol = tol or DEFAULT_TOL
     if a.any():
         require_hermitian(a, tol)
         require_hermitian(b, tol)

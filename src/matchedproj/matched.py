@@ -47,10 +47,13 @@ from .errors import (
 from .idempotents import (
     Idempotent,
     Projection,
+    adjoint_of,
     as_idempotent,
     as_idempotents,
     as_projection,
     block_form,
+    complement_of,
+    is_projection,
     koliha_projections,
     random_idempotent,
     random_unitary,
@@ -86,13 +89,12 @@ class FactorOracle:
     v: np.ndarray
 
 
-def factor_oracle(q: Idempotent, tol: Tolerances | None = None) -> FactorOracle:
+def factor_oracle(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> FactorOracle:
     """The ``FactorOracle`` of Q, never read from Q's SVD; memoized on Q per tolerance.
 
     |Q*| is ``abs_value(Q*)``, |Q*|^dag = (P_R(Q) P_R(Q*) P_R(Q))^(1/2) from
     ``koliha_projections`` and V = T (|Q*|^dag)^(1/2) (I + |Q*|)^(-1/2) / sqrt 2.
     """
-    tol = tol or DEFAULT_TOL
 
     def build() -> FactorOracle:
         abs_qs = abs_value(adjoint(q.matrix))
@@ -104,11 +106,6 @@ def factor_oracle(q: Idempotent, tol: Tolerances | None = None) -> FactorOracle:
         return FactorOracle(abs_qs, dag, t, moore_penrose(t, tol), v)
 
     return q._memoized(("factor_oracle", tol), build)
-
-
-def mp_inverse_abs_qstar(q: Idempotent, tol: Tolerances | None = None) -> np.ndarray:
-    """Oracle: |Q*|^dag = (P_R(Q) P_R(Q*) P_R(Q))^(1/2), from ``factor_oracle``."""
-    return factor_oracle(q, tol).abs_q_star_pinv
 
 
 @dataclass(frozen=True)
@@ -145,26 +142,24 @@ def _svd_core(q: Idempotent, tol: Tolerances) -> Projection:
     return q._memoized(("svd_core", tol), build)
 
 
-def matched_projection(q: Idempotent, tol: Tolerances | None = None) -> MatchedPair:
+def matched_projection(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> MatchedPair:
     """m(Q) from one SVD Q = U S V*, certified by ``as_projection`` in ``_svd_core``.
 
     The same SVD gives |Q|, |Q*|, |Q*|^dag and ||Q|| (``Idempotent``).  The
     pair is not memoized: it refers to Q, so keeping it in Q's memo would
     make a reference cycle.
     """
-    tol = tol or DEFAULT_TOL
     return MatchedPair(source=q, projection=_svd_core(q, tol))
 
 
-def matched_distance(q: Idempotent, tol: Tolerances | None = None) -> float:
+def matched_distance(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> float:
     """||m(Q) - Q||, memoized on Q per tolerance as the core is."""
-    tol = tol or DEFAULT_TOL
     return q._memoized(
         ("d_matched", tol), lambda: operator_norm(_svd_core(q, tol).matrix - q.matrix)
     )
 
 
-def matched_projection_closed_form(q: Idempotent, tol: Tolerances | None = None) -> np.ndarray:
+def matched_projection_closed_form(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Oracle: m(Q) = (1/2) (|Q*| + Q*) |Q*|^dag (|Q*| + I)^(-1) (|Q*| + Q).
 
     Built from ``factor_oracle`` and a solve, never from the production SVD.
@@ -176,7 +171,7 @@ def matched_projection_closed_form(q: Idempotent, tol: Tolerances | None = None)
     return 0.5 * fo.t @ fo.abs_q_star_pinv @ right
 
 
-def matched_via_factor(q: Idempotent, tol: Tolerances | None = None) -> tuple[np.ndarray, np.ndarray]:
+def matched_via_factor(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Oracle: (T T^dag, V V*) from ``factor_oracle``; both equal m(Q)."""
     fo = factor_oracle(q, tol)
     return fo.t @ fo.t_pinv, fo.v @ adjoint(fo.v)
@@ -218,14 +213,13 @@ def _qpp_matrices(p: Projection, q: Idempotent) -> Iterator[tuple[str, np.ndarra
 
 
 def is_quasi_projection_pair(
-    p: Projection, q: Idempotent, tol: Tolerances | None = None
+    p: Projection, q: Idempotent, tol: Tolerances = DEFAULT_TOL
 ) -> QppVerdict:
     """Test the three block conditions plus both reflection characterizations.
 
     Every residual is an exact 2-norm; ``qpp_holds`` gives ``holds`` alone
     for less.
     """
-    tol = tol or DEFAULT_TOL
     residuals = {name: operator_norm(mat) for name, mat in _qpp_matrices(p, q)}
     gate = tol.check * (1.0 + q.norm)
     return QppVerdict(
@@ -235,30 +229,22 @@ def is_quasi_projection_pair(
     )
 
 
-def qpp_holds(p: Projection, q: Idempotent, tol: Tolerances | None = None) -> bool:
+def qpp_holds(p: Projection, q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> bool:
     """``is_quasi_projection_pair(p, q, tol).holds``, each condition by ``norm_at_most``.
 
     Stops at the first condition that fails.
     """
-    tol = tol or DEFAULT_TOL
     gate = tol.check * (1.0 + q.norm)
     return all(norm_at_most(mat, gate) for _, mat in _qpp_matrices(p, q))
 
 
-def qpp_symmetry_closure(p: Projection, q: Idempotent, tol: Tolerances | None = None) -> bool:
+def qpp_symmetry_closure(p: Projection, q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Whether all eight pairs {P, I-P} x {Q, Q*, I-Q, I-Q*} are quasi-projection pairs."""
-    tol = tol or DEFAULT_TOL
     if not qpp_holds(p, q, tol):
         raise NotQuasiProjectionPairError("(P, Q) is not a quasi-projection pair")
-    eye = identity(q.dim)
-    qm = q.matrix
-    projections = [p, as_projection(eye - p.matrix, tol)]
-    idempotents = [
-        q,
-        as_idempotent(adjoint(qm), tol),
-        as_idempotent(eye - qm, tol),
-        as_idempotent(eye - adjoint(qm), tol),
-    ]
+    projections = [p, as_projection(identity(q.dim) - p.matrix, tol)]
+    complement = complement_of(q, tol)
+    idempotents = [q, adjoint_of(q, tol), complement, adjoint_of(complement, tol)]
     pairs = [(a, b) for a in projections for b in idempotents]
     # pairs[0] is (P, Q), whose verdict the guard has just given
     return all(qpp_holds(a, b, tol) for a, b in pairs[1:])
@@ -273,7 +259,7 @@ class SimilarityWitness:
     contraction_norm: float
 
 
-def homotopy_witness(q: Idempotent, tol: Tolerances | None = None) -> SimilarityWitness:
+def homotopy_witness(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> SimilarityWitness:
     """(m(Q), W) with Q = W^(-1) m(Q) W and ||I - W|| < 1, from one SVD Q = U S V*.
 
     In the basis U, Q is [[I, Y], [0, 0]] with Y = S_r V_r* U_perp, and
@@ -293,15 +279,10 @@ def homotopy_witness(q: Idempotent, tol: Tolerances | None = None) -> Similarity
     A projection input short-circuits to the trivial witness W = I.  The
     witness is memoized on Q per tolerance, as the core is.
     """
-    tol = tol or DEFAULT_TOL
 
     def build() -> SimilarityWitness:
-        qm = q.matrix
-        eye = identity(q.dim)
-        if _is_projection(qm, tol):
-            return SimilarityWitness(
-                projection=as_projection(qm, tol), w=eye, contraction_norm=0.0
-            )
+        if is_projection(q.matrix, tol):
+            return SimilarityWitness(as_projection(q.matrix, tol), identity(q.dim), 0.0)
 
         u, s, vh = q.svd
         r = q.rank
@@ -317,11 +298,6 @@ def homotopy_witness(q: Idempotent, tol: Tolerances | None = None) -> Similarity
         return _certified_witness(q, _svd_core(q, tol), u @ w_block @ adjoint(u), tol)
 
     return q._memoized(("witness", tol), build)
-
-
-def _is_projection(qm: np.ndarray, tol: Tolerances) -> bool:
-    """||Q - Q*|| <= tol.check and ||Q^2 - Q|| <= tol.check, each by ``norm_at_most``."""
-    return norm_at_most(qm - adjoint(qm), tol.check) and norm_at_most(qm @ qm - qm, tol.check)
 
 
 def _certified_witness(
@@ -349,7 +325,7 @@ def _certified_witness(
     return SimilarityWitness(projection=projection, w=w_mat, contraction_norm=contraction)
 
 
-def homotopy_witness_block(q: Idempotent, tol: Tolerances | None = None) -> SimilarityWitness:
+def homotopy_witness_block(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> SimilarityWitness:
     """Oracle: the 2x2 block construction of (m(Q), W) over range(Q) + null(Q*).
 
     Built from the P_R(Q) of ``koliha_projections``, ``block_form`` and
@@ -357,13 +333,9 @@ def homotopy_witness_block(q: Idempotent, tol: Tolerances | None = None) -> Simi
     m(Q) route in the verification battery.  A projection input
     short-circuits to W = I.
     """
-    tol = tol or DEFAULT_TOL
     qm = q.matrix
-    eye = identity(q.dim)
-    if _is_projection(qm, tol):
-        return SimilarityWitness(
-            projection=as_projection(qm, tol), w=eye, contraction_norm=0.0
-        )
+    if is_projection(qm, tol):
+        return SimilarityWitness(as_projection(qm, tol), identity(q.dim), 0.0)
 
     form = block_form(qm, koliha_projections(q, tol)[0], tol)
     r = form.rank
@@ -393,7 +365,7 @@ def homotopy_witness_block(q: Idempotent, tol: Tolerances | None = None) -> Simi
 
 
 def homotopy_path(
-    q: Idempotent, samples: int, tol: Tolerances | None = None
+    q: Idempotent, samples: int, tol: Tolerances = DEFAULT_TOL
 ) -> list[Idempotent]:
     """Idempotents Q(t) = W_t^(-1) m(Q) W_t on a uniform grid from m(Q) to Q.
 
@@ -402,7 +374,6 @@ def homotopy_path(
     stacked solve and certified by ``as_idempotents`` with one stacked norm
     per quantity; each sample equals ``as_idempotent(solve(W_t, m(Q) W_t))``.
     """
-    tol = tol or DEFAULT_TOL
     if samples < 1:
         raise ValueError("samples must be positive")
     witness = homotopy_witness(q, tol)
@@ -427,13 +398,12 @@ def _orthonormal_bases(
     return u[:, :r], adjoint(vh)[:, r:]
 
 
-def range_identities(q: Idempotent, tol: Tolerances | None = None) -> list[Check]:
+def range_identities(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> list[Check]:
     """Range/kernel identities of m(Q), verified through orthogonal projectors.
 
     Subspace equality is tested as the gap between the corresponding
     orthoprojectors; trivial intersections through the rank of stacked bases.
     """
-    tol = tol or DEFAULT_TOL
     qm = q.matrix
     m = matched_projection(q, tol).projection.matrix
     eye = identity(q.dim)
@@ -496,22 +466,19 @@ def range_identities(q: Idempotent, tol: Tolerances | None = None) -> list[Check
         checks.append(boolean_check(name, rank == a.shape[1] + b.shape[1]))
 
     ranges_equal = norm_at_most(m - proj_sum, SUBSPACE_TOL)
-    is_projection = norm_at_most(qm - adjoint(qm), tol.check)
-    checks.append(
-        boolean_check("range_equality_iff_projection", ranges_equal == is_projection)
-    )
+    hermitian = norm_at_most(qm - adjoint(qm), tol.check)
+    checks.append(boolean_check("range_equality_iff_projection", ranges_equal == hermitian))
     return checks
 
 
 def fractional_power_limit(
-    q: Idempotent, n_list: list[int], tol: Tolerances | None = None
+    q: Idempotent, n_list: list[int], tol: Tolerances = DEFAULT_TOL
 ) -> list[float]:
     """Distances ||(m(Q) Q m(Q))^(1/n) - m(Q)|| for the given exponents.
 
     Verifies on the way that K = m(Q) Q m(Q) is Hermitian, dominates m(Q),
     and equals (|Q*| + |Q| + Q + Q*) / 4.
     """
-    tol = tol or DEFAULT_TOL
     m = matched_projection(q, tol).projection.matrix
     qm = q.matrix
     k = require_hermitian(m @ qm @ m, tol)
@@ -525,10 +492,9 @@ def fractional_power_limit(
 
 
 def unitary_equivariance(
-    q: Idempotent, u: np.ndarray, tol: Tolerances | None = None
+    q: Idempotent, u: np.ndarray, tol: Tolerances = DEFAULT_TOL
 ) -> float:
     """||m(U* Q U) - U* m(Q) U|| for a unitary U; zero in exact arithmetic."""
-    tol = tol or DEFAULT_TOL
     u = np.asarray(u, dtype=np.complex128)
     gap = operator_norm(adjoint(u) @ u - identity(q.dim))
     if gap > tol.check:
@@ -542,7 +508,7 @@ def unitary_equivariance(
 def random_qpp_pair(
     dim: int,
     seed: int,
-    tol: Tolerances | None = None,
+    tol: Tolerances = DEFAULT_TOL,
     max_offdiag: float = 2.0,
 ) -> tuple[Projection, Idempotent]:
     """Seeded quasi-projection pair (P, Q), not always the matched one.
@@ -551,7 +517,6 @@ def random_qpp_pair(
     choice from {m(Qi), I - m(Qi)}, which always satisfies the reflection
     identity Q* = (2P - I) Q (2P - I).
     """
-    tol = tol or DEFAULT_TOL
     rng = np.random.default_rng(seed)
     if dim < 2:
         q = random_idempotent(1, int(rng.integers(0, 2)), 0.0, seed, tol)

@@ -41,9 +41,8 @@ def closed_form_distance(norm_q: float) -> float:
     return 0.5 * (norm_q - 1.0 + np.sqrt(norm_q**2 - 1.0))
 
 
-def kkm_distance(p1: Projection, p2: Projection, tol: Tolerances | None = None) -> float:
+def kkm_distance(p1: Projection, p2: Projection, tol: Tolerances = DEFAULT_TOL) -> float:
     """max(||P1 (I - P2)||, ||(I - P1) P2||), certified equal to ||P1 - P2||."""
-    tol = tol or DEFAULT_TOL
     eye = identity(p1.dim)
     d = max(
         operator_norm(p1.matrix @ (eye - p2.matrix)),
@@ -74,7 +73,7 @@ class DistanceReport:
     checks: list[Check]
 
 
-def distance_report(q: Idempotent, tol: Tolerances | None = None) -> DistanceReport:
+def distance_report(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> DistanceReport:
     """All distance identities and inequalities for a single idempotent.
 
     Covers the closed-form distance, the sandwich between half the range-gap
@@ -82,7 +81,6 @@ def distance_report(q: Idempotent, tol: Tolerances | None = None) -> DistanceRep
     similarity through V = (|Q| + |I - Q| + I)/2, and the quadratic
     identities tying (Q* - Q)(Q* - Q)* to the defect operator D.
     """
-    tol = tol or DEFAULT_TOL
     qm = q.matrix
     eye = identity(q.dim)
     m = matched_projection(q, tol).projection.matrix
@@ -212,7 +210,7 @@ class LipschitzBounds:
 
 
 def matched_lipschitz_bounds(
-    q1: Idempotent, q2: Idempotent, tol: Tolerances | None = None
+    q1: Idempotent, q2: Idempotent, tol: Tolerances = DEFAULT_TOL
 ) -> LipschitzBounds:
     """Compare ||m(Q1) - m(Q2)|| against its proven upper bounds.
 
@@ -220,7 +218,6 @@ def matched_lipschitz_bounds(
     compression norm alpha is safely below 1; near 1 it is reported as
     inapplicable rather than asserted against a meaningless bound.
     """
-    tol = tol or DEFAULT_TOL
     eye = identity(q1.dim)
     m1 = matched_projection(q1, tol).projection.matrix
     m2 = matched_projection(q2, tol).projection.matrix
@@ -255,11 +252,6 @@ def matched_lipschitz_bounds(
     )
 
 
-def _stacked_norms(stack: np.ndarray) -> np.ndarray:
-    """``operator_norm`` of each matrix of a (k, n, n) stack, from one stacked SVD."""
-    return np.linalg.svd(stack, compute_uv=False)[:, 0]
-
-
 @dataclass(frozen=True)
 class ConvergenceReport:
     """Fractional-power distance tables whose infimum is ||m(Q1) - m(Q2)||."""
@@ -276,7 +268,7 @@ def convergence_report(
     q1: Idempotent,
     q2: Idempotent,
     exponents: list[int],
-    tol: Tolerances | None = None,
+    tol: Tolerances = DEFAULT_TOL,
 ) -> ConvergenceReport:
     """Tabulate the three distance families over a finite exponent grid.
 
@@ -284,7 +276,6 @@ def convergence_report(
     family converges to it as the exponent grows, so the grid certifies the
     infimum from both sides.
     """
-    tol = tol or DEFAULT_TOL
     if not exponents or any(n < 1 for n in exponents):
         raise ValueError("exponents must be positive integers")
     m1 = matched_projection(q1, tol).projection.matrix
@@ -296,8 +287,8 @@ def convergence_report(
 
     # 2-norms from stacked SVDs, one per row of the alpha table and one for
     # beta, gamma and the target, so no stack holds more than 2k + 1 matrices
-    alpha = np.array([_stacked_norms(a - pow2) for a in pow1])
-    rest = _stacked_norms(np.concatenate([pow1 - m2, m1 - pow2, [m1 - m2]]))
+    alpha = np.array([operator_norm(a - pow2) for a in pow1])
+    rest = operator_norm(np.concatenate([pow1 - m2, m1 - pow2, [m1 - m2]]))
     k = len(exponents)
     beta, gamma, target = rest[:k], rest[k:-1], float(rest[-1])
 
@@ -321,7 +312,7 @@ def convergence_report(
 
 
 def two_projection_construction(
-    p1: Projection, p2: Projection, tol: Tolerances | None = None
+    p1: Projection, p2: Projection, tol: Tolerances = DEFAULT_TOL
 ) -> tuple[Idempotent, Idempotent, list[Check]]:
     """Idempotents (I - P1 P2)^(-1) P1 (I - P2) and its mirror, with their bounds.
 
@@ -329,7 +320,6 @@ def two_projection_construction(
     satisfy ||m(Q1) - m(Q2)|| <= ||Q1 - Q2||, and if both projections are
     nonzero the gap ||Q1 - Q2|| is at least 1.
     """
-    tol = tol or DEFAULT_TOL
     eye = identity(p1.dim)
     a, b = p1.matrix, p2.matrix
     prod_norm = operator_norm(a @ b)
@@ -359,7 +349,7 @@ class MinimalityReport:
 
 
 def qpp_minimality(
-    p: Projection, q: Idempotent, tol: Tolerances | None = None
+    p: Projection, q: Idempotent, tol: Tolerances = DEFAULT_TOL
 ) -> MinimalityReport:
     """Distance-minimality of m(Q) among quasi-projection-pair partners.
 
@@ -369,7 +359,6 @@ def qpp_minimality(
     P = m(Q)), the sharp factor-one bound, and the small-distance rigidity:
     ||P - Q|| < 1 forces P = m(Q) and ||Q|| < 5/3.
     """
-    tol = tol or DEFAULT_TOL
     m = matched_projection(q, tol).projection.matrix
     qm = q.matrix
     d_matched = matched_distance(q, tol)
@@ -392,7 +381,8 @@ def qpp_minimality(
             Check("matched_within_candidate", max(0.0, d_matched - d_candidate), scale)
         )
         dominance_tight = operator_norm(left_p - left_m) <= scale_sq
-        candidate_is_matched = operator_norm(p.matrix - m) <= scale
+        to_matched = operator_norm(p.matrix - m)
+        candidate_is_matched = to_matched <= scale
         checks.append(
             boolean_check(
                 "dominance_equality_iff_matched", dominance_tight == candidate_is_matched
@@ -401,7 +391,7 @@ def qpp_minimality(
         # strict hypotheses degenerate at round-off; require a real margin below 1
         if d_candidate < 1.0 - 1e-6:
             checks.append(
-                Check("small_distance_forces_matched", operator_norm(p.matrix - m), scale)
+                Check("small_distance_forces_matched", to_matched, scale)
             )
             checks.append(
                 Check(

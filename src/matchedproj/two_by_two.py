@@ -44,15 +44,15 @@ class HalmosPoint:
         return self.z.real
 
 
-def canonical_idempotent(a: complex, tol: Tolerances | None = None) -> Idempotent:
+def canonical_idempotent(a: complex, tol: Tolerances = DEFAULT_TOL) -> Idempotent:
     """The 2x2 idempotent [[1, a], [0, 0]]; its norm is sqrt(1 + |a|^2)."""
     if a == 0:
         raise ZeroParameterError("parameter a must be nonzero")
-    return as_idempotent([[1.0, a], [0.0, 0.0]], tol or DEFAULT_TOL)
+    return as_idempotent([[1.0, a], [0.0, 0.0]], tol)
 
 
 def halmos_projection(
-    point: HalmosPoint, theta: float, tol: Tolerances | None = None
+    point: HalmosPoint, theta: float, tol: Tolerances = DEFAULT_TOL
 ) -> Projection:
     """The projection at (z, t), rotated by diag(1, e^(-i theta))."""
     c, s = np.cos(point.t), np.sin(point.t)
@@ -61,7 +61,7 @@ def halmos_projection(
         [[c**2, np.conj(point.z) * w], [point.z * w, s**2]], dtype=np.complex128
     )
     u = np.diag([1.0, np.exp(-1j * theta)])
-    return as_projection(u @ inner @ adjoint(u), tol or DEFAULT_TOL)
+    return as_projection(u @ inner @ adjoint(u), tol)
 
 
 def distance_objective(
@@ -92,9 +92,8 @@ class TwoByTwoProblem:
     p0: Projection
 
 
-def closed_form_p0(a: complex, tol: Tolerances | None = None) -> TwoByTwoProblem:
+def closed_form_p0(a: complex, tol: Tolerances = DEFAULT_TOL) -> TwoByTwoProblem:
     """The nearest projection (1/2b) [[b+1, a], [conj(a), b-1]], b = sqrt(1+|a|^2)."""
-    tol = tol or DEFAULT_TOL
     if a == 0:
         raise ZeroParameterError("parameter a must be nonzero")
     mod = abs(a)
@@ -123,7 +122,7 @@ class GridMinimum:
 
 
 def grid_minimize(
-    a: complex, grid_x: int, grid_t: int, tol: Tolerances | None = None
+    a: complex, grid_x: int, grid_t: int, tol: Tolerances = DEFAULT_TOL
 ) -> GridMinimum:
     """Scan the objective on a uniform grid and compare with the closed form.
 
@@ -131,7 +130,6 @@ def grid_minimize(
     must land within an O(step) band above the true optimum; it can never
     fall below it, being a minimum over a subset.
     """
-    tol = tol or DEFAULT_TOL
     if grid_x < 1 or grid_t < 1:
         raise ValueError("grid sizes must be positive")
     problem = closed_form_p0(a, tol)

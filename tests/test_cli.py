@@ -127,6 +127,15 @@ class TestMatrixIO:
         assert m[0, 0] == 2 - 3j and m[63, 63] == 1j
         assert m[1, 1] == complex(*obj["entries"][1][1])
 
+    def test_float_subclass_entries_load(self):
+        # np.float64 fails the exact-type scan and loads through the entry-by-entry check
+        obj = matrix_file_obj(8)
+        plain = matrix_from_obj(obj)
+        obj["entries"] = [[[np.float64(v) for v in pair] for pair in row] for row in obj["entries"]]
+        assert np.array_equal(matrix_from_obj(obj), plain)
+        obj["entries"][7][7] = [np.float64(2.5), np.float64(-1.0)]
+        assert matrix_from_obj(obj)[7, 7] == 2.5 - 1j
+
     def test_rejects_ragged(self):
         with pytest.raises(MatrixFileError):
             matrix_from_obj({"dim": [2, 2], "entries": [[[1, 0]], [[0, 0], [1, 0]]]})
@@ -372,7 +381,7 @@ class TestVerify:
     def test_factorizations_per_battery(self, factorizations):
         # the ceiling is the measured count: a second build of an oracle shows here
         run_battery(12, 2, 7)
-        assert sum(factorizations.values()) <= 613, dict(factorizations)
+        assert sum(factorizations.values()) <= 603, dict(factorizations)
 
     def test_sabotage_fails_fast(self):
         assert run("verify", "--dim-max", 4, "--trials", 2, "--seed", 7,

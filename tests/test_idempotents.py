@@ -1,6 +1,8 @@
 """Tests for validated idempotents, range/null projections, the Koliha oracle, and block forms."""
 
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -12,10 +14,13 @@ from matchedproj import (
     ValidationError,
     abs_value,
     adjoint,
+    adjoint_of,
     as_idempotent,
     as_matrix,
     as_projection,
     block_form,
+    complement_of,
+    is_projection,
     koliha_projections,
     moore_penrose,
     null_projection,
@@ -24,6 +29,7 @@ from matchedproj import (
     random_projection,
     range_projection,
 )
+from matchedproj import idempotents
 from matchedproj.idempotents import as_idempotents
 
 from conftest import envelope_inputs
@@ -69,6 +75,42 @@ class TestValidation:
         exact = max(operator_norm(pm @ pm - pm), operator_norm(pm - adjoint(pm)))
         with pytest.raises(ValidationError, match=f"projection defect {exact:.3e} exceeds"):
             as_projection(pm)
+
+
+class TestIsProjection:
+    def inputs(self):
+        rng = np.random.default_rng(8)
+        for dim in (1, 2, 5, 9):
+            yield random_projection(dim, int(rng.integers(0, dim + 1)), int(rng.integers(2**32))).matrix
+            yield random_idempotent(dim, int(rng.integers(0, dim + 1)), 1.0, int(rng.integers(2**32))).matrix
+            h = rng.standard_normal((dim, dim))
+            yield h + h.T + 0j
+
+    def test_decides_as_the_exact_defect(self):
+        for m in self.inputs():
+            defect = max(operator_norm(m @ m - m), operator_norm(m - adjoint(m)))
+            for check in (0.5 * defect, 2.0 * defect, 1e-10, 1.0):
+                if check > 0.0:
+                    assert is_projection(m, Tolerances(check=check)) == (defect <= check)
+
+    def test_as_projection_accepts_exactly_the_projections(self):
+        for m in self.inputs():
+            if is_projection(m):
+                assert np.array_equal(as_projection(m).matrix, m)
+            else:
+                with pytest.raises(ValidationError):
+                    as_projection(m)
+
+    def test_hermitian_test_first(self, monkeypatch):
+        # an oblique idempotent fails ||M - M*|| and pays no product M M
+        tested = []
+        gate = idempotents.norm_at_most
+        monkeypatch.setattr(
+            idempotents, "norm_at_most", lambda m, bound: tested.append(m) or gate(m, bound)
+        )
+        q = random_idempotent(6, 2, 1.0, 3).matrix
+        assert not is_projection(q)
+        assert len(tested) == 1 and np.array_equal(tested[0], q - adjoint(q))
 
 
 class TestStackedValidation:
@@ -161,6 +203,47 @@ class TestMemo:
             range_projection(q, strict)
         with pytest.raises(ValidationError):
             null_projection(q, strict)
+
+
+class TestPartners:
+    def test_memoized_per_tolerance(self):
+        q = random_idempotent(8, 3, 2.0, 5)
+        assert complement_of(q) is complement_of(q)
+        assert adjoint_of(q) is adjoint_of(q)
+        loose = Tolerances(check=1e-9)
+        assert adjoint_of(q, loose) is not adjoint_of(q)
+        assert complement_of(q, loose) is not complement_of(q)
+
+    def test_matrices_are_exact(self):
+        q = random_idempotent(8, 3, 2.0, 5)
+        comp = np.eye(8) - q.matrix
+        assert np.array_equal(adjoint_of(q).matrix, adjoint(q.matrix))
+        assert np.array_equal(complement_of(q).matrix, comp)
+        assert np.array_equal(adjoint_of(complement_of(q)).matrix, adjoint(comp))
+
+    def test_each_partner_certified_at_its_tolerance(self):
+        q = random_idempotent(8, 3, 2.0, 5)
+        strict = Tolerances(check=1e-30)
+        with pytest.raises(ValidationError):
+            adjoint_of(q, strict)
+        with pytest.raises(ValidationError):
+            complement_of(q, strict)
+
+    def test_never_q_itself(self):
+        # a partner's partner is a new idempotent of the same matrix, so no
+        # memo refers back to Q and Q is freed by refcount
+        gc.disable()
+        try:
+            for matrix in (random_idempotent(8, 3, 2.0, 5).matrix, random_projection(8, 3, 5).matrix):
+                q = as_idempotent(matrix)
+                alive = weakref.ref(q)
+                twice = adjoint_of(adjoint_of(q))
+                assert twice is not q and np.array_equal(twice.matrix, q.matrix)
+                assert complement_of(complement_of(q)) is not q
+                del q
+                assert alive() is None
+        finally:
+            gc.enable()
 
 
 class TestRangeProjection:
@@ -288,6 +371,16 @@ class TestRandomIdempotent:
             random_idempotent(4, 5, 1.0, 0)
         with pytest.raises(BadRankError):
             random_idempotent(4, -1, 1.0, 0)
+
+    def test_negative_offdiag_norm(self):
+        with pytest.raises(ValueError):
+            random_idempotent(4, 2, -1.0, 0)
+
+    def test_projection_bad_rank(self):
+        with pytest.raises(BadRankError):
+            random_projection(4, 5, 0)
+        with pytest.raises(BadRankError):
+            random_projection(4, -1, 0)
 
     def test_deterministic(self):
         a = random_idempotent(8, 3, 2.0, 42)

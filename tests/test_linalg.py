@@ -104,6 +104,18 @@ class TestOperatorNorm:
             n = operator_norm(m)
             assert abs(operator_norm(adjoint(m) @ m) - n**2) < 1e-11 * (1 + n**2)
 
+    def test_stack_is_bitwise_per_slice(self):
+        rng = np.random.default_rng(3)
+        for dim in (1, 2, 7, 16):
+            stack = np.array([random_complex(rng, dim) for _ in range(5)])
+            stack[2] = 0.0
+            norms = operator_norm(stack)
+            assert norms.shape == (5,)
+            assert norms.tolist() == [operator_norm(m) for m in stack]
+            m = stack[0]
+            assert type(operator_norm(m)) is float
+            assert operator_norm(m) == float(np.linalg.norm(m, 2))
+
 
 def norm_test_matrices(rng, dim):
     """A random matrix, a rank-one one (Frobenius norm = 2-norm) and zero."""

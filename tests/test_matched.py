@@ -15,9 +15,11 @@ from matchedproj import (
     ValidationError,
     abs_value,
     adjoint,
+    adjoint_of,
     all_passed,
     as_idempotent,
     as_projection,
+    complement_of,
     distance_report,
     factor_oracle,
     failures,
@@ -30,7 +32,6 @@ from matchedproj import (
     matched_projection_closed_form,
     matched_via_factor,
     moore_penrose,
-    mp_inverse_abs_qstar,
     operator_norm,
     qpp_holds,
     qpp_symmetry_closure,
@@ -62,7 +63,7 @@ class TestMpInverseAbsQstar:
     def test_projection_fixed(self):
         p = random_projection(5, 2, 3)
         q = as_idempotent(p.matrix)
-        assert operator_norm(mp_inverse_abs_qstar(q) - p.matrix) <= 1e-12
+        assert operator_norm(factor_oracle(q).abs_q_star_pinv - p.matrix) <= 1e-12
 
     def test_canonical_frozen(self):
         # oracle: P_R(Q)) = diag(1, 0) and P_R(Q*) projects onto span{(1,1)},
@@ -70,14 +71,14 @@ class TestMpInverseAbsQstar:
         v = np.array([[1.0], [1.0]]) / RT2
         triple = np.diag([1.0, 0.0]) @ (v @ v.T) @ np.diag([1.0, 0.0])
         np.testing.assert_allclose(triple, np.diag([0.5, 0.0]), atol=1e-15)
-        out = mp_inverse_abs_qstar(canonical())
+        out = factor_oracle(canonical()).abs_q_star_pinv
         np.testing.assert_allclose(out, np.diag([1.0 / RT2, 0.0]), atol=1e-13)
 
     def test_agrees_with_direct_pseudoinverse(self):
         for seed in range(25):
             q = random_idempotent(6, 3, 2.0, seed)
             direct = moore_penrose(abs_value(adjoint(q.matrix)))
-            assert operator_norm(mp_inverse_abs_qstar(q) - direct) <= 1e-10
+            assert operator_norm(factor_oracle(q).abs_q_star_pinv - direct) <= 1e-10
 
     def test_contraction_200_trials(self):
         rng = np.random.default_rng(5150)
@@ -89,7 +90,7 @@ class TestMpInverseAbsQstar:
                 float(10.0 ** rng.uniform(-2, 1)),
                 int(rng.integers(2**32)),
             )
-            assert operator_norm(mp_inverse_abs_qstar(q)) <= 1.0 + 1e-10
+            assert operator_norm(factor_oracle(q).abs_q_star_pinv) <= 1.0 + 1e-10
 
 
 class TestMatchedProjection:
@@ -279,7 +280,11 @@ class TestFactorizationCount:
 
     def test_oracles_share_one_record(self, factorizations):
         q = random_idempotent(8, 3, 2.0, 5)
-        oracles = (mp_inverse_abs_qstar, matched_projection_closed_form, matched_via_factor)
+        oracles = (
+            lambda q: factor_oracle(q).abs_q_star_pinv,
+            matched_projection_closed_form,
+            matched_via_factor,
+        )
         for oracle in oracles:
             oracle(q)
         factorizations.clear()
@@ -472,6 +477,16 @@ class TestSymmetryClosure:
         assert qpp_symmetry_closure(p, q)
         assert dict(factorizations) == {"svd": 3}
 
+    def test_warm_partners_take_no_svd(self, factorizations):
+        # Q*, I - Q and I - Q* are memoized on Q with their SVDs
+        q = random_idempotent(8, 3, 2.0, 5)
+        p = matched_projection(q).projection
+        for partner in (adjoint_of(q), complement_of(q), adjoint_of(complement_of(q))):
+            partner.svd
+        factorizations.clear()
+        assert qpp_symmetry_closure(p, q)
+        assert dict(factorizations) == {}
+
     def test_non_pair_raises(self):
         q = canonical()
         with pytest.raises(NotQuasiProjectionPairError):
@@ -628,6 +643,13 @@ class TestGeneratedQppPairs:
             p, q = random_qpp_pair(7, seed)
             assert is_quasi_projection_pair(p, q).holds
 
+    def test_dimension_one(self):
+        for seed in range(6):
+            p, q = random_qpp_pair(1, seed)
+            assert p.matrix.shape == q.matrix.shape == (1, 1)
+            assert np.array_equal(p.matrix, q.matrix)
+            assert is_quasi_projection_pair(p, q).holds
+
     def test_partner_commutes_with_matched(self):
         for seed in range(30):
             p, q = random_qpp_pair(6, seed)
@@ -637,6 +659,15 @@ class TestGeneratedQppPairs:
 
 
 class TestSabotageHook:
+    def test_partners_have_clean_svds(self):
+        # a partner is certified and factored from its own matrix, so the
+        # copy's negated V never reaches it
+        bad = sabotaged(random_idempotent(8, 3, 2.0, 5))
+        for partner in (adjoint_of(bad), complement_of(bad)):
+            clean = np.linalg.svd(partner.matrix)
+            assert all(np.array_equal(a, b) for a, b in zip(partner.svd, clean))
+            matched_projection(partner)
+
     def test_copy_fails_original_intact(self):
         q = canonical()
         with pytest.raises(ValidationError):

@@ -201,6 +201,12 @@ class TestGridMinimize:
         with pytest.raises(ZeroParameterError):
             grid_minimize(0.0, 16, 16)
 
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ValueError):
+            grid_minimize(1.0, 0, 8)
+        with pytest.raises(ValueError):
+            grid_minimize(1.0, 8, 0)
+
     @pytest.mark.parametrize(
         "a, grid_x, grid_t",
         [(float(mod), 512, 512) for mod in np.logspace(-2, 2, 20)]
