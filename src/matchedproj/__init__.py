@@ -85,6 +85,7 @@ from .norms import (
     distance_report,
     kkm_distance,
     matched_lipschitz_bounds,
+    offdiag_distance,
     qpp_minimality,
     two_projection_construction,
 )

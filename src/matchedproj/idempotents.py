@@ -35,7 +35,8 @@ class Idempotent:
     of factoring Q again.  Every value that depends on Q alone comes from
     the one SVD Q = U S V* (``svd``): ||Q|| = s_0, the rank (the singular
     values of an idempotent are 0 or at least 1, so the cut at 1/2 needs no
-    tolerance), |Q| = V S V*, |Q*| = U S U* and |Q*|^dag = U_r S_r^(-1) U_r*.
+    tolerance), the off-diagonal norm nu (``offdiag_norm``), |Q| = V S V*,
+    |Q*| = U S U* and |Q*|^dag = U_r S_r^(-1) U_r*.
     Per tolerance the memo also keeps P_R(Q) = U_r U_r*, P_N(Q) = I - V_r V_r*,
     the certified m(Q), its witness, the oracles' records (Koliha's
     projections and ``matched.factor_oracle``), which never read the SVD,
@@ -77,6 +78,23 @@ class Idempotent:
     def rank(self) -> int:
         """The number of singular values above 1/2."""
         return int(np.count_nonzero(self.svd[1] > 0.5))
+
+    @property
+    def offdiag_norm(self) -> float:
+        """nu = ||Y|| for Y = S_r V_r* U_perp, the r x (n - r) block of U* Q U = [[I, Y], [0, 0]].
+
+        ||Q|| = sqrt(1 + nu^2), but nu, unlike ||Q|| - 1, carries no
+        cancellation when Q is near a projection.  0 when r is 0 or n.
+        """
+
+        def build() -> float:
+            u, s, vh = self.svd
+            r = self.rank
+            if r in (0, self.dim):
+                return 0.0
+            return operator_norm(s[:r, np.newaxis] * (vh[:r] @ u[:, r:]))
+
+        return self._memoized("offdiag_norm", build)
 
     @property
     def abs_q(self) -> np.ndarray:

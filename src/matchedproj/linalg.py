@@ -10,7 +10,8 @@ bounds (Frobenius norm above, largest column norm below), and takes the
 exact norm only when they cannot settle it: ``norm_at_most``,
 ``require_hermitian``, the certificates of ``idempotents.as_idempotent(s)``
 and ``as_projection`` (``is_projection``), ``matched.qpp_holds``, the
-witness projection short-circuit and its similarity gate.
+witness projection short-circuit, its closed-form inverse certificate and its
+similarity gate.
 """
 
 from __future__ import annotations

@@ -9,9 +9,10 @@ and 2x2 blocks), so the columns u_i + v_i are mutually orthogonal and
 
     m(Q) = sum_{s_i > 0} s_i / (2 (s_i + 1)) (u_i + v_i)(u_i + v_i)*,
 
-while the same SVD gives the similarity witness W with Q = W^(-1) m(Q) W,
-||I - W|| < 1 (``homotopy_witness``), from which ``homotopy_path`` samples
-the homotopy in one stacked solve.  The SVD is the one ``Idempotent``
+while the same SVD gives the similarity witness W = I + E U_r* with
+Q = W^(-1) m(Q) W, ||I - W|| < 1 (``homotopy_witness``).  W^(-1) has a
+closed form, so ``homotopy_path`` samples the homotopy as rank-r updates of
+m(Q), with no inverse and no solve.  The SVD is the one ``Idempotent``
 memoizes; ||Q||, |Q| = V S V*, |Q*| = U S U*, |Q*|^dag = U_r S_r^(-1) U_r*
 and P_R(Q) = U_r U_r* come from it, and every function here reads them from
 Q.  A ``MatchedPair`` holds only Q and its certified m(Q).  Relative rank
@@ -34,7 +35,7 @@ T^dag and V; the block witness takes P_R(Q) from the same pencil:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
@@ -251,12 +252,50 @@ def qpp_symmetry_closure(p: Projection, q: Idempotent, tol: Tolerances = DEFAULT
 
 
 @dataclass(frozen=True)
+class _Homotopy:
+    """The rank-r form of Q(t) = W_t^(-1) m W_t, m = m(Q), derived in ``homotopy_path``.
+
+    ``d`` is the diagonal of D, ``g`` is G = m E U_r*, ``u_m`` is U_r* m and
+    ``u_g`` is U_r* G; r = 0 gives Q(t) = m.
+    """
+
+    m: np.ndarray
+    g: np.ndarray
+    e: np.ndarray
+    d: np.ndarray
+    u_m: np.ndarray
+    u_g: np.ndarray
+
+    @classmethod
+    def of(cls, m: np.ndarray, e: np.ndarray, u_r: np.ndarray, d: np.ndarray) -> _Homotopy:
+        g = (m @ e) @ adjoint(u_r)
+        return cls(m, g, e, d, adjoint(u_r) @ m, adjoint(u_r) @ g)
+
+    def samples(self, t: np.ndarray) -> np.ndarray:
+        """The (k, n, n) stack of Q(t) for the k values in ``t``."""
+        (n, r), k = self.e.shape, t.size
+        c = -t / (1.0 + np.multiply.outer(self.d - 1.0, t))
+        # laid out (r, k, n), so that E times it is one product: update[i, j]
+        # is row i of C_t U_r* (m + t G) at t = t[j]
+        rows = self.u_m[:, np.newaxis] + t[:, np.newaxis] * self.u_g[:, np.newaxis]
+        update = c[:, :, np.newaxis] * rows
+        out = np.multiply.outer(t, self.g) + self.m
+        out += (self.e @ update.reshape(r, k * n)).reshape(n, k, n).transpose(1, 0, 2)
+        return out
+
+
+@dataclass(frozen=True)
 class SimilarityWitness:
-    """m(Q) with an invertible W such that Q = W^(-1) m(Q) W and ||I - W|| < 1."""
+    """m(Q) with an invertible W such that Q = W^(-1) m(Q) W and ||I - W|| < 1.
+
+    The production witness also keeps ``_homotopy``, the rank-r form of the
+    path that ``homotopy_path`` samples; an oracle's witness keeps None.
+    """
 
     projection: Projection
     w: np.ndarray
     contraction_norm: float
+    _homotopy: _Homotopy | None = field(default=None, repr=False)
 
 
 def homotopy_witness(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> SimilarityWitness:
@@ -267,62 +306,109 @@ def homotopy_witness(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> Similarity
     null(Q*) (``homotopy_witness_block``) becomes a closed form in the
     singular values:
 
-        W = U [[S_r^(-1) / 2, 0], [U_perp* V_r (I + S_r)^(-1) / 2, I]] U*,
+        W = U [[D, 0], [L, I]] U*,  D = S_r^(-1) / 2,  L = U_perp* V_r (I + S_r)^(-1) / 2,
 
-    the lower-left block being Y* (S_r (S_r + I))^(-1) / 2.  W is assembled
-    in U's basis, where it is exactly block lower-triangular.  Formed in the
-    original basis from P_R(Q) = U_r U_r*, its rounding errors are not, and
-    the similarity residual then exceeds its gate on 37 of 60 seeded inputs
-    with ||A|| in [1e5, 1e6) (none in U's basis).  The projection is the
-    certified m(Q) of the same SVD (``_svd_core``).
+    L being Y* (S_r (S_r + I))^(-1) / 2.  So W = I + E U_r* with the n x r
+    factor E = U_r (D - I) + U_perp L, and U_r* E = D - I.  The projection is
+    the certified m(Q) of the same SVD (``_svd_core``).
+
+    No inverse is factored.  For t in [0, 1], W_t = I + t E U_r* has the
+    Woodbury inverse X_t = I - t E Delta_t^(-1) U_r*, Delta_t = I + t (D - I)
+    diagonal with entries 1 - t + t / (2 s_i) >= 1 / (2 s_i) > 0, which
+    ``_certified_inverse`` certifies.  X_1 = W^(-1) and W enter the
+    similarity gate only through their norms: the similarity residual at
+    t = 1 is the sample of the rank-r form that ``homotopy_path`` draws from
+    (``_Homotopy``), and ||I - W|| = ||E|| is the 2-norm of an n x r matrix.
 
     A projection input short-circuits to the trivial witness W = I.  The
     witness is memoized on Q per tolerance, as the core is.
     """
 
     def build() -> SimilarityWitness:
+        n = q.dim
         if is_projection(q.matrix, tol):
-            return SimilarityWitness(as_projection(q.matrix, tol), identity(q.dim), 0.0)
+            p = as_projection(q.matrix, tol)
+            trivial = _Homotopy.of(p.matrix, np.zeros((n, 0)), np.zeros((n, 0)), np.zeros(0))
+            return SimilarityWitness(p, identity(n), 0.0, trivial)
 
         u, s, vh = q.svd
         r = q.rank
-        if r == 0 or r == q.dim:
+        if r == 0 or r == n:
             # a genuine idempotent with full or empty range is 0 or I and was
             # caught above; reaching here means the input sits in the defect band
             raise ValidationError("idempotent is numerically trivial but not a projection")
-        s_r = s[:r]
-        w_block = np.zeros((q.dim, q.dim), dtype=np.complex128)
-        w_block[:r, :r] = np.diag(0.5 / s_r)
-        w_block[r:, :r] = 0.5 * (adjoint(u[:, r:]) @ adjoint(vh[:r])) / (1.0 + s_r)
-        w_block[r:, r:] = np.eye(q.dim - r)
-        return _certified_witness(q, _svd_core(q, tol), u @ w_block @ adjoint(u), tol)
+        s_r, u_r, u_perp = s[:r], u[:, :r], u[:, r:]
+        d = 0.5 / s_r
+        lower = 0.5 * (adjoint(u_perp) @ adjoint(vh[:r])) / (1.0 + s_r)
+        e = u_r * (d - 1.0) + u_perp @ lower
+        projection = _svd_core(q, tol)
+        contraction = operator_norm(e)
+        w_inv = _certified_inverse(e, u_r, d, contraction, tol)
+        path = _Homotopy.of(projection.matrix, e, u_r, d)
+        w_mat = identity(n) + e @ adjoint(u_r)
+        similar = path.samples(np.ones(1))[0]
+        return _certified_witness(q, projection, w_mat, w_inv, contraction, similar, path, tol)
 
     return q._memoized(("witness", tol), build)
 
 
+def _certified_inverse(
+    e: np.ndarray, u_r: np.ndarray, d: np.ndarray, norm_e: float, tol: Tolerances
+) -> np.ndarray:
+    """W^(-1) = I - E D^(-1) U_r* for W = I + E U_r*, certified for every W_t on the path.
+
+    Woodbury's inverse assumes U_r* E = D - I.  With the computed r x r
+    defect F = U_r* E - (D - I), which is zero in exact arithmetic,
+
+        X_t W_t - I = -t^2 E Delta_t^(-1) F U_r*,
+
+    and t^2 / (1 - t + t d_i) <= 1 / d_i on [0, 1], so
+    ||X_t W_t - I|| <= ||E|| ||D^(-1)|| ||F|| for every t.  The gate is
+    tol.check (1 + ||D^(-1)||), where ||D^(-1)|| = 2 ||Q|| <= ||W^(-1)|| ||W||:
+    the allowance the similarity gate gives any inverse, at its smallest.
+    ||E|| is the exact ``norm_e``; ||F|| is bounded by ``norm_bounds`` first
+    and taken exactly only when the bound cannot settle the gate.
+    """
+    d_inv = 1.0 / d
+    f = adjoint(u_r) @ e - np.diag(d - 1.0)
+    growth = norm_e * d_inv.max()
+    gate = tol.check * (1.0 + d_inv.max())
+    if growth * norm_bounds(f)[1] > gate:
+        bound = growth * operator_norm(f)
+        if bound > gate:
+            raise ValidationError(f"closed-form inverse defect {bound:.3e} exceeds {gate:.3e}")
+    return identity(e.shape[0]) - (e * d_inv) @ adjoint(u_r)
+
+
 def _certified_witness(
-    q: Idempotent, projection: Projection, w_mat: np.ndarray, tol: Tolerances
+    q: Idempotent,
+    projection: Projection,
+    w_mat: np.ndarray,
+    w_inv: np.ndarray,
+    contraction: float,
+    similar: np.ndarray,
+    path: _Homotopy | None,
+    tol: Tolerances,
 ) -> SimilarityWitness:
     """Check ||I - W|| < 1 and W^(-1) P W = Q, then package the witness.
 
-    The similarity gate ||W^(-1) P W - Q|| <= tol.check (1 + ||W^(-1)|| ||W||)
-    accepts from ``norm_bounds`` (upper bound on the left, lower bounds on
-    the right) and otherwise takes all three norms exactly.
+    The caller gives W, its inverse, ``contraction`` = ||I - W||,
+    ``similar``, its computed W^(-1) P W, and the path the witness keeps.
+    The similarity gate
+    ||W^(-1) P W - Q|| <= tol.check (1 + ||W^(-1)|| ||W||) accepts from
+    ``norm_bounds`` (upper bound on the left, lower bounds on the right) and
+    otherwise takes all three norms exactly.
     """
-    qm = q.matrix
-    p_mat = projection.matrix
-    contraction = operator_norm(identity(q.dim) - w_mat)
     if contraction >= 1.0:
         raise ValidationError(f"witness contraction norm {contraction:.6f} not < 1")
-    w_inv = np.linalg.inv(w_mat)
-    diff = w_inv @ p_mat @ w_mat - qm
+    diff = similar - q.matrix
     fast = tol.check * (1.0 + norm_bounds(w_inv)[0] * norm_bounds(w_mat)[0])
     if norm_bounds(diff)[1] > fast:
         residual = operator_norm(diff)
         bound = tol.check * (1.0 + operator_norm(w_inv) * operator_norm(w_mat))
         if residual > bound:
             raise ValidationError(f"similarity residual {residual:.3e} exceeds {bound:.3e}")
-    return SimilarityWitness(projection=projection, w=w_mat, contraction_norm=contraction)
+    return SimilarityWitness(projection, w_mat, contraction, path)
 
 
 def homotopy_witness_block(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> SimilarityWitness:
@@ -330,8 +416,8 @@ def homotopy_witness_block(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> Simi
 
     Built from the P_R(Q) of ``koliha_projections``, ``block_form`` and
     ``psd_power``, never from the production SVD, so it also serves as an
-    m(Q) route in the verification battery.  A projection input
-    short-circuits to W = I.
+    m(Q) route in the verification battery.  Its inverse is a general
+    ``np.linalg.inv(W)``.  A projection input short-circuits to W = I.
     """
     qm = q.matrix
     if is_projection(qm, tol):
@@ -359,9 +445,12 @@ def homotopy_witness_block(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> Simi
             [adjoint(a) @ bb1_inv, 2.0 * np.eye(q.dim - r)],
         ]
     )
-    p_mat = form.u @ p_block @ adjoint(form.u)
+    projection = as_projection(form.u @ p_block @ adjoint(form.u), tol)
     w_mat = form.u @ w_block @ adjoint(form.u)
-    return _certified_witness(q, as_projection(p_mat, tol), w_mat, tol)
+    w_inv = np.linalg.inv(w_mat)
+    contraction = operator_norm(identity(q.dim) - w_mat)
+    similar = w_inv @ projection.matrix @ w_mat
+    return _certified_witness(q, projection, w_mat, w_inv, contraction, similar, None, tol)
 
 
 def homotopy_path(
@@ -369,18 +458,22 @@ def homotopy_path(
 ) -> list[Idempotent]:
     """Idempotents Q(t) = W_t^(-1) m(Q) W_t on a uniform grid from m(Q) to Q.
 
-    W_t = I + t (W - I) is invertible for t in [0, 1] because ||I - W|| < 1.
-    All samples are formed in one (samples, n, n) stack, solved in one
-    stacked solve and certified by ``as_idempotents`` with one stacked norm
-    per quantity; each sample equals ``as_idempotent(solve(W_t, m(Q) W_t))``.
+    W_t = I + t (W - I) = I + t E U_r* is invertible for t in [0, 1] because
+    ||I - W|| < 1, and its Woodbury inverse X_t = I - t E Delta_t^(-1) U_r*
+    (``homotopy_witness``) makes every sample a rank-r update: with
+    G = m E U_r*, so that m W_t = m + t G,
+
+        Q(t) = X_t m W_t = (m + t G) + E C_t U_r* (m + t G),  C_t = -t Delta_t^(-1).
+
+    The updates of all samples are one (n, r) @ (r, samples n) product, with
+    no factorization (``_Homotopy``), and the samples are certified by
+    ``as_idempotents`` with one stacked norm per quantity.  The sample at
+    t = 0 is m(Q) exactly; a projection input (r = 0) gives m(Q) = Q at every t.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
-    witness = homotopy_witness(q, tol)
-    eye = identity(q.dim)
-    t = np.linspace(0.0, 1.0, samples)[:, None, None]
-    w_t = eye + t * (witness.w - eye)
-    return as_idempotents(np.linalg.solve(w_t, witness.projection.matrix @ w_t), tol)
+    path = homotopy_witness(q, tol)._homotopy
+    return as_idempotents(path.samples(np.linspace(0.0, 1.0, samples)), tol)
 
 
 def _column_space_projector(m: np.ndarray, tol: Tolerances) -> np.ndarray:

@@ -41,6 +41,16 @@ def closed_form_distance(norm_q: float) -> float:
     return 0.5 * (norm_q - 1.0 + np.sqrt(norm_q**2 - 1.0))
 
 
+def offdiag_distance(nu: float) -> float:
+    """||m(Q) - Q|| from nu = ``Idempotent.offdiag_norm``: (nu + nu^2 / (1 + sqrt(1 + nu^2))) / 2.
+
+    This is ``closed_form_distance(sqrt(1 + nu^2))`` with ||Q|| - 1 written
+    as nu^2 / (1 + sqrt(1 + nu^2)) and sqrt(||Q||^2 - 1) as nu, so a small
+    nu loses no digits to cancellation.
+    """
+    return 0.5 * (nu + nu**2 / (1.0 + np.sqrt(1.0 + nu**2)))
+
+
 def kkm_distance(p1: Projection, p2: Projection, tol: Tolerances = DEFAULT_TOL) -> float:
     """max(||P1 (I - P2)||, ||(I - P1) P2||), certified equal to ||P1 - P2||."""
     eye = identity(p1.dim)
@@ -76,10 +86,12 @@ class DistanceReport:
 def distance_report(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> DistanceReport:
     """All distance identities and inequalities for a single idempotent.
 
-    Covers the closed-form distance, the sandwich between half the range-gap
-    and the full range-gap, the chain through ||Q|| = ||I - Q||, the
-    similarity through V = (|Q| + |I - Q| + I)/2, and the quadratic
-    identities tying (Q* - Q)(Q* - Q)* to the defect operator D.
+    Covers the closed-form distance (``offdiag_distance`` of nu =
+    ``q.offdiag_norm``; the range gap's closed form is nu itself), the
+    sandwich between half the range-gap and the full range-gap, the chain
+    through ||Q|| = ||I - Q||, the similarity through
+    V = (|Q| + |I - Q| + I)/2, and the quadratic identities tying
+    (Q* - Q)(Q* - Q)* to the defect operator D.
     """
     qm = q.matrix
     eye = identity(q.dim)
@@ -88,7 +100,8 @@ def distance_report(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> DistanceRep
     norm_q = q.norm
     norm_c = operator_norm(eye - qm)
     d_matched = matched_distance(q, tol)
-    d_closed = closed_form_distance(norm_q)
+    nu = q.offdiag_norm
+    d_closed = offdiag_distance(nu)
     d_range = operator_norm(range_projection(q, tol).matrix - qm)
     d_null = operator_norm(null_projection(q, tol).matrix - qm)
 
@@ -110,11 +123,7 @@ def distance_report(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> DistanceRep
     checks = [
         Check("closed_form_agreement", abs(d_matched - d_closed), scale),
         Check("range_gap_equals_adjoint_gap", abs(d_range - norm_gap_adj), scale),
-        Check(
-            "range_gap_closed_form",
-            abs(d_range - np.sqrt(max(norm_q**2 - 1.0, 0.0))),
-            scale,
-        ),
+        Check("range_gap_closed_form", abs(d_range - nu), scale),
         Check("sandwich_lower", max(0.0, 0.5 * d_range - d_matched), scale),
         Check("sandwich_upper", max(0.0, d_matched - d_range), scale),
         Check("chain_matched_below_norm", max(0.0, d_matched - norm_q), scale),

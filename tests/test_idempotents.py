@@ -205,6 +205,28 @@ class TestMemo:
             null_projection(q, strict)
 
 
+class TestOffdiagNorm:
+    def test_is_the_constructed_offdiag_norm(self):
+        # random_idempotent scales A to the given norm; nu reads it back
+        for nu in NORM_LADDER:
+            for dim, rank in ((2, 1), (8, 3), (32, 16), (32, 31)):
+                q = random_idempotent(dim, rank, nu, 100 * dim + rank)
+                assert q.offdiag_norm == pytest.approx(nu, rel=1e-12)
+                assert np.hypot(1.0, q.offdiag_norm) == pytest.approx(q.norm, rel=1e-12)
+
+    def test_zero_without_an_offdiagonal_block(self):
+        for dim, rank in ((1, 0), (1, 1), (8, 0), (8, 8)):
+            assert random_idempotent(dim, rank, 1.0, 3).offdiag_norm == 0.0
+
+    def test_memoized_from_the_one_svd(self, factorizations):
+        q = random_idempotent(8, 3, 2.0, 5)
+        q.svd
+        factorizations.clear()
+        first = q.offdiag_norm
+        assert q.offdiag_norm == first
+        assert dict(factorizations) == {"norm2": 1}
+
+
 class TestPartners:
     def test_memoized_per_tolerance(self):
         q = random_idempotent(8, 3, 2.0, 5)

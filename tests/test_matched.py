@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from matchedproj import (
+    DEFAULT_TOL,
     Idempotent,
     NotQuasiProjectionPairError,
     NotUnitaryError,
@@ -208,18 +209,21 @@ class TestWitnessRoute:
             assert operator_norm(path[0].matrix - m) <= tol
             assert operator_norm(path[-1].matrix - q.matrix) <= tol
 
-    def test_stacked_path_equals_per_sample_loop(self):
-        # one stacked solve and stacked norms run the same LAPACK calls on the
-        # same data as the loop, so the samples agree exactly
+    def test_path_agrees_with_per_sample_solve(self):
+        # the rank-r samples and solve(W_t, m W_t) are two backward-stable
+        # evaluations of X_t m W_t with ||X_t|| <= 1 + 3 ||Q|| and ||W_t|| <= 3,
+        # so they differ by O(n eps (1 + ||Q||)^2); measured at most 3.7 n eps
+        # (1 + ||Q||)^2 over 600 seeded inputs, n <= 32, ||A|| in [1e-10, 1e6]
         for q in envelope_inputs((1e-4, 1.0, 1e2, 1e4), dims=(2, 8, 32)):
             path = homotopy_path(q, 11)
             wit = homotopy_witness(q)
             eye = np.eye(q.dim)
+            np.testing.assert_array_equal(path[0].matrix, wit.projection.matrix)
+            tol = route_tolerance(q)
             for t, sample in zip(np.linspace(0.0, 1.0, 11), path):
                 w_t = eye + t * (wit.w - eye)
-                ref = as_idempotent(np.linalg.solve(w_t, wit.projection.matrix @ w_t))
-                np.testing.assert_array_equal(sample.matrix, ref.matrix)
-                assert sample.defect == ref.defect
+                ref = np.linalg.solve(w_t, wit.projection.matrix @ w_t)
+                assert operator_norm(sample.matrix - ref) <= tol
 
 
 class TestFactorizationCount:
@@ -256,13 +260,27 @@ class TestFactorizationCount:
         homotopy_witness(q)
         assert factorizations["svd"] == 0, dict(factorizations)
 
-    def test_path_reuses_the_witness(self, factorizations):
+    def test_path_reuses_the_witness(self, linalg_calls):
+        # the samples are rank-r updates, certified from norm bounds
         q = random_idempotent(8, 3, 2.0, 5)
         wit = homotopy_witness(q)
-        factorizations.clear()
+        linalg_calls.clear()
         assert homotopy_witness(q) is wit
         homotopy_path(q, 11)
-        assert dict(factorizations) == {"solve": 1}
+        assert linalg_calls == []
+
+    def test_witness_takes_only_its_contraction_norm(self, factorizations):
+        # with Q's SVD warm, the witness's one factorization is the reported
+        # 2-norm ||I - W|| = ||E||; no inverse, no solve, anywhere on the path
+        for q in envelope_inputs((1e-4, 1.0, 1e4), dims=(2, 8, 32)):
+            if q.rank in (0, q.dim):
+                continue
+            matched_projection(q)
+            factorizations.clear()
+            homotopy_witness(q)
+            assert dict(factorizations) == {"norm2": 1}, dict(factorizations)
+            homotopy_path(q, 11)
+            assert factorizations["inv"] == factorizations["solve"] == 0
 
     def test_v_factor_built_once_on_first_read(self, factorizations):
         q = random_idempotent(8, 3, 2.0, 5)
@@ -556,6 +574,58 @@ class TestHomotopy:
         path = homotopy_path(canonical(), 11)
         assert len(path) == 11
         assert max(s.defect for s in path) <= 1e-10
+
+    @pytest.mark.parametrize("rank", [0, 2, 5])
+    def test_projection_path_is_constant_bitwise(self, rank):
+        q = as_idempotent(random_projection(5, rank, 71).matrix)
+        path = homotopy_path(q, 4)
+        assert all(np.array_equal(sample.matrix, q.matrix) for sample in path)
+
+    def test_one_and_two_samples(self):
+        q = random_idempotent(6, 2, 3.0, 73)
+        m = matched_projection(q).projection.matrix
+        (only,) = homotopy_path(q, 1)
+        np.testing.assert_array_equal(only.matrix, m)
+        start, end = homotopy_path(q, 2)
+        np.testing.assert_array_equal(start.matrix, m)
+        assert operator_norm(end.matrix - q.matrix) <= route_tolerance(q)
+
+    def test_envelope_edges_at_n32(self):
+        # ||A|| = 1e-10 puts Q within tol.check of Hermitian, so the witness
+        # short-circuits and the path starts at Q itself.  At 1e6 the
+        # similarity gate may reject an input: the open envelope defect of
+        # the witness (the SVD meets S_r V_r* U_r = I only to ~ n eps ||Q||^2),
+        # which is the only failure allowed here
+        for q in envelope_inputs((1e-10, 1e6), dims=(32,)):
+            try:
+                path = homotopy_path(q, 11)
+            except ValidationError as exc:
+                assert q.norm > 1e5 and "similarity residual" in str(exc)
+                continue
+            short_circuit = homotopy_witness(q).contraction_norm == 0.0
+            start = q.matrix if short_circuit else matched_projection(q).projection.matrix
+            tol = route_tolerance(q)
+            assert operator_norm(path[0].matrix - start) <= tol
+            assert operator_norm(path[-1].matrix - q.matrix) <= tol
+            for sample in path:
+                gate = DEFAULT_TOL.check * (1.0 + operator_norm(sample.matrix) ** 2)
+                assert sample.defect <= gate
+
+    def test_inverse_certificate_rejects_a_corrupted_factor(self):
+        # shifting E along U_r makes F = U_r* E - (D - I) = 1e-3 I, so the
+        # Woodbury inverse no longer inverts W and the bound ||E|| ||D^-1|| ||F||
+        # exceeds its gate; the clean factor passes
+        q = random_idempotent(8, 3, 2.0, 5)
+        u, s, vh = q.svd
+        r = q.rank
+        u_r, u_perp = u[:, :r], u[:, r:]
+        d = 0.5 / s[:r]
+        e = u_r * (d - 1.0) + u_perp @ (0.5 * (adjoint(u_perp) @ adjoint(vh[:r])) / (1.0 + s[:r]))
+        w_inv = matched_module._certified_inverse(e, u_r, d, operator_norm(e), DEFAULT_TOL)
+        np.testing.assert_allclose(w_inv @ homotopy_witness(q).w, np.eye(8), atol=1e-13)
+        bad = e + 1e-3 * u_r
+        with pytest.raises(ValidationError, match="inverse defect"):
+            matched_module._certified_inverse(bad, u_r, d, operator_norm(bad), DEFAULT_TOL)
 
     def test_path_rejects_bad_sample_count(self):
         with pytest.raises(ValueError):

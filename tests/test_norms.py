@@ -19,6 +19,7 @@ from matchedproj import (
     matched_lipschitz_bounds,
     matched_projection,
     null_projection,
+    offdiag_distance,
     operator_norm,
     psd_power,
     qpp_minimality,
@@ -29,6 +30,8 @@ from matchedproj import (
     two_projection_construction,
 )
 from matchedproj.linalg import require_hermitian
+
+from conftest import envelope_inputs
 
 RT2 = np.sqrt(2.0)
 
@@ -50,6 +53,22 @@ class TestClosedFormDistance:
 
     def test_canonical_value(self):
         assert closed_form_distance(RT2) == pytest.approx(RT2 / 2.0, abs=1e-15)
+
+
+class TestOffdiagDistance:
+    def test_values(self):
+        assert offdiag_distance(0.0) == 0.0
+        assert offdiag_distance(1.0) == pytest.approx(RT2 / 2.0, abs=1e-15)
+
+    def test_is_the_norm_closed_form(self):
+        for nu in (1e-2, 0.5, 3.0, 1e3):
+            expect = closed_form_distance(np.hypot(1.0, nu))
+            assert offdiag_distance(nu) == pytest.approx(expect, rel=1e-12)
+
+    def test_no_cancellation_near_a_projection(self):
+        # from ||Q|| = hypot(1, nu) the closed form loses every digit below ~1e-8
+        for nu in (1e-10, 1e-8, 1e-6):
+            assert offdiag_distance(nu) == pytest.approx(0.5 * nu, rel=1e-5)
 
 
 class TestKkmDistance:
@@ -115,8 +134,16 @@ class TestDistanceReport:
             rep = distance_report(random_stress_idempotent(rng))
             assert all_passed(rep.checks), [c.name for c in failures(rep.checks)]
 
+    def test_closed_forms_near_a_projection(self):
+        # the closed forms read nu = ||Y||; taken from ||Q|| they missed their
+        # gate by up to 180x at ||A|| = 1e-10 and on every identity with n >= 8
+        for q in envelope_inputs((0.0, 1e-10, 1e-8, 1e-6, 1e-4), dims=(2, 8, 16)):
+            checks = {c.name: c for c in distance_report(q).checks}
+            for name in ("closed_form_agreement", "range_gap_closed_form"):
+                assert checks[name].passed, (q.dim, q.rank, checks[name])
+
     def test_trivial_idempotents(self):
-        for mat in (np.zeros((3, 3)), np.eye(3)):
+        for mat in (np.zeros((3, 3)), np.eye(3), np.eye(8)):
             rep = distance_report(as_idempotent(mat))
             assert rep.d_matched <= 1e-13
             assert all_passed(rep.checks), [c.name for c in failures(rep.checks)]
