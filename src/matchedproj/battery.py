@@ -31,7 +31,6 @@ from .linalg import (
     Tolerances,
     abs_value,
     adjoint,
-    hermitian_gap,
     identity,
     matrix_function,
     moore_penrose,
@@ -294,7 +293,7 @@ def _qpp_suite(report: BatteryReport, rng, dim, q, tol, context):
             qpp_symmetry_closure(pair.projection, q, tol), context
         )
     # a non-pair must fail all three characterizations coherently
-    if hermitian_gap(q.matrix) > 1e-6:
+    if not norm_at_most(q.matrix - adjoint(q.matrix), 1e-6):
         bad = is_quasi_projection_pair(range_projection(q, tol), q, tol)
         report.tally("qpp-characterizations-agree").record(
             bad.blocks_hold == bad.reflection_holds == bad.abs_reflection_holds,

@@ -1,21 +1,23 @@
 """Dense complex matrix kernels: adjoint, operator norm, Hermitian calculus, pseudoinverse.
 
-Operator norms come in two kinds.  ``operator_norm`` is the exact 2-norm, an
-SVD (a (k, n, n) stack gives the k norms); it is taken wherever a number is
-reported or read: every ``Check`` residual and distance, quasi-projection-pair
-residuals, idempotency and projection defects (on first read), contraction
-norms, convergence tables and the battery's tallies.  A pass/fail gate whose
-number is never reported decides from ``norm_bounds`` first, two O(n^2)
-bounds (Frobenius norm above, largest column norm below), and takes the
-exact norm only when they cannot settle it: ``norm_at_most``,
-``require_hermitian``, the certificates of ``idempotents.as_idempotent(s)``
-and ``as_projection`` (``is_projection``), ``matched.qpp_holds``, the
-witness projection short-circuit, its closed-form inverse certificate and its
-similarity gate.
+Operator norms come in two kinds.  ``operator_norm`` is the exact 2-norm, the
+first value of a singular-values-only SVD, ``np.linalg.svd(m,
+compute_uv=False)`` (a (k, n, n) stack gives the k norms); it is taken
+wherever a number is reported or read: every ``Check`` residual and
+distance, quasi-projection-pair residuals, idempotency and projection
+defects (on first read), contraction norms, convergence tables and the
+battery's tallies.  A pass/fail gate whose number is never reported decides
+from ``norm_bounds`` first, two O(n^2) bounds (Frobenius norm above, largest
+column norm below), and takes the exact norm only when they cannot settle
+it: ``norm_at_most``, ``require_hermitian``, the certificates of
+``idempotents.as_idempotent(s)`` and ``as_projection`` (``is_projection``),
+``matched.qpp_holds``, the witness projection short-circuit, its closed-form
+inverse certificate and its similarity gate.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -73,8 +75,14 @@ def adjoint(m: np.ndarray) -> np.ndarray:
 
 
 def operator_norm(m: np.ndarray) -> float | np.ndarray:
-    """Largest singular value (the C*-norm); a (k, n, n) stack gives the k norms."""
-    norms = np.linalg.norm(m, 2, axis=(-2, -1))
+    """Largest singular value (the C*-norm); a (k, n, n) stack gives the k norms.
+
+    LAPACK returns the singular values in descending order, so the first is
+    the maximum that ``np.linalg.norm(m, 2)`` takes, bit for bit, without that
+    wrapper's axis handling.  It is ``svd``, not ``svdvals``, so that tools
+    counting ``np.linalg.svd`` calls see every exact norm.
+    """
+    norms = np.linalg.svd(m, compute_uv=False)[..., 0]
     return float(norms) if m.ndim == 2 else norms
 
 
@@ -85,17 +93,29 @@ def norm_bounds(m: np.ndarray) -> tuple[float, float]:
 
     ||M||_F >= ||M||_2 >= max_j ||M e_j||, and both are taken from one array
     of squared moduli.  Each is pushed outward by the relative slack 4 n eps
-    (n the larger dimension), so that, to first order, the bounds hold for
-    the *computed* 2-norm: the column sums and their total are off by at
-    most (n + log2 n + 2) eps relative (two roundings per squared modulus, a
-    running sum down each column, a pairwise sum across), the square root
-    halves that, and LAPACK's backward-stable SVD puts the computed largest
-    singular value within a few n eps of the exact one.
+    (n the larger dimension, eps = 2u the machine epsilon), so that, to first
+    order, the bounds hold for the *computed* 2-norm.  With a = Re m_ij and
+    b = Im m_ij, the real part of conj(m_ij) m_ij is a*a - (-b)*b, a sum of
+    two nonnegative terms: two roundings without FMA (each product, then the
+    sum) and two with it (one product, then the fused multiply-add), so each
+    squared modulus is within 2u relative.  No term is negative, so relative
+    errors do not grow under addition: a column sum (n - 1 additions in any
+    order) is within (n + 1)u and the total of the column sums within 2n u.
+    The square root halves that and rounds once, and the product with the
+    slack rounds once more: the lower bound is off by at most (n + 5)u/2 and
+    the upper by (n + 2)u, below n eps + u.  LAPACK's backward-stable SVD puts
+    the computed largest singular value within a few n eps of the exact one,
+    and 4 n eps covers both.
     """
-    sq = m.real**2 + m.imag**2
-    cols = sq.sum(axis=-2)
+    sq = (m.conj() * m).real
+    cols = np.add.reduce(sq, axis=-2)
     slack = 4.0 * max(m.shape[-2:]) * EPS
-    return np.sqrt(cols.max(axis=-1)) * (1.0 - slack), np.sqrt(cols.sum(axis=-1)) * (1.0 + slack)
+    if m.ndim == 2:
+        lower, upper = math.sqrt(np.maximum.reduce(cols)), math.sqrt(np.add.reduce(cols))
+    else:
+        lower = np.sqrt(np.maximum.reduce(cols, axis=-1))
+        upper = np.sqrt(np.add.reduce(cols, axis=-1))
+    return lower * (1.0 - slack), upper * (1.0 + slack)
 
 
 def norm_at_most(m: np.ndarray, bound: float) -> bool:
@@ -110,11 +130,6 @@ def norm_at_most(m: np.ndarray, bound: float) -> bool:
     if lower > bound:
         return False
     return operator_norm(m) <= bound
-
-
-def hermitian_gap(m: np.ndarray) -> float:
-    """How far the matrix is from being Hermitian, ||M - M*||."""
-    return operator_norm(m - adjoint(m))
 
 
 def require_hermitian(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

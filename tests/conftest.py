@@ -10,7 +10,12 @@ from matchedproj import random_idempotent
 
 @pytest.fixture
 def factorizations(monkeypatch):
-    """Count dense factorizations in numpy.linalg; norm(., 2) is an SVD."""
+    """Count dense factorizations in numpy.linalg.
+
+    An SVD without vectors counts as "svdvals" (an exact 2-norm or a rank
+    test), a full one as "svd" (a factorization of the matrix), and
+    norm(., 2), which is an SVD, as "norm2".
+    """
     counts = Counter()
 
     def counted(name, fn):
@@ -20,9 +25,16 @@ def factorizations(monkeypatch):
 
         return wrapper
 
-    for name in ("svd", "eig", "eigh", "eigvals", "eigvalsh", "solve", "inv",
+    for name in ("eig", "eigh", "eigvals", "eigvalsh", "solve", "inv",
                  "qr", "cholesky", "lstsq", "pinv"):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    svd = np.linalg.svd
+
+    def counted_svd(a, full_matrices=True, compute_uv=True, *args, **kwargs):
+        counts["svd" if compute_uv else "svdvals"] += 1
+        return svd(a, full_matrices, compute_uv, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
     norm = np.linalg.norm
 
     def counted_norm(x, ord=None, *args, **kwargs):

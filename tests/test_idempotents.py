@@ -131,7 +131,7 @@ class TestStackedValidation:
         # exact on first read, bitwise the stacked norm, and kept
         assert q.defect == stacked
         assert q.defect == stacked
-        assert dict(factorizations) == {"norm2": 1}
+        assert dict(factorizations) == {"svdvals": 1}
 
     def test_bounds_decide_as_the_exact_test(self):
         # gates just above and below each sample's exact defect ratio
@@ -224,7 +224,7 @@ class TestOffdiagNorm:
         factorizations.clear()
         first = q.offdiag_norm
         assert q.offdiag_norm == first
-        assert dict(factorizations) == {"norm2": 1}
+        assert dict(factorizations) == {"svdvals": 1}
 
 
 class TestPartners:
@@ -322,7 +322,7 @@ class TestKolihaProjections:
         factorizations.clear()
         koliha_projections(q)
         koliha_projections(q)
-        assert dict(factorizations) == {"svd": 1, "solve": 1}
+        assert dict(factorizations) == {"svdvals": 1, "solve": 1}
 
     def test_singular_pencil_on_defective_input(self):
         # a "validated" non-idempotent (loose gate) makes Q + Q* - I singular

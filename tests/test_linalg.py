@@ -22,7 +22,7 @@ from matchedproj import (
     psd_order,
     psd_power,
 )
-from matchedproj.linalg import hermitian_gap, require_hermitian
+from matchedproj.linalg import require_hermitian
 
 RT2 = np.sqrt(2.0)
 
@@ -117,6 +117,69 @@ class TestOperatorNorm:
             assert operator_norm(m) == float(np.linalg.norm(m, 2))
 
 
+KERNEL_SCALES = (1e-150, 1e-75, 1e-8, 1.0, 1e8, 1e75, 1e150)
+
+
+def kernel_inputs():
+    """2-D matrices and (k, ., .) stacks for n = 1..64, the entry scale cycling 1e-150..1e150.
+
+    Real and complex, contiguous and not: adjoint views, r x (n - r) slices,
+    every other slice of a stack and its sliced blocks; a zero matrix at
+    every n and a zero slice in every stack.
+    """
+    rng = np.random.default_rng(17)
+    for dim in range(1, 65):
+        scale = KERNEL_SCALES[dim % len(KERNEL_SCALES)]
+        m = scale * random_complex(rng, dim)
+        stack = scale * np.array([random_complex(rng, dim) for _ in range(5)])
+        stack[2] = 0.0
+        yield m
+        yield m.real
+        yield adjoint(m)
+        yield np.zeros((dim, dim), dtype=complex)
+        yield stack
+        yield stack[::2]
+        yield stack.real
+        yield np.swapaxes(stack.conj(), -1, -2)
+        if dim > 1:
+            r = dim // 3 + 1
+            yield m[:r, r:]
+            yield stack[:, :r, r:]
+
+
+class TestKernels:
+    def test_operator_norm_is_numpy_2_norm_bitwise(self):
+        for m in kernel_inputs():
+            norms = operator_norm(m)
+            expect = np.linalg.norm(m, 2, axis=(-2, -1))
+            if m.ndim == 2:
+                assert type(norms) is float
+                assert norms == float(expect)
+            else:
+                assert norms.shape == (m.shape[0],)
+                np.testing.assert_array_equal(norms, expect)
+
+    def test_bounds_bracket_the_computed_norm(self):
+        for m in kernel_inputs():
+            lower, upper = norm_bounds(m)
+            norms = operator_norm(m)
+            if m.ndim == 2:
+                assert type(lower) is float and type(upper) is float
+            else:
+                assert lower.shape == upper.shape == (m.shape[0],)
+            assert np.all(lower <= norms) and np.all(norms <= upper)
+            assert np.all(0.0 <= lower)
+
+    def test_norm_at_most_is_the_exact_comparison(self):
+        # at the computed norm and one ulp either side of it
+        for m in kernel_inputs():
+            if m.ndim != 2:
+                continue
+            exact = operator_norm(m)
+            for bound in (np.nextafter(exact, -np.inf), exact, np.nextafter(exact, np.inf)):
+                assert norm_at_most(m, float(bound)) == (exact <= bound)
+
+
 def norm_test_matrices(rng, dim):
     """A random matrix, a rank-one one (Frobenius norm = 2-norm) and zero."""
     x, y = random_complex(rng, dim)[:, :1], random_complex(rng, dim)[:, :1]
@@ -164,7 +227,7 @@ class TestRequireHermitian:
 
     def test_rejection_reports_the_exact_gap(self):
         m = as_matrix([[1.0, 1e-3], [0.0, 1.0]])
-        with pytest.raises(NotHermitianError, match=f"asymmetry {hermitian_gap(m):.3e} "):
+        with pytest.raises(NotHermitianError, match=f"asymmetry {operator_norm(m - adjoint(m)):.3e} "):
             require_hermitian(m)
 
     def test_near_gate_decided_exactly(self):
@@ -174,7 +237,7 @@ class TestRequireHermitian:
         for scale, ok in ((0.999, True), (1.001, False)):
             m = np.diag([1.0, 0.5]).astype(complex)
             m[0, 1] = scale * check * 2.0
-            assert (hermitian_gap(m) <= check * (1.0 + operator_norm(m))) == ok
+            assert (operator_norm(m - adjoint(m)) <= check * (1.0 + operator_norm(m))) == ok
             if ok:
                 require_hermitian(m)
             else:

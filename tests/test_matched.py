@@ -278,7 +278,7 @@ class TestFactorizationCount:
             matched_projection(q)
             factorizations.clear()
             homotopy_witness(q)
-            assert dict(factorizations) == {"norm2": 1}, dict(factorizations)
+            assert dict(factorizations) == {"svdvals": 1}, dict(factorizations)
             homotopy_path(q, 11)
             assert factorizations["inv"] == factorizations["solve"] == 0
 
