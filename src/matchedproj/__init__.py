@@ -8,7 +8,6 @@ and machine-verified at configurable tolerances.
 
 from .errors import (
     BadRankError,
-    FunctionDomainError,
     InapplicableHypothesisError,
     MatchedProjectionError,
     MatrixFileError,
@@ -45,7 +44,6 @@ from .linalg import (
     as_matrix,
     hermitian_eigen,
     identity,
-    matrix_function,
     moore_penrose,
     norm_at_most,
     norm_bounds,

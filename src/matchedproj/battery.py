@@ -32,10 +32,10 @@ from .linalg import (
     abs_value,
     adjoint,
     identity,
-    matrix_function,
     moore_penrose,
     norm_at_most,
     operator_norm,
+    psd_power,
 )
 from .matched import (
     factor_oracle,
@@ -152,8 +152,8 @@ def _core_kernels(report: BatteryReport, rng, dim, tol, context):
         )
 
     h = adjoint(m) @ m
-    twice = matrix_function(matrix_function(h, np.sqrt, tol), np.sqrt, tol)
-    quarter = matrix_function(h, lambda x: x**0.25, tol)
+    twice = psd_power(psd_power(h, 0.5, tol), 0.5, tol)
+    quarter = psd_power(h, 0.25, tol)
     report.tally("sqrt-composition").record(
         operator_norm(twice - quarter) <= scale, context
     )
@@ -316,10 +316,9 @@ def _qpp_suite(report: BatteryReport, rng, dim, q, tol, context):
 def _homotopy(report: BatteryReport, rng, dim, q, tol, context):
     wit = homotopy_witness(q, tol)
     report.tally("witness-contraction").record(wit.contraction_norm < 1.0, context)
-    norm_a = np.sqrt(max(q.norm**2 - 1.0, 0.0))
-    norm_b = np.sqrt(1.0 + norm_a**2)
+    # the bound is b / (b + 1) for b = sqrt(1 + ||A||^2), which is ||Q||
     report.tally("witness-contraction-bound").record(
-        wit.contraction_norm**2 <= norm_b / (norm_b + 1.0) + tol.check, context
+        wit.contraction_norm**2 <= q.norm / (q.norm + 1.0) + tol.check, context
     )
     w_inv = np.linalg.inv(wit.w)
     recon = operator_norm(w_inv @ wit.projection.matrix @ wit.w - q.matrix)
@@ -464,16 +463,16 @@ def _static_checks(report: BatteryReport, tol: Tolerances):
 
 
 def sabotaged(q: Idempotent) -> Idempotent:
-    """A copy of Q whose memoized SVD is (U, s, -V*): the harness self-test input.
+    """A copy of Q whose cached SVD is (U, s, -V*): the harness self-test input.
 
     The production route then builds W = U_r - V_r, so m(Q) and the witness
     fail their certificates.  ||Q||, the rank, |Q|, |Q*|, P_R(Q) and P_N(Q)
     do not see the sign, and the oracles never read the SVD.  The copy has
-    its own memo, so Q's analysis is left as it was.
+    its own analysis, so Q's is left as it was.
     """
     u, s, vh = q.svd
     copy = Idempotent(q.matrix)
-    copy._memoized("svd", lambda: (u, s, -vh))
+    vars(copy)["svd"] = (u, s, -vh)
     return copy
 
 

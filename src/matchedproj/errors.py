@@ -17,10 +17,6 @@ class NotUnitaryError(MatchedProjectionError):
     """Operation requires a unitary matrix."""
 
 
-class FunctionDomainError(MatchedProjectionError):
-    """Scalar map undefined at an eigenvalue of the argument."""
-
-
 class SingularPencilError(MatchedProjectionError):
     """Q + Q* - I is numerically singular, so the input is not a clean idempotent."""
 

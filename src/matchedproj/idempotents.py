@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Callable, Hashable, TypeVar
+from functools import cached_property, wraps
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -30,25 +30,26 @@ _T = TypeVar("_T")
 class Idempotent:
     """A matrix Q with Q^2 = Q, certified by ``as_idempotent(s)``.
 
-    An idempotent carries its own analysis, kept in a private memo and
-    computed on first use, so every report on the same Q reads it instead
-    of factoring Q again.  Every value that depends on Q alone comes from
-    the one SVD Q = U S V* (``svd``): ||Q|| = s_0, the rank (the singular
-    values of an idempotent are 0 or at least 1, so the cut at 1/2 needs no
-    tolerance), the off-diagonal norm nu (``offdiag_norm``), |Q| = V S V*,
-    |Q*| = U S U* and |Q*|^dag = U_r S_r^(-1) U_r*.
-    Per tolerance the memo also keeps P_R(Q) = U_r U_r*, P_N(Q) = I - V_r V_r*,
-    the certified m(Q), its witness, the oracles' records (Koliha's
-    projections and ``matched.factor_oracle``), which never read the SVD,
-    and the partners Q* (key ``("adjoint", tol)``) and I - Q
-    (``("complement", tol)``), each a new ``Idempotent``, never Q itself.
-    A key is a name, or (name, tol): a kept value depends on Q and its key alone.
+    An idempotent carries its own analysis, computed on first use and kept,
+    so every report on the same Q reads it instead of factoring Q again.
+    Values of Q alone are ``cached_property``s, and every one but ``defect``
+    comes from the one SVD Q = U S V* (``svd``): ||Q|| = s_0, the rank (the
+    singular values of an idempotent are 0 or at least 1, so the cut at 1/2
+    needs no tolerance), the off-diagonal norm nu (``offdiag_norm``),
+    |Q| = V S V*, |Q*| = U S U* and |Q*|^dag = U_r S_r^(-1) U_r*.
+    Values per tolerance are kept in the private ``_memo`` by the functions
+    that compute them, each decorated with ``per_tolerance``: P_R(Q) =
+    U_r U_r*, P_N(Q) = I - V_r V_r*, the certified m(Q), its witness and
+    distance, the oracles' records (Koliha's projections and
+    ``matched.factor_oracle``), which never read the SVD, and the partners
+    Q* and I - Q (``adjoint_of``, ``complement_of``), each a new
+    ``Idempotent``, never Q itself.
     The idempotent is built from its matrix alone: the certificate decides
     from O(n^2) norm bounds, and ``defect``, the exact ||Q^2 - Q||, is taken
     on first read and kept.  The matrix must not be mutated: that voids the
-    certificate and the memo alike.  Memoized arrays are shared with every
+    certificate and the analysis alike.  Kept arrays are shared with every
     caller and are read-only by contract.  ``dataclasses.replace`` starts a
-    fresh memo.
+    fresh analysis.
     """
 
     matrix: np.ndarray
@@ -58,72 +59,80 @@ class Idempotent:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @property
+    @cached_property
     def defect(self) -> float:
         """||Q^2 - Q||, the exact 2-norm."""
         qm = self.matrix
-        return self._memoized("defect", lambda: operator_norm(qm @ qm - qm))
+        return operator_norm(qm @ qm - qm)
 
-    @property
+    @cached_property
     def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The SVD (U, s, V*) of Q, as ``np.linalg.svd(Q)``."""
-        return self._memoized("svd", lambda: np.linalg.svd(self.matrix))
+        return np.linalg.svd(self.matrix)
 
-    @property
+    @cached_property
     def norm(self) -> float:
         """||Q||, the largest singular value."""
         return float(self.svd[1][0])
 
-    @property
+    @cached_property
     def rank(self) -> int:
         """The number of singular values above 1/2."""
         return int(np.count_nonzero(self.svd[1] > 0.5))
 
-    @property
+    @cached_property
     def offdiag_norm(self) -> float:
         """nu = ||Y|| for Y = S_r V_r* U_perp, the r x (n - r) block of U* Q U = [[I, Y], [0, 0]].
 
         ||Q|| = sqrt(1 + nu^2), but nu, unlike ||Q|| - 1, carries no
         cancellation when Q is near a projection.  0 when r is 0 or n.
         """
+        u, s, vh = self.svd
+        r = self.rank
+        if r in (0, self.dim):
+            return 0.0
+        return operator_norm(s[:r, np.newaxis] * (vh[:r] @ u[:, r:]))
 
-        def build() -> float:
-            u, s, vh = self.svd
-            r = self.rank
-            if r in (0, self.dim):
-                return 0.0
-            return operator_norm(s[:r, np.newaxis] * (vh[:r] @ u[:, r:]))
-
-        return self._memoized("offdiag_norm", build)
-
-    @property
+    @cached_property
     def abs_q(self) -> np.ndarray:
         """|Q| = (Q* Q)^(1/2) = V S V*."""
         _, s, vh = self.svd
-        return self._memoized("abs_q", lambda: (adjoint(vh) * s) @ vh)
+        return (adjoint(vh) * s) @ vh
 
-    @property
+    @cached_property
     def abs_q_star(self) -> np.ndarray:
         """|Q*| = (Q Q*)^(1/2) = U S U*."""
         u, s, _ = self.svd
-        return self._memoized("abs_q_star", lambda: (u * s) @ adjoint(u))
+        return (u * s) @ adjoint(u)
 
-    @property
+    @cached_property
     def abs_q_star_pinv(self) -> np.ndarray:
         """|Q*|^dag = U_r S_r^(-1) U_r*."""
         u, s, _ = self.svd
         r = self.rank
-        return self._memoized("abs_q_star_pinv", lambda: (u[:, :r] / s[:r]) @ adjoint(u[:, :r]))
+        return (u[:, :r] / s[:r]) @ adjoint(u[:, :r])
 
-    def _memoized(self, key: Hashable, compute: Callable[[], _T]) -> _T:
-        """The value kept under ``key``, computed and kept on first use.
 
-        Never keep a value that refers back to this idempotent (such as a
-        ``MatchedPair``): the cycle would outlive the last reference to Q.
-        """
-        if key not in self._memo:
-            self._memo[key] = compute()
-        return self._memo[key]
+def per_tolerance(
+    build: Callable[[Idempotent, Tolerances], _T],
+) -> Callable[[Idempotent, Tolerances], _T]:
+    """Memoize ``build(q, tol)`` on Q: kept in ``q._memo`` under ``(build, tol)``.
+
+    The key is the undecorated function itself, so a kept value depends on
+    Q, the function and the tolerance alone.  An exception is not kept: the
+    next call runs ``build`` again.  Never memoize a value that refers back
+    to Q (such as a record holding Q): the cycle would outlive the last
+    reference to Q.
+    """
+
+    @wraps(build)
+    def memoized(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> _T:
+        key = (build, tol)
+        if key not in q._memo:
+            q._memo[key] = build(q, tol)
+        return q._memo[key]
+
+    return memoized
 
 
 @dataclass(frozen=True)
@@ -197,43 +206,46 @@ def as_projection(m, tol: Tolerances = DEFAULT_TOL) -> Projection:
     return Projection(matrix=p)
 
 
+@per_tolerance
 def adjoint_of(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> Idempotent:
     """Q*, certified by ``as_idempotent``; memoized on Q per tolerance.
 
     Nothing of Q's analysis is carried over: an identity between Q and Q*
     compares two independent computations.
     """
-    return q._memoized(("adjoint", tol), lambda: as_idempotent(adjoint(q.matrix), tol))
+    return as_idempotent(adjoint(q.matrix), tol)
 
 
+@per_tolerance
 def complement_of(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> Idempotent:
     """I - Q, certified by ``as_idempotent``; memoized on Q per tolerance, as ``adjoint_of``.
 
     I - Q* is ``adjoint_of(complement_of(q, tol), tol)``.
     """
-    return q._memoized(("complement", tol), lambda: as_idempotent(identity(q.dim) - q.matrix, tol))
+    return as_idempotent(identity(q.dim) - q.matrix, tol)
 
 
+@per_tolerance
 def range_projection(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> Projection:
     """Orthogonal projection onto the range of Q, U_r U_r* from Q's SVD (r = ``q.rank``).
 
     Memoized on Q per tolerance.
     """
     u_r = q.svd[0][:, : q.rank]
-    return q._memoized(("range_projection", tol), lambda: as_projection(u_r @ adjoint(u_r), tol))
+    return as_projection(u_r @ adjoint(u_r), tol)
 
 
+@per_tolerance
 def null_projection(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> Projection:
     """Orthogonal projection onto the null space of Q, I - V_r V_r* from Q's SVD.
 
     Memoized on Q per tolerance.
     """
     v_r = adjoint(q.svd[2][: q.rank])
-    return q._memoized(
-        ("null_projection", tol), lambda: as_projection(identity(q.dim) - v_r @ adjoint(v_r), tol)
-    )
+    return as_projection(identity(q.dim) - v_r @ adjoint(v_r), tol)
 
 
+@per_tolerance
 def koliha_projections(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> tuple[Projection, Projection]:
     """Oracle: (P_R(Q), P_R(Q*)) as (Q S^(-1), Q* S^(-1)) for the pencil S = Q + Q* - I.
 
@@ -241,16 +253,12 @@ def koliha_projections(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> tuple[Pr
     Hermitian, so one stacked solve S^(-1) [Q* | Q] gives both as adjoints.
     Raises ``SingularPencilError`` if S is numerically singular.  Memoized.
     """
-
-    def build() -> tuple[Projection, Projection]:
-        qm, n = q.matrix, q.dim
-        s = qm + adjoint(qm) - identity(n)
-        if numerical_rank(np.linalg.svd(s, compute_uv=False), n, tol) < n:
-            raise SingularPencilError("Q + Q* - I is numerically singular")
-        x = np.linalg.solve(s, np.hstack([adjoint(qm), qm]))
-        return as_projection(adjoint(x[:, :n]), tol), as_projection(adjoint(x[:, n:]), tol)
-
-    return q._memoized(("koliha", tol), build)
+    qm, n = q.matrix, q.dim
+    s = qm + adjoint(qm) - identity(n)
+    if numerical_rank(np.linalg.svd(s, compute_uv=False), n, tol) < n:
+        raise SingularPencilError("Q + Q* - I is numerically singular")
+    x = np.linalg.solve(s, np.hstack([adjoint(qm), qm]))
+    return as_projection(adjoint(x[:, :n]), tol), as_projection(adjoint(x[:, n:]), tol)
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

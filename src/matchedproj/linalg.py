@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import FunctionDomainError, NotHermitianError
+from .errors import NotHermitianError
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -159,28 +159,6 @@ def hermitian_eigen(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> HermitianEi
     """Eigendecomposition of a Hermitian matrix (symmetrized before factoring)."""
     w, v = np.linalg.eigh(require_hermitian(m, tol))
     return HermitianEigen(w, v)
-
-
-def matrix_function(
-    m: np.ndarray,
-    f: Callable[[float], float],
-    tol: Tolerances = DEFAULT_TOL,
-) -> np.ndarray:
-    """Apply a real scalar map to a Hermitian matrix through its spectrum.
-
-    Eigenvalues in [-tol.psd, 0) are clamped to zero first, so maps such as
-    sqrt stay defined on positive semidefinite input jittered by round-off.
-    """
-    eig = hermitian_eigen(m, tol)
-    lam = eig.eigenvalues.copy()
-    lam[(lam >= -tol.psd) & (lam < 0.0)] = 0.0
-    with np.errstate(all="ignore"):
-        vals = np.array([float(f(x)) for x in lam])
-    if not np.isfinite(vals).all():
-        bad = lam[~np.isfinite(vals)][0]
-        raise FunctionDomainError(f"map undefined at eigenvalue {bad:.6e}")
-    v = eig.eigenvectors
-    return (v * vals) @ adjoint(v)
 
 
 def psd_power(

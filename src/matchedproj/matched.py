@@ -13,12 +13,14 @@ while the same SVD gives the similarity witness W = I + E U_r* with
 Q = W^(-1) m(Q) W, ||I - W|| < 1 (``homotopy_witness``).  W^(-1) has a
 closed form, so ``homotopy_path`` samples the homotopy as rank-r updates of
 m(Q), with no inverse and no solve.  The SVD is the one ``Idempotent``
-memoizes; ||Q||, |Q| = V S V*, |Q*| = U S U*, |Q*|^dag = U_r S_r^(-1) U_r*
+keeps; ||Q||, |Q| = V S V*, |Q*| = U S U*, |Q*|^dag = U_r S_r^(-1) U_r*
 and P_R(Q) = U_r U_r* come from it, and every function here reads them from
-Q.  A ``MatchedPair`` holds only Q and its certified m(Q).  Relative rank
-cutoffs all go through ``linalg.numerical_rank``.  The module keeps no state
-of its own: the harness self-test corrupts an input instead, a copy of Q
-whose memoized SVD has V negated (``battery.sabotaged``).
+Q.  A ``MatchedPair`` holds only the certified m(Q).  m(Q), its distance to
+Q, its witness and the oracle record are each memoized on Q per tolerance
+(``idempotents.per_tolerance``).  Relative rank cutoffs all go through
+``linalg.numerical_rank``.  The module keeps no state of its own: the
+harness self-test corrupts an input instead, a copy of Q whose cached SVD
+has V negated (``battery.sabotaged``).
 
 Three further routes are kept only as independent oracles for ``verify``
 and the tests, never built from Q's SVD.  The first two read one record
@@ -56,6 +58,7 @@ from .idempotents import (
     complement_of,
     is_projection,
     koliha_projections,
+    per_tolerance,
     random_idempotent,
     random_unitary,
 )
@@ -90,34 +93,31 @@ class FactorOracle:
     v: np.ndarray
 
 
+@per_tolerance
 def factor_oracle(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> FactorOracle:
     """The ``FactorOracle`` of Q, never read from Q's SVD; memoized on Q per tolerance.
 
     |Q*| is ``abs_value(Q*)``, |Q*|^dag = (P_R(Q) P_R(Q*) P_R(Q))^(1/2) from
     ``koliha_projections`` and V = T (|Q*|^dag)^(1/2) (I + |Q*|)^(-1/2) / sqrt 2.
     """
-
-    def build() -> FactorOracle:
-        abs_qs = abs_value(adjoint(q.matrix))
-        p_r, p_rs = (p.matrix for p in koliha_projections(q, tol))
-        dag = psd_power(p_r @ p_rs @ p_r, 0.5, tol)
-        t = abs_qs + adjoint(q.matrix)
-        dag_root = psd_power(dag, 0.5, tol)
-        v = np.sqrt(0.5) * t @ dag_root @ psd_power(identity(q.dim) + abs_qs, -0.5, tol)
-        return FactorOracle(abs_qs, dag, t, moore_penrose(t, tol), v)
-
-    return q._memoized(("factor_oracle", tol), build)
+    abs_qs = abs_value(adjoint(q.matrix))
+    p_r, p_rs = (p.matrix for p in koliha_projections(q, tol))
+    dag = psd_power(p_r @ p_rs @ p_r, 0.5, tol)
+    t = abs_qs + adjoint(q.matrix)
+    dag_root = psd_power(dag, 0.5, tol)
+    v = np.sqrt(0.5) * t @ dag_root @ psd_power(identity(q.dim) + abs_qs, -0.5, tol)
+    return FactorOracle(abs_qs, dag, t, moore_penrose(t, tol), v)
 
 
 @dataclass(frozen=True)
 class MatchedPair:
-    """Q with its certified m(Q); values of Q alone are read from Q itself."""
+    """The certified m(Q) of an idempotent; values of Q alone are read from Q itself."""
 
-    source: Idempotent
     projection: Projection
 
 
-def _svd_core(q: Idempotent, tol: Tolerances) -> Projection:
+@per_tolerance
+def matched_projection(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> MatchedPair:
     """The certified m(Q) from Q's SVD Q = U S V*.
 
     With W = U_r + V_r over the r = ``q.rank`` singular values s_i > 1/2,
@@ -129,35 +129,21 @@ def _svd_core(q: Idempotent, tol: Tolerances) -> Projection:
     which leaves a projection defect of order (n eps ||Q||)^2 plus
     round-off, without a second factorization.
 
-    The SVD is Q's memoized one, and the core is memoized on Q per tolerance.
+    The SVD is Q's memoized one, and the pair is memoized on Q per tolerance:
+    it does not refer to Q, so keeping it makes no reference cycle.
     """
-
-    def build():
-        u, s, vh = q.svd
-        r = q.rank
-        w = u[:, :r] + adjoint(vh[:r])
-        d = 2.0 * (1.0 + 1.0 / s[:r])
-        x = w / d
-        return as_projection(x @ (np.diag(2.0 * d) - adjoint(w) @ w) @ adjoint(x), tol)
-
-    return q._memoized(("svd_core", tol), build)
+    u, s, vh = q.svd
+    r = q.rank
+    w = u[:, :r] + adjoint(vh[:r])
+    d = 2.0 * (1.0 + 1.0 / s[:r])
+    x = w / d
+    return MatchedPair(as_projection(x @ (np.diag(2.0 * d) - adjoint(w) @ w) @ adjoint(x), tol))
 
 
-def matched_projection(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> MatchedPair:
-    """m(Q) from one SVD Q = U S V*, certified by ``as_projection`` in ``_svd_core``.
-
-    The same SVD gives |Q|, |Q*|, |Q*|^dag and ||Q|| (``Idempotent``).  The
-    pair is not memoized: it refers to Q, so keeping it in Q's memo would
-    make a reference cycle.
-    """
-    return MatchedPair(source=q, projection=_svd_core(q, tol))
-
-
+@per_tolerance
 def matched_distance(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> float:
-    """||m(Q) - Q||, memoized on Q per tolerance as the core is."""
-    return q._memoized(
-        ("d_matched", tol), lambda: operator_norm(_svd_core(q, tol).matrix - q.matrix)
-    )
+    """||m(Q) - Q||, memoized on Q per tolerance as m(Q) is."""
+    return operator_norm(matched_projection(q, tol).projection.matrix - q.matrix)
 
 
 def matched_projection_closed_form(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -298,6 +284,7 @@ class SimilarityWitness:
     _homotopy: _Homotopy | None = field(default=None, repr=False)
 
 
+@per_tolerance
 def homotopy_witness(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> SimilarityWitness:
     """(m(Q), W) with Q = W^(-1) m(Q) W and ||I - W|| < 1, from one SVD Q = U S V*.
 
@@ -310,7 +297,7 @@ def homotopy_witness(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> Similarity
 
     L being Y* (S_r (S_r + I))^(-1) / 2.  So W = I + E U_r* with the n x r
     factor E = U_r (D - I) + U_perp L, and U_r* E = D - I.  The projection is
-    the certified m(Q) of the same SVD (``_svd_core``).
+    the certified m(Q) of the same SVD (``matched_projection``).
 
     No inverse is factored.  For t in [0, 1], W_t = I + t E U_r* has the
     Woodbury inverse X_t = I - t E Delta_t^(-1) U_r*, Delta_t = I + t (D - I)
@@ -321,35 +308,31 @@ def homotopy_witness(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> Similarity
     (``_Homotopy``), and ||I - W|| = ||E|| is the 2-norm of an n x r matrix.
 
     A projection input short-circuits to the trivial witness W = I.  The
-    witness is memoized on Q per tolerance, as the core is.
+    witness is memoized on Q per tolerance, as m(Q) is.
     """
+    n = q.dim
+    if is_projection(q.matrix, tol):
+        p = as_projection(q.matrix, tol)
+        trivial = _Homotopy.of(p.matrix, np.zeros((n, 0)), np.zeros((n, 0)), np.zeros(0))
+        return SimilarityWitness(p, identity(n), 0.0, trivial)
 
-    def build() -> SimilarityWitness:
-        n = q.dim
-        if is_projection(q.matrix, tol):
-            p = as_projection(q.matrix, tol)
-            trivial = _Homotopy.of(p.matrix, np.zeros((n, 0)), np.zeros((n, 0)), np.zeros(0))
-            return SimilarityWitness(p, identity(n), 0.0, trivial)
-
-        u, s, vh = q.svd
-        r = q.rank
-        if r == 0 or r == n:
-            # a genuine idempotent with full or empty range is 0 or I and was
-            # caught above; reaching here means the input sits in the defect band
-            raise ValidationError("idempotent is numerically trivial but not a projection")
-        s_r, u_r, u_perp = s[:r], u[:, :r], u[:, r:]
-        d = 0.5 / s_r
-        lower = 0.5 * (adjoint(u_perp) @ adjoint(vh[:r])) / (1.0 + s_r)
-        e = u_r * (d - 1.0) + u_perp @ lower
-        projection = _svd_core(q, tol)
-        contraction = operator_norm(e)
-        w_inv = _certified_inverse(e, u_r, d, contraction, tol)
-        path = _Homotopy.of(projection.matrix, e, u_r, d)
-        w_mat = identity(n) + e @ adjoint(u_r)
-        similar = path.samples(np.ones(1))[0]
-        return _certified_witness(q, projection, w_mat, w_inv, contraction, similar, path, tol)
-
-    return q._memoized(("witness", tol), build)
+    u, s, vh = q.svd
+    r = q.rank
+    if r == 0 or r == n:
+        # a genuine idempotent with full or empty range is 0 or I and was
+        # caught above; reaching here means the input sits in the defect band
+        raise ValidationError("idempotent is numerically trivial but not a projection")
+    s_r, u_r, u_perp = s[:r], u[:, :r], u[:, r:]
+    d = 0.5 / s_r
+    lower = 0.5 * (adjoint(u_perp) @ adjoint(vh[:r])) / (1.0 + s_r)
+    e = u_r * (d - 1.0) + u_perp @ lower
+    projection = matched_projection(q, tol).projection
+    contraction = operator_norm(e)
+    w_inv = _certified_inverse(e, u_r, d, contraction, tol)
+    path = _Homotopy.of(projection.matrix, e, u_r, d)
+    w_mat = identity(n) + e @ adjoint(u_r)
+    similar = path.samples(np.ones(1))[0]
+    return _certified_witness(q, projection, w_mat, w_inv, contraction, similar, path, tol)
 
 
 def _certified_inverse(

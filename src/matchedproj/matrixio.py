@@ -172,6 +172,8 @@ def load_matrix(path) -> np.ndarray:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise MatrixFileError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise MatrixFileError(f"{path} is not UTF-8 text: {exc}") from exc
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:

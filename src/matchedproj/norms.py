@@ -78,8 +78,6 @@ class DistanceReport:
     d_null: float
     v_sim: np.ndarray
     d_op: np.ndarray
-    x_op: np.ndarray
-    y_op: np.ndarray
     checks: list[Check]
 
 
@@ -199,8 +197,6 @@ def distance_report(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> DistanceRep
         d_null=d_null,
         v_sim=v_sim,
         d_op=d_op,
-        x_op=x_op,
-        y_op=y_op,
         checks=checks,
     )
 
@@ -212,9 +208,6 @@ class LipschitzBounds:
     lhs: float
     alpha: float
     scaled_bound: float | None
-    min_bound: float
-    mixed_left: float
-    mixed_right: float
     checks: list[Check]
 
 
@@ -254,9 +247,6 @@ def matched_lipschitz_bounds(
         lhs=lhs,
         alpha=alpha,
         scaled_bound=scaled,
-        min_bound=min_bound,
-        mixed_left=mixed_left,
-        mixed_right=mixed_right,
         checks=checks,
     )
 
@@ -265,7 +255,6 @@ def matched_lipschitz_bounds(
 class ConvergenceReport:
     """Fractional-power distance tables whose infimum is ||m(Q1) - m(Q2)||."""
 
-    exponents: tuple[int, ...]
     alpha: np.ndarray
     beta: np.ndarray
     gamma: np.ndarray
@@ -311,7 +300,6 @@ def convergence_report(
         Check("beta_nonincreasing", monotone_slack, tol.check),
     ]
     return ConvergenceReport(
-        exponents=tuple(exponents),
         alpha=alpha,
         beta=beta,
         gamma=gamma,

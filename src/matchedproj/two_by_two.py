@@ -85,7 +85,6 @@ def distance_objective(
 class TwoByTwoProblem:
     """Closed-form minimizer data for the parameter a."""
 
-    a: complex
     b: float
     theta0: float
     t0: float
@@ -105,7 +104,7 @@ def closed_form_p0(a: complex, tol: Tolerances = DEFAULT_TOL) -> TwoByTwoProblem
     p0 = np.array(
         [[b + 1.0, a], [np.conjugate(a), b - 1.0]], dtype=np.complex128
     ) / (2.0 * b)
-    return TwoByTwoProblem(a=a, b=b, theta0=theta0, t0=t0, p0=as_projection(p0, tol))
+    return TwoByTwoProblem(b=b, theta0=theta0, t0=t0, p0=as_projection(p0, tol))
 
 
 @dataclass(frozen=True)

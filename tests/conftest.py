@@ -13,8 +13,7 @@ def factorizations(monkeypatch):
     """Count dense factorizations in numpy.linalg.
 
     An SVD without vectors counts as "svdvals" (an exact 2-norm or a rank
-    test), a full one as "svd" (a factorization of the matrix), and
-    norm(., 2), which is an SVD, as "norm2".
+    test), a full one as "svd" (a factorization of the matrix).
     """
     counts = Counter()
 
@@ -35,14 +34,6 @@ def factorizations(monkeypatch):
         return svd(a, full_matrices, compute_uv, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
-    norm = np.linalg.norm
-
-    def counted_norm(x, ord=None, *args, **kwargs):
-        if ord in (2, -2, "nuc"):
-            counts["norm2"] += 1
-        return norm(x, ord, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "norm", counted_norm)
     return counts
 
 

@@ -156,6 +156,12 @@ class TestMatrixIO:
         with pytest.raises(MatrixFileError):
             load_matrix(path)
 
+    def test_rejects_non_utf8_file(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe")
+        with pytest.raises(MatrixFileError, match="is not UTF-8 text"):
+            load_matrix(path)
+
 
 class TestGenerate:
     def test_writes_idempotent_with_prescribed_norm(self, tmp_path):
@@ -241,6 +247,12 @@ class TestAnalyze:
 
     def test_missing_file_is_usage_error(self, tmp_path):
         assert run("analyze", "--input", tmp_path / "absent.json") == 2
+
+    def test_non_utf8_file_is_usage_error(self, tmp_path, capsys):
+        q = tmp_path / "bad.json"
+        q.write_bytes(b"\xff\xfe")
+        assert run("analyze", "--input", q) == 2
+        assert f"error: {q} is not UTF-8 text" in capsys.readouterr().err
 
     def test_corrupted_formula_is_math_error(self, tmp_path, monkeypatch):
         q = tmp_path / "q.json"

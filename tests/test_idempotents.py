@@ -331,6 +331,16 @@ class TestKolihaProjections:
         with pytest.raises(SingularPencilError):
             koliha_projections(half, loose)
 
+    def test_failure_is_not_memoized(self, factorizations):
+        # each call factors the pencil again and raises again; nothing is kept
+        loose = Tolerances(check=1.0)
+        half = as_idempotent(0.5 * np.eye(2), loose)
+        for calls in (1, 2):
+            with pytest.raises(SingularPencilError):
+                koliha_projections(half, loose)
+            assert factorizations["svdvals"] == calls
+        assert half._memo == {}
+
     def test_singular_pencil_under_rank_override(self):
         # Q + Q* - I = diag(1, 2e-3) is numerically singular only under a cutoff above 2e-3
         near = as_idempotent(np.diag([1.0, 0.501]), Tolerances(check=1.0))

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from matchedproj import (
-    FunctionDomainError,
     NotHermitianError,
     Tolerances,
     abs_value,
@@ -13,7 +12,6 @@ from matchedproj import (
     canonical_idempotent,
     hermitian_eigen,
     matched_projection,
-    matrix_function,
     moore_penrose,
     norm_at_most,
     norm_bounds,
@@ -278,43 +276,6 @@ class TestHermitianEigen:
             hermitian_eigen(as_matrix([[0.0, 1.0], [0.0, 0.0]]))
 
 
-class TestMatrixFunction:
-    def test_identity_map(self):
-        rng = np.random.default_rng(4)
-        m = random_complex(rng, 5)
-        h = m + adjoint(m)
-        assert operator_norm(matrix_function(h, lambda x: x) - h) <= 1e-10 * (
-            1 + operator_norm(h)
-        )
-
-    def test_sqrt_diagonal(self):
-        out = matrix_function(np.diag([4.0, 9.0]).astype(complex), np.sqrt)
-        np.testing.assert_allclose(out, np.diag([2.0, 3.0]), atol=1e-14)
-
-    def test_sqrt_of_gram(self):
-        q = as_matrix([[1.0, 1.0], [0.0, 0.0]])
-        out = matrix_function(q @ adjoint(q), np.sqrt)
-        np.testing.assert_allclose(out, np.diag([RT2, 0.0]), atol=1e-14)
-
-    def test_clamps_round_off_negatives(self):
-        m = np.diag([1.0, -1e-12]).astype(complex)
-        out = matrix_function(m, np.sqrt)
-        np.testing.assert_allclose(out, np.diag([1.0, 0.0]), atol=1e-14)
-
-    def test_domain_error(self):
-        with pytest.raises(FunctionDomainError):
-            matrix_function(np.diag([1.0, -4.0]).astype(complex), np.sqrt)
-
-    def test_sqrt_composes_to_fourth_root(self):
-        rng = np.random.default_rng(5)
-        for _ in range(10):
-            m = random_complex(rng, 6)
-            h = adjoint(m) @ m
-            twice = matrix_function(matrix_function(h, np.sqrt), np.sqrt)
-            quarter = matrix_function(h, lambda x: x**0.25)
-            assert operator_norm(twice - quarter) <= 1e-10 * (1 + operator_norm(h))
-
-
 class TestAbsValue:
     def test_projection_fixed(self):
         p = as_matrix(0.5 * np.array([[1, 1], [1, 1]]))
@@ -458,3 +419,26 @@ class TestPsdPower:
             assert factorizations["eigh"] == 1
             for p, got in zip(powers, stack):
                 np.testing.assert_array_equal(got, psd_power(m, p))
+
+    def test_sqrt_diagonal(self):
+        out = psd_power(np.diag([4.0, 9.0]).astype(complex), 0.5)
+        np.testing.assert_allclose(out, np.diag([2.0, 3.0]), atol=1e-14)
+
+    def test_sqrt_of_gram(self):
+        q = as_matrix([[1.0, 1.0], [0.0, 0.0]])
+        out = psd_power(q @ adjoint(q), 0.5)
+        np.testing.assert_allclose(out, np.diag([RT2, 0.0]), atol=1e-14)
+
+    def test_sqrt_composes_to_fourth_root(self):
+        # on a rank-deficient Gram matrix (a column of M repeated) the
+        # round-off eigenvalues must be cut, not taken to a fractional power
+        rng = np.random.default_rng(5)
+        for _ in range(10):
+            m = random_complex(rng, 6)
+            deficient = m.copy()
+            deficient[:, 0] = deficient[:, 1]
+            for x in (m, deficient):
+                h = adjoint(x) @ x
+                twice = psd_power(psd_power(h, 0.5), 0.5)
+                quarter = psd_power(h, 0.25)
+                assert operator_norm(twice - quarter) <= 1e-10 * (1 + operator_norm(h))

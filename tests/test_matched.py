@@ -294,7 +294,7 @@ class TestFactorizationCount:
     def test_factor_oracle_never_reads_the_svd(self):
         q = random_idempotent(8, 3, 2.0, 5)
         factor_oracle(q)
-        assert "svd" not in q._memo
+        assert "svd" not in vars(q)
 
     def test_oracles_share_one_record(self, factorizations):
         q = random_idempotent(8, 3, 2.0, 5)
@@ -335,16 +335,26 @@ class TestMemo:
             return (*q.svd, matched_projection(q).projection.matrix,
                     homotopy_witness(q).w, distance_report(q).d_matched)
 
+        def analysis():
+            return {**vars(q), **q._memo}
+
         before = [np.copy(x) for x in results()]
-        memo = dict(q._memo)
+        memo = analysis()
         bad = sabotaged(q)
         with pytest.raises(ValidationError):
             matched_projection(bad)
         with pytest.raises(ValidationError):
             homotopy_witness(bad)
-        assert q._memo.keys() == memo.keys()
-        assert all(q._memo[k] is v for k, v in memo.items())
+        assert analysis().keys() == memo.keys()
+        assert all(analysis()[k] is v for k, v in memo.items())
         assert all(np.array_equal(a, b) for a, b in zip(results(), before))
+
+    def test_pair_memoized_per_tolerance(self):
+        q = random_idempotent(8, 3, 2.0, 5)
+        pair = matched_projection(q)
+        assert matched_projection(q) is pair
+        assert matched_projection(q, Tolerances(check=1e-9)) is not pair
+        assert homotopy_witness(q).projection is pair.projection
 
     def test_core_keyed_on_tolerance(self):
         q = random_idempotent(8, 3, 2.0, 5)

@@ -72,3 +72,61 @@ def test_the_invariant_sees_each_spelling():
     for source in spellings + allowed:
         node = ast.parse(source, mode="eval").body
         assert (_exact_2_norm_outside_operator_norm(node) is not None) == (source in spellings), source
+
+
+def _hand_rolled_memo(node):
+    """Which memo name the node spells, "_memoized" or "_memo", if any.
+
+    A definition, call or reference of ``_memoized``, and an attribute read
+    of ``_memo``, also through ``getattr`` with the name as a constant.
+    """
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        name = node.name
+    elif isinstance(node, ast.Name):
+        name = node.id
+    elif isinstance(node, ast.Attribute):
+        name = node.attr
+    elif isinstance(node, ast.Call) and ast.unparse(node.func) == "getattr" and len(node.args) > 1:
+        name = node.args[1].value if isinstance(node.args[1], ast.Constant) else None
+    else:
+        return None
+    return name if name in ("_memoized", "_memo") else None
+
+
+def _memo_violations(filename, source):
+    # Q's values are cached_property attributes; values per tolerance go through
+    # idempotents.per_tolerance, the one reader of Q's _memo dict
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        spelled = _hand_rolled_memo(node)
+        if spelled == "_memoized" or (spelled == "_memo" and filename != "idempotents.py"):
+            found.append(f"{filename}:{node.lineno} {spelled}")
+    return found
+
+
+def test_one_memo_mechanism():
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert any(path.name == "idempotents.py" for path in sources)
+    found = [
+        v for path in sources for v in _memo_violations(path.name, path.read_text(encoding="utf-8"))
+    ]
+    assert not found, found
+
+
+def test_the_memo_invariant_sees_each_spelling():
+    spellings = {
+        "def _memoized(self, key, compute):\n    pass": "_memoized",
+        "q._memoized('svd', build)": "_memoized",
+        "_memoized(q, 'svd')": "_memoized",
+        "q._memo[key]": "_memo",
+        "key in q._memo": "_memo",
+        "getattr(q, '_memo')": "_memo",
+    }
+    allowed = ["q.memo", "vars(q)['svd']", "per_tolerance(build)", "q._memory", "getattr(q, name)"]
+    for source, name in spellings.items():
+        assert {_hand_rolled_memo(n) for n in ast.walk(ast.parse(source))} - {None} == {name}, source
+        assert _memo_violations("matched.py", source), source
+        # idempotents.py may read _memo, and nothing may use _memoized
+        assert bool(_memo_violations("idempotents.py", source)) == (name == "_memoized"), source
+    for source in allowed:
+        assert not _memo_violations("matched.py", source), source
