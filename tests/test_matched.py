@@ -29,6 +29,7 @@ from matchedproj import (
     homotopy_witness,
     homotopy_witness_block,
     is_quasi_projection_pair,
+    matched_distance,
     matched_projection,
     matched_projection_closed_form,
     matched_via_factor,
@@ -355,6 +356,17 @@ class TestMemo:
         assert matched_projection(q) is pair
         assert matched_projection(q, Tolerances(check=1e-9)) is not pair
         assert homotopy_witness(q).projection is pair.projection
+
+    def test_internal_reads_bypass_the_public_name(self, monkeypatch):
+        # the module reads m(Q) through matched._matched_pair, so a traced
+        # matched_projection counts callers' requests only
+        q = random_idempotent(8, 3, 2.0, 5)
+        calls = []
+        monkeypatch.setattr(matched_module, "matched_projection", lambda *args: calls.append(args))
+        homotopy_witness(q)
+        matched_distance(q)
+        homotopy_path(q, 3)
+        assert calls == []
 
     def test_core_keyed_on_tolerance(self):
         q = random_idempotent(8, 3, 2.0, 5)
