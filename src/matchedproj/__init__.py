@@ -78,7 +78,6 @@ from .norms import (
     DistanceReport,
     LipschitzBounds,
     MinimalityReport,
-    closed_form_distance,
     convergence_report,
     distance_report,
     kkm_distance,

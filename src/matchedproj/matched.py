@@ -30,8 +30,9 @@ T^dag and V; the block witness takes P_R(Q) from the same pencil:
 - the closed formula (1/2) (|Q*| + Q*) |Q*|^dag (|Q*| + I)^(-1) (|Q*| + Q)
   (``matched_projection_closed_form``);
 - T T^dag and V V* for T = |Q*| + Q* (``matched_via_factor``);
-- the 2x2 block construction over range(Q), which yields both m(Q) and W
-  (``homotopy_witness_block``).
+- the 2x2 closed form per principal angle over range(Q) + null(Q*), from
+  one SVD of Q's off-diagonal block in the pencil's basis, which yields
+  m(Q), W and W^(-1) (``homotopy_witness_block``).
 """
 
 from __future__ import annotations
@@ -294,9 +295,9 @@ def homotopy_witness(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> Similarity
     """(m(Q), W) with Q = W^(-1) m(Q) W and ||I - W|| < 1, from one SVD Q = U S V*.
 
     In the basis U, Q is [[I, Y], [0, 0]] with Y = S_r V_r* U_perp, and
-    (Y Y* + I)^(1/2) = S_r, so the block construction over range(Q) +
-    null(Q*) (``homotopy_witness_block``) becomes a closed form in the
-    singular values:
+    Y Y* = S_r^2 - I is already diagonal: Y's angles have b_i = s_i, so the
+    per-angle construction of ``homotopy_witness_block`` needs no rotation
+    of U_r and becomes a closed form in the singular values:
 
         W = U [[D, 0], [L, I]] U*,  D = S_r^(-1) / 2,  L = U_perp* V_r (I + S_r)^(-1) / 2,
 
@@ -399,45 +400,46 @@ def _certified_witness(
 
 
 def homotopy_witness_block(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> SimilarityWitness:
-    """Oracle: the 2x2 block construction of (m(Q), W) over range(Q) + null(Q*).
+    """Oracle: (m(Q), W) angle by angle over range(Q) + null(Q*), never from Q's SVD.
 
-    Built from the P_R(Q) of ``koliha_projections``, ``block_form`` and
-    ``psd_power``, never from the production SVD, so it also serves as an
-    m(Q) route in the verification battery.  Its inverse is a general
-    ``np.linalg.inv(W)``.  A projection input short-circuits to W = I.
+    The basis [U_1 | U_2] comes from the P_R(Q) of ``koliha_projections``
+    (``block_form``), where Q = [[I, A], [0, 0]].  One SVD A = G S H* with
+    k = min(r, n - r) angles s_i turns it into X = U_1 G and Y = U_2 H, in
+    which Q is a direct sum of the 2x2 blocks [[1, s_i], [0, 0]] on
+    (x_i, y_i), I on the r - k unpaired x_i and 0 on the rest of Y.  With
+    b_i = sqrt(1 + s_i^2), and s_i = 0 (so b_i = 1) on the unpaired x_i,
+    each block gives in closed form
+
+        m(Q) = [[b+1, s], [s, b-1]] / (2b) = z z*,  z = (cos, sin)(theta/2),  tan theta = s,
+        W = [[1/(2b), 0], [s/(2b(b+1)), 1]],  W^(-1) = [[2b, 0], [-s/(b+1), 1]],
+
+    so m(Q) = Z Z*, W = I + E X* and W^(-1) = I + F X*, each a diagonal
+    scaling of X and Y, with no inverse, solve or matrix square root.  A
+    projection input short-circuits to W = I.
     """
-    qm = q.matrix
+    qm, n = q.matrix, q.dim
     if is_projection(qm, tol):
-        return SimilarityWitness(as_projection(qm, tol), identity(q.dim), 0.0)
+        return SimilarityWitness(as_projection(qm, tol), identity(n), 0.0)
 
     form = block_form(qm, koliha_projections(q, tol)[0], tol)
     r = form.rank
-    if r == 0 or r == q.dim:
+    if r == 0 or r == n:
         raise ValidationError("idempotent is numerically trivial but not a projection")
-    a = form.blocks[1]
-    eye_r = np.eye(r, dtype=np.complex128)
-    b = psd_power(a @ adjoint(a) + eye_r, 0.5, tol)
-    b_inv = np.linalg.solve(b, eye_r)
-    bb1_inv = np.linalg.solve(b @ (b + eye_r), eye_r)
-
-    p_block = 0.5 * np.block(
-        [
-            [(b + eye_r) @ b_inv, b_inv @ a],
-            [adjoint(a) @ b_inv, adjoint(a) @ bb1_inv @ a],
-        ]
-    )
-    w_block = 0.5 * np.block(
-        [
-            [b_inv, np.zeros((r, q.dim - r))],
-            [adjoint(a) @ bb1_inv, 2.0 * np.eye(q.dim - r)],
-        ]
-    )
-    projection = as_projection(form.u @ p_block @ adjoint(form.u), tol)
-    w_mat = form.u @ w_block @ adjoint(form.u)
-    w_inv = np.linalg.inv(w_mat)
-    contraction = operator_norm(identity(q.dim) - w_mat)
+    g, s, hh = np.linalg.svd(form.blocks[1])
+    k = s.size
+    x = form.u[:, :r] @ g
+    # Y's first k columns, padded with zeros against the r - k unpaired x_i
+    y = np.hstack([form.u[:, r:] @ adjoint(hh[:k]), np.zeros((n, r - k))])
+    s = np.concatenate([s, np.zeros(r - k)])
+    b = np.sqrt(1.0 + s**2)
+    z = x * np.sqrt((b + 1.0) / (2.0 * b)) + y * (s / np.sqrt(2.0 * b * (b + 1.0)))
+    e = x * (0.5 / b - 1.0) + y * (s / (2.0 * b * (b + 1.0)))
+    f = x * (2.0 * b - 1.0) - y * (s / (b + 1.0))
+    projection = as_projection(z @ adjoint(z), tol)
+    w_mat = identity(n) + e @ adjoint(x)
+    w_inv = identity(n) + f @ adjoint(x)
     similar = w_inv @ projection.matrix @ w_mat
-    return _certified_witness(q, projection, w_mat, w_inv, contraction, similar, None, tol)
+    return _certified_witness(q, projection, w_mat, w_inv, operator_norm(e), similar, None, tol)
 
 
 def homotopy_path(
@@ -467,15 +469,6 @@ def _column_space_projector(m: np.ndarray, tol: Tolerances) -> np.ndarray:
     u, s, _ = np.linalg.svd(m)
     cols = u[:, : numerical_rank(s, m.shape[0], tol)]
     return cols @ adjoint(cols)
-
-
-def _orthonormal_bases(
-    usv: tuple[np.ndarray, np.ndarray, np.ndarray], tol: Tolerances
-) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal bases of the range and the null space of M = U S V*."""
-    u, s, vh = usv
-    r = numerical_rank(s, u.shape[0], tol)
-    return u[:, :r], adjoint(vh)[:, r:]
 
 
 def range_identities(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> list[Check]:
@@ -536,8 +529,12 @@ def range_identities(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> list[Check
         ),
     ]
 
-    range_m, null_m = _orthonormal_bases(np.linalg.svd(m), tol)
-    range_q, null_q = _orthonormal_bases(q.svd, tol)
+    u, s, vh = np.linalg.svd(m)
+    r = numerical_rank(s, q.dim, tol)
+    range_m, null_m = u[:, :r], adjoint(vh)[:, r:]
+    # Q's bases at its own rank, the cut at 1/2 of P_R(Q) and P_N(Q)
+    u, _, vh = q.svd
+    range_q, null_q = u[:, : q.rank], adjoint(vh)[:, q.rank :]
     for name, a, b in (
         ("range_mq_meets_null_q_trivially", range_m, null_q),
         ("null_mq_meets_range_q_trivially", null_m, range_q),

@@ -30,23 +30,13 @@ from .matched import matched_distance, matched_projection, qpp_holds
 from .report import Check, boolean_check
 
 
-def closed_form_distance(norm_q: float) -> float:
-    """||m(Q) - Q|| from ||Q|| alone: (||Q|| - 1 + sqrt(||Q||^2 - 1)) / 2.
-
-    Any nonzero idempotent has norm >= 1; values below 1 only occur for the
-    zero matrix (or round-off), where the distance is 0.
-    """
-    if norm_q <= 1.0:
-        return 0.0
-    return 0.5 * (norm_q - 1.0 + np.sqrt(norm_q**2 - 1.0))
-
-
 def offdiag_distance(nu: float) -> float:
     """||m(Q) - Q|| from nu = ``Idempotent.offdiag_norm``: (nu + nu^2 / (1 + sqrt(1 + nu^2))) / 2.
 
-    This is ``closed_form_distance(sqrt(1 + nu^2))`` with ||Q|| - 1 written
-    as nu^2 / (1 + sqrt(1 + nu^2)) and sqrt(||Q||^2 - 1) as nu, so a small
-    nu loses no digits to cancellation.
+    This is the paper's (||Q|| - 1 + sqrt(||Q||^2 - 1)) / 2 at
+    ||Q|| = sqrt(1 + nu^2), with ||Q|| - 1 written as
+    nu^2 / (1 + sqrt(1 + nu^2)) and sqrt(||Q||^2 - 1) as nu, so a small nu
+    loses no digits to cancellation.
     """
     return 0.5 * (nu + nu**2 / (1.0 + np.sqrt(1.0 + nu**2)))
 

@@ -20,6 +20,8 @@ from matchedproj import (
     all_passed,
     as_idempotent,
     as_projection,
+    block_form,
+    closed_form_p0,
     complement_of,
     distance_report,
     factor_oracle,
@@ -29,6 +31,7 @@ from matchedproj import (
     homotopy_witness,
     homotopy_witness_block,
     is_quasi_projection_pair,
+    koliha_projections,
     matched_distance,
     matched_projection,
     matched_projection_closed_form,
@@ -192,15 +195,44 @@ class TestProductionRoute:
 
 class TestWitnessRoute:
     def test_agrees_with_block_oracle(self):
-        for q in envelope_inputs((1e-10, 1e-4, 1.0, 1e2), every_rank=True):
+        for q in envelope_inputs((1e-10, 1e-4, 1.0, 1e2, 1e3, 1e4, 1e5), every_rank=True):
             wit, block = homotopy_witness(q), homotopy_witness_block(q)
             tol = route_tolerance(q)
             assert operator_norm(wit.projection.matrix - block.projection.matrix) <= tol
             assert operator_norm(wit.w - block.w) <= tol
 
+    def test_block_oracle_is_the_2x2_closed_form_per_angle(self):
+        # in the oracle's basis x_i = U_1 g_i, y_i = U_2 h_i, from A = G S H*,
+        # m(Q) is closed_form_p0(s_i) on each (x_i, y_i) and 1 on an unpaired x_i
+        for q in envelope_inputs((1e-4, 1.0, 1e2, 1e4), dims=(2, 3, 8), every_rank=True):
+            form = block_form(q.matrix, koliha_projections(q)[0])
+            r = form.rank
+            if r in (0, q.dim):
+                continue
+            g, s, hh = np.linalg.svd(form.blocks[1])
+            x, y = form.u[:, :r] @ g, form.u[:, r:] @ adjoint(hh)
+            m = homotopy_witness_block(q).projection.matrix
+            for i, sigma in enumerate(s):
+                basis = np.column_stack([x[:, i], y[:, i]])
+                block = adjoint(basis) @ m @ basis
+                assert np.abs(block - closed_form_p0(sigma).p0.matrix).max() <= 1e-12
+            unpaired = x[:, s.size :]
+            assert np.abs(m @ unpaired - unpaired).max(initial=0.0) <= 1e-12
+
+    def test_block_oracle_takes_no_solve_inverse_or_root(self, factorizations):
+        # with Koliha's pencil memoized: one eigh for the basis, one SVD of A
+        q = random_idempotent(12, 5, 2.0, 3)
+        koliha_projections(q)
+        factorizations.clear()
+        homotopy_witness_block(q)
+        assert factorizations["solve"] == 0, dict(factorizations)
+        assert factorizations["inv"] == 0, dict(factorizations)
+        assert factorizations["eigh"] <= 1, dict(factorizations)
+        assert factorizations["svd"] == 1, dict(factorizations)
+
     def test_path_certified_at_large_offdiag_norm(self):
-        # the block construction's m(Q) fails projection validation from
-        # ||A|| ~ 1e3 up; the SVD witness keeps the whole path certified
+        # at ||A|| up to 1e5 the SVD witness keeps the whole path certified,
+        # its ends within the route tolerance of m(Q) and of Q
         for q in envelope_inputs((1e3, 1e4, 1e5), dims=(4, 8, 16, 32)):
             path = homotopy_path(q, 11)
             assert len(path) == 11

@@ -10,7 +10,6 @@ from matchedproj import (
     as_idempotent,
     as_projection,
     canonical_idempotent,
-    closed_form_distance,
     convergence_report,
     distance_report,
     failures,
@@ -46,13 +45,21 @@ def random_stress_idempotent(rng, dim_max=8, nu_range=(-2, 1)):
     )
 
 
+def norm_form_distance(norm_q):
+    """The paper's ||m(Q) - Q|| = (||Q|| - 1 + sqrt(||Q||^2 - 1)) / 2; 0 for ||Q|| <= 1 (Q = 0)."""
+    norm_q = max(norm_q, 1.0)
+    return 0.5 * (norm_q - 1.0 + np.sqrt(norm_q**2 - 1.0))
+
+
 class TestClosedFormDistance:
+    # the ||Q|| form at ||Q|| = sqrt(1 + nu^2) against offdiag_distance(nu)
     def test_zero_for_projections(self):
-        assert closed_form_distance(0.0) == 0.0
-        assert closed_form_distance(1.0) == 0.0
+        assert norm_form_distance(0.0) == 0.0
+        assert norm_form_distance(1.0) == offdiag_distance(0.0) == 0.0
 
     def test_canonical_value(self):
-        assert closed_form_distance(RT2) == pytest.approx(RT2 / 2.0, abs=1e-15)
+        assert norm_form_distance(RT2) == pytest.approx(RT2 / 2.0, abs=1e-15)
+        assert offdiag_distance(1.0) == pytest.approx(norm_form_distance(RT2), abs=1e-15)
 
 
 class TestOffdiagDistance:
@@ -62,7 +69,7 @@ class TestOffdiagDistance:
 
     def test_is_the_norm_closed_form(self):
         for nu in (1e-2, 0.5, 3.0, 1e3):
-            expect = closed_form_distance(np.hypot(1.0, nu))
+            expect = norm_form_distance(np.hypot(1.0, nu))
             assert offdiag_distance(nu) == pytest.approx(expect, rel=1e-12)
 
     def test_no_cancellation_near_a_projection(self):

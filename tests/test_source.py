@@ -130,3 +130,49 @@ def test_the_memo_invariant_sees_each_spelling():
         assert bool(_memo_violations("idempotents.py", source)) == (name == "_memoized"), source
     for source in allowed:
         assert not _memo_violations("matched.py", source), source
+
+
+def _factored_inverse_or_block_assembly(node):
+    """What the node spells, if it names np.linalg.inv or np.block, or imports either from numpy."""
+    banned = ("np.linalg.inv", "np.block")
+    if isinstance(node, ast.Attribute) and ast.unparse(node) in banned:
+        return ast.unparse(node)
+    if isinstance(node, ast.ImportFrom) and node.module in ("numpy", "numpy.linalg"):
+        names = [alias.name for alias in node.names if alias.name in ("inv", "block")]
+        if names:
+            return f"from {node.module} import {names[0]}"
+    return None
+
+
+def test_matched_factors_no_inverse_and_assembles_no_blocks():
+    # both witnesses take W^(-1) in closed form, and the block oracle builds
+    # m(Q) and W angle by angle from diagonal scalings, not from n x n blocks
+    path = PACKAGE / "matched.py"
+    found = [
+        f"{path.name}:{node.lineno} {spelled}"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (spelled := _factored_inverse_or_block_assembly(node))
+    ]
+    assert not found, found
+
+
+def test_the_inverse_invariant_sees_each_spelling():
+    spellings = [
+        "np.linalg.inv(w)",
+        "w_inv = np.linalg.inv",
+        "np.block([[a, b], [c, d]])",
+        "from numpy.linalg import inv",
+        "from numpy import block",
+    ]
+    allowed = [
+        "np.linalg.pinv(w)",
+        "np.linalg.solve(a, b)",
+        "np.hstack([a, b])",
+        "block_form(q, p)",
+        "form.blocks[1]",
+        "w_inv = identity(n) + f @ adjoint(x)",
+        "from numpy.linalg import svd",
+    ]
+    for source in spellings + allowed:
+        spelled = {_factored_inverse_or_block_assembly(n) for n in ast.walk(ast.parse(source))} - {None}
+        assert bool(spelled) == (source in spellings), source
