@@ -37,7 +37,6 @@ from .idempotents import (
 )
 from .linalg import (
     DEFAULT_TOL,
-    HermitianEigen,
     Tolerances,
     abs_value,
     adjoint,

@@ -304,7 +304,3 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return E_USAGE
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -284,8 +284,8 @@ def random_idempotent(
     """
     if not 0 <= rank <= dim:
         raise BadRankError(f"rank {rank} outside [0, {dim}]")
-    if offdiag_norm < 0.0:
-        raise ValueError("offdiag_norm must be nonnegative")
+    if not 0.0 <= offdiag_norm < np.inf:
+        raise ValueError(f"offdiag_norm must be finite and nonnegative, not {offdiag_norm}")
     rng = np.random.default_rng(seed)
     base = np.zeros((dim, dim), dtype=np.complex128)
     base[:rank, :rank] = np.eye(rank)
@@ -327,9 +327,9 @@ class BlockForm:
 def block_form(t_mat: np.ndarray, p: Projection, tol: Tolerances = DEFAULT_TOL) -> BlockForm:
     """Block decomposition of T induced by a projection (eigenvalue-1 columns first)."""
     t_mat = as_matrix(t_mat)
-    eig = hermitian_eigen(p.matrix, tol)
-    ones = eig.eigenvalues > 0.5
-    u = np.hstack([eig.eigenvectors[:, ones], eig.eigenvectors[:, ~ones]])
+    lam, v = hermitian_eigen(p.matrix, tol)
+    ones = lam > 0.5
+    u = np.hstack([v[:, ones], v[:, ~ones]])
     r = int(np.count_nonzero(ones))
     x = adjoint(u) @ t_mat @ u
     form = BlockForm(u=u, rank=r, blocks=(x[:r, :r], x[:r, r:], x[r:, :r], x[r:, r:]))

@@ -147,18 +147,11 @@ def require_hermitian(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarra
     return (m + adjoint(m)) / 2.0
 
 
-@dataclass(frozen=True)
-class HermitianEigen:
-    """Eigendecomposition U diag(w) U* with real ascending eigenvalues."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def hermitian_eigen(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> HermitianEigen:
-    """Eigendecomposition of a Hermitian matrix (symmetrized before factoring)."""
-    w, v = np.linalg.eigh(require_hermitian(m, tol))
-    return HermitianEigen(w, v)
+def hermitian_eigen(
+    m: np.ndarray, tol: Tolerances = DEFAULT_TOL
+) -> tuple[np.ndarray, np.ndarray]:
+    """(w, U) with M = U diag(w) U*, w real ascending, of a Hermitian M (symmetrized first)."""
+    return np.linalg.eigh(require_hermitian(m, tol))
 
 
 def psd_power(
@@ -171,14 +164,12 @@ def psd_power(
     the cutoff is not optional here.  A sequence of k powers gives the k
     results, stacked, from one eigendecomposition.
     """
-    eig = hermitian_eigen(m, tol)
-    lam = eig.eigenvalues
+    lam, v = hermitian_eigen(m, tol)
     keep = lam > tol.rank_factor(m.shape[0]) * np.abs(lam).max()
     powers = np.asarray(power, dtype=np.float64)
     vals = np.zeros(powers.shape + lam.shape)
     for index, p in np.ndenumerate(powers):
         vals[index][keep] = lam[keep] ** float(p)
-    v = eig.eigenvectors
     return (v * vals[..., np.newaxis, :]) @ adjoint(v)
 
 

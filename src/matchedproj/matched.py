@@ -32,7 +32,10 @@ T^dag and V; the block witness takes P_R(Q) from the same pencil:
 - T T^dag and V V* for T = |Q*| + Q* (``matched_via_factor``);
 - the 2x2 closed form per principal angle over range(Q) + null(Q*), from
   one SVD of Q's off-diagonal block in the pencil's basis, which yields
-  m(Q), W and W^(-1) (``homotopy_witness_block``).
+  m(Q) and W (``homotopy_witness_block``).
+
+Both witnesses come in the factored form W = I + E X* and are certified
+by one function, ``_certified_witness``; only the certificate is shared.
 """
 
 from __future__ import annotations
@@ -247,29 +250,30 @@ def qpp_symmetry_closure(p: Projection, q: Idempotent, tol: Tolerances = DEFAULT
 class _Homotopy:
     """The rank-r form of Q(t) = W_t^(-1) m W_t, m = m(Q), derived in ``homotopy_path``.
 
-    ``d`` is the diagonal of D, ``g`` is G = m E U_r*, ``u_m`` is U_r* m and
-    ``u_g`` is U_r* G; r = 0 gives Q(t) = m.
+    For W = I + E X* (``_certified_witness``): ``d`` is the diagonal of D,
+    ``g`` is G = m E X*, ``x_m`` is X* m and ``x_g`` is X* G; r = 0 gives
+    Q(t) = m.
     """
 
     m: np.ndarray
     g: np.ndarray
     e: np.ndarray
     d: np.ndarray
-    u_m: np.ndarray
-    u_g: np.ndarray
+    x_m: np.ndarray
+    x_g: np.ndarray
 
     @classmethod
-    def of(cls, m: np.ndarray, e: np.ndarray, u_r: np.ndarray, d: np.ndarray) -> _Homotopy:
-        g = (m @ e) @ adjoint(u_r)
-        return cls(m, g, e, d, adjoint(u_r) @ m, adjoint(u_r) @ g)
+    def of(cls, m: np.ndarray, e: np.ndarray, x: np.ndarray, d: np.ndarray) -> _Homotopy:
+        g = (m @ e) @ adjoint(x)
+        return cls(m, g, e, d, adjoint(x) @ m, adjoint(x) @ g)
 
     def samples(self, t: np.ndarray) -> np.ndarray:
         """The (k, n, n) stack of Q(t) for the k values in ``t``."""
         (n, r), k = self.e.shape, t.size
         c = -t / (1.0 + np.multiply.outer(self.d - 1.0, t))
         # laid out (r, k, n), so that E times it is one product: update[i, j]
-        # is row i of C_t U_r* (m + t G) at t = t[j]
-        rows = self.u_m[:, np.newaxis] + t[:, np.newaxis] * self.u_g[:, np.newaxis]
+        # is row i of C_t X* (m + t G) at t = t[j]
+        rows = self.x_m[:, np.newaxis] + t[:, np.newaxis] * self.x_g[:, np.newaxis]
         update = c[:, :, np.newaxis] * rows
         out = np.multiply.outer(t, self.g) + self.m
         out += (self.e @ update.reshape(r, k * n)).reshape(n, k, n).transpose(1, 0, 2)
@@ -280,14 +284,31 @@ class _Homotopy:
 class SimilarityWitness:
     """m(Q) with an invertible W such that Q = W^(-1) m(Q) W and ||I - W|| < 1.
 
-    The production witness also keeps ``_homotopy``, the rank-r form of the
-    path that ``homotopy_path`` samples; an oracle's witness keeps None.
+    ``_homotopy`` is the rank-r form of the path from m(Q) to Q that
+    ``homotopy_path`` samples.
     """
 
     projection: Projection
     w: np.ndarray
     contraction_norm: float
-    _homotopy: _Homotopy | None = field(default=None, repr=False)
+    _homotopy: _Homotopy = field(repr=False)
+
+
+def _trivial_witness(q: Idempotent, tol: Tolerances) -> SimilarityWitness:
+    """The witness of a projection input: W = I and the constant path."""
+    p = as_projection(q.matrix, tol)
+    empty = np.zeros((q.dim, 0))
+    path = _Homotopy.of(p.matrix, empty, empty, np.zeros(0))
+    return SimilarityWitness(p, identity(q.dim), 0.0, path)
+
+
+def _nontrivial_rank(r: int, n: int) -> int:
+    """The rank r of a non-projection input, which must be neither 0 nor n."""
+    if r == 0 or r == n:
+        # a genuine idempotent with full or empty range is 0 or I and is a
+        # projection; reaching here means the input sits in the defect band
+        raise ValidationError("idempotent is numerically trivial but not a projection")
+    return r
 
 
 @per_tolerance
@@ -302,94 +323,70 @@ def homotopy_witness(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> Similarity
         W = U [[D, 0], [L, I]] U*,  D = S_r^(-1) / 2,  L = U_perp* V_r (I + S_r)^(-1) / 2,
 
     L being Y* (S_r (S_r + I))^(-1) / 2.  So W = I + E U_r* with the n x r
-    factor E = U_r (D - I) + U_perp L, and U_r* E = D - I.  The projection is
-    the certified m(Q) of the same SVD (``matched_projection``).
-
-    No inverse is factored.  For t in [0, 1], W_t = I + t E U_r* has the
-    Woodbury inverse X_t = I - t E Delta_t^(-1) U_r*, Delta_t = I + t (D - I)
-    diagonal with entries 1 - t + t / (2 s_i) >= 1 / (2 s_i) > 0, which
-    ``_certified_inverse`` certifies.  X_1 = W^(-1) and W enter the
-    similarity gate only through their norms: the similarity residual at
-    t = 1 is the sample of the rank-r form that ``homotopy_path`` draws from
-    (``_Homotopy``), and ||I - W|| = ||E|| is the 2-norm of an n x r matrix.
+    factor E = U_r (D - I) + U_perp L, and U_r* E = D - I, which
+    ``_certified_witness`` certifies with no inverse factored.  The
+    projection is the certified m(Q) of the same SVD (``matched_projection``).
 
     A projection input short-circuits to the trivial witness W = I.
     """
-    n = q.dim
     if is_projection(q.matrix, tol):
-        p = as_projection(q.matrix, tol)
-        trivial = _Homotopy.of(p.matrix, np.zeros((n, 0)), np.zeros((n, 0)), np.zeros(0))
-        return SimilarityWitness(p, identity(n), 0.0, trivial)
-
+        return _trivial_witness(q, tol)
     u, s, vh = q.svd
-    r = q.rank
-    if r == 0 or r == n:
-        # a genuine idempotent with full or empty range is 0 or I and was
-        # caught above; reaching here means the input sits in the defect band
-        raise ValidationError("idempotent is numerically trivial but not a projection")
+    r = _nontrivial_rank(q.rank, q.dim)
     s_r, u_r, u_perp = s[:r], u[:, :r], u[:, r:]
     d = 0.5 / s_r
     lower = 0.5 * (adjoint(u_perp) @ adjoint(vh[:r])) / (1.0 + s_r)
     e = u_r * (d - 1.0) + u_perp @ lower
-    projection = _matched_pair(q, tol).projection
-    contraction = operator_norm(e)
-    w_inv = _certified_inverse(e, u_r, d, contraction, tol)
-    path = _Homotopy.of(projection.matrix, e, u_r, d)
-    w_mat = identity(n) + e @ adjoint(u_r)
-    similar = path.samples(np.ones(1))[0]
-    return _certified_witness(q, projection, w_mat, w_inv, contraction, similar, path, tol)
-
-
-def _certified_inverse(
-    e: np.ndarray, u_r: np.ndarray, d: np.ndarray, norm_e: float, tol: Tolerances
-) -> np.ndarray:
-    """W^(-1) = I - E D^(-1) U_r* for W = I + E U_r*, certified for every W_t on the path.
-
-    Woodbury's inverse assumes U_r* E = D - I.  With the computed r x r
-    defect F = U_r* E - (D - I), which is zero in exact arithmetic,
-
-        X_t W_t - I = -t^2 E Delta_t^(-1) F U_r*,
-
-    and t^2 / (1 - t + t d_i) <= 1 / d_i on [0, 1], so
-    ||X_t W_t - I|| <= ||E|| ||D^(-1)|| ||F|| for every t.  The gate is
-    tol.check (1 + ||D^(-1)||), where ||D^(-1)|| = 2 ||Q|| <= ||W^(-1)|| ||W||:
-    the allowance the similarity gate gives any inverse, at its smallest.
-    ||E|| is the exact ``norm_e``; ||F|| is bounded by ``norm_bounds`` first
-    and taken exactly only when the bound cannot settle the gate.
-    """
-    d_inv = 1.0 / d
-    f = adjoint(u_r) @ e - np.diag(d - 1.0)
-    growth = norm_e * d_inv.max()
-    gate = tol.check * (1.0 + d_inv.max())
-    if growth * norm_bounds(f)[1] > gate:
-        bound = growth * operator_norm(f)
-        if bound > gate:
-            raise ValidationError(f"closed-form inverse defect {bound:.3e} exceeds {gate:.3e}")
-    return identity(e.shape[0]) - (e * d_inv) @ adjoint(u_r)
+    return _certified_witness(q, _matched_pair(q, tol).projection, u_r, e, d, tol)
 
 
 def _certified_witness(
     q: Idempotent,
     projection: Projection,
-    w_mat: np.ndarray,
-    w_inv: np.ndarray,
-    contraction: float,
-    similar: np.ndarray,
-    path: _Homotopy | None,
+    x: np.ndarray,
+    e: np.ndarray,
+    d: np.ndarray,
     tol: Tolerances,
 ) -> SimilarityWitness:
-    """Check ||I - W|| < 1 and W^(-1) P W = Q, then package the witness.
+    """Certify W = I + E X* as a witness of Q = W^(-1) P W, P = ``projection``.
 
-    The caller gives W, its inverse, ``contraction`` = ||I - W||,
-    ``similar``, its computed W^(-1) P W, and the path the witness keeps.
-    The similarity gate
-    ||W^(-1) P W - Q|| <= tol.check (1 + ||W^(-1)|| ||W||) accepts from
-    ``norm_bounds`` (upper bound on the left, lower bounds on the right) and
-    otherwise takes all three norms exactly.
+    X is n x r with orthonormal columns and X* E = D - I in exact
+    arithmetic, D diagonal with entries ``d`` in (0, 1/2].  For t in [0, 1],
+    W_t = I + t E X* then has the Woodbury inverse X_t = I - t E Delta_t^(-1) X*,
+    Delta_t = I + t (D - I) diagonal with entries 1 - t + t d_i >= d_i > 0.
+    Three gates, in this order:
+
+    - the inverse: with the computed r x r defect F = X* E - (D - I),
+      X_t W_t - I = -t^2 E Delta_t^(-1) F X*, and t^2 / (1 - t + t d_i)
+      <= 1 / d_i on [0, 1], so ||X_t W_t - I|| <= ||E|| ||D^(-1)|| ||F|| for
+      every t.  The gate is tol.check (1 + ||D^(-1)||), where ||D^(-1)||
+      = 2 ||Q|| <= ||W^(-1)|| ||W||: the allowance the similarity gate gives
+      any inverse, at its smallest;
+    - the contraction ||I - W|| = ||E|| < 1, the exact 2-norm of an n x r matrix;
+    - the similarity ||W^(-1) P W - Q|| <= tol.check (1 + ||W^(-1)|| ||W||),
+      with W^(-1) P W the t = 1 sample of the path the witness keeps
+      (``_Homotopy``).
+
+    ||F|| and the similarity norms are bounded by ``norm_bounds`` first (upper
+    bounds on the left, lower bounds on the right) and taken exactly only
+    when the bounds cannot settle a gate.
     """
+    n = q.dim
+    contraction = operator_norm(e)
+    d_inv = 1.0 / d
+    f = adjoint(x) @ e - np.diag(d - 1.0)
+    growth = contraction * d_inv.max()
+    gate = tol.check * (1.0 + d_inv.max())
+    if growth * norm_bounds(f)[1] > gate:
+        bound = growth * operator_norm(f)
+        if bound > gate:
+            raise ValidationError(f"closed-form inverse defect {bound:.3e} exceeds {gate:.3e}")
     if contraction >= 1.0:
         raise ValidationError(f"witness contraction norm {contraction:.6f} not < 1")
-    diff = similar - q.matrix
+    w_inv = identity(n) - (e * d_inv) @ adjoint(x)
+    w_mat = identity(n) + e @ adjoint(x)
+    path = _Homotopy.of(projection.matrix, e, x, d)
+    diff = path.samples(np.ones(1))[0] - q.matrix
     fast = tol.check * (1.0 + norm_bounds(w_inv)[0] * norm_bounds(w_mat)[0])
     if norm_bounds(diff)[1] > fast:
         residual = operator_norm(diff)
@@ -411,20 +408,18 @@ def homotopy_witness_block(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> Simi
     each block gives in closed form
 
         m(Q) = [[b+1, s], [s, b-1]] / (2b) = z z*,  z = (cos, sin)(theta/2),  tan theta = s,
-        W = [[1/(2b), 0], [s/(2b(b+1)), 1]],  W^(-1) = [[2b, 0], [-s/(b+1), 1]],
+        W = [[1/(2b), 0], [s/(2b(b+1)), 1]],
 
-    so m(Q) = Z Z*, W = I + E X* and W^(-1) = I + F X*, each a diagonal
-    scaling of X and Y, with no inverse, solve or matrix square root.  A
-    projection input short-circuits to W = I.
+    so m(Q) = Z Z* and W = I + E X* with X* E = D - I, D = diag(1/(2b)),
+    each a diagonal scaling of X and Y, with no inverse, solve or matrix
+    square root.  W is certified by ``_certified_witness``, as the
+    production witness is.  A projection input short-circuits to W = I.
     """
     qm, n = q.matrix, q.dim
     if is_projection(qm, tol):
-        return SimilarityWitness(as_projection(qm, tol), identity(n), 0.0)
-
+        return _trivial_witness(q, tol)
     form = block_form(qm, koliha_projections(q, tol)[0], tol)
-    r = form.rank
-    if r == 0 or r == n:
-        raise ValidationError("idempotent is numerically trivial but not a projection")
+    r = _nontrivial_rank(form.rank, n)
     g, s, hh = np.linalg.svd(form.blocks[1])
     k = s.size
     x = form.u[:, :r] @ g
@@ -433,13 +428,9 @@ def homotopy_witness_block(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> Simi
     s = np.concatenate([s, np.zeros(r - k)])
     b = np.sqrt(1.0 + s**2)
     z = x * np.sqrt((b + 1.0) / (2.0 * b)) + y * (s / np.sqrt(2.0 * b * (b + 1.0)))
-    e = x * (0.5 / b - 1.0) + y * (s / (2.0 * b * (b + 1.0)))
-    f = x * (2.0 * b - 1.0) - y * (s / (b + 1.0))
-    projection = as_projection(z @ adjoint(z), tol)
-    w_mat = identity(n) + e @ adjoint(x)
-    w_inv = identity(n) + f @ adjoint(x)
-    similar = w_inv @ projection.matrix @ w_mat
-    return _certified_witness(q, projection, w_mat, w_inv, operator_norm(e), similar, None, tol)
+    d = 0.5 / b
+    e = x * (d - 1.0) + y * (s / (2.0 * b * (b + 1.0)))
+    return _certified_witness(q, as_projection(z @ adjoint(z), tol), x, e, d, tol)
 
 
 def homotopy_path(

@@ -1,6 +1,9 @@
 """Tests for the command-line front end: exit codes, files, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -191,6 +194,12 @@ class TestGenerate:
     def test_offdiag_cap(self, tmp_path):
         assert run("generate", "--dim", 4, "--rank", 2, "--offdiag-norm", 1e4,
                    "--output", tmp_path / "x.json") == 2
+
+    def test_nan_offdiag_norm_is_usage_error(self, tmp_path):
+        out = tmp_path / "x.json"
+        assert run("generate", "--dim", 4, "--rank", 2, "--offdiag-norm", "nan",
+                   "--output", out) == 2
+        assert not out.exists()
 
 
 class TestAnalyze:
@@ -387,6 +396,19 @@ class TestMin2x2:
 
 
 class TestVerify:
+    @pytest.mark.parametrize(
+        "flags, code, last_line",
+        [((), 0, "all checks passed"), (("--sabotage",), 1, "FIRST FAILURE")],
+    )
+    def test_runs_as_a_module(self, flags, code, last_line):
+        # python -m matchedproj from a source checkout, without the console script
+        src = Path(cli.__file__).parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        argv = [sys.executable, "-m", "matchedproj", "verify", "--trials", "1", "--dim-max", "4"]
+        done = subprocess.run([*argv, *flags], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == code, done.stderr
+        assert done.stdout.splitlines()[-1].startswith(last_line)
+
     def test_zero_trials_vacuous_pass(self):
         assert run("verify", "--trials", 0) == 0
 

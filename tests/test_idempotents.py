@@ -408,6 +408,13 @@ class TestRandomIdempotent:
         with pytest.raises(ValueError):
             random_idempotent(4, 2, -1.0, 0)
 
+    @pytest.mark.parametrize("nu", [np.nan, np.inf])
+    def test_non_finite_offdiag_norm(self, nu):
+        # NaN compares false with everything, so a sign test alone lets it
+        # through and returns the projection of an empty off-diagonal block
+        with pytest.raises(ValueError, match="finite"):
+            random_idempotent(4, 2, nu, 1)
+
     def test_projection_bad_rank(self):
         with pytest.raises(BadRankError):
             random_projection(4, 5, 0)

@@ -229,6 +229,17 @@ class TestWitnessRoute:
         assert factorizations["inv"] == 0, dict(factorizations)
         assert factorizations["eigh"] <= 1, dict(factorizations)
         assert factorizations["svd"] == 1, dict(factorizations)
+        # the shared certificate adds no exact 2-norm on clean input
+        assert factorizations["svdvals"] <= 3, dict(factorizations)
+
+    def test_block_oracle_carries_its_path(self):
+        # the certificate both witnesses share keeps the rank-r path: it
+        # starts at the oracle's own m(Q) and ends at Q
+        for q in envelope_inputs((1e-4, 1.0, 1e2, 1e4), dims=(2, 3, 8), every_rank=True):
+            wit = homotopy_witness_block(q)
+            start, end = wit._homotopy.samples(np.array([0.0, 1.0]))
+            np.testing.assert_array_equal(start, wit.projection.matrix)
+            assert operator_norm(end - q.matrix) <= route_tolerance(q)
 
     def test_path_certified_at_large_offdiag_norm(self):
         # at ||A|| up to 1e5 the SVD witness keeps the whole path certified,
@@ -675,11 +686,11 @@ class TestHomotopy:
         u_r, u_perp = u[:, :r], u[:, r:]
         d = 0.5 / s[:r]
         e = u_r * (d - 1.0) + u_perp @ (0.5 * (adjoint(u_perp) @ adjoint(vh[:r])) / (1.0 + s[:r]))
-        w_inv = matched_module._certified_inverse(e, u_r, d, operator_norm(e), DEFAULT_TOL)
-        np.testing.assert_allclose(w_inv @ homotopy_witness(q).w, np.eye(8), atol=1e-13)
-        bad = e + 1e-3 * u_r
+        p = matched_projection(q).projection
+        clean = matched_module._certified_witness(q, p, u_r, e, d, DEFAULT_TOL)
+        np.testing.assert_array_equal(clean.w, homotopy_witness(q).w)
         with pytest.raises(ValidationError, match="inverse defect"):
-            matched_module._certified_inverse(bad, u_r, d, operator_norm(bad), DEFAULT_TOL)
+            matched_module._certified_witness(q, p, u_r, e + 1e-3 * u_r, d, DEFAULT_TOL)
 
     def test_path_rejects_bad_sample_count(self):
         with pytest.raises(ValueError):
