@@ -152,8 +152,8 @@ def _core_kernels(report: BatteryReport, rng, dim, tol, context):
         )
 
     h = adjoint(m) @ m
-    twice = psd_power(psd_power(h, 0.5, tol), 0.5, tol)
-    quarter = psd_power(h, 0.25, tol)
+    root, quarter = psd_power(h, [0.5, 0.25], tol)
+    twice = psd_power(root, 0.5, tol)
     report.tally("sqrt-composition").record(
         operator_norm(twice - quarter) <= scale, context
     )

@@ -11,13 +11,13 @@ from .idempotents import (
     Idempotent,
     Projection,
     as_idempotent,
+    complement_of,
     null_projection,
     range_projection,
 )
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
-    abs_value,
     adjoint,
     identity,
     norm_at_most,
@@ -93,7 +93,7 @@ def distance_report(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> DistanceRep
     d_range = operator_norm(range_projection(q, tol).matrix - qm)
     d_null = operator_norm(null_projection(q, tol).matrix - qm)
 
-    v_sim = 0.5 * (q.abs_q + abs_value(eye - qm) + eye)
+    v_sim = 0.5 * (q.abs_q + complement_of(q, tol).abs_q + eye)
 
     cross_range = m @ (eye - qm) @ m
     cross_null = (eye - m) @ qm @ (eye - m)

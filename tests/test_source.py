@@ -176,3 +176,44 @@ def test_the_inverse_invariant_sees_each_spelling():
     for source in spellings + allowed:
         spelled = {_factored_inverse_or_block_assembly(n) for n in ast.walk(ast.parse(source))} - {None}
         assert bool(spelled) == (source in spellings), source
+
+
+def _regex_or_placeholder(node):
+    """What the node spells, if it imports ``re``, names a placeholder or holds a NUL string."""
+    if isinstance(node, ast.Import) and any(alias.name == "re" for alias in node.names):
+        return "import re"
+    if isinstance(node, ast.ImportFrom) and node.module == "re":
+        return "from re import"
+    name = getattr(node, "id", None) or getattr(node, "name", None)
+    if isinstance(name, str) and ("PLACEHOLDER" in name.upper() or "PLACED" in name.upper()):
+        return name
+    if isinstance(node, ast.Constant) and isinstance(node.value, str) and "\x00" in node.value:
+        return "NUL string"
+    return None
+
+
+def test_matrixio_encodes_without_placeholders():
+    # dumps writes each matrix in place in one walk: no placeholder string
+    # spliced back into json's output with a regex
+    path = PACKAGE / "matrixio.py"
+    found = [
+        f"{path.name}:{node.lineno} {spelled}"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (spelled := _regex_or_placeholder(node))
+    ]
+    assert not found, found
+
+
+def test_the_placeholder_invariant_sees_each_spelling():
+    spellings = [
+        "import re",
+        "import json, re",
+        "from re import compile",
+        '_PLACEHOLDER = "m{}"',
+        "def _placed(m):\n    pass",
+        'text.replace("\\x00matrix0", "")',
+    ]
+    allowed = ["import json", "from pathlib import Path", "_render(m, indent)", 'json.dumps("matrix")']
+    for source in spellings + allowed:
+        spelled = {_regex_or_placeholder(n) for n in ast.walk(ast.parse(source))} - {None}
+        assert bool(spelled) == (source in spellings), source
