@@ -46,6 +46,7 @@ from .linalg import (
     moore_penrose,
     norm_at_most,
     norm_bounds,
+    norm_bracket,
     numerical_rank,
     operator_norm,
     psd_order,

@@ -3,7 +3,8 @@
 Each named check exercises one family of identities on fresh seeded inputs.
 Per-trial seeds are derived as ``seed XOR trial`` so results are independent
 of execution order; a check failure records the (check, seed, dim) triple
-that broke it.
+that broke it.  Trial 0 of a battery at seed S is the trial with seed S, so
+``run_battery(dim_max, 1, S)`` replays the trial that had seed S.
 """
 
 from __future__ import annotations
@@ -73,22 +74,40 @@ from .two_by_two import (
 EXPONENT_GRID = [2**k for k in range(11)]
 
 
+@dataclass(frozen=True)
+class Trial:
+    """The context of a record made in a trial: its seed and dimension."""
+
+    seed: int
+    dim: int
+
+    def __str__(self) -> str:
+        return f"(seed={self.seed}, dim={self.dim})"
+
+
 @dataclass
 class CheckTally:
-    """Pass/fail counts for one named check across all trials."""
+    """Pass/fail counts for one named check across all trials.
+
+    ``first_seed`` is the seed of the trial that failed first, None while
+    nothing failed or when a one-shot check (context a plain label) did.
+    """
 
     name: str
     passed: int = 0
     failed: int = 0
     first_failure: str | None = None
+    first_seed: int | None = None
 
-    def record(self, ok: bool, context: str, detail: str = ""):
+    def record(self, ok: bool, context: Trial | str, detail: str = ""):
         if ok:
             self.passed += 1
         else:
             self.failed += 1
             if self.first_failure is None:
                 self.first_failure = f"{context} {detail}".strip()
+                if isinstance(context, Trial):
+                    self.first_seed = context.seed
 
 
 @dataclass
@@ -103,21 +122,23 @@ class BatteryReport:
     def all_passed(self) -> bool:
         return all(t.failed == 0 for t in self.tallies.values())
 
+    def first_failing(self) -> CheckTally | None:
+        """The first tally, in the order the checks first ran, that recorded a failure."""
+        return next((t for t in self.tallies.values() if t.failed), None)
+
     def first_failure(self) -> str | None:
-        for t in self.tallies.values():
-            if t.first_failure is not None:
-                return f"{t.name}: {t.first_failure}"
-        return None
+        t = self.first_failing()
+        return None if t is None else f"{t.name}: {t.first_failure}"
 
 
 def _complex_gaussian(rng: np.random.Generator, dim: int) -> np.ndarray:
     return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
 
 
-def _record_checks(report: BatteryReport, prefix: str, checks: list[Check], context: str):
+def _record_checks(report: BatteryReport, prefix: str, checks: list[Check], context: Trial | str):
     for c in checks:
         report.tally(f"{prefix}:{c.name}").record(
-            c.passed, context, f"residual={c.residual:.3e} tol={c.tolerance:.3e}"
+            c.passed, context, f"{c.describe()} tol={c.tolerance:.3e}"
         )
 
 
@@ -500,7 +521,7 @@ def run_battery(
         dim = int(rng.integers(2, max(dim_max, 2) + 1))
         rank = int(rng.integers(1, dim))
         nu = float(10.0 ** rng.uniform(-2.0, 1.0))
-        context = f"(seed={trial_seed}, dim={dim})"
+        context = Trial(trial_seed, dim)
         try:
             q = random_idempotent(dim, rank, nu, int(rng.integers(2**32)), tol)
             if sabotage:

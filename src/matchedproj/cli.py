@@ -21,7 +21,7 @@ from .idempotents import (
     random_idempotent,
     range_projection,
 )
-from .linalg import DEFAULT_TOL, Tolerances, operator_norm
+from .linalg import DEFAULT_TOL, Tolerances, norm_bracket
 from .matched import (
     QppVerdict,
     homotopy_path,
@@ -32,7 +32,7 @@ from .matched import (
 )
 from .matrixio import dumps, load_matrix, save_matrix
 from .norms import distance_report
-from .report import Check, all_passed, boolean_check, failures
+from .report import Check, all_passed, boolean_check, bracket_check, failures, norm_check
 from .two_by_two import canonical_idempotent, closed_form_p0, grid_minimize
 
 E_OK, E_MATH, E_USAGE = 0, 1, 2
@@ -50,12 +50,12 @@ def _verdict_to_obj(v: QppVerdict) -> dict:
     return {
         "holds": bool(v.holds),
         "gate": float(v.gate),
-        "residuals": {k: float(r) for k, r in v.residuals.items()},
+        "residual_brackets": {k: [float(lo), float(up)] for k, (lo, up) in v.residuals.items()},
     }
 
 
-def _load_idempotent(path: str, tol: Tolerances) -> Idempotent:
-    return as_idempotent(load_matrix(path), tol)
+def _load_idempotent(path: str, tol: Tolerances, digest=None) -> Idempotent:
+    return as_idempotent(load_matrix(path, digest), tol)
 
 
 def _write(path: str | None, text: str) -> None:
@@ -65,13 +65,13 @@ def _write(path: str | None, text: str) -> None:
 
 def cmd_analyze(args) -> int:
     tol = _tolerances(args)
+    digest = hashlib.sha256()
     try:
-        q = _load_idempotent(args.input, tol)
+        q = _load_idempotent(args.input, tol, digest)
     except MatchedProjectionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return E_USAGE
 
-    digest = hashlib.sha256(Path(args.input).read_bytes()).hexdigest()
     try:
         pair = matched_projection(q, tol)
         m = pair.projection.matrix
@@ -79,18 +79,18 @@ def cmd_analyze(args) -> int:
         checks = list(rep.checks) + range_identities(q, tol)
 
         # an oracle that cannot certify its own inputs fails its checks, not the report
+        oracle_gate = 10 * tol.check
         try:
             tt, vv = matched_via_factor(q, tol)
-            factor_gaps = operator_norm(m - tt), operator_norm(m - vv)
+            factor_gaps = norm_bracket(m - tt, oracle_gate), norm_bracket(m - vv, oracle_gate)
         except MatchedProjectionError as exc:
             print(f"check failed: factor oracle: {exc}", file=sys.stderr)
-            factor_gaps = math.inf, math.inf
+            factor_gaps = (math.inf, math.inf), (math.inf, math.inf)
+        checks.append(bracket_check("matched_equals_tt_factor", factor_gaps[0], oracle_gate))
+        checks.append(bracket_check("matched_equals_vv_factor", factor_gaps[1], oracle_gate))
         qpp_matched = is_quasi_projection_pair(pair.projection, q, tol)
-        scale = tol.check * (1.0 + q.norm)
-        checks.append(Check("matched_equals_tt_factor", factor_gaps[0], 10 * tol.check))
-        checks.append(Check("matched_equals_vv_factor", factor_gaps[1], 10 * tol.check))
         reflection = qpp_matched.residuals["adjoint_reflection"]
-        checks.append(Check("matched_reflection_identity", reflection, scale))
+        checks.append(bracket_check("matched_reflection_identity", reflection, qpp_matched.gate))
 
         qpp_range = is_quasi_projection_pair(range_projection(q, tol), q, tol)
         qpp_null = is_quasi_projection_pair(null_projection(q, tol), q, tol)
@@ -101,7 +101,7 @@ def cmd_analyze(args) -> int:
 
     ok = all_passed(checks)
     report = {
-        "input": {"path": args.input, "sha256": digest, "dim": q.dim},
+        "input": {"path": args.input, "sha256": digest.hexdigest(), "dim": q.dim},
         "tolerances": {"check": tol.check, "psd": tol.psd, "rank": tol.rank},
         "idempotent_defect": q.defect,
         "matched_projection": m,
@@ -131,7 +131,7 @@ def cmd_analyze(args) -> int:
     bad = failures(checks)
     print(f"checks: {len(checks) - len(bad)}/{len(checks)} passed")
     for c in bad:
-        print(f"  FAIL {c.name}: residual {c.residual:.3e} > {c.tolerance:.3e}")
+        print(f"  FAIL {c.name}: {c.describe()} > {c.tolerance:.3e}")
     return E_OK if ok else E_MATH
 
 
@@ -185,10 +185,8 @@ def cmd_min2x2(args) -> int:
         print(f"check failed: {exc}", file=sys.stderr)
         return E_MATH
     checks = list(gm.checks)
-    route_gap = operator_norm(problem.p0.matrix - pair.projection.matrix)
-    checks.append(
-        Check("closed_form_is_matched", route_gap, 10 * tol.check * (1.0 + abs(a)))
-    )
+    route_gap = problem.p0.matrix - pair.projection.matrix
+    checks.append(norm_check("closed_form_is_matched", route_gap, 10 * tol.check * (1.0 + abs(a))))
     ok = all_passed(checks)
     record = {
         "a": [a.real, a.imag],
@@ -214,7 +212,7 @@ def cmd_min2x2(args) -> int:
         f"closed form {gm.optimum:.9f}, gap {gm.gap:.3e}"
     )
     for c in failures(checks):
-        print(f"  FAIL {c.name}: residual {c.residual:.3e} > {c.tolerance:.3e}")
+        print(f"  FAIL {c.name}: {c.describe()} > {c.tolerance:.3e}")
     return E_OK if ok else E_MATH
 
 
@@ -232,7 +230,24 @@ def cmd_verify(args) -> int:
         print(f"all checks passed over {args.trials} trials")
         return E_OK
     print(f"FIRST FAILURE: {report.first_failure()}")
+    print(f"reproduce: {_reproduction(args, report.first_failing().first_seed)}")
     return E_MATH
+
+
+def _reproduction(args, trial_seed: int | None) -> str:
+    """The verify command that replays one trial: trial 0 at seed S is the trial with seed S.
+
+    A one-shot check (no trial seed) fails again in any one-trial run.
+    """
+    seed = args.seed if trial_seed is None else trial_seed
+    words = ["python -m matchedproj verify --trials 1", f"--seed {seed}", f"--dim-max {args.dim_max}"]
+    if args.sabotage:
+        words.append("--sabotage")
+    if args.tol_check != DEFAULT_TOL.check:
+        words.append(f"--tol-check {args.tol_check!r}")
+    if args.tol_rank is not None:
+        words.append(f"--tol-rank {args.tol_rank!r}")
+    return " ".join(words)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -3,16 +3,21 @@
 Operator norms come in two kinds.  ``operator_norm`` is the exact 2-norm, the
 first value of a singular-values-only SVD, ``np.linalg.svd(m,
 compute_uv=False)`` (a (k, n, n) stack gives the k norms); it is taken
-wherever a number is reported or read: every ``Check`` residual and
-distance, quasi-projection-pair residuals, idempotency and projection
-defects (on first read), contraction norms, convergence tables and the
-battery's tallies.  A pass/fail gate whose number is never reported decides
-from ``norm_bounds`` first, two O(n^2) bounds (Frobenius norm above, largest
-column norm below), and takes the exact norm only when they cannot settle
-it: ``norm_at_most``, ``require_hermitian``, the certificates of
-``idempotents.as_idempotent(s)`` and ``as_projection`` (``is_projection``),
-``matched.qpp_holds``, the witness projection short-circuit, its closed-form
-inverse certificate and its similarity gate.
+wherever a number is read as a value: distances and every norm compared with
+a closed form, idempotency and projection defects (on first read),
+contraction norms, convergence tables and the battery's tallies.  A norm
+whose only use is a pass/fail against a gate decides from ``norm_bounds``
+first, two O(n^2) bounds (Frobenius norm above, largest column norm below),
+and takes the exact norm only when they cannot settle it.  ``norm_bracket``
+returns the bounds, or the exact norm twice, and ``norm_at_most`` its
+verdict.  A check reports such a residual as that bracket (``report.Check``
+with a ``lower`` end): the quasi-projection-pair residuals, the range and
+kernel identities, the similarity and defect-operator identities of the
+distance report and ``analyze``'s oracle comparisons.  Gates whose number is
+never reported decide the same way: ``require_hermitian``, the certificates
+of ``idempotents.as_idempotent(s)`` and ``as_projection``
+(``is_projection``), ``matched.qpp_holds``, the witness projection
+short-circuit, its closed-form inverse certificate and its similarity gate.
 """
 
 from __future__ import annotations
@@ -118,18 +123,26 @@ def norm_bounds(m: np.ndarray) -> tuple[float, float]:
     return lower * (1.0 - slack), upper * (1.0 + slack)
 
 
-def norm_at_most(m: np.ndarray, bound: float) -> bool:
-    """Whether ``operator_norm(m) <= bound``, taking the 2-norm only if ``norm_bounds`` cannot tell.
+def norm_bracket(m: np.ndarray, gate: float) -> tuple[float, float]:
+    """(lower, upper) around ``operator_norm(m)``, narrow enough to decide ``||m|| <= gate``.
 
-    An answer from the bounds is the one the exact comparison gives; near
-    the bound (within the bounds' gap and slack) the exact norm decides.
+    ``norm_bounds(m)`` when they settle the comparison either way (upper <=
+    gate, or gate < lower with a finite upper); otherwise, when they straddle
+    the gate or the squares overflow, the exact norm, as the pair (exact,
+    exact).  So ``upper <= gate`` is the answer the exact comparison gives,
+    and the exact norm is taken only near the gate (within the bounds' gap
+    and slack).
     """
     lower, upper = norm_bounds(m)
-    if upper <= bound:
-        return True
-    if lower > bound:
-        return False
-    return operator_norm(m) <= bound
+    if upper <= gate or gate < lower <= upper < math.inf:
+        return lower, upper
+    exact = operator_norm(m)
+    return exact, exact
+
+
+def norm_at_most(m: np.ndarray, bound: float) -> bool:
+    """Whether ``operator_norm(m) <= bound``, decided by ``norm_bracket``."""
+    return norm_bracket(m, bound)[1] <= bound
 
 
 def require_hermitian(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

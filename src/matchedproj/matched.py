@@ -74,13 +74,14 @@ from .linalg import (
     moore_penrose,
     norm_at_most,
     norm_bounds,
+    norm_bracket,
     numerical_rank,
     operator_norm,
     psd_order,
     psd_power,
     require_hermitian,
 )
-from .report import Check, boolean_check
+from .report import Check, boolean_check, norm_check
 
 # Gate on the gap between two orthoprojectors for "these subspaces are equal".
 SUBSPACE_TOL = 1e-8
@@ -175,24 +176,28 @@ def matched_via_factor(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> tuple[np
 
 @dataclass(frozen=True)
 class QppVerdict:
-    """Residuals of the five quasi-projection-pair conditions for (P, Q)."""
+    """The five quasi-projection-pair conditions for (P, Q), each residual a ``norm_bracket``.
+
+    ``residuals`` maps each condition to (lower, upper) around its residual
+    norm; a condition holds when upper <= ``gate``, the exact decision.
+    """
 
     holds: bool
-    residuals: dict[str, float]
+    residuals: dict[str, tuple[float, float]]
     gate: float
 
     @property
     def blocks_hold(self) -> bool:
         names = ("block_range", "block_cross", "block_null")
-        return all(self.residuals[n] <= self.gate for n in names)
+        return all(self.residuals[n][1] <= self.gate for n in names)
 
     @property
     def reflection_holds(self) -> bool:
-        return self.residuals["adjoint_reflection"] <= self.gate
+        return self.residuals["adjoint_reflection"][1] <= self.gate
 
     @property
     def abs_reflection_holds(self) -> bool:
-        return self.residuals["abs_reflection"] <= self.gate
+        return self.residuals["abs_reflection"][1] <= self.gate
 
 
 def _qpp_matrices(p: Projection, q: Idempotent) -> Iterator[tuple[str, np.ndarray]]:
@@ -213,13 +218,13 @@ def is_quasi_projection_pair(
 ) -> QppVerdict:
     """Test the three block conditions plus both reflection characterizations.
 
-    Every residual is an exact 2-norm; ``qpp_holds`` gives ``holds`` alone
-    for less.
+    Every residual is a ``norm_bracket`` at the gate, exact only where its
+    bounds straddle it; ``qpp_holds`` gives ``holds`` alone for less.
     """
-    residuals = {name: operator_norm(mat) for name, mat in _qpp_matrices(p, q)}
     gate = tol.check * (1.0 + q.norm)
+    residuals = {name: norm_bracket(mat, gate) for name, mat in _qpp_matrices(p, q)}
     return QppVerdict(
-        holds=all(r <= gate for r in residuals.values()),
+        holds=all(upper <= gate for _, upper in residuals.values()),
         residuals=residuals,
         gate=gate,
     )
@@ -467,6 +472,7 @@ def range_identities(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> list[Check
 
     Subspace equality is tested as the gap between the corresponding
     orthoprojectors; trivial intersections through the rank of stacked bases.
+    Each gap and product residual is a bracketed check (``norm_check``).
     """
     qm = q.matrix
     m = matched_projection(q, tol).projection.matrix
@@ -475,49 +481,36 @@ def range_identities(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> list[Check
     sum_qs = qm + adjoint(qm)
     proj_sum = _column_space_projector(sum_qs, tol)
 
+    gate = tol.check * (1.0 + q.norm)
     checks = [
-        Check(
+        norm_check(
             "range_mq_eq_range_absqstar_plus_qstar",
-            operator_norm(m - _column_space_projector(abs_qs + adjoint(qm), tol)),
+            m - _column_space_projector(abs_qs + adjoint(qm), tol),
             SUBSPACE_TOL,
         ),
-        Check(
+        norm_check(
             "range_mq_eq_range_absq_plus_q",
-            operator_norm(m - _column_space_projector(abs_q + qm, tol)),
+            m - _column_space_projector(abs_q + qm, tol),
             SUBSPACE_TOL,
         ),
-        Check(
+        norm_check(
             "kernel_mq_eq_kernel_absqstar_plus_q",
-            operator_norm(
-                (eye - m) - (eye - _column_space_projector(adjoint(abs_qs + qm), tol))
-            ),
+            (eye - m) - (eye - _column_space_projector(adjoint(abs_qs + qm), tol)),
             SUBSPACE_TOL,
         ),
-        Check(
-            "range_mq_inside_range_q_plus_qstar",
-            operator_norm((eye - proj_sum) @ m),
-            SUBSPACE_TOL,
-        ),
-        Check(
+        norm_check("range_mq_inside_range_q_plus_qstar", (eye - proj_sum) @ m, SUBSPACE_TOL),
+        norm_check(
             "range_q_plus_qstar_eq_range_absqstar_plus_absq",
-            operator_norm(proj_sum - _column_space_projector(abs_qs + abs_q, tol)),
+            proj_sum - _column_space_projector(abs_qs + abs_q, tol),
             SUBSPACE_TOL,
         ),
-        Check(
+        norm_check(
             "range_mq_eq_range_four_term_sum",
-            operator_norm(m - _column_space_projector(abs_qs + abs_q + sum_qs, tol)),
+            m - _column_space_projector(abs_qs + abs_q + sum_qs, tol),
             SUBSPACE_TOL,
         ),
-        Check(
-            "mq_times_qstar",
-            operator_norm(m @ adjoint(qm) - 0.5 * (abs_qs + adjoint(qm))),
-            tol.check * (1.0 + q.norm),
-        ),
-        Check(
-            "mq_times_q",
-            operator_norm(m @ qm - 0.5 * (abs_q + qm)),
-            tol.check * (1.0 + q.norm),
-        ),
+        norm_check("mq_times_qstar", m @ adjoint(qm) - 0.5 * (abs_qs + adjoint(qm)), gate),
+        norm_check("mq_times_q", m @ qm - 0.5 * (abs_q + qm), gate),
     ]
 
     u, s, vh = np.linalg.svd(m)

@@ -15,6 +15,7 @@ row that fails that check entry by entry, to name its first fault.
 
 from __future__ import annotations
 
+import io
 import json
 from itertools import chain
 from pathlib import Path
@@ -130,11 +131,21 @@ def save_matrix(path, m: np.ndarray) -> None:
     Path(path).write_text(dumps(m), encoding="utf-8")
 
 
-def load_matrix(path) -> np.ndarray:
+def load_matrix(path, digest=None) -> np.ndarray:
+    """The validated matrix in the file at ``path``, which is opened and read once.
+
+    ``digest``, a ``hashlib`` object, is fed the bytes that are parsed.  They
+    are decoded as ``Path.read_text`` decodes (newlines translated), so every
+    error names the same position.
+    """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise MatrixFileError(f"cannot read {path}: {exc}") from exc
+    if digest is not None:
+        digest.update(data)
+    try:
+        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
     except UnicodeDecodeError as exc:
         raise MatrixFileError(f"{path} is not UTF-8 text: {exc}") from exc
     try:

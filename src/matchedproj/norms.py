@@ -27,7 +27,7 @@ from .linalg import (
     require_hermitian,
 )
 from .matched import matched_distance, matched_projection, qpp_holds
-from .report import Check, boolean_check
+from .report import Check, boolean_check, norm_check
 
 
 def offdiag_distance(nu: float) -> float:
@@ -79,7 +79,10 @@ def distance_report(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> DistanceRep
     sandwich between half the range-gap and the full range-gap, the chain
     through ||Q|| = ||I - Q||, the similarity through
     V = (|Q| + |I - Q| + I)/2, and the quadratic identities tying
-    (Q* - Q)(Q* - Q)* to the defect operator D.
+    (Q* - Q)(Q* - Q)* to the defect operator D.  The residuals of the
+    similarity and of the identities in D are bracketed checks
+    (``norm_check``); every distance and norm compared with a closed form is
+    exact.
     """
     qm = q.matrix
     eye = identity(q.dim)
@@ -116,26 +119,16 @@ def distance_report(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> DistanceRep
         Check("sandwich_upper", max(0.0, d_matched - d_range), scale),
         Check("chain_matched_below_norm", max(0.0, d_matched - norm_q), scale),
         Check("chain_norm_below_null_gap", max(0.0, norm_q - d_null), scale),
-        Check(
-            "similarity_conjugates_matched",
-            operator_norm(v_sim @ qm - m @ v_sim),
-            scale_sq,
+        norm_check("similarity_conjugates_matched", v_sim @ qm - m @ v_sim, scale_sq),
+        norm_check(
+            "similarity_defect_square", (eye - v_sim) @ (eye - v_sim) - y_op, scale_sq
         ),
-        Check(
-            "similarity_defect_square",
-            operator_norm((eye - v_sim) @ (eye - v_sim) - y_op),
-            scale_sq,
-        ),
-        Check(
+        norm_check(
             "defect_operator_identity",
-            operator_norm(4.0 * d_op @ d_op + 4.0 * d_op - gap_adj @ adjoint(gap_adj)),
+            4.0 * d_op @ d_op + 4.0 * d_op - gap_adj @ adjoint(gap_adj),
             scale_sq,
         ),
-        Check(
-            "xy_sum_identity",
-            operator_norm(x_op + y_op - 4.0 * d_op @ d_op - 2.0 * d_op),
-            scale_sq,
-        ),
+        norm_check("xy_sum_identity", x_op + y_op - 4.0 * d_op @ d_op - 2.0 * d_op, scale_sq),
         boolean_check("defect_operator_psd", psd_order(np.zeros_like(d_op), d_op, tol)),
         boolean_check(
             "range_compression_psd", psd_order(np.zeros_like(d_op), -cross_range, tol)

@@ -4,26 +4,58 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
+from .linalg import norm_bracket
+
 
 @dataclass(frozen=True)
 class Check:
-    """One verified identity: its residual, the gate it was held to, pass/fail."""
+    """One verified identity: its residual, the gate it was held to, pass/fail.
+
+    ``lower`` is None when ``residual`` is exact.  A bracketed check
+    (``bracket_check``) holds a ``norm_bracket`` instead: ``lower`` and
+    ``residual`` are its two ends, and the residual itself lies between them.
+    Either way the check passes when ``residual <= tolerance``.
+    """
 
     name: str
     residual: float
     tolerance: float
+    lower: float | None = None
 
     @property
     def passed(self) -> bool:
         return self.residual <= self.tolerance
 
     def as_dict(self) -> dict:
+        if self.lower is None:
+            value = {"residual": float(self.residual)}
+        else:
+            value = {"residual_bracket": [float(self.lower), float(self.residual)]}
         return {
             "name": self.name,
-            "residual": float(self.residual),
+            **value,
             "tolerance": float(self.tolerance),
             "passed": bool(self.passed),
         }
+
+    def describe(self) -> str:
+        """The residual as far as it is known: ``residual X``, or ``residual >= X`` for a bracket."""
+        if self.lower is None:
+            return f"residual {self.residual:.3e}"
+        return f"residual >= {self.lower:.3e}"
+
+
+def bracket_check(name: str, bracket: tuple[float, float], tolerance: float) -> Check:
+    """A check on a residual known as ``bracket = (lower, upper)``, from ``norm_bracket`` at ``tolerance``."""
+    lower, upper = bracket
+    return Check(name=name, residual=upper, tolerance=tolerance, lower=lower)
+
+
+def norm_check(name: str, m: np.ndarray, tolerance: float) -> Check:
+    """``||m|| <= tolerance`` as a bracketed check, with the exact norm taken only near the gate."""
+    return bracket_check(name, norm_bracket(m, tolerance), tolerance)
 
 
 def boolean_check(name: str, ok: bool, tolerance: float = 0.5) -> Check:

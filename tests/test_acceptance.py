@@ -34,6 +34,7 @@ from matchedproj import (
 )
 from matchedproj.battery import run_battery
 from matchedproj.cli import main
+from matchedproj.matched import _qpp_matrices
 
 RT2 = np.sqrt(2.0)
 TRIALS = 500
@@ -118,7 +119,8 @@ def stress():
 
         # criterion 5: quasi-projection-pair suite
         verdict = is_quasi_projection_pair(pair.projection, q)
-        margin = max(verdict.residuals.values()) - verdict.gate
+        residuals = [operator_norm(mat) for _, mat in _qpp_matrices(pair.projection, q)]
+        margin = max(residuals) - verdict.gate
         worst["qpp_residual_margin"] = max(worst["qpp_residual_margin"], margin)
         if not qpp_symmetry_closure(pair.projection, q):
             worst["qpp_closure_failures"] += 1

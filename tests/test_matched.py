@@ -9,6 +9,7 @@ import pytest
 from matchedproj import (
     DEFAULT_TOL,
     Idempotent,
+    NotHermitianError,
     NotQuasiProjectionPairError,
     NotUnitaryError,
     Projection,
@@ -37,6 +38,8 @@ from matchedproj import (
     matched_projection_closed_form,
     matched_via_factor,
     moore_penrose,
+    norm_bracket,
+    null_projection,
     operator_norm,
     qpp_holds,
     qpp_symmetry_closure,
@@ -49,6 +52,7 @@ from matchedproj import (
     unitary_equivariance,
 )
 from matchedproj import matched as matched_module
+from matchedproj import report as report_module
 from matchedproj.battery import sabotaged
 
 from conftest import envelope_inputs
@@ -143,7 +147,7 @@ class TestMatchedProjection:
             m = pair.projection.matrix
             tt, vv = matched_via_factor(q)
             verdict = is_quasi_projection_pair(pair.projection, q)
-            reflection = verdict.residuals["adjoint_reflection"]
+            _, reflection = verdict.residuals["adjoint_reflection"]
             assert operator_norm(m - tt) <= 1e-10
             assert operator_norm(m - vv) <= 1e-10
             assert reflection <= 1e-10 * (1 + operator_norm(q.matrix))
@@ -464,12 +468,16 @@ class TestQuasiProjectionPair:
     def test_range_partner_fails_with_unit_residual(self):
         # (2P - I) Q (2P - I) = [[1,-1],[0,0]] against Q* = [[1,0],[1,0]]
         q = canonical()
-        verdict = is_quasi_projection_pair(range_projection(q), q)
+        p = range_projection(q)
+        verdict = is_quasi_projection_pair(p, q)
         assert not verdict.holds
         expect = operator_norm(
             np.array([[1.0, 0.0], [1.0, 0.0]]) - np.array([[1.0, -1.0], [0.0, 0.0]])
         )
-        assert verdict.residuals["adjoint_reflection"] == pytest.approx(expect, abs=1e-12)
+        residual = operator_norm(dict(matched_module._qpp_matrices(p, q))["adjoint_reflection"])
+        assert residual == pytest.approx(expect, abs=1e-12)
+        lower, upper = verdict.residuals["adjoint_reflection"]
+        assert lower <= residual <= upper
 
     def test_matched_pair_holds_random(self):
         rng = np.random.default_rng(41)
@@ -526,13 +534,50 @@ class TestQppHolds:
     def test_agrees_with_gates_straddling_each_residual(self):
         # gates placed just above and just below every residual of the verdict
         for p, q in self.pairs():
-            for r in is_quasi_projection_pair(p, q).residuals.values():
+            for r in (operator_norm(mat) for _, mat in matched_module._qpp_matrices(p, q)):
                 for factor in (0.5, 1.0 - 1e-9, 1.0 + 1e-9, 2.0):
                     check = factor * r / (1.0 + q.norm)
                     if not 0.0 < check < np.inf:
                         continue
                     tol = Tolerances(check=check)
                     assert qpp_holds(p, q, tol) == is_quasi_projection_pair(p, q, tol).holds
+
+
+class TestNormBracket:
+    def test_brackets_of_the_analysis_hold_the_norm_and_decide_exactly(self, monkeypatch):
+        # every bracket the analyze checks take (distance report, range
+        # identities, the three quasi-projection-pair verdicts) holds the
+        # exact norm, and decides as the exact norm does at gates on either
+        # side of it
+        seen = []
+
+        def recorded(m, gate):
+            bracket = norm_bracket(m, gate)
+            seen.append((m, gate, bracket))
+            return bracket
+
+        monkeypatch.setattr(matched_module, "norm_bracket", recorded)
+        monkeypatch.setattr(report_module, "norm_bracket", recorded)
+        brackets = 0
+        for q in envelope_inputs((1e-10, 1e-4, 1.0, 1e4, 1e6), every_rank=True):
+            seen.clear()
+            try:
+                distance_report(q)
+            except NotHermitianError:
+                # 3 inputs at ||A|| = 1e6 fail a Hermitian gate after the report's brackets
+                assert q.dim == 32 and q.offdiag_norm > 1e5
+            range_identities(q)
+            for p in (matched_projection(q).projection, range_projection(q), null_projection(q)):
+                is_quasi_projection_pair(p, q)
+            for m, gate, (lower, upper) in seen:
+                exact = operator_norm(m)
+                assert lower <= exact <= upper, (q.dim, q.rank, lower, exact, upper)
+                assert (upper <= gate) == (exact <= gate)
+                for factor in (0.5, 1.0 - 1e-9, 1.0 + 1e-9, 2.0):
+                    g = factor * exact
+                    assert (norm_bracket(m, g)[1] <= g) == (exact <= g), (factor, exact)
+            brackets += len(seen)
+        assert brackets == 27 * sum(1 for _ in envelope_inputs((1.0,), every_rank=True)) * 5
 
 
 class TestSymmetryClosure:

@@ -74,6 +74,93 @@ def test_the_invariant_sees_each_spelling():
         assert (_exact_2_norm_outside_operator_norm(node) is not None) == (source in spellings), source
 
 
+# residuals decided against a gate and reported as a norm_bracket
+BRACKETED_CHECKS = {
+    "range_mq_eq_range_absqstar_plus_qstar",
+    "range_mq_eq_range_absq_plus_q",
+    "kernel_mq_eq_kernel_absqstar_plus_q",
+    "range_mq_inside_range_q_plus_qstar",
+    "range_q_plus_qstar_eq_range_absqstar_plus_absq",
+    "range_mq_eq_range_four_term_sum",
+    "mq_times_qstar",
+    "mq_times_q",
+    "similarity_conjugates_matched",
+    "similarity_defect_square",
+    "defect_operator_identity",
+    "xy_sum_identity",
+    "matched_equals_tt_factor",
+    "matched_equals_vv_factor",
+    "matched_reflection_identity",
+    "closed_form_is_matched",
+}
+
+
+def _exact_norm_for_a_bracket(source):
+    """Where the source takes an exact norm for a bracketed residual.
+
+    A bracketed check built by ``Check(...)`` instead of ``norm_check`` or
+    ``bracket_check``, an ``operator_norm`` call among the arguments of any
+    call naming a bracketed check, and one inside ``is_quasi_projection_pair``.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef) and node.name == "is_quasi_projection_pair":
+            inner = [n for n in ast.walk(node) if _calls(n, "operator_norm")]
+            found += [f"{n.lineno} operator_norm in is_quasi_projection_pair" for n in inner]
+        if not isinstance(node, ast.Call):
+            continue
+        names = [a.value for a in [*node.args, *(k.value for k in node.keywords)]
+                 if isinstance(a, ast.Constant) and a.value in BRACKETED_CHECKS]
+        if not names:
+            continue
+        if _calls(node, "Check"):
+            found.append(f"{node.lineno} Check({names[0]!r}, ...)")
+        args = [*node.args, *(k.value for k in node.keywords)]
+        if any(_calls(n, "operator_norm") for a in args for n in ast.walk(a)):
+            found.append(f"{node.lineno} operator_norm for {names[0]!r}")
+    return found
+
+
+def _calls(node, name):
+    return isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == name
+
+
+def test_bracketed_residuals_take_no_exact_norm_by_hand():
+    # each is decided by norm_bracket, which takes the exact norm only where
+    # its O(n^2) bounds straddle the gate
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    spelled = {
+        a.value for text in sources.values() for a in ast.walk(ast.parse(text))
+        if isinstance(a, ast.Constant) and a.value in BRACKETED_CHECKS
+    }
+    assert spelled == BRACKETED_CHECKS, BRACKETED_CHECKS - spelled
+    assert "def is_quasi_projection_pair(" in sources["matched.py"]
+    found = [f"{name}:{v}" for name, text in sources.items() for v in _exact_norm_for_a_bracket(text)]
+    assert not found, found
+
+
+def test_the_bracket_invariant_sees_each_spelling():
+    spellings = [
+        'Check("mq_times_q", operator_norm(m), gate)',
+        'Check(name="mq_times_q", residual=operator_norm(m), tolerance=gate)',
+        'Check("xy_sum_identity", gap, gate)',
+        'report.Check("mq_times_q", gap, gate)',
+        'bracket_check("matched_equals_tt_factor", (linalg.operator_norm(m),) * 2, gate)',
+        'norm_check("closed_form_is_matched", np.eye(2) * operator_norm(m), gate)',
+        "def is_quasi_projection_pair(p, q, tol):\n    return {n: operator_norm(m) for n, m in ms}",
+    ]
+    allowed = [
+        'norm_check("mq_times_q", m @ q - h, gate)',
+        'bracket_check("matched_reflection_identity", verdict.residuals[key], gate)',
+        'Check("closed_form_agreement", abs(operator_norm(m) - d), scale)',
+        'Check("x_norm_is_distance_squared", abs(operator_norm(x) - d * d), scale)',
+        "def qpp_holds(p, q, tol):\n    return operator_norm(m) <= gate",
+        "gap = operator_norm(m)",
+    ]
+    for source in spellings + allowed:
+        assert bool(_exact_norm_for_a_bracket(source)) == (source in spellings), source
+
+
 def _hand_rolled_memo(node):
     """Which memo name the node spells, "_memoized" or "_memo", if any.
 
