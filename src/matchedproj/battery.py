@@ -4,7 +4,11 @@ Each named check exercises one family of identities on fresh seeded inputs.
 Per-trial seeds are derived as ``seed XOR trial`` so results are independent
 of execution order; a check failure records the (check, seed, dim) triple
 that broke it.  Trial 0 of a battery at seed S is the trial with seed S, so
-``run_battery(dim_max, 1, S)`` replays the trial that had seed S.
+``run_battery(dim_max, 1, S)`` replays the trial that had seed S.  Every
+record is a ``report.Check`` tallied by ``_record_checks``: a residual
+against its gate is a ``norm_check`` (decided from O(n^2) bounds where they
+settle it), a value against a closed form an exact ``Check``, and a yes/no
+verdict a ``boolean_check``.
 """
 
 from __future__ import annotations
@@ -61,7 +65,7 @@ from .norms import (
     qpp_minimality,
     two_projection_construction,
 )
-from .report import Check
+from .report import Check, boolean_check, norm_check
 from .two_by_two import (
     canonical_idempotent,
     closed_form_p0,
@@ -99,12 +103,13 @@ class CheckTally:
     first_failure: str | None = None
     first_seed: int | None = None
 
-    def record(self, ok: bool, context: Trial | str, detail: str = ""):
-        if ok:
+    def record(self, check: Check, context: Trial | str, note: str = ""):
+        if check.passed:
             self.passed += 1
         else:
             self.failed += 1
             if self.first_failure is None:
+                detail = f"{check.describe()} tol={check.tolerance:.3e} {note}"
                 self.first_failure = f"{context} {detail}".strip()
                 if isinstance(context, Trial):
                     self.first_seed = context.seed
@@ -135,49 +140,44 @@ def _complex_gaussian(rng: np.random.Generator, dim: int) -> np.ndarray:
     return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
 
 
-def _record_checks(report: BatteryReport, prefix: str, checks: list[Check], context: Trial | str):
+def _record_checks(
+    report: BatteryReport, context: Trial | str, *checks: Check, prefix: str = "", note: str = ""
+):
+    """Tally each check, in order, as ``prefix:name`` (its own name without a prefix).
+
+    The battery's one recorder.  Suites call it as they go, so a trial that
+    raises keeps the records made before the raise; in one call only the
+    first check may come from a call that can raise.
+    """
     for c in checks:
-        report.tally(f"{prefix}:{c.name}").record(
-            c.passed, context, f"{c.describe()} tol={c.tolerance:.3e}"
-        )
+        report.tally(f"{prefix}:{c.name}" if prefix else c.name).record(c, context, note)
 
 
 def _core_kernels(report: BatteryReport, rng, dim, tol, context):
     m = _complex_gaussian(rng, dim)
     norm = operator_norm(m)
     scale = tol.check * (1.0 + norm**2)
-    report.tally("adjoint-involution").record(
-        operator_norm(adjoint(adjoint(m)) - m) == 0.0, context
-    )
-    report.tally("adjoint-isometry").record(
-        abs(operator_norm(adjoint(m)) - norm) <= tol.check * (1.0 + norm), context
-    )
-    report.tally("cstar-identity").record(
-        abs(operator_norm(adjoint(m) @ m) - norm**2) <= scale, context
-    )
     abs_m = abs_value(m)
-    report.tally("abs-value-square").record(
-        operator_norm(abs_m @ abs_m - adjoint(m) @ m) <= scale, context
+    _record_checks(
+        report, context,
+        boolean_check("adjoint-involution", np.array_equal(adjoint(adjoint(m)), m)),
+        Check("adjoint-isometry", abs(operator_norm(adjoint(m)) - norm), tol.check * (1.0 + norm)),
+        Check("cstar-identity", abs(operator_norm(adjoint(m) @ m) - norm**2), scale),
+        norm_check("abs-value-square", abs_m @ abs_m - adjoint(m) @ m, scale),
     )
 
     # pseudoinverse involution on a full-rank and a rank-deficient input
     deficient = m.copy()
     deficient[:, 0] = deficient[:, 1] if dim > 1 else 0.0
-    cases = (("full", m, norm), ("deficient", deficient, operator_norm(deficient)))
-    for label, mat, mat_norm in cases:
+    for label, mat, mat_norm in (("full", m, norm), ("deficient", deficient, operator_norm(deficient))):
         back = moore_penrose(moore_penrose(mat, tol), tol)
-        report.tally("pseudoinverse-involution").record(
-            operator_norm(back - mat) <= tol.check * (1.0 + mat_norm),
-            context,
-            label,
-        )
+        involution = norm_check("pseudoinverse-involution", back - mat, tol.check * (1.0 + mat_norm))
+        _record_checks(report, context, involution, note=label)
 
     h = adjoint(m) @ m
     root, quarter = psd_power(h, [0.5, 0.25], tol)
     twice = psd_power(root, 0.5, tol)
-    report.tally("sqrt-composition").record(
-        operator_norm(twice - quarter) <= scale, context
-    )
+    _record_checks(report, context, norm_check("sqrt-composition", twice - quarter, scale))
 
 
 def _projection_structure(report: BatteryReport, rng, dim, q, tol, context):
@@ -185,37 +185,26 @@ def _projection_structure(report: BatteryReport, rng, dim, q, tol, context):
     scale = tol.check * (1.0 + q.norm)
     p_r = range_projection(q, tol)
     p_n = null_projection(q, tol)
-    report.tally("range-projection-absorbs").record(
-        operator_norm(p_r.matrix @ qm - qm) <= scale, context
-    )
-    report.tally("range-projection-fixed").record(
-        operator_norm(qm @ p_r.matrix - p_r.matrix) <= scale, context
+    _record_checks(
+        report, context,
+        norm_check("range-projection-absorbs", p_r.matrix @ qm - qm, scale),
+        norm_check("range-projection-fixed", qm @ p_r.matrix - p_r.matrix, scale),
     )
     # the SVD routes against Koliha's pencil, P_N(Q) = I - P_R(Q*)
     k_r, k_rs = koliha_projections(q, tol)
-    routes = max(
-        operator_norm(p_r.matrix - k_r.matrix),
-        operator_norm(p_n.matrix - (identity(dim) - k_rs.matrix)),
-    )
-    report.tally("range-projection-routes-agree").record(
-        routes <= scale, context, f"max gap {routes:.3e}"
-    )
-    report.tally("null-is-range-of-complement").record(
-        operator_norm(p_n.matrix - range_projection(complement_of(q, tol), tol).matrix) <= scale,
-        context,
-    )
+    routes = np.stack([p_r.matrix - k_r.matrix, p_n.matrix - (identity(dim) - k_rs.matrix)])
+    _record_checks(report, context, norm_check("range-projection-routes-agree", routes, scale))
+    gap = p_n.matrix - range_projection(complement_of(q, tol), tol).matrix
+    _record_checks(report, context, norm_check("null-is-range-of-complement", gap, scale))
 
     t_mat = _complex_gaussian(rng, dim)
     p_rand = random_projection(dim, int(rng.integers(0, dim + 1)), int(rng.integers(2**32)), tol)
     form = block_form(t_mat, p_rand, tol)
-    report.tally("block-roundtrip").record(
-        operator_norm(form.reassemble() - t_mat)
-        <= tol.check * (1.0 + operator_norm(t_mat)),
-        context,
-    )
-    form_q = block_form(qm, p_r, tol)
-    lower = max(operator_norm(form_q.blocks[2]), operator_norm(form_q.blocks[3]))
-    report.tally("range-block-form-upper-triangular").record(lower <= scale, context)
+    gate = tol.check * (1.0 + operator_norm(t_mat))
+    _record_checks(report, context, norm_check("block-roundtrip", form.reassemble() - t_mat, gate))
+    # the two lower blocks differ in shape, so their larger norm is taken exactly
+    lower = max(operator_norm(b) for b in block_form(qm, p_r, tol).blocks[2:])
+    _record_checks(report, context, Check("range-block-form-upper-triangular", lower, scale))
 
 
 def _matched_identities(report: BatteryReport, rng, dim, q, tol, context):
@@ -226,181 +215,149 @@ def _matched_identities(report: BatteryReport, rng, dim, q, tol, context):
 
     # the production SVD route against the three oracles, pairwise
     tt, vv = matched_via_factor(q, tol)
-    routes = {
-        "svd": m,
-        "closed": matched_projection_closed_form(q, tol),
-        "tt": tt,
-        "vv": vv,
-        "block": homotopy_witness_block(q, tol).projection.matrix,
-    }
-    names = list(routes)
-    gaps = {
-        (a, b): operator_norm(routes[a] - routes[b])
-        for i, a in enumerate(names)
-        for b in names[i + 1 :]
-    }
-    agree = max(gaps.values())
-    report.tally("matched-routes-agree").record(
-        agree <= 10.0 * tol.check, context, f"max gap {agree:.3e}"
-    )
+    closed = matched_projection_closed_form(q, tol)
+    routes = np.stack([m, closed, tt, vv, homotopy_witness_block(q, tol).projection.matrix])
+    first, second = np.triu_indices(len(routes), 1)
+    gaps = routes[first] - routes[second]
+    gate = 10.0 * tol.check
+    _record_checks(report, context, norm_check("matched-routes-agree", gaps, gate))
 
     fo = factor_oracle(q, tol)
     p_r = range_projection(q, tol).matrix
-    report.tally("factor-recovers-range-projection").record(
-        operator_norm(fo.t_pinv @ fo.t - p_r) <= scale
-        and operator_norm(adjoint(fo.v) @ fo.v - p_r) <= scale,
-        context,
-    )
+    recovered = np.stack([fo.t_pinv @ fo.t - p_r, adjoint(fo.v) @ fo.v - p_r])
+    _record_checks(report, context, norm_check("factor-recovers-range-projection", recovered, scale))
 
     m_star = matched_projection(adjoint_of(q, tol), tol).projection.matrix
-    report.tally("matched-of-adjoint").record(operator_norm(m_star - m) <= scale, context)
+    _record_checks(report, context, norm_check("matched-of-adjoint", m_star - m, scale))
     comp = complement_of(q, tol)
     m_comp = matched_projection(comp, tol).projection.matrix
-    report.tally("matched-of-complement").record(
-        operator_norm(m_comp - (eye - m)) <= scale, context
-    )
-
     reflect = 2.0 * m - eye
-    report.tally("reflection-gives-abs").record(
-        operator_norm(reflect @ qm - q.abs_q) <= scale, context
-    )
-    report.tally("reflection-gives-abs-sum").record(
-        operator_norm(reflect @ (2.0 * qm - eye) - (q.abs_q + comp.abs_q)) <= scale,
-        context,
-    )
-    report.tally("abs-product-gives-q").record(
-        operator_norm(q.abs_q_star @ q.abs_q - qm) <= scale, context
-    )
-    report.tally("abs-product-gives-qstar").record(
-        operator_norm(q.abs_q @ q.abs_q_star - adjoint(qm)) <= scale, context
-    )
-    report.tally("sandwich-pinv-gives-abs").record(
-        operator_norm(adjoint(qm) @ q.abs_q_star_pinv @ qm - q.abs_q) <= scale,
-        context,
-    )
-
-    report.tally("pinv-abs-route-agreement").record(
-        operator_norm(fo.abs_q_star_pinv - moore_penrose(fo.abs_q_star, tol)) <= tol.check,
-        context,
-    )
-    report.tally("pinv-abs-contraction").record(
-        operator_norm(fo.abs_q_star_pinv) <= 1.0 + tol.check, context
+    _record_checks(
+        report, context,
+        norm_check("matched-of-complement", m_comp - (eye - m), scale),
+        norm_check("reflection-gives-abs", reflect @ qm - q.abs_q, scale),
+        norm_check(
+            "reflection-gives-abs-sum", reflect @ (2.0 * qm - eye) - (q.abs_q + comp.abs_q), scale
+        ),
+        norm_check("abs-product-gives-q", q.abs_q_star @ q.abs_q - qm, scale),
+        norm_check("abs-product-gives-qstar", q.abs_q @ q.abs_q_star - adjoint(qm), scale),
+        norm_check("sandwich-pinv-gives-abs", adjoint(qm) @ q.abs_q_star_pinv @ qm - q.abs_q, scale),
+        norm_check(
+            "pinv-abs-route-agreement",
+            fo.abs_q_star_pinv - moore_penrose(fo.abs_q_star, tol),
+            tol.check,
+        ),
+        norm_check("pinv-abs-contraction", fo.abs_q_star_pinv, 1.0 + tol.check),
     )
 
     u = random_unitary(dim, rng)
-    report.tally("unitary-equivariance").record(
-        unitary_equivariance(q, u, tol) <= scale, context
+    _record_checks(
+        report, context,
+        Check("unitary-equivariance", unitary_equivariance(q, u, tol), scale),
+        norm_check("pair-factor-invariants", np.stack([m - tt, m - vv]), gate),
+        norm_check("pair-reflection-invariant", adjoint(qm) - reflect @ qm @ reflect, scale),
     )
 
-    report.tally("pair-factor-invariants").record(
-        gaps["svd", "tt"] <= 10.0 * tol.check and gaps["svd", "vv"] <= 10.0 * tol.check,
-        context,
-    )
-    report.tally("pair-reflection-invariant").record(
-        operator_norm(adjoint(qm) - reflect @ qm @ reflect) <= scale, context
-    )
+
+def _characterizations_agree(verdict) -> bool:
+    return verdict.blocks_hold == verdict.reflection_holds == verdict.abs_reflection_holds
 
 
 def _qpp_suite(report: BatteryReport, rng, dim, q, tol, context):
     pair = matched_projection(q, tol)
     verdict = is_quasi_projection_pair(pair.projection, q, tol)
-    report.tally("matched-pair-is-qpp").record(verdict.holds, context)
-    report.tally("qpp-characterizations-agree").record(
-        verdict.blocks_hold == verdict.reflection_holds == verdict.abs_reflection_holds,
-        context,
+    _record_checks(
+        report, context,
+        boolean_check("matched-pair-is-qpp", verdict.holds),
+        boolean_check("qpp-characterizations-agree", _characterizations_agree(verdict)),
     )
     if verdict.holds:
-        report.tally("qpp-symmetry-closure").record(
-            qpp_symmetry_closure(pair.projection, q, tol), context
-        )
+        closure = qpp_symmetry_closure(pair.projection, q, tol)
+        _record_checks(report, context, boolean_check("qpp-symmetry-closure", closure))
     # a non-pair must fail all three characterizations coherently
     if not norm_at_most(q.matrix - adjoint(q.matrix), 1e-6):
         bad = is_quasi_projection_pair(range_projection(q, tol), q, tol)
-        report.tally("qpp-characterizations-agree").record(
-            bad.blocks_hold == bad.reflection_holds == bad.abs_reflection_holds,
-            context,
-            "range-projection partner",
+        _record_checks(
+            report, context,
+            boolean_check("qpp-characterizations-agree", _characterizations_agree(bad)),
+            boolean_check("range-partner-not-qpp", not bad.holds),
+            note="range-projection partner",
         )
-        report.tally("range-partner-not-qpp").record(not bad.holds, context)
 
     p_qpp, q_qpp = random_qpp_pair(dim, int(rng.integers(2**32)), tol)
     m_qpp = matched_projection(q_qpp, tol).projection.matrix
-    commute = operator_norm(p_qpp.matrix @ m_qpp - m_qpp @ p_qpp.matrix)
-    report.tally("qpp-partner-commutes-with-matched").record(
-        commute <= tol.check * (1.0 + q_qpp.norm), context
-    )
+    commute = p_qpp.matrix @ m_qpp - m_qpp @ p_qpp.matrix
+    gate = tol.check * (1.0 + q_qpp.norm)
+    _record_checks(report, context, norm_check("qpp-partner-commutes-with-matched", commute, gate))
     mini = qpp_minimality(p_qpp, q_qpp, tol)
-    _record_checks(report, "qpp-minimality", mini.checks, context)
-    report.tally("generated-qpp-pair-holds").record(mini.qpp_holds, context)
+    _record_checks(report, context, *mini.checks, prefix="qpp-minimality")
+    _record_checks(report, context, boolean_check("generated-qpp-pair-holds", mini.qpp_holds))
 
 
 def _homotopy(report: BatteryReport, rng, dim, q, tol, context):
     wit = homotopy_witness(q, tol)
-    report.tally("witness-contraction").record(wit.contraction_norm < 1.0, context)
-    # the bound is b / (b + 1) for b = sqrt(1 + ||A||^2), which is ||Q||
-    report.tally("witness-contraction-bound").record(
-        wit.contraction_norm**2 <= q.norm / (q.norm + 1.0) + tol.check, context
+    recon = np.linalg.inv(wit.w) @ wit.projection.matrix @ wit.w - q.matrix
+    _record_checks(
+        report, context,
+        boolean_check("witness-contraction", wit.contraction_norm < 1.0),
+        # the bound is b / (b + 1) for b = sqrt(1 + ||A||^2), which is ||Q||
+        Check("witness-contraction-bound", wit.contraction_norm**2, q.norm / (q.norm + 1.0) + tol.check),
+        norm_check("witness-reconstructs", recon, 1e-9),
     )
-    w_inv = np.linalg.inv(wit.w)
-    recon = operator_norm(w_inv @ wit.projection.matrix @ wit.w - q.matrix)
-    report.tally("witness-reconstructs").record(recon <= 1e-9, context)
 
     path = homotopy_path(q, 11, tol)
-    report.tally("path-idempotency").record(
-        all(norm_at_most(p.matrix @ p.matrix - p.matrix, 1e-9) for p in path), context
-    )
-    ends = max(
-        operator_norm(path[0].matrix - wit.projection.matrix),
-        operator_norm(path[-1].matrix - q.matrix),
-    )
-    report.tally("path-endpoints").record(
-        ends <= tol.check * (1.0 + q.norm), context
+    defects = np.stack([p.matrix @ p.matrix - p.matrix for p in path])
+    ends = np.stack([path[0].matrix - wit.projection.matrix, path[-1].matrix - q.matrix])
+    _record_checks(
+        report, context,
+        norm_check("path-idempotency", defects, 1e-9),
+        norm_check("path-endpoints", ends, tol.check * (1.0 + q.norm)),
     )
 
 
 def _ranges_and_powers(report: BatteryReport, rng, dim, q, tol, context):
-    _record_checks(report, "ranges", range_identities(q, tol), context)
+    _record_checks(report, context, *range_identities(q, tol), prefix="ranges")
     dists = fractional_power_limit(q, EXPONENT_GRID, tol)
-    drops = max(
-        [0.0] + [dists[i + 1] - dists[i] for i in range(len(dists) - 1)]
+    _record_checks(
+        report, context,
+        Check("fractional-power-monotone", max([0.0, *np.diff(dists)]), tol.check),
+        Check("fractional-power-limit", dists[-1], 1e-2),
     )
-    report.tally("fractional-power-monotone").record(drops <= tol.check, context)
-    report.tally("fractional-power-limit").record(dists[-1] <= 1e-2, context)
 
 
 def _norm_suite(report: BatteryReport, rng, dim, q, q2, tol, context):
     rep = distance_report(q, tol)
-    _record_checks(report, "distance", rep.checks, context)
+    _record_checks(report, context, *rep.checks, prefix="distance")
 
     m = matched_projection(q, tol).projection.matrix
     for k in range(20):
         p = random_projection(dim, int(rng.integers(0, dim + 1)), int(rng.integers(2**32)), tol)
-        lhs = operator_norm(p.matrix - m)
         mini = qpp_minimality(p, q, tol)
-        report.tally("projection-closer-to-matched").record(
-            lhs <= mini.d_candidate + 1e-9, context, f"trial {k}"
-        )
-        _record_checks(report, "any-projection", mini.checks, context)
+        closer = norm_check("projection-closer-to-matched", p.matrix - m, mini.d_candidate + 1e-9)
+        _record_checks(report, context, closer, note=f"trial {k}")
+        _record_checks(report, context, *mini.checks, prefix="any-projection")
 
     bounds = matched_lipschitz_bounds(q, q2, tol)
-    _record_checks(report, "lipschitz", bounds.checks, context)
+    _record_checks(report, context, *bounds.checks, prefix="lipschitz")
 
     conv = convergence_report(q, q2, EXPONENT_GRID, tol)
-    _record_checks(report, "convergence", conv.checks, context)
+    _record_checks(report, context, *conv.checks, prefix="convergence")
 
     p1 = random_projection(dim, int(rng.integers(0, max(dim // 2, 1) + 1)), int(rng.integers(2**32)), tol)
     p2 = random_projection(dim, int(rng.integers(0, max(dim // 2, 1) + 1)), int(rng.integers(2**32)), tol)
-    if operator_norm(p1.matrix @ p2.matrix) < 0.999:
+    if norm_at_most(p1.matrix @ p2.matrix, 0.999):
         _, _, checks = two_projection_construction(p1, p2, tol)
-        _record_checks(report, "two-projections", checks, context)
+        _record_checks(report, context, *checks, prefix="two-projections")
 
     p_a = random_projection(dim, int(rng.integers(0, dim + 1)), int(rng.integers(2**32)), tol)
     p_b = random_projection(dim, int(rng.integers(0, dim + 1)), int(rng.integers(2**32)), tol)
     try:
         kkm_distance(p_a, p_b, tol)
-        report.tally("projection-distance-equality").record(True, context)
     except MatchedProjectionError as exc:
-        report.tally("projection-distance-equality").record(False, context, str(exc))
+        ok, note = False, str(exc)
+    else:
+        ok, note = True, ""
+    _record_checks(report, context, boolean_check("projection-distance-equality", ok), note=note)
 
 
 def _continuity_probe(report: BatteryReport, rng, dim, tol, context):
@@ -429,7 +386,7 @@ def _continuity_probe(report: BatteryReport, rng, dim, tol, context):
     report.notes["continuity_constant"] = max(
         report.notes.get("continuity_constant", 0.0), ratio
     )
-    report.tally("matched-map-continuity-probe").record(np.isfinite(ratio), context)
+    _record_checks(report, context, boolean_check("matched-map-continuity-probe", np.isfinite(ratio)))
 
 
 def _two_by_two(report: BatteryReport, rng, tol, context):
@@ -438,23 +395,19 @@ def _two_by_two(report: BatteryReport, rng, tol, context):
     a = mod * np.exp(1j * phase)
     problem = closed_form_p0(a, tol)
     pair = matched_projection(canonical_idempotent(a, tol), tol)
-    report.tally("closed-form-is-matched").record(
-        operator_norm(problem.p0.matrix - pair.projection.matrix)
-        <= 10.0 * tol.check * (1.0 + mod),
-        context,
-    )
+    gap = problem.p0.matrix - pair.projection.matrix
+    gate = 10.0 * tol.check * (1.0 + mod)
+    _record_checks(report, context, norm_check("closed-form-is-matched", gap, gate))
     # analytic objective against a direct norm computation
     x = float(rng.uniform(-1.0, 1.0))
     t = float(rng.uniform(0.0, np.pi))
     z = complex(x, np.sqrt(max(1.0 - x * x, 0.0)))
     p = halmos_projection(HalmosPoint(z=z, t=t), phase, tol)
     direct = operator_norm(p.matrix - canonical_idempotent(a, tol).matrix) ** 2
-    report.tally("objective-matches-norm").record(
-        abs(distance_objective(a, x, t) - direct) <= tol.check * (1.0 + mod**2),
-        context,
-    )
+    objective = abs(distance_objective(a, x, t) - direct)
+    _record_checks(report, context, Check("objective-matches-norm", objective, tol.check * (1.0 + mod**2)))
     gm = grid_minimize(a, 64, 64, tol)
-    _record_checks(report, "grid", gm.checks, context)
+    _record_checks(report, context, *gm.checks, prefix="grid")
 
 
 def _static_checks(report: BatteryReport, tol: Tolerances):
@@ -465,22 +418,21 @@ def _static_checks(report: BatteryReport, tol: Tolerances):
         ratio = operator_norm(m - q.matrix) / operator_norm(
             range_projection(q, tol).matrix - q.matrix
         )
-        report.tally("distance-ratio-asymptotics").record(
-            abs(ratio - target) <= 1e-2, f"a={mod:g}", f"ratio={ratio:.6f}"
-        )
+        asymptote = Check("distance-ratio-asymptotics", abs(ratio - target), 1e-2)
+        _record_checks(report, f"a={mod:g}", asymptote)
 
     for mod in np.logspace(-2, 2, 20):
+        context = f"a={mod:.3g}"
         gm = grid_minimize(float(mod), 512, 512, tol)
-        _record_checks(report, "family-grid", gm.checks, f"a={mod:.3g}")
+        _record_checks(report, context, *gm.checks, prefix="family-grid")
         problem = closed_form_p0(float(mod), tol)
         p_grid = halmos_projection(
             HalmosPoint(z=1.0 + 0j, t=gm.argmin_t), 0.0, tol
         )
         frob = float(np.linalg.norm(p_grid.matrix - problem.p0.matrix))
         step = np.pi / 511
-        report.tally("family-argmin-matches-closed-form").record(
-            frob <= 4.0 * step + tol.check, f"a={mod:.3g}", f"frobenius={frob:.3e}"
-        )
+        argmin = Check("family-argmin-matches-closed-form", frob, 4.0 * step + tol.check)
+        _record_checks(report, context, argmin)
 
 
 def sabotaged(q: Idempotent) -> Idempotent:
@@ -513,7 +465,7 @@ def run_battery(
     try:
         _static_checks(report, tol)
     except MatchedProjectionError as exc:
-        report.tally("static-checks").record(False, "(one-shot)", repr(exc))
+        _record_checks(report, "(one-shot)", boolean_check("static-checks", False), note=repr(exc))
 
     for trial in range(trials):
         trial_seed = (seed ^ trial) & (2**63 - 1)
@@ -540,7 +492,7 @@ def run_battery(
             _continuity_probe(report, rng, dim, tol, context)
             _two_by_two(report, rng, tol, context)
         except MatchedProjectionError as exc:
-            report.tally("trial-completed").record(False, context, repr(exc))
+            _record_checks(report, context, boolean_check("trial-completed", False), note=repr(exc))
         else:
-            report.tally("trial-completed").record(True, context)
+            _record_checks(report, context, boolean_check("trial-completed", True))
     return report

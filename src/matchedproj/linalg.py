@@ -5,15 +5,18 @@ first value of a singular-values-only SVD, ``np.linalg.svd(m,
 compute_uv=False)`` (a (k, n, n) stack gives the k norms); it is taken
 wherever a number is read as a value: distances and every norm compared with
 a closed form, idempotency and projection defects (on first read),
-contraction norms, convergence tables and the battery's tallies.  A norm
-whose only use is a pass/fail against a gate decides from ``norm_bounds``
-first, two O(n^2) bounds (Frobenius norm above, largest column norm below),
-and takes the exact norm only when they cannot settle it.  ``norm_bracket``
-returns the bounds, or the exact norm twice, and ``norm_at_most`` its
-verdict.  A check reports such a residual as that bracket (``report.Check``
-with a ``lower`` end): the quasi-projection-pair residuals, the range and
-kernel identities, the similarity and defect-operator identities of the
-distance report and ``analyze``'s oracle comparisons.  Gates whose number is
+contraction norms, convergence tables and the gates scaled by a norm.  A
+norm whose only use is a pass/fail against a gate decides from
+``norm_bounds`` first, two O(n^2) bounds (Frobenius norm above, largest
+column norm below), and takes the exact norm only when they cannot settle
+it.  ``norm_bracket`` returns the bounds, or the exact norm twice, and
+``norm_at_most`` its verdict; a (k, n, n) stack decides "every one of these
+norms <= gate" at once.  A check reports such a residual as that bracket
+(``report.Check`` with a ``lower`` end): the quasi-projection-pair
+residuals, the range and kernel identities, the similarity and
+defect-operator identities of the distance report, ``analyze``'s oracle
+comparisons and every residual-against-a-gate record of the ``verify``
+battery.  Gates whose number is
 never reported decide the same way: ``require_hermitian``, the certificates
 of ``idempotents.as_idempotent(s)`` and ``as_projection``
 (``is_projection``), ``matched.qpp_holds``, the witness projection
@@ -131,17 +134,21 @@ def norm_bracket(m: np.ndarray, gate: float) -> tuple[float, float]:
     the gate or the squares overflow, the exact norm, as the pair (exact,
     exact).  So ``upper <= gate`` is the answer the exact comparison gives,
     and the exact norm is taken only near the gate (within the bounds' gap
-    and slack).
+    and slack).  A (k, n, n) stack is bracketed by its largest norm: the
+    bounds are (max lower, max upper), and the exact norms, when needed, come
+    from one stacked SVD.
     """
     lower, upper = norm_bounds(m)
+    if m.ndim == 3:
+        lower, upper = float(lower.max()), float(upper.max())
     if upper <= gate or gate < lower <= upper < math.inf:
         return lower, upper
-    exact = operator_norm(m)
+    exact = float(np.max(operator_norm(m)))
     return exact, exact
 
 
 def norm_at_most(m: np.ndarray, bound: float) -> bool:
-    """Whether ``operator_norm(m) <= bound``, decided by ``norm_bracket``."""
+    """Whether ``operator_norm(m) <= bound`` (for each matrix of a stack), decided by ``norm_bracket``."""
     return norm_bracket(m, bound)[1] <= bound
 
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InapplicableHypothesisError, ValidationError
+from .errors import InapplicableHypothesisError, NotHermitianError, ValidationError
 from .idempotents import (
     Idempotent,
     Projection,
@@ -110,6 +110,14 @@ def distance_report(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> DistanceRep
     scale = tol.check * (1.0 + norm_q)
     scale_sq = tol.check * (1.0 + norm_q**2)
     norm_d = operator_norm(d_op)
+    four_d_sq = 4.0 * d_op @ d_op
+
+    def psd_check(name: str, x: np.ndarray) -> Check:
+        """0 <= x in the Loewner order; an x too far from Hermitian for ``psd_order`` fails it."""
+        try:
+            return boolean_check(name, psd_order(np.zeros_like(x), x, tol))
+        except NotHermitianError:
+            return boolean_check(name, False)
 
     checks = [
         Check("closed_form_agreement", abs(d_matched - d_closed), scale),
@@ -125,19 +133,15 @@ def distance_report(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> DistanceRep
         ),
         norm_check(
             "defect_operator_identity",
-            4.0 * d_op @ d_op + 4.0 * d_op - gap_adj @ adjoint(gap_adj),
+            four_d_sq + 4.0 * d_op - gap_adj @ adjoint(gap_adj),
             scale_sq,
         ),
-        norm_check("xy_sum_identity", x_op + y_op - 4.0 * d_op @ d_op - 2.0 * d_op, scale_sq),
-        boolean_check("defect_operator_psd", psd_order(np.zeros_like(d_op), d_op, tol)),
-        boolean_check(
-            "range_compression_psd", psd_order(np.zeros_like(d_op), -cross_range, tol)
-        ),
-        boolean_check(
-            "null_compression_psd", psd_order(np.zeros_like(d_op), -cross_null, tol)
-        ),
-        boolean_check("x_psd", psd_order(np.zeros_like(x_op), x_op, tol)),
-        boolean_check("y_psd", psd_order(np.zeros_like(y_op), y_op, tol)),
+        norm_check("xy_sum_identity", x_op + y_op - four_d_sq - 2.0 * d_op, scale_sq),
+        psd_check("defect_operator_psd", d_op),
+        psd_check("range_compression_psd", -cross_range),
+        psd_check("null_compression_psd", -cross_null),
+        psd_check("x_psd", x_op),
+        psd_check("y_psd", y_op),
         Check(
             "compression_norms_equal",
             abs(operator_norm(cross_range) - operator_norm(cross_null)),

@@ -54,7 +54,10 @@ def bracket_check(name: str, bracket: tuple[float, float], tolerance: float) -> 
 
 
 def norm_check(name: str, m: np.ndarray, tolerance: float) -> Check:
-    """``||m|| <= tolerance`` as a bracketed check, with the exact norm taken only near the gate."""
+    """``||m|| <= tolerance`` as a bracketed check, with the exact norm taken only near the gate.
+
+    A (k, n, n) stack checks that every one of its norms is within the gate.
+    """
     return bracket_check(name, norm_bracket(m, tolerance), tolerance)
 
 

@@ -382,6 +382,19 @@ class TestAnalyze:
         assert failed == ["matched_equals_tt_factor", "matched_equals_vv_factor"]
         assert report["all_passed"] is False
 
+    def test_non_hermitian_defect_operator_fails_its_check_only(self, tmp_path, capsys):
+        # at ||A|| = 1e6, n = 32, rank 21 the computed defect operator D is
+        # too far from Hermitian for psd_order: the PSD check fails, and the
+        # report is still written
+        q, rep = tmp_path / "q.json", tmp_path / "rep.json"
+        save_matrix(q, random_idempotent(32, 21, 1e6, 32021).matrix)
+        assert run("analyze", "--input", q, "--output", rep) == 1
+        assert "asymmetry" not in capsys.readouterr().err
+        report = json.loads(rep.read_text())
+        checks = {c["name"]: c["passed"] for c in report["checks"]}
+        assert checks["defect_operator_psd"] is False
+        assert report["all_passed"] is False
+
     def test_report_json_round_trips(self, tmp_path):
         q, rep = tmp_path / "q.json", tmp_path / "rep.json"
         save_matrix(q, as_matrix([[1.0, 1.0], [0.0, 0.0]]))
@@ -509,7 +522,7 @@ class TestVerify:
     def test_factorizations_per_battery(self, factorizations):
         # the ceiling is the measured count: a second build of an oracle shows here
         run_battery(12, 2, 7)
-        assert sum(factorizations.values()) <= 545, dict(factorizations)
+        assert sum(factorizations.values()) <= 450, dict(factorizations)
 
     def test_sabotage_fails_fast(self):
         assert run("verify", "--dim-max", 4, "--trials", 2, "--seed", 7,

@@ -15,6 +15,7 @@ from matchedproj import (
     moore_penrose,
     norm_at_most,
     norm_bounds,
+    norm_bracket,
     numerical_rank,
     operator_norm,
     psd_order,
@@ -176,6 +177,30 @@ class TestKernels:
             exact = operator_norm(m)
             for bound in (np.nextafter(exact, -np.inf), exact, np.nextafter(exact, np.inf)):
                 assert norm_at_most(m, float(bound)) == (exact <= bound)
+
+    def test_stack_bracket_holds_the_largest_norm_and_decides_exactly(self):
+        # a (k, n, n) stack is decided as max(operator_norm(stack)) <= gate
+        for m in kernel_inputs():
+            if m.ndim != 3:
+                continue
+            exact = float(np.max(operator_norm(m)))
+            for factor in (0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 2.0):
+                gate = factor * exact
+                lower, upper = norm_bracket(m, gate)
+                assert type(lower) is float and type(upper) is float
+                assert lower <= exact <= upper, (m.shape, lower, exact, upper)
+                assert (upper <= gate) == (exact <= gate), (m.shape, factor)
+                assert norm_at_most(m, gate) == (exact <= gate)
+
+    def test_straddling_stack_takes_one_stacked_norm(self, linalg_calls):
+        # the bounds of the identity stack straddle a gate of 1.5; the clear
+        # gates take no factorization
+        stack = np.stack([np.eye(4), 0.5 * np.eye(4)]).astype(complex)
+        assert norm_bracket(stack, 3.0)[1] <= 3.0
+        assert norm_bracket(stack, 0.9)[0] > 0.9
+        assert linalg_calls == []
+        assert norm_bracket(stack, 1.5) == (1.0, 1.0)
+        assert linalg_calls == ["svd"]
 
 
 def norm_test_matrices(rng, dim):

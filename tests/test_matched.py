@@ -9,7 +9,6 @@ import pytest
 from matchedproj import (
     DEFAULT_TOL,
     Idempotent,
-    NotHermitianError,
     NotQuasiProjectionPairError,
     NotUnitaryError,
     Projection,
@@ -53,7 +52,7 @@ from matchedproj import (
 )
 from matchedproj import matched as matched_module
 from matchedproj import report as report_module
-from matchedproj.battery import sabotaged
+from matchedproj.battery import run_battery, sabotaged
 
 from conftest import envelope_inputs
 
@@ -543,41 +542,55 @@ class TestQppHolds:
                     assert qpp_holds(p, q, tol) == is_quasi_projection_pair(p, q, tol).holds
 
 
+def recorded_brackets(monkeypatch):
+    """The (m, gate, bracket) of every norm_bracket the checks of matched, norms and battery take."""
+    seen = []
+
+    def recorded(m, gate):
+        bracket = norm_bracket(m, gate)
+        seen.append((m, gate, bracket))
+        return bracket
+
+    monkeypatch.setattr(matched_module, "norm_bracket", recorded)
+    monkeypatch.setattr(report_module, "norm_bracket", recorded)
+    return seen
+
+
+def assert_brackets_decide_exactly(seen):
+    # each bracket holds the exact norm (of a stack, the largest), and decides
+    # as the exact norm does at its gate and at gates on either side of it
+    for m, gate, (lower, upper) in seen:
+        exact = float(np.max(operator_norm(m)))
+        assert lower <= exact <= upper, (m.shape, lower, exact, upper)
+        assert (upper <= gate) == (exact <= gate)
+        for factor in (0.5, 1.0 - 1e-9, 1.0 + 1e-9, 2.0):
+            g = factor * exact
+            assert (norm_bracket(m, g)[1] <= g) == (exact <= g), (factor, exact)
+
+
 class TestNormBracket:
     def test_brackets_of_the_analysis_hold_the_norm_and_decide_exactly(self, monkeypatch):
-        # every bracket the analyze checks take (distance report, range
-        # identities, the three quasi-projection-pair verdicts) holds the
-        # exact norm, and decides as the exact norm does at gates on either
-        # side of it
-        seen = []
-
-        def recorded(m, gate):
-            bracket = norm_bracket(m, gate)
-            seen.append((m, gate, bracket))
-            return bracket
-
-        monkeypatch.setattr(matched_module, "norm_bracket", recorded)
-        monkeypatch.setattr(report_module, "norm_bracket", recorded)
+        # the distance report, the range identities and the three
+        # quasi-projection-pair verdicts that analyze takes
+        seen = recorded_brackets(monkeypatch)
         brackets = 0
         for q in envelope_inputs((1e-10, 1e-4, 1.0, 1e4, 1e6), every_rank=True):
             seen.clear()
-            try:
-                distance_report(q)
-            except NotHermitianError:
-                # 3 inputs at ||A|| = 1e6 fail a Hermitian gate after the report's brackets
-                assert q.dim == 32 and q.offdiag_norm > 1e5
+            distance_report(q)
             range_identities(q)
             for p in (matched_projection(q).projection, range_projection(q), null_projection(q)):
                 is_quasi_projection_pair(p, q)
-            for m, gate, (lower, upper) in seen:
-                exact = operator_norm(m)
-                assert lower <= exact <= upper, (q.dim, q.rank, lower, exact, upper)
-                assert (upper <= gate) == (exact <= gate)
-                for factor in (0.5, 1.0 - 1e-9, 1.0 + 1e-9, 2.0):
-                    g = factor * exact
-                    assert (norm_bracket(m, g)[1] <= g) == (exact <= g), (factor, exact)
+            assert_brackets_decide_exactly(seen)
             brackets += len(seen)
         assert brackets == 27 * sum(1 for _ in envelope_inputs((1.0,), every_rank=True)) * 5
+
+    def test_brackets_of_the_battery_hold_the_largest_norm_and_decide_exactly(self, monkeypatch):
+        # the battery's compound records bracket a (k, n, n) stack of residuals
+        seen = recorded_brackets(monkeypatch)
+        run_battery(8, 3, 7)
+        assert_brackets_decide_exactly(seen)
+        stacks = [m.shape[0] for m, _, _ in seen if m.ndim == 3]
+        assert {2, 10, 11} <= set(stacks), stacks
 
 
 class TestSymmetryClosure:

@@ -161,6 +161,65 @@ def test_the_bracket_invariant_sees_each_spelling():
         assert bool(_exact_norm_for_a_bracket(source)) == (source in spellings), source
 
 
+def _battery_record_violations(source):
+    """Where the source records a tally outside ``_record_checks`` or compares an exact norm.
+
+    A ``.record(...)`` call outside the one recorder, and an
+    ``operator_norm(...)`` call anywhere in an operand of a comparison.
+    """
+    tree = ast.parse(source)
+    recorder = {
+        id(n) for f in ast.walk(tree)
+        if isinstance(f, ast.FunctionDef) and f.name == "_record_checks" for n in ast.walk(f)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr == "record" and id(node) not in recorder:
+                found.append(f"{node.lineno} .record outside _record_checks")
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(_calls(n, "operator_norm") for side in operands for n in ast.walk(side)):
+                found.append(f"{node.lineno} operator_norm compared with a gate")
+    return found
+
+
+def test_battery_records_checks_through_one_recorder():
+    # every battery record is a report.Check, tallied by _record_checks; a
+    # residual against a gate is a norm_check, decided by norm_bracket
+    source = (PACKAGE / "battery.py").read_text(encoding="utf-8")
+    assert "def _record_checks(" in source
+    found = _battery_record_violations(source)
+    assert not found, found
+
+
+def test_the_recorder_invariant_sees_each_spelling():
+    spellings = [
+        'report.tally("adjoint-involution").record(ok, context)',
+        "def _core_kernels(report, context):\n    report.tally(name).record(check, context)",
+        "def _record(report, context, c):\n    report.tally(c.name).record(c, context)",
+        "operator_norm(m) <= gate",
+        "operator_norm(m) == 0.0",
+        "linalg.operator_norm(p1 @ p2) < 0.999",
+        "gate >= operator_norm(m)",
+        "max(operator_norm(a), operator_norm(b)) <= gate",
+        "abs(operator_norm(m) - norm) <= gate",
+        "ok = a <= b and operator_norm(m) <= gate",
+    ]
+    allowed = [
+        "def _record_checks(report, context, *checks):\n"
+        "    for c in checks:\n        report.tally(c.name).record(c, context)",
+        '_record_checks(report, context, norm_check("sqrt-composition", m, gate))',
+        'Check("adjoint-isometry", abs(operator_norm(m) - norm), gate)',
+        "norm_at_most(p1 @ p2, 0.999)",
+        "wit.contraction_norm < 1.0",
+        "ratio = operator_norm(a) / operator_norm(b)",
+        "log.recorded(check)",
+    ]
+    for source in spellings + allowed:
+        assert bool(_battery_record_violations(source)) == (source in spellings), source
+
+
 def _hand_rolled_memo(node):
     """Which memo name the node spells, "_memoized" or "_memo", if any.
 
