@@ -55,7 +55,6 @@ from .linalg import (
 from .matched import (
     FactorOracle,
     MatchedPair,
-    QppVerdict,
     SimilarityWitness,
     factor_oracle,
     fractional_power_limit,
@@ -67,7 +66,7 @@ from .matched import (
     matched_projection,
     matched_projection_closed_form,
     matched_via_factor,
-    qpp_holds,
+    qpp_checks,
     qpp_symmetry_closure,
     random_qpp_pair,
     range_identities,

@@ -48,10 +48,10 @@ from .matched import (
     homotopy_path,
     homotopy_witness,
     homotopy_witness_block,
-    is_quasi_projection_pair,
     matched_projection,
     matched_projection_closed_form,
     matched_via_factor,
+    qpp_checks,
     qpp_symmetry_closure,
     random_qpp_pair,
     range_identities,
@@ -65,7 +65,7 @@ from .norms import (
     qpp_minimality,
     two_projection_construction,
 )
-from .report import Check, boolean_check, norm_check
+from .report import Check, all_passed, boolean_check, norm_check
 from .two_by_two import (
     canonical_idempotent,
     closed_form_p0,
@@ -259,28 +259,30 @@ def _matched_identities(report: BatteryReport, rng, dim, q, tol, context):
     )
 
 
-def _characterizations_agree(verdict) -> bool:
-    return verdict.blocks_hold == verdict.reflection_holds == verdict.abs_reflection_holds
+def _characterizations_agree(checks: list[Check]) -> bool:
+    """Whether the three block conditions and each reflection of ``qpp_checks`` give one verdict."""
+    return all_passed(checks[:3]) == checks[3].passed == checks[4].passed
 
 
 def _qpp_suite(report: BatteryReport, rng, dim, q, tol, context):
     pair = matched_projection(q, tol)
-    verdict = is_quasi_projection_pair(pair.projection, q, tol)
+    checks = list(qpp_checks(pair.projection, q, tol))
+    holds = all_passed(checks)
     _record_checks(
         report, context,
-        boolean_check("matched-pair-is-qpp", verdict.holds),
-        boolean_check("qpp-characterizations-agree", _characterizations_agree(verdict)),
+        boolean_check("matched-pair-is-qpp", holds),
+        boolean_check("qpp-characterizations-agree", _characterizations_agree(checks)),
     )
-    if verdict.holds:
+    if holds:
         closure = qpp_symmetry_closure(pair.projection, q, tol)
         _record_checks(report, context, boolean_check("qpp-symmetry-closure", closure))
     # a non-pair must fail all three characterizations coherently
     if not norm_at_most(q.matrix - adjoint(q.matrix), 1e-6):
-        bad = is_quasi_projection_pair(range_projection(q, tol), q, tol)
+        bad = list(qpp_checks(range_projection(q, tol), q, tol))
         _record_checks(
             report, context,
             boolean_check("qpp-characterizations-agree", _characterizations_agree(bad)),
-            boolean_check("range-partner-not-qpp", not bad.holds),
+            boolean_check("range-partner-not-qpp", not all_passed(bad)),
             note="range-projection partner",
         )
 
@@ -406,7 +408,7 @@ def _two_by_two(report: BatteryReport, rng, tol, context):
     direct = operator_norm(p.matrix - canonical_idempotent(a, tol).matrix) ** 2
     objective = abs(distance_objective(a, x, t) - direct)
     _record_checks(report, context, Check("objective-matches-norm", objective, tol.check * (1.0 + mod**2)))
-    gm = grid_minimize(a, 64, 64, tol)
+    gm = grid_minimize(a, 64, tol)
     _record_checks(report, context, *gm.checks, prefix="grid")
 
 
@@ -423,7 +425,7 @@ def _static_checks(report: BatteryReport, tol: Tolerances):
 
     for mod in np.logspace(-2, 2, 20):
         context = f"a={mod:.3g}"
-        gm = grid_minimize(float(mod), 512, 512, tol)
+        gm = grid_minimize(float(mod), 512, tol)
         _record_checks(report, context, *gm.checks, prefix="family-grid")
         problem = closed_form_p0(float(mod), tol)
         p_grid = halmos_projection(

@@ -10,6 +10,7 @@ import argparse
 import hashlib
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .battery import run_battery
@@ -23,11 +24,10 @@ from .idempotents import (
 )
 from .linalg import DEFAULT_TOL, Tolerances, norm_bracket
 from .matched import (
-    QppVerdict,
     homotopy_path,
-    is_quasi_projection_pair,
     matched_projection,
     matched_via_factor,
+    qpp_checks,
     range_identities,
 )
 from .matrixio import dumps, load_matrix, save_matrix
@@ -46,11 +46,12 @@ def _checks_to_obj(checks: list[Check]) -> list[dict]:
     return [c.as_dict() for c in checks]
 
 
-def _verdict_to_obj(v: QppVerdict) -> dict:
+def _verdict_to_obj(checks: list[Check]) -> dict:
+    """One pair's ``qpp_checks`` as its verdict, their shared gate and each residual bracket."""
     return {
-        "holds": bool(v.holds),
-        "gate": float(v.gate),
-        "residual_brackets": {k: [float(lo), float(up)] for k, (lo, up) in v.residuals.items()},
+        "holds": all_passed(checks),
+        "gate": float(checks[0].tolerance),
+        "residual_brackets": {c.name: [float(c.lower), float(c.residual)] for c in checks},
     }
 
 
@@ -88,13 +89,13 @@ def cmd_analyze(args) -> int:
             factor_gaps = (math.inf, math.inf), (math.inf, math.inf)
         checks.append(bracket_check("matched_equals_tt_factor", factor_gaps[0], oracle_gate))
         checks.append(bracket_check("matched_equals_vv_factor", factor_gaps[1], oracle_gate))
-        qpp_matched = is_quasi_projection_pair(pair.projection, q, tol)
-        reflection = qpp_matched.residuals["adjoint_reflection"]
-        checks.append(bracket_check("matched_reflection_identity", reflection, qpp_matched.gate))
+        qpp_matched = list(qpp_checks(pair.projection, q, tol))
+        # qpp_matched[3] is the adjoint reflection Q* = (2m - I) Q (2m - I)
+        checks.append(replace(qpp_matched[3], name="matched_reflection_identity"))
 
-        qpp_range = is_quasi_projection_pair(range_projection(q, tol), q, tol)
-        qpp_null = is_quasi_projection_pair(null_projection(q, tol), q, tol)
-        checks.append(boolean_check("matched_pair_is_qpp", qpp_matched.holds))
+        qpp_range = list(qpp_checks(range_projection(q, tol), q, tol))
+        qpp_null = list(qpp_checks(null_projection(q, tol), q, tol))
+        checks.append(boolean_check("matched_pair_is_qpp", all_passed(qpp_matched)))
     except MatchedProjectionError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return E_MATH
@@ -179,7 +180,7 @@ def cmd_min2x2(args) -> int:
         return E_USAGE
     try:
         problem = closed_form_p0(a, tol)
-        gm = grid_minimize(a, args.grid, args.grid, tol)
+        gm = grid_minimize(a, args.grid, tol)
         pair = matched_projection(canonical_idempotent(a, tol), tol)
     except MatchedProjectionError as exc:
         print(f"check failed: {exc}", file=sys.stderr)

@@ -13,21 +13,23 @@ it.  ``norm_bracket`` returns the bounds, or the exact norm twice, and
 ``norm_at_most`` its verdict; a (k, n, n) stack decides "every one of these
 norms <= gate" at once.  A check reports such a residual as that bracket
 (``report.Check`` with a ``lower`` end): the quasi-projection-pair
-residuals, the range and kernel identities, the similarity and
+conditions (``matched.qpp_checks``, which ``is_quasi_projection_pair``
+decides lazily), the range and kernel identities, the similarity and
 defect-operator identities of the distance report, ``analyze``'s oracle
 comparisons and every residual-against-a-gate record of the ``verify``
 battery.  Gates whose number is
 never reported decide the same way: ``require_hermitian``, the certificates
 of ``idempotents.as_idempotent(s)`` and ``as_projection``
-(``is_projection``), ``matched.qpp_holds``, the witness projection
-short-circuit, its closed-form inverse certificate and its similarity gate.
+(``is_projection``), the dominance equality of ``norms.qpp_minimality``,
+the witness projection short-circuit, its closed-form inverse certificate
+and its similarity gate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -40,18 +42,20 @@ EPS = float(np.finfo(np.float64).eps)
 class Tolerances:
     """Numerical gates used throughout the package.
 
-    ``check`` bounds identity residuals, ``psd`` is the allowed slack on
-    negative eigenvalues, and ``rank`` is the relative singular/eigenvalue
-    cutoff factor (``None`` means ``dim * machine epsilon``).
+    ``check`` bounds identity residuals and ``rank`` is the relative
+    singular/eigenvalue cutoff factor (``None`` means ``dim * machine
+    epsilon``).  ``psd``, the allowed slack on negative eigenvalues in
+    ``psd_order``, is fixed.
     """
 
+    psd: ClassVar[float] = 1e-10
+
     check: float = 1e-10
-    psd: float = 1e-10
     rank: float | None = None
 
     def __post_init__(self):
         # chained comparisons, so that NaN, which fails them all, is rejected too
-        if not (0.0 < self.check < np.inf and 0.0 < self.psd < np.inf):
+        if not 0.0 < self.check < np.inf:
             raise ValueError("tolerances must be finite and positive")
         if self.rank is not None and not 0.0 < self.rank < np.inf:
             raise ValueError("rank cutoff factor must be finite and positive")

@@ -74,7 +74,6 @@ from .linalg import (
     moore_penrose,
     norm_at_most,
     norm_bounds,
-    norm_bracket,
     numerical_rank,
     operator_norm,
     psd_order,
@@ -174,32 +173,6 @@ def matched_via_factor(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> tuple[np
     return fo.t @ fo.t_pinv, fo.v @ adjoint(fo.v)
 
 
-@dataclass(frozen=True)
-class QppVerdict:
-    """The five quasi-projection-pair conditions for (P, Q), each residual a ``norm_bracket``.
-
-    ``residuals`` maps each condition to (lower, upper) around its residual
-    norm; a condition holds when upper <= ``gate``, the exact decision.
-    """
-
-    holds: bool
-    residuals: dict[str, tuple[float, float]]
-    gate: float
-
-    @property
-    def blocks_hold(self) -> bool:
-        names = ("block_range", "block_cross", "block_null")
-        return all(self.residuals[n][1] <= self.gate for n in names)
-
-    @property
-    def reflection_holds(self) -> bool:
-        return self.residuals["adjoint_reflection"][1] <= self.gate
-
-    @property
-    def abs_reflection_holds(self) -> bool:
-        return self.residuals["abs_reflection"][1] <= self.gate
-
-
 def _qpp_matrices(p: Projection, q: Idempotent) -> Iterator[tuple[str, np.ndarray]]:
     """The residual matrices of the five quasi-projection-pair conditions, built one at a time."""
     pm, qm = p.matrix, q.matrix
@@ -213,42 +186,33 @@ def _qpp_matrices(p: Projection, q: Idempotent) -> Iterator[tuple[str, np.ndarra
     yield "abs_reflection", q.abs_q_star - reflect @ q.abs_q @ reflect
 
 
-def is_quasi_projection_pair(
-    p: Projection, q: Idempotent, tol: Tolerances = DEFAULT_TOL
-) -> QppVerdict:
-    """Test the three block conditions plus both reflection characterizations.
+def qpp_checks(p: Projection, q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> Iterator[Check]:
+    """The five quasi-projection-pair conditions for (P, Q) as ``norm_check``s, built one at a time.
 
-    Every residual is a ``norm_bracket`` at the gate, exact only where its
-    bounds straddle it; ``qpp_holds`` gives ``holds`` alone for less.
+    The three block conditions, then both reflection characterizations,
+    each held to the gate tol.check (1 + ||Q||).  A report takes the list;
+    ``is_quasi_projection_pair`` stops at the first that fails.
     """
     gate = tol.check * (1.0 + q.norm)
-    residuals = {name: norm_bracket(mat, gate) for name, mat in _qpp_matrices(p, q)}
-    return QppVerdict(
-        holds=all(upper <= gate for _, upper in residuals.values()),
-        residuals=residuals,
-        gate=gate,
-    )
+    for name, mat in _qpp_matrices(p, q):
+        yield norm_check(name, mat, gate)
 
 
-def qpp_holds(p: Projection, q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """``is_quasi_projection_pair(p, q, tol).holds``, each condition by ``norm_at_most``.
-
-    Stops at the first condition that fails.
-    """
-    gate = tol.check * (1.0 + q.norm)
-    return all(norm_at_most(mat, gate) for _, mat in _qpp_matrices(p, q))
+def is_quasi_projection_pair(p: Projection, q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> bool:
+    """Whether every condition of ``qpp_checks`` passes; stops at the first that fails."""
+    return all(c.passed for c in qpp_checks(p, q, tol))
 
 
 def qpp_symmetry_closure(p: Projection, q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Whether all eight pairs {P, I-P} x {Q, Q*, I-Q, I-Q*} are quasi-projection pairs."""
-    if not qpp_holds(p, q, tol):
+    if not is_quasi_projection_pair(p, q, tol):
         raise NotQuasiProjectionPairError("(P, Q) is not a quasi-projection pair")
     projections = [p, as_projection(identity(q.dim) - p.matrix, tol)]
     complement = complement_of(q, tol)
     idempotents = [q, adjoint_of(q, tol), complement, adjoint_of(complement, tol)]
     pairs = [(a, b) for a in projections for b in idempotents]
     # pairs[0] is (P, Q), whose verdict the guard has just given
-    return all(qpp_holds(a, b, tol) for a, b in pairs[1:])
+    return all(is_quasi_projection_pair(a, b, tol) for a, b in pairs[1:])
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from .linalg import (
     psd_power,
     require_hermitian,
 )
-from .matched import matched_distance, matched_projection, qpp_holds
+from .matched import is_quasi_projection_pair, matched_distance, matched_projection
 from .report import Check, boolean_check, norm_check
 
 
@@ -353,7 +353,7 @@ def qpp_minimality(
     checks = [
         Check("matched_within_twice_candidate", max(0.0, d_matched - 2.0 * d_candidate), scale)
     ]
-    holds = qpp_holds(p, q, tol)
+    holds = is_quasi_projection_pair(p, q, tol)
     if holds:
         diff_m = m - qm
         diff_p = p.matrix - qm
@@ -364,7 +364,7 @@ def qpp_minimality(
         checks.append(
             Check("matched_within_candidate", max(0.0, d_matched - d_candidate), scale)
         )
-        dominance_tight = operator_norm(left_p - left_m) <= scale_sq
+        dominance_tight = norm_at_most(left_p - left_m, scale_sq)
         to_matched = operator_norm(p.matrix - m)
         candidate_is_matched = to_matched <= scale
         checks.append(

@@ -120,27 +120,25 @@ class GridMinimum:
     checks: list[Check]
 
 
-def grid_minimize(
-    a: complex, grid_x: int, grid_t: int, tol: Tolerances = DEFAULT_TOL
-) -> GridMinimum:
-    """Scan the objective on a uniform grid and compare with the closed form.
+def grid_minimize(a: complex, points: int, tol: Tolerances = DEFAULT_TOL) -> GridMinimum:
+    """Scan the objective on a uniform ``points`` x ``points`` grid; compare with the closed form.
 
     The objective is Lipschitz on the compact domain, so the grid minimum
     must land within an O(step) band above the true optimum; it can never
     fall below it, being a minimum over a subset.
     """
-    if grid_x < 1 or grid_t < 1:
-        raise ValueError("grid sizes must be positive")
+    if points < 1:
+        raise ValueError("grid size must be positive")
     problem = closed_form_p0(a, tol)
     mod = abs(a)
-    xs = np.linspace(-1.0, 1.0, grid_x)
-    ts = np.linspace(0.0, np.pi, grid_t)
+    xs = np.linspace(-1.0, 1.0, points)
+    ts = np.linspace(0.0, np.pi, points)
 
     # blocks of t-rows, each scanned row-major; a later block replaces the best
     # only on a strict improvement, so the first row-major minimum wins
     best = np.inf
     best_x, best_t = xs[0], ts[0]
-    for lo in range(0, grid_t, GRID_ROWS):
+    for lo in range(0, points, GRID_ROWS):
         vals = distance_objective(a, xs[None, :], ts[lo : lo + GRID_ROWS, None])
         i, j = np.unravel_index(np.argmin(vals), vals.shape)
         if vals[i, j] < best:
@@ -149,8 +147,8 @@ def grid_minimize(
 
     optimum = distance_objective(a, 1.0, problem.t0)
     gap = best - optimum
-    dx = 2.0 / (grid_x - 1) if grid_x > 1 else 2.0
-    dt = np.pi / (grid_t - 1) if grid_t > 1 else np.pi
+    dx = 2.0 / (points - 1) if points > 1 else 2.0
+    dt = np.pi / (points - 1) if points > 1 else np.pi
     lipschitz = (2.0 + 3.0 * mod) * dt + mod * dx
 
     q = canonical_idempotent(a, tol)
@@ -167,7 +165,7 @@ def grid_minimize(
         Check("angle_bound_attained", problem.b - max_g, (2.0 + 2.0 * mod) * dt),
         Check("angle_bound_holds", max(0.0, max_g - problem.b), tol.check),
     ]
-    if min(grid_x, grid_t) >= 8:
+    if points >= 8:
         # on coarse grids the argmin is not forced anywhere near the optimum;
         # t and pi - t parametrize the same projection, so both count
         t_gap = min(abs(best_t - problem.t0), abs(np.pi - best_t - problem.t0))

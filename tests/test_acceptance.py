@@ -13,6 +13,7 @@ import pytest
 from matchedproj import (
     abs_value,
     adjoint,
+    all_passed,
     as_idempotent,
     canonical_idempotent,
     closed_form_p0,
@@ -20,11 +21,11 @@ from matchedproj import (
     grid_minimize,
     homotopy_path,
     homotopy_witness,
-    is_quasi_projection_pair,
     matched_projection,
     matched_via_factor,
     offdiag_distance,
     operator_norm,
+    qpp_checks,
     qpp_symmetry_closure,
     random_idempotent,
     random_projection,
@@ -118,22 +119,22 @@ def stress():
         worst["structural"] = max(worst["structural"], structural)
 
         # criterion 5: quasi-projection-pair suite
-        verdict = is_quasi_projection_pair(pair.projection, q)
+        checks = list(qpp_checks(pair.projection, q))
         residuals = [operator_norm(mat) for _, mat in _qpp_matrices(pair.projection, q)]
-        margin = max(residuals) - verdict.gate
+        margin = max(residuals) - checks[0].tolerance
         worst["qpp_residual_margin"] = max(worst["qpp_residual_margin"], margin)
         if not qpp_symmetry_closure(pair.projection, q):
             worst["qpp_closure_failures"] += 1
         partners = [
-            verdict,
-            is_quasi_projection_pair(range_projection(q), q),
-            is_quasi_projection_pair(
+            checks,
+            list(qpp_checks(range_projection(q), q)),
+            list(qpp_checks(
                 random_projection(dim, int(rng.integers(0, dim + 1)), int(rng.integers(2**32))),
                 q,
-            ),
+            )),
         ]
-        for v in partners:
-            if not (v.blocks_hold == v.reflection_holds == v.abs_reflection_holds):
+        for c in partners:
+            if not (all_passed(c[:3]) == c[3].passed == c[4].passed):
                 worst["qpp_equivalence_disagreements"] += 1
 
         # criterion 6: homotopy
@@ -177,7 +178,7 @@ class TestCriterion1:
         expect = np.array([[RT2 + 1.0, 1.0], [1.0, RT2 - 1.0]]) / (2.0 * RT2)
         entry_gap = np.abs(pair.projection.matrix - expect).max()
 
-        gm = grid_minimize(1.0, 2048, 2048)
+        gm = grid_minimize(1.0, 2048)
         t0 = closed_form_p0(1.0).t0
         step_t = np.pi / 2047
         step_x = 2.0 / 2047

@@ -2,12 +2,14 @@
 
 import gc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from matchedproj import (
     DEFAULT_TOL,
+    Check,
     Idempotent,
     NotQuasiProjectionPairError,
     NotUnitaryError,
@@ -40,7 +42,7 @@ from matchedproj import (
     norm_bracket,
     null_projection,
     operator_norm,
-    qpp_holds,
+    qpp_checks,
     qpp_symmetry_closure,
     random_idempotent,
     random_projection,
@@ -145,8 +147,7 @@ class TestMatchedProjection:
             pair = matched_projection(q)
             m = pair.projection.matrix
             tt, vv = matched_via_factor(q)
-            verdict = is_quasi_projection_pair(pair.projection, q)
-            _, reflection = verdict.residuals["adjoint_reflection"]
+            reflection = list(qpp_checks(pair.projection, q))[3].residual
             assert operator_norm(m - tt) <= 1e-10
             assert operator_norm(m - vv) <= 1e-10
             assert reflection <= 1e-10 * (1 + operator_norm(q.matrix))
@@ -461,22 +462,21 @@ class TestMatchedViaFactor:
 class TestQuasiProjectionPair:
     def test_projection_with_itself(self):
         p = random_projection(4, 2, 9)
-        verdict = is_quasi_projection_pair(p, as_idempotent(p.matrix))
-        assert verdict.holds
+        assert is_quasi_projection_pair(p, as_idempotent(p.matrix))
 
     def test_range_partner_fails_with_unit_residual(self):
         # (2P - I) Q (2P - I) = [[1,-1],[0,0]] against Q* = [[1,0],[1,0]]
         q = canonical()
         p = range_projection(q)
-        verdict = is_quasi_projection_pair(p, q)
-        assert not verdict.holds
+        assert not is_quasi_projection_pair(p, q)
         expect = operator_norm(
             np.array([[1.0, 0.0], [1.0, 0.0]]) - np.array([[1.0, -1.0], [0.0, 0.0]])
         )
         residual = operator_norm(dict(matched_module._qpp_matrices(p, q))["adjoint_reflection"])
         assert residual == pytest.approx(expect, abs=1e-12)
-        lower, upper = verdict.residuals["adjoint_reflection"]
-        assert lower <= residual <= upper
+        reflection = list(qpp_checks(p, q))[3]
+        assert reflection.name == "adjoint_reflection"
+        assert reflection.lower <= residual <= reflection.residual
 
     def test_matched_pair_holds_random(self):
         rng = np.random.default_rng(41)
@@ -489,10 +489,8 @@ class TestQuasiProjectionPair:
                 int(rng.integers(2**32)),
             )
             pair = matched_projection(q)
-            verdict = is_quasi_projection_pair(pair.projection, q)
-            assert verdict.holds
-            assert verdict.blocks_hold and verdict.reflection_holds
-            assert verdict.abs_reflection_holds
+            assert is_quasi_projection_pair(pair.projection, q)
+            assert all_passed(list(qpp_checks(pair.projection, q)))
 
     def test_characterizations_never_disagree(self):
         rng = np.random.default_rng(43)
@@ -502,11 +500,88 @@ class TestQuasiProjectionPair:
                 dim, int(rng.integers(1, dim)), 1.5, int(rng.integers(2**32))
             )
             p = random_projection(dim, int(rng.integers(0, dim + 1)), int(rng.integers(2**32)))
-            v = is_quasi_projection_pair(p, q)
-            assert v.blocks_hold == v.reflection_holds == v.abs_reflection_holds
+            c = list(qpp_checks(p, q))
+            assert all_passed(c[:3]) == c[3].passed == c[4].passed
+
+
+QPP_NAMES = ["block_range", "block_cross", "block_null", "adjoint_reflection", "abs_reflection"]
+
+
+def qpp_layout_errors(checks, q, tol=DEFAULT_TOL):
+    """How a list of checks differs from the five bracketed conditions, in order, under one gate."""
+    errors = []
+    if [c.name for c in checks] != QPP_NAMES:
+        errors.append(f"names {[c.name for c in checks]}")
+    if {c.tolerance for c in checks} != {tol.check * (1.0 + q.norm)}:
+        errors.append(f"gates {sorted({c.tolerance for c in checks})}")
+    if any(c.lower is None for c in checks):
+        errors.append("an unbracketed residual")
+    return errors
+
+
+QPP_MATRICES = matched_module._qpp_matrices
+
+
+def residual_matrices_built(monkeypatch, decide, p, q):
+    """How many residual matrices of ``_qpp_matrices`` ``decide(p, q)`` has built."""
+    built = []
+
+    def counted(p, q):
+        for item in QPP_MATRICES(p, q):
+            built.append(item[0])
+            yield item
+
+    monkeypatch.setattr(matched_module, "_qpp_matrices", counted)
+    decide(p, q)
+    return len(built)
+
+
+class TestQppChecks:
+    def test_five_conditions_in_order_under_one_gate(self):
+        for p, q in TestQppHolds.pairs():
+            assert not qpp_layout_errors(list(qpp_checks(p, q)), q)
+        q = canonical()
+        tol = Tolerances(check=1e-12)
+        assert not qpp_layout_errors(list(qpp_checks(range_projection(q), q, tol)), q, tol)
+
+    def test_the_layout_check_sees_each_spelling(self):
+        q = canonical()
+        checks = list(qpp_checks(matched_projection(q).projection, q))
+        gate = checks[0].tolerance
+        spellings = [
+            checks[::-1],
+            checks[:4],
+            [*checks[:4], replace(checks[4], tolerance=2.0 * gate)],
+            [*checks[:4], replace(checks[4], name="reflection_abs")],
+            [*checks[:4], Check("abs_reflection", checks[4].residual, gate)],
+        ]
+        assert not qpp_layout_errors(checks, q)
+        for spelled in spellings:
+            assert qpp_layout_errors(spelled, q), [c.name for c in spelled]
+
+    def test_a_failing_block_range_builds_one_residual(self, monkeypatch):
+        # P = I meets P (Q* - Q) P = Q* - Q, of norm |a| = 1, so the first condition fails
+        q = canonical()
+        p = as_projection(np.eye(2))
+        assert not list(qpp_checks(p, q))[0].passed
+        assert residual_matrices_built(monkeypatch, is_quasi_projection_pair, p, q) == 1
+
+    def test_the_residual_count_sees_each_spelling(self, monkeypatch):
+        q = canonical()
+        p = as_projection(np.eye(2))
+        spellings = {
+            "lazy": (lambda p, q: all(c.passed for c in qpp_checks(p, q)), 1),
+            "listed": (lambda p, q: all_passed(list(qpp_checks(p, q))), 5),
+            "list comprehension": (lambda p, q: all([c.passed for c in qpp_checks(p, q)]), 5),
+            "matrices": (lambda p, q: dict(matched_module._qpp_matrices(p, q)), 5),
+        }
+        for name, (decide, count) in spellings.items():
+            assert residual_matrices_built(monkeypatch, decide, p, q) == count, name
 
 
 class TestQppHolds:
+    """The yes/no verdict decides as the exact residual norms do."""
+
     @staticmethod
     def pairs():
         """Seeded pairs and non-pairs: matched, generated, range and random partners."""
@@ -522,11 +597,17 @@ class TestQppHolds:
             yield random_projection(dim, int(rng.integers(0, dim + 1)), int(rng.integers(2**32))), q
             yield random_qpp_pair(dim, int(rng.integers(2**32)))
 
+    @staticmethod
+    def exact_verdict(p, q, tol=DEFAULT_TOL):
+        gate = tol.check * (1.0 + q.norm)
+        return all(operator_norm(mat) <= gate for _, mat in matched_module._qpp_matrices(p, q))
+
     def test_agrees_with_the_verdict(self):
         held = 0
         for p, q in self.pairs():
-            holds = is_quasi_projection_pair(p, q).holds
-            assert qpp_holds(p, q) == holds
+            holds = self.exact_verdict(p, q)
+            assert is_quasi_projection_pair(p, q) == holds
+            assert all_passed(list(qpp_checks(p, q))) == holds
             held += holds
         assert 0 < held < 120
 
@@ -539,7 +620,7 @@ class TestQppHolds:
                     if not 0.0 < check < np.inf:
                         continue
                     tol = Tolerances(check=check)
-                    assert qpp_holds(p, q, tol) == is_quasi_projection_pair(p, q, tol).holds
+                    assert is_quasi_projection_pair(p, q, tol) == self.exact_verdict(p, q, tol)
 
 
 def recorded_brackets(monkeypatch):
@@ -551,7 +632,6 @@ def recorded_brackets(monkeypatch):
         seen.append((m, gate, bracket))
         return bracket
 
-    monkeypatch.setattr(matched_module, "norm_bracket", recorded)
     monkeypatch.setattr(report_module, "norm_bracket", recorded)
     return seen
 
@@ -579,7 +659,7 @@ class TestNormBracket:
             distance_report(q)
             range_identities(q)
             for p in (matched_projection(q).projection, range_projection(q), null_projection(q)):
-                is_quasi_projection_pair(p, q)
+                list(qpp_checks(p, q))
             assert_brackets_decide_exactly(seen)
             brackets += len(seen)
         assert brackets == 27 * sum(1 for _ in envelope_inputs((1.0,), every_rank=True)) * 5
@@ -834,14 +914,14 @@ class TestGeneratedQppPairs:
     def test_pairs_are_valid(self):
         for seed in range(30):
             p, q = random_qpp_pair(7, seed)
-            assert is_quasi_projection_pair(p, q).holds
+            assert is_quasi_projection_pair(p, q)
 
     def test_dimension_one(self):
         for seed in range(6):
             p, q = random_qpp_pair(1, seed)
             assert p.matrix.shape == q.matrix.shape == (1, 1)
             assert np.array_equal(p.matrix, q.matrix)
-            assert is_quasi_projection_pair(p, q).holds
+            assert is_quasi_projection_pair(p, q)
 
     def test_partner_commutes_with_matched(self):
         for seed in range(30):

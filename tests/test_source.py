@@ -92,6 +92,12 @@ BRACKETED_CHECKS = {
     "matched_equals_vv_factor",
     "matched_reflection_identity",
     "closed_form_is_matched",
+    # the five quasi-projection-pair conditions of matched.qpp_checks
+    "block_range",
+    "block_cross",
+    "block_null",
+    "adjoint_reflection",
+    "abs_reflection",
 }
 
 
@@ -100,13 +106,13 @@ def _exact_norm_for_a_bracket(source):
 
     A bracketed check built by ``Check(...)`` instead of ``norm_check`` or
     ``bracket_check``, an ``operator_norm`` call among the arguments of any
-    call naming a bracketed check, and one inside ``is_quasi_projection_pair``.
+    call naming a bracketed check, and one inside ``qpp_checks``.
     """
     found = []
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.FunctionDef) and node.name == "is_quasi_projection_pair":
+        if isinstance(node, ast.FunctionDef) and node.name == "qpp_checks":
             inner = [n for n in ast.walk(node) if _calls(n, "operator_norm")]
-            found += [f"{n.lineno} operator_norm in is_quasi_projection_pair" for n in inner]
+            found += [f"{n.lineno} operator_norm in qpp_checks" for n in inner]
         if not isinstance(node, ast.Call):
             continue
         names = [a.value for a in [*node.args, *(k.value for k in node.keywords)]
@@ -134,7 +140,7 @@ def test_bracketed_residuals_take_no_exact_norm_by_hand():
         if isinstance(a, ast.Constant) and a.value in BRACKETED_CHECKS
     }
     assert spelled == BRACKETED_CHECKS, BRACKETED_CHECKS - spelled
-    assert "def is_quasi_projection_pair(" in sources["matched.py"]
+    assert "def qpp_checks(" in sources["matched.py"]
     found = [f"{name}:{v}" for name, text in sources.items() for v in _exact_norm_for_a_bracket(text)]
     assert not found, found
 
@@ -147,18 +153,72 @@ def test_the_bracket_invariant_sees_each_spelling():
         'report.Check("mq_times_q", gap, gate)',
         'bracket_check("matched_equals_tt_factor", (linalg.operator_norm(m),) * 2, gate)',
         'norm_check("closed_form_is_matched", np.eye(2) * operator_norm(m), gate)',
-        "def is_quasi_projection_pair(p, q, tol):\n    return {n: operator_norm(m) for n, m in ms}",
+        "def qpp_checks(p, q, tol):\n    return {n: operator_norm(m) for n, m in ms}",
+        "def qpp_checks(p, q, tol):\n"
+        "    for n, m in ms:\n        yield Check(n, operator_norm(m), gate)",
+        'replace(checks[3], name="matched_reflection_identity", residual=operator_norm(m))',
     ]
     allowed = [
         'norm_check("mq_times_q", m @ q - h, gate)',
-        'bracket_check("matched_reflection_identity", verdict.residuals[key], gate)',
+        'replace(checks[3], name="matched_reflection_identity")',
+        "def qpp_checks(p, q, tol):\n    for n, m in ms:\n        yield norm_check(n, m, gate)",
         'Check("closed_form_agreement", abs(operator_norm(m) - d), scale)',
         'Check("x_norm_is_distance_squared", abs(operator_norm(x) - d * d), scale)',
-        "def qpp_holds(p, q, tol):\n    return operator_norm(m) <= gate",
+        "def is_quasi_projection_pair(p, q, tol):\n"
+        "    return all(c.passed for c in qpp_checks(p, q, tol))",
         "gap = operator_norm(m)",
     ]
     for source in spellings + allowed:
         assert bool(_exact_norm_for_a_bracket(source)) == (source in spellings), source
+
+
+def _qpp_matrices_outside_qpp_checks(source):
+    """Where the source names or imports ``_qpp_matrices`` outside ``qpp_checks``, its definition aside."""
+    tree = ast.parse(source)
+    inside = {
+        id(n) for f in ast.walk(tree)
+        if isinstance(f, ast.FunctionDef) and f.name == "qpp_checks" for n in ast.walk(f)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            named = [alias.name for alias in node.names]
+        else:
+            named = [getattr(node, "id", None) or getattr(node, "attr", None)]
+        if "_qpp_matrices" in named and id(node) not in inside:
+            found.append(f"{node.lineno} _qpp_matrices")
+    return found
+
+
+def test_only_qpp_checks_builds_the_qpp_residuals():
+    # the five conditions have one path: reports list qpp_checks, and
+    # is_quasi_projection_pair stops at the first failing one
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    assert "def _qpp_matrices(" in sources["matched.py"]
+    found = [
+        f"{name}:{v}" for name, text in sources.items() for v in _qpp_matrices_outside_qpp_checks(text)
+    ]
+    assert not found, found
+
+
+def test_the_qpp_path_invariant_sees_each_spelling():
+    spellings = [
+        "dict(_qpp_matrices(p, q))",
+        "residuals = matched._qpp_matrices(p, q)",
+        "def is_quasi_projection_pair(p, q, tol):\n"
+        "    return all(norm_at_most(m, gate) for _, m in _qpp_matrices(p, q))",
+        "from .matched import _qpp_matrices",
+        "build = _qpp_matrices",
+    ]
+    allowed = [
+        "def qpp_checks(p, q, tol):\n"
+        "    for name, m in _qpp_matrices(p, q):\n        yield norm_check(name, m, gate)",
+        "def _qpp_matrices(p, q):\n    yield 'block_range', m",
+        "list(qpp_checks(p, q, tol))",
+        "all(c.passed for c in qpp_checks(p, q, tol))",
+    ]
+    for source in spellings + allowed:
+        assert bool(_qpp_matrices_outside_qpp_checks(source)) == (source in spellings), source
 
 
 def _battery_record_violations(source):

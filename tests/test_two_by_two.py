@@ -23,10 +23,10 @@ from matchedproj import (
 RT2 = np.sqrt(2.0)
 
 
-def row_loop_minimum(a, grid_x, grid_t):
+def row_loop_minimum(a, points):
     """Reference scan, one t-row at a time: (min_value, argmin_x, argmin_t)."""
-    xs = np.linspace(-1.0, 1.0, grid_x)
-    ts = np.linspace(0.0, np.pi, grid_t)
+    xs = np.linspace(-1.0, 1.0, points)
+    ts = np.linspace(0.0, np.pi, points)
     best, best_x, best_t = np.inf, xs[0], ts[0]
     for t in ts:
         vals = distance_objective(a, xs, t)
@@ -165,7 +165,7 @@ class TestClosedFormP0:
 
 class TestGridMinimize:
     def test_unit_parameter_fine_grid(self):
-        gm = grid_minimize(1.0, 512, 512)
+        gm = grid_minimize(1.0, 512)
         assert gm.min_value == pytest.approx(0.5, abs=5e-3)
         assert gm.argmin_x == pytest.approx(1.0, abs=1e-12)
         t0 = closed_form_p0(1.0).t0
@@ -174,13 +174,13 @@ class TestGridMinimize:
         assert all_passed(gm.checks), [c.name for c in failures(gm.checks)]
 
     def test_degenerate_grid_stays_above_optimum(self):
-        gm = grid_minimize(1.0, 2, 2)
+        gm = grid_minimize(1.0, 2)
         assert gm.gap >= -1e-12
         assert gm.min_value == pytest.approx(1.0, abs=1e-12)  # corners give |a|^2
 
     def test_brute_force_oracle_for_matched_projection(self):
         # the grid argmin maps through the projection family onto m(Q)
-        gm = grid_minimize(1.0, 1024, 1024)
+        gm = grid_minimize(1.0, 1024)
         t_low = min(gm.argmin_t, np.pi - gm.argmin_t)
         p = halmos_projection(HalmosPoint(z=1.0 + 0j, t=t_low), 0.0)
         m = matched_projection(canonical_idempotent(1.0)).projection.matrix
@@ -188,41 +188,41 @@ class TestGridMinimize:
 
     def test_family_sweep(self):
         for mod in np.logspace(-2, 2, 20):
-            gm = grid_minimize(float(mod), 256, 256)
+            gm = grid_minimize(float(mod), 256)
             assert abs(gm.gap) <= gm.grid_tolerance
             assert all_passed(gm.checks), (mod, [c.name for c in failures(gm.checks)])
 
     def test_phase_invariance(self):
-        flat = grid_minimize(2.0, 128, 128)
-        turned = grid_minimize(2j, 128, 128)
+        flat = grid_minimize(2.0, 128)
+        turned = grid_minimize(2j, 128)
         assert flat.min_value == pytest.approx(turned.min_value, abs=1e-12)
 
     def test_zero_rejected(self):
         with pytest.raises(ZeroParameterError):
-            grid_minimize(0.0, 16, 16)
+            grid_minimize(0.0, 16)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
-            grid_minimize(1.0, 0, 8)
+            grid_minimize(1.0, 0)
         with pytest.raises(ValueError):
-            grid_minimize(1.0, 8, 0)
+            grid_minimize(1.0, -8)
 
-    @pytest.mark.parametrize(
-        "a, grid_x, grid_t",
-        [(float(mod), 512, 512) for mod in np.logspace(-2, 2, 20)]
-        + [(0.7 * np.exp(0.3j), 64, 100), (3.0, 50, 1), (1e-2, 1, 33), (2.0, 17, 32),
-           (1e-300, 9, 97)],
-    )
-    def test_blocks_equal_the_row_loop(self, a, grid_x, grid_t):
-        gm = grid_minimize(a, grid_x, grid_t)
-        assert (gm.min_value, gm.argmin_x, gm.argmin_t) == row_loop_minimum(a, grid_x, grid_t)
+    BLOCK_CASES = [(float(mod), 512) for mod in np.logspace(-2, 2, 20)] + [
+        (0.7 * np.exp(0.3j), 100), (3.0, 1), (1e-2, 33), (2.0, 17), (1e-300, 97)
+    ]
+
+    # each id names the grid, points x points
+    @pytest.mark.parametrize("a, points", BLOCK_CASES, ids=[f"{a}-{p}-{p}" for a, p in BLOCK_CASES])
+    def test_blocks_equal_the_row_loop(self, a, points):
+        gm = grid_minimize(a, points)
+        assert (gm.min_value, gm.argmin_x, gm.argmin_t) == row_loop_minimum(a, points)
 
     def test_peak_allocation_stays_small(self):
         # one 512 x 512 broadcast peaks near 6 MB; blocks of 32 rows near 0.6 MB
-        grid_minimize(1.0, 512, 512)
+        grid_minimize(1.0, 512)
         tracemalloc.start()
         try:
-            grid_minimize(1.0, 512, 512)
+            grid_minimize(1.0, 512)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
