@@ -14,6 +14,7 @@ from .linalg import (
     Tolerances,
     adjoint,
     as_matrix,
+    excess_norm,
     hermitian_eigen,
     identity,
     norm_at_most,
@@ -325,7 +326,11 @@ class BlockForm:
 
 
 def block_form(t_mat: np.ndarray, p: Projection, tol: Tolerances = DEFAULT_TOL) -> BlockForm:
-    """Block decomposition of T induced by a projection (eigenvalue-1 columns first)."""
+    """Block decomposition of T induced by a projection (eigenvalue-1 columns first).
+
+    The blocks must reassemble T within tol.check (1 + ||T||), decided by
+    ``excess_norm``, so the exact norms are taken only near that gate.
+    """
     t_mat = as_matrix(t_mat)
     lam, v = hermitian_eigen(p.matrix, tol)
     ones = lam > 0.5
@@ -333,7 +338,7 @@ def block_form(t_mat: np.ndarray, p: Projection, tol: Tolerances = DEFAULT_TOL) 
     r = int(np.count_nonzero(ones))
     x = adjoint(u) @ t_mat @ u
     form = BlockForm(u=u, rank=r, blocks=(x[:r, :r], x[:r, r:], x[r:, :r], x[r:, r:]))
-    roundtrip = operator_norm(form.reassemble() - t_mat)
-    if roundtrip > tol.check * (1.0 + operator_norm(t_mat)):
+    roundtrip = excess_norm(form.reassemble() - t_mat, t_mat, tol.check)
+    if roundtrip is not None:
         raise ValidationError(f"block round-trip residual {roundtrip:.3e}")
     return form

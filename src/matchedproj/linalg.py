@@ -1,12 +1,25 @@
 """Dense complex matrix kernels: adjoint, operator norm, Hermitian calculus, pseudoinverse.
 
-Operator norms come in two kinds.  ``operator_norm`` is the exact 2-norm, the
-first value of a singular-values-only SVD, ``np.linalg.svd(m,
+Operator norms come in three kinds.  ``operator_norm`` is the exact 2-norm,
+the first value of a singular-values-only SVD, ``np.linalg.svd(m,
 compute_uv=False)`` (a (k, n, n) stack gives the k norms); it is taken
-wherever a number is read as a value: distances and every norm compared with
-a closed form, idempotency and projection defects (on first read),
-contraction norms, convergence tables and the gates scaled by a norm.  A
-norm whose only use is a pass/fail against a gate decides from
+wherever a number is read as a value and no factorization already gives it:
+distances, the norms of non-Hermitian operands compared with a closed form,
+idempotency and projection defects (on first read), contraction norms,
+convergence tables and the gates scaled by a norm.  A norm that an SVD
+taken anyway already holds is read from it: ||Q|| and ||I - Q|| are the
+first singular values of the SVDs that Q and its complement keep.
+
+A Hermitian operand whose spectrum is needed anyway is factored once, by
+``hermitian_eigvals`` (``eigvalsh`` of ``require_hermitian(M)``): its
+eigenvalues give the Loewner verdict (``is_psd_spectrum``, by which
+``psd_order`` decides too) and the norm max |lambda|, which is the exact
+2-norm of the symmetrized operand and so within ||M - M*|| / 2, plus
+rounding, of ||M||.  ``norms.distance_report`` reads the norms of D, the two
+compressions, X, Y and X + Y this way, and takes ``operator_norm`` of an
+operand too far from Hermitian for ``require_hermitian``.
+
+A norm whose only use is a pass/fail against a gate decides from
 ``norm_bounds`` first, two O(n^2) bounds (Frobenius norm above, largest
 column norm below), and takes the exact norm only when they cannot settle
 it.  ``norm_bracket`` returns the bounds, or the exact norm twice, and
@@ -17,12 +30,16 @@ conditions (``matched.qpp_checks``, which ``is_quasi_projection_pair``
 decides lazily), the range and kernel identities, the similarity and
 defect-operator identities of the distance report, ``analyze``'s oracle
 comparisons and every residual-against-a-gate record of the ``verify``
-battery.  Gates whose number is
-never reported decide the same way: ``require_hermitian``, the certificates
-of ``idempotents.as_idempotent(s)`` and ``as_projection``
-(``is_projection``), the dominance equality of ``norms.qpp_minimality``,
-the witness projection short-circuit, its closed-form inverse certificate
-and its similarity gate.
+battery.  Gates whose number is never reported decide the same way:
+``require_hermitian`` and ``idempotents.block_form``'s round trip (each a
+residual against its operand's norm, ``excess_norm``), the certificates of
+``idempotents.as_idempotent(s)`` and ``as_projection`` (``is_projection``),
+the dominance equality of ``norms.qpp_minimality``, the ||P|| > 1/2 tests
+of ``norms.two_projection_construction``, the four-term identity of
+``matched.fractional_power_limit``, the unitarity gate of
+``matched.unitary_equivariance``, the witness projection short-circuit, its
+closed-form inverse certificate and its similarity gate.  Where a failure
+message needs the number, the exact norm is taken then.
 """
 
 from __future__ import annotations
@@ -156,18 +173,25 @@ def norm_at_most(m: np.ndarray, bound: float) -> bool:
     return norm_bracket(m, bound)[1] <= bound
 
 
-def require_hermitian(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Return the symmetrized matrix, rejecting ||M - M*|| > tol.check (1 + ||M||).
+def excess_norm(r: np.ndarray, m: np.ndarray, factor: float) -> float | None:
+    """The exact ||r|| when it exceeds factor (1 + ||m||), else None.
 
-    Accepts from ``norm_bounds`` when upper(||M - M*||) <= tol.check (1 +
-    lower(||M||)), which implies the exact test; otherwise both norms are
-    taken exactly.
+    Accepts from ``norm_bounds`` when upper(||r||) <= factor (1 + lower(||m||)),
+    which implies the exact test; otherwise both norms are taken exactly.  So
+    a residual gated relative to its operand takes an exact norm only near
+    the gate, and a message that needs the number gets the exact one.
     """
-    skew = m - adjoint(m)
-    if norm_bounds(skew)[1] > tol.check * (1.0 + norm_bounds(m)[0]):
-        gap = operator_norm(skew)
-        if gap > tol.check * (1.0 + operator_norm(m)):
-            raise NotHermitianError(f"asymmetry {gap:.3e} exceeds tolerance")
+    if norm_bounds(r)[1] <= factor * (1.0 + norm_bounds(m)[0]):
+        return None
+    gap = operator_norm(r)
+    return gap if gap > factor * (1.0 + operator_norm(m)) else None
+
+
+def require_hermitian(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """Return the symmetrized matrix, rejecting ||M - M*|| > tol.check (1 + ||M||) (``excess_norm``)."""
+    gap = excess_norm(m - adjoint(m), m, tol.check)
+    if gap is not None:
+        raise NotHermitianError(f"asymmetry {gap:.3e} exceeds tolerance")
     return (m + adjoint(m)) / 2.0
 
 
@@ -176,6 +200,16 @@ def hermitian_eigen(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(w, U) with M = U diag(w) U*, w real ascending, of a Hermitian M (symmetrized first)."""
     return np.linalg.eigh(require_hermitian(m, tol))
+
+
+def hermitian_eigvals(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """The eigenvalues, ascending, of ``require_hermitian(M)``; raises ``NotHermitianError`` as it does.
+
+    max |w| is the 2-norm of the symmetrized matrix, within ||M - M*|| / 2 of
+    ||M|| before rounding, so a Hermitian operand's norm and its Loewner
+    verdict (``is_psd_spectrum``) come from the one ``eigvalsh``.
+    """
+    return np.linalg.eigvalsh(require_hermitian(m, tol))
 
 
 def psd_power(
@@ -227,17 +261,20 @@ def moore_penrose(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return (vh.conj().T * inv) @ u.conj().T
 
 
-def psd_order(a: np.ndarray, b: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Loewner order test A <= B with slack on the smallest eigenvalue of B - A.
+def is_psd_spectrum(w: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
+    """Whether ascending eigenvalues ``w`` are those of a PSD matrix: w_0 >= -tol.psd (1 + max |w|)."""
+    scale = float(np.abs(w).max()) if w.size else 0.0
+    return bool(w.min() >= -tol.psd * (1.0 + scale))
 
-    For A = 0, B - A equals B, so B is validated once.
+
+def psd_order(a: np.ndarray, b: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
+    """Loewner order test A <= B: ``is_psd_spectrum`` of ``hermitian_eigvals(B - A)``.
+
+    A and B are each required Hermitian; for A = 0, B - A equals B, so B is
+    validated once.
     """
     if a.any():
         require_hermitian(a, tol)
         require_hermitian(b, tol)
-        d = require_hermitian(b - a, tol)
-    else:
-        d = require_hermitian(b, tol)
-    w = np.linalg.eigvalsh(d)
-    scale = float(np.abs(w).max()) if w.size else 0.0
-    return bool(w.min() >= -tol.psd * (1.0 + scale))
+        b = b - a
+    return is_psd_spectrum(hermitian_eigvals(b, tol), tol)

@@ -70,6 +70,7 @@ from .linalg import (
     Tolerances,
     abs_value,
     adjoint,
+    hermitian_eigen,
     identity,
     moore_penrose,
     norm_at_most,
@@ -101,13 +102,14 @@ def factor_oracle(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> FactorOracle:
     """The ``FactorOracle`` of Q, never read from Q's SVD; memoized on Q per tolerance.
 
     |Q*| is ``abs_value(Q*)``, |Q*|^dag = (P_R(Q) P_R(Q*) P_R(Q))^(1/2) from
-    ``koliha_projections`` and V = T (|Q*|^dag)^(1/2) (I + |Q*|)^(-1/2) / sqrt 2.
+    ``koliha_projections`` and V = T (|Q*|^dag)^(1/2) (I + |Q*|)^(-1/2) / sqrt 2;
+    |Q*|^dag and its square root, the powers 1/2 and 1/4 of the same
+    product, come from one ``psd_power``.
     """
     abs_qs = abs_value(adjoint(q.matrix))
     p_r, p_rs = (p.matrix for p in koliha_projections(q, tol))
-    dag = psd_power(p_r @ p_rs @ p_r, 0.5, tol)
+    dag, dag_root = psd_power(p_r @ p_rs @ p_r, [0.5, 0.25], tol)
     t = abs_qs + adjoint(q.matrix)
-    dag_root = psd_power(dag, 0.5, tol)
     v = np.sqrt(0.5) * t @ dag_root @ psd_power(identity(q.dim) + abs_qs, -0.5, tol)
     return FactorOracle(abs_qs, dag, t, moore_penrose(t, tol), v)
 
@@ -180,7 +182,7 @@ def _qpp_matrices(p: Projection, q: Idempotent) -> Iterator[tuple[str, np.ndarra
     comp = eye - pm
     reflect = 2.0 * pm - eye
     yield "block_range", pm @ (adjoint(qm) - qm) @ pm
-    yield "block_cross", pm @ adjoint(qm) @ comp + pm @ qm @ comp
+    yield "block_cross", pm @ (adjoint(qm) + qm) @ comp
     yield "block_null", comp @ (adjoint(qm) - qm) @ comp
     yield "adjoint_reflection", adjoint(qm) - reflect @ qm @ reflect
     yield "abs_reflection", q.abs_q_star - reflect @ q.abs_q @ reflect
@@ -425,9 +427,32 @@ def homotopy_path(
     return as_idempotents(path.samples(np.linspace(0.0, 1.0, samples)), tol)
 
 
-def _column_space_projector(m: np.ndarray, tol: Tolerances) -> np.ndarray:
-    u, s, _ = np.linalg.svd(m)
-    cols = u[:, : numerical_rank(s, m.shape[0], tol)]
+def _hermitian_bases(m: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases of range(M) and ker(M) for a Hermitian M, from one ``hermitian_eigen``.
+
+    The singular values of a Hermitian matrix are its |lambda|, so the
+    eigenvectors with |lambda| above ``numerical_rank``'s cutoff (applied to
+    the |lambda| in descending order) span the column space that the SVD
+    gives, and the rest span its orthogonal complement, the kernel.
+    """
+    w, v = hermitian_eigen(m, tol)
+    mags = np.abs(w)
+    order = np.argsort(-mags)
+    r = numerical_rank(mags[order], m.shape[0], tol)
+    return v[:, order[:r]], v[:, order[r:]]
+
+
+def _column_space_projector(m: np.ndarray, tol: Tolerances, hermitian: bool = False) -> np.ndarray:
+    """The orthoprojector onto range(M) at ``numerical_rank``'s cutoff.
+
+    From the SVD's left singular vectors, or for a Hermitian M from one
+    ``eigh`` (``_hermitian_bases``).
+    """
+    if hermitian:
+        cols = _hermitian_bases(m, tol)[0]
+    else:
+        u, s, _ = np.linalg.svd(m)
+        cols = u[:, : numerical_rank(s, m.shape[0], tol)]
     return cols @ adjoint(cols)
 
 
@@ -437,21 +462,27 @@ def range_identities(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> list[Check
     Subspace equality is tested as the gap between the corresponding
     orthoprojectors; trivial intersections through the rank of stacked bases.
     Each gap and product residual is a bracketed check (``norm_check``).
+
+    Each operand is factored once, by the cheapest kernel its structure
+    allows.  The column spaces of the Hermitian Q + Q*, |Q*| + |Q| and the
+    four-term sum, and the range and kernel bases of the certified m(Q), come
+    from ``eigh`` (``_hermitian_bases``); only |Q*| + Q* and |Q| + Q, which
+    are not Hermitian, take an SVD.  The kernel identity needs no
+    factorization of its own: for any M, ker(M) = range(M*)^perp, so
+    ker(|Q*| + Q) = range(|Q*| + Q*)^perp, and its orthoprojector is I minus
+    the one the first range identity takes.
     """
     qm = q.matrix
     m = matched_projection(q, tol).projection.matrix
     eye = identity(q.dim)
     abs_q, abs_qs = q.abs_q, q.abs_q_star
     sum_qs = qm + adjoint(qm)
-    proj_sum = _column_space_projector(sum_qs, tol)
+    proj_sum = _column_space_projector(sum_qs, tol, hermitian=True)
+    proj_absqs_qstar = _column_space_projector(abs_qs + adjoint(qm), tol)
 
     gate = tol.check * (1.0 + q.norm)
     checks = [
-        norm_check(
-            "range_mq_eq_range_absqstar_plus_qstar",
-            m - _column_space_projector(abs_qs + adjoint(qm), tol),
-            SUBSPACE_TOL,
-        ),
+        norm_check("range_mq_eq_range_absqstar_plus_qstar", m - proj_absqs_qstar, SUBSPACE_TOL),
         norm_check(
             "range_mq_eq_range_absq_plus_q",
             m - _column_space_projector(abs_q + qm, tol),
@@ -459,27 +490,25 @@ def range_identities(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> list[Check
         ),
         norm_check(
             "kernel_mq_eq_kernel_absqstar_plus_q",
-            (eye - m) - (eye - _column_space_projector(adjoint(abs_qs + qm), tol)),
+            (eye - m) - (eye - proj_absqs_qstar),
             SUBSPACE_TOL,
         ),
         norm_check("range_mq_inside_range_q_plus_qstar", (eye - proj_sum) @ m, SUBSPACE_TOL),
         norm_check(
             "range_q_plus_qstar_eq_range_absqstar_plus_absq",
-            proj_sum - _column_space_projector(abs_qs + abs_q, tol),
+            proj_sum - _column_space_projector(abs_qs + abs_q, tol, hermitian=True),
             SUBSPACE_TOL,
         ),
         norm_check(
             "range_mq_eq_range_four_term_sum",
-            m - _column_space_projector(abs_qs + abs_q + sum_qs, tol),
+            m - _column_space_projector(abs_qs + abs_q + sum_qs, tol, hermitian=True),
             SUBSPACE_TOL,
         ),
         norm_check("mq_times_qstar", m @ adjoint(qm) - 0.5 * (abs_qs + adjoint(qm)), gate),
         norm_check("mq_times_q", m @ qm - 0.5 * (abs_q + qm), gate),
     ]
 
-    u, s, vh = np.linalg.svd(m)
-    r = numerical_rank(s, q.dim, tol)
-    range_m, null_m = u[:, :r], adjoint(vh)[:, r:]
+    range_m, null_m = _hermitian_bases(m, tol)
     # Q's bases at its own rank, the cut at 1/2 of P_R(Q) and P_N(Q)
     u, _, vh = q.svd
     range_q, null_q = u[:, : q.rank], adjoint(vh)[:, q.rank :]
@@ -509,10 +538,9 @@ def fractional_power_limit(
     k = require_hermitian(m @ qm @ m, tol)
     if not psd_order(m, k, tol):
         raise ValidationError("m(Q) Q m(Q) does not dominate m(Q)")
-    quarter = 0.25 * (q.abs_q_star + q.abs_q + qm + adjoint(qm))
-    gap = operator_norm(k - quarter)
-    if gap > tol.check * (1.0 + q.norm):
-        raise ValidationError(f"four-term identity residual {gap:.3e}")
+    gap = k - 0.25 * (q.abs_q_star + q.abs_q + qm + adjoint(qm))
+    if not norm_at_most(gap, tol.check * (1.0 + q.norm)):
+        raise ValidationError(f"four-term identity residual {operator_norm(gap):.3e}")
     return [operator_norm(p - m) for p in psd_power(k, [1.0 / n for n in n_list], tol)]
 
 
@@ -521,9 +549,9 @@ def unitary_equivariance(
 ) -> float:
     """||m(U* Q U) - U* m(Q) U|| for a unitary U; zero in exact arithmetic."""
     u = np.asarray(u, dtype=np.complex128)
-    gap = operator_norm(adjoint(u) @ u - identity(q.dim))
-    if gap > tol.check:
-        raise NotUnitaryError(f"U*U - I has norm {gap:.3e}")
+    gap = adjoint(u) @ u - identity(q.dim)
+    if not norm_at_most(gap, tol.check):
+        raise NotUnitaryError(f"U*U - I has norm {operator_norm(gap):.3e}")
     conjugated = as_idempotent(adjoint(u) @ q.matrix @ u, tol)
     inner = matched_projection(conjugated, tol).projection.matrix
     outer = adjoint(u) @ matched_projection(q, tol).projection.matrix @ u

@@ -19,7 +19,9 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerances,
     adjoint,
+    hermitian_eigvals,
     identity,
+    is_psd_spectrum,
     norm_at_most,
     operator_norm,
     psd_order,
@@ -83,20 +85,32 @@ def distance_report(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> DistanceRep
     similarity and of the identities in D are bracketed checks
     (``norm_check``); every distance and norm compared with a closed form is
     exact.
+
+    Each operand is factored once.  ||Q|| and ||I - Q|| are the largest
+    singular values of the SVDs that Q and ``complement_of(q)`` keep (the
+    latter also gives |I - Q|).  The five PSD operands, D, -m (I - Q) m,
+    -(I - m) Q (I - m), X and Y, and the Hermitian X + Y, are factored by
+    ``hermitian_eigvals`` alone: its eigenvalues give the Loewner verdict
+    (``is_psd_spectrum``, as ``psd_order`` decides) and the norm max |lambda|,
+    which is the 2-norm of the symmetrized operand and so within
+    ||M - M*|| / 2, plus rounding, of ||M||.  An operand too far from
+    Hermitian for ``require_hermitian`` fails its PSD check and its norm is
+    the exact ``operator_norm``.
     """
     qm = q.matrix
     eye = identity(q.dim)
     m = matched_projection(q, tol).projection.matrix
+    complement = complement_of(q, tol)
 
     norm_q = q.norm
-    norm_c = operator_norm(eye - qm)
+    norm_c = complement.norm
     d_matched = matched_distance(q, tol)
     nu = q.offdiag_norm
     d_closed = offdiag_distance(nu)
     d_range = operator_norm(range_projection(q, tol).matrix - qm)
     d_null = operator_norm(null_projection(q, tol).matrix - qm)
 
-    v_sim = 0.5 * (q.abs_q + complement_of(q, tol).abs_q + eye)
+    v_sim = 0.5 * (q.abs_q + complement.abs_q + eye)
 
     cross_range = m @ (eye - qm) @ m
     cross_null = (eye - m) @ qm @ (eye - m)
@@ -107,17 +121,26 @@ def distance_report(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> DistanceRep
     gap_adj = adjoint(qm) - qm
     norm_gap_adj = operator_norm(gap_adj)
 
+    def spectrum(x: np.ndarray) -> tuple[np.ndarray | None, float]:
+        """(eigenvalues, ||x||) from ``hermitian_eigvals``, or (None, ``operator_norm(x)``) if x is not Hermitian."""
+        try:
+            w = hermitian_eigvals(x, tol)
+        except NotHermitianError:
+            return None, operator_norm(x)
+        return w, float(np.abs(w).max())
+
+    def psd_check(name: str, w: np.ndarray | None) -> Check:
+        """0 <= x in the Loewner order, from x's ``spectrum``; an x too far from Hermitian fails it."""
+        return boolean_check(name, w is not None and is_psd_spectrum(w, tol))
+
+    (w_d, norm_d), (w_range, norm_range), (w_null, norm_null), (w_x, norm_x), (w_y, norm_y) = (
+        spectrum(x) for x in (d_op, -cross_range, -cross_null, x_op, y_op)
+    )
+    norm_xy = spectrum(x_op + y_op)[1]
+
     scale = tol.check * (1.0 + norm_q)
     scale_sq = tol.check * (1.0 + norm_q**2)
-    norm_d = operator_norm(d_op)
     four_d_sq = 4.0 * d_op @ d_op
-
-    def psd_check(name: str, x: np.ndarray) -> Check:
-        """0 <= x in the Loewner order; an x too far from Hermitian for ``psd_order`` fails it."""
-        try:
-            return boolean_check(name, psd_order(np.zeros_like(x), x, tol))
-        except NotHermitianError:
-            return boolean_check(name, False)
 
     checks = [
         Check("closed_form_agreement", abs(d_matched - d_closed), scale),
@@ -137,21 +160,17 @@ def distance_report(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> DistanceRep
             scale_sq,
         ),
         norm_check("xy_sum_identity", x_op + y_op - four_d_sq - 2.0 * d_op, scale_sq),
-        psd_check("defect_operator_psd", d_op),
-        psd_check("range_compression_psd", -cross_range),
-        psd_check("null_compression_psd", -cross_null),
-        psd_check("x_psd", x_op),
-        psd_check("y_psd", y_op),
-        Check(
-            "compression_norms_equal",
-            abs(operator_norm(cross_range) - operator_norm(cross_null)),
-            scale,
-        ),
-        Check("x_norm_is_distance_squared", abs(operator_norm(x_op) - d_matched**2), scale_sq),
-        Check("y_norm_is_distance_squared", abs(operator_norm(y_op) - d_matched**2), scale_sq),
+        psd_check("defect_operator_psd", w_d),
+        psd_check("range_compression_psd", w_range),
+        psd_check("null_compression_psd", w_null),
+        psd_check("x_psd", w_x),
+        psd_check("y_psd", w_y),
+        Check("compression_norms_equal", abs(norm_range - norm_null), scale),
+        Check("x_norm_is_distance_squared", abs(norm_x - d_matched**2), scale_sq),
+        Check("y_norm_is_distance_squared", abs(norm_y - d_matched**2), scale_sq),
         Check(
             "xy_norm_identity",
-            abs(operator_norm(x_op + y_op) - (4.0 * norm_d**2 + 2.0 * norm_d)),
+            abs(norm_xy - (4.0 * norm_d**2 + 2.0 * norm_d)),
             scale_sq,
         ),
         Check(
@@ -317,7 +336,7 @@ def two_projection_construction(
     lhs = operator_norm(m1 - m2)
     gap = operator_norm(q1.matrix - q2.matrix)
     checks = [Check("matched_gap_bounded_by_gap", max(0.0, lhs - gap), tol.check)]
-    if operator_norm(a) > 0.5 and operator_norm(b) > 0.5:
+    if not norm_at_most(a, 0.5) and not norm_at_most(b, 0.5):
         checks.append(Check("gap_at_least_one", max(0.0, 1.0 - gap), tol.check))
     return q1, q2, checks
 

@@ -21,7 +21,7 @@ from matchedproj import (
     psd_order,
     psd_power,
 )
-from matchedproj.linalg import require_hermitian
+from matchedproj.linalg import excess_norm, hermitian_eigvals, is_psd_spectrum, require_hermitian
 
 RT2 = np.sqrt(2.0)
 
@@ -264,6 +264,45 @@ class TestRequireHermitian:
             else:
                 with pytest.raises(NotHermitianError):
                     require_hermitian(m)
+
+
+class TestExcessNorm:
+    def test_clear_cases_take_no_factorization(self, linalg_calls):
+        # bounds far inside or far outside the gate settle it without a norm
+        m = np.diag([2.0, 1.0]).astype(complex)
+        r = np.zeros((2, 2), dtype=complex)
+        r[0, 1] = 1e-3
+        assert excess_norm(r, m, 1e-2) is None
+        assert linalg_calls == []
+        assert excess_norm(r, m, 1e-5) == operator_norm(r)
+
+    def test_near_gate_decided_exactly(self):
+        # ||r|| just inside and just outside factor (1 + ||m||), where the
+        # Frobenius bound of r (sqrt 2 times its norm) cannot accept
+        m = np.diag([1.0, 0.5]).astype(complex)
+        r = np.eye(2, dtype=complex)
+        for factor, excess in ((1.0 / 1.999, None), (1.0 / 2.001, 1.0)):
+            assert excess_norm(r, m, factor) == excess
+
+
+class TestHermitianEigvals:
+    def test_eigenvalues_of_the_symmetrized_matrix(self):
+        m = np.diag([3.0, -1.0]).astype(complex)
+        m[0, 1] = 1e-12
+        np.testing.assert_array_equal(hermitian_eigvals(m), np.linalg.eigvalsh(require_hermitian(m)))
+
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(NotHermitianError):
+            hermitian_eigvals(as_matrix([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_psd_order_decides_from_it(self):
+        # the slack is tol.psd (1 + max |lambda|) below zero, on each side of it
+        psd = Tolerances.psd
+        for low, ok in ((-0.999 * psd * 3.0, True), (-1.001 * psd * 3.0, False)):
+            b = np.diag([2.0, low]).astype(complex)
+            w = hermitian_eigvals(b)
+            assert is_psd_spectrum(w) == psd_order(np.zeros((2, 2)), b) == ok
+            assert psd_order(np.eye(2), b + np.eye(2)) == ok
 
 
 class TestHermitianEigen:

@@ -41,6 +41,7 @@ from matchedproj import (
     moore_penrose,
     norm_bracket,
     null_projection,
+    numerical_rank,
     operator_norm,
     qpp_checks,
     qpp_symmetry_closure,
@@ -338,6 +339,15 @@ class TestFactorizationCount:
         assert after_first > before
         assert factor_oracle(q).v is first
         assert sum(factorizations.values()) == after_first
+
+    def test_factor_oracle_takes_two_eigendecompositions(self, factorizations):
+        # |Q*|^dag and its square root from one psd_power, then (I + |Q*|)^(-1/2)
+        q = random_idempotent(8, 3, 2.0, 5)
+        koliha_projections(q)
+        factorizations.clear()
+        factor_oracle(q)
+        assert factorizations["eigh"] == 2, dict(factorizations)
+        assert factorizations["svd"] == 2, dict(factorizations)
 
     def test_factor_oracle_never_reads_the_svd(self):
         q = random_idempotent(8, 3, 2.0, 5)
@@ -864,6 +874,50 @@ class TestRangeIdentities:
             )
             checks = range_identities(q)
             assert all_passed(checks), [c.name for c in failures(checks)]
+
+
+    def test_eigh_projectors_within_the_gap_bound_of_svd_projectors(self):
+        """Each column-space projector from ``eigh`` is within 2 eta / delta of the SVD's.
+
+        M is each Hermitian operand that ``range_identities`` factors with
+        ``eigh``: Q + Q*, |Q*| + |Q|, the four-term sum and m(Q).  The SVD
+        projector U_r U_r* is built here from ``np.linalg.svd(M)`` at
+        ``numerical_rank``, and both routes must keep the same rank r.  With
+        eta = ||M - M*|| / 2 + 4 n eps ||M|| and delta = |lambda|_r - |lambda|_(r+1)
+        (|lambda| descending, |lambda|_(n+1) = 0, of the symmetrized M): eigh
+        and the SVD are exact for neighbours of H = (M + M*) / 2 within eta
+        (the skew part, then backward error to first order), and Wedin's
+        sin-theta theorem bounds the gap between two rank-r projectors of such
+        neighbours by sqrt 2 eta / delta.  The factor 2 leaves
+        (2 - sqrt 2) 4 n eps ||M|| / delta >= 2 n eps for forming the two
+        projectors from computed vectors.  On m(Q) the gap reaches more than
+        half the bound, so the test fails with the bound halved.
+        """
+        worst = 0.0
+        for q in envelope_inputs((1e-10, 1e-4, 1.0, 1e4, 1e6), every_rank=True):
+            qm, n = q.matrix, q.dim
+            sum_qs = qm + adjoint(qm)
+            operands = (
+                sum_qs,
+                q.abs_q_star + q.abs_q,
+                q.abs_q_star + q.abs_q + sum_qs,
+                matched_projection(q).projection.matrix,
+            )
+            for m in operands:
+                cols = matched_module._hermitian_bases(m, DEFAULT_TOL)[0]
+                u, s, _ = np.linalg.svd(m)
+                r = numerical_rank(s, n)
+                assert cols.shape[1] == r, (n, q.rank, q.offdiag_norm)
+                gap = operator_norm(cols @ adjoint(cols) - u[:, :r] @ adjoint(u[:, :r]))
+                if r == 0:
+                    assert gap == 0.0
+                    continue
+                lam = np.append(np.sort(np.abs(np.linalg.eigvalsh((m + adjoint(m)) / 2)))[::-1], 0.0)
+                eta = 0.5 * operator_norm(m - adjoint(m)) + 4.0 * n * EPS * lam[0]
+                bound = 2.0 * eta / (lam[r - 1] - lam[r])
+                assert gap <= bound, (n, q.rank, q.offdiag_norm, gap, bound)
+                worst = max(worst, gap / bound)
+        assert worst > 0.5, worst
 
 
 class TestFractionalPower:

@@ -6,6 +6,8 @@ import pytest
 from matchedproj import (
     HalmosPoint,
     InapplicableHypothesisError,
+    NotHermitianError,
+    adjoint,
     all_passed,
     as_idempotent,
     as_projection,
@@ -14,6 +16,7 @@ from matchedproj import (
     distance_report,
     failures,
     halmos_projection,
+    identity,
     kkm_distance,
     matched_lipschitz_bounds,
     matched_projection,
@@ -28,7 +31,7 @@ from matchedproj import (
     range_projection,
     two_projection_construction,
 )
-from matchedproj.linalg import require_hermitian
+from matchedproj.linalg import EPS, hermitian_eigvals, require_hermitian
 
 from conftest import envelope_inputs
 
@@ -43,6 +46,21 @@ def random_stress_idempotent(rng, dim_max=8, nu_range=(-2, 1)):
         float(10.0 ** rng.uniform(*nu_range)),
         int(rng.integers(2**32)),
     )
+
+
+def hermitian_operands(q):
+    """The operands whose norms ``distance_report`` reads from eigenvalues, built as it builds them.
+
+    D, -m (I - Q) m, -(I - m) Q (I - m), X = (m - Q)(m - Q)*, Y = (m - Q)*(m - Q)
+    and X + Y, for m = m(Q).
+    """
+    qm, eye = q.matrix, identity(q.dim)
+    m = matched_projection(q).projection.matrix
+    cross_range = m @ (eye - qm) @ m
+    cross_null = (eye - m) @ qm @ (eye - m)
+    diff = m - qm
+    x_op, y_op = diff @ adjoint(diff), adjoint(diff) @ diff
+    return -cross_range - cross_null, -cross_range, -cross_null, x_op, y_op, x_op + y_op
 
 
 def norm_form_distance(norm_q):
@@ -148,6 +166,33 @@ class TestDistanceReport:
             checks = {c.name: c for c in distance_report(q).checks}
             for name in ("closed_form_agreement", "range_gap_closed_form"):
                 assert checks[name].passed, (q.dim, q.rank, checks[name])
+
+    def test_eigenvalue_norms_within_the_skew_part_and_rounding(self):
+        """max |lambda| of ``hermitian_eigvals(M)`` is within ||M - M*|| / 2 + 4 n eps ||M|| of ||M||.
+
+        M is each of ``hermitian_operands``.  With H = (M + M*) / 2 and
+        K = (M - M*) / 2, ||H|| <= ||M|| <= ||H|| + ||K||, so the exact norms
+        differ by at most ||K|| = ||M - M*|| / 2.  eigvalsh and the SVD are each
+        backward stable, which 4 n eps ||M|| covers to first order, as the slack
+        of ``norm_bounds`` does.  On these inputs the gap reaches more than
+        half the bound, so the test fails with the bound halved.  An operand
+        too far from Hermitian for ``require_hermitian`` is skipped:
+        ``distance_report`` takes its exact norm.
+        """
+        worst = 0.0
+        for q in envelope_inputs((1e-10, 1e-4, 1.0, 1e4, 1e6), every_rank=True):
+            for m in hermitian_operands(q):
+                try:
+                    w = hermitian_eigvals(m)
+                except NotHermitianError:
+                    continue
+                exact = operator_norm(m)
+                bound = 0.5 * operator_norm(m - adjoint(m)) + 4.0 * q.dim * EPS * exact
+                gap = abs(float(np.abs(w).max()) - exact)
+                assert gap <= bound, (q.dim, q.rank, q.offdiag_norm, gap, bound)
+                if bound > 0.0:
+                    worst = max(worst, gap / bound)
+        assert worst > 0.5, worst
 
     def test_trivial_idempotents(self):
         for mat in (np.zeros((3, 3)), np.eye(3), np.eye(8)):
