@@ -4,26 +4,33 @@ Each named check exercises one family of identities on fresh seeded inputs.
 Per-trial seeds are derived as ``seed XOR trial`` so results are independent
 of execution order; a check failure records the (check, seed, dim) triple
 that broke it.  Trial 0 of a battery at seed S is the trial with seed S, so
-``run_battery(dim_max, 1, S)`` replays the trial that had seed S.  Every
-record is a ``report.Check`` tallied by ``_record_checks``: a residual
-against its gate is a ``norm_check`` (decided from O(n^2) bounds where they
-settle it), a value against a closed form an exact ``Check``, and a yes/no
-verdict a ``boolean_check``.
+``run_battery(dim_max, 1, S)`` replays the trial that had seed S.  Each
+suite is a generator of records, a ``report.Check`` or a ``(Check, note)``
+pair: a residual against its gate is a ``norm_check`` (decided from O(n^2)
+bounds where they settle it), a value against a closed form an exact
+``Check``, and a yes/no verdict a ``boolean_check``.  ``_record_checks``,
+the one function that knows the report and the trial, tallies each record
+before the next is computed, so a trial that raises keeps every record
+made before the raise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Iterable
 
 import numpy as np
 
 from .errors import MatchedProjectionError
 from .idempotents import (
     Idempotent,
+    Projection,
     adjoint_of,
     as_idempotent,
     block_form,
+    block_idempotent,
     complement_of,
+    complex_gaussian,
     koliha_projections,
     null_projection,
     random_idempotent,
@@ -136,78 +143,76 @@ class BatteryReport:
         return None if t is None else f"{t.name}: {t.first_failure}"
 
 
-def _complex_gaussian(rng: np.random.Generator, dim: int) -> np.ndarray:
-    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+Record = Check | tuple[Check, str]
 
 
-def _record_checks(
-    report: BatteryReport, context: Trial | str, *checks: Check, prefix: str = "", note: str = ""
-):
-    """Tally each check, in order, as ``prefix:name`` (its own name without a prefix).
+def _record_checks(report: BatteryReport, context: Trial | str, records: Iterable[Record]):
+    """Tally each record, in order, under its check's name: a ``Check`` or a ``(Check, note)`` pair.
 
-    The battery's one recorder.  Suites call it as they go, so a trial that
-    raises keeps the records made before the raise; in one call only the
-    first check may come from a call that can raise.
+    The battery's one recorder, and the one function that knows the report
+    and the trial: the suites yield their records.  Each record is tallied
+    before the next is computed, so a suite that raises keeps every record
+    it made before the raise.
     """
-    for c in checks:
-        report.tally(f"{prefix}:{c.name}" if prefix else c.name).record(c, context, note)
+    for record in records:
+        check, note = record if isinstance(record, tuple) else (record, "")
+        report.tally(check.name).record(check, context, note)
 
 
-def _core_kernels(report: BatteryReport, rng, dim, tol, context):
-    m = _complex_gaussian(rng, dim)
+def _prefixed(prefix: str, checks: Iterable[Check]) -> list[Check]:
+    """A report's checks, each renamed ``prefix:name``; the whole report is built first."""
+    return [replace(c, name=f"{prefix}:{c.name}") for c in checks]
+
+
+def _random_projection(rng, dim, max_rank, tol) -> Projection:
+    return random_projection(dim, int(rng.integers(0, max_rank + 1)), int(rng.integers(2**32)), tol)
+
+
+def _core_kernels(rng, dim, tol):
+    m = complex_gaussian(rng, dim, dim)
     norm = operator_norm(m)
     scale = tol.check * (1.0 + norm**2)
     abs_m = abs_value(m)
-    _record_checks(
-        report, context,
-        boolean_check("adjoint-involution", np.array_equal(adjoint(adjoint(m)), m)),
-        Check("adjoint-isometry", abs(operator_norm(adjoint(m)) - norm), tol.check * (1.0 + norm)),
-        Check("cstar-identity", abs(operator_norm(adjoint(m) @ m) - norm**2), scale),
-        norm_check("abs-value-square", abs_m @ abs_m - adjoint(m) @ m, scale),
-    )
+    yield boolean_check("adjoint-involution", np.array_equal(adjoint(adjoint(m)), m))
+    yield Check("adjoint-isometry", abs(operator_norm(adjoint(m)) - norm), tol.check * (1.0 + norm))
+    yield Check("cstar-identity", abs(operator_norm(adjoint(m) @ m) - norm**2), scale)
+    yield norm_check("abs-value-square", abs_m @ abs_m - adjoint(m) @ m, scale)
 
     # pseudoinverse involution on a full-rank and a rank-deficient input
     deficient = m.copy()
     deficient[:, 0] = deficient[:, 1] if dim > 1 else 0.0
     for label, mat, mat_norm in (("full", m, norm), ("deficient", deficient, operator_norm(deficient))):
         back = moore_penrose(moore_penrose(mat, tol), tol)
-        involution = norm_check("pseudoinverse-involution", back - mat, tol.check * (1.0 + mat_norm))
-        _record_checks(report, context, involution, note=label)
+        yield norm_check("pseudoinverse-involution", back - mat, tol.check * (1.0 + mat_norm)), label
 
-    h = adjoint(m) @ m
-    root, quarter = psd_power(h, [0.5, 0.25], tol)
-    twice = psd_power(root, 0.5, tol)
-    _record_checks(report, context, norm_check("sqrt-composition", twice - quarter, scale))
+    root, quarter = psd_power(adjoint(m) @ m, [0.5, 0.25], tol)
+    yield norm_check("sqrt-composition", psd_power(root, 0.5, tol) - quarter, scale)
 
 
-def _projection_structure(report: BatteryReport, rng, dim, q, tol, context):
+def _projection_structure(rng, dim, q, tol):
     qm = q.matrix
     scale = tol.check * (1.0 + q.norm)
     p_r = range_projection(q, tol)
     p_n = null_projection(q, tol)
-    _record_checks(
-        report, context,
-        norm_check("range-projection-absorbs", p_r.matrix @ qm - qm, scale),
-        norm_check("range-projection-fixed", qm @ p_r.matrix - p_r.matrix, scale),
-    )
+    yield norm_check("range-projection-absorbs", p_r.matrix @ qm - qm, scale)
+    yield norm_check("range-projection-fixed", qm @ p_r.matrix - p_r.matrix, scale)
     # the SVD routes against Koliha's pencil, P_N(Q) = I - P_R(Q*)
     k_r, k_rs = koliha_projections(q, tol)
     routes = np.stack([p_r.matrix - k_r.matrix, p_n.matrix - (identity(dim) - k_rs.matrix)])
-    _record_checks(report, context, norm_check("range-projection-routes-agree", routes, scale))
+    yield norm_check("range-projection-routes-agree", routes, scale)
     gap = p_n.matrix - range_projection(complement_of(q, tol), tol).matrix
-    _record_checks(report, context, norm_check("null-is-range-of-complement", gap, scale))
+    yield norm_check("null-is-range-of-complement", gap, scale)
 
-    t_mat = _complex_gaussian(rng, dim)
-    p_rand = random_projection(dim, int(rng.integers(0, dim + 1)), int(rng.integers(2**32)), tol)
-    form = block_form(t_mat, p_rand, tol)
+    t_mat = complex_gaussian(rng, dim, dim)
+    form = block_form(t_mat, _random_projection(rng, dim, dim, tol), tol)
     gate = tol.check * (1.0 + operator_norm(t_mat))
-    _record_checks(report, context, norm_check("block-roundtrip", form.reassemble() - t_mat, gate))
+    yield norm_check("block-roundtrip", form.reassemble() - t_mat, gate)
     # the two lower blocks differ in shape, so their larger norm is taken exactly
     lower = max(operator_norm(b) for b in block_form(qm, p_r, tol).blocks[2:])
-    _record_checks(report, context, Check("range-block-form-upper-triangular", lower, scale))
+    yield Check("range-block-form-upper-triangular", lower, scale)
 
 
-def _matched_identities(report: BatteryReport, rng, dim, q, tol, context):
+def _matched_identities(rng, dim, q, tol):
     qm = q.matrix
     eye = identity(dim)
     scale = tol.check * (1.0 + q.norm)
@@ -220,43 +225,35 @@ def _matched_identities(report: BatteryReport, rng, dim, q, tol, context):
     first, second = np.triu_indices(len(routes), 1)
     gaps = routes[first] - routes[second]
     gate = 10.0 * tol.check
-    _record_checks(report, context, norm_check("matched-routes-agree", gaps, gate))
+    yield norm_check("matched-routes-agree", gaps, gate)
 
     fo = factor_oracle(q, tol)
     p_r = range_projection(q, tol).matrix
     recovered = np.stack([fo.t_pinv @ fo.t - p_r, adjoint(fo.v) @ fo.v - p_r])
-    _record_checks(report, context, norm_check("factor-recovers-range-projection", recovered, scale))
+    yield norm_check("factor-recovers-range-projection", recovered, scale)
 
     m_star = matched_projection(adjoint_of(q, tol), tol).projection.matrix
-    _record_checks(report, context, norm_check("matched-of-adjoint", m_star - m, scale))
+    yield norm_check("matched-of-adjoint", m_star - m, scale)
     comp = complement_of(q, tol)
     m_comp = matched_projection(comp, tol).projection.matrix
     reflect = 2.0 * m - eye
-    _record_checks(
-        report, context,
-        norm_check("matched-of-complement", m_comp - (eye - m), scale),
-        norm_check("reflection-gives-abs", reflect @ qm - q.abs_q, scale),
-        norm_check(
-            "reflection-gives-abs-sum", reflect @ (2.0 * qm - eye) - (q.abs_q + comp.abs_q), scale
-        ),
-        norm_check("abs-product-gives-q", q.abs_q_star @ q.abs_q - qm, scale),
-        norm_check("abs-product-gives-qstar", q.abs_q @ q.abs_q_star - adjoint(qm), scale),
-        norm_check("sandwich-pinv-gives-abs", adjoint(qm) @ q.abs_q_star_pinv @ qm - q.abs_q, scale),
-        norm_check(
-            "pinv-abs-route-agreement",
-            fo.abs_q_star_pinv - moore_penrose(fo.abs_q_star, tol),
-            tol.check,
-        ),
-        norm_check("pinv-abs-contraction", fo.abs_q_star_pinv, 1.0 + tol.check),
+    yield norm_check("matched-of-complement", m_comp - (eye - m), scale)
+    yield norm_check("reflection-gives-abs", reflect @ qm - q.abs_q, scale)
+    yield norm_check(
+        "reflection-gives-abs-sum", reflect @ (2.0 * qm - eye) - (q.abs_q + comp.abs_q), scale
     )
+    yield norm_check("abs-product-gives-q", q.abs_q_star @ q.abs_q - qm, scale)
+    yield norm_check("abs-product-gives-qstar", q.abs_q @ q.abs_q_star - adjoint(qm), scale)
+    yield norm_check("sandwich-pinv-gives-abs", adjoint(qm) @ q.abs_q_star_pinv @ qm - q.abs_q, scale)
+    yield norm_check(
+        "pinv-abs-route-agreement", fo.abs_q_star_pinv - moore_penrose(fo.abs_q_star, tol), tol.check
+    )
+    yield norm_check("pinv-abs-contraction", fo.abs_q_star_pinv, 1.0 + tol.check)
 
     u = random_unitary(dim, rng)
-    _record_checks(
-        report, context,
-        Check("unitary-equivariance", unitary_equivariance(q, u, tol), scale),
-        norm_check("pair-factor-invariants", np.stack([m - tt, m - vv]), gate),
-        norm_check("pair-reflection-invariant", adjoint(qm) - reflect @ qm @ reflect, scale),
-    )
+    yield Check("unitary-equivariance", unitary_equivariance(q, u, tol), scale)
+    yield norm_check("pair-factor-invariants", np.stack([m - tt, m - vv]), gate)
+    yield norm_check("pair-reflection-invariant", adjoint(qm) - reflect @ qm @ reflect, scale)
 
 
 def _characterizations_agree(checks: list[Check]) -> bool:
@@ -264,177 +261,136 @@ def _characterizations_agree(checks: list[Check]) -> bool:
     return all_passed(checks[:3]) == checks[3].passed == checks[4].passed
 
 
-def _qpp_suite(report: BatteryReport, rng, dim, q, tol, context):
+def _qpp_suite(rng, dim, q, tol):
     pair = matched_projection(q, tol)
     checks = list(qpp_checks(pair.projection, q, tol))
     holds = all_passed(checks)
-    _record_checks(
-        report, context,
-        boolean_check("matched-pair-is-qpp", holds),
-        boolean_check("qpp-characterizations-agree", _characterizations_agree(checks)),
-    )
+    yield boolean_check("matched-pair-is-qpp", holds)
+    yield boolean_check("qpp-characterizations-agree", _characterizations_agree(checks))
     if holds:
-        closure = qpp_symmetry_closure(pair.projection, q, tol)
-        _record_checks(report, context, boolean_check("qpp-symmetry-closure", closure))
+        yield boolean_check("qpp-symmetry-closure", qpp_symmetry_closure(pair.projection, q, tol))
     # a non-pair must fail all three characterizations coherently
     if not norm_at_most(q.matrix - adjoint(q.matrix), 1e-6):
         bad = list(qpp_checks(range_projection(q, tol), q, tol))
-        _record_checks(
-            report, context,
-            boolean_check("qpp-characterizations-agree", _characterizations_agree(bad)),
-            boolean_check("range-partner-not-qpp", not all_passed(bad)),
-            note="range-projection partner",
-        )
+        note = "range-projection partner"
+        yield boolean_check("qpp-characterizations-agree", _characterizations_agree(bad)), note
+        yield boolean_check("range-partner-not-qpp", not all_passed(bad)), note
 
     p_qpp, q_qpp = random_qpp_pair(dim, int(rng.integers(2**32)), tol)
     m_qpp = matched_projection(q_qpp, tol).projection.matrix
     commute = p_qpp.matrix @ m_qpp - m_qpp @ p_qpp.matrix
-    gate = tol.check * (1.0 + q_qpp.norm)
-    _record_checks(report, context, norm_check("qpp-partner-commutes-with-matched", commute, gate))
+    yield norm_check("qpp-partner-commutes-with-matched", commute, tol.check * (1.0 + q_qpp.norm))
     mini = qpp_minimality(p_qpp, q_qpp, tol)
-    _record_checks(report, context, *mini.checks, prefix="qpp-minimality")
-    _record_checks(report, context, boolean_check("generated-qpp-pair-holds", mini.qpp_holds))
+    yield from _prefixed("qpp-minimality", mini.checks)
+    yield boolean_check("generated-qpp-pair-holds", mini.qpp_holds)
 
 
-def _homotopy(report: BatteryReport, rng, dim, q, tol, context):
+def _homotopy(rng, dim, q, tol):
     wit = homotopy_witness(q, tol)
     recon = np.linalg.inv(wit.w) @ wit.projection.matrix @ wit.w - q.matrix
-    _record_checks(
-        report, context,
-        boolean_check("witness-contraction", wit.contraction_norm < 1.0),
-        # the bound is b / (b + 1) for b = sqrt(1 + ||A||^2), which is ||Q||
-        Check("witness-contraction-bound", wit.contraction_norm**2, q.norm / (q.norm + 1.0) + tol.check),
-        norm_check("witness-reconstructs", recon, 1e-9),
-    )
+    yield boolean_check("witness-contraction", wit.contraction_norm < 1.0)
+    # the bound is b / (b + 1) for b = sqrt(1 + ||A||^2), which is ||Q||
+    yield Check("witness-contraction-bound", wit.contraction_norm**2, q.norm / (q.norm + 1.0) + tol.check)
+    yield norm_check("witness-reconstructs", recon, 1e-9)
 
     path = homotopy_path(q, 11, tol)
-    defects = np.stack([p.matrix @ p.matrix - p.matrix for p in path])
+    yield norm_check("path-idempotency", np.stack([p.matrix @ p.matrix - p.matrix for p in path]), 1e-9)
     ends = np.stack([path[0].matrix - wit.projection.matrix, path[-1].matrix - q.matrix])
-    _record_checks(
-        report, context,
-        norm_check("path-idempotency", defects, 1e-9),
-        norm_check("path-endpoints", ends, tol.check * (1.0 + q.norm)),
-    )
+    yield norm_check("path-endpoints", ends, tol.check * (1.0 + q.norm))
 
 
-def _ranges_and_powers(report: BatteryReport, rng, dim, q, tol, context):
-    _record_checks(report, context, *range_identities(q, tol), prefix="ranges")
+def _ranges_and_powers(rng, dim, q, tol):
+    yield from _prefixed("ranges", range_identities(q, tol))
     dists = fractional_power_limit(q, EXPONENT_GRID, tol)
-    _record_checks(
-        report, context,
-        Check("fractional-power-monotone", max([0.0, *np.diff(dists)]), tol.check),
-        Check("fractional-power-limit", dists[-1], 1e-2),
-    )
+    yield Check("fractional-power-monotone", max([0.0, *np.diff(dists)]), tol.check)
+    yield Check("fractional-power-limit", dists[-1], 1e-2)
 
 
-def _norm_suite(report: BatteryReport, rng, dim, q, q2, tol, context):
-    rep = distance_report(q, tol)
-    _record_checks(report, context, *rep.checks, prefix="distance")
+def _norm_suite(rng, dim, q, q2, tol):
+    yield from _prefixed("distance", distance_report(q, tol).checks)
 
     m = matched_projection(q, tol).projection.matrix
     for k in range(20):
-        p = random_projection(dim, int(rng.integers(0, dim + 1)), int(rng.integers(2**32)), tol)
+        p = _random_projection(rng, dim, dim, tol)
         mini = qpp_minimality(p, q, tol)
         closer = norm_check("projection-closer-to-matched", p.matrix - m, mini.d_candidate + 1e-9)
-        _record_checks(report, context, closer, note=f"trial {k}")
-        _record_checks(report, context, *mini.checks, prefix="any-projection")
+        yield closer, f"trial {k}"
+        yield from _prefixed("any-projection", mini.checks)
 
-    bounds = matched_lipschitz_bounds(q, q2, tol)
-    _record_checks(report, context, *bounds.checks, prefix="lipschitz")
+    yield from _prefixed("lipschitz", matched_lipschitz_bounds(q, q2, tol).checks)
+    yield from _prefixed("convergence", convergence_report(q, q2, EXPONENT_GRID, tol).checks)
 
-    conv = convergence_report(q, q2, EXPONENT_GRID, tol)
-    _record_checks(report, context, *conv.checks, prefix="convergence")
-
-    p1 = random_projection(dim, int(rng.integers(0, max(dim // 2, 1) + 1)), int(rng.integers(2**32)), tol)
-    p2 = random_projection(dim, int(rng.integers(0, max(dim // 2, 1) + 1)), int(rng.integers(2**32)), tol)
+    p1 = _random_projection(rng, dim, max(dim // 2, 1), tol)
+    p2 = _random_projection(rng, dim, max(dim // 2, 1), tol)
     if norm_at_most(p1.matrix @ p2.matrix, 0.999):
-        _, _, checks = two_projection_construction(p1, p2, tol)
-        _record_checks(report, context, *checks, prefix="two-projections")
+        yield from _prefixed("two-projections", two_projection_construction(p1, p2, tol)[2])
 
-    p_a = random_projection(dim, int(rng.integers(0, dim + 1)), int(rng.integers(2**32)), tol)
-    p_b = random_projection(dim, int(rng.integers(0, dim + 1)), int(rng.integers(2**32)), tol)
+    p_a = _random_projection(rng, dim, dim, tol)
+    p_b = _random_projection(rng, dim, dim, tol)
     try:
         kkm_distance(p_a, p_b, tol)
     except MatchedProjectionError as exc:
-        ok, note = False, str(exc)
+        yield boolean_check("projection-distance-equality", False), str(exc)
     else:
-        ok, note = True, ""
-    _record_checks(report, context, boolean_check("projection-distance-equality", ok), note=note)
+        yield boolean_check("projection-distance-equality", True)
 
 
-def _continuity_probe(report: BatteryReport, rng, dim, tol, context):
+def _continuity_probe(rng, dim, tol) -> tuple[Check, float]:
+    """The probe's check and its ratio ||m(Q1) - m(Q0)|| / ||Q1 - Q0|| for a 1e-6 step in A."""
     rank = int(rng.integers(1, dim))
     nu = float(10.0 ** rng.uniform(-1, 1))
-    seed = int(rng.integers(2**32))
-    sub = np.random.default_rng(seed)
-    a = sub.standard_normal((rank, dim - rank)) + 1j * sub.standard_normal((rank, dim - rank))
+    sub = np.random.default_rng(int(rng.integers(2**32)))
+    a = complex_gaussian(sub, rank, dim - rank)
     a *= nu / operator_norm(a)
     u = random_unitary(dim, sub)
-
-    def build(block_a):
-        base = np.zeros((dim, dim), dtype=np.complex128)
-        base[:rank, :rank] = np.eye(rank)
-        base[:rank, rank:] = block_a
-        return as_idempotent(u @ base @ adjoint(u), tol)
-
-    delta = sub.standard_normal((rank, dim - rank)) + 1j * sub.standard_normal(
-        (rank, dim - rank)
-    )
+    delta = complex_gaussian(sub, rank, dim - rank)
     delta *= 1e-6 / operator_norm(delta)
-    q0, q1 = build(a), build(a + delta)
+    q0, q1 = (as_idempotent(block_idempotent(u, block), tol) for block in (a, a + delta))
     m0 = matched_projection(q0, tol).projection.matrix
     m1 = matched_projection(q1, tol).projection.matrix
     ratio = operator_norm(m1 - m0) / operator_norm(q1.matrix - q0.matrix)
-    report.notes["continuity_constant"] = max(
-        report.notes.get("continuity_constant", 0.0), ratio
-    )
-    _record_checks(report, context, boolean_check("matched-map-continuity-probe", np.isfinite(ratio)))
+    return boolean_check("matched-map-continuity-probe", np.isfinite(ratio)), ratio
 
 
-def _two_by_two(report: BatteryReport, rng, tol, context):
+def _two_by_two(rng, tol):
     mod = float(10.0 ** rng.uniform(-2, 2))
     phase = float(rng.uniform(0.0, 2 * np.pi))
     a = mod * np.exp(1j * phase)
     problem = closed_form_p0(a, tol)
-    pair = matched_projection(canonical_idempotent(a, tol), tol)
-    gap = problem.p0.matrix - pair.projection.matrix
-    gate = 10.0 * tol.check * (1.0 + mod)
-    _record_checks(report, context, norm_check("closed-form-is-matched", gap, gate))
+    q = canonical_idempotent(a, tol)
+    gap = problem.p0.matrix - matched_projection(q, tol).projection.matrix
+    yield norm_check("closed-form-is-matched", gap, 10.0 * tol.check * (1.0 + mod))
     # analytic objective against a direct norm computation
     x = float(rng.uniform(-1.0, 1.0))
     t = float(rng.uniform(0.0, np.pi))
     z = complex(x, np.sqrt(max(1.0 - x * x, 0.0)))
     p = halmos_projection(HalmosPoint(z=z, t=t), phase, tol)
-    direct = operator_norm(p.matrix - canonical_idempotent(a, tol).matrix) ** 2
+    direct = operator_norm(p.matrix - q.matrix) ** 2
     objective = abs(distance_objective(a, x, t) - direct)
-    _record_checks(report, context, Check("objective-matches-norm", objective, tol.check * (1.0 + mod**2)))
-    gm = grid_minimize(a, 64, tol)
-    _record_checks(report, context, *gm.checks, prefix="grid")
+    yield Check("objective-matches-norm", objective, tol.check * (1.0 + mod**2))
+    yield from _prefixed("grid", grid_minimize(a, 64, tol).checks)
 
 
-def _static_checks(report: BatteryReport, tol: Tolerances):
-    """One-shot checks that do not depend on the trial loop."""
+def _family_point(mod: float, tol: Tolerances):
+    """The 512-point grid's checks at ``a = mod``, then its argmin against the closed form."""
+    gm = grid_minimize(mod, 512, tol)
+    yield from _prefixed("family-grid", gm.checks)
+    problem = closed_form_p0(mod, tol)
+    p_grid = halmos_projection(HalmosPoint(z=1.0 + 0j, t=gm.argmin_t), 0.0, tol)
+    frob = float(np.linalg.norm(p_grid.matrix - problem.p0.matrix))
+    yield Check("family-argmin-matches-closed-form", frob, 4.0 * (np.pi / 511) + tol.check)
+
+
+def _static_checks(tol: Tolerances):
+    """One-shot checks that do not depend on the trial loop, as (context, records) per modulus."""
     for mod, target in ((1e-3, 0.5), (1e3, 1.0)):
         q = canonical_idempotent(mod, tol)
-        m = matched_projection(q, tol).projection.matrix
-        ratio = operator_norm(m - q.matrix) / operator_norm(
-            range_projection(q, tol).matrix - q.matrix
-        )
-        asymptote = Check("distance-ratio-asymptotics", abs(ratio - target), 1e-2)
-        _record_checks(report, f"a={mod:g}", asymptote)
+        d_matched = operator_norm(matched_projection(q, tol).projection.matrix - q.matrix)
+        d_range = operator_norm(range_projection(q, tol).matrix - q.matrix)
+        yield f"a={mod:g}", [Check("distance-ratio-asymptotics", abs(d_matched / d_range - target), 1e-2)]
 
     for mod in np.logspace(-2, 2, 20):
-        context = f"a={mod:.3g}"
-        gm = grid_minimize(float(mod), 512, tol)
-        _record_checks(report, context, *gm.checks, prefix="family-grid")
-        problem = closed_form_p0(float(mod), tol)
-        p_grid = halmos_projection(
-            HalmosPoint(z=1.0 + 0j, t=gm.argmin_t), 0.0, tol
-        )
-        frob = float(np.linalg.norm(p_grid.matrix - problem.p0.matrix))
-        step = np.pi / 511
-        argmin = Check("family-argmin-matches-closed-form", frob, 4.0 * step + tol.check)
-        _record_checks(report, context, argmin)
+        yield f"a={mod:.3g}", _family_point(float(mod), tol)
 
 
 def sabotaged(q: Idempotent) -> Idempotent:
@@ -465,9 +421,10 @@ def run_battery(
     if trials == 0:
         return report
     try:
-        _static_checks(report, tol)
+        for context, records in _static_checks(tol):
+            _record_checks(report, context, records)
     except MatchedProjectionError as exc:
-        _record_checks(report, "(one-shot)", boolean_check("static-checks", False), note=repr(exc))
+        _record_checks(report, "(one-shot)", [(boolean_check("static-checks", False), repr(exc))])
 
     for trial in range(trials):
         trial_seed = (seed ^ trial) & (2**63 - 1)
@@ -484,17 +441,18 @@ def run_battery(
                 dim, int(rng.integers(1, dim)), float(10.0 ** rng.uniform(-2.0, 1.0)),
                 int(rng.integers(2**32)), tol,
             )
-            _core_kernels(report, rng, dim, tol, context)
-            _projection_structure(report, rng, dim, q, tol, context)
-            _matched_identities(report, rng, dim, q, tol, context)
-            _qpp_suite(report, rng, dim, q, tol, context)
-            _homotopy(report, rng, dim, q, tol, context)
-            _ranges_and_powers(report, rng, dim, q, tol, context)
-            _norm_suite(report, rng, dim, q, q2, tol, context)
-            _continuity_probe(report, rng, dim, tol, context)
-            _two_by_two(report, rng, tol, context)
+            _record_checks(report, context, _core_kernels(rng, dim, tol))
+            for suite in (_projection_structure, _matched_identities, _qpp_suite, _homotopy,
+                          _ranges_and_powers):
+                _record_checks(report, context, suite(rng, dim, q, tol))
+            _record_checks(report, context, _norm_suite(rng, dim, q, q2, tol))
+            probe, ratio = _continuity_probe(rng, dim, tol)
+            notes = report.notes
+            notes["continuity_constant"] = max(notes.get("continuity_constant", 0.0), ratio)
+            _record_checks(report, context, [probe])
+            _record_checks(report, context, _two_by_two(rng, tol))
         except MatchedProjectionError as exc:
-            _record_checks(report, context, boolean_check("trial-completed", False), note=repr(exc))
+            _record_checks(report, context, [(boolean_check("trial-completed", False), repr(exc))])
         else:
-            _record_checks(report, context, boolean_check("trial-completed", True))
+            _record_checks(report, context, [boolean_check("trial-completed", True)])
     return report

@@ -251,21 +251,34 @@ def koliha_projections(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> tuple[Pr
     """Oracle: (P_R(Q), P_R(Q*)) as (Q S^(-1), Q* S^(-1)) for the pencil S = Q + Q* - I.
 
     Koliha's formulas, independent of Q's SVD; P_N(Q) = I - P_R(Q*).  S is
-    Hermitian, so one stacked solve S^(-1) [Q* | Q] gives both as adjoints.
-    Raises ``SingularPencilError`` if S is numerically singular.  Memoized.
+    Hermitian bit for bit (each entry is q_ij + conj(q_ji)), so its singular
+    values are the |lambda| of one ``eigvalsh``, and one stacked solve
+    S^(-1) [Q* | Q] gives both projections as adjoints.  Raises
+    ``SingularPencilError`` if S is numerically singular.  Memoized.
     """
     qm, n = q.matrix, q.dim
     s = qm + adjoint(qm) - identity(n)
-    if numerical_rank(np.linalg.svd(s, compute_uv=False), n, tol) < n:
+    if numerical_rank(np.sort(np.abs(np.linalg.eigvalsh(s)))[::-1], n, tol) < n:
         raise SingularPencilError("Q + Q* - I is numerically singular")
     x = np.linalg.solve(s, np.hstack([adjoint(qm), qm]))
     return as_projection(adjoint(x[:, :n]), tol), as_projection(adjoint(x[:, n:]), tol)
 
 
+def complex_gaussian(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+    """A rows x cols matrix of standard complex Gaussians, all real parts drawn first."""
+    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+
+def block_idempotent(u: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """U [[I, A], [0, 0]] U*, an idempotent of rank r, from a unitary U and an r x (n - r) block A."""
+    base = np.zeros(u.shape, dtype=np.complex128)
+    base[: len(a)] = np.hstack([np.eye(len(a)), a])
+    return u @ base @ adjoint(u)
+
+
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-ish unitary from the QR factorization of a complex Gaussian matrix."""
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    qmat, r = np.linalg.qr(z)
+    qmat, r = np.linalg.qr(complex_gaussian(rng, dim, dim))
     d = np.diag(r)
     return qmat * (d / np.abs(d))
 
@@ -288,14 +301,11 @@ def random_idempotent(
     if not 0.0 <= offdiag_norm < np.inf:
         raise ValueError(f"offdiag_norm must be finite and nonnegative, not {offdiag_norm}")
     rng = np.random.default_rng(seed)
-    base = np.zeros((dim, dim), dtype=np.complex128)
-    base[:rank, :rank] = np.eye(rank)
-    cols = dim - rank
-    if rank > 0 and cols > 0 and offdiag_norm > 0.0:
-        a = rng.standard_normal((rank, cols)) + 1j * rng.standard_normal((rank, cols))
-        base[:rank, rank:] = a * (offdiag_norm / operator_norm(a))
-    u = random_unitary(dim, rng)
-    return as_idempotent(u @ base @ adjoint(u), tol)
+    a = np.zeros((rank, dim - rank), dtype=np.complex128)
+    if a.size and offdiag_norm > 0.0:
+        a = complex_gaussian(rng, rank, dim - rank)
+        a *= offdiag_norm / operator_norm(a)
+    return as_idempotent(block_idempotent(random_unitary(dim, rng), a), tol)
 
 
 def random_projection(dim: int, rank: int, seed: int, tol: Tolerances = DEFAULT_TOL) -> Projection:

@@ -13,11 +13,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from matchedproj import as_matrix, cli, operator_norm, random_idempotent
+from matchedproj import as_matrix, battery, cli, operator_norm, random_idempotent
 from matchedproj.battery import run_battery, sabotaged
 from matchedproj.cli import main
 from matchedproj.matrixio import dumps, load_matrix, matrix_from_obj, save_matrix
-from matchedproj.errors import MatrixFileError
+from matchedproj.errors import InapplicableHypothesisError, MatrixFileError, ValidationError
+from matchedproj.two_by_two import canonical_idempotent
 
 RT2 = np.sqrt(2.0)
 # boundary doubles: signed zero, the least subnormal, the first power of ten
@@ -336,6 +337,21 @@ class TestAnalyze:
         assert run("analyze", "--input", q) == 2
         assert capsys.readouterr().err.startswith("error: " + message.format(q=q))
 
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ({"entries": [[[1, 0]]]}, "expected an object with 'dim' and 'entries'"),
+            ([[[1, 0]]], "expected an object with 'dim' and 'entries'"),
+            ({"dim": [2, 2], "entries": [[[1, 0], [0, 0]]]}, "'entries' must hold 2 rows"),
+        ],
+        ids=["no_dim", "bare_list", "short_entries"],
+    )
+    def test_schema_fault_is_usage_error(self, tmp_path, capsys, obj, message):
+        q = tmp_path / "bad.json"
+        q.write_text(json.dumps(obj))
+        assert run("analyze", "--input", q) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_factorizations_with_cold_memo(self, tmp_path, factorizations):
         # the ceilings are the measured counts; without the memo analyze makes
         # 156, 94 with exact norms at every gate, 65 (45 exact 2-norms) with
@@ -349,7 +365,7 @@ class TestAnalyze:
         assert run("analyze", "--input", q) == 0
         assert sum(factorizations.values()) <= 28, dict(factorizations)
         assert factorizations["svd"] <= 6, dict(factorizations)
-        assert factorizations["svdvals"] <= 9, dict(factorizations)
+        assert factorizations["svdvals"] <= 8, dict(factorizations)
         assert factorizations["solve"] == 1, dict(factorizations)
 
     def test_input_is_opened_once(self, tmp_path, monkeypatch):
@@ -446,6 +462,16 @@ class TestPath:
         save_matrix(q, as_matrix([[1.0, 1.0], [0.0, 0.5]]))
         assert run("path", "--input", q, "--samples", 3) == 2
 
+    def test_sabotaged_input_is_math_error(self, tmp_path, monkeypatch, capsys):
+        # m(Q) fails its certificate, so the path has no start
+        q, out = tmp_path / "q.json", tmp_path / "path.json"
+        save_matrix(q, as_matrix([[1.0, 1.0], [0.0, 0.0]]))
+        certify = cli.as_idempotent
+        monkeypatch.setattr(cli, "as_idempotent", lambda m, tol=None: sabotaged(certify(m, tol)))
+        assert run("path", "--input", q, "--samples", 3, "--output", out) == 1
+        assert capsys.readouterr().err.startswith("check failed: ")
+        assert not out.exists()
+
 
 class TestMin2x2:
     def test_unit_parameter(self, tmp_path):
@@ -460,6 +486,27 @@ class TestMin2x2:
 
     def test_zero_parameter_is_usage_error(self):
         assert run("min2x2", "--a-re", 0, "--a-im", 0) == 2
+
+    def test_sabotaged_idempotent_is_math_error(self, tmp_path, monkeypatch, capsys):
+        # m(Q) of the canonical idempotent fails its certificate: no record is written
+        canonical = cli.canonical_idempotent
+        monkeypatch.setattr(cli, "canonical_idempotent", lambda a, tol: sabotaged(canonical(a, tol)))
+        out = tmp_path / "min.json"
+        assert run("min2x2", "--a-re", 1, "--grid", 64, "--output", out) == 1
+        assert capsys.readouterr().err.startswith("check failed: ")
+        assert not out.exists()
+
+    def test_failing_check_is_math_error(self, tmp_path, monkeypatch, capsys):
+        # m(Q) of another parameter: the closed form does not match it, and the record says so
+        matched = cli.matched_projection
+        other = canonical_idempotent(2.0)
+        monkeypatch.setattr(cli, "matched_projection", lambda q, tol: matched(other, tol))
+        out = tmp_path / "min.json"
+        assert run("min2x2", "--a-re", 1, "--grid", 64, "--output", out) == 1
+        assert "  FAIL closed_form_is_matched: residual " in capsys.readouterr().out
+        record = json.loads(out.read_text())
+        assert record["all_passed"] is False
+        assert [c["name"] for c in record["checks"] if not c["passed"]] == ["closed_form_is_matched"]
 
     def test_depends_on_modulus_only(self, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -497,8 +544,9 @@ class TestVerify:
             ("--trials", 2, "--dim-max", 4, "--seed", 7, "--sabotage"),
             # round-off fails this gate first in a later trial (trial 4, seed 5 ^ 4 = 1)
             ("--trials", 6, "--dim-max", 6, "--seed", 5, "--tol-check", "2e-15"),
+            ("--trials", 2, "--dim-max", 4, "--seed", 7, "--sabotage", "--tol-rank", "1e-12"),
         ],
-        ids=["sabotage", "tight_gate"],
+        ids=["sabotage", "tight_gate", "rank_cutoff"],
     )
     def test_reproduction_line_replays_the_first_failure(self, capsys, flags):
         assert run("verify", *flags) == 1
@@ -506,6 +554,8 @@ class TestVerify:
         assert first.startswith("FIRST FAILURE: ")
         command = reproduce.removeprefix("reproduce: python -m matchedproj ")
         assert command != reproduce and "--trials 1 " in command
+        for flag in ("--tol-check", "--tol-rank"):
+            assert (flag in command) == (flag in flags)
         assert run(*shlex.split(command)) == 1
         # the same check fails first, in the same trial, with the same detail
         *_, replayed, again = capsys.readouterr().out.splitlines()
@@ -529,6 +579,49 @@ class TestVerify:
     def test_sabotage_fails_fast(self):
         assert run("verify", "--dim-max", 4, "--trials", 2, "--seed", 7,
                    "--sabotage") == 1
+
+    def test_raising_distance_equality_fails_with_its_message(self, monkeypatch, capsys):
+        def kkm_distance(p_a, p_b, tol):
+            raise InapplicableHypothesisError("no common distance")
+
+        monkeypatch.setattr(battery, "kkm_distance", kkm_distance)
+        report = run_battery(4, 2, 7)
+        tally = report.tallies["projection-distance-equality"]
+        assert (tally.passed, tally.failed) == (0, 2)
+        # the raise is recorded in the suite, so the trials complete
+        assert report.tallies["trial-completed"].passed == 2
+        assert run("verify", "--trials", 2, "--dim-max", 4, "--seed", 7) == 1
+        *_, first, _ = capsys.readouterr().out.splitlines()
+        assert first.startswith("FIRST FAILURE: projection-distance-equality: (seed=7, dim=")
+        assert first.endswith(" tol=5.000e-01 no common distance")
+
+    def test_raising_static_check_fails_static_checks_only(self, monkeypatch, capsys):
+        # the family's closed form raises on its first modulus; the trials
+        # pass a complex parameter and are left as they were
+        closed_form = battery.closed_form_p0
+
+        def family_fault(a, tol):
+            if isinstance(a, float):
+                raise ValidationError("family fault")
+            return closed_form(a, tol)
+
+        monkeypatch.setattr(battery, "closed_form_p0", family_fault)
+        report = run_battery(4, 2, 7)
+        static = report.tallies["static-checks"]
+        assert (static.passed, static.failed, static.first_seed) == (0, 1, None)
+        assert static.first_failure == (
+            "(one-shot) residual 1.000e+00 tol=5.000e-01 ValidationError('family fault')"
+        )
+        # records made before the raise are kept: the first modulus's grid checks, not its argmin
+        assert report.tallies["distance-ratio-asymptotics"].passed == 2
+        assert report.tallies["family-grid:grid_min_near_optimum"].passed == 1
+        assert "family-argmin-matches-closed-form" not in report.tallies
+        assert report.tallies["trial-completed"].passed == 2
+        assert [t.name for t in report.tallies.values() if t.failed] == ["static-checks"]
+        assert run("verify", "--trials", 2, "--dim-max", 4, "--seed", 7) == 1
+        *_, first, reproduce = capsys.readouterr().out.splitlines()
+        assert first.startswith("FIRST FAILURE: static-checks: (one-shot) ")
+        assert reproduce.endswith(" --seed 7 --dim-max 4")
 
     def test_tallies_match_golden(self, capsys):
         # the golden file is this command's stdout at an earlier release; a

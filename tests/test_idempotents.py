@@ -322,7 +322,7 @@ class TestKolihaProjections:
         factorizations.clear()
         koliha_projections(q)
         koliha_projections(q)
-        assert dict(factorizations) == {"svdvals": 1, "solve": 1}
+        assert dict(factorizations) == {"eigvalsh": 1, "solve": 1}
 
     def test_singular_pencil_on_defective_input(self):
         # a "validated" non-idempotent (loose gate) makes Q + Q* - I singular
@@ -338,7 +338,7 @@ class TestKolihaProjections:
         for calls in (1, 2):
             with pytest.raises(SingularPencilError):
                 koliha_projections(half, loose)
-            assert factorizations["svdvals"] == calls
+            assert factorizations["eigvalsh"] == calls
         assert half._memo == {}
 
     def test_singular_pencil_under_rank_override(self):

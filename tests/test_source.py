@@ -267,9 +267,10 @@ def test_the_recorder_invariant_sees_each_spelling():
         "ok = a <= b and operator_norm(m) <= gate",
     ]
     allowed = [
-        "def _record_checks(report, context, *checks):\n"
-        "    for c in checks:\n        report.tally(c.name).record(c, context)",
-        '_record_checks(report, context, norm_check("sqrt-composition", m, gate))',
+        "def _record_checks(report, context, records):\n"
+        "    for c, note in records:\n        report.tally(c.name).record(c, context, note)",
+        "_record_checks(report, context, _core_kernels(rng, dim, tol))",
+        'yield norm_check("sqrt-composition", m, gate)',
         'Check("adjoint-isometry", abs(operator_norm(m) - norm), gate)',
         "norm_at_most(p1 @ p2, 0.999)",
         "wit.contraction_norm < 1.0",
@@ -278,6 +279,53 @@ def test_the_recorder_invariant_sees_each_spelling():
     ]
     for source in spellings + allowed:
         assert bool(_battery_record_violations(source)) == (source in spellings), source
+
+
+# the recorder and the driver are the only battery functions that see the report or the trial
+RECORDER_AND_DRIVER = ("_record_checks", "run_battery")
+
+
+def _suites_that_see_the_report(source):
+    """Module-level functions, the recorder and ``run_battery`` aside, taking ``report`` or ``context``."""
+    found = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        params = {p.arg for p in [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg] if p}
+        if node.name not in RECORDER_AND_DRIVER:
+            found += [f"{node.lineno} {node.name}({n})" for n in sorted(params & {"report", "context"})]
+    return found
+
+
+def test_battery_suites_yield_records_and_never_see_the_report():
+    # each suite is a stream of records; _record_checks alone tallies them under the trial
+    source = (PACKAGE / "battery.py").read_text(encoding="utf-8")
+    assert "def _record_checks(" in source and "def run_battery(" in source
+    found = _suites_that_see_the_report(source)
+    assert not found, found
+
+
+def test_the_suite_invariant_sees_each_spelling():
+    spellings = [
+        "def _core_kernels(report, rng, dim, tol, context):\n    pass",
+        "def _static_checks(report, tol):\n    pass",
+        "def _homotopy(rng, dim, q, tol, *, context=None):\n    pass",
+        "def _suite(report, /, rng):\n    pass",
+        "def _suite(*context):\n    pass",
+        "def _suite(**report):\n    pass",
+        "async def _suite(rng, context):\n    pass",
+    ]
+    allowed = [
+        "def _record_checks(report, context, records):\n    pass",
+        "def run_battery(dim_max, trials, seed, tol):\n    report = BatteryReport()",
+        "class CheckTally:\n    def record(self, check, context, note=''):\n        pass",
+        "def _norm_suite(rng, dim, q, q2, tol):\n    yield boolean_check('ok', True)",
+        "def _static_checks(tol):\n    yield 'a=1', [check]",
+        "def _suite(reports, contexts):\n    pass",
+    ]
+    for source in spellings + allowed:
+        assert bool(_suites_that_see_the_report(source)) == (source in spellings), source
 
 
 def _hand_rolled_memo(node):
