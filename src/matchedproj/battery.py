@@ -50,6 +50,7 @@ from .linalg import (
     psd_power,
 )
 from .matched import (
+    ROUTE_GATE_FACTOR,
     factor_oracle,
     fractional_power_limit,
     homotopy_path,
@@ -224,7 +225,7 @@ def _matched_identities(rng, dim, q, tol):
     routes = np.stack([m, closed, tt, vv, homotopy_witness_block(q, tol).projection.matrix])
     first, second = np.triu_indices(len(routes), 1)
     gaps = routes[first] - routes[second]
-    gate = 10.0 * tol.check
+    gate = ROUTE_GATE_FACTOR * tol.check
     yield norm_check("matched-routes-agree", gaps, gate)
 
     fo = factor_oracle(q, tol)
@@ -359,7 +360,7 @@ def _two_by_two(rng, tol):
     problem = closed_form_p0(a, tol)
     q = canonical_idempotent(a, tol)
     gap = problem.p0.matrix - matched_projection(q, tol).projection.matrix
-    yield norm_check("closed-form-is-matched", gap, 10.0 * tol.check * (1.0 + mod))
+    yield norm_check("closed-form-is-matched", gap, ROUTE_GATE_FACTOR * tol.check * (1.0 + mod))
     # analytic objective against a direct norm computation
     x = float(rng.uniform(-1.0, 1.0))
     t = float(rng.uniform(0.0, np.pi))

@@ -1,7 +1,9 @@
 """File-based front end: analyze, generate, path, min2x2, verify.
 
 Exit codes: 0 all checks passed, 1 a mathematical check failed, 2 input or
-usage error.
+usage error.  Commands return 0 or 1 from their checks and raise otherwise;
+``main`` alone maps errors to exit codes: a ``MatchedProjectionError`` to 1
+(``check failed: ...``), a ``ValueError`` or ``OSError`` to 2 (``error: ...``).
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .idempotents import (
 )
 from .linalg import DEFAULT_TOL, Tolerances, norm_bracket
 from .matched import (
+    ROUTE_GATE_FACTOR,
     homotopy_path,
     matched_projection,
     matched_via_factor,
@@ -42,10 +45,6 @@ def _tolerances(args) -> Tolerances:
     return Tolerances(check=args.tol_check, rank=args.tol_rank)
 
 
-def _checks_to_obj(checks: list[Check]) -> list[dict]:
-    return [c.as_dict() for c in checks]
-
-
 def _verdict_to_obj(checks: list[Check]) -> dict:
     """One pair's ``qpp_checks`` as its verdict, their shared gate and each residual bracket."""
     return {
@@ -56,7 +55,11 @@ def _verdict_to_obj(checks: list[Check]) -> dict:
 
 
 def _load_idempotent(path: str, tol: Tolerances, digest=None) -> Idempotent:
-    return as_idempotent(load_matrix(path, digest), tol)
+    """The certified idempotent in the file; a file that does not hold one is a usage error."""
+    try:
+        return as_idempotent(load_matrix(path, digest), tol)
+    except MatchedProjectionError as exc:
+        raise ValueError(str(exc)) from exc
 
 
 def _write(path: str | None, text: str) -> None:
@@ -67,38 +70,29 @@ def _write(path: str | None, text: str) -> None:
 def cmd_analyze(args) -> int:
     tol = _tolerances(args)
     digest = hashlib.sha256()
+    q = _load_idempotent(args.input, tol, digest)
+    pair = matched_projection(q, tol)
+    m = pair.projection.matrix
+    rep = distance_report(q, tol)
+    checks = list(rep.checks) + range_identities(q, tol)
+
+    # an oracle that cannot certify its own inputs fails its checks, not the report
+    oracle_gate = ROUTE_GATE_FACTOR * tol.check
     try:
-        q = _load_idempotent(args.input, tol, digest)
+        tt, vv = matched_via_factor(q, tol)
+        factor_gaps = norm_bracket(m - tt, oracle_gate), norm_bracket(m - vv, oracle_gate)
     except MatchedProjectionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return E_USAGE
+        print(f"check failed: factor oracle: {exc}", file=sys.stderr)
+        factor_gaps = (math.inf, math.inf), (math.inf, math.inf)
+    checks.append(bracket_check("matched_equals_tt_factor", factor_gaps[0], oracle_gate))
+    checks.append(bracket_check("matched_equals_vv_factor", factor_gaps[1], oracle_gate))
+    qpp_matched = list(qpp_checks(pair.projection, q, tol))
+    # qpp_matched[3] is the adjoint reflection Q* = (2m - I) Q (2m - I)
+    checks.append(replace(qpp_matched[3], name="matched_reflection_identity"))
 
-    try:
-        pair = matched_projection(q, tol)
-        m = pair.projection.matrix
-        rep = distance_report(q, tol)
-        checks = list(rep.checks) + range_identities(q, tol)
-
-        # an oracle that cannot certify its own inputs fails its checks, not the report
-        oracle_gate = 10 * tol.check
-        try:
-            tt, vv = matched_via_factor(q, tol)
-            factor_gaps = norm_bracket(m - tt, oracle_gate), norm_bracket(m - vv, oracle_gate)
-        except MatchedProjectionError as exc:
-            print(f"check failed: factor oracle: {exc}", file=sys.stderr)
-            factor_gaps = (math.inf, math.inf), (math.inf, math.inf)
-        checks.append(bracket_check("matched_equals_tt_factor", factor_gaps[0], oracle_gate))
-        checks.append(bracket_check("matched_equals_vv_factor", factor_gaps[1], oracle_gate))
-        qpp_matched = list(qpp_checks(pair.projection, q, tol))
-        # qpp_matched[3] is the adjoint reflection Q* = (2m - I) Q (2m - I)
-        checks.append(replace(qpp_matched[3], name="matched_reflection_identity"))
-
-        qpp_range = list(qpp_checks(range_projection(q, tol), q, tol))
-        qpp_null = list(qpp_checks(null_projection(q, tol), q, tol))
-        checks.append(boolean_check("matched_pair_is_qpp", all_passed(qpp_matched)))
-    except MatchedProjectionError as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
-        return E_MATH
+    qpp_range = list(qpp_checks(range_projection(q, tol), q, tol))
+    qpp_null = list(qpp_checks(null_projection(q, tol), q, tol))
+    checks.append(boolean_check("matched_pair_is_qpp", all_passed(qpp_matched)))
 
     ok = all_passed(checks)
     report = {
@@ -114,7 +108,7 @@ def cmd_analyze(args) -> int:
             "d_range": rep.d_range,
             "d_null": rep.d_null,
         },
-        "checks": _checks_to_obj(checks),
+        "checks": [c.as_dict() for c in checks],
         "qpp": {
             "matched": _verdict_to_obj(qpp_matched),
             "range_partner": _verdict_to_obj(qpp_range),
@@ -139,13 +133,11 @@ def cmd_analyze(args) -> int:
 def cmd_generate(args) -> int:
     tol = _tolerances(args)
     if args.offdiag_norm > 1e3:
-        print("error: --offdiag-norm capped at 1e3 (conditioning)", file=sys.stderr)
-        return E_USAGE
+        raise ValueError("--offdiag-norm capped at 1e3 (conditioning)")
     try:
         q = random_idempotent(args.dim, args.rank, args.offdiag_norm, args.seed, tol)
-    except (MatchedProjectionError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return E_USAGE
+    except MatchedProjectionError as exc:
+        raise ValueError(str(exc)) from exc
     save_matrix(args.output, q.matrix)
     print(
         f"wrote {args.output}: dim {args.dim}, rank {args.rank}, "
@@ -156,16 +148,7 @@ def cmd_generate(args) -> int:
 
 def cmd_path(args) -> int:
     tol = _tolerances(args)
-    try:
-        q = _load_idempotent(args.input, tol)
-    except MatchedProjectionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return E_USAGE
-    try:
-        samples = homotopy_path(q, args.samples, tol)
-    except MatchedProjectionError as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
-        return E_MATH
+    samples = homotopy_path(_load_idempotent(args.input, tol), args.samples, tol)
     _write(args.output, dumps([s.matrix for s in samples]))
     worst = max(s.defect for s in samples)
     print(f"{len(samples)} samples from m(Q) to Q, max idempotency defect {worst:.3e}")
@@ -176,18 +159,13 @@ def cmd_min2x2(args) -> int:
     tol = _tolerances(args)
     a = complex(args.a_re, args.a_im)
     if a == 0:
-        print("error: parameter a must be nonzero", file=sys.stderr)
-        return E_USAGE
-    try:
-        problem = closed_form_p0(a, tol)
-        gm = grid_minimize(a, args.grid, tol)
-        pair = matched_projection(canonical_idempotent(a, tol), tol)
-    except MatchedProjectionError as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
-        return E_MATH
-    checks = list(gm.checks)
+        raise ValueError("parameter a must be nonzero")
+    problem = closed_form_p0(a, tol)
+    gm = grid_minimize(a, args.grid, tol)
+    pair = matched_projection(canonical_idempotent(a, tol), tol)
     route_gap = problem.p0.matrix - pair.projection.matrix
-    checks.append(norm_check("closed_form_is_matched", route_gap, 10 * tol.check * (1.0 + abs(a))))
+    gate = ROUTE_GATE_FACTOR * tol.check * (1.0 + abs(a))
+    checks = [*gm.checks, norm_check("closed_form_is_matched", route_gap, gate)]
     ok = all_passed(checks)
     record = {
         "a": [a.real, a.imag],
@@ -204,7 +182,7 @@ def cmd_min2x2(args) -> int:
             "gap": gm.gap,
             "grid_tolerance": gm.grid_tolerance,
         },
-        "checks": _checks_to_obj(checks),
+        "checks": [c.as_dict() for c in checks],
         "all_passed": ok,
     }
     _write(args.output, dumps(record))
@@ -315,7 +293,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except MatchedProjectionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"check failed: {exc}", file=sys.stderr)
         return E_MATH
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,9 +10,11 @@ and 2x2 blocks), so the columns u_i + v_i are mutually orthogonal and
     m(Q) = sum_{s_i > 0} s_i / (2 (s_i + 1)) (u_i + v_i)(u_i + v_i)*,
 
 while the same SVD gives the similarity witness W = I + E U_r* with
-Q = W^(-1) m(Q) W, ||I - W|| < 1 (``homotopy_witness``).  W^(-1) has a
-closed form, so ``homotopy_path`` samples the homotopy as rank-r updates of
-m(Q), with no inverse and no solve.  The SVD is the one ``Idempotent``
+Q = W^(-1) m(Q) W, ||I - W|| < 1 (``homotopy_witness``).  The witness, a
+``SimilarityWitness``, holds E, X = U_r and the diagonal d of X* E + I.
+W^(-1) has a closed form, so its ``samples`` are the homotopy from m(Q) to Q
+as rank-r updates of m(Q), with no inverse and no solve, and
+``homotopy_path`` certifies them.  The SVD is the one ``Idempotent``
 keeps; ||Q||, |Q| = V S V*, |Q*| = U S U*, |Q*|^dag = U_r S_r^(-1) U_r*
 and P_R(Q) = U_r U_r* come from it, and every function here reads them from
 Q.  m(Q) (a ``MatchedPair``), its distance to Q, its witness and the oracle
@@ -40,7 +42,8 @@ by one function, ``_certified_witness``; only the certificate is shared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -85,6 +88,8 @@ from .report import Check, boolean_check, norm_check
 
 # Gate on the gap between two orthoprojectors for "these subspaces are equal".
 SUBSPACE_TOL = 1e-8
+# Gate factor for two routes to m(Q); fixed though V V*'s error grows with ||Q|| (CHANGES.md)
+ROUTE_GATE_FACTOR = 10.0
 
 @dataclass(frozen=True)
 class FactorOracle:
@@ -218,59 +223,49 @@ def qpp_symmetry_closure(p: Projection, q: Idempotent, tol: Tolerances = DEFAULT
 
 
 @dataclass(frozen=True)
-class _Homotopy:
-    """The rank-r form of Q(t) = W_t^(-1) m W_t, m = m(Q), derived in ``homotopy_path``.
+class SimilarityWitness:
+    """m(Q) with W = I + E X* such that Q = W^(-1) m(Q) W and ||I - W|| = ||E|| < 1.
 
-    For W = I + E X* (``_certified_witness``): ``d`` is the diagonal of D,
-    ``g`` is G = m E X*, ``x_m`` is X* m and ``x_g`` is X* G; r = 0 gives
-    Q(t) = m.
+    X is n x r with orthonormal columns and X* E = D - I, D diagonal with
+    entries ``d`` (``_certified_witness``); r = 0 gives W = I.  ``samples``
+    is the path from m(Q) to Q that ``homotopy_path`` samples.
     """
 
-    m: np.ndarray
-    g: np.ndarray
+    projection: Projection
     e: np.ndarray
+    x: np.ndarray
     d: np.ndarray
-    x_m: np.ndarray
-    x_g: np.ndarray
+    contraction_norm: float
 
-    @classmethod
-    def of(cls, m: np.ndarray, e: np.ndarray, x: np.ndarray, d: np.ndarray) -> _Homotopy:
-        g = (m @ e) @ adjoint(x)
-        return cls(m, g, e, d, adjoint(x) @ m, adjoint(x) @ g)
+    @property
+    def w(self) -> np.ndarray:
+        return identity(self.e.shape[0]) + self.e @ adjoint(self.x)
+
+    @cached_property
+    def _rank_r_form(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """G = m E X*, X* m and X* G for m = m(Q), so that m W_t = m + t G."""
+        m = self.projection.matrix
+        g = (m @ self.e) @ adjoint(self.x)
+        return g, adjoint(self.x) @ m, adjoint(self.x) @ g
 
     def samples(self, t: np.ndarray) -> np.ndarray:
-        """The (k, n, n) stack of Q(t) for the k values in ``t``."""
+        """The (k, n, n) stack of Q(t) = W_t^(-1) m W_t for the k values in ``t``."""
         (n, r), k = self.e.shape, t.size
+        g, x_m, x_g = self._rank_r_form
         c = -t / (1.0 + np.multiply.outer(self.d - 1.0, t))
         # laid out (r, k, n), so that E times it is one product: update[i, j]
         # is row i of C_t X* (m + t G) at t = t[j]
-        rows = self.x_m[:, np.newaxis] + t[:, np.newaxis] * self.x_g[:, np.newaxis]
+        rows = x_m[:, np.newaxis] + t[:, np.newaxis] * x_g[:, np.newaxis]
         update = c[:, :, np.newaxis] * rows
-        out = np.multiply.outer(t, self.g) + self.m
+        out = np.multiply.outer(t, g) + self.projection.matrix
         out += (self.e @ update.reshape(r, k * n)).reshape(n, k, n).transpose(1, 0, 2)
         return out
 
 
-@dataclass(frozen=True)
-class SimilarityWitness:
-    """m(Q) with an invertible W such that Q = W^(-1) m(Q) W and ||I - W|| < 1.
-
-    ``_homotopy`` is the rank-r form of the path from m(Q) to Q that
-    ``homotopy_path`` samples.
-    """
-
-    projection: Projection
-    w: np.ndarray
-    contraction_norm: float
-    _homotopy: _Homotopy = field(repr=False)
-
-
 def _trivial_witness(q: Idempotent, tol: Tolerances) -> SimilarityWitness:
     """The witness of a projection input: W = I and the constant path."""
-    p = as_projection(q.matrix, tol)
     empty = np.zeros((q.dim, 0))
-    path = _Homotopy.of(p.matrix, empty, empty, np.zeros(0))
-    return SimilarityWitness(p, identity(q.dim), 0.0, path)
+    return SimilarityWitness(as_projection(q.matrix, tol), empty, empty, np.zeros(0), 0.0)
 
 
 def _nontrivial_rank(r: int, n: int) -> int:
@@ -335,14 +330,12 @@ def _certified_witness(
       any inverse, at its smallest;
     - the contraction ||I - W|| = ||E|| < 1, the exact 2-norm of an n x r matrix;
     - the similarity ||W^(-1) P W - Q|| <= tol.check (1 + ||W^(-1)|| ||W||),
-      with W^(-1) P W the t = 1 sample of the path the witness keeps
-      (``_Homotopy``).
+      with W^(-1) P W the t = 1 sample of the witness's path (``samples``).
 
     ||F|| and the similarity norms are bounded by ``norm_bounds`` first (upper
     bounds on the left, lower bounds on the right) and taken exactly only
     when the bounds cannot settle a gate.
     """
-    n = q.dim
     contraction = operator_norm(e)
     d_inv = 1.0 / d
     f = adjoint(x) @ e - np.diag(d - 1.0)
@@ -354,17 +347,17 @@ def _certified_witness(
             raise ValidationError(f"closed-form inverse defect {bound:.3e} exceeds {gate:.3e}")
     if contraction >= 1.0:
         raise ValidationError(f"witness contraction norm {contraction:.6f} not < 1")
-    w_inv = identity(n) - (e * d_inv) @ adjoint(x)
-    w_mat = identity(n) + e @ adjoint(x)
-    path = _Homotopy.of(projection.matrix, e, x, d)
-    diff = path.samples(np.ones(1))[0] - q.matrix
+    witness = SimilarityWitness(projection, e, x, d, contraction)
+    w_inv = identity(q.dim) - (e * d_inv) @ adjoint(x)
+    w_mat = witness.w
+    diff = witness.samples(np.ones(1))[0] - q.matrix
     fast = tol.check * (1.0 + norm_bounds(w_inv)[0] * norm_bounds(w_mat)[0])
     if norm_bounds(diff)[1] > fast:
         residual = operator_norm(diff)
         bound = tol.check * (1.0 + operator_norm(w_inv) * operator_norm(w_mat))
         if residual > bound:
             raise ValidationError(f"similarity residual {residual:.3e} exceeds {bound:.3e}")
-    return SimilarityWitness(projection, w_mat, contraction, path)
+    return witness
 
 
 def homotopy_witness_block(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> SimilarityWitness:
@@ -417,14 +410,14 @@ def homotopy_path(
         Q(t) = X_t m W_t = (m + t G) + E C_t U_r* (m + t G),  C_t = -t Delta_t^(-1).
 
     The updates of all samples are one (n, r) @ (r, samples n) product, with
-    no factorization (``_Homotopy``), and the samples are certified by
-    ``as_idempotents`` with one stacked norm per quantity.  The sample at
+    no factorization (``SimilarityWitness.samples``), and the samples are
+    certified by ``as_idempotents`` with one stacked norm per quantity.  The sample at
     t = 0 is m(Q) exactly; a projection input (r = 0) gives m(Q) = Q at every t.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
-    path = homotopy_witness(q, tol)._homotopy
-    return as_idempotents(path.samples(np.linspace(0.0, 1.0, samples)), tol)
+    path = homotopy_witness(q, tol).samples(np.linspace(0.0, 1.0, samples))
+    return as_idempotents(path, tol)
 
 
 def _hermitian_bases(m: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:

@@ -61,9 +61,9 @@ def norm_check(name: str, m: np.ndarray, tolerance: float) -> Check:
     return bracket_check(name, norm_bracket(m, tolerance), tolerance)
 
 
-def boolean_check(name: str, ok: bool, tolerance: float = 0.5) -> Check:
-    """Encode a yes/no condition as a residual (0 pass, 1 fail)."""
-    return Check(name=name, residual=0.0 if ok else 1.0, tolerance=tolerance)
+def boolean_check(name: str, ok: bool) -> Check:
+    """Encode a yes/no condition as a residual (0 pass, 1 fail) held to the gate 0.5."""
+    return Check(name=name, residual=0.0 if ok else 1.0, tolerance=0.5)
 
 
 def all_passed(checks: list[Check]) -> bool:

@@ -214,13 +214,23 @@ class TestGenerate:
         assert run(*args, "--output", b) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_bad_rank_is_usage_error(self, tmp_path):
-        assert run("generate", "--dim", 4, "--rank", 9,
-                   "--output", tmp_path / "x.json") == 2
+    def test_bad_rank_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        assert run("generate", "--dim", 4, "--rank", 9, "--output", out) == 2
+        assert capsys.readouterr().err == "error: rank 9 outside [0, 4]\n"
+        assert not out.exists()
 
-    def test_offdiag_cap(self, tmp_path):
+    def test_offdiag_cap(self, tmp_path, capsys):
         assert run("generate", "--dim", 4, "--rank", 2, "--offdiag-norm", 1e4,
                    "--output", tmp_path / "x.json") == 2
+        assert capsys.readouterr().err == "error: --offdiag-norm capped at 1e3 (conditioning)\n"
+
+    def test_negative_offdiag_norm_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        assert run("generate", "--dim", 4, "--rank", 2, "--offdiag-norm", -1, "--output", out) == 2
+        message = "error: offdiag_norm must be finite and nonnegative, not -1.0\n"
+        assert capsys.readouterr().err == message
+        assert not out.exists()
 
     def test_nan_offdiag_norm_is_usage_error(self, tmp_path):
         out = tmp_path / "x.json"
@@ -290,12 +300,20 @@ class TestAnalyze:
         assert run("analyze", "--input", q) == 2
         assert f"error: {q} is not UTF-8 text" in capsys.readouterr().err
 
-    def test_corrupted_formula_is_math_error(self, tmp_path, monkeypatch):
-        q = tmp_path / "q.json"
+    def test_corrupted_formula_is_math_error(self, tmp_path, monkeypatch, capsys):
+        q, rep = tmp_path / "q.json", tmp_path / "rep.json"
         save_matrix(q, as_matrix([[1.0, 1.0], [0.0, 0.0]]))
         certify = cli.as_idempotent
         monkeypatch.setattr(cli, "as_idempotent", lambda m, tol=None: sabotaged(certify(m, tol)))
-        assert run("analyze", "--input", q) == 1
+        assert run("analyze", "--input", q, "--output", rep) == 1
+        assert capsys.readouterr().err.startswith("check failed: ")
+        assert not rep.exists()
+
+    def test_missing_output_directory_is_usage_error(self, tmp_path, capsys):
+        q, rep = tmp_path / "q.json", tmp_path / "missing" / "rep.json"
+        save_matrix(q, as_matrix([[1.0, 1.0], [0.0, 0.0]]))
+        assert run("analyze", "--input", q, "--output", rep) == 2
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: {str(rep)!r}\n"
 
     @pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
     @pytest.mark.parametrize("flag", ["--tol-check", "--tol-rank"])
@@ -462,6 +480,13 @@ class TestPath:
         save_matrix(q, as_matrix([[1.0, 1.0], [0.0, 0.5]]))
         assert run("path", "--input", q, "--samples", 3) == 2
 
+    def test_zero_samples_is_usage_error(self, tmp_path, capsys):
+        q, out = tmp_path / "q.json", tmp_path / "path.json"
+        save_matrix(q, as_matrix([[1.0, 1.0], [0.0, 0.0]]))
+        assert run("path", "--input", q, "--samples", 0, "--output", out) == 2
+        assert capsys.readouterr().err == "error: samples must be positive\n"
+        assert not out.exists()
+
     def test_sabotaged_input_is_math_error(self, tmp_path, monkeypatch, capsys):
         # m(Q) fails its certificate, so the path has no start
         q, out = tmp_path / "q.json", tmp_path / "path.json"
@@ -484,8 +509,15 @@ class TestMin2x2:
         expect = np.array([[RT2 + 1, 1], [1, RT2 - 1]]) / (2 * RT2)
         np.testing.assert_allclose(p0, expect, atol=1e-12)
 
-    def test_zero_parameter_is_usage_error(self):
+    def test_zero_parameter_is_usage_error(self, capsys):
         assert run("min2x2", "--a-re", 0, "--a-im", 0) == 2
+        assert capsys.readouterr().err == "error: parameter a must be nonzero\n"
+
+    def test_empty_grid_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "min.json"
+        assert run("min2x2", "--a-re", 1, "--grid", 0, "--output", out) == 2
+        assert capsys.readouterr().err == "error: grid size must be positive\n"
+        assert not out.exists()
 
     def test_sabotaged_idempotent_is_math_error(self, tmp_path, monkeypatch, capsys):
         # m(Q) of the canonical idempotent fails its certificate: no record is written

@@ -242,7 +242,7 @@ class TestWitnessRoute:
         # starts at the oracle's own m(Q) and ends at Q
         for q in envelope_inputs((1e-4, 1.0, 1e2, 1e4), dims=(2, 3, 8), every_rank=True):
             wit = homotopy_witness_block(q)
-            start, end = wit._homotopy.samples(np.array([0.0, 1.0]))
+            start, end = wit.samples(np.array([0.0, 1.0]))
             np.testing.assert_array_equal(start, wit.projection.matrix)
             assert operator_norm(end - q.matrix) <= route_tolerance(q)
 

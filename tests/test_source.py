@@ -471,3 +471,87 @@ def test_the_placeholder_invariant_sees_each_spelling():
     for source in spellings + allowed:
         spelled = {_regex_or_placeholder(n) for n in ast.walk(ast.parse(source))} - {None}
         assert bool(spelled) == (source in spellings), source
+
+
+def _exit_code_policy_violations(source):
+    """Where a function other than ``main`` returns from a handler, keeps an error, or reads E_USAGE.
+
+    Outside ``main`` every ``except`` handler ends in ``raise``, with no
+    ``return`` inside it; the one handler that may end otherwise is the
+    factor oracle's in ``cmd_analyze`` (its ``try`` calls
+    ``matched_via_factor``), and it may not return either.  ``E_USAGE`` is
+    read only in ``main``.
+    """
+    tree = ast.parse(source)
+    in_main = {
+        id(n) for f in ast.walk(tree)
+        if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)) and f.name == "main"
+        for n in ast.walk(f)
+    }
+    oracle_tries = {
+        id(t) for f in ast.walk(tree)
+        if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)) and f.name == "cmd_analyze"
+        for t in ast.walk(f)
+        if isinstance(t, (ast.Try, ast.TryStar))
+        and any(_calls(n, "matched_via_factor") for stmt in t.body for n in ast.walk(stmt))
+    }
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in in_main:
+            continue
+        if isinstance(node, ast.Name) and node.id == "E_USAGE" and isinstance(node.ctx, ast.Load):
+            found.append(f"{node.lineno} E_USAGE read outside main")
+        if not isinstance(node, (ast.Try, ast.TryStar)):
+            continue
+        for handler in node.handlers:
+            if any(isinstance(n, ast.Return) for n in ast.walk(handler)):
+                found.append(f"{handler.lineno} return in a handler outside main")
+            elif not isinstance(handler.body[-1], ast.Raise) and id(node) not in oracle_tries:
+                found.append(f"{handler.lineno} handler outside main does not re-raise")
+    return found
+
+
+def test_only_main_turns_errors_into_exit_codes():
+    # each command returns E_OK or E_MATH from its checks and raises on
+    # anything else; cli.main alone maps an exception to an exit code
+    source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
+    assert "def main(" in source and "def cmd_analyze(" in source
+    found = _exit_code_policy_violations(source)
+    assert not found, found
+
+
+def test_the_exit_code_invariant_sees_each_spelling():
+    spellings = [
+        "def cmd_path(args):\n    try:\n        q = load(args)\n"
+        "    except MatchedProjectionError as exc:\n        print(exc)\n        return E_USAGE",
+        "def cmd_path(args):\n    try:\n        samples = path(q)\n"
+        "    except MatchedProjectionError:\n        return E_MATH",
+        "def cmd_generate(args):\n    try:\n        q = make(args)\n    except ValueError:\n        pass",
+        "def cmd_generate(args):\n    if args.offdiag_norm > 1e3:\n        return E_USAGE",
+        "def _load(path):\n    try:\n        return load(path)\n    except OSError as exc:\n"
+        "        if exc.errno:\n            raise\n        return None",
+        "def cmd_analyze(args):\n    try:\n        q = load(args)\n    except MatchedProjectionError:\n        q = None",
+        "def cmd_analyze(args):\n    try:\n        tt, vv = matched_via_factor(q, tol)\n"
+        "    except MatchedProjectionError:\n        return E_MATH",
+        "def cmd_min2x2(args):\n    try:\n        tt, vv = matched_via_factor(q, tol)\n"
+        "    except MatchedProjectionError:\n        gaps = None",
+        "def cmd_verify(args):\n    def run():\n        try:\n            go()\n"
+        "        except ValueError:\n            return 2\n    return run()",
+        "def cmd_verify(args):\n    try:\n        go()\n    except* ValueError:\n        return 2",
+        "CODES = {'usage': E_USAGE}",
+    ]
+    allowed = [
+        "def main(argv=None):\n    try:\n        return args.func(args)\n"
+        "    except MatchedProjectionError as exc:\n        print(exc)\n        return E_MATH\n"
+        "    except (ValueError, OSError) as exc:\n        print(exc)\n        return E_USAGE",
+        "def _load_idempotent(path, tol):\n    try:\n        return as_idempotent(load_matrix(path), tol)\n"
+        "    except MatchedProjectionError as exc:\n        raise ValueError(str(exc)) from exc",
+        "def cmd_analyze(args):\n    try:\n        tt, vv = matched_via_factor(q, tol)\n"
+        "    except MatchedProjectionError as exc:\n        print(exc)\n        gaps = None",
+        "def cmd_min2x2(args):\n    if a == 0:\n        raise ValueError('parameter a must be nonzero')\n"
+        "    return E_OK if ok else E_MATH",
+        "def cmd_path(args):\n    try:\n        go()\n    except KeyError:\n        raise",
+        "E_OK, E_MATH, E_USAGE = 0, 1, 2",
+    ]
+    for source in spellings + allowed:
+        assert bool(_exit_code_policy_violations(source)) == (source in spellings), source
