@@ -32,6 +32,7 @@ from .idempotents import (
     null_projection,
     random_idempotent,
     random_projection,
+    random_projections,
     random_unitary,
     range_projection,
 )
@@ -47,6 +48,7 @@ from .linalg import (
     norm_at_most,
     norm_bounds,
     norm_bracket,
+    norm_brackets,
     numerical_rank,
     operator_norm,
     psd_order,
@@ -82,6 +84,7 @@ from .norms import (
     kkm_distance,
     matched_lipschitz_bounds,
     offdiag_distance,
+    qpp_minimalities,
     qpp_minimality,
     two_projection_construction,
 )

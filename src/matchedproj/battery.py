@@ -11,12 +11,14 @@ bounds where they settle it), a value against a closed form an exact
 ``Check``, and a yes/no verdict a ``boolean_check``.  ``_record_checks``,
 the one function that knows the report and the trial, tallies each record
 before the next is computed, so a trial that raises keeps every record
-made before the raise.
+made before the raise.  A stacked batch (the 20 candidate projections of
+``_norm_suite``) is one computed step, whose records are then yielded one
+candidate after another.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -35,6 +37,7 @@ from .idempotents import (
     null_projection,
     random_idempotent,
     random_projection,
+    random_projections,
     random_unitary,
     range_projection,
 )
@@ -46,6 +49,7 @@ from .linalg import (
     identity,
     moore_penrose,
     norm_at_most,
+    norm_brackets,
     operator_norm,
     psd_power,
 )
@@ -70,10 +74,11 @@ from .norms import (
     distance_report,
     kkm_distance,
     matched_lipschitz_bounds,
+    qpp_minimalities,
     qpp_minimality,
     two_projection_construction,
 )
-from .report import Check, all_passed, boolean_check, norm_check
+from .report import Check, all_passed, boolean_check, bracket_check, norm_check
 from .two_by_two import (
     canonical_idempotent,
     closed_form_p0,
@@ -153,7 +158,9 @@ def _record_checks(report: BatteryReport, context: Trial | str, records: Iterabl
     The battery's one recorder, and the one function that knows the report
     and the trial: the suites yield their records.  Each record is tallied
     before the next is computed, so a suite that raises keeps every record
-    it made before the raise.
+    it made before the raise.  A stacked batch counts as one step: all its
+    records are computed together, then yielded in the order a loop over
+    its slices would give.
     """
     for record in records:
         check, note = record if isinstance(record, tuple) else (record, "")
@@ -162,11 +169,16 @@ def _record_checks(report: BatteryReport, context: Trial | str, records: Iterabl
 
 def _prefixed(prefix: str, checks: Iterable[Check]) -> list[Check]:
     """A report's checks, each renamed ``prefix:name``; the whole report is built first."""
-    return [replace(c, name=f"{prefix}:{c.name}") for c in checks]
+    return [Check(f"{prefix}:{c.name}", c.residual, c.tolerance, c.lower) for c in checks]
+
+
+def _projection_draw(rng, max_rank) -> tuple[int, int]:
+    """A random projection's (rank, seed), the rank drawn first."""
+    return int(rng.integers(0, max_rank + 1)), int(rng.integers(2**32))
 
 
 def _random_projection(rng, dim, max_rank, tol) -> Projection:
-    return random_projection(dim, int(rng.integers(0, max_rank + 1)), int(rng.integers(2**32)), tol)
+    return random_projection(dim, *_projection_draw(rng, max_rank), tol)
 
 
 def _core_kernels(rng, dim, tol):
@@ -310,12 +322,15 @@ def _ranges_and_powers(rng, dim, q, tol):
 def _norm_suite(rng, dim, q, q2, tol):
     yield from _prefixed("distance", distance_report(q, tol).checks)
 
+    # 20 candidate projections, drawn, certified and measured as one stack
     m = matched_projection(q, tol).projection.matrix
-    for k in range(20):
-        p = _random_projection(rng, dim, dim, tol)
-        mini = qpp_minimality(p, q, tol)
-        closer = norm_check("projection-closer-to-matched", p.matrix - m, mini.d_candidate + 1e-9)
-        yield closer, f"trial {k}"
+    ranks, seeds = zip(*(_projection_draw(rng, dim) for _ in range(20)))
+    candidates = random_projections(dim, ranks, seeds, tol)
+    minis = qpp_minimalities(candidates, q, tol)
+    gates = [mini.d_candidate + 1e-9 for mini in minis]
+    closer = norm_brackets(np.stack([p.matrix for p in candidates]) - m, gates)
+    for k, (mini, bracket, gate) in enumerate(zip(minis, closer, gates)):
+        yield bracket_check("projection-closer-to-matched", bracket, gate), f"trial {k}"
         yield from _prefixed("any-projection", mini.checks)
 
     yield from _prefixed("lipschitz", matched_lipschitz_bounds(q, q2, tol).checks)
@@ -418,6 +433,8 @@ def run_battery(
     """Drive every invariant suite over seeded random inputs (on ``sabotaged`` Q if asked)."""
     if trials < 0:
         raise ValueError("trials must be non-negative")
+    if dim_max < 2:
+        raise ValueError(f"dim_max must be at least 2, not {dim_max}")
     report = BatteryReport()
     if trials == 0:
         return report
@@ -430,7 +447,7 @@ def run_battery(
     for trial in range(trials):
         trial_seed = (seed ^ trial) & (2**63 - 1)
         rng = np.random.default_rng(trial_seed)
-        dim = int(rng.integers(2, max(dim_max, 2) + 1))
+        dim = int(rng.integers(2, dim_max + 1))
         rank = int(rng.integers(1, dim))
         nu = float(10.0 ** rng.uniform(-2.0, 1.0))
         context = Trial(trial_seed, dim)

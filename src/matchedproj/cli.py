@@ -39,6 +39,7 @@ from .report import Check, all_passed, boolean_check, bracket_check, failures, n
 from .two_by_two import canonical_idempotent, closed_form_p0, grid_minimize
 
 E_OK, E_MATH, E_USAGE = 0, 1, 2
+A_PART_MAX = 1e150
 
 
 def _tolerances(args) -> Tolerances:
@@ -157,6 +158,12 @@ def cmd_path(args) -> int:
 
 def cmd_min2x2(args) -> int:
     tol = _tolerances(args)
+    # the closed form squares |a|, so each part is bounded well below sqrt(float max)
+    for flag, part in (("--a-re", args.a_re), ("--a-im", args.a_im)):
+        if not abs(part) <= A_PART_MAX:
+            raise ValueError(
+                f"{flag} must be finite and at most {A_PART_MAX:g} in magnitude, not {part!r}"
+            )
     a = complex(args.a_re, args.a_im)
     if a == 0:
         raise ValueError("parameter a must be nonzero")

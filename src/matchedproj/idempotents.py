@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, wraps
-from typing import Callable, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -207,6 +207,20 @@ def as_projection(m, tol: Tolerances = DEFAULT_TOL) -> Projection:
     return Projection(matrix=p)
 
 
+def as_projections(stack: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> list[Projection]:
+    """Validate each P of a (k, n, n) stack as ``as_projection`` does.
+
+    A slice is accepted when ``norm_bounds`` put both ||P - P*|| and
+    ||P^2 - P|| at or below tol.check, which implies the exact test; every
+    other slice goes through ``as_projection``, with its exact decision and
+    message.
+    """
+    herm = stack - np.conj(stack).swapaxes(-1, -2)
+    defect = stack @ stack - stack
+    settled = (norm_bounds(herm)[1] <= tol.check) & (norm_bounds(defect)[1] <= tol.check)
+    return [Projection(p) if ok else as_projection(p, tol) for p, ok in zip(stack, settled)]
+
+
 @per_tolerance
 def adjoint_of(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> Idempotent:
     """Q*, certified by ``as_idempotent``; memoized on Q per tolerance.
@@ -276,11 +290,19 @@ def block_idempotent(u: np.ndarray, a: np.ndarray) -> np.ndarray:
     return u @ base @ adjoint(u)
 
 
+def _phase_fixed_qr(gaussians: np.ndarray) -> np.ndarray:
+    """The Q factor of each Gaussian matrix of a stack, its columns scaled by the phases of diag(R).
+
+    One stacked ``np.linalg.qr``; a single matrix is its own stack.
+    """
+    qmat, r = np.linalg.qr(gaussians)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return qmat * (d / np.abs(d))[..., np.newaxis, :]
+
+
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-ish unitary from the QR factorization of a complex Gaussian matrix."""
-    qmat, r = np.linalg.qr(complex_gaussian(rng, dim, dim))
-    d = np.diag(r)
-    return qmat * (d / np.abs(d))
+    return _phase_fixed_qr(complex_gaussian(rng, dim, dim))
 
 
 def random_idempotent(
@@ -309,11 +331,25 @@ def random_idempotent(
 
 
 def random_projection(dim: int, rank: int, seed: int, tol: Tolerances = DEFAULT_TOL) -> Projection:
-    """Seeded random orthogonal projection of the given rank."""
-    if not 0 <= rank <= dim:
-        raise BadRankError(f"rank {rank} outside [0, {dim}]")
-    u = random_unitary(dim, np.random.default_rng(seed))[:, :rank]
-    return as_projection(u @ adjoint(u), tol)
+    """Seeded random orthogonal projection of the given rank: ``random_projections`` of one."""
+    return random_projections(dim, [rank], [seed], tol)[0]
+
+
+def random_projections(
+    dim: int, ranks: Sequence[int], seeds: Sequence[int], tol: Tolerances = DEFAULT_TOL
+) -> list[Projection]:
+    """Seeded random orthogonal projections, one per (rank, seed), certified by ``as_projections``.
+
+    The unitaries of all seeds come from one stacked QR; each P_k = U_k U_k*
+    with U_k the first ranks[k] columns is formed alone, so P_k does not
+    depend on the other draws.
+    """
+    for rank in ranks:
+        if not 0 <= rank <= dim:
+            raise BadRankError(f"rank {rank} outside [0, {dim}]")
+    gaussians = np.stack([complex_gaussian(np.random.default_rng(seed), dim, dim) for seed in seeds])
+    unitaries = _phase_fixed_qr(gaussians)
+    return as_projections(np.stack([u[:, :r] @ adjoint(u[:, :r]) for u, r in zip(unitaries, ranks)]), tol)
 
 
 @dataclass(frozen=True)

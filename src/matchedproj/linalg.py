@@ -24,7 +24,8 @@ A norm whose only use is a pass/fail against a gate decides from
 column norm below), and takes the exact norm only when they cannot settle
 it.  ``norm_bracket`` returns the bounds, or the exact norm twice, and
 ``norm_at_most`` its verdict; a (k, n, n) stack decides "every one of these
-norms <= gate" at once.  A check reports such a residual as that bracket
+norms <= gate" at once, and ``norm_brackets`` brackets each matrix of a
+stack against its own gate.  A check reports such a residual as that bracket
 (``report.Check`` with a ``lower`` end): the quasi-projection-pair
 conditions (``matched.qpp_checks``, which ``is_quasi_projection_pair``
 decides lazily), the range and kernel identities, the similarity and
@@ -162,10 +163,32 @@ def norm_bracket(m: np.ndarray, gate: float) -> tuple[float, float]:
     lower, upper = norm_bounds(m)
     if m.ndim == 3:
         lower, upper = float(lower.max()), float(upper.max())
-    if upper <= gate or gate < lower <= upper < math.inf:
+    if _settles(lower, upper, gate):
         return lower, upper
     exact = float(np.max(operator_norm(m)))
     return exact, exact
+
+
+def _settles(lower, upper, gate):
+    """Whether bounds decide ``||m|| <= gate``: upper <= gate, or gate < lower with a finite upper.
+
+    Elementwise on arrays, so one rule serves ``norm_bracket`` and ``norm_brackets``.
+    """
+    return (upper <= gate) | ((gate < lower) & (lower <= upper) & (upper < math.inf))
+
+
+def norm_brackets(stack: np.ndarray, gates) -> list[tuple[float, float]]:
+    """``norm_bracket`` of each matrix of a (k, n, n) stack against its own gate.
+
+    Bracket k is bitwise ``norm_bracket(stack[k], gates[k])``: the bounds
+    where they settle slice k, else its exact norm twice, and the exact norms
+    of all unsettled slices come from one stacked SVD.
+    """
+    lower, upper = norm_bounds(stack)
+    unsettled = ~_settles(lower, upper, np.asarray(gates))
+    if unsettled.any():
+        lower[unsettled] = upper[unsettled] = operator_norm(stack[unsettled])
+    return [(float(lo), float(up)) for lo, up in zip(lower, upper)]
 
 
 def norm_at_most(m: np.ndarray, bound: float) -> bool:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -354,7 +355,7 @@ class MinimalityReport:
 def qpp_minimality(
     p: Projection, q: Idempotent, tol: Tolerances = DEFAULT_TOL
 ) -> MinimalityReport:
-    """Distance-minimality of m(Q) among quasi-projection-pair partners.
+    """Distance-minimality of m(Q) among quasi-projection-pair partners: ``qpp_minimalities`` of one.
 
     Always verifies ||m(Q) - Q|| <= 2 ||P - Q||.  When (P, Q) is a
     quasi-projection pair it additionally verifies the PSD dominance of
@@ -362,10 +363,27 @@ def qpp_minimality(
     P = m(Q)), the sharp factor-one bound, and the small-distance rigidity:
     ||P - Q|| < 1 forces P = m(Q) and ||Q|| < 5/3.
     """
+    return qpp_minimalities([p], q, tol)[0]
+
+
+def qpp_minimalities(
+    candidates: Sequence[Projection], q: Idempotent, tol: Tolerances = DEFAULT_TOL
+) -> list[MinimalityReport]:
+    """``qpp_minimality`` of each candidate against one Q.
+
+    Every ||P - Q|| comes from one stacked ``operator_norm``; the
+    quasi-projection-pair verdict and the checks it gates are taken per
+    candidate.
+    """
+    d_candidates = operator_norm(np.stack([p.matrix for p in candidates]) - q.matrix)
+    return [_minimality(p, q, float(d), tol) for p, d in zip(candidates, d_candidates)]
+
+
+def _minimality(p: Projection, q: Idempotent, d_candidate: float, tol: Tolerances) -> MinimalityReport:
+    """The report of ``qpp_minimality`` for one candidate P at d_candidate = ||P - Q||."""
     m = matched_projection(q, tol).projection.matrix
     qm = q.matrix
     d_matched = matched_distance(q, tol)
-    d_candidate = operator_norm(p.matrix - qm)
     scale = tol.check * (1.0 + q.norm)
     scale_sq = tol.check * (1.0 + q.norm**2)
 

@@ -8,15 +8,27 @@ import os
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from matchedproj import as_matrix, battery, cli, operator_norm, random_idempotent
+from matchedproj import (
+    DEFAULT_TOL,
+    as_matrix,
+    battery,
+    cli,
+    matched_projection,
+    operator_norm,
+    qpp_minimality,
+    random_idempotent,
+    random_projection,
+)
 from matchedproj.battery import run_battery, sabotaged
 from matchedproj.cli import main
 from matchedproj.matrixio import dumps, load_matrix, matrix_from_obj, save_matrix
+from matchedproj.report import Check, norm_check
 from matchedproj.errors import InapplicableHypothesisError, MatrixFileError, ValidationError
 from matchedproj.two_by_two import canonical_idempotent
 
@@ -513,6 +525,25 @@ class TestMin2x2:
         assert run("min2x2", "--a-re", 0, "--a-im", 0) == 2
         assert capsys.readouterr().err == "error: parameter a must be nonzero\n"
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (("--a-re", "1e300"), "--a-re must be finite and at most 1e+150 in magnitude, not 1e+300"),
+            (("--a-re", "nan"), "--a-re must be finite and at most 1e+150 in magnitude, not nan"),
+            (("--a-re", "1", "--a-im=-inf"),
+             "--a-im must be finite and at most 1e+150 in magnitude, not -inf"),
+        ],
+        ids=["overflow", "nan", "infinite"],
+    )
+    def test_out_of_range_parameter_is_usage_error(self, tmp_path, capsys, flags, named):
+        # rejected before the closed form squares |a|: no warning, no traceback, no record
+        out = tmp_path / "min.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("min2x2", *flags, "--grid", 4, "--output", out) == 2
+        assert capsys.readouterr() == ("", f"error: {named}\n")
+        assert not out.exists()
+
     def test_empty_grid_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "min.json"
         assert run("min2x2", "--a-re", 1, "--grid", 0, "--output", out) == 2
@@ -604,9 +635,67 @@ class TestVerify:
         assert run("verify", "--dim-max", 5, "--trials", 4, "--seed", 7) == 0
 
     def test_factorizations_per_battery(self, factorizations):
-        # the ceiling is the measured count: a second build of an oracle shows here
+        # the ceilings are the measured counts: a second build of an oracle
+        # shows here, and so does a candidate projection drawn or measured
+        # alone (413 calls, 64 qr and 239 svdvals, before the 20 were one stack)
         run_battery(12, 2, 7)
-        assert sum(factorizations.values()) <= 413, dict(factorizations)
+        assert sum(factorizations.values()) <= 318, dict(factorizations)
+        assert factorizations["qr"] <= 26, dict(factorizations)
+        assert factorizations["svdvals"] <= 182, dict(factorizations)
+
+    def test_dim_max_below_two_is_usage_error(self, capsys):
+        # a dim-max below 2 used to run 2 x 2 trials and pass
+        for dim_max in (1, 0, -2):
+            assert run("verify", "--trials", 2, "--dim-max", dim_max) == 2
+            out, err = capsys.readouterr()
+            assert (out, err) == ("", f"error: dim_max must be at least 2, not {dim_max}\n")
+
+    @staticmethod
+    def per_candidate_records(rng, dim, q, tol, splice):
+        """The 20-candidate records as a loop over single candidates draws and tests them."""
+        m = matched_projection(q, tol).projection.matrix
+        for k in range(20):
+            p = random_projection(dim, int(rng.integers(0, dim + 1)), int(rng.integers(2**32)), tol)
+            p = splice.get(k, p)
+            mini = qpp_minimality(p, q, tol)
+            closer = norm_check("projection-closer-to-matched", p.matrix - m, mini.d_candidate + 1e-9)
+            yield closer, f"trial {k}"
+            for c in mini.checks:
+                yield Check(f"any-projection:{c.name}", c.residual, c.tolerance, c.lower), ""
+
+    def test_candidate_stack_is_the_per_candidate_loop_bitwise(self, monkeypatch):
+        # m(Q) is spliced into each trial's stack, so its quasi-projection-pair
+        # branch runs beside the random candidates' others
+        tol = DEFAULT_TOL
+        stacked = battery.random_projections
+        splice = {}
+        monkeypatch.setattr(
+            battery, "random_projections",
+            lambda *args: [splice.get(k, p) for k, p in enumerate(stacked(*args))],
+        )
+
+        def bits(record):
+            check, note = record if isinstance(record, tuple) else (record, "")
+            ends = (check.residual, check.tolerance, check.lower)
+            return check.name, tuple(None if x is None else float(x).hex() for x in ends), note
+
+        names = set()
+        for seed in range(24):
+            rng = np.random.default_rng(seed)
+            dim = int(rng.integers(2, 13))
+            q, q2 = (random_idempotent(dim, int(rng.integers(1, dim)), float(10.0 ** rng.uniform(-2, 1)),
+                                       int(rng.integers(2**32))) for _ in range(2))
+            splice.clear()
+            splice[seed % 20] = matched_projection(q, tol).projection
+            suite = battery._norm_suite(np.random.default_rng(seed), dim, q, q2, tol)
+            got = [r for r in map(bits, suite)
+                   if r[0] == "projection-closer-to-matched" or r[0].startswith("any-projection:")]
+            reference = self.per_candidate_records(np.random.default_rng(seed), dim, q, tol, splice)
+            want = [bits(r) for r in reference]
+            assert got == want, seed
+            names.update(r[0] for r in got)
+        assert "any-projection:psd_dominance_left" in names
+        assert "any-projection:small_distance_forces_matched" in names
 
     def test_sabotage_fails_fast(self):
         assert run("verify", "--dim-max", 4, "--trials", 2, "--seed", 7,

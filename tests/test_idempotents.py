@@ -30,7 +30,7 @@ from matchedproj import (
     range_projection,
 )
 from matchedproj import idempotents
-from matchedproj.idempotents import as_idempotents
+from matchedproj.idempotents import as_idempotents, as_projections, random_projections
 
 from conftest import envelope_inputs
 
@@ -155,6 +155,58 @@ class TestStackedValidation:
         stack = np.array([CANONICAL, [[np.nan, 0.0], [0.0, 0.0]]], dtype=np.complex128)
         with pytest.raises(ValueError, match="finite"):
             as_idempotents(stack)
+
+
+class TestStackedProjections:
+    @staticmethod
+    def reference(dim, rank, seed):
+        """U_r U_r* from one 2-D QR of the seed's Gaussian, columns phase-fixed by diag(R)."""
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        qmat, r = np.linalg.qr(g)
+        d = np.diag(r)
+        u = (qmat * (d / np.abs(d)))[:, :rank]
+        return u @ adjoint(u)
+
+    @pytest.mark.parametrize("dim", [1, 2, 5, 12, 16])
+    def test_each_slice_is_its_stack_of_one_bitwise(self, dim):
+        rng = np.random.default_rng(dim)
+        ranks = [int(r) for r in rng.integers(0, dim + 1, size=20)]
+        seeds = [int(s) for s in rng.integers(2**32, size=20)]
+        for p, rank, seed in zip(random_projections(dim, ranks, seeds), ranks, seeds):
+            single = random_projection(dim, rank, seed).matrix
+            assert p.matrix.tobytes() == single.tobytes()
+            assert single.tobytes() == self.reference(dim, rank, seed).tobytes()
+
+    def test_bad_rank_anywhere_in_the_stack(self):
+        with pytest.raises(BadRankError, match="rank 5 outside"):
+            random_projections(4, [2, 5], [0, 1])
+
+    def test_one_stacked_qr(self, factorizations):
+        random_projections(8, [0, 3, 8] * 7, range(21))
+        assert dict(factorizations) == {"qr": 1}
+
+    def test_unsettled_slices_get_the_single_decision(self):
+        # at a gate just above or below P's exact defect the bounds settle
+        # nothing, and each slice is decided, and worded, as as_projection does
+        p = random_projection(6, 3, 3)
+        assert p.defect > 0.0
+        stack = np.stack([p.matrix, p.matrix])
+        above = Tolerances(check=p.defect * (1.0 + 1e-9))
+        assert [s.matrix.tobytes() for s in as_projections(stack, above)] == [p.matrix.tobytes()] * 2
+        below = Tolerances(check=p.defect * (1.0 - 1e-9))
+        with pytest.raises(ValidationError) as stacked:
+            as_projections(stack, below)
+        with pytest.raises(ValidationError) as single:
+            as_projection(p.matrix, below)
+        assert str(stacked.value) == str(single.value)
+
+    def test_rejects_oblique_and_non_finite_slices(self):
+        p = random_projection(2, 1, 3).matrix
+        with pytest.raises(ValidationError, match="projection defect"):
+            as_projections(np.stack([p, np.array(CANONICAL, dtype=complex)]))
+        with pytest.raises(ValueError, match="finite"):
+            as_projections(np.stack([p, np.full((2, 2), np.nan + 0j)]))
 
 
 class TestMemo:

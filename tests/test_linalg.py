@@ -16,6 +16,7 @@ from matchedproj import (
     norm_at_most,
     norm_bounds,
     norm_bracket,
+    norm_brackets,
     numerical_rank,
     operator_norm,
     psd_order,
@@ -198,6 +199,32 @@ class TestKernels:
         assert norm_bracket(stack, 0.9)[0] > 0.9
         assert linalg_calls == []
         assert norm_bracket(stack, 1.5) == (1.0, 1.0)
+        assert linalg_calls == ["svd"]
+
+    def test_per_slice_brackets_are_the_single_brackets_bitwise(self):
+        # each slice against its own gate, near and far from its norm
+        rng = np.random.default_rng(23)
+        for dim in (1, 2, 5, 12, 16):
+            stack = np.stack([random_complex(rng, dim) for _ in range(10)])
+            exact = operator_norm(stack)
+            for factor in (0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 2.0):
+                gates = factor * exact
+                brackets = norm_brackets(stack, gates)
+                singles = [norm_bracket(m, float(g)) for m, g in zip(stack, gates)]
+                assert [tuple(map(float.hex, b)) for b in brackets] == [
+                    tuple(map(float.hex, b)) for b in singles
+                ], (dim, factor)
+
+    def test_per_slice_brackets_take_one_stacked_norm(self, linalg_calls):
+        # the identity's bounds (1, 2) straddle a gate of 1.5, the half
+        # identity's (0.5, 1) do not; both identities share one stacked SVD
+        stack = np.stack([np.eye(4), 0.5 * np.eye(4), np.eye(4)]).astype(complex)
+        assert norm_brackets(stack, [3.0, 1.5, 0.9]) == [
+            norm_bracket(m, g) for m, g in zip(stack, [3.0, 1.5, 0.9])
+        ]
+        assert linalg_calls == []
+        brackets = norm_brackets(stack, [1.5, 1.5, 1.5])
+        assert brackets == [(1.0, 1.0), norm_bounds(stack[1]), (1.0, 1.0)]
         assert linalg_calls == ["svd"]
 
 

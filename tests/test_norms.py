@@ -24,9 +24,11 @@ from matchedproj import (
     offdiag_distance,
     operator_norm,
     psd_power,
+    qpp_minimalities,
     qpp_minimality,
     random_idempotent,
     random_projection,
+    random_projections,
     random_qpp_pair,
     range_projection,
     two_projection_construction,
@@ -369,6 +371,25 @@ class TestQppMinimality:
             p = random_projection(q.dim, int(rng.integers(0, q.dim + 1)), int(rng.integers(2**32)))
             rep = qpp_minimality(p, q)
             assert all_passed(rep.checks), [c.name for c in failures(rep.checks)]
+
+    def test_stacked_reports_are_the_single_reports_bitwise(self):
+        # random candidates with m(Q) and both range partners spliced in, so
+        # the quasi-projection-pair branch runs; each ||P - Q|| is the 2-D norm
+        rng = np.random.default_rng(59)
+        for _ in range(8):
+            q = random_stress_idempotent(rng, dim_max=12)
+            ranks = [int(r) for r in rng.integers(0, q.dim + 1, size=12)]
+            candidates = random_projections(q.dim, ranks, [int(s) for s in rng.integers(2**32, size=12)])
+            candidates[3:3] = [matched_projection(q).projection, range_projection(q), null_projection(q)]
+            reports = qpp_minimalities(candidates, q)
+            assert reports[3].qpp_holds
+            for p, rep in zip(candidates, reports):
+                single = qpp_minimality(p, q)
+                assert rep.d_candidate.hex() == operator_norm(p.matrix - q.matrix).hex()
+                assert (rep.d_matched, rep.d_candidate, rep.qpp_holds) == (
+                    single.d_matched, single.d_candidate, single.qpp_holds
+                )
+                assert rep.checks == single.checks
 
 
 class TestProjectionDistanceBound:

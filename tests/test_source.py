@@ -92,6 +92,7 @@ BRACKETED_CHECKS = {
     "matched_equals_vv_factor",
     "matched_reflection_identity",
     "closed_form_is_matched",
+    "projection-closer-to-matched",
     # the five quasi-projection-pair conditions of matched.qpp_checks
     "block_range",
     "block_cross",
