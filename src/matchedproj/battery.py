@@ -54,7 +54,6 @@ from .linalg import (
     psd_power,
 )
 from .matched import (
-    ROUTE_GATE_FACTOR,
     factor_oracle,
     fractional_power_limit,
     homotopy_path,
@@ -184,10 +183,10 @@ def _random_projection(rng, dim, max_rank, tol) -> Projection:
 def _core_kernels(rng, dim, tol):
     m = complex_gaussian(rng, dim, dim)
     norm = operator_norm(m)
-    scale = tol.check * (1.0 + norm**2)
+    scale = tol.quadratic(norm)
     abs_m = abs_value(m)
     yield boolean_check("adjoint-involution", np.array_equal(adjoint(adjoint(m)), m))
-    yield Check("adjoint-isometry", abs(operator_norm(adjoint(m)) - norm), tol.check * (1.0 + norm))
+    yield Check("adjoint-isometry", abs(operator_norm(adjoint(m)) - norm), tol.relative(norm))
     yield Check("cstar-identity", abs(operator_norm(adjoint(m) @ m) - norm**2), scale)
     yield norm_check("abs-value-square", abs_m @ abs_m - adjoint(m) @ m, scale)
 
@@ -196,7 +195,7 @@ def _core_kernels(rng, dim, tol):
     deficient[:, 0] = deficient[:, 1] if dim > 1 else 0.0
     for label, mat, mat_norm in (("full", m, norm), ("deficient", deficient, operator_norm(deficient))):
         back = moore_penrose(moore_penrose(mat, tol), tol)
-        yield norm_check("pseudoinverse-involution", back - mat, tol.check * (1.0 + mat_norm)), label
+        yield norm_check("pseudoinverse-involution", back - mat, tol.relative(mat_norm)), label
 
     root, quarter = psd_power(adjoint(m) @ m, [0.5, 0.25], tol)
     yield norm_check("sqrt-composition", psd_power(root, 0.5, tol) - quarter, scale)
@@ -204,7 +203,7 @@ def _core_kernels(rng, dim, tol):
 
 def _projection_structure(rng, dim, q, tol):
     qm = q.matrix
-    scale = tol.check * (1.0 + q.norm)
+    scale = tol.relative(q.norm)
     p_r = range_projection(q, tol)
     p_n = null_projection(q, tol)
     yield norm_check("range-projection-absorbs", p_r.matrix @ qm - qm, scale)
@@ -218,7 +217,7 @@ def _projection_structure(rng, dim, q, tol):
 
     t_mat = complex_gaussian(rng, dim, dim)
     form = block_form(t_mat, _random_projection(rng, dim, dim, tol), tol)
-    gate = tol.check * (1.0 + operator_norm(t_mat))
+    gate = tol.relative(operator_norm(t_mat))
     yield norm_check("block-roundtrip", form.reassemble() - t_mat, gate)
     # the two lower blocks differ in shape, so their larger norm is taken exactly
     lower = max(operator_norm(b) for b in block_form(qm, p_r, tol).blocks[2:])
@@ -228,7 +227,7 @@ def _projection_structure(rng, dim, q, tol):
 def _matched_identities(rng, dim, q, tol):
     qm = q.matrix
     eye = identity(dim)
-    scale = tol.check * (1.0 + q.norm)
+    scale = tol.relative(q.norm)
     m = matched_projection(q, tol).projection.matrix
 
     # the production SVD route against the three oracles, pairwise
@@ -237,7 +236,7 @@ def _matched_identities(rng, dim, q, tol):
     routes = np.stack([m, closed, tt, vv, homotopy_witness_block(q, tol).projection.matrix])
     first, second = np.triu_indices(len(routes), 1)
     gaps = routes[first] - routes[second]
-    gate = ROUTE_GATE_FACTOR * tol.check
+    gate = tol.route_gate()
     yield norm_check("matched-routes-agree", gaps, gate)
 
     fo = factor_oracle(q, tol)
@@ -261,7 +260,7 @@ def _matched_identities(rng, dim, q, tol):
     yield norm_check(
         "pinv-abs-route-agreement", fo.abs_q_star_pinv - moore_penrose(fo.abs_q_star, tol), tol.check
     )
-    yield norm_check("pinv-abs-contraction", fo.abs_q_star_pinv, 1.0 + tol.check)
+    yield norm_check("pinv-abs-contraction", fo.abs_q_star_pinv, tol.above(1.0))
 
     u = random_unitary(dim, rng)
     yield Check("unitary-equivariance", unitary_equivariance(q, u, tol), scale)
@@ -271,7 +270,9 @@ def _matched_identities(rng, dim, q, tol):
 
 def _characterizations_agree(checks: list[Check]) -> bool:
     """Whether the three block conditions and each reflection of ``qpp_checks`` give one verdict."""
-    return all_passed(checks[:3]) == checks[3].passed == checks[4].passed
+    passed = {c.name: c.passed for c in checks}
+    blocks = passed["block_range"] and passed["block_cross"] and passed["block_null"]
+    return blocks == passed["adjoint_reflection"] == passed["abs_reflection"]
 
 
 def _qpp_suite(rng, dim, q, tol):
@@ -292,7 +293,7 @@ def _qpp_suite(rng, dim, q, tol):
     p_qpp, q_qpp = random_qpp_pair(dim, int(rng.integers(2**32)), tol)
     m_qpp = matched_projection(q_qpp, tol).projection.matrix
     commute = p_qpp.matrix @ m_qpp - m_qpp @ p_qpp.matrix
-    yield norm_check("qpp-partner-commutes-with-matched", commute, tol.check * (1.0 + q_qpp.norm))
+    yield norm_check("qpp-partner-commutes-with-matched", commute, tol.relative(q_qpp.norm))
     mini = qpp_minimality(p_qpp, q_qpp, tol)
     yield from _prefixed("qpp-minimality", mini.checks)
     yield boolean_check("generated-qpp-pair-holds", mini.qpp_holds)
@@ -303,20 +304,20 @@ def _homotopy(rng, dim, q, tol):
     recon = np.linalg.inv(wit.w) @ wit.projection.matrix @ wit.w - q.matrix
     yield boolean_check("witness-contraction", wit.contraction_norm < 1.0)
     # the bound is b / (b + 1) for b = sqrt(1 + ||A||^2), which is ||Q||
-    yield Check("witness-contraction-bound", wit.contraction_norm**2, q.norm / (q.norm + 1.0) + tol.check)
-    yield norm_check("witness-reconstructs", recon, 1e-9)
+    yield Check("witness-contraction-bound", wit.contraction_norm**2, tol.above(q.norm / (q.norm + 1.0)))
+    yield norm_check("witness-reconstructs", recon, tol.absolute)
 
     path = homotopy_path(q, 11, tol)
-    yield norm_check("path-idempotency", np.stack([p.matrix @ p.matrix - p.matrix for p in path]), 1e-9)
+    yield norm_check("path-idempotency", np.stack([p.matrix @ p.matrix - p.matrix for p in path]), tol.absolute)
     ends = np.stack([path[0].matrix - wit.projection.matrix, path[-1].matrix - q.matrix])
-    yield norm_check("path-endpoints", ends, tol.check * (1.0 + q.norm))
+    yield norm_check("path-endpoints", ends, tol.relative(q.norm))
 
 
 def _ranges_and_powers(rng, dim, q, tol):
     yield from _prefixed("ranges", range_identities(q, tol))
     dists = fractional_power_limit(q, EXPONENT_GRID, tol)
     yield Check("fractional-power-monotone", max([0.0, *np.diff(dists)]), tol.check)
-    yield Check("fractional-power-limit", dists[-1], 1e-2)
+    yield Check("fractional-power-limit", dists[-1], tol.limit)
 
 
 def _norm_suite(rng, dim, q, q2, tol):
@@ -327,7 +328,7 @@ def _norm_suite(rng, dim, q, q2, tol):
     ranks, seeds = zip(*(_projection_draw(rng, dim) for _ in range(20)))
     candidates = random_projections(dim, ranks, seeds, tol)
     minis = qpp_minimalities(candidates, q, tol)
-    gates = [mini.d_candidate + 1e-9 for mini in minis]
+    gates = [tol.above(mini.d_candidate, tol.absolute) for mini in minis]
     closer = norm_brackets(np.stack([p.matrix for p in candidates]) - m, gates)
     for k, (mini, bracket, gate) in enumerate(zip(minis, closer, gates)):
         yield bracket_check("projection-closer-to-matched", bracket, gate), f"trial {k}"
@@ -375,7 +376,7 @@ def _two_by_two(rng, tol):
     problem = closed_form_p0(a, tol)
     q = canonical_idempotent(a, tol)
     gap = problem.p0.matrix - matched_projection(q, tol).projection.matrix
-    yield norm_check("closed-form-is-matched", gap, ROUTE_GATE_FACTOR * tol.check * (1.0 + mod))
+    yield norm_check("closed-form-is-matched", gap, tol.route_gate(mod))
     # analytic objective against a direct norm computation
     x = float(rng.uniform(-1.0, 1.0))
     t = float(rng.uniform(0.0, np.pi))
@@ -383,7 +384,7 @@ def _two_by_two(rng, tol):
     p = halmos_projection(HalmosPoint(z=z, t=t), phase, tol)
     direct = operator_norm(p.matrix - q.matrix) ** 2
     objective = abs(distance_objective(a, x, t) - direct)
-    yield Check("objective-matches-norm", objective, tol.check * (1.0 + mod**2))
+    yield Check("objective-matches-norm", objective, tol.quadratic(mod))
     yield from _prefixed("grid", grid_minimize(a, 64, tol).checks)
 
 
@@ -394,7 +395,7 @@ def _family_point(mod: float, tol: Tolerances):
     problem = closed_form_p0(mod, tol)
     p_grid = halmos_projection(HalmosPoint(z=1.0 + 0j, t=gm.argmin_t), 0.0, tol)
     frob = float(np.linalg.norm(p_grid.matrix - problem.p0.matrix))
-    yield Check("family-argmin-matches-closed-form", frob, 4.0 * (np.pi / 511) + tol.check)
+    yield Check("family-argmin-matches-closed-form", frob, tol.above(4.0 * (np.pi / 511)))
 
 
 def _static_checks(tol: Tolerances):
@@ -403,7 +404,7 @@ def _static_checks(tol: Tolerances):
         q = canonical_idempotent(mod, tol)
         d_matched = operator_norm(matched_projection(q, tol).projection.matrix - q.matrix)
         d_range = operator_norm(range_projection(q, tol).matrix - q.matrix)
-        yield f"a={mod:g}", [Check("distance-ratio-asymptotics", abs(d_matched / d_range - target), 1e-2)]
+        yield f"a={mod:g}", [Check("distance-ratio-asymptotics", abs(d_matched / d_range - target), tol.limit)]
 
     for mod in np.logspace(-2, 2, 20):
         yield f"a={mod:.3g}", _family_point(float(mod), tol)

@@ -3,7 +3,8 @@
 Exit codes: 0 all checks passed, 1 a mathematical check failed, 2 input or
 usage error.  Commands return 0 or 1 from their checks and raise otherwise;
 ``main`` alone maps errors to exit codes: a ``MatchedProjectionError`` to 1
-(``check failed: ...``), a ``ValueError`` or ``OSError`` to 2 (``error: ...``).
+(``check failed: ...``), a ``ValueError``, an ``OSError`` or a
+``MemoryError`` (a request too large for the machine) to 2 (``error: ...``).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import math
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -26,7 +28,6 @@ from .idempotents import (
 )
 from .linalg import DEFAULT_TOL, Tolerances, norm_bracket
 from .matched import (
-    ROUTE_GATE_FACTOR,
     homotopy_path,
     matched_projection,
     matched_via_factor,
@@ -40,6 +41,8 @@ from .two_by_two import canonical_idempotent, closed_form_p0, grid_minimize
 
 E_OK, E_MATH, E_USAGE = 0, 1, 2
 A_PART_MAX = 1e150
+# a value that argparse would take for an option: -1e-3, -.5E2, -inf, -nan
+NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?|-(inf|infinity|nan)", re.IGNORECASE)
 
 
 def _tolerances(args) -> Tolerances:
@@ -78,7 +81,7 @@ def cmd_analyze(args) -> int:
     checks = list(rep.checks) + range_identities(q, tol)
 
     # an oracle that cannot certify its own inputs fails its checks, not the report
-    oracle_gate = ROUTE_GATE_FACTOR * tol.check
+    oracle_gate = tol.route_gate()
     try:
         tt, vv = matched_via_factor(q, tol)
         factor_gaps = norm_bracket(m - tt, oracle_gate), norm_bracket(m - vv, oracle_gate)
@@ -88,8 +91,9 @@ def cmd_analyze(args) -> int:
     checks.append(bracket_check("matched_equals_tt_factor", factor_gaps[0], oracle_gate))
     checks.append(bracket_check("matched_equals_vv_factor", factor_gaps[1], oracle_gate))
     qpp_matched = list(qpp_checks(pair.projection, q, tol))
-    # qpp_matched[3] is the adjoint reflection Q* = (2m - I) Q (2m - I)
-    checks.append(replace(qpp_matched[3], name="matched_reflection_identity"))
+    # the adjoint reflection Q* = (2m - I) Q (2m - I)
+    reflection = next(c for c in qpp_matched if c.name == "adjoint_reflection")
+    checks.append(replace(reflection, name="matched_reflection_identity"))
 
     qpp_range = list(qpp_checks(range_projection(q, tol), q, tol))
     qpp_null = list(qpp_checks(null_projection(q, tol), q, tol))
@@ -171,8 +175,7 @@ def cmd_min2x2(args) -> int:
     gm = grid_minimize(a, args.grid, tol)
     pair = matched_projection(canonical_idempotent(a, tol), tol)
     route_gap = problem.p0.matrix - pair.projection.matrix
-    gate = ROUTE_GATE_FACTOR * tol.check * (1.0 + abs(a))
-    checks = [*gm.checks, norm_check("closed_form_is_matched", route_gap, gate)]
+    checks = [*gm.checks, norm_check("closed_form_is_matched", route_gap, tol.route_gate(abs(a)))]
     ok = all_passed(checks)
     record = {
         "a": [a.real, a.imag],
@@ -296,12 +299,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    # argparse reads a spaced negative value such as "-1e-3" or "-inf" as an
+    # option, so one that follows a long flag is joined to it with "="
+    words = []
+    for word in sys.argv[1:] if argv is None else argv:
+        if words and words[-1].startswith("--") and "=" not in words[-1] and NEGATIVE_NUMBER.fullmatch(word):
+            words[-1] += "=" + word
+        else:
+            words.append(word)
+    args = build_parser().parse_args(words)
     try:
         return args.func(args)
     except MatchedProjectionError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return E_MATH
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return E_USAGE

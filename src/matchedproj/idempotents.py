@@ -14,11 +14,10 @@ from .linalg import (
     Tolerances,
     adjoint,
     as_matrix,
-    excess_norm,
+    certify,
     hermitian_eigen,
     identity,
     norm_at_most,
-    norm_bounds,
     numerical_rank,
     operator_norm,
 )
@@ -160,29 +159,28 @@ def _projection_defect(p: np.ndarray) -> float:
     return max(operator_norm(p @ p - p), operator_norm(p - adjoint(p)))
 
 
+def _projection_error(p: np.ndarray, gate: float) -> ValidationError:
+    """The rejection of P by a projection certificate, with its exact max(||P^2 - P||, ||P - P*||)."""
+    return ValidationError(f"projection defect {_projection_defect(p):.3e} exceeds {gate:.3e}")
+
+
 def as_idempotent(m, tol: Tolerances = DEFAULT_TOL) -> Idempotent:
-    """Validate ||Q^2 - Q|| <= tol.check * (1 + ||Q||^2), bound-first as ``as_idempotents``."""
+    """Validate ||Q^2 - Q|| <= tol.quadratic(||Q||): ``as_idempotents`` of one."""
     return as_idempotents(as_matrix(m)[np.newaxis], tol)[0]
 
 
 def as_idempotents(stack: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> list[Idempotent]:
     """Validate each Q of a (k, n, n) stack as ``as_idempotent`` does.
 
-    A sample is accepted when upper(||Q^2 - Q||) <= tol.check (1 +
-    lower(||Q||)^2) by ``norm_bounds``, which implies the exact test; the
-    others take both 2-norms exactly, stacked, and the first one over its
-    gate raises.
+    ``certify`` holds each ||Q^2 - Q|| to tol.quadratic(||Q||): a sample is
+    accepted from norm bounds where they settle it, the others take both
+    2-norms exactly, stacked, and the first one over its gate raises.
     """
     if not np.isfinite(stack).all():
         raise ValueError("matrix entries must be finite")
-    diffs = stack @ stack - stack
-    unsettled = norm_bounds(diffs)[1] > tol.check * (1.0 + norm_bounds(stack)[0] ** 2)
-    if unsettled.any():
-        defects = operator_norm(diffs[unsettled])
-        bounds = tol.check * (1.0 + operator_norm(stack[unsettled]) ** 2)
-        for defect, bound in zip(defects, bounds):
-            if defect > bound:
-                raise ValidationError(f"idempotency defect {defect:.3e} exceeds {bound:.3e}")
+    certify(stack @ stack - stack, tol.quadratic,
+            lambda defect, bound, _: ValidationError(f"idempotency defect {defect:.3e} exceeds {bound:.3e}"),
+            stack)
     return [Idempotent(q) for q in stack]
 
 
@@ -195,30 +193,32 @@ def is_projection(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
 
 
 def as_projection(m, tol: Tolerances = DEFAULT_TOL) -> Projection:
-    """Validate P^2 = P = P* up to tol.check by ``is_projection``.
+    """Validate ||P - P*|| <= tol.check, then ||P^2 - P|| <= tol.check, each by ``certify``.
 
-    The decision is the exact max(||P^2 - P||, ||P - P*||) <= tol.check; a
-    rejected input takes both norms exactly for the message.
+    Each is accepted from norm bounds where they settle it; a rejected input
+    takes both norms exactly for the message.  ``as_projections`` decides a
+    stack alike.
     """
     p = as_matrix(m)
-    if not is_projection(p, tol):
-        defect = _projection_defect(p)
-        raise ValidationError(f"projection defect {defect:.3e} exceeds {tol.check:.3e}")
+    gate, fail = lambda: tol.check, lambda _, bound, __: _projection_error(p, bound)
+    certify(p - adjoint(p), gate, fail)
+    certify(p @ p - p, gate, fail)
     return Projection(matrix=p)
 
 
 def as_projections(stack: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> list[Projection]:
     """Validate each P of a (k, n, n) stack as ``as_projection`` does.
 
-    A slice is accepted when ``norm_bounds`` put both ||P - P*|| and
-    ||P^2 - P|| at or below tol.check, which implies the exact test; every
-    other slice goes through ``as_projection``, with its exact decision and
-    message.
+    One ``certify`` over the 2k residuals, each P's ||P - P*|| and
+    ||P^2 - P|| in a row, so the first failing residual belongs to the first
+    failing P, which is rejected with ``as_projection``'s message.
     """
-    herm = stack - np.conj(stack).swapaxes(-1, -2)
-    defect = stack @ stack - stack
-    settled = (norm_bounds(herm)[1] <= tol.check) & (norm_bounds(defect)[1] <= tol.check)
-    return [Projection(p) if ok else as_projection(p, tol) for p, ok in zip(stack, settled)]
+    if not np.isfinite(stack).all():
+        raise ValueError("matrix entries must be finite")
+    pairs = np.stack([stack - np.conj(stack).swapaxes(-1, -2), stack @ stack - stack], axis=1)
+    certify(pairs.reshape(-1, *stack.shape[1:]), lambda: tol.check,
+            lambda _, gate, k: _projection_error(stack[k // 2], gate))
+    return [Projection(p) for p in stack]
 
 
 @per_tolerance
@@ -374,8 +374,8 @@ class BlockForm:
 def block_form(t_mat: np.ndarray, p: Projection, tol: Tolerances = DEFAULT_TOL) -> BlockForm:
     """Block decomposition of T induced by a projection (eigenvalue-1 columns first).
 
-    The blocks must reassemble T within tol.check (1 + ||T||), decided by
-    ``excess_norm``, so the exact norms are taken only near that gate.
+    The blocks must reassemble T within tol.relative(||T||) (``certify``),
+    so the exact norms are taken only near that gate.
     """
     t_mat = as_matrix(t_mat)
     lam, v = hermitian_eigen(p.matrix, tol)
@@ -384,7 +384,6 @@ def block_form(t_mat: np.ndarray, p: Projection, tol: Tolerances = DEFAULT_TOL) 
     r = int(np.count_nonzero(ones))
     x = adjoint(u) @ t_mat @ u
     form = BlockForm(u=u, rank=r, blocks=(x[:r, :r], x[:r, r:], x[r:, :r], x[r:, r:]))
-    roundtrip = excess_norm(form.reassemble() - t_mat, t_mat, tol.check)
-    if roundtrip is not None:
-        raise ValidationError(f"block round-trip residual {roundtrip:.3e}")
+    certify(form.reassemble() - t_mat, tol.relative,
+            lambda gap, *_: ValidationError(f"block round-trip residual {gap:.3e}"), t_mat)
     return form

@@ -31,16 +31,24 @@ conditions (``matched.qpp_checks``, which ``is_quasi_projection_pair``
 decides lazily), the range and kernel identities, the similarity and
 defect-operator identities of the distance report, ``analyze``'s oracle
 comparisons and every residual-against-a-gate record of the ``verify``
-battery.  Gates whose number is never reported decide the same way:
-``require_hermitian`` and ``idempotents.block_form``'s round trip (each a
-residual against its operand's norm, ``excess_norm``), the certificates of
-``idempotents.as_idempotent(s)`` and ``as_projection`` (``is_projection``),
-the dominance equality of ``norms.qpp_minimality``, the ||P|| > 1/2 tests
-of ``norms.two_projection_construction``, the four-term identity of
-``matched.fractional_power_limit``, the unitarity gate of
-``matched.unitary_equivariance``, the witness projection short-circuit, its
-closed-form inverse certificate and its similarity gate.  Where a failure
-message needs the number, the exact norm is taken then.
+battery.  A yes/no verdict that steers a computation decides by
+``norm_at_most``: ``idempotents.is_projection`` (behind the witness
+short-circuits), the dominance equality of ``norms.qpp_minimality``, the
+||P|| > 1/2 tests of ``norms.two_projection_construction`` and the
+battery's branch guards.
+
+A certificate raises where a check would report, and every one goes
+through one kernel, ``certify``: a residual (a matrix or a stack) against
+a gate nondecreasing in its operands' norms, accepted slice by slice from
+``norm_bounds``, with exact norms only for the slices the bounds leave
+unsettled and the caller's message, carrying the exact numbers, for the
+first slice that fails.  Its callers are ``require_hermitian`` (and with
+it every Hermitian kernel below), ``block_form``'s round trip,
+``idempotents.as_idempotent(s)`` and ``as_projection(s)``, the inverse
+and similarity gates of ``matched._certified_witness``, the four-term
+identity of ``matched.fractional_power_limit`` and the unitarity gate of
+``matched.unitary_equivariance``.  Every gate, fixed or built from norms,
+is a member of ``Tolerances``.
 """
 
 from __future__ import annotations
@@ -58,15 +66,26 @@ EPS = float(np.finfo(np.float64).eps)
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical gates used throughout the package.
+    """Every numerical gate of the package, and every formula that builds a gate.
 
     ``check`` bounds identity residuals and ``rank`` is the relative
     singular/eigenvalue cutoff factor (``None`` means ``dim * machine
-    epsilon``).  ``psd``, the allowed slack on negative eigenvalues in
-    ``psd_order``, is fixed.
+    epsilon``).  The fixed gates are class constants: ``psd``, the slack on
+    negative eigenvalues in ``psd_order``; ``subspace``, the gap between two
+    orthoprojectors for "these subspaces are equal"; ``route``, the factor
+    on ``check`` for two routes to m(Q), fixed though V V*'s error grows
+    with ||Q|| (CHANGES.md); ``absolute``, an absolute slack on residuals
+    that are zero in exact arithmetic; ``limit``, the distance of a finite
+    table's last entry from its limit.  The methods are the gate formulas,
+    each nondecreasing in its norm argument, so a gate of lower bounds on
+    the norms is a lower bound on the gate (``certify``).
     """
 
     psd: ClassVar[float] = 1e-10
+    subspace: ClassVar[float] = 1e-8
+    route: ClassVar[float] = 10.0
+    absolute: ClassVar[float] = 1e-9
+    limit: ClassVar[float] = 1e-2
 
     check: float = 1e-10
     rank: float | None = None
@@ -80,6 +99,30 @@ class Tolerances:
 
     def rank_factor(self, dim: int) -> float:
         return self.rank if self.rank is not None else dim * EPS
+
+    def relative(self, s):
+        """check (1 + s): a residual linear in an operand of norm s."""
+        return self.check * (1.0 + s)
+
+    def quadratic(self, s):
+        """check (1 + s^2): a residual quadratic in an operand of norm s."""
+        return self.check * (1.0 + s**2)
+
+    def route_gate(self, s=0.0):
+        """route check (1 + s): two routes to m(Q), s the norm the gap scales with."""
+        return self.route * self.check * (1.0 + s)
+
+    def above(self, value, slack=None):
+        """value + check, or value + ``slack``: a bound held up to round-off."""
+        return value + (self.check if slack is None else slack)
+
+    def below(self, value):
+        """value - check: a strict bound with a margin for round-off."""
+        return value - self.check
+
+    def psd_slack(self, s):
+        """psd (1 + s): how far below zero a PSD spectrum of norm s may reach."""
+        return self.psd * (1.0 + s)
 
 
 DEFAULT_TOL = Tolerances()
@@ -196,25 +239,36 @@ def norm_at_most(m: np.ndarray, bound: float) -> bool:
     return norm_bracket(m, bound)[1] <= bound
 
 
-def excess_norm(r: np.ndarray, m: np.ndarray, factor: float) -> float | None:
-    """The exact ||r|| when it exceeds factor (1 + ||m||), else None.
+def certify(residual: np.ndarray, gate, fail, *operands: np.ndarray, scale: float = 1.0) -> None:
+    """Certify scale ||R_k|| <= gate(||A_k||, ...) for each slice k, or raise ``fail(norm, bound, k)``.
 
-    Accepts from ``norm_bounds`` when upper(||r||) <= factor (1 + lower(||m||)),
-    which implies the exact test; otherwise both norms are taken exactly.  So
-    a residual gated relative to its operand takes an exact norm only near
-    the gate, and a message that needs the number gets the exact one.
+    The one bound-first rule of every certificate.  ``residual`` R is a
+    matrix or a (k, n, n) stack, each operand A of the same shape, and
+    ``gate`` maps the operands' norms (floats, or one array per operand) to
+    the gate; it must be nondecreasing in each, so that scale upper(||R_k||)
+    <= gate(lower(||A_k||), ...) from ``norm_bounds`` implies the exact test.
+    The slices that the bounds leave unsettled take their exact norms, one
+    stacked ``operator_norm`` per quantity, and the first slice whose exact
+    scale ||R_k|| is not within gate(||A_k||, ...) raises the exception that
+    ``fail`` builds from that norm, that gate and k (0 for a matrix).  So a
+    message carries exact numbers, and a NaN norm never passes.
     """
-    if norm_bounds(r)[1] <= factor * (1.0 + norm_bounds(m)[0]):
-        return None
-    gap = operator_norm(r)
-    return gap if gap > factor * (1.0 + operator_norm(m)) else None
+    settled = scale * norm_bounds(residual)[1] <= gate(*[norm_bounds(a)[0] for a in operands])
+    if settled if residual.ndim == 2 else settled.all():
+        return
+    unsettled = np.flatnonzero(np.logical_not(settled))
+    r, *ops = (m.reshape(-1, *m.shape[-2:])[unsettled] for m in (residual, *operands))
+    norms = scale * operator_norm(r)
+    bounds = np.broadcast_to(gate(*(operator_norm(a) for a in ops)), norms.shape)
+    for k, norm, bound in zip(unsettled, norms, bounds):
+        if not norm <= bound:
+            raise fail(norm, bound, int(k))
 
 
 def require_hermitian(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Return the symmetrized matrix, rejecting ||M - M*|| > tol.check (1 + ||M||) (``excess_norm``)."""
-    gap = excess_norm(m - adjoint(m), m, tol.check)
-    if gap is not None:
-        raise NotHermitianError(f"asymmetry {gap:.3e} exceeds tolerance")
+    """Return the symmetrized matrix, certified ||M - M*|| <= tol.relative(||M||) (``certify``)."""
+    certify(m - adjoint(m), tol.relative,
+            lambda gap, *_: NotHermitianError(f"asymmetry {gap:.3e} exceeds tolerance"), m)
     return (m + adjoint(m)) / 2.0
 
 
@@ -285,9 +339,9 @@ def moore_penrose(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 
 
 def is_psd_spectrum(w: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Whether ascending eigenvalues ``w`` are those of a PSD matrix: w_0 >= -tol.psd (1 + max |w|)."""
+    """Whether ascending eigenvalues ``w`` are those of a PSD matrix: w_0 >= -tol.psd_slack(max |w|)."""
     scale = float(np.abs(w).max()) if w.size else 0.0
-    return bool(w.min() >= -tol.psd * (1.0 + scale))
+    return bool(w.min() >= -tol.psd_slack(scale))
 
 
 def psd_order(a: np.ndarray, b: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:

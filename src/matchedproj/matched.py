@@ -73,11 +73,11 @@ from .linalg import (
     Tolerances,
     abs_value,
     adjoint,
+    certify,
     hermitian_eigen,
     identity,
     moore_penrose,
     norm_at_most,
-    norm_bounds,
     numerical_rank,
     operator_norm,
     psd_order,
@@ -86,10 +86,6 @@ from .linalg import (
 )
 from .report import Check, boolean_check, norm_check
 
-# Gate on the gap between two orthoprojectors for "these subspaces are equal".
-SUBSPACE_TOL = 1e-8
-# Gate factor for two routes to m(Q); fixed though V V*'s error grows with ||Q|| (CHANGES.md)
-ROUTE_GATE_FACTOR = 10.0
 
 @dataclass(frozen=True)
 class FactorOracle:
@@ -197,10 +193,10 @@ def qpp_checks(p: Projection, q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> I
     """The five quasi-projection-pair conditions for (P, Q) as ``norm_check``s, built one at a time.
 
     The three block conditions, then both reflection characterizations,
-    each held to the gate tol.check (1 + ||Q||).  A report takes the list;
+    each held to the gate tol.relative(||Q||).  A report takes the list;
     ``is_quasi_projection_pair`` stops at the first that fails.
     """
-    gate = tol.check * (1.0 + q.norm)
+    gate = tol.relative(q.norm)
     for name, mat in _qpp_matrices(p, q):
         yield norm_check(name, mat, gate)
 
@@ -325,38 +321,29 @@ def _certified_witness(
     - the inverse: with the computed r x r defect F = X* E - (D - I),
       X_t W_t - I = -t^2 E Delta_t^(-1) F X*, and t^2 / (1 - t + t d_i)
       <= 1 / d_i on [0, 1], so ||X_t W_t - I|| <= ||E|| ||D^(-1)|| ||F|| for
-      every t.  The gate is tol.check (1 + ||D^(-1)||), where ||D^(-1)||
+      every t.  The gate is tol.relative(||D^(-1)||), where ||D^(-1)||
       = 2 ||Q|| <= ||W^(-1)|| ||W||: the allowance the similarity gate gives
       any inverse, at its smallest;
     - the contraction ||I - W|| = ||E|| < 1, the exact 2-norm of an n x r matrix;
-    - the similarity ||W^(-1) P W - Q|| <= tol.check (1 + ||W^(-1)|| ||W||),
+    - the similarity ||W^(-1) P W - Q|| <= tol.relative(||W^(-1)|| ||W||),
       with W^(-1) P W the t = 1 sample of the witness's path (``samples``).
 
-    ||F|| and the similarity norms are bounded by ``norm_bounds`` first (upper
-    bounds on the left, lower bounds on the right) and taken exactly only
-    when the bounds cannot settle a gate.
+    The inverse and similarity gates go through ``certify``, so ||F|| and
+    the similarity norms are taken exactly only when their norm bounds
+    cannot settle a gate.
     """
     contraction = operator_norm(e)
     d_inv = 1.0 / d
     f = adjoint(x) @ e - np.diag(d - 1.0)
-    growth = contraction * d_inv.max()
-    gate = tol.check * (1.0 + d_inv.max())
-    if growth * norm_bounds(f)[1] > gate:
-        bound = growth * operator_norm(f)
-        if bound > gate:
-            raise ValidationError(f"closed-form inverse defect {bound:.3e} exceeds {gate:.3e}")
+    certify(f, lambda: tol.relative(d_inv.max()), lambda defect, bound, _: ValidationError(
+        f"closed-form inverse defect {defect:.3e} exceeds {bound:.3e}"), scale=contraction * d_inv.max())
     if contraction >= 1.0:
         raise ValidationError(f"witness contraction norm {contraction:.6f} not < 1")
     witness = SimilarityWitness(projection, e, x, d, contraction)
     w_inv = identity(q.dim) - (e * d_inv) @ adjoint(x)
-    w_mat = witness.w
-    diff = witness.samples(np.ones(1))[0] - q.matrix
-    fast = tol.check * (1.0 + norm_bounds(w_inv)[0] * norm_bounds(w_mat)[0])
-    if norm_bounds(diff)[1] > fast:
-        residual = operator_norm(diff)
-        bound = tol.check * (1.0 + operator_norm(w_inv) * operator_norm(w_mat))
-        if residual > bound:
-            raise ValidationError(f"similarity residual {residual:.3e} exceeds {bound:.3e}")
+    certify(witness.samples(np.ones(1))[0] - q.matrix, lambda a, b: tol.relative(a * b),
+            lambda residual, bound, _: ValidationError(
+                f"similarity residual {residual:.3e} exceeds {bound:.3e}"), w_inv, witness.w)
     return witness
 
 
@@ -473,30 +460,16 @@ def range_identities(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> list[Check
     proj_sum = _column_space_projector(sum_qs, tol, hermitian=True)
     proj_absqs_qstar = _column_space_projector(abs_qs + adjoint(qm), tol)
 
-    gate = tol.check * (1.0 + q.norm)
+    gate, subspace = tol.relative(q.norm), tol.subspace
     checks = [
-        norm_check("range_mq_eq_range_absqstar_plus_qstar", m - proj_absqs_qstar, SUBSPACE_TOL),
-        norm_check(
-            "range_mq_eq_range_absq_plus_q",
-            m - _column_space_projector(abs_q + qm, tol),
-            SUBSPACE_TOL,
-        ),
-        norm_check(
-            "kernel_mq_eq_kernel_absqstar_plus_q",
-            (eye - m) - (eye - proj_absqs_qstar),
-            SUBSPACE_TOL,
-        ),
-        norm_check("range_mq_inside_range_q_plus_qstar", (eye - proj_sum) @ m, SUBSPACE_TOL),
-        norm_check(
-            "range_q_plus_qstar_eq_range_absqstar_plus_absq",
-            proj_sum - _column_space_projector(abs_qs + abs_q, tol, hermitian=True),
-            SUBSPACE_TOL,
-        ),
-        norm_check(
-            "range_mq_eq_range_four_term_sum",
-            m - _column_space_projector(abs_qs + abs_q + sum_qs, tol, hermitian=True),
-            SUBSPACE_TOL,
-        ),
+        norm_check("range_mq_eq_range_absqstar_plus_qstar", m - proj_absqs_qstar, subspace),
+        norm_check("range_mq_eq_range_absq_plus_q", m - _column_space_projector(abs_q + qm, tol), subspace),
+        norm_check("kernel_mq_eq_kernel_absqstar_plus_q", (eye - m) - (eye - proj_absqs_qstar), subspace),
+        norm_check("range_mq_inside_range_q_plus_qstar", (eye - proj_sum) @ m, subspace),
+        norm_check("range_q_plus_qstar_eq_range_absqstar_plus_absq",
+                   proj_sum - _column_space_projector(abs_qs + abs_q, tol, hermitian=True), subspace),
+        norm_check("range_mq_eq_range_four_term_sum",
+                   m - _column_space_projector(abs_qs + abs_q + sum_qs, tol, hermitian=True), subspace),
         norm_check("mq_times_qstar", m @ adjoint(qm) - 0.5 * (abs_qs + adjoint(qm)), gate),
         norm_check("mq_times_q", m @ qm - 0.5 * (abs_q + qm), gate),
     ]
@@ -512,7 +485,7 @@ def range_identities(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> list[Check
         rank = numerical_rank(np.linalg.svd(np.hstack([a, b]), compute_uv=False), q.dim, tol)
         checks.append(boolean_check(name, rank == a.shape[1] + b.shape[1]))
 
-    ranges_equal = norm_at_most(m - proj_sum, SUBSPACE_TOL)
+    ranges_equal = norm_at_most(m - proj_sum, subspace)
     hermitian = norm_at_most(qm - adjoint(qm), tol.check)
     checks.append(boolean_check("range_equality_iff_projection", ranges_equal == hermitian))
     return checks
@@ -532,8 +505,8 @@ def fractional_power_limit(
     if not psd_order(m, k, tol):
         raise ValidationError("m(Q) Q m(Q) does not dominate m(Q)")
     gap = k - 0.25 * (q.abs_q_star + q.abs_q + qm + adjoint(qm))
-    if not norm_at_most(gap, tol.check * (1.0 + q.norm)):
-        raise ValidationError(f"four-term identity residual {operator_norm(gap):.3e}")
+    certify(gap, lambda: tol.relative(q.norm),
+            lambda residual, *_: ValidationError(f"four-term identity residual {residual:.3e}"))
     return [operator_norm(p - m) for p in psd_power(k, [1.0 / n for n in n_list], tol)]
 
 
@@ -542,9 +515,8 @@ def unitary_equivariance(
 ) -> float:
     """||m(U* Q U) - U* m(Q) U|| for a unitary U; zero in exact arithmetic."""
     u = np.asarray(u, dtype=np.complex128)
-    gap = adjoint(u) @ u - identity(q.dim)
-    if not norm_at_most(gap, tol.check):
-        raise NotUnitaryError(f"U*U - I has norm {operator_norm(gap):.3e}")
+    certify(adjoint(u) @ u - identity(q.dim), lambda: tol.check,
+            lambda gap, *_: NotUnitaryError(f"U*U - I has norm {gap:.3e}"))
     conjugated = as_idempotent(adjoint(u) @ q.matrix @ u, tol)
     inner = matched_projection(conjugated, tol).projection.matrix
     outer = adjoint(u) @ matched_projection(q, tol).projection.matrix @ u

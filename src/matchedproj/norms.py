@@ -139,8 +139,8 @@ def distance_report(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> DistanceRep
     )
     norm_xy = spectrum(x_op + y_op)[1]
 
-    scale = tol.check * (1.0 + norm_q)
-    scale_sq = tol.check * (1.0 + norm_q**2)
+    scale = tol.relative(norm_q)
+    scale_sq = tol.quadratic(norm_q)
     four_d_sq = 4.0 * d_op @ d_op
 
     checks = [
@@ -303,7 +303,7 @@ def convergence_report(
     )
     checks = [
         Check("grid_bounds_target_below", max(0.0, target - tabulated_min), tol.check),
-        Check("beta_tail_near_target", abs(beta[-1] - target), 1e-2),
+        Check("beta_tail_near_target", abs(beta[-1] - target), tol.limit),
         Check("beta_nonincreasing", monotone_slack, tol.check),
     ]
     return ConvergenceReport(
@@ -327,7 +327,7 @@ def two_projection_construction(
     eye = identity(p1.dim)
     a, b = p1.matrix, p2.matrix
     prod_norm = operator_norm(a @ b)
-    if prod_norm >= 1.0 - tol.check:
+    if prod_norm >= tol.below(1.0):
         raise InapplicableHypothesisError(f"||P1 P2|| = {prod_norm:.6f} is not < 1")
     q1 = as_idempotent(np.linalg.solve(eye - a @ b, a @ (eye - b)), tol)
     q2 = as_idempotent(np.linalg.solve(eye - b @ a, b @ (eye - a)), tol)
@@ -384,8 +384,8 @@ def _minimality(p: Projection, q: Idempotent, d_candidate: float, tol: Tolerance
     m = matched_projection(q, tol).projection.matrix
     qm = q.matrix
     d_matched = matched_distance(q, tol)
-    scale = tol.check * (1.0 + q.norm)
-    scale_sq = tol.check * (1.0 + q.norm**2)
+    scale = tol.relative(q.norm)
+    scale_sq = tol.quadratic(q.norm)
 
     checks = [
         Check("matched_within_twice_candidate", max(0.0, d_matched - 2.0 * d_candidate), scale)

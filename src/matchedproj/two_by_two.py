@@ -154,7 +154,7 @@ def grid_minimize(a: complex, points: int, tol: Tolerances = DEFAULT_TOL) -> Gri
     q = canonical_idempotent(a, tol)
     norm_q = operator_norm(q.matrix)
     norm_comp = operator_norm(np.eye(2) - q.matrix)
-    scale = tol.check * (1.0 + problem.b)
+    scale = tol.relative(problem.b)
 
     checks = [
         Check("grid_min_above_optimum", max(0.0, -gap), tol.check),
@@ -169,8 +169,8 @@ def grid_minimize(a: complex, points: int, tol: Tolerances = DEFAULT_TOL) -> Gri
         # on coarse grids the argmin is not forced anywhere near the optimum;
         # t and pi - t parametrize the same projection, so both count
         t_gap = min(abs(best_t - problem.t0), abs(np.pi - best_t - problem.t0))
-        checks.append(Check("argmin_x_at_one", abs(best_x - 1.0), dx + tol.check))
-        checks.append(Check("argmin_t_near_half_angle", t_gap, dt + tol.check))
+        checks.append(Check("argmin_x_at_one", abs(best_x - 1.0), tol.above(dx)))
+        checks.append(Check("argmin_t_near_half_angle", t_gap, tol.above(dt)))
     return GridMinimum(
         min_value=best,
         argmin_x=best_x,

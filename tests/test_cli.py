@@ -544,6 +544,18 @@ class TestMin2x2:
         assert capsys.readouterr() == ("", f"error: {named}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("value, code", [("-1e-3", 0), ("-2.5E1", 0), ("-inf", 2)])
+    def test_spaced_negative_value_is_the_joined_form(self, tmp_path, capsys, value, code):
+        # argparse alone would read a spaced "-1e-3" or "-inf" as an option and
+        # stop at "expected one argument"; both spellings are one request
+        seen = []
+        for flags in (("--a-re", value), (f"--a-re={value}",)):
+            out = tmp_path / f"min{len(seen)}.json"
+            exit_code = run("min2x2", *flags, "--a-im", "-1", "--grid", 16, "--output", out)
+            seen.append((exit_code, capsys.readouterr(), out.read_bytes() if out.exists() else None))
+        assert seen[0] == seen[1]
+        assert seen[0][0] == code, seen[0][1]
+
     def test_empty_grid_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "min.json"
         assert run("min2x2", "--a-re", 1, "--grid", 0, "--output", out) == 2
@@ -580,6 +592,36 @@ class TestMin2x2:
         assert r1["grid"]["min_value"] == pytest.approx(
             r2["grid"]["min_value"], abs=1e-12
         )
+
+
+class TestMemoryError:
+    @pytest.mark.parametrize(
+        "command, argv",
+        [
+            ("cmd_generate", ("generate", "--dim", 3000000, "--rank", 1, "--output", "F")),
+            ("cmd_path", ("path", "--input", "q.json", "--samples", 4000000000)),
+        ],
+        ids=["generate", "path"],
+    )
+    def test_request_too_large_is_usage_error(self, monkeypatch, capsys, command, argv):
+        # the command raises what numpy raises for such a request, without allocating
+        message = "Unable to allocate 65.5 TiB for an array with shape (3000000, 3000000)"
+
+        def too_large(args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, command, too_large)
+        assert run(*argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_bare_memory_error_is_named(self, monkeypatch, capsys):
+        # Python's own MemoryError carries no message
+        def too_large(args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "cmd_generate", too_large)
+        assert run("generate", "--dim", 2, "--rank", 1, "--output", "F") == 2
+        assert capsys.readouterr() == ("", "error: MemoryError\n")
 
 
 class TestVerify:

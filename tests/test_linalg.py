@@ -1,5 +1,7 @@
 """Tests for the dense complex kernels."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ from matchedproj import (
     psd_order,
     psd_power,
 )
-from matchedproj.linalg import excess_norm, hermitian_eigvals, is_psd_spectrum, require_hermitian
+from matchedproj.linalg import certify, hermitian_eigvals, is_psd_spectrum, require_hermitian
 
 RT2 = np.sqrt(2.0)
 
@@ -62,6 +64,32 @@ class TestTolerances:
         eps = np.finfo(np.float64).eps
         assert Tolerances().rank_factor(16) == 16 * eps
         assert Tolerances(rank=1e-9).rank_factor(16) == 1e-9
+
+    def test_fixed_gates_are_class_constants(self):
+        # the gates that were literals or module constants, with their values; no new field
+        assert [f.name for f in dataclasses.fields(Tolerances)] == ["check", "rank"]
+        fixed = {"psd": 1e-10, "subspace": 1e-8, "route": 10.0, "absolute": 1e-9, "limit": 1e-2}
+        assert {name: getattr(Tolerances, name) for name in fixed} == fixed
+
+    @pytest.mark.parametrize("s", [0.0, 1e-10, 1.0, 1e6, 1e12])
+    def test_gate_methods_are_the_inline_expressions_bitwise(self, s):
+        # each method against the expression it replaced at its call sites,
+        # on a float, a numpy scalar and an array of norms
+        for tol in (Tolerances(), Tolerances(check=2e-15), Tolerances(check=3.7e-7, rank=1e-9)):
+            c = tol.check
+            for x in (s, np.float64(s), np.array([s, 2.0 * s])):
+                pairs = [
+                    (tol.relative(x), c * (1.0 + x)),
+                    (tol.quadratic(x), c * (1.0 + x**2)),
+                    (tol.route_gate(x), 10.0 * c * (1.0 + x)),
+                    (tol.route_gate(), 10.0 * c),
+                    (tol.above(x), x + c),
+                    (tol.above(x, tol.absolute), x + 1e-9),
+                    (tol.below(x), x - c),
+                    (tol.psd_slack(x), 1e-10 * (1.0 + x)),
+                ]
+                for got, inline in pairs:
+                    assert np.asarray(got).tobytes() == np.asarray(inline, dtype=np.float64).tobytes(), (s, x)
 
 
 class TestAdjoint:
@@ -293,23 +321,142 @@ class TestRequireHermitian:
                     require_hermitian(m)
 
 
-class TestExcessNorm:
+class Failed(Exception):
+    """What ``certify`` raises in these tests: the failing norm, its gate and its slice."""
+
+
+def failed(norm, bound, k):
+    return Failed(norm, bound, k)
+
+
+# each gate shape, as a function of the tolerances, and how many operands it reads
+GATE_SHAPES = {
+    "relative": (lambda tol: tol.relative, 1),
+    "quadratic": (lambda tol: tol.quadratic, 1),
+    "product": (lambda tol: lambda a, b: tol.relative(a * b), 2),
+    "constant": (lambda tol: lambda: tol.check, 0),
+}
+
+
+def exact_failure(residual, gate, operands, scale=1.0):
+    """(k, norm, bound) of the first slice with scale ||R_k|| > gate(||A_k||, ...), all exact, or None."""
+    r, *ops = (m.reshape(-1, *m.shape[-2:]) for m in (residual, *operands))
+    for k in range(len(r)):
+        norm = scale * operator_norm(r[k])
+        bound = gate(*(operator_norm(a[k]) for a in ops))
+        if not norm <= bound:
+            return k, norm, bound
+    return None
+
+
+def certify_inputs(shape, stacked, seed=31):
+    """A residual and its operands for a gate shape: one 6 x 6 matrix each, or (5, 6, 6) stacks.
+
+    The slices' residual norms and operand norms spread over decades, so
+    their ratios to the gate differ and a cut between them fails some
+    slices and passes others.
+    """
+    rng = np.random.default_rng(seed)
+    k = 5 if stacked else 1
+    residual = np.stack([10.0 ** rng.uniform(-12, -6) * random_complex(rng, 6) for _ in range(k)])
+    operands = [np.stack([10.0 ** rng.uniform(-2, 3) * random_complex(rng, 6) for _ in range(k)])
+                for _ in range(GATE_SHAPES[shape][1])]
+    if not stacked:
+        residual, operands = residual[0], [a[0] for a in operands]
+    return residual, operands
+
+
+def unit_ratio(shape, residual, operands, k):
+    """||R_k|| over slice k's gate at check = 1, all exact: the check at which slice k sits on its gate."""
+    r, *ops = (m.reshape(-1, *m.shape[-2:]) for m in (residual, *operands))
+    gate = GATE_SHAPES[shape][0](Tolerances(check=1.0))
+    return operator_norm(r[k]) / gate(*(operator_norm(a[k]) for a in ops))
+
+
+class TestCertify:
     def test_clear_cases_take_no_factorization(self, linalg_calls):
-        # bounds far inside or far outside the gate settle it without a norm
+        # bounds far inside the gate settle it without a norm; far outside,
+        # the exact norm is taken once, for the message
         m = np.diag([2.0, 1.0]).astype(complex)
         r = np.zeros((2, 2), dtype=complex)
         r[0, 1] = 1e-3
-        assert excess_norm(r, m, 1e-2) is None
+        certify(r, Tolerances(check=1e-2).relative, failed, m)
         assert linalg_calls == []
-        assert excess_norm(r, m, 1e-5) == operator_norm(r)
+        with pytest.raises(Failed) as info:
+            certify(r, Tolerances(check=1e-5).relative, failed, m)
+        assert info.value.args == (operator_norm(r), 1e-5 * (1.0 + operator_norm(m)), 0)
 
     def test_near_gate_decided_exactly(self):
-        # ||r|| just inside and just outside factor (1 + ||m||), where the
+        # ||r|| just inside and just outside check (1 + ||m||), where the
         # Frobenius bound of r (sqrt 2 times its norm) cannot accept
         m = np.diag([1.0, 0.5]).astype(complex)
         r = np.eye(2, dtype=complex)
-        for factor, excess in ((1.0 / 1.999, None), (1.0 / 2.001, 1.0)):
-            assert excess_norm(r, m, factor) == excess
+        certify(r, Tolerances(check=1.0 / 1.999).relative, failed, m)
+        with pytest.raises(Failed) as info:
+            certify(r, Tolerances(check=1.0 / 2.001).relative, failed, m)
+        assert info.value.args[0] == 1.0
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["matrix", "stack"])
+    @pytest.mark.parametrize("shape", sorted(GATE_SHAPES))
+    def test_verdict_is_the_exact_test_at_the_gate(self, shape, stacked):
+        # with the check at 1 -/+ 1e-9 of each slice's exact ratio, that slice
+        # just fails or just passes; the kernel names the first failing
+        # slice, with its exact norm and gate, as the exact test does
+        residual, operands = certify_inputs(shape, stacked)
+        slices = len(residual) if stacked else 1
+        failures = 0
+        for k in range(slices):
+            ratio = unit_ratio(shape, residual, operands, k)
+            for factor in (1.0 - 1e-9, 1.0 + 1e-9):
+                gate = GATE_SHAPES[shape][0](Tolerances(check=factor * ratio))
+                expected = exact_failure(residual, gate, operands)
+                if factor < 1.0:
+                    assert expected is not None and expected[0] <= k, (shape, k)
+                    failures += 1
+                if expected is None:
+                    certify(residual, gate, failed, *operands)
+                    continue
+                with pytest.raises(Failed) as info:
+                    certify(residual, gate, failed, *operands)
+                assert [float(x).hex() for x in info.value.args[:2]] == [float(x).hex() for x in expected[1:]]
+                assert info.value.args[2] == expected[0], (shape, k, factor)
+        assert failures == slices
+
+    def test_scaled_residual_is_compared_bitwise(self):
+        # scale ||R|| against the gate, with the scaled norm in the message
+        residual, _ = certify_inputs("constant", True)
+        scale = 3.0
+        ratio = max(scale * operator_norm(residual))
+        for factor in (1.0 - 1e-9, 1.0 + 1e-9):
+            gate = GATE_SHAPES["constant"][0](Tolerances(check=factor * ratio))
+            expected = exact_failure(residual, gate, [], scale)
+            assert (expected is None) == (factor > 1.0)
+            if expected is None:
+                certify(residual, gate, failed, scale=scale)
+                continue
+            with pytest.raises(Failed) as info:
+                certify(residual, gate, failed, scale=scale)
+            assert info.value.args == (*expected[1:], expected[0])
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["matrix", "stack"])
+    @pytest.mark.parametrize("shape", sorted(GATE_SHAPES))
+    def test_settled_slices_take_no_factorization(self, shape, stacked, linalg_calls):
+        # a check 100 times every slice's ratio: the bounds (within sqrt 6 of
+        # each norm) settle every slice
+        residual, operands = certify_inputs(shape, stacked)
+        ratio = max(unit_ratio(shape, residual, operands, k) for k in range(len(residual) if stacked else 1))
+        linalg_calls.clear()
+        certify(residual, GATE_SHAPES[shape][0](Tolerances(check=100.0 * ratio)), failed, *operands)
+        assert linalg_calls == []
+
+    def test_unsettled_slices_take_one_stacked_norm_per_quantity(self, linalg_calls):
+        # the identities' bounds (1, 2) straddle a gate of 1.5, the half
+        # identity's (0.5, 1) do not: one stacked SVD of the two identities,
+        # one of their operands
+        eye = np.eye(4, dtype=complex)
+        residual = np.stack([eye, 0.5 * eye, eye])
+        certify(residual, Tolerances(check=1.5).relative, failed, np.zeros_like(residual))
+        assert linalg_calls == ["svd", "svd"]
 
 
 class TestHermitianEigvals:

@@ -55,7 +55,7 @@ from matchedproj import (
 )
 from matchedproj import matched as matched_module
 from matchedproj import report as report_module
-from matchedproj.battery import run_battery, sabotaged
+from matchedproj.battery import _characterizations_agree, run_battery, sabotaged
 
 from conftest import envelope_inputs
 
@@ -568,6 +568,21 @@ class TestQppChecks:
         assert not qpp_layout_errors(checks, q)
         for spelled in spellings:
             assert qpp_layout_errors(spelled, q), [c.name for c in spelled]
+
+    def test_characterizations_are_read_by_name(self):
+        # the battery's agreement of the block conditions with each reflection
+        # reads the conditions by name: in any order, three failing blocks and
+        # two passing reflections disagree (by position, [adj, abs, blocks]
+        # would compare the failing blocks with each other)
+        q = canonical()
+        checks = list(qpp_checks(matched_projection(q).projection, q))
+        blocks_fail = [replace(c, residual=1.0) if c.name.startswith("block") else c for c in checks]
+        for shift in range(5):
+            assert _characterizations_agree(checks[shift:] + checks[:shift])
+            assert not _characterizations_agree(blocks_fail[shift:] + blocks_fail[:shift]), shift
+        for p in (range_projection(q), as_projection(np.eye(2))):
+            listed = list(qpp_checks(p, q))
+            assert _characterizations_agree(listed[::-1]) == _characterizations_agree(listed)
 
     def test_a_failing_block_range_builds_one_residual(self, monkeypatch):
         # P = I meets P (Q* - Q) P = Q* - Q, of norm |a| = 1, so the first condition fails

@@ -556,3 +556,190 @@ def test_the_exit_code_invariant_sees_each_spelling():
     ]
     for source in spellings + allowed:
         assert bool(_exit_code_policy_violations(source)) == (source in spellings), source
+
+
+# the members of linalg.Tolerances that hold a gate; only its methods do arithmetic on them
+GATE_MEMBERS = {"check", "psd", "subspace", "route", "absolute", "limit"}
+# a call's gate argument: (position, keyword) by the name the call spells
+GATE_ARGUMENTS = {
+    "Check": (2, "tolerance"),
+    "norm_check": (2, "tolerance"),
+    "bracket_check": (2, "tolerance"),
+    "norm_at_most": (1, "bound"),
+    "norm_bracket": (1, "gate"),
+    "norm_brackets": (1, "gates"),
+    "certify": (1, "gate"),
+}
+# numeric literals that are not gates: (module, enclosing function, value) and why
+NON_GATE_CONSTANTS = {
+    ("battery.py", "_continuity_probe", 1e-6): "the continuity probe's step in A",
+    ("battery.py", "_qpp_suite", 1e-6): "selects a Q far enough from Hermitian that P_R(Q) is no partner",
+    ("battery.py", "_norm_suite", 0.999): "selects pairs with ||P1 P2|| < 1, the construction's hypothesis",
+    ("norms.py", "matched_lipschitz_bounds", 1e-6): "the 1 - 1e-6 margin below which the scaled bound applies",
+    ("norms.py", "_minimality", 1e-6): "the 1 - 1e-6 margin of the small-distance hypothesis",
+    ("norms.py", "two_projection_construction", 0.5): "||P|| > 1/2 tells a nonzero projection",
+    ("two_by_two.py", "HalmosPoint.__post_init__", 1e-10): "HalmosPoint's test that |z| = 1",
+    ("report.py", "boolean_check", 0.5): "a yes/no verdict as the residual 0 or 1 against 1/2",
+}
+
+
+def _literal(node):
+    """The value of a numeric literal, signed or not, else None."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        value = _literal(node.operand)
+        return None if value is None else (-value if isinstance(node.op, ast.USub) else value)
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return node.value
+    return None
+
+
+def _gate_member(node):
+    return isinstance(node, ast.Attribute) and node.attr in GATE_MEMBERS
+
+
+def _gate_violations(filename, source):
+    """Where the source builds a gate outside ``Tolerances`` (in linalg.py) or holds a literal gate.
+
+    Arithmetic (a binary, unary or augmented operation) with a gate member
+    of ``Tolerances`` as an operand; a numeric literal as the gate argument
+    of a check or a norm decision (in a lambda's body too); and a float
+    literal of magnitude below 1e-3 anywhere.  A literal listed in
+    ``NON_GATE_CONSTANTS`` for its module and function is not a gate.
+    """
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, ast.ClassDef) and node.name == "Tolerances" and filename == "linalg.py":
+            return
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        operands = []
+        if isinstance(node, ast.BinOp):
+            operands = [node.left, node.right]
+        elif isinstance(node, ast.UnaryOp):
+            operands = [node.operand]
+        elif isinstance(node, ast.AugAssign):
+            operands = [node.target, node.value]
+        found.extend(f"{node.lineno} arithmetic on .{o.attr}" for o in operands if _gate_member(o))
+        gates = []
+        if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] in GATE_ARGUMENTS:
+            position, keyword = GATE_ARGUMENTS[ast.unparse(node.func).split(".")[-1]]
+            gates = node.args[position:position + 1] + [k.value for k in node.keywords if k.arg == keyword]
+            gates = [g.body if isinstance(g, ast.Lambda) else g for g in gates]
+        literals = [(g, _literal(g)) for g in gates]
+        if isinstance(node, ast.Constant) and type(node.value) is float and 0.0 < abs(node.value) < 1e-3:
+            literals.append((node, node.value))
+        for where, value in literals:
+            if value is not None and (filename, scope, abs(value)) not in NON_GATE_CONSTANTS:
+                found.append(f"{where.lineno} literal gate {value!r}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return sorted(set(found), key=lambda f: int(f.split()[0]))
+
+
+def test_gates_live_on_tolerances():
+    # every gate formula and fixed gate is a member of linalg.Tolerances, so
+    # a derived bound replaces one method, not each call site
+    tree = ast.parse((PACKAGE / "linalg.py").read_text(encoding="utf-8"))
+    cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Tolerances")
+    assert {n.target.id for n in cls.body if isinstance(n, ast.AnnAssign)} == GATE_MEMBERS | {"rank"}
+    found = [
+        f"{path.name}:{v}" for path in sorted(PACKAGE.glob("*.py"))
+        for v in _gate_violations(path.name, path.read_text(encoding="utf-8"))
+    ]
+    assert not found, found
+
+
+def test_the_gate_invariant_sees_each_spelling():
+    spellings = [
+        "gate = tol.check * (1.0 + q.norm)",
+        "scale_sq = tol.check * (1.0 + norm_q**2)",
+        "gate = ROUTE_GATE_FACTOR * tol.check * (1.0 + mod)",
+        "if prod_norm >= 1.0 - tol.check:\n    pass",
+        "ok = w.min() >= -tol.psd * (1.0 + scale)",
+        "gate = 2 * DEFAULT_TOL.check",
+        "gate = tol.subspace / 2",
+        "gate += tol.check",
+        "def _homotopy(rng, dim, q, tol):\n    yield norm_check('witness-reconstructs', recon, 1e-9)",
+        "Check('fractional-power-limit', dists[-1], 1e-2)",
+        "Check(name='beta_tail_near_target', residual=r, tolerance=1e-2)",
+        "report.norm_check('x', m, 5)",
+        "norm_at_most(m, -0.25)",
+        "linalg.norm_bracket(m, gate=0.5)",
+        "certify(r, lambda: 1e-9, fail)",
+        "SUBSPACE_TOL = 1e-8",
+        "gates = [mini.d_candidate + 1e-9 for mini in minis]",
+        "def _qpp_suite(rng, dim, q, tol):\n    if norm_at_most(m, 1e-5):\n        pass",
+        "class HalmosPoint:\n    def check(self):\n        return abs(self.z) - 1.0 > 1e-10",
+        "class Tolerances:\n    check: float = 1e-10\n\n\nbound = Tolerances.check * 2",
+    ]
+    allowed = [
+        "gate = tol.relative(q.norm)",
+        "scale_sq = tol.quadratic(norm_q)",
+        "gate = tol.route_gate(abs(a))",
+        "if prod_norm >= tol.below(1.0):\n    pass",
+        "ok = w.min() >= -tol.psd_slack(scale)",
+        "norm_check('range_mq_inside_range_q_plus_qstar', r, tol.subspace)",
+        "Check('fractional-power-limit', dists[-1], tol.limit)",
+        "Check('argmin_x_at_one', abs(best_x - 1.0), tol.above(dx))",
+        "gates = [tol.above(mini.d_candidate, tol.absolute) for mini in minis]",
+        "Check('grid_min_near_optimum', abs(gap), (2.0 + 3.0 * mod) * dt + mod * dx)",
+        "certify(r, lambda: tol.check, fail)",
+        "if abs(d - direct) > tol.check:\n    pass",
+        "report = {'check': tol.check, 'psd': tol.psd}",
+        "r = q.rank - 1",
+        "if contraction >= 1.0:\n    pass",
+        "def _continuity_probe(rng, dim, tol):\n    delta *= 1e-6 / operator_norm(delta)",
+        "def _norm_suite(rng, dim, q, q2, tol):\n    if norm_at_most(p1.matrix @ p2.matrix, 0.999):\n        pass",
+    ]
+    for source in spellings + allowed:
+        assert bool(_gate_violations("battery.py", source)) == (source in spellings), source
+    # the class body of Tolerances in linalg.py, and a listed constant in its own module and function
+    tolerances = "class Tolerances:\n    psd: ClassVar[float] = 1e-10\n\n    def relative(self, s):\n" \
+                 "        return self.check * (1.0 + s)"
+    halmos = "class HalmosPoint:\n    def __post_init__(self):\n        if abs(abs(self.z) - 1.0) > 1e-10:\n" \
+             "            pass"
+    for filename, source in (("linalg.py", tolerances), ("two_by_two.py", halmos)):
+        assert not _gate_violations(filename, source), source
+        assert _gate_violations("battery.py", source), source
+
+
+def _norm_bounds_named(source):
+    """Where the source names ``norm_bounds``, by a name or an attribute (an import aside)."""
+    return [
+        f"{node.lineno} norm_bounds" for node in ast.walk(ast.parse(source))
+        if (getattr(node, "id", None) or getattr(node, "attr", None)) == "norm_bounds"
+    ]
+
+
+def test_only_linalg_reads_norm_bounds():
+    # certificates go through linalg.certify and decisions through
+    # norm_bracket, so the bound-first rule is written in linalg alone
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    assert "def norm_bounds(" in sources["linalg.py"] and "def certify(" in sources["linalg.py"]
+    found = [
+        f"{name}:{v}" for name, text in sources.items() if name != "linalg.py"
+        for v in _norm_bounds_named(text)
+    ]
+    assert not found, found
+
+
+def test_the_norm_bounds_invariant_sees_each_spelling():
+    spellings = [
+        "if norm_bounds(diffs)[1] > gate:\n    pass",
+        "lower, upper = linalg.norm_bounds(m)",
+        "bounds = norm_bounds",
+        "fast = tol.relative(norm_bounds(w_inv)[0] * norm_bounds(w_mat)[0])",
+        "upper = max(norm_bounds(s)[1] for s in stack)",
+    ]
+    allowed = [
+        "from .linalg import norm_bounds",
+        "__all__ = ['norm_bounds']",
+        "norm_bracket(m, gate)",
+        "certify(r, tol.relative, fail, m)",
+        "bounds = norm_brackets(stack, gates)",
+    ]
+    for source in spellings + allowed:
+        assert bool(_norm_bounds_named(source)) == (source in spellings), source
