@@ -236,7 +236,7 @@ def _matched_identities(rng, dim, q, tol):
     routes = np.stack([m, closed, tt, vv, homotopy_witness_block(q, tol).projection.matrix])
     first, second = np.triu_indices(len(routes), 1)
     gaps = routes[first] - routes[second]
-    gate = tol.route_gate()
+    gate = tol.route_gate(0.0)
     yield norm_check("matched-routes-agree", gaps, gate)
 
     fo = factor_oracle(q, tol)
@@ -328,7 +328,7 @@ def _norm_suite(rng, dim, q, q2, tol):
     ranks, seeds = zip(*(_projection_draw(rng, dim) for _ in range(20)))
     candidates = random_projections(dim, ranks, seeds, tol)
     minis = qpp_minimalities(candidates, q, tol)
-    gates = [tol.above(mini.d_candidate, tol.absolute) for mini in minis]
+    gates = [tol.above_absolute(mini.d_candidate) for mini in minis]
     closer = norm_brackets(np.stack([p.matrix for p in candidates]) - m, gates)
     for k, (mini, bracket, gate) in enumerate(zip(minis, closer, gates)):
         yield bracket_check("projection-closer-to-matched", bracket, gate), f"trial {k}"

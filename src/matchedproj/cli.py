@@ -81,7 +81,7 @@ def cmd_analyze(args) -> int:
     checks = list(rep.checks) + range_identities(q, tol)
 
     # an oracle that cannot certify its own inputs fails its checks, not the report
-    oracle_gate = tol.route_gate()
+    oracle_gate = tol.route_gate(0.0)
     try:
         tt, vv = matched_via_factor(q, tol)
         factor_gaps = norm_bracket(m - tt, oracle_gate), norm_bracket(m - vv, oracle_gate)

@@ -108,13 +108,17 @@ class Tolerances:
         """check (1 + s^2): a residual quadratic in an operand of norm s."""
         return self.check * (1.0 + s**2)
 
-    def route_gate(self, s=0.0):
-        """route check (1 + s): two routes to m(Q), s the norm the gap scales with."""
+    def route_gate(self, s):
+        """route check (1 + s): two routes to m(Q), s the norm the gap scales with (0 if none)."""
         return self.route * self.check * (1.0 + s)
 
-    def above(self, value, slack=None):
-        """value + check, or value + ``slack``: a bound held up to round-off."""
-        return value + (self.check if slack is None else slack)
+    def above(self, value):
+        """value + check: a bound held up to round-off."""
+        return value + self.check
+
+    def above_absolute(self, value):
+        """value + absolute: a bound held up to a fixed slack."""
+        return value + self.absolute
 
     def below(self, value):
         """value - check: a strict bound with a margin for round-off."""

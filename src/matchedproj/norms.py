@@ -139,8 +139,7 @@ def distance_report(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> DistanceRep
     )
     norm_xy = spectrum(x_op + y_op)[1]
 
-    scale = tol.relative(norm_q)
-    scale_sq = tol.quadratic(norm_q)
+    scale, scale_sq = tol.relative(norm_q), tol.quadratic(norm_q)
     four_d_sq = 4.0 * d_op @ d_op
 
     checks = [
@@ -384,8 +383,7 @@ def _minimality(p: Projection, q: Idempotent, d_candidate: float, tol: Tolerance
     m = matched_projection(q, tol).projection.matrix
     qm = q.matrix
     d_matched = matched_distance(q, tol)
-    scale = tol.relative(q.norm)
-    scale_sq = tol.quadratic(q.norm)
+    scale, scale_sq = tol.relative(q.norm), tol.quadratic(q.norm)
 
     checks = [
         Check("matched_within_twice_candidate", max(0.0, d_matched - 2.0 * d_candidate), scale)

@@ -82,9 +82,9 @@ class TestTolerances:
                     (tol.relative(x), c * (1.0 + x)),
                     (tol.quadratic(x), c * (1.0 + x**2)),
                     (tol.route_gate(x), 10.0 * c * (1.0 + x)),
-                    (tol.route_gate(), 10.0 * c),
+                    (tol.route_gate(0.0), 10.0 * c),
                     (tol.above(x), x + c),
-                    (tol.above(x, tol.absolute), x + 1e-9),
+                    (tol.above_absolute(x), x + 1e-9),
                     (tol.below(x), x - c),
                     (tol.psd_slack(x), 1e-10 * (1.0 + x)),
                 ]

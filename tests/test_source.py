@@ -684,7 +684,7 @@ def test_the_gate_invariant_sees_each_spelling():
         "norm_check('range_mq_inside_range_q_plus_qstar', r, tol.subspace)",
         "Check('fractional-power-limit', dists[-1], tol.limit)",
         "Check('argmin_x_at_one', abs(best_x - 1.0), tol.above(dx))",
-        "gates = [tol.above(mini.d_candidate, tol.absolute) for mini in minis]",
+        "gates = [tol.above_absolute(mini.d_candidate) for mini in minis]",
         "Check('grid_min_near_optimum', abs(gap), (2.0 + 3.0 * mod) * dt + mod * dx)",
         "certify(r, lambda: tol.check, fail)",
         "if abs(d - direct) > tol.check:\n    pass",
