@@ -11,9 +11,15 @@ bounds where they settle it), a value against a closed form an exact
 ``Check``, and a yes/no verdict a ``boolean_check``.  ``_record_checks``,
 the one function that knows the report and the trial, tallies each record
 before the next is computed, so a trial that raises keeps every record
-made before the raise.  A stacked batch (the 20 candidate projections of
-``_norm_suite``) is one computed step, whose records are then yielded one
-candidate after another.
+made before the raise.  A batch of operators is one (k, n, n) stack.
+Every random projection comes from ``_draw_projections``, one stacked draw
+and certificate per batch: the block-form P of ``_projection_structure``,
+and in ``_norm_suite`` the 20 candidates (also measured as one stack), the
+pair p1, p2 of the two-projection construction and the pair p_a, p_b of
+the distance equality.  Koliha's pair P_R(Q), P_R(Q*) is certified as one
+stack, and the fractional-power distances are one stacked norm.  A batch
+is one computed step, whose records are then yielded one slice after
+another.
 """
 
 from __future__ import annotations
@@ -36,7 +42,6 @@ from .idempotents import (
     koliha_projections,
     null_projection,
     random_idempotent,
-    random_projection,
     random_projections,
     random_unitary,
     range_projection,
@@ -171,13 +176,15 @@ def _prefixed(prefix: str, checks: Iterable[Check]) -> list[Check]:
     return [Check(f"{prefix}:{c.name}", c.residual, c.tolerance, c.lower) for c in checks]
 
 
-def _projection_draw(rng, max_rank) -> tuple[int, int]:
-    """A random projection's (rank, seed), the rank drawn first."""
-    return int(rng.integers(0, max_rank + 1)), int(rng.integers(2**32))
+def _draw_projections(rng, dim, max_rank, count, tol) -> list[Projection]:
+    """``count`` random projections of rank at most ``max_rank``, built as one stack.
 
-
-def _random_projection(rng, dim, max_rank, tol) -> Projection:
-    return random_projection(dim, *_projection_draw(rng, max_rank), tol)
+    Each projection's (rank, seed) is drawn from the trial's rng in turn, the
+    rank first, so the draws are those of a loop of single projections.
+    """
+    draws = [(int(rng.integers(0, max_rank + 1)), int(rng.integers(2**32))) for _ in range(count)]
+    ranks, seeds = zip(*draws)
+    return random_projections(dim, ranks, seeds, tol)
 
 
 def _core_kernels(rng, dim, tol):
@@ -216,7 +223,7 @@ def _projection_structure(rng, dim, q, tol):
     yield norm_check("null-is-range-of-complement", gap, scale)
 
     t_mat = complex_gaussian(rng, dim, dim)
-    form = block_form(t_mat, _random_projection(rng, dim, dim, tol), tol)
+    form = block_form(t_mat, _draw_projections(rng, dim, dim, 1, tol)[0], tol)
     gate = tol.relative(operator_norm(t_mat))
     yield norm_check("block-roundtrip", form.reassemble() - t_mat, gate)
     # the two lower blocks differ in shape, so their larger norm is taken exactly
@@ -325,8 +332,7 @@ def _norm_suite(rng, dim, q, q2, tol):
 
     # 20 candidate projections, drawn, certified and measured as one stack
     m = matched_projection(q, tol).projection.matrix
-    ranks, seeds = zip(*(_projection_draw(rng, dim) for _ in range(20)))
-    candidates = random_projections(dim, ranks, seeds, tol)
+    candidates = _draw_projections(rng, dim, dim, 20, tol)
     minis = qpp_minimalities(candidates, q, tol)
     gates = [tol.above_absolute(mini.d_candidate) for mini in minis]
     closer = norm_brackets(np.stack([p.matrix for p in candidates]) - m, gates)
@@ -337,13 +343,11 @@ def _norm_suite(rng, dim, q, q2, tol):
     yield from _prefixed("lipschitz", matched_lipschitz_bounds(q, q2, tol).checks)
     yield from _prefixed("convergence", convergence_report(q, q2, EXPONENT_GRID, tol).checks)
 
-    p1 = _random_projection(rng, dim, max(dim // 2, 1), tol)
-    p2 = _random_projection(rng, dim, max(dim // 2, 1), tol)
+    p1, p2 = _draw_projections(rng, dim, max(dim // 2, 1), 2, tol)
     if norm_at_most(p1.matrix @ p2.matrix, 0.999):
         yield from _prefixed("two-projections", two_projection_construction(p1, p2, tol)[2])
 
-    p_a = _random_projection(rng, dim, dim, tol)
-    p_b = _random_projection(rng, dim, dim, tol)
+    p_a, p_b = _draw_projections(rng, dim, dim, 2, tol)
     try:
         kkm_distance(p_a, p_b, tol)
     except MatchedProjectionError as exc:

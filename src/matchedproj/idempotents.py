@@ -266,16 +266,17 @@ def koliha_projections(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> tuple[Pr
 
     Koliha's formulas, independent of Q's SVD; P_N(Q) = I - P_R(Q*).  S is
     Hermitian bit for bit (each entry is q_ij + conj(q_ji)), so its singular
-    values are the |lambda| of one ``eigvalsh``, and one stacked solve
-    S^(-1) [Q* | Q] gives both projections as adjoints.  Raises
-    ``SingularPencilError`` if S is numerically singular.  Memoized.
+    values are the |lambda| of one ``eigvalsh``, one stacked solve
+    S^(-1) [Q* | Q] gives both projections as adjoints, and one
+    ``as_projections`` certifies the pair.  Raises ``SingularPencilError``
+    if S is numerically singular.  Memoized.
     """
     qm, n = q.matrix, q.dim
     s = qm + adjoint(qm) - identity(n)
     if numerical_rank(np.sort(np.abs(np.linalg.eigvalsh(s)))[::-1], n, tol) < n:
         raise SingularPencilError("Q + Q* - I is numerically singular")
     x = np.linalg.solve(s, np.hstack([adjoint(qm), qm]))
-    return as_projection(adjoint(x[:, :n]), tol), as_projection(adjoint(x[:, n:]), tol)
+    return tuple(as_projections(np.stack([adjoint(x[:, :n]), adjoint(x[:, n:])]), tol))
 
 
 def complex_gaussian(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -342,8 +343,10 @@ def random_projections(
 
     The unitaries of all seeds come from one stacked QR; each P_k = U_k U_k*
     with U_k the first ranks[k] columns is formed alone, so P_k does not
-    depend on the other draws.
+    depend on the other draws.  ``ranks`` and ``seeds`` must be of one length.
     """
+    if len(ranks) != len(seeds):
+        raise ValueError(f"ranks and seeds differ in length: {len(ranks)} and {len(seeds)}")
     for rank in ranks:
         if not 0 <= rank <= dim:
             raise BadRankError(f"rank {rank} outside [0, {dim}]")

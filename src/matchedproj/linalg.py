@@ -47,8 +47,12 @@ it every Hermitian kernel below), ``block_form``'s round trip,
 ``idempotents.as_idempotent(s)`` and ``as_projection(s)``, the inverse
 and similarity gates of ``matched._certified_witness``, the four-term
 identity of ``matched.fractional_power_limit`` and the unitarity gate of
-``matched.unitary_equivariance``.  Every gate, fixed or built from norms,
-is a member of ``Tolerances``.
+``matched.unitary_equivariance``.  ``as_projection`` certifies each
+projection built alone (P_R(Q), P_N(Q), m(Q), the witnesses' projections,
+the 2x2 family) and ``as_projections`` each batch as one stack: every
+``random_projections`` draw, a stack of one included, and Koliha's pair
+P_R(Q), P_R(Q*).  Every gate, fixed or built from norms, is a member of
+``Tolerances``.
 """
 
 from __future__ import annotations

@@ -494,7 +494,7 @@ def range_identities(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> list[Check
 def fractional_power_limit(
     q: Idempotent, n_list: list[int], tol: Tolerances = DEFAULT_TOL
 ) -> list[float]:
-    """Distances ||(m(Q) Q m(Q))^(1/n) - m(Q)|| for the given exponents.
+    """Distances ||(m(Q) Q m(Q))^(1/n) - m(Q)|| for the given exponents, one stacked norm.
 
     Verifies on the way that K = m(Q) Q m(Q) is Hermitian, dominates m(Q),
     and equals (|Q*| + |Q| + Q + Q*) / 4.
@@ -507,7 +507,7 @@ def fractional_power_limit(
     gap = k - 0.25 * (q.abs_q_star + q.abs_q + qm + adjoint(qm))
     certify(gap, lambda: tol.relative(q.norm),
             lambda residual, *_: ValidationError(f"four-term identity residual {residual:.3e}"))
-    return [operator_norm(p - m) for p in psd_power(k, [1.0 / n for n in n_list], tol)]
+    return operator_norm(psd_power(k, [1.0 / n for n in n_list], tol) - m).tolist()
 
 
 def unitary_equivariance(

@@ -33,7 +33,8 @@ class HalmosPoint:
     t: float
 
     def __post_init__(self):
-        if abs(abs(self.z) - 1.0) > 1e-10:
+        # chained comparisons, so that NaN, which fails them all, is rejected too
+        if not -1e-10 <= abs(self.z) - 1.0 <= 1e-10:
             raise ValueError(f"|z| = {abs(self.z)!r} is not 1")
         if not 0.0 <= self.t <= np.pi:
             raise ValueError(f"angle {self.t!r} outside [0, pi]")

@@ -16,17 +16,24 @@ import pytest
 
 from matchedproj import (
     DEFAULT_TOL,
+    adjoint,
     as_matrix,
+    as_projection,
     battery,
     cli,
+    fractional_power_limit,
+    identity,
+    koliha_projections,
     matched_projection,
     operator_norm,
+    psd_power,
     qpp_minimality,
     random_idempotent,
     random_projection,
 )
 from matchedproj.battery import run_battery, sabotaged
 from matchedproj.cli import main
+from matchedproj.linalg import require_hermitian
 from matchedproj.matrixio import dumps, load_matrix, matrix_from_obj, save_matrix
 from matchedproj.report import Check, norm_check
 from matchedproj.errors import InapplicableHypothesisError, MatrixFileError, ValidationError
@@ -678,12 +685,13 @@ class TestVerify:
 
     def test_factorizations_per_battery(self, factorizations):
         # the ceilings are the measured counts: a second build of an oracle
-        # shows here, and so does a candidate projection drawn or measured
-        # alone (413 calls, 64 qr and 239 svdvals, before the 20 were one stack)
+        # shows here, and so does a projection drawn, certified or measured
+        # apart from its batch (413 calls, 64 qr and 239 svdvals, before the
+        # 20 candidates were one stack; 318, 26 and 182 before every batch was)
         run_battery(12, 2, 7)
-        assert sum(factorizations.values()) <= 318, dict(factorizations)
-        assert factorizations["qr"] <= 26, dict(factorizations)
-        assert factorizations["svdvals"] <= 182, dict(factorizations)
+        assert sum(factorizations.values()) <= 294, dict(factorizations)
+        assert factorizations["qr"] <= 22, dict(factorizations)
+        assert factorizations["svdvals"] <= 162, dict(factorizations)
 
     def test_dim_max_below_two_is_usage_error(self, capsys):
         # a dim-max below 2 used to run 2 x 2 trials and pass
@@ -738,6 +746,35 @@ class TestVerify:
             names.update(r[0] for r in got)
         assert "any-projection:psd_dominance_left" in names
         assert "any-projection:small_distance_forces_matched" in names
+
+    def test_batches_are_their_one_at_a_time_forms_bitwise(self):
+        # each batch is one stack; every slice is what its own call gave
+        tol = DEFAULT_TOL
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            dim = int(rng.integers(2, 13))
+            q = random_idempotent(dim, int(rng.integers(1, dim)), float(10.0 ** rng.uniform(-2, 2)),
+                                  int(rng.integers(2**32)))
+            # the battery's batches: the block-form P, p1 and p2, p_a and p_b
+            for max_rank, count in ((dim, 1), (max(dim // 2, 1), 2), (dim, 2)):
+                stacked, looped = np.random.default_rng(seed), np.random.default_rng(seed)
+                batch = battery._draw_projections(stacked, dim, max_rank, count, tol)
+                for p in batch:
+                    rank, draw = int(looped.integers(0, max_rank + 1)), int(looped.integers(2**32))
+                    assert p.matrix.tobytes() == random_projection(dim, rank, draw, tol).matrix.tobytes()
+                assert stacked.integers(2**63) == looped.integers(2**63)
+            # Koliha's pair against two certificates
+            qm = q.matrix
+            x = np.linalg.solve(qm + adjoint(qm) - identity(dim), np.hstack([adjoint(qm), qm]))
+            singles = [as_projection(adjoint(x[:, :dim]), tol), as_projection(adjoint(x[:, dim:]), tol)]
+            pair = koliha_projections(q, tol)
+            assert [p.matrix.tobytes() for p in pair] == [p.matrix.tobytes() for p in singles]
+            # the fractional-power distances against one norm per power
+            m = matched_projection(q, tol).projection.matrix
+            k = require_hermitian(m @ qm @ m, tol)
+            powers = psd_power(k, [1.0 / n for n in battery.EXPONENT_GRID], tol)
+            want = [operator_norm(p - m).hex() for p in powers]
+            assert [d.hex() for d in fractional_power_limit(q, battery.EXPONENT_GRID, tol)] == want
 
     def test_sabotage_fails_fast(self):
         assert run("verify", "--dim-max", 4, "--trials", 2, "--seed", 7,

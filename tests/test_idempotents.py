@@ -182,6 +182,12 @@ class TestStackedProjections:
         with pytest.raises(BadRankError, match="rank 5 outside"):
             random_projections(4, [2, 5], [0, 1])
 
+    @pytest.mark.parametrize("ranks, seeds", [([1, 2], [5]), ([1], [5, 6])], ids=["more_ranks", "more_seeds"])
+    def test_ranks_and_seeds_of_different_lengths(self, ranks, seeds):
+        # each rank is paired with one seed: none is dropped without an error
+        with pytest.raises(ValueError, match=f"differ in length: {len(ranks)} and {len(seeds)}"):
+            random_projections(4, ranks, seeds)
+
     def test_one_stacked_qr(self, factorizations):
         random_projections(8, [0, 3, 8] * 7, range(21))
         assert dict(factorizations) == {"qr": 1}

@@ -699,7 +699,7 @@ def test_the_gate_invariant_sees_each_spelling():
     # the class body of Tolerances in linalg.py, and a listed constant in its own module and function
     tolerances = "class Tolerances:\n    psd: ClassVar[float] = 1e-10\n\n    def relative(self, s):\n" \
                  "        return self.check * (1.0 + s)"
-    halmos = "class HalmosPoint:\n    def __post_init__(self):\n        if abs(abs(self.z) - 1.0) > 1e-10:\n" \
+    halmos = "class HalmosPoint:\n    def __post_init__(self):\n        if not -1e-10 <= abs(self.z) - 1.0 <= 1e-10:\n" \
              "            pass"
     for filename, source in (("linalg.py", tolerances), ("two_by_two.py", halmos)):
         assert not _gate_violations(filename, source), source
@@ -743,3 +743,47 @@ def test_the_norm_bounds_invariant_sees_each_spelling():
     ]
     for source in spellings + allowed:
         assert bool(_norm_bounds_named(source)) == (source in spellings), source
+
+
+def _projections_outside_the_draw(source):
+    """Where the source names ``random_projection(s)`` outside ``_draw_projections`` (an import aside)."""
+    tree = ast.parse(source)
+    inside = {
+        id(n) for f in ast.walk(tree)
+        if isinstance(f, ast.FunctionDef) and f.name == "_draw_projections" for n in ast.walk(f)
+    }
+    return [
+        f"{node.lineno} {name}" for node in ast.walk(tree)
+        if (name := getattr(node, "id", None) or getattr(node, "attr", None))
+        in ("random_projection", "random_projections") and id(node) not in inside
+    ]
+
+
+def test_battery_draws_projections_through_one_helper():
+    # every batch of random projections is one stack: drawn, in the order a
+    # loop of single draws takes, and certified once
+    source = (PACKAGE / "battery.py").read_text(encoding="utf-8")
+    assert "def _draw_projections(" in source
+    found = _projections_outside_the_draw(source)
+    assert not found, found
+
+
+def test_the_draw_invariant_sees_each_spelling():
+    spellings = [
+        "p = random_projection(dim, rank, seed, tol)",
+        "ps = idempotents.random_projections(dim, ranks, seeds, tol)",
+        "def _norm_suite(rng, dim, q, q2, tol):\n    p1 = random_projection(dim, *_projection_draw(rng, dim), tol)",
+        "def _random_projection(rng, dim, max_rank, tol):\n"
+        "    return random_projection(dim, int(rng.integers(0, max_rank + 1)), int(rng.integers(2**32)), tol)",
+        "draw = random_projections",
+    ]
+    allowed = [
+        "from .idempotents import random_projection, random_projections",
+        "def _draw_projections(rng, dim, max_rank, count, tol):\n"
+        "    return random_projections(dim, ranks, seeds, tol)",
+        "p1, p2 = _draw_projections(rng, dim, max(dim // 2, 1), 2, tol)",
+        "q = random_idempotent(dim, rank, nu, seed, tol)",
+        "u = random_unitary(dim, rng)",
+    ]
+    for source in spellings + allowed:
+        assert bool(_projections_outside_the_draw(source)) == (source in spellings), source

@@ -41,6 +41,12 @@ class TestHalmosPoint:
         with pytest.raises(ValueError):
             HalmosPoint(z=2.0 + 0j, t=0.5)
 
+    @pytest.mark.parametrize("z", [complex("nan"), complex("nan+nanj")], ids=["nan", "nan_nan"])
+    def test_rejects_nan_z(self, z):
+        # NaN fails every comparison, so the test of |z| = 1 must not pass it
+        with pytest.raises(ValueError, match=r"\|z\| = nan is not 1"):
+            HalmosPoint(z=z, t=0.5)
+
     def test_rejects_bad_angle(self):
         with pytest.raises(ValueError):
             HalmosPoint(z=1.0 + 0j, t=4.0)
