@@ -15,7 +15,6 @@ import math
 import re
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 from .battery import run_battery
 from .errors import MatchedProjectionError
@@ -34,7 +33,7 @@ from .matched import (
     qpp_checks,
     range_identities,
 )
-from .matrixio import dumps, load_matrix, save_matrix
+from .matrixio import dump, load_matrix, save_matrix
 from .norms import distance_report
 from .report import Check, all_passed, boolean_check, bracket_check, failures, norm_check
 from .two_by_two import canonical_idempotent, closed_form_p0, grid_minimize
@@ -66,15 +65,14 @@ def _load_idempotent(path: str, tol: Tolerances, digest=None) -> Idempotent:
         raise ValueError(str(exc)) from exc
 
 
-def _write(path: str | None, text: str) -> None:
-    if path:
-        Path(path).write_text(text, encoding="utf-8")
+def _analysis(path: str, tol: Tolerances) -> tuple[dict, list[str], bool]:
+    """The report, the summary lines and the verdict of the idempotent in the file.
 
-
-def cmd_analyze(args) -> int:
-    tol = _tolerances(args)
+    Only these outlive the call: Q, its analysis, its partners and the
+    oracle's record are freed before ``cmd_analyze`` writes a byte.
+    """
     digest = hashlib.sha256()
-    q = _load_idempotent(args.input, tol, digest)
+    q = _load_idempotent(path, tol, digest)
     pair = matched_projection(q, tol)
     m = pair.projection.matrix
     rep = distance_report(q, tol)
@@ -101,7 +99,7 @@ def cmd_analyze(args) -> int:
 
     ok = all_passed(checks)
     report = {
-        "input": {"path": args.input, "sha256": digest.hexdigest(), "dim": q.dim},
+        "input": {"path": path, "sha256": digest.hexdigest(), "dim": q.dim},
         "tolerances": {"check": tol.check, "psd": tol.psd, "rank": tol.rank},
         "idempotent_defect": q.defect,
         "matched_projection": m,
@@ -121,17 +119,22 @@ def cmd_analyze(args) -> int:
         },
         "all_passed": ok,
     }
-    _write(args.output, dumps(report))
-
-    print(f"dim {q.dim}, idempotent defect {q.defect:.3e}")
-    print(
-        f"d_matched {rep.d_matched:.6f} (closed form {rep.d_matched_closed:.6f}), "
-        f"d_range {rep.d_range:.6f}, d_null {rep.d_null:.6f}"
-    )
     bad = failures(checks)
-    print(f"checks: {len(checks) - len(bad)}/{len(checks)} passed")
-    for c in bad:
-        print(f"  FAIL {c.name}: {c.describe()} > {c.tolerance:.3e}")
+    lines = [
+        f"dim {q.dim}, idempotent defect {q.defect:.3e}",
+        f"d_matched {rep.d_matched:.6f} (closed form {rep.d_matched_closed:.6f}), "
+        f"d_range {rep.d_range:.6f}, d_null {rep.d_null:.6f}",
+        f"checks: {len(checks) - len(bad)}/{len(checks)} passed",
+        *(f"  FAIL {c.name}: {c.describe()} > {c.tolerance:.3e}" for c in bad),
+    ]
+    return report, lines, ok
+
+
+def cmd_analyze(args) -> int:
+    report, lines, ok = _analysis(args.input, _tolerances(args))
+    if args.output:
+        dump(report, args.output)
+    print("\n".join(lines))
     return E_OK if ok else E_MATH
 
 
@@ -154,7 +157,8 @@ def cmd_generate(args) -> int:
 def cmd_path(args) -> int:
     tol = _tolerances(args)
     samples = homotopy_path(_load_idempotent(args.input, tol), args.samples, tol)
-    _write(args.output, dumps([s.matrix for s in samples]))
+    if args.output:
+        dump([s.matrix for s in samples], args.output)
     worst = max(s.defect for s in samples)
     print(f"{len(samples)} samples from m(Q) to Q, max idempotency defect {worst:.3e}")
     return E_OK
@@ -195,7 +199,8 @@ def cmd_min2x2(args) -> int:
         "checks": [c.as_dict() for c in checks],
         "all_passed": ok,
     }
-    _write(args.output, dumps(record))
+    if args.output:
+        dump(record, args.output)
     print(
         f"grid min {gm.min_value:.9f} at (x={gm.argmin_x:.6f}, t={gm.argmin_t:.6f}); "
         f"closed form {gm.optimum:.9f}, gap {gm.gap:.3e}"

@@ -319,6 +319,8 @@ def random_idempotent(
     unitary, so the result is an exact idempotent up to round-off and
     ||Q|| = sqrt(1 + offdiag_norm^2).
     """
+    if dim < 1:
+        raise ValueError(f"dim must be at least 1, not {dim}")
     if not 0 <= rank <= dim:
         raise BadRankError(f"rank {rank} outside [0, {dim}]")
     if not 0.0 <= offdiag_norm < np.inf:
@@ -345,6 +347,8 @@ def random_projections(
     with U_k the first ranks[k] columns is formed alone, so P_k does not
     depend on the other draws.  ``ranks`` and ``seeds`` must be of one length.
     """
+    if dim < 1:
+        raise ValueError(f"dim must be at least 1, not {dim}")
     if len(ranks) != len(seeds):
         raise ValueError(f"ranks and seeds differ in length: {len(ranks)} and {len(seeds)}")
     for rank in ranks:

@@ -5,10 +5,14 @@ Matrix schema: ``{"dim": [n, n], "entries": [[[re, im], ...], ...]}`` with one
 round-trips IEEE doubles exactly, so identical inputs produce byte-identical
 files.
 
-``dumps`` writes exactly ``json.dumps(obj, indent=2, sort_keys=True)`` plus a
-newline, where every square ``np.ndarray`` inside ``obj`` stands for its
-matrix object.  It walks ``obj`` once in json's layout, renders each matrix
-from the array with one ``%r`` template and leaves only scalars to json.
+One encoder writes reports, the way ``json`` pairs ``iterencode`` with
+``dump``: it walks ``obj`` once in json's layout and yields the text of
+``json.dumps(obj, indent=2, sort_keys=True)`` in pieces, where every square
+``np.ndarray`` inside ``obj`` stands for its matrix object.  A matrix is a
+header, one piece per row rendered from that row's values alone with one
+``%r`` template, and a footer; only scalars are left to json.  ``dump``
+writes the pieces to a file as they are made, so a report never exists as
+one string, and ``dumps`` joins them and adds the trailing newline.
 ``matrix_from_obj`` checks each row at once by exact type, and walks only a
 row that fails that check entry by entry, to name its first fault.
 """
@@ -25,48 +29,71 @@ import numpy as np
 from .errors import MatrixFileError
 
 
-def _render(m: np.ndarray, indent: int) -> str:
-    """The matrix object of ``m`` in json's ``indent=2`` layout, at ``indent`` spaces."""
+def _matrix_pieces(m: np.ndarray, indent: int):
+    """The matrix object of ``m`` in json's ``indent=2`` layout, at ``indent`` spaces.
+
+    It comes as a header, one piece per row and a footer.
+    """
     n = m.shape[0]
     pad = [" " * (indent + k) for k in range(0, 10, 2)]
     pair = f"{pad[3]}[\n{pad[4]}%r,\n{pad[4]}%r\n{pad[3]}]"
     row = f"{pad[2]}[\n" + ",\n".join([pair] * n) + f"\n{pad[2]}]"
-    template = (
-        f'{{\n{pad[1]}"dim": [\n{pad[2]}{n},\n{pad[2]}{n}\n{pad[1]}],\n'
-        f'{pad[1]}"entries": [\n' + ",\n".join([row] * n) + f"\n{pad[1]}]\n{pad[0]}}}"
-    )
-    pairs = np.stack([m.real, m.imag], axis=-1, dtype=np.float64)
-    text = template % tuple(pairs.ravel().tolist())
-    if not np.isfinite(pairs).all():
-        # repr spells nan/inf/-inf; json spells NaN/Infinity/-Infinity, and no
-        # other token of the rendered object contains "nan" or "inf"
-        text = text.replace("nan", "NaN").replace("inf", "Infinity")
-    return text
+    templates = (row, ",\n" + row)
+    yield f'{{\n{pad[1]}"dim": [\n{pad[2]}{n},\n{pad[2]}{n}\n{pad[1]}],\n{pad[1]}"entries": [\n'
+    for i in range(n):
+        values = np.stack([m[i].real, m[i].imag], axis=-1, dtype=np.float64).ravel()
+        text = templates[i > 0] % tuple(values.tolist())
+        if not np.isfinite(values).all():
+            # repr spells nan/inf/-inf; json spells NaN/Infinity/-Infinity, and no
+            # other token of a rendered row contains "nan" or "inf"
+            text = text.replace("nan", "NaN").replace("inf", "Infinity")
+        yield text
+    yield f"\n{pad[1]}]\n{pad[0]}}}"
 
 
-def _encode(obj, indent: int) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True)`` at ``indent`` spaces, ndarrays as matrix objects.
+def _pieces(obj, indent: int):
+    """``json.dumps(obj, indent=2, sort_keys=True)`` in pieces, at ``indent`` spaces, ndarrays as matrices.
 
     A key must be a ``str``: json would quote any other key, and no report has one.
     """
     if isinstance(obj, np.ndarray):
         if obj.ndim != 2 or obj.shape[0] != obj.shape[1] or not obj.size:
             raise TypeError(f"a matrix must be n x n with n >= 1, got shape {obj.shape}")
-        return _render(obj, indent)
+        yield from _matrix_pieces(obj, indent)
+        return
     if isinstance(obj, dict):
         if not all(isinstance(key, str) for key in obj):
             raise TypeError(f"report keys must be str, got {list(obj)!r}")
-        items = [f"{json.dumps(key)}: {_encode(obj[key], indent + 2)}" for key in sorted(obj)]
+        items = [(f"{json.dumps(key)}: ", obj[key]) for key in sorted(obj)]
         brackets = "{}"
     elif isinstance(obj, (list, tuple)):
-        items = [_encode(value, indent + 2) for value in obj]
+        items = [("", value) for value in obj]
         brackets = "[]"
     else:
-        return json.dumps(obj)
+        yield json.dumps(obj)
+        return
     if not items:
-        return brackets
-    inner = ",\n" + " " * (indent + 2)  # one f-string copies a rendered matrix once
-    return f"{brackets[0]}{inner[1:]}{inner.join(items)}\n{' ' * indent}{brackets[1]}"
+        yield brackets
+        return
+    inner = ",\n" + " " * (indent + 2)
+    lead = brackets[0] + inner[1:]
+    for label, value in items:
+        yield lead + label
+        yield from _pieces(value, indent + 2)
+        lead = inner
+    yield f"\n{' ' * indent}{brackets[1]}"
+
+
+def dump(obj, path) -> None:
+    """Write ``dumps(obj)`` to the file at ``path`` as UTF-8, each piece as it is encoded.
+
+    No more than one matrix row of text is held at a time.  An error midway
+    (a ``TypeError`` from ``obj`` or an ``OSError`` from the disk) leaves the
+    file as far as it was written.
+    """
+    with open(path, "w", encoding="utf-8") as f:
+        f.writelines(_pieces(obj, 0))
+        f.write("\n")
 
 
 def dumps(obj) -> str:
@@ -75,7 +102,7 @@ def dumps(obj) -> str:
     Square ``np.ndarray`` values anywhere in ``obj`` are written as matrix
     objects, byte for byte as json writes their nested-list form.
     """
-    return _encode(obj, 0) + "\n"
+    return "".join(_pieces(obj, 0)) + "\n"
 
 
 def _row_values(row, i: int, n: int) -> list:
@@ -128,7 +155,7 @@ def matrix_from_obj(obj) -> np.ndarray:
 
 
 def save_matrix(path, m: np.ndarray) -> None:
-    Path(path).write_text(dumps(m), encoding="utf-8")
+    dump(m, path)
 
 
 def load_matrix(path, digest=None) -> np.ndarray:

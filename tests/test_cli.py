@@ -8,6 +8,7 @@ import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -34,7 +35,7 @@ from matchedproj import (
 from matchedproj.battery import run_battery, sabotaged
 from matchedproj.cli import main
 from matchedproj.linalg import require_hermitian
-from matchedproj.matrixio import dumps, load_matrix, matrix_from_obj, save_matrix
+from matchedproj.matrixio import dump, dumps, load_matrix, matrix_from_obj, save_matrix
 from matchedproj.report import Check, norm_check
 from matchedproj.errors import InapplicableHypothesisError, MatrixFileError, ValidationError
 from matchedproj.two_by_two import canonical_idempotent
@@ -82,6 +83,17 @@ def edge_matrices(n):
     return out
 
 
+def traced_peak(fn):
+    """The peak of traced memory while fn() runs, above what was traced when it started."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
 def matrix_file_obj(n, seed=0):
     """json.loads of a saved n x n matrix, for editing one entry."""
     return json.loads(dumps(np.random.default_rng(seed).standard_normal((n, n)) + 0j))
@@ -100,7 +112,7 @@ class TestMatrixIO:
         assert obj["entries"][0][0] == [1.0, 0.0]
 
     @pytest.mark.parametrize("n", [1, 2, 64])
-    def test_dumps_matches_json_encoder(self, n):
+    def test_dumps_matches_json_encoder(self, tmp_path, n):
         ms = edge_matrices(n)
         refs = [reference_obj(m) for m in ms]
         m, ref = ms[-1], refs[-1]
@@ -124,13 +136,30 @@ class TestMatrixIO:
             {"zeta": m, "alpha": {"b": 1, "a": m, "B": 2}, "Zeta": 0, "_": m},
             {"zeta": ref, "alpha": {"b": 1, "a": ref, "B": 2}, "Zeta": 0, "_": ref},
         ))
+        # non-finite values in the first and the last row only, between finite rows
+        spotted = np.arange(float(n + 2) ** 2).reshape(n + 2, n + 2) + 0.5j
+        spotted[0, -1], spotted[-1, 0] = complex(np.nan, -np.inf), np.inf
+        cases.append(({"m": spotted}, {"m": reference_obj(spotted)}))
+        path = tmp_path / "out.json"
         for obj, ref in cases:
-            assert dumps(obj) == json.dumps(ref, indent=2, sort_keys=True) + "\n"
+            text = json.dumps(ref, indent=2, sort_keys=True) + "\n"
+            assert dumps(obj) == text
+            dump(obj, path)  # the file holds the same text
+            assert path.read_bytes() == text.encode("utf-8")
 
-    def test_rejects_non_str_key(self):
+    def test_dump_holds_one_row_of_text(self, tmp_path):
+        # this n = 128 file is 1.2 MB; written from one string its peak was
+        # 4.5 MB, written row by row it is 49 KB
+        m = edge_matrices(128)[0]
+        path = tmp_path / "m.json"
+        assert traced_peak(lambda: dump(m, path)) < 256_000
+        assert path.stat().st_size > 990_000
+
+    def test_rejects_non_str_key(self, tmp_path):
         # json would write the key as "1"
-        with pytest.raises(TypeError):
-            dumps({1: 0})
+        for write in (dumps, lambda obj: dump(obj, tmp_path / "out.json")):
+            with pytest.raises(TypeError, match="report keys must be str"):
+                write({1: 0})
 
     def test_non_finite_use_json_spelling(self):
         text = dumps(np.array([[np.nan, np.inf], [-np.inf, 0.0]], dtype=np.complex128))
@@ -138,9 +167,11 @@ class TestMatrixIO:
         assert "nan" not in text and "inf" not in text
 
     @pytest.mark.parametrize("shape", [(2, 3), (0, 0), (4,)])
-    def test_rejects_non_matrix_array(self, shape):
-        with pytest.raises(TypeError):
-            dumps({"m": np.zeros(shape)})
+    def test_rejects_non_matrix_array(self, tmp_path, shape):
+        for write in (dumps, lambda obj: dump(obj, tmp_path / "out.json")):
+            for obj in ({"m": np.zeros(shape)}, np.zeros(shape)):
+                with pytest.raises(TypeError, match="a matrix must be n x n with n >= 1"):
+                    write(obj)
 
     @pytest.mark.parametrize("fault", sorted(DEEP_FAULTS))
     def test_deep_fault_keeps_its_message(self, fault):
@@ -239,6 +270,13 @@ class TestGenerate:
         assert capsys.readouterr().err == "error: rank 9 outside [0, 4]\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_dim_below_one_is_usage_error(self, tmp_path, capsys, dim):
+        out = tmp_path / "x.json"
+        assert run("generate", "--dim", dim, "--rank", 0, "--output", out) == 2
+        assert capsys.readouterr() == ("", f"error: dim must be at least 1, not {dim}\n")
+        assert not out.exists()
+
     def test_offdiag_cap(self, tmp_path, capsys):
         assert run("generate", "--dim", 4, "--rank", 2, "--offdiag-norm", 1e4,
                    "--output", tmp_path / "x.json") == 2
@@ -327,6 +365,33 @@ class TestAnalyze:
         assert run("analyze", "--input", q, "--output", rep) == 1
         assert capsys.readouterr().err.startswith("check failed: ")
         assert not rep.exists()
+
+    def test_failed_analysis_leaves_the_output_untouched(self, tmp_path):
+        # the report is written only once the analysis is finished
+        q, rep = tmp_path / "bad.json", tmp_path / "rep.json"
+        save_matrix(q, as_matrix([[1.0, 1.0], [0.0, 0.5]]))
+        rep.write_text("an earlier report\n")
+        assert run("analyze", "--input", q, "--output", rep) == 2
+        assert rep.read_text() == "an earlier report\n"
+
+    def test_peak_memory(self, tmp_path, monkeypatch):
+        # Q's analysis is freed before the first byte is written: then only
+        # m(Q) (256 KB) and the report's scalars are held, and the factor
+        # oracle sets the peak, measured at 8.30 MB.  Holding the analysis
+        # (6.5 MB) through a write from one string peaked at 10.67 MB
+        held = []
+        write = cli.dump
+
+        def recorded(obj, path):
+            held.append(tracemalloc.get_traced_memory()[0])
+            write(obj, path)
+
+        monkeypatch.setattr(cli, "dump", recorded)
+        q, rep = tmp_path / "q.json", tmp_path / "rep.json"
+        save_matrix(q, random_idempotent(128, 60, 1.0, 5).matrix)
+        assert traced_peak(lambda: run("analyze", "--input", q, "--output", rep)) < 9_000_000
+        assert held[0] < 1_000_000
+        assert json.loads(rep.read_text())["all_passed"] is True
 
     def test_missing_output_directory_is_usage_error(self, tmp_path, capsys):
         q, rep = tmp_path / "q.json", tmp_path / "missing" / "rep.json"

@@ -40,6 +40,10 @@ CANONICAL = [[1.0, 1.0], [0.0, 0.0]]
 NORM_LADDER = (1e-10, 1e-7, 1e-4, 1e-2, 1.0, 1e2, 1e4)
 
 
+def no_draw(*args, **kwargs):
+    raise AssertionError("a random generator was made")
+
+
 class TestValidation:
     def test_accepts_exact_idempotent(self):
         q = as_idempotent(CANONICAL)
@@ -187,6 +191,13 @@ class TestStackedProjections:
         # each rank is paired with one seed: none is dropped without an error
         with pytest.raises(ValueError, match=f"differ in length: {len(ranks)} and {len(seeds)}"):
             random_projections(4, ranks, seeds)
+
+    @pytest.mark.parametrize("dim, ranks, seeds", [(0, [0], [1]), (-1, [0], [1]), (0, [], [])])
+    def test_dim_below_one_before_any_draw(self, monkeypatch, dim, ranks, seeds):
+        # numpy would fail only at the reshape of an empty draw, or return an empty list
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        with pytest.raises(ValueError, match=f"^dim must be at least 1, not {dim}$"):
+            random_projections(dim, ranks, seeds)
 
     def test_one_stacked_qr(self, factorizations):
         random_projections(8, [0, 3, 8] * 7, range(21))
@@ -461,6 +472,12 @@ class TestRandomIdempotent:
             random_idempotent(4, 5, 1.0, 0)
         with pytest.raises(BadRankError):
             random_idempotent(4, -1, 1.0, 0)
+
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_dim_below_one_before_any_draw(self, monkeypatch, dim):
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        with pytest.raises(ValueError, match=f"^dim must be at least 1, not {dim}$"):
+            random_idempotent(dim, 0, 1.0, 0)
 
     def test_negative_offdiag_norm(self):
         with pytest.raises(ValueError):

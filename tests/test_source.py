@@ -1,6 +1,7 @@
 """Structural checks on the package source."""
 
 import ast
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).parents[1] / "src" / "matchedproj"
@@ -468,10 +469,14 @@ def test_the_placeholder_invariant_sees_each_spelling():
         "def _placed(m):\n    pass",
         'text.replace("\\x00matrix0", "")',
     ]
-    allowed = ["import json", "from pathlib import Path", "_render(m, indent)", 'json.dumps("matrix")']
+    allowed = ["import json", "from pathlib import Path", "_matrix_pieces(m, indent)", 'json.dumps("matrix")']
     for source in spellings + allowed:
         spelled = {_regex_or_placeholder(n) for n in ast.walk(ast.parse(source))} - {None}
         assert bool(spelled) == (source in spellings), source
+
+
+# try statements: ast.TryStar (except*) exists from Python 3.11
+TRY_NODES = tuple(getattr(ast, name) for name in ("Try", "TryStar") if hasattr(ast, name))
 
 
 def _exit_code_policy_violations(source):
@@ -479,9 +484,9 @@ def _exit_code_policy_violations(source):
 
     Outside ``main`` every ``except`` handler ends in ``raise``, with no
     ``return`` inside it; the one handler that may end otherwise is the
-    factor oracle's in ``cmd_analyze`` (its ``try`` calls
-    ``matched_via_factor``), and it may not return either.  ``E_USAGE`` is
-    read only in ``main``.
+    factor oracle's in ``_analysis``, the helper that finishes ``analyze``'s
+    analysis (its ``try`` calls ``matched_via_factor``), and it may not
+    return either.  ``E_USAGE`` is read only in ``main``.
     """
     tree = ast.parse(source)
     in_main = {
@@ -491,9 +496,9 @@ def _exit_code_policy_violations(source):
     }
     oracle_tries = {
         id(t) for f in ast.walk(tree)
-        if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)) and f.name == "cmd_analyze"
+        if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)) and f.name == "_analysis"
         for t in ast.walk(f)
-        if isinstance(t, (ast.Try, ast.TryStar))
+        if isinstance(t, TRY_NODES)
         and any(_calls(n, "matched_via_factor") for stmt in t.body for n in ast.walk(stmt))
     }
     found = []
@@ -502,7 +507,7 @@ def _exit_code_policy_violations(source):
             continue
         if isinstance(node, ast.Name) and node.id == "E_USAGE" and isinstance(node.ctx, ast.Load):
             found.append(f"{node.lineno} E_USAGE read outside main")
-        if not isinstance(node, (ast.Try, ast.TryStar)):
+        if not isinstance(node, TRY_NODES):
             continue
         for handler in node.handlers:
             if any(isinstance(n, ast.Return) for n in ast.walk(handler)):
@@ -516,7 +521,7 @@ def test_only_main_turns_errors_into_exit_codes():
     # each command returns E_OK or E_MATH from its checks and raises on
     # anything else; cli.main alone maps an exception to an exit code
     source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
-    assert "def main(" in source and "def cmd_analyze(" in source
+    assert "def main(" in source and "def _analysis(" in source
     found = _exit_code_policy_violations(source)
     assert not found, found
 
@@ -532,22 +537,28 @@ def test_the_exit_code_invariant_sees_each_spelling():
         "def _load(path):\n    try:\n        return load(path)\n    except OSError as exc:\n"
         "        if exc.errno:\n            raise\n        return None",
         "def cmd_analyze(args):\n    try:\n        q = load(args)\n    except MatchedProjectionError:\n        q = None",
+        "def _analysis(path, tol):\n    try:\n        tt, vv = matched_via_factor(q, tol)\n"
+        "    except MatchedProjectionError:\n        return None",
+        # the oracle's exemption belongs to _analysis alone
         "def cmd_analyze(args):\n    try:\n        tt, vv = matched_via_factor(q, tol)\n"
-        "    except MatchedProjectionError:\n        return E_MATH",
+        "    except MatchedProjectionError as exc:\n        print(exc)\n        gaps = None",
         "def cmd_min2x2(args):\n    try:\n        tt, vv = matched_via_factor(q, tol)\n"
         "    except MatchedProjectionError:\n        gaps = None",
         "def cmd_verify(args):\n    def run():\n        try:\n            go()\n"
         "        except ValueError:\n            return 2\n    return run()",
-        "def cmd_verify(args):\n    try:\n        go()\n    except* ValueError:\n        return 2",
         "CODES = {'usage': E_USAGE}",
     ]
+    if sys.version_info >= (3, 11):  # except* is a syntax error before 3.11
+        spellings.append(
+            "def cmd_verify(args):\n    try:\n        go()\n    except* ValueError:\n        return 2"
+        )
     allowed = [
         "def main(argv=None):\n    try:\n        return args.func(args)\n"
         "    except MatchedProjectionError as exc:\n        print(exc)\n        return E_MATH\n"
         "    except (ValueError, OSError) as exc:\n        print(exc)\n        return E_USAGE",
         "def _load_idempotent(path, tol):\n    try:\n        return as_idempotent(load_matrix(path), tol)\n"
         "    except MatchedProjectionError as exc:\n        raise ValueError(str(exc)) from exc",
-        "def cmd_analyze(args):\n    try:\n        tt, vv = matched_via_factor(q, tol)\n"
+        "def _analysis(path, tol):\n    try:\n        tt, vv = matched_via_factor(q, tol)\n"
         "    except MatchedProjectionError as exc:\n        print(exc)\n        gaps = None",
         "def cmd_min2x2(args):\n    if a == 0:\n        raise ValueError('parameter a must be nonzero')\n"
         "    return E_OK if ok else E_MATH",
