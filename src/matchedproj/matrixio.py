@@ -11,7 +11,7 @@ One encoder writes reports, the way ``json`` pairs ``iterencode`` with
 ``np.ndarray`` inside ``obj`` stands for its matrix object.  A matrix is a
 header, one piece per row rendered from that row's values alone with one
 ``%r`` template, and a footer; only scalars are left to json.  ``dump``
-writes the pieces to a file as they are made, so a report never exists as
+writes the pieces to a file as they are made, so the file never exists as
 one string, and ``dumps`` joins them and adds the trailing newline.
 ``matrix_from_obj`` checks each row at once by exact type, and walks only a
 row that fails that check entry by entry, to name its first fault.
