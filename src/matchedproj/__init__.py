@@ -48,7 +48,6 @@ from .linalg import (
     norm_at_most,
     norm_bounds,
     norm_bracket,
-    norm_brackets,
     numerical_rank,
     operator_norm,
     psd_order,

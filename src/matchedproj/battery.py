@@ -54,7 +54,7 @@ from .linalg import (
     identity,
     moore_penrose,
     norm_at_most,
-    norm_brackets,
+    norm_bracket,
     operator_norm,
     psd_power,
 )
@@ -64,6 +64,7 @@ from .matched import (
     homotopy_path,
     homotopy_witness,
     homotopy_witness_block,
+    matched_distance,
     matched_projection,
     matched_projection_closed_form,
     matched_via_factor,
@@ -134,8 +135,10 @@ class CheckTally:
 
 @dataclass
 class BatteryReport:
+    """The tallies by check name, and the largest continuity ratio seen (None until a probe ran)."""
+
     tallies: dict[str, CheckTally] = field(default_factory=dict)
-    notes: dict[str, float] = field(default_factory=dict)
+    continuity_constant: float | None = None
 
     def tally(self, name: str) -> CheckTally:
         return self.tallies.setdefault(name, CheckTally(name))
@@ -271,7 +274,8 @@ def _matched_identities(rng, dim, q, tol):
 
     u = random_unitary(dim, rng)
     yield Check("unitary-equivariance", unitary_equivariance(q, u, tol), scale)
-    yield norm_check("pair-factor-invariants", np.stack([m - tt, m - vv]), gate)
+    # gaps[1:3] are m - TT and m - VV
+    yield norm_check("pair-factor-invariants", gaps[1:3], gate)
     yield norm_check("pair-reflection-invariant", adjoint(qm) - reflect @ qm @ reflect, scale)
 
 
@@ -335,9 +339,9 @@ def _norm_suite(rng, dim, q, q2, tol):
     candidates = _draw_projections(rng, dim, dim, 20, tol)
     minis = qpp_minimalities(candidates, q, tol)
     gates = [tol.above_absolute(mini.d_candidate) for mini in minis]
-    closer = norm_brackets(np.stack([p.matrix for p in candidates]) - m, gates)
-    for k, (mini, bracket, gate) in enumerate(zip(minis, closer, gates)):
-        yield bracket_check("projection-closer-to-matched", bracket, gate), f"trial {k}"
+    lower, upper = norm_bracket(np.stack([p.matrix for p in candidates]) - m, np.array(gates))
+    for k, (mini, lo, up, gate) in enumerate(zip(minis, lower.tolist(), upper.tolist(), gates)):
+        yield bracket_check("projection-closer-to-matched", (lo, up), gate), f"trial {k}"
         yield from _prefixed("any-projection", mini.checks)
 
     yield from _prefixed("lipschitz", matched_lipschitz_bounds(q, q2, tol).checks)
@@ -406,7 +410,7 @@ def _static_checks(tol: Tolerances):
     """One-shot checks that do not depend on the trial loop, as (context, records) per modulus."""
     for mod, target in ((1e-3, 0.5), (1e3, 1.0)):
         q = canonical_idempotent(mod, tol)
-        d_matched = operator_norm(matched_projection(q, tol).projection.matrix - q.matrix)
+        d_matched = matched_distance(q, tol)
         d_range = operator_norm(range_projection(q, tol).matrix - q.matrix)
         yield f"a={mod:g}", [Check("distance-ratio-asymptotics", abs(d_matched / d_range - target), tol.limit)]
 
@@ -470,8 +474,7 @@ def run_battery(
                 _record_checks(report, context, suite(rng, dim, q, tol))
             _record_checks(report, context, _norm_suite(rng, dim, q, q2, tol))
             probe, ratio = _continuity_probe(rng, dim, tol)
-            notes = report.notes
-            notes["continuity_constant"] = max(notes.get("continuity_constant", 0.0), ratio)
+            report.continuity_constant = max(report.continuity_constant or 0.0, ratio)
             _record_checks(report, context, [probe])
             _record_checks(report, context, _two_by_two(rng, tol))
         except MatchedProjectionError as exc:

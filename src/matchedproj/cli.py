@@ -222,8 +222,8 @@ def cmd_verify(args) -> int:
     print(f"{'check':<{width}}  {'pass':>6}  {'fail':>6}")
     for tally in sorted(report.tallies.values(), key=lambda t: t.name):
         print(f"{tally.name:<{width}}  {tally.passed:>6}  {tally.failed:>6}")
-    if "continuity_constant" in report.notes:
-        print(f"observed continuity constant: {report.notes['continuity_constant']:.6f}")
+    if report.continuity_constant is not None:
+        print(f"observed continuity constant: {report.continuity_constant:.6f}")
     if report.all_passed:
         print(f"all checks passed over {args.trials} trials")
         return E_OK

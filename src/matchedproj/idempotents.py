@@ -197,7 +197,8 @@ def as_projection(m, tol: Tolerances = DEFAULT_TOL) -> Projection:
 
     Each is accepted from norm bounds where they settle it; a rejected input
     takes both norms exactly for the message.  ``as_projections`` decides a
-    stack alike.
+    stack alike.  A matrix keeps this path: as a stack of one it takes about
+    8 us more per call at n = 4 to 12, and ``run_battery(12, 10, 1)`` makes 284.
     """
     p = as_matrix(m)
     gate, fail = lambda: tol.check, lambda _, bound, __: _projection_error(p, bound)

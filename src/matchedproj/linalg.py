@@ -23,10 +23,10 @@ A norm whose only use is a pass/fail against a gate decides from
 ``norm_bounds`` first, two O(n^2) bounds (Frobenius norm above, largest
 column norm below), and takes the exact norm only when they cannot settle
 it.  ``norm_bracket`` returns the bounds, or the exact norm twice, and
-``norm_at_most`` its verdict; a (k, n, n) stack decides "every one of these
-norms <= gate" at once, and ``norm_brackets`` brackets each matrix of a
-stack against its own gate.  A check reports such a residual as that bracket
-(``report.Check`` with a ``lower`` end): the quasi-projection-pair
+``norm_at_most`` its verdict.  A (k, n, n) stack is M_n(C^k), normed by its
+largest slice, so it is decided slice by slice, against one gate or a gate
+per slice.  A check reports such a residual as that bracket (``report.Check``
+with a ``lower`` end, of a stack the largest ends): the quasi-projection-pair
 conditions (``matched.qpp_checks``, which ``is_quasi_projection_pair``
 decides lazily), the range and kernel identities, the similarity and
 defect-operator identities of the distance report, ``analyze``'s oracle
@@ -199,7 +199,7 @@ def norm_bounds(m: np.ndarray) -> tuple[float, float]:
     return lower * (1.0 - slack), upper * (1.0 + slack)
 
 
-def norm_bracket(m: np.ndarray, gate: float) -> tuple[float, float]:
+def norm_bracket(m: np.ndarray, gate) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """(lower, upper) around ``operator_norm(m)``, narrow enough to decide ``||m|| <= gate``.
 
     ``norm_bounds(m)`` when they settle the comparison either way (upper <=
@@ -207,44 +207,26 @@ def norm_bracket(m: np.ndarray, gate: float) -> tuple[float, float]:
     the gate or the squares overflow, the exact norm, as the pair (exact,
     exact).  So ``upper <= gate`` is the answer the exact comparison gives,
     and the exact norm is taken only near the gate (within the bounds' gap
-    and slack).  A (k, n, n) stack is bracketed by its largest norm: the
-    bounds are (max lower, max upper), and the exact norms, when needed, come
-    from one stacked SVD.
+    and slack).  A matrix gives two floats; a (k, n, n) stack, against one
+    gate or one per slice, each slice's bracket as two length-k arrays, the
+    unsettled slices' exact norms from one stacked SVD.
     """
     lower, upper = norm_bounds(m)
-    if m.ndim == 3:
-        lower, upper = float(lower.max()), float(upper.max())
-    if _settles(lower, upper, gate):
-        return lower, upper
-    exact = float(np.max(operator_norm(m)))
-    return exact, exact
-
-
-def _settles(lower, upper, gate):
-    """Whether bounds decide ``||m|| <= gate``: upper <= gate, or gate < lower with a finite upper.
-
-    Elementwise on arrays, so one rule serves ``norm_bracket`` and ``norm_brackets``.
-    """
-    return (upper <= gate) | ((gate < lower) & (lower <= upper) & (upper < math.inf))
-
-
-def norm_brackets(stack: np.ndarray, gates) -> list[tuple[float, float]]:
-    """``norm_bracket`` of each matrix of a (k, n, n) stack against its own gate.
-
-    Bracket k is bitwise ``norm_bracket(stack[k], gates[k])``: the bounds
-    where they settle slice k, else its exact norm twice, and the exact norms
-    of all unsettled slices come from one stacked SVD.
-    """
-    lower, upper = norm_bounds(stack)
-    unsettled = ~_settles(lower, upper, np.asarray(gates))
-    if unsettled.any():
-        lower[unsettled] = upper[unsettled] = operator_norm(stack[unsettled])
-    return [(float(lo), float(up)) for lo, up in zip(lower, upper)]
+    settled = (upper <= gate) | ((gate < lower) & (lower <= upper) & (upper < math.inf))
+    if m.ndim == 2:
+        if settled:
+            return lower, upper
+        exact = operator_norm(m)
+        return exact, exact
+    if not settled.all():
+        lower[~settled] = upper[~settled] = operator_norm(m[~settled])
+    return lower, upper
 
 
 def norm_at_most(m: np.ndarray, bound: float) -> bool:
-    """Whether ``operator_norm(m) <= bound`` (for each matrix of a stack), decided by ``norm_bracket``."""
-    return norm_bracket(m, bound)[1] <= bound
+    """Whether ``operator_norm(m) <= bound`` (for every matrix of a stack), decided by ``norm_bracket``."""
+    within = norm_bracket(m, bound)[1] <= bound
+    return within if m.ndim == 2 else bool(within.all())
 
 
 def certify(residual: np.ndarray, gate, fail, *operands: np.ndarray, scale: float = 1.0) -> None:

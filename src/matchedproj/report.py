@@ -56,9 +56,13 @@ def bracket_check(name: str, bracket: tuple[float, float], tolerance: float) -> 
 def norm_check(name: str, m: np.ndarray, tolerance: float) -> Check:
     """``||m|| <= tolerance`` as a bracketed check, with the exact norm taken only near the gate.
 
-    A (k, n, n) stack checks that every one of its norms is within the gate.
+    A (k, n, n) stack checks every one of its norms: its slices' brackets
+    fold to (max lower, max upper), within the gate exactly when each is.
     """
-    return bracket_check(name, norm_bracket(m, tolerance), tolerance)
+    lower, upper = norm_bracket(m, tolerance)
+    if m.ndim == 3:
+        lower, upper = float(lower.max()), float(upper.max())
+    return bracket_check(name, (lower, upper), tolerance)
 
 
 def boolean_check(name: str, ok: bool) -> Check:

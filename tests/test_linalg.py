@@ -18,7 +18,6 @@ from matchedproj import (
     norm_at_most,
     norm_bounds,
     norm_bracket,
-    norm_brackets,
     numerical_rank,
     operator_norm,
     psd_order,
@@ -206,53 +205,63 @@ class TestKernels:
                 assert norm_at_most(m, float(bound)) == (exact <= bound)
 
     def test_stack_bracket_holds_the_largest_norm_and_decides_exactly(self):
-        # a (k, n, n) stack is decided as max(operator_norm(stack)) <= gate
+        # a (k, n, n) stack is bracketed slice by slice; the fold that
+        # report.norm_check takes, (max lower, max upper), holds the largest
+        # norm and decides max(operator_norm(stack)) <= gate exactly
         for m in kernel_inputs():
             if m.ndim != 3:
                 continue
-            exact = float(np.max(operator_norm(m)))
+            norms = operator_norm(m)
+            exact = float(np.max(norms))
             for factor in (0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 2.0):
                 gate = factor * exact
                 lower, upper = norm_bracket(m, gate)
-                assert type(lower) is float and type(upper) is float
-                assert lower <= exact <= upper, (m.shape, lower, exact, upper)
-                assert (upper <= gate) == (exact <= gate), (m.shape, factor)
+                assert lower.shape == upper.shape == (m.shape[0],)
+                assert np.all(lower <= norms) and np.all(norms <= upper), (m.shape, lower, norms, upper)
+                assert np.array_equal(upper <= gate, norms <= gate), (m.shape, factor)
+                top_lower, top_upper = float(lower.max()), float(upper.max())
+                assert top_lower <= exact <= top_upper, (m.shape, top_lower, exact, top_upper)
+                assert (top_upper <= gate) == (exact <= gate), (m.shape, factor)
                 assert norm_at_most(m, gate) == (exact <= gate)
 
     def test_straddling_stack_takes_one_stacked_norm(self, linalg_calls):
-        # the bounds of the identity stack straddle a gate of 1.5; the clear
-        # gates take no factorization
+        # gates clear of both slices' bounds take no factorization; the
+        # identity's bounds (1, 2) straddle a gate of 1.5, the half
+        # identity's (0.5, 1) do not, so only the identity's norm is taken
         stack = np.stack([np.eye(4), 0.5 * np.eye(4)]).astype(complex)
-        assert norm_bracket(stack, 3.0)[1] <= 3.0
-        assert norm_bracket(stack, 0.9)[0] > 0.9
+        assert np.all(norm_bracket(stack, 3.0)[1] <= 3.0)
+        assert np.all(norm_bracket(stack, 0.4)[0] > 0.4)
         assert linalg_calls == []
-        assert norm_bracket(stack, 1.5) == (1.0, 1.0)
+        lower, upper = norm_bracket(stack, 1.5)
+        assert (lower[0], upper[0]) == (1.0, 1.0)
+        assert (lower[1], upper[1]) == norm_bounds(stack[1])
         assert linalg_calls == ["svd"]
 
     def test_per_slice_brackets_are_the_single_brackets_bitwise(self):
-        # each slice against its own gate, near and far from its norm
+        # each slice against one gate or its own gate, near and far from its norm
         rng = np.random.default_rng(23)
         for dim in (1, 2, 5, 12, 16):
             stack = np.stack([random_complex(rng, dim) for _ in range(10)])
             exact = operator_norm(stack)
             for factor in (0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 2.0):
-                gates = factor * exact
-                brackets = norm_brackets(stack, gates)
-                singles = [norm_bracket(m, float(g)) for m, g in zip(stack, gates)]
-                assert [tuple(map(float.hex, b)) for b in brackets] == [
-                    tuple(map(float.hex, b)) for b in singles
-                ], (dim, factor)
+                for gates in (factor * exact, factor * float(exact.mean())):
+                    brackets = list(zip(*norm_bracket(stack, gates)))
+                    singles = [norm_bracket(m, float(g)) for m, g in zip(stack, np.broadcast_to(gates, 10))]
+                    assert [tuple(map(float.hex, map(float, b))) for b in brackets] == [
+                        tuple(map(float.hex, b)) for b in singles
+                    ], (dim, factor)
 
     def test_per_slice_brackets_take_one_stacked_norm(self, linalg_calls):
         # the identity's bounds (1, 2) straddle a gate of 1.5, the half
         # identity's (0.5, 1) do not; both identities share one stacked SVD
         stack = np.stack([np.eye(4), 0.5 * np.eye(4), np.eye(4)]).astype(complex)
-        assert norm_brackets(stack, [3.0, 1.5, 0.9]) == [
-            norm_bracket(m, g) for m, g in zip(stack, [3.0, 1.5, 0.9])
+        gates = np.array([3.0, 1.5, 0.9])
+        assert list(zip(*norm_bracket(stack, gates))) == [
+            norm_bracket(m, g) for m, g in zip(stack, gates.tolist())
         ]
         assert linalg_calls == []
-        brackets = norm_brackets(stack, [1.5, 1.5, 1.5])
-        assert brackets == [(1.0, 1.0), norm_bounds(stack[1]), (1.0, 1.0)]
+        lower, upper = norm_bracket(stack, np.array([1.5, 1.5, 1.5]))
+        assert list(zip(lower, upper)) == [(1.0, 1.0), norm_bounds(stack[1]), (1.0, 1.0)]
         assert linalg_calls == ["svd"]
 
 

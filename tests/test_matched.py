@@ -53,6 +53,7 @@ from matchedproj import (
     range_projection,
     unitary_equivariance,
 )
+from matchedproj import battery as battery_module
 from matchedproj import matched as matched_module
 from matchedproj import report as report_module
 from matchedproj.battery import _characterizations_agree, run_battery, sabotaged
@@ -658,19 +659,25 @@ def recorded_brackets(monkeypatch):
         return bracket
 
     monkeypatch.setattr(report_module, "norm_bracket", recorded)
+    monkeypatch.setattr(battery_module, "norm_bracket", recorded)
     return seen
 
 
 def assert_brackets_decide_exactly(seen):
-    # each bracket holds the exact norm (of a stack, the largest), and decides
-    # as the exact norm does at its gate and at gates on either side of it
+    # each bracket holds the exact norm (of a stack, each slice's, and its
+    # fold (max lower, max upper) the largest), and decides as the exact norm
+    # does at its gate and at gates on either side of it
     for m, gate, (lower, upper) in seen:
-        exact = float(np.max(operator_norm(m)))
-        assert lower <= exact <= upper, (m.shape, lower, exact, upper)
-        assert (upper <= gate) == (exact <= gate)
+        norms = operator_norm(m)
+        assert np.all(lower <= norms) and np.all(norms <= upper), (m.shape, lower, norms, upper)
+        assert np.array_equal(upper <= gate, norms <= gate)
+        exact, top_lower, top_upper = float(np.max(norms)), float(np.max(lower)), float(np.max(upper))
+        assert top_lower <= exact <= top_upper, (m.shape, top_lower, exact, top_upper)
+        if np.ndim(gate) == 0:
+            assert (top_upper <= gate) == (exact <= gate)
         for factor in (0.5, 1.0 - 1e-9, 1.0 + 1e-9, 2.0):
             g = factor * exact
-            assert (norm_bracket(m, g)[1] <= g) == (exact <= g), (factor, exact)
+            assert (np.max(norm_bracket(m, g)[1]) <= g) == (exact <= g), (factor, exact)
 
 
 class TestNormBracket:
@@ -691,11 +698,13 @@ class TestNormBracket:
 
     def test_brackets_of_the_battery_hold_the_largest_norm_and_decide_exactly(self, monkeypatch):
         # the battery's compound records bracket a (k, n, n) stack of residuals
+        # slice by slice, and the 20 candidates each against its own gate
         seen = recorded_brackets(monkeypatch)
         run_battery(8, 3, 7)
         assert_brackets_decide_exactly(seen)
         stacks = [m.shape[0] for m, _, _ in seen if m.ndim == 3]
-        assert {2, 10, 11} <= set(stacks), stacks
+        assert {2, 10, 11, 20} <= set(stacks), stacks
+        assert sum(np.ndim(gate) == 1 for _, gate, _ in seen) == 3
 
 
 class TestSymmetryClosure:

@@ -578,7 +578,6 @@ GATE_ARGUMENTS = {
     "bracket_check": (2, "tolerance"),
     "norm_at_most": (1, "bound"),
     "norm_bracket": (1, "gate"),
-    "norm_brackets": (1, "gates"),
     "certify": (1, "gate"),
 }
 # numeric literals that are not gates: (module, enclosing function, value) and why
@@ -750,10 +749,64 @@ def test_the_norm_bounds_invariant_sees_each_spelling():
         "__all__ = ['norm_bounds']",
         "norm_bracket(m, gate)",
         "certify(r, tol.relative, fail, m)",
-        "bounds = norm_brackets(stack, gates)",
+        "lower, upper = norm_bracket(stack, gates)",
     ]
     for source in spellings + allowed:
         assert bool(_norm_bounds_named(source)) == (source in spellings), source
+
+
+# the second spellings of the bracket rule, folded into norm_bracket, which
+# decides every stack slice by slice
+FOLDED = {"norm_brackets", "_settles"}
+
+
+def _second_bracket_rules(source):
+    """Where the source defines or imports a folded name, or ``norm_bracket`` takes a max over slices."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef) and node.name in FOLDED:
+            found.append(f"{node.lineno} def {node.name}")
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) and node.id in FOLDED:
+            found.append(f"{node.lineno} {node.id} =")
+        if isinstance(node, ast.ImportFrom):
+            found += [f"{node.lineno} import {a.name}" for a in node.names if a.name in FOLDED]
+        if isinstance(node, ast.FunctionDef) and node.name == "norm_bracket":
+            found += [
+                f"{call.lineno} {ast.unparse(call.func)}" for call in ast.walk(node)
+                if isinstance(call, ast.Call) and ast.unparse(call.func).split(".")[-1] in ("max", "amax")
+            ]
+    return found
+
+
+def test_one_bracket_rule():
+    # norm_bracket decides every stack slice by slice; report.norm_check folds it
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    assert "def norm_bracket(" in sources["linalg.py"]
+    found = [f"{name}:{v}" for name, text in sources.items() for v in _second_bracket_rules(text)]
+    assert not found, found
+
+
+def test_the_bracket_rule_invariant_sees_each_spelling():
+    spellings = [
+        "def norm_brackets(stack, gates):\n    pass",
+        "def _settles(lower, upper, gate):\n    pass",
+        "from .linalg import norm_bracket, norm_brackets",
+        "from matchedproj.linalg import _settles",
+        "norm_brackets = norm_bracket",
+        "def norm_bracket(m, gate):\n    lower, upper = norm_bounds(m)\n"
+        "    if m.ndim == 3:\n        lower, upper = float(lower.max()), float(upper.max())",
+        "def norm_bracket(m, gate):\n    exact = float(np.max(operator_norm(m)))",
+    ]
+    allowed = [
+        "from .linalg import norm_bracket, norm_at_most",
+        "lower, upper = norm_bracket(stack, gates)",
+        "def norm_check(name, m, tolerance):\n    lower, upper = norm_bracket(m, tolerance)\n"
+        "    if m.ndim == 3:\n        lower, upper = float(lower.max()), float(upper.max())",
+        "def norm_bracket(m, gate):\n    if not settled.all():\n        lower[~settled] = operator_norm(m[~settled])",
+        "settled = upper <= gate",
+    ]
+    for source in spellings + allowed:
+        assert bool(_second_bracket_rules(source)) == (source in spellings), source
 
 
 def _projections_outside_the_draw(source):
