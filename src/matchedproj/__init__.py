@@ -32,7 +32,6 @@ from .idempotents import (
     null_projection,
     random_idempotent,
     random_projection,
-    random_projections,
     random_unitary,
     range_projection,
 )
@@ -83,7 +82,6 @@ from .norms import (
     kkm_distance,
     matched_lipschitz_bounds,
     offdiag_distance,
-    qpp_minimalities,
     qpp_minimality,
     two_projection_construction,
 )

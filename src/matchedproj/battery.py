@@ -42,7 +42,7 @@ from .idempotents import (
     koliha_projections,
     null_projection,
     random_idempotent,
-    random_projections,
+    random_projection,
     random_unitary,
     range_projection,
 )
@@ -79,7 +79,6 @@ from .norms import (
     distance_report,
     kkm_distance,
     matched_lipschitz_bounds,
-    qpp_minimalities,
     qpp_minimality,
     two_projection_construction,
 )
@@ -187,7 +186,7 @@ def _draw_projections(rng, dim, max_rank, count, tol) -> list[Projection]:
     """
     draws = [(int(rng.integers(0, max_rank + 1)), int(rng.integers(2**32))) for _ in range(count)]
     ranks, seeds = zip(*draws)
-    return random_projections(dim, ranks, seeds, tol)
+    return random_projection(dim, ranks, seeds, tol)
 
 
 def _core_kernels(rng, dim, tol):
@@ -337,7 +336,7 @@ def _norm_suite(rng, dim, q, q2, tol):
     # 20 candidate projections, drawn, certified and measured as one stack
     m = matched_projection(q, tol).projection.matrix
     candidates = _draw_projections(rng, dim, dim, 20, tol)
-    minis = qpp_minimalities(candidates, q, tol)
+    minis = qpp_minimality(candidates, q, tol)
     gates = [tol.above_absolute(mini.d_candidate) for mini in minis]
     lower, upper = norm_bracket(np.stack([p.matrix for p in candidates]) - m, np.array(gates))
     for k, (mini, lo, up, gate) in enumerate(zip(minis, lower.tolist(), upper.tolist(), gates)):

@@ -28,7 +28,7 @@ _T = TypeVar("_T")
 
 @dataclass(frozen=True)
 class Idempotent:
-    """A matrix Q with Q^2 = Q, certified by ``as_idempotent(s)``.
+    """A matrix Q with Q^2 = Q, certified by ``as_idempotent``.
 
     An idempotent carries its own analysis, computed on first use and kept,
     so every report on the same Q reads it instead of factoring Q again.
@@ -164,24 +164,32 @@ def _projection_error(p: np.ndarray, gate: float) -> ValidationError:
     return ValidationError(f"projection defect {_projection_defect(p):.3e} exceeds {gate:.3e}")
 
 
-def as_idempotent(m, tol: Tolerances = DEFAULT_TOL) -> Idempotent:
-    """Validate ||Q^2 - Q|| <= tol.quadratic(||Q||): ``as_idempotents`` of one."""
-    return as_idempotents(as_matrix(m)[np.newaxis], tol)[0]
-
-
-def as_idempotents(stack: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> list[Idempotent]:
-    """Validate each Q of a (k, n, n) stack as ``as_idempotent`` does.
-
-    ``certify`` holds each ||Q^2 - Q|| to tol.quadratic(||Q||): a sample is
-    accepted from norm bounds where they settle it, the others take both
-    2-norms exactly, stacked, and the first one over its gate raises.
-    """
+def _as_stack(m) -> tuple[np.ndarray, bool]:
+    """(stack, single): a (k, n, n) ndarray as a complex stack, anything else as ``as_matrix``'s stack of one."""
+    if not (isinstance(m, np.ndarray) and m.ndim == 3):
+        return as_matrix(m)[np.newaxis], True
+    stack = m.astype(np.complex128, copy=False)
+    if stack.shape[1] != stack.shape[2] or stack.shape[1] < 1:
+        raise ValueError(f"expected a stack of square matrices, got shape {stack.shape}")
     if not np.isfinite(stack).all():
         raise ValueError("matrix entries must be finite")
+    return stack, False
+
+
+def as_idempotent(m, tol: Tolerances = DEFAULT_TOL) -> Idempotent | list[Idempotent]:
+    """Validate ||Q^2 - Q|| <= tol.quadratic(||Q||); a (k, n, n) ndarray gives the list of its k.
+
+    One matrix is certified as a stack of one.  ``certify`` holds each
+    ||Q^2 - Q|| to tol.quadratic(||Q||): a sample is accepted from norm
+    bounds where they settle it, the others take both 2-norms exactly,
+    stacked, and the first one over its gate raises.
+    """
+    stack, single = _as_stack(m)
     certify(stack @ stack - stack, tol.quadratic,
             lambda defect, bound, _: ValidationError(f"idempotency defect {defect:.3e} exceeds {bound:.3e}"),
             stack)
-    return [Idempotent(q) for q in stack]
+    samples = [Idempotent(q) for q in stack]
+    return samples[0] if single else samples
 
 
 def is_projection(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -192,31 +200,25 @@ def is_projection(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
     return norm_at_most(m - adjoint(m), tol.check) and norm_at_most(m @ m - m, tol.check)
 
 
-def as_projection(m, tol: Tolerances = DEFAULT_TOL) -> Projection:
-    """Validate ||P - P*|| <= tol.check, then ||P^2 - P|| <= tol.check, each by ``certify``.
+def as_projection(m, tol: Tolerances = DEFAULT_TOL) -> Projection | list[Projection]:
+    """Validate ||P - P*|| <= tol.check, then ||P^2 - P|| <= tol.check; a (k, n, n) ndarray gives the list of its k.
 
     Each is accepted from norm bounds where they settle it; a rejected input
-    takes both norms exactly for the message.  ``as_projections`` decides a
-    stack alike.  A matrix keeps this path: as a stack of one it takes about
-    8 us more per call at n = 4 to 12, and ``run_battery(12, 10, 1)`` makes 284.
+    takes both norms exactly for the message.  A stack takes one ``certify``
+    over its 2k residuals, each P's two in a row, so the first failing P is
+    rejected, with a matrix's message.  A matrix keeps its two 2-D
+    residuals: as a stack of one, mq-stream's median ok ops/s fell from
+    2,835 to 2,766 at seed 1 and from 2,846 to 2,733 at seed 7919, each
+    below the lower quartile of 10 alternating runs (``BENCH_30.json``).
     """
-    p = as_matrix(m)
-    gate, fail = lambda: tol.check, lambda _, bound, __: _projection_error(p, bound)
-    certify(p - adjoint(p), gate, fail)
-    certify(p @ p - p, gate, fail)
-    return Projection(matrix=p)
-
-
-def as_projections(stack: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> list[Projection]:
-    """Validate each P of a (k, n, n) stack as ``as_projection`` does.
-
-    One ``certify`` over the 2k residuals, each P's ||P - P*|| and
-    ||P^2 - P|| in a row, so the first failing residual belongs to the first
-    failing P, which is rejected with ``as_projection``'s message.
-    """
-    if not np.isfinite(stack).all():
-        raise ValueError("matrix entries must be finite")
-    pairs = np.stack([stack - np.conj(stack).swapaxes(-1, -2), stack @ stack - stack], axis=1)
+    stack, single = _as_stack(m)
+    if single:
+        p = stack[0]
+        gate, fail = lambda: tol.check, lambda _, bound, __: _projection_error(p, bound)
+        certify(p - adjoint(p), gate, fail)
+        certify(p @ p - p, gate, fail)
+        return Projection(matrix=p)
+    pairs = np.concatenate([stack - np.conj(stack).swapaxes(-1, -2), stack @ stack - stack], axis=-2)
     certify(pairs.reshape(-1, *stack.shape[1:]), lambda: tol.check,
             lambda _, gate, k: _projection_error(stack[k // 2], gate))
     return [Projection(p) for p in stack]
@@ -268,8 +270,8 @@ def koliha_projections(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> tuple[Pr
     Koliha's formulas, independent of Q's SVD; P_N(Q) = I - P_R(Q*).  S is
     Hermitian bit for bit (each entry is q_ij + conj(q_ji)), so its singular
     values are the |lambda| of one ``eigvalsh``, one stacked solve
-    S^(-1) [Q* | Q] gives both projections as adjoints, and one
-    ``as_projections`` certifies the pair.  Raises ``SingularPencilError``
+    S^(-1) [Q* | Q] gives both projections as adjoints, and one stacked
+    ``as_projection`` certifies the pair.  Raises ``SingularPencilError``
     if S is numerically singular.  Memoized.
     """
     qm, n = q.matrix, q.dim
@@ -277,7 +279,7 @@ def koliha_projections(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> tuple[Pr
     if numerical_rank(np.sort(np.abs(np.linalg.eigvalsh(s)))[::-1], n, tol) < n:
         raise SingularPencilError("Q + Q* - I is numerically singular")
     x = np.linalg.solve(s, np.hstack([adjoint(qm), qm]))
-    return tuple(as_projections(np.stack([adjoint(x[:, :n]), adjoint(x[:, n:])]), tol))
+    return tuple(as_projection(np.stack([adjoint(x[:, :n]), adjoint(x[:, n:])]), tol))
 
 
 def complex_gaussian(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -334,30 +336,33 @@ def random_idempotent(
     return as_idempotent(block_idempotent(random_unitary(dim, rng), a), tol)
 
 
-def random_projection(dim: int, rank: int, seed: int, tol: Tolerances = DEFAULT_TOL) -> Projection:
-    """Seeded random orthogonal projection of the given rank: ``random_projections`` of one."""
-    return random_projections(dim, [rank], [seed], tol)[0]
+def random_projection(
+    dim: int, rank: int | Sequence[int], seed: int | Sequence[int], tol: Tolerances = DEFAULT_TOL
+) -> Projection | list[Projection]:
+    """Seeded random orthogonal projection of the given rank; sequences of ranks and seeds give a list.
 
-
-def random_projections(
-    dim: int, ranks: Sequence[int], seeds: Sequence[int], tol: Tolerances = DEFAULT_TOL
-) -> list[Projection]:
-    """Seeded random orthogonal projections, one per (rank, seed), certified by ``as_projections``.
-
-    The unitaries of all seeds come from one stacked QR; each P_k = U_k U_k*
-    with U_k the first ranks[k] columns is formed alone, so P_k does not
-    depend on the other draws.  ``ranks`` and ``seeds`` must be of one length.
+    The batch has one projection per (rank, seed), and ``rank`` and ``seed``
+    must be of one length.  The unitaries of all seeds come from one stacked
+    QR, and one stacked ``as_projection`` certifies the batch; each
+    P_k = U_k U_k* with U_k the first ranks[k] columns is formed alone, so
+    P_k does not depend on the other draws.  One (rank, seed) is drawn as a
+    batch of one.
     """
+    single = isinstance(rank, (int, np.integer))
+    ranks, seeds = ([rank], [seed]) if single else (rank, seed)
     if dim < 1:
         raise ValueError(f"dim must be at least 1, not {dim}")
     if len(ranks) != len(seeds):
         raise ValueError(f"ranks and seeds differ in length: {len(ranks)} and {len(seeds)}")
-    for rank in ranks:
-        if not 0 <= rank <= dim:
-            raise BadRankError(f"rank {rank} outside [0, {dim}]")
-    gaussians = np.stack([complex_gaussian(np.random.default_rng(seed), dim, dim) for seed in seeds])
+    for r in ranks:
+        if not 0 <= r <= dim:
+            raise BadRankError(f"rank {r} outside [0, {dim}]")
+    if len(seeds) == 0:
+        return []
+    gaussians = np.stack([complex_gaussian(np.random.default_rng(s), dim, dim) for s in seeds])
     unitaries = _phase_fixed_qr(gaussians)
-    return as_projections(np.stack([u[:, :r] @ adjoint(u[:, :r]) for u, r in zip(unitaries, ranks)]), tol)
+    projections = as_projection(np.stack([u[:, :r] @ adjoint(u[:, :r]) for u, r in zip(unitaries, ranks)]), tol)
+    return projections[0] if single else projections
 
 
 @dataclass(frozen=True)

@@ -58,7 +58,6 @@ from .idempotents import (
     Projection,
     adjoint_of,
     as_idempotent,
-    as_idempotents,
     as_projection,
     block_form,
     complement_of,
@@ -397,14 +396,15 @@ def homotopy_path(
         Q(t) = X_t m W_t = (m + t G) + E C_t U_r* (m + t G),  C_t = -t Delta_t^(-1).
 
     The updates of all samples are one (n, r) @ (r, samples n) product, with
-    no factorization (``SimilarityWitness.samples``), and the samples are
-    certified by ``as_idempotents`` with one stacked norm per quantity.  The sample at
-    t = 0 is m(Q) exactly; a projection input (r = 0) gives m(Q) = Q at every t.
+    no factorization (``SimilarityWitness.samples``), and ``as_idempotent``
+    certifies the samples as one stack, one stacked norm per quantity.  The
+    sample at t = 0 is m(Q) exactly; a projection input (r = 0) gives
+    m(Q) = Q at every t.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
     path = homotopy_witness(q, tol).samples(np.linspace(0.0, 1.0, samples))
-    return as_idempotents(path, tol)
+    return as_idempotent(path, tol)
 
 
 def _hermitian_bases(m: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:

@@ -352,30 +352,26 @@ class MinimalityReport:
 
 
 def qpp_minimality(
-    p: Projection, q: Idempotent, tol: Tolerances = DEFAULT_TOL
-) -> MinimalityReport:
-    """Distance-minimality of m(Q) among quasi-projection-pair partners: ``qpp_minimalities`` of one.
+    p: Projection | Sequence[Projection], q: Idempotent, tol: Tolerances = DEFAULT_TOL
+) -> MinimalityReport | list[MinimalityReport]:
+    """Distance-minimality of m(Q) among quasi-projection-pair partners; a sequence of P gives a list.
 
     Always verifies ||m(Q) - Q|| <= 2 ||P - Q||.  When (P, Q) is a
     quasi-projection pair it additionally verifies the PSD dominance of
     (P - Q)(P - Q)* over the matched counterpart (with equality exactly at
     P = m(Q)), the sharp factor-one bound, and the small-distance rigidity:
-    ||P - Q|| < 1 forces P = m(Q) and ||Q|| < 5/3.
+    ||P - Q|| < 1 forces P = m(Q) and ||Q|| < 5/3.  Every ||P - Q|| of a
+    sequence comes from one stacked ``operator_norm``, one P's as a stack of
+    one; the quasi-projection-pair verdict and the checks it gates are taken
+    per candidate.
     """
-    return qpp_minimalities([p], q, tol)[0]
-
-
-def qpp_minimalities(
-    candidates: Sequence[Projection], q: Idempotent, tol: Tolerances = DEFAULT_TOL
-) -> list[MinimalityReport]:
-    """``qpp_minimality`` of each candidate against one Q.
-
-    Every ||P - Q|| comes from one stacked ``operator_norm``; the
-    quasi-projection-pair verdict and the checks it gates are taken per
-    candidate.
-    """
-    d_candidates = operator_norm(np.stack([p.matrix for p in candidates]) - q.matrix)
-    return [_minimality(p, q, float(d), tol) for p, d in zip(candidates, d_candidates)]
+    single = isinstance(p, Projection)
+    candidates = [p] if single else p
+    if len(candidates) == 0:
+        return []
+    d_candidates = operator_norm(np.stack([c.matrix for c in candidates]) - q.matrix)
+    reports = [_minimality(c, q, float(d), tol) for c, d in zip(candidates, d_candidates)]
+    return reports[0] if single else reports
 
 
 def _minimality(p: Projection, q: Idempotent, d_candidate: float, tol: Tolerances) -> MinimalityReport:

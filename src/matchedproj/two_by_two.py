@@ -162,7 +162,7 @@ def grid_minimize(a: complex, points: int, tol: Tolerances = DEFAULT_TOL) -> Gri
         Check("grid_min_near_optimum", abs(gap), lipschitz),
         Check("norm_is_b", abs(norm_q - problem.b), scale),
         Check("complement_norm_is_b", abs(norm_comp - problem.b), scale),
-        boolean_check("trivial_projections_farther", problem.b > mod),
+        boolean_check("trivial_projections_farther", min(norm_q, norm_comp) > np.sqrt(optimum)),
         Check("angle_bound_attained", problem.b - max_g, (2.0 + 2.0 * mod) * dt),
         Check("angle_bound_holds", max(0.0, max_g - problem.b), tol.check),
     ]

@@ -29,7 +29,6 @@ from matchedproj import (
     qpp_symmetry_closure,
     random_idempotent,
     random_projection,
-    random_projections,
     random_qpp_pair,
     range_projection,
     null_projection,
@@ -167,7 +166,7 @@ def stress():
         )
         # 20 projections, drawn as one stack and measured by two stacked norms
         draws = [(int(rng.integers(0, dim + 1)), int(rng.integers(2**32))) for _ in range(20)]
-        stack = np.stack([p.matrix for p in random_projections(dim, *zip(*draws))])
+        stack = np.stack([p.matrix for p in random_projection(dim, *zip(*draws))])
         bound_gap = operator_norm(stack - m) - operator_norm(stack - qm)
         worst["projection_bound"] = max(worst["projection_bound"], float(bound_gap.max()))
 

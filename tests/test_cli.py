@@ -659,6 +659,15 @@ class TestMin2x2:
         assert record["all_passed"] is False
         assert [c["name"] for c in record["checks"] if not c["passed"]] == ["closed_form_is_matched"]
 
+    @pytest.mark.parametrize("a", ["1e8", "1e11"])
+    def test_large_parameter_passes(self, tmp_path, capsys, a):
+        # b = sqrt(1 + |a|^2) rounds to |a| from about 6.7e7; the trivial
+        # projections are still farther than the closed-form minimum distance
+        out = tmp_path / "min.json"
+        assert run("min2x2", "--a-re", a, "--output", out) == 0, capsys.readouterr().out
+        record = json.loads(out.read_text())
+        assert {c["name"]: c["passed"] for c in record["checks"]}["trivial_projections_farther"] is True
+
     def test_depends_on_modulus_only(self, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
         assert run("min2x2", "--a-re", 2, "--grid", 128, "--output", out1) == 0
@@ -786,10 +795,10 @@ class TestVerify:
         # m(Q) is spliced into each trial's stack, so its quasi-projection-pair
         # branch runs beside the random candidates' others
         tol = DEFAULT_TOL
-        stacked = battery.random_projections
+        stacked = battery.random_projection
         splice = {}
         monkeypatch.setattr(
-            battery, "random_projections",
+            battery, "random_projection",
             lambda *args: [splice.get(k, p) for k, p in enumerate(stacked(*args))],
         )
 

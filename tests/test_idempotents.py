@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import re
 import weakref
 
 import numpy as np
@@ -30,7 +31,6 @@ from matchedproj import (
     range_projection,
 )
 from matchedproj import idempotents
-from matchedproj.idempotents import as_idempotents, as_projections, random_projections
 
 from conftest import envelope_inputs
 
@@ -120,7 +120,7 @@ class TestIsProjection:
 class TestStackedValidation:
     def test_matches_single_validation(self):
         stack = np.stack([random_idempotent(4, 2, nu, 7).matrix for nu in (0.1, 1.0, 10.0)])
-        for sample, q in zip(as_idempotents(stack), stack):
+        for sample, q in zip(as_idempotent(stack), stack):
             single = as_idempotent(q)
             np.testing.assert_array_equal(sample.matrix, single.matrix)
             assert sample.defect == single.defect
@@ -153,12 +153,28 @@ class TestStackedValidation:
     def test_rejects_any_bad_sample(self):
         stack = np.array([CANONICAL, [[1.0, 1.0], [0.0, 0.5]]], dtype=np.complex128)
         with pytest.raises(ValidationError, match="idempotency defect"):
-            as_idempotents(stack)
+            as_idempotent(stack)
 
     def test_rejects_non_finite_sample(self):
         stack = np.array([CANONICAL, [[np.nan, 0.0], [0.0, 0.0]]], dtype=np.complex128)
         with pytest.raises(ValueError, match="finite"):
-            as_idempotents(stack)
+            as_idempotent(stack)
+
+    def test_empty_stack_gives_no_samples(self):
+        assert as_idempotent(np.empty((0, 3, 3), dtype=np.complex128)) == []
+
+    @pytest.mark.parametrize("shape", [(2, 2, 3), (2, 0, 0)], ids=["non_square", "empty_matrices"])
+    def test_rejects_a_stack_of_non_square_or_empty_matrices(self, shape):
+        for certifier in (as_idempotent, as_projection):
+            with pytest.raises(ValueError, match=re.escape(f"expected a stack of square matrices, got shape {shape}")):
+                certifier(np.zeros(shape))
+
+    def test_integer_input_is_certified_complex(self):
+        (q,) = as_idempotent(np.array([[[1, 0], [0, 0]]]))
+        assert q.matrix.dtype == np.complex128
+        # a nested list is read as one matrix, so a 3-D one is not square
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            as_idempotent([[[1, 0], [0, 0]]])
 
 
 class TestStackedProjections:
@@ -177,30 +193,30 @@ class TestStackedProjections:
         rng = np.random.default_rng(dim)
         ranks = [int(r) for r in rng.integers(0, dim + 1, size=20)]
         seeds = [int(s) for s in rng.integers(2**32, size=20)]
-        for p, rank, seed in zip(random_projections(dim, ranks, seeds), ranks, seeds):
+        for p, rank, seed in zip(random_projection(dim, ranks, seeds), ranks, seeds):
             single = random_projection(dim, rank, seed).matrix
             assert p.matrix.tobytes() == single.tobytes()
             assert single.tobytes() == self.reference(dim, rank, seed).tobytes()
 
     def test_bad_rank_anywhere_in_the_stack(self):
         with pytest.raises(BadRankError, match="rank 5 outside"):
-            random_projections(4, [2, 5], [0, 1])
+            random_projection(4, [2, 5], [0, 1])
 
     @pytest.mark.parametrize("ranks, seeds", [([1, 2], [5]), ([1], [5, 6])], ids=["more_ranks", "more_seeds"])
     def test_ranks_and_seeds_of_different_lengths(self, ranks, seeds):
         # each rank is paired with one seed: none is dropped without an error
         with pytest.raises(ValueError, match=f"differ in length: {len(ranks)} and {len(seeds)}"):
-            random_projections(4, ranks, seeds)
+            random_projection(4, ranks, seeds)
 
     @pytest.mark.parametrize("dim, ranks, seeds", [(0, [0], [1]), (-1, [0], [1]), (0, [], [])])
     def test_dim_below_one_before_any_draw(self, monkeypatch, dim, ranks, seeds):
         # numpy would fail only at the reshape of an empty draw, or return an empty list
         monkeypatch.setattr(np.random, "default_rng", no_draw)
         with pytest.raises(ValueError, match=f"^dim must be at least 1, not {dim}$"):
-            random_projections(dim, ranks, seeds)
+            random_projection(dim, ranks, seeds)
 
     def test_one_stacked_qr(self, factorizations):
-        random_projections(8, [0, 3, 8] * 7, range(21))
+        random_projection(8, [0, 3, 8] * 7, range(21))
         assert dict(factorizations) == {"qr": 1}
 
     def test_unsettled_slices_get_the_single_decision(self):
@@ -210,10 +226,10 @@ class TestStackedProjections:
         assert p.defect > 0.0
         stack = np.stack([p.matrix, p.matrix])
         above = Tolerances(check=p.defect * (1.0 + 1e-9))
-        assert [s.matrix.tobytes() for s in as_projections(stack, above)] == [p.matrix.tobytes()] * 2
+        assert [s.matrix.tobytes() for s in as_projection(stack, above)] == [p.matrix.tobytes()] * 2
         below = Tolerances(check=p.defect * (1.0 - 1e-9))
         with pytest.raises(ValidationError) as stacked:
-            as_projections(stack, below)
+            as_projection(stack, below)
         with pytest.raises(ValidationError) as single:
             as_projection(p.matrix, below)
         assert str(stacked.value) == str(single.value)
@@ -221,9 +237,33 @@ class TestStackedProjections:
     def test_rejects_oblique_and_non_finite_slices(self):
         p = random_projection(2, 1, 3).matrix
         with pytest.raises(ValidationError, match="projection defect"):
-            as_projections(np.stack([p, np.array(CANONICAL, dtype=complex)]))
+            as_projection(np.stack([p, np.array(CANONICAL, dtype=complex)]))
         with pytest.raises(ValueError, match="finite"):
-            as_projections(np.stack([p, np.full((2, 2), np.nan + 0j)]))
+            as_projection(np.stack([p, np.full((2, 2), np.nan + 0j)]))
+
+    def test_empty_stack_gives_no_projections(self):
+        assert as_projection(np.empty((0, 3, 3), dtype=np.complex128)) == []
+
+    def test_empty_draw_gives_no_projections(self, monkeypatch):
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        assert random_projection(4, [], []) == []
+
+    def test_matrix_is_certified_as_2d_residuals(self, monkeypatch):
+        # a matrix keeps its two 2-D certificates, never a stack of one;
+        # a stack takes one certificate over its 2k residuals
+        residuals = []
+        kernel = idempotents.certify
+        monkeypatch.setattr(
+            idempotents, "certify",
+            lambda residual, *args, **kwargs: residuals.append(residual.shape) or kernel(residual, *args, **kwargs),
+        )
+        p = random_projection(5, 2, 4).matrix
+        residuals.clear()
+        as_projection(p)
+        assert residuals == [(5, 5), (5, 5)]
+        residuals.clear()
+        as_projection(np.stack([p, p, p]))
+        assert residuals == [(6, 5, 5)]
 
 
 class TestMemo:

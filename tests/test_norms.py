@@ -24,11 +24,9 @@ from matchedproj import (
     offdiag_distance,
     operator_norm,
     psd_power,
-    qpp_minimalities,
     qpp_minimality,
     random_idempotent,
     random_projection,
-    random_projections,
     random_qpp_pair,
     range_projection,
     two_projection_construction,
@@ -372,6 +370,9 @@ class TestQppMinimality:
             rep = qpp_minimality(p, q)
             assert all_passed(rep.checks), [c.name for c in failures(rep.checks)]
 
+    def test_no_candidates_give_no_reports(self):
+        assert qpp_minimality([], random_idempotent(4, 2, 1.0, 5)) == []
+
     def test_stacked_reports_are_the_single_reports_bitwise(self):
         # random candidates with m(Q) and both range partners spliced in, so
         # the quasi-projection-pair branch runs; each ||P - Q|| is the 2-D norm
@@ -379,9 +380,9 @@ class TestQppMinimality:
         for _ in range(8):
             q = random_stress_idempotent(rng, dim_max=12)
             ranks = [int(r) for r in rng.integers(0, q.dim + 1, size=12)]
-            candidates = random_projections(q.dim, ranks, [int(s) for s in rng.integers(2**32, size=12)])
+            candidates = random_projection(q.dim, ranks, [int(s) for s in rng.integers(2**32, size=12)])
             candidates[3:3] = [matched_projection(q).projection, range_projection(q), null_projection(q)]
-            reports = qpp_minimalities(candidates, q)
+            reports = qpp_minimality(candidates, q)
             assert reports[3].qpp_holds
             for p, rep in zip(candidates, reports):
                 single = qpp_minimality(p, q)

@@ -810,7 +810,7 @@ def test_the_bracket_rule_invariant_sees_each_spelling():
 
 
 def _projections_outside_the_draw(source):
-    """Where the source names ``random_projection(s)`` outside ``_draw_projections`` (an import aside)."""
+    """Where the source names ``random_projection`` outside ``_draw_projections`` (an import aside)."""
     tree = ast.parse(source)
     inside = {
         id(n) for f in ast.walk(tree)
@@ -819,7 +819,7 @@ def _projections_outside_the_draw(source):
     return [
         f"{node.lineno} {name}" for node in ast.walk(tree)
         if (name := getattr(node, "id", None) or getattr(node, "attr", None))
-        in ("random_projection", "random_projections") and id(node) not in inside
+        == "random_projection" and id(node) not in inside
     ]
 
 
@@ -835,19 +835,60 @@ def test_battery_draws_projections_through_one_helper():
 def test_the_draw_invariant_sees_each_spelling():
     spellings = [
         "p = random_projection(dim, rank, seed, tol)",
-        "ps = idempotents.random_projections(dim, ranks, seeds, tol)",
+        "ps = idempotents.random_projection(dim, ranks, seeds, tol)",
         "def _norm_suite(rng, dim, q, q2, tol):\n    p1 = random_projection(dim, *_projection_draw(rng, dim), tol)",
         "def _random_projection(rng, dim, max_rank, tol):\n"
         "    return random_projection(dim, int(rng.integers(0, max_rank + 1)), int(rng.integers(2**32)), tol)",
-        "draw = random_projections",
+        "draw = random_projection",
     ]
     allowed = [
-        "from .idempotents import random_projection, random_projections",
+        "from .idempotents import random_projection",
         "def _draw_projections(rng, dim, max_rank, count, tol):\n"
-        "    return random_projections(dim, ranks, seeds, tol)",
+        "    return random_projection(dim, ranks, seeds, tol)",
         "p1, p2 = _draw_projections(rng, dim, max(dim // 2, 1), 2, tol)",
         "q = random_idempotent(dim, rank, nu, seed, tol)",
         "u = random_unitary(dim, rng)",
     ]
     for source in spellings + allowed:
         assert bool(_projections_outside_the_draw(source)) == (source in spellings), source
+
+
+# each of these is now the batch input of its single name
+FOLDED_PLURALS = ("as_idempotents", "as_projections", "random_projections", "qpp_minimalities")
+
+
+def _folded_plurals(source):
+    """Where the source defines, imports, binds or reads one of ``FOLDED_PLURALS``."""
+    return [
+        f"{node.lineno} {name}" for node in ast.walk(ast.parse(source))
+        for name in {getattr(node, key, None) for key in ("id", "attr", "name", "asname")}
+        if name in FOLDED_PLURALS
+    ]
+
+
+def test_one_function_per_operation():
+    # one input or a batch goes to one name: as_idempotent, as_projection,
+    # random_projection and qpp_minimality each take a stack or a sequence
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sources
+    found = [f"{path.name}: {hit}" for path in sources for hit in _folded_plurals(path.read_text(encoding="utf-8"))]
+    assert not found, found
+
+
+def test_the_folded_plurals_invariant_sees_each_spelling():
+    spellings = [
+        "def as_idempotents(stack, tol):\n    pass",
+        "from .idempotents import as_projection, as_projections",
+        "from .norms import qpp_minimality as qpp_minimalities",
+        "ps = idempotents.random_projections(dim, ranks, seeds, tol)",
+        "as_projections = as_projection",
+        "reports = qpp_minimalities(candidates, q, tol)",
+    ]
+    allowed = [
+        "from .idempotents import as_idempotent, as_projection, random_projection",
+        "ps = idempotents.random_projection(dim, ranks, seeds, tol)",
+        "reports = qpp_minimality(candidates, q, tol)",
+        "def _draw_projections(rng, dim, max_rank, count, tol):\n    pass",
+    ]
+    for source in spellings + allowed:
+        assert bool(_folded_plurals(source)) == (source in spellings), source
