@@ -65,6 +65,7 @@ from .matched import (
     matched_distance,
     matched_projection,
     matched_projection_closed_form,
+    matched_projection_svd,
     matched_via_factor,
     qpp_checks,
     qpp_symmetry_closure,

@@ -67,6 +67,7 @@ from .matched import (
     matched_distance,
     matched_projection,
     matched_projection_closed_form,
+    matched_projection_svd,
     matched_via_factor,
     qpp_checks,
     qpp_symmetry_closure,
@@ -239,10 +240,11 @@ def _matched_identities(rng, dim, q, tol):
     scale = tol.relative(q.norm)
     m = matched_projection(q, tol).projection.matrix
 
-    # the production SVD route against the three oracles, pairwise
+    # the production pencil route against the four oracles, pairwise
     tt, vv = matched_via_factor(q, tol)
     closed = matched_projection_closed_form(q, tol)
-    routes = np.stack([m, closed, tt, vv, homotopy_witness_block(q, tol).projection.matrix])
+    block = homotopy_witness_block(q, tol).projection.matrix
+    routes = np.stack([m, closed, tt, vv, block, matched_projection_svd(q)])
     first, second = np.triu_indices(len(routes), 1)
     gaps = routes[first] - routes[second]
     gate = tol.route_gate(0.0)
@@ -253,10 +255,12 @@ def _matched_identities(rng, dim, q, tol):
     recovered = np.stack([fo.t_pinv @ fo.t - p_r, adjoint(fo.v) @ fo.v - p_r])
     yield norm_check("factor-recovers-range-projection", recovered, scale)
 
-    m_star = matched_projection(adjoint_of(q, tol), tol).projection.matrix
+    # S(Q*) is S(Q) bit for bit and S(I - Q) is -S, so each partner's m is
+    # its SVD oracle's: the pencil route would be compared with itself
+    m_star = matched_projection_svd(adjoint_of(q, tol))
     yield norm_check("matched-of-adjoint", m_star - m, scale)
     comp = complement_of(q, tol)
-    m_comp = matched_projection(comp, tol).projection.matrix
+    m_comp = matched_projection_svd(comp)
     reflect = 2.0 * m - eye
     yield norm_check("matched-of-complement", m_comp - (eye - m), scale)
     yield norm_check("reflection-gives-abs", reflect @ qm - q.abs_q, scale)
@@ -418,16 +422,17 @@ def _static_checks(tol: Tolerances):
 
 
 def sabotaged(q: Idempotent) -> Idempotent:
-    """A copy of Q whose cached SVD is (U, s, -V*): the harness self-test input.
+    """A copy of Q whose cached pencil is (w, 2V): the harness self-test input.
 
-    The production route then builds W = U_r - V_r, so m(Q) and the witness
-    fail their certificates.  ||Q||, the rank, |Q|, |Q*|, P_R(Q) and P_N(Q)
-    do not see the sign, and the oracles never read the SVD.  The copy has
-    its own analysis, so Q's is left as it was.
+    The production route then builds m(Q) = 4 V_+ V_+*, so m(Q) and the
+    witness fail their certificates.  Q's SVD and its values (||Q||, the
+    rank, |Q|, |Q*|, P_R(Q), P_N(Q)) do not see the scaling, nor do the
+    eigenvalues that Koliha's singularity test reads, and the oracles never
+    read V.  The copy has its own analysis, so Q's is left as it was.
     """
-    u, s, vh = q.svd
+    w, v = q.pencil
     copy = Idempotent(q.matrix)
-    vars(copy)["svd"] = (u, s, -vh)
+    vars(copy)["pencil"] = (w, 2.0 * v)
     return copy
 
 

@@ -32,18 +32,19 @@ class Idempotent:
 
     An idempotent carries its own analysis, computed on first use and kept,
     so every report on the same Q reads it instead of factoring Q again.
-    Values of Q alone are ``cached_property``s, and every one but ``defect``
-    comes from the one SVD Q = U S V* (``svd``): ||Q|| = s_0, the rank (the
-    singular values of an idempotent are 0 or at least 1, so the cut at 1/2
-    needs no tolerance), the off-diagonal norm nu (``offdiag_norm``),
-    |Q| = V S V*, |Q*| = U S U* and |Q*|^dag = U_r S_r^(-1) U_r*.
-    Values per tolerance are kept in the private ``_memo`` by the functions
-    that compute them, each decorated with ``per_tolerance``: P_R(Q) =
-    U_r U_r*, P_N(Q) = I - V_r V_r*, the certified m(Q), its witness and
-    distance, the oracles' records (Koliha's projections and
-    ``matched.factor_oracle``), which never read the SVD, and the partners
-    Q* and I - Q (``adjoint_of``, ``complement_of``), each a new
-    ``Idempotent``, never Q itself.
+    Values of Q alone are ``cached_property``s from two factorizations.
+    The SVD Q = U S V* (``svd``) gives the values of Q itself: ||Q|| = s_0,
+    the rank (the singular values of an idempotent are 0 or at least 1, so
+    the cut at 1/2 needs no tolerance), the off-diagonal norm nu
+    (``offdiag_norm``), |Q| = V S V*, |Q*| = U S U* and
+    |Q*|^dag = U_r S_r^(-1) U_r*.  The ``eigh`` of the Hermitian pencil
+    S = Q + Q* - I (``pencil``) gives m(Q) and its witness.  Values per
+    tolerance are kept in the private ``_memo`` by the functions that
+    compute them, each decorated with ``per_tolerance``: P_R(Q) = U_r U_r*,
+    P_N(Q) = I - V_r V_r*, the certified m(Q), its witness and distance,
+    the oracles' records (Koliha's projections and ``matched.factor_oracle``),
+    which never read the SVD, and the partners Q* and I - Q (``adjoint_of``,
+    ``complement_of``), each a new ``Idempotent``, never Q itself.
     The idempotent is built from its matrix alone: the certificate decides
     from O(n^2) norm bounds, and ``defect``, the exact ||Q^2 - Q||, is taken
     on first read and kept.  The matrix must not be mutated: that voids the
@@ -69,6 +70,17 @@ class Idempotent:
     def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The SVD (U, s, V*) of Q, as ``np.linalg.svd(Q)``."""
         return np.linalg.svd(self.matrix)
+
+    @cached_property
+    def pencil(self) -> tuple[np.ndarray, np.ndarray]:
+        """(w, V) = ``np.linalg.eigh(S)`` for the pencil S = Q + Q* - I, w ascending.
+
+        S is Hermitian bit for bit (each entry is q_ij + conj(q_ji)), so it
+        is factored as it is formed.  Its spectrum avoids (-1, 1): in the
+        basis (x, y) of one Halmos angle, Q = [[1, sigma], [0, 0]] and
+        S = [[1, sigma], [sigma, -1]], of eigenvalues +-sqrt(1 + sigma^2).
+        """
+        return np.linalg.eigh(self.matrix + adjoint(self.matrix) - identity(self.dim))
 
     @cached_property
     def norm(self) -> float:
@@ -267,16 +279,15 @@ def null_projection(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> Projection:
 def koliha_projections(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> tuple[Projection, Projection]:
     """Oracle: (P_R(Q), P_R(Q*)) as (Q S^(-1), Q* S^(-1)) for the pencil S = Q + Q* - I.
 
-    Koliha's formulas, independent of Q's SVD; P_N(Q) = I - P_R(Q*).  S is
-    Hermitian bit for bit (each entry is q_ij + conj(q_ji)), so its singular
-    values are the |lambda| of one ``eigvalsh``, one stacked solve
-    S^(-1) [Q* | Q] gives both projections as adjoints, and one stacked
+    Koliha's formulas, independent of Q's SVD; P_N(Q) = I - P_R(Q*).  S's
+    singular values are the |lambda| of Q's memoized ``pencil``, one stacked
+    solve S^(-1) [Q* | Q] gives both projections as adjoints, and one stacked
     ``as_projection`` certifies the pair.  Raises ``SingularPencilError``
     if S is numerically singular.  Memoized.
     """
     qm, n = q.matrix, q.dim
     s = qm + adjoint(qm) - identity(n)
-    if numerical_rank(np.sort(np.abs(np.linalg.eigvalsh(s)))[::-1], n, tol) < n:
+    if numerical_rank(np.sort(np.abs(q.pencil[0]))[::-1], n, tol) < n:
         raise SingularPencilError("Q + Q* - I is numerically singular")
     x = np.linalg.solve(s, np.hstack([adjoint(qm), qm]))
     return tuple(as_projection(np.stack([adjoint(x[:, :n]), adjoint(x[:, n:])]), tol))

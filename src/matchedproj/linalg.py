@@ -10,6 +10,9 @@ convergence tables and the gates scaled by a norm.  A norm that an SVD
 taken anyway already holds is read from it: ||Q|| and ||I - Q|| are the
 first singular values of the SVDs that Q and its complement keep.
 
+The pencil S = Q + Q* - I, Hermitian bit for bit, is factored once by
+``eigh`` (``Idempotent.pencil``): its eigenvectors of positive eigenvalue
+give m(Q) and the witness, and its eigenvalues Koliha's singularity test.
 A Hermitian operand whose spectrum is needed anyway is factored once, by
 ``hermitian_eigvals`` (``eigvalsh`` of ``require_hermitian(M)``): its
 eigenvalues give the Loewner verdict (``is_psd_spectrum``, by which
@@ -48,10 +51,10 @@ it every Hermitian kernel below), ``block_form``'s round trip,
 similarity gates of ``matched._certified_witness``, the four-term
 identity of ``matched.fractional_power_limit`` and the unitarity gate of
 ``matched.unitary_equivariance``.  ``as_projection`` certifies each
-projection built alone (P_R(Q), P_N(Q), m(Q), the witnesses' projections,
-the 2x2 family) as a matrix and each batch as one stack: every
-``random_projection`` draw, a batch of one included, and Koliha's pair
-P_R(Q), P_R(Q*).  Every gate, fixed or built from norms, is a member of
+projection built alone (P_R(Q), P_N(Q), m(Q) = V_+ V_+* from the pencil,
+the witnesses' projections, the 2x2 family) as a matrix and each batch as
+one stack: every ``random_projection`` draw, a batch of one included, and
+Koliha's pair P_R(Q), P_R(Q*).  Every gate, fixed or built from norms, is a member of
 ``Tolerances``.
 """
 

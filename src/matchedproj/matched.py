@@ -3,37 +3,45 @@
 For an idempotent Q the matched projection m(Q) is a projection that is
 similar and homotopic to Q and commutes with every quasi-projection-pair
 partner of Q.  The production route, ``matched_projection``, takes it from
-one SVD Q = U S V*.  Idempotency gives V_r* U_r = S_r^(-1) on the nonzero
-singular values (the Halmos two-subspace form: Q is a direct sum of I, 0
-and 2x2 blocks), so the columns u_i + v_i are mutually orthogonal and
+one ``eigh`` of the Hermitian pencil S = Q + Q* - I (``Idempotent.pencil``).
+In the Halmos two-subspace form Q is a direct sum of I, 0 and 2x2 blocks
+[[1, sigma], [0, 0]], on which S is [[1, sigma], [sigma, -1]], so spec S
+avoids (-1, 1) and m(Q) is S's positive spectral projection,
 
-    m(Q) = sum_{s_i > 0} s_i / (2 (s_i + 1)) (u_i + v_i)(u_i + v_i)*,
+    m(Q) = (I + sign S) / 2 = V_+ V_+*,
 
-while the same SVD gives the similarity witness W = I + E U_r* with
-Q = W^(-1) m(Q) W, ||I - W|| < 1 (``homotopy_witness``).  The witness, a
-``SimilarityWitness``, holds E, X = U_r and the diagonal d of X* E + I.
-W^(-1) has a closed form, so its ``samples`` are the homotopy from m(Q) to Q
-as rank-r updates of m(Q), with no inverse and no solve, and
-``homotopy_path`` certifies them.  The SVD is the one ``Idempotent``
-keeps; ||Q||, |Q| = V S V*, |Q*| = U S U*, |Q*|^dag = U_r S_r^(-1) U_r*
-and P_R(Q) = U_r U_r* come from it, and every function here reads them from
-Q.  m(Q) (a ``MatchedPair``), its distance to Q, its witness and the oracle
-record are each memoized on Q per tolerance (``idempotents.per_tolerance``).
-Relative rank cutoffs all go through ``linalg.numerical_rank``.  The module
-keeps no state of its own: the harness self-test corrupts an input instead,
-a copy of Q whose cached SVD has V negated (``battery.sabotaged``).
+the matrix sign function of a Hermitian matrix with a gap of 2 around 0
+(N. J. Higham, Functions of Matrices, SIAM 2008, ch. 5).  The same ``eigh``
+gives the similarity witness W = I + E X* with Q = W^(-1) m(Q) W,
+||I - W|| < 1 (``homotopy_witness``), X the left singular vectors of Q (or
+of I - Q, when 2r > n).  The witness, a ``SimilarityWitness``, holds E, X
+and the diagonal d of X* E + I.  W^(-1) has a closed form, so its
+``samples`` are the homotopy from m(Q) to Q as low-rank updates of m(Q),
+with no inverse and no solve, and ``homotopy_path`` certifies them.  Q's SVD
+serves the values of Q alone: ||Q||, |Q| = V S V*, |Q*| = U S U*,
+|Q*|^dag = U_r S_r^(-1) U_r* and P_R(Q) = U_r U_r* come from it, and every
+function here reads them from Q.  m(Q) (a ``MatchedPair``), its distance to
+Q, its witness and the oracle record are each memoized on Q per tolerance
+(``idempotents.per_tolerance``).  Relative rank cutoffs all go through
+``linalg.numerical_rank``.  The module keeps no state of its own: the
+harness self-test corrupts an input instead, a copy of Q whose cached
+pencil has V scaled by 2 (``battery.sabotaged``).
 
-Three further routes are kept only as independent oracles for ``verify``
-and the tests, never built from Q's SVD.  The first two read one record
-per Q, ``factor_oracle``: |Q*| from its own ``abs_value(Q*)``, |Q*|^dag
-from the memoized Koliha pencil of ``koliha_projections``, T = |Q*| + Q*,
-T^dag and V; the block witness takes P_R(Q) from the same pencil:
+Four further routes are kept only as independent oracles for ``verify``
+and the tests, never built from Q's pencil vectors.  The SVD formula
+m(Q) = W D^(-1) W*, W = U_r + V_r, D = 2 (I + S_r^(-1)), reads Q's SVD
+(``matched_projection_svd``); S(Q*) is S(Q) bit for bit and S(I - Q) is -S,
+so it is what the m of a partner Q* or I - Q is compared with.  The next
+two read one record per Q, ``factor_oracle``: |Q*| from its own
+``abs_value(Q*)``, |Q*|^dag from the memoized Koliha projections of
+``koliha_projections``, T = |Q*| + Q*, T^dag and V; the block witness takes
+P_R(Q) from the same projections:
 
 - the closed formula (1/2) (|Q*| + Q*) |Q*|^dag (|Q*| + I)^(-1) (|Q*| + Q)
   (``matched_projection_closed_form``);
 - T T^dag and V V* for T = |Q*| + Q* (``matched_via_factor``);
 - the 2x2 closed form per principal angle over range(Q) + null(Q*), from
-  one SVD of Q's off-diagonal block in the pencil's basis, which yields
+  one SVD of Q's off-diagonal block in Koliha's basis, which yields
   m(Q) and W (``homotopy_witness_block``).
 
 Both witnesses come in the factored form W = I + E X* and are certified
@@ -128,27 +136,36 @@ def matched_projection(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> MatchedP
 
 @per_tolerance
 def _matched_pair(q: Idempotent, tol: Tolerances) -> MatchedPair:
-    """The certified m(Q) from Q's SVD Q = U S V*.
+    """The certified m(Q), V_+ V_+* from Q's ``pencil`` S = Q + Q* - I.
 
-    With W = U_r + V_r over the r = ``q.rank`` singular values s_i > 1/2,
-    m(Q) is the orthogonal projection W (W* W)^(-1) W*, and in exact
-    arithmetic W* W = D = 2 (I + S_r^(-1)).  Computed singular vectors
-    satisfy that only to about n eps ||Q||, so W D^(-1) W* misses
-    idempotency by as much (3e-10 at ||A|| = 1e6, n = 32).  (W* W)^(-1) is
-    therefore taken as one Newton step from D^(-1), D^(-1) (2D - W* W) D^(-1),
-    which leaves a projection defect of order (n eps ||Q||)^2 plus
-    round-off, without a second factorization.
+    On one Halmos angle, S = [[1, sigma], [sigma, -1]] has the eigenvalues
+    +-b, b = sqrt(1 + sigma^2), and its +b eigenvector z = (cos, sin)(theta/2),
+    tan theta = sigma, gives that angle's m(Q) = z z*; S is 1 on an unpaired
+    range direction and -1 on the rest of null(Q).  So m(Q) = (I + sign S) / 2,
+    the span of the eigenvectors of positive eigenvalue, and spec S avoids
+    (-1, 1): the sign of each computed eigenvalue needs no cutoff, and
+    V_+ V_+* is a projection to the orthonormality of the computed V.
 
     The pair is memoized on Q per tolerance and does not refer to Q.  This
     module reads it by this private name, so perfbench counts a call of
     ``matched_projection`` only where a caller asks for m(Q).
     """
+    w, v = q.pencil
+    v_plus = v[:, w > 0.0]
+    return MatchedPair(as_projection(v_plus @ adjoint(v_plus), tol))
+
+
+def matched_projection_svd(q: Idempotent) -> np.ndarray:
+    """Oracle: m(Q) = W D^(-1) W* from Q's SVD, W = U_r + V_r, D = 2 (I + S_r^(-1)).
+
+    Idempotency gives V_r* U_r = S_r^(-1) on the r = ``q.rank`` singular
+    values above 1/2, so the columns of W are orthogonal and W* W = D.  It
+    reads Q's memoized SVD, which a partner keeps for its norm anyway, and is
+    returned uncertified so that a comparison reports its gap.
+    """
     u, s, vh = q.svd
-    r = q.rank
-    w = u[:, :r] + adjoint(vh[:r])
-    d = 2.0 * (1.0 + 1.0 / s[:r])
-    x = w / d
-    return MatchedPair(as_projection(x @ (np.diag(2.0 * d) - adjoint(w) @ w) @ adjoint(x), tol))
+    w = u[:, : q.rank] + adjoint(vh[: q.rank])
+    return (w / (2.0 * (1.0 + 1.0 / s[: q.rank]))) @ adjoint(w)
 
 
 @per_tolerance
@@ -274,31 +291,41 @@ def _nontrivial_rank(r: int, n: int) -> int:
 
 @per_tolerance
 def homotopy_witness(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> SimilarityWitness:
-    """(m(Q), W) with Q = W^(-1) m(Q) W and ||I - W|| < 1, from one SVD Q = U S V*.
+    """(m(Q), W) with Q = W^(-1) m(Q) W and ||I - W|| < 1, from Q's ``pencil`` S = Q + Q* - I.
 
-    In the basis U, Q is [[I, Y], [0, 0]] with Y = S_r V_r* U_perp, and
-    Y Y* = S_r^2 - I is already diagonal: Y's angles have b_i = s_i, so the
-    per-angle construction of ``homotopy_witness_block`` needs no rotation
-    of U_r and becomes a closed form in the singular values:
+    On one Halmos angle the eigenvector z of S for b = sqrt(1 + sigma^2)
+    has Q z = ||Q z|| x, x the angle's range vector, and ||Q z||^2 =
+    b (b + 1) / 2.  So the columns of Q V_+ (S_+ (S_+ + I) / 2)^(-1/2) are
+    Q's left singular vectors U_r, the positive eigenvalues s_r its singular
+    values, and V_r = (2 m - I) U_r its right ones (``reflection-gives-abs``).
+    The per-angle witness of ``homotopy_witness_block`` is then W = I + E U_r*
+    with D = S_r^(-1) / 2 and
 
-        W = U [[D, 0], [L, I]] U*,  D = S_r^(-1) / 2,  L = U_perp* V_r (I + S_r)^(-1) / 2,
+        E = U_r (D - I) + (V_r - U_r S_r^(-1)) (I + S_r)^(-1) / 2 = m U_r (I + S_r)^(-1) - U_r,
 
-    L being Y* (S_r (S_r + I))^(-1) / 2.  So W = I + E U_r* with the n x r
-    factor E = U_r (D - I) + U_perp L, and U_r* E = D - I, which
-    ``_certified_witness`` certifies with no inverse factored.  The
-    projection is the certified m(Q) of the same SVD (``matched_projection``).
+    since U_r* V_r = S_r^(-1) and U_r + V_r = 2 m U_r; U_r* E = D - I, which
+    ``_certified_witness`` certifies with no inverse factored.  When 2r > n,
+    r - (n - r) range directions of Q are unpaired, and Q magnifies their
+    eigenvector error by ||Q||; I - Q has none.  Its pencil is -S and
+    W (I - Q) W^(-1) = I - m(Q) says the same as W Q W^(-1) = m(Q), so W is
+    built from I - Q, I - m(Q) and S's negative eigenpairs instead.  The
+    projection is the certified m(Q) of the same pencil (``matched_projection``).
 
     A projection input short-circuits to the trivial witness W = I.
     """
     if is_projection(q.matrix, tol):
         return _trivial_witness(q, tol)
-    u, s, vh = q.svd
-    r = _nontrivial_rank(q.rank, q.dim)
-    s_r, u_r, u_perp = s[:r], u[:, :r], u[:, r:]
-    d = 0.5 / s_r
-    lower = 0.5 * (adjoint(u_perp) @ adjoint(vh[:r])) / (1.0 + s_r)
-    e = u_r * (d - 1.0) + u_perp @ lower
-    return _certified_witness(q, _matched_pair(q, tol).projection, u_r, e, d, tol)
+    w, v = q.pencil
+    projection = _matched_pair(q, tol).projection
+    qm, m, n = q.matrix, projection.matrix, q.dim
+    if 2 * _nontrivial_rank(int(np.count_nonzero(w > 0.0)), n) > n:
+        # I - Q's side: its pencil is -S and its matched projection I - m(Q)
+        w, qm, m = -w, identity(n) - qm, identity(n) - m
+    side = w > 0.0
+    s = w[side]
+    x = (qm @ v[:, side]) / np.sqrt(0.5 * s * (s + 1.0))
+    e = (m @ x) / (1.0 + s) - x
+    return _certified_witness(q, projection, x, e, 0.5 / s, tol)
 
 
 def _certified_witness(
@@ -388,17 +415,18 @@ def homotopy_path(
 ) -> list[Idempotent]:
     """Idempotents Q(t) = W_t^(-1) m(Q) W_t on a uniform grid from m(Q) to Q.
 
-    W_t = I + t (W - I) = I + t E U_r* is invertible for t in [0, 1] because
-    ||I - W|| < 1, and its Woodbury inverse X_t = I - t E Delta_t^(-1) U_r*
-    (``homotopy_witness``) makes every sample a rank-r update: with
-    G = m E U_r*, so that m W_t = m + t G,
+    W_t = I + t (W - I) = I + t E X* is invertible for t in [0, 1] because
+    ||I - W|| < 1, and its Woodbury inverse X_t = I - t E Delta_t^(-1) X*
+    (``homotopy_witness``; X has k = r columns, or n - r on I - Q's side)
+    makes every sample a rank-k update: with G = m E X*, so that
+    m W_t = m + t G,
 
-        Q(t) = X_t m W_t = (m + t G) + E C_t U_r* (m + t G),  C_t = -t Delta_t^(-1).
+        Q(t) = X_t m W_t = (m + t G) + E C_t X* (m + t G),  C_t = -t Delta_t^(-1).
 
-    The updates of all samples are one (n, r) @ (r, samples n) product, with
+    The updates of all samples are one (n, k) @ (k, samples n) product, with
     no factorization (``SimilarityWitness.samples``), and ``as_idempotent``
     certifies the samples as one stack, one stacked norm per quantity.  The
-    sample at t = 0 is m(Q) exactly; a projection input (r = 0) gives
+    sample at t = 0 is m(Q) exactly; a projection input (k = 0) gives
     m(Q) = Q at every t.
     """
     if samples < 1:
@@ -407,29 +435,20 @@ def homotopy_path(
     return as_idempotent(path, tol)
 
 
-def _hermitian_bases(m: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal bases of range(M) and ker(M) for a Hermitian M, from one ``hermitian_eigen``.
-
-    The singular values of a Hermitian matrix are its |lambda|, so the
-    eigenvectors with |lambda| above ``numerical_rank``'s cutoff (applied to
-    the |lambda| in descending order) span the column space that the SVD
-    gives, and the rest span its orthogonal complement, the kernel.
-    """
-    w, v = hermitian_eigen(m, tol)
-    mags = np.abs(w)
-    order = np.argsort(-mags)
-    r = numerical_rank(mags[order], m.shape[0], tol)
-    return v[:, order[:r]], v[:, order[r:]]
-
-
 def _column_space_projector(m: np.ndarray, tol: Tolerances, hermitian: bool = False) -> np.ndarray:
     """The orthoprojector onto range(M) at ``numerical_rank``'s cutoff.
 
     From the SVD's left singular vectors, or for a Hermitian M from one
-    ``eigh`` (``_hermitian_bases``).
+    ``hermitian_eigen``: the singular values of a Hermitian matrix are its
+    |lambda|, so the eigenvectors with |lambda| above the cutoff (applied to
+    the |lambda| in descending order) span the column space that the SVD
+    gives.
     """
     if hermitian:
-        cols = _hermitian_bases(m, tol)[0]
+        w, v = hermitian_eigen(m, tol)
+        mags = np.abs(w)
+        order = np.argsort(-mags)
+        cols = v[:, order[: numerical_rank(mags[order], m.shape[0], tol)]]
     else:
         u, s, _ = np.linalg.svd(m)
         cols = u[:, : numerical_rank(s, m.shape[0], tol)]
@@ -445,9 +464,10 @@ def range_identities(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> list[Check
 
     Each operand is factored once, by the cheapest kernel its structure
     allows.  The column spaces of the Hermitian Q + Q*, |Q*| + |Q| and the
-    four-term sum, and the range and kernel bases of the certified m(Q), come
-    from ``eigh`` (``_hermitian_bases``); only |Q*| + Q* and |Q| + Q, which
-    are not Hermitian, take an SVD.  The kernel identity needs no
+    four-term sum come from ``eigh`` (``_column_space_projector``); only
+    |Q*| + Q* and |Q| + Q, which are not Hermitian, take an SVD.  The range
+    and kernel bases of m(Q) are V_+ and V_- of the ``pencil`` that m(Q)
+    is built from.  The kernel identity needs no
     factorization of its own: for any M, ker(M) = range(M*)^perp, so
     ker(|Q*| + Q) = range(|Q*| + Q*)^perp, and its orthoprojector is I minus
     the one the first range identity takes.
@@ -474,7 +494,8 @@ def range_identities(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> list[Check
         norm_check("mq_times_q", m @ qm - 0.5 * (abs_q + qm), gate),
     ]
 
-    range_m, null_m = _hermitian_bases(m, tol)
+    w, v = q.pencil
+    range_m, null_m = v[:, w > 0.0], v[:, w <= 0.0]
     # Q's bases at its own rank, the cut at 1/2 of P_R(Q) and P_N(Q)
     u, _, vh = q.svd
     range_q, null_q = u[:, : q.rank], adjoint(vh)[:, q.rank :]

@@ -892,3 +892,140 @@ def test_the_folded_plurals_invariant_sees_each_spelling():
     ]
     for source in spellings + allowed:
         assert bool(_folded_plurals(source)) == (source in spellings), source
+
+
+# m(Q) and its witness come from Q's pencil S = Q + Q* - I alone; the SVD
+# serves the values of Q itself
+PENCIL_READERS = ("_matched_pair", "homotopy_witness")
+
+
+def _constant(node):
+    return node.value if isinstance(node, ast.Constant) else None
+
+
+def _svd_reads(source):
+    """Where a function of ``PENCIL_READERS`` reads ``.svd`` or ``.rank``, also through ``getattr``."""
+    found = []
+    for function in ast.walk(ast.parse(source)):
+        if not (isinstance(function, ast.FunctionDef) and function.name in PENCIL_READERS):
+            continue
+        for node in ast.walk(function):
+            if isinstance(node, ast.Attribute):
+                name = node.attr
+            elif _calls(node, "getattr") and len(node.args) > 1:
+                name = _constant(node.args[1])
+            else:
+                continue
+            if name in ("svd", "rank"):
+                found.append(f"{node.lineno} {function.name} reads {name}")
+    return found
+
+
+def test_matched_projection_and_witness_read_the_pencil_alone():
+    source = (PACKAGE / "matched.py").read_text(encoding="utf-8")
+    assert all(f"def {name}(" in source for name in PENCIL_READERS)
+    found = _svd_reads(source)
+    assert not found, found
+
+
+def test_the_pencil_reader_invariant_sees_each_spelling():
+    spellings = [
+        "def _matched_pair(q, tol):\n    u, s, vh = q.svd",
+        "def homotopy_witness(q, tol):\n    r = q.rank",
+        "def homotopy_witness(q, tol):\n    r = _nontrivial_rank(q.rank, q.dim)",
+        "def _matched_pair(q, tol):\n    return getattr(q, 'svd')[0]",
+        "def homotopy_witness(q, tol):\n    def side():\n        return q.svd\n    return side()",
+    ]
+    allowed = [
+        "def _matched_pair(q, tol):\n    w, v = q.pencil",
+        "def matched_projection_svd(q):\n    u, s, vh = q.svd",
+        "def homotopy_witness_block(q, tol):\n    r = _nontrivial_rank(form.rank, n)",
+        "def homotopy_witness(q, tol):\n    r = int(np.count_nonzero(q.pencil[0] > 0.0))",
+    ]
+    for source in spellings + allowed:
+        assert bool(_svd_reads(source)) == (source in spellings), source
+
+
+def _svd_writes(source):
+    """Where the source writes a cached SVD: ``vars(x)["svd"]`` or ``x.__dict__["svd"]`` assigned or updated, or ``setattr``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [
+                f"{node.lineno} {ast.unparse(sub)}" for target in targets for sub in ast.walk(target)
+                if isinstance(sub, ast.Subscript) and _constant(sub.slice) == "svd"
+                and (_calls(sub.value, "vars") or ast.unparse(sub.value).endswith("__dict__"))
+            ]
+        elif (_calls(node, "setattr") or _calls(node, "__setattr__")) and len(node.args) > 1:
+            if _constant(node.args[1]) == "svd":
+                found.append(f"{node.lineno} {ast.unparse(node)}")
+        elif _calls(node, "update") and any(k.arg == "svd" for k in node.keywords):
+            found.append(f"{node.lineno} {ast.unparse(node)}")
+    return found
+
+
+def test_no_module_writes_a_cached_svd():
+    # the self-test corrupts the pencil that m(Q) is read from; an SVD
+    # written by hand would corrupt only the values of Q itself
+    found = [
+        f"{path.name}:{hit}" for path in sorted(PACKAGE.glob("*.py"))
+        for hit in _svd_writes(path.read_text(encoding="utf-8"))
+    ]
+    assert not found, found
+
+
+def test_the_svd_write_invariant_sees_each_spelling():
+    spellings = [
+        'vars(copy)["svd"] = (u, s, -vh)',
+        "vars(q)['svd'], other = svd, 0",
+        'copy.__dict__["svd"] = (u, s, -vh)',
+        'setattr(copy, "svd", (u, s, -vh))',
+        'object.__setattr__(copy, "svd", (u, s, -vh))',
+        "vars(copy).update(svd=(u, s, -vh))",
+    ]
+    allowed = [
+        'vars(copy)["pencil"] = (w, 2.0 * v)',
+        'u, s, vh = vars(q)["svd"]',
+        "u, s, vh = q.svd",
+        'setattr(copy, "pencil", (w, v))',
+    ]
+    for source in spellings + allowed:
+        assert bool(_svd_writes(source)) == (source in spellings), source
+
+
+def _own_eigensolves(source):
+    """Where ``koliha_projections`` calls an eigensolver: a name that begins ``eig`` or ``hermitian_eig``."""
+    return [
+        f"{node.lineno} {ast.unparse(node.func)}"
+        for function in ast.walk(ast.parse(source))
+        if isinstance(function, ast.FunctionDef) and function.name == "koliha_projections"
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func).split(".")[-1].startswith(("eig", "hermitian_eig"))
+    ]
+
+
+def test_koliha_reads_the_pencil_it_shares():
+    # its singularity test reads the eigenvalues of Q's memoized pencil, the
+    # one eigh of S that m(Q) is built from
+    source = (PACKAGE / "idempotents.py").read_text(encoding="utf-8")
+    assert "def koliha_projections(" in source
+    found = _own_eigensolves(source)
+    assert not found, found
+
+
+def test_the_koliha_eigensolve_invariant_sees_each_spelling():
+    spellings = [
+        "def koliha_projections(q, tol):\n    w = np.linalg.eigvalsh(s)",
+        "def koliha_projections(q, tol):\n    w = hermitian_eigvals(s, tol)",
+        "def koliha_projections(q, tol):\n    w = np.linalg.eigh(s)[0]",
+        "def koliha_projections(q, tol):\n    def spectrum():\n        return eigvalsh(s)\n    w = spectrum()",
+    ]
+    allowed = [
+        "def koliha_projections(q, tol):\n    w = q.pencil[0]",
+        "def koliha_projections(q, tol):\n    x = np.linalg.solve(s, b)",
+        "def block_form(t, p, tol):\n    lam, v = hermitian_eigen(p.matrix, tol)",
+    ]
+    for source in spellings + allowed:
+        assert bool(_own_eigensolves(source)) == (source in spellings), source
