@@ -22,8 +22,12 @@ serves the values of Q alone: ||Q||, |Q| = V S V*, |Q*| = U S U*,
 |Q*|^dag = U_r S_r^(-1) U_r* and P_R(Q) = U_r U_r* come from it, and every
 function here reads them from Q.  m(Q) (a ``MatchedPair``), its distance to
 Q, its witness and the oracle record are each memoized on Q per tolerance
-(``idempotents.per_tolerance``).  Relative rank cutoffs all go through
-``linalg.numerical_rank``.  The module keeps no state of its own: the
+(``idempotents.per_tolerance``), and every function here reads m(Q) by
+that memo's private name, ``_matched_pair``.  Relative rank cutoffs all go
+through ``linalg.numerical_rank``.  ``range_identities`` takes one SVD per
+operand whose column space it compares, and decides the trivial
+intersections from overlaps of the bases that the pencil and Q's SVD
+already hold.  The module keeps no state of its own: the
 harness self-test corrupts an input instead, a copy of Q whose cached
 pencil has V scaled by 2 (``battery.sabotaged``).
 
@@ -81,7 +85,6 @@ from .linalg import (
     abs_value,
     adjoint,
     certify,
-    hermitian_eigen,
     identity,
     moore_penrose,
     norm_at_most,
@@ -435,23 +438,10 @@ def homotopy_path(
     return as_idempotent(path, tol)
 
 
-def _column_space_projector(m: np.ndarray, tol: Tolerances, hermitian: bool = False) -> np.ndarray:
-    """The orthoprojector onto range(M) at ``numerical_rank``'s cutoff.
-
-    From the SVD's left singular vectors, or for a Hermitian M from one
-    ``hermitian_eigen``: the singular values of a Hermitian matrix are its
-    |lambda|, so the eigenvectors with |lambda| above the cutoff (applied to
-    the |lambda| in descending order) span the column space that the SVD
-    gives.
-    """
-    if hermitian:
-        w, v = hermitian_eigen(m, tol)
-        mags = np.abs(w)
-        order = np.argsort(-mags)
-        cols = v[:, order[: numerical_rank(mags[order], m.shape[0], tol)]]
-    else:
-        u, s, _ = np.linalg.svd(m)
-        cols = u[:, : numerical_rank(s, m.shape[0], tol)]
+def _column_space_projector(m: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """The orthoprojector U_r U_r* onto range(M), r the ``numerical_rank`` of M's singular values."""
+    u, s, _ = np.linalg.svd(m)
+    cols = u[:, : numerical_rank(s, m.shape[0], tol)]
     return cols @ adjoint(cols)
 
 
@@ -459,25 +449,30 @@ def range_identities(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> list[Check
     """Range/kernel identities of m(Q), verified through orthogonal projectors.
 
     Subspace equality is tested as the gap between the corresponding
-    orthoprojectors; trivial intersections through the rank of stacked bases.
-    Each gap and product residual is a bracketed check (``norm_check``).
-
-    Each operand is factored once, by the cheapest kernel its structure
-    allows.  The column spaces of the Hermitian Q + Q*, |Q*| + |Q| and the
-    four-term sum come from ``eigh`` (``_column_space_projector``); only
-    |Q*| + Q* and |Q| + Q, which are not Hermitian, take an SVD.  The range
-    and kernel bases of m(Q) are V_+ and V_- of the ``pencil`` that m(Q)
-    is built from.  The kernel identity needs no
+    orthoprojectors, each from one SVD of its operand
+    (``_column_space_projector``); each gap and product residual is a
+    bracketed check (``norm_check``).  The kernel identity needs no
     factorization of its own: for any M, ker(M) = range(M*)^perp, so
     ker(|Q*| + Q) = range(|Q*| + Q*)^perp, and its orthoprojector is I minus
     the one the first range identity takes.
+
+    The trivial intersections are read from bases that Q already holds: the
+    range and kernel of m(Q) are spanned by V_+ and V_- of the ``pencil``
+    that m(Q) is built from, null(Q)^perp = range(Q*) by V_r and
+    range(Q)^perp by U_perp of Q's SVD, cut at Q's own rank.  A subspace A
+    meets B trivially iff the overlap of A's basis with one of B^perp has
+    full column rank: V_r* V_+ for range m(Q) and null Q, U_perp* V_- for
+    null m(Q) and range Q.  In the Halmos two-subspace form each overlap's
+    singular values are cos(theta_i / 2) >= 1/sqrt 2, so ``numerical_rank``
+    decides it with no n x n factorization.  "Q is a projection" is
+    ``is_projection``'s verdict.
     """
     qm = q.matrix
-    m = matched_projection(q, tol).projection.matrix
+    m = _matched_pair(q, tol).projection.matrix
     eye = identity(q.dim)
     abs_q, abs_qs = q.abs_q, q.abs_q_star
     sum_qs = qm + adjoint(qm)
-    proj_sum = _column_space_projector(sum_qs, tol, hermitian=True)
+    proj_sum = _column_space_projector(sum_qs, tol)
     proj_absqs_qstar = _column_space_projector(abs_qs + adjoint(qm), tol)
 
     gate, subspace = tol.relative(q.norm), tol.subspace
@@ -487,28 +482,24 @@ def range_identities(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> list[Check
         norm_check("kernel_mq_eq_kernel_absqstar_plus_q", (eye - m) - (eye - proj_absqs_qstar), subspace),
         norm_check("range_mq_inside_range_q_plus_qstar", (eye - proj_sum) @ m, subspace),
         norm_check("range_q_plus_qstar_eq_range_absqstar_plus_absq",
-                   proj_sum - _column_space_projector(abs_qs + abs_q, tol, hermitian=True), subspace),
+                   proj_sum - _column_space_projector(abs_qs + abs_q, tol), subspace),
         norm_check("range_mq_eq_range_four_term_sum",
-                   m - _column_space_projector(abs_qs + abs_q + sum_qs, tol, hermitian=True), subspace),
+                   m - _column_space_projector(abs_qs + abs_q + sum_qs, tol), subspace),
         norm_check("mq_times_qstar", m @ adjoint(qm) - 0.5 * (abs_qs + adjoint(qm)), gate),
         norm_check("mq_times_q", m @ qm - 0.5 * (abs_q + qm), gate),
     ]
 
     w, v = q.pencil
-    range_m, null_m = v[:, w > 0.0], v[:, w <= 0.0]
-    # Q's bases at its own rank, the cut at 1/2 of P_R(Q) and P_N(Q)
     u, _, vh = q.svd
-    range_q, null_q = u[:, : q.rank], adjoint(vh)[:, q.rank :]
-    for name, a, b in (
-        ("range_mq_meets_null_q_trivially", range_m, null_q),
-        ("null_mq_meets_range_q_trivially", null_m, range_q),
+    for name, overlap in (
+        ("range_mq_meets_null_q_trivially", vh[: q.rank] @ v[:, w > 0.0]),
+        ("null_mq_meets_range_q_trivially", adjoint(u[:, q.rank :]) @ v[:, w <= 0.0]),
     ):
-        rank = numerical_rank(np.linalg.svd(np.hstack([a, b]), compute_uv=False), q.dim, tol)
-        checks.append(boolean_check(name, rank == a.shape[1] + b.shape[1]))
+        rank = numerical_rank(np.linalg.svd(overlap, compute_uv=False), q.dim, tol)
+        checks.append(boolean_check(name, rank == overlap.shape[1]))
 
     ranges_equal = norm_at_most(m - proj_sum, subspace)
-    hermitian = norm_at_most(qm - adjoint(qm), tol.check)
-    checks.append(boolean_check("range_equality_iff_projection", ranges_equal == hermitian))
+    checks.append(boolean_check("range_equality_iff_projection", ranges_equal == is_projection(qm, tol)))
     return checks
 
 
@@ -520,7 +511,7 @@ def fractional_power_limit(
     Verifies on the way that K = m(Q) Q m(Q) is Hermitian, dominates m(Q),
     and equals (|Q*| + |Q| + Q + Q*) / 4.
     """
-    m = matched_projection(q, tol).projection.matrix
+    m = _matched_pair(q, tol).projection.matrix
     qm = q.matrix
     k = require_hermitian(m @ qm @ m, tol)
     if not psd_order(m, k, tol):
@@ -539,8 +530,8 @@ def unitary_equivariance(
     certify(adjoint(u) @ u - identity(q.dim), lambda: tol.check,
             lambda gap, *_: NotUnitaryError(f"U*U - I has norm {gap:.3e}"))
     conjugated = as_idempotent(adjoint(u) @ q.matrix @ u, tol)
-    inner = matched_projection(conjugated, tol).projection.matrix
-    outer = adjoint(u) @ matched_projection(q, tol).projection.matrix @ u
+    inner = _matched_pair(conjugated, tol).projection.matrix
+    outer = adjoint(u) @ _matched_pair(q, tol).projection.matrix @ u
     return operator_norm(inner - outer)
 
 
@@ -568,7 +559,7 @@ def random_qpp_pair(
         rank = int(rng.integers(0, d + 1))
         nu = float(rng.uniform(0.0, max_offdiag))
         sub = random_idempotent(d, rank, nu, int(rng.integers(0, 2**63)), tol)
-        m_sub = matched_projection(sub, tol).projection.matrix
+        m_sub = _matched_pair(sub, tol).projection.matrix
         if rng.integers(0, 2):
             m_sub = np.eye(d) - m_sub
         blocks_q.append(sub.matrix)

@@ -13,6 +13,7 @@ from .idempotents import (
     Projection,
     as_idempotent,
     complement_of,
+    is_projection,
     null_projection,
     range_projection,
 )
@@ -96,7 +97,8 @@ def distance_report(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> DistanceRep
     which is the 2-norm of the symmetrized operand and so within
     ||M - M*|| / 2, plus rounding, of ||M||.  An operand too far from
     Hermitian for ``require_hermitian`` fails its PSD check and its norm is
-    the exact ``operator_norm``.
+    the exact ``operator_norm``.  Whether Q is a projection, for
+    ``sandwich_equality_iff_projection``, is ``is_projection``'s verdict.
     """
     qm = q.matrix
     eye = identity(q.dim)
@@ -186,11 +188,11 @@ def distance_report(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> DistanceRep
 
     lower_tight = abs(0.5 * d_range - d_matched) <= scale
     upper_tight = abs(d_matched - d_range) <= scale
-    is_projection = norm_at_most(qm - adjoint(qm), tol.check)
+    projection = is_projection(qm, tol)
     checks.append(
         boolean_check(
             "sandwich_equality_iff_projection",
-            (lower_tight == is_projection) and (upper_tight == is_projection),
+            (lower_tight == projection) and (upper_tight == projection),
         )
     )
 

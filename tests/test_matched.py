@@ -444,6 +444,10 @@ class TestMemo:
         homotopy_witness(q)
         matched_distance(q)
         homotopy_path(q, 3)
+        range_identities(q)
+        fractional_power_limit(q, [2])
+        unitary_equivariance(q, np.eye(8))
+        random_qpp_pair(6, 3)
         assert calls == []
 
     def test_core_keyed_on_tolerance(self):
@@ -918,51 +922,33 @@ class TestRangeIdentities:
             checks = range_identities(q)
             assert all_passed(checks), [c.name for c in failures(checks)]
 
+    def test_overlap_verdicts_equal_the_stacked_basis_verdicts(self):
+        """Each trivial-intersection verdict reads the overlap of two bases Q holds.
 
-    def test_eigh_projectors_within_the_gap_bound_of_svd_projectors(self):
-        """Each column-space projector from ``eigh`` is within 2 eta / delta of the SVD's.
-
-        M is each Hermitian operand that ``range_identities`` projects onto
-        with ``eigh``: Q + Q*, |Q*| + |Q| and the four-term sum, and m(Q),
-        whose bases that function now reads from the pencil, as the operand
-        that comes nearest the bound.  The SVD projector U_r U_r* is built
-        here from ``np.linalg.svd(M)`` at ``numerical_rank``, and both
-        routes must keep the same rank r (the trace of a projector).  With
-        eta = ||M - M*|| / 2 + 4 n eps ||M|| and delta = |lambda|_r - |lambda|_(r+1)
-        (|lambda| descending, |lambda|_(n+1) = 0, of the symmetrized M): eigh
-        and the SVD are exact for neighbours of H = (M + M*) / 2 within eta
-        (the skew part, then backward error to first order), and Wedin's
-        sin-theta theorem bounds the gap between two rank-r projectors of such
-        neighbours by sqrt 2 eta / delta.  The factor 2 leaves
-        (2 - sqrt 2) 4 n eps ||M|| / delta >= 2 n eps for forming the two
-        projectors from computed vectors.  On m(Q) the gap reaches more than
-        half the bound, so the test fails with the bound halved.
+        The reference is the rule the overlaps replaced: A meets B trivially
+        iff the stacked bases [A | B] have full column rank, at
+        ``numerical_rank``'s cutoff for n, decided here by one SVD of the
+        n x (dim A + dim B) stack.  The overlaps are V_r* V_+ (range m(Q) and
+        null Q) and U_perp* V_- (null m(Q) and range Q); in the Halmos form
+        their singular values are cos(theta_i / 2) >= 1/sqrt 2.
         """
-        worst = 0.0
-        for q in envelope_inputs((1e-10, 1e-4, 1.0, 1e4, 1e6), every_rank=True):
-            qm, n = q.matrix, q.dim
-            sum_qs = qm + adjoint(qm)
-            operands = (
-                sum_qs,
-                q.abs_q_star + q.abs_q,
-                q.abs_q_star + q.abs_q + sum_qs,
-                matched_projection(q).projection.matrix,
-            )
-            for m in operands:
-                proj = matched_module._column_space_projector(m, DEFAULT_TOL, hermitian=True)
-                u, s, _ = np.linalg.svd(m)
-                r = numerical_rank(s, n)
-                assert round(np.trace(proj).real) == r, (n, q.rank, q.offdiag_norm)
-                gap = operator_norm(proj - u[:, :r] @ adjoint(u[:, :r]))
-                if r == 0:
-                    assert gap == 0.0
-                    continue
-                lam = np.append(np.sort(np.abs(np.linalg.eigvalsh((m + adjoint(m)) / 2)))[::-1], 0.0)
-                eta = 0.5 * operator_norm(m - adjoint(m)) + 4.0 * n * EPS * lam[0]
-                bound = 2.0 * eta / (lam[r - 1] - lam[r])
-                assert gap <= bound, (n, q.rank, q.offdiag_norm, gap, bound)
-                worst = max(worst, gap / bound)
-        assert worst > 0.5, worst
+        smallest = []
+        for q in envelope_inputs((1e-10, 1e-4, 1.0, 1e4, 1e6), dims=(1, 2, 8, 16, 32), every_rank=True):
+            checks = {c.name: c.passed for c in range_identities(q)}
+            w, v = q.pencil
+            u, _, vh = q.svd
+            range_m, null_m = v[:, w > 0.0], v[:, w <= 0.0]
+            range_q, null_q = u[:, : q.rank], adjoint(vh)[:, q.rank :]
+            for name, a, b, overlap in (
+                ("range_mq_meets_null_q_trivially", range_m, null_q, vh[: q.rank] @ range_m),
+                ("null_mq_meets_range_q_trivially", null_m, range_q, adjoint(u[:, q.rank :]) @ null_m),
+            ):
+                stacked = np.linalg.svd(np.hstack([a, b]), compute_uv=False)
+                reference = numerical_rank(stacked, q.dim) == a.shape[1] + b.shape[1]
+                assert checks[name] == reference, (name, q.dim, q.rank, q.offdiag_norm)
+                if overlap.size:
+                    smallest.append(np.linalg.svd(overlap, compute_uv=False).min())
+        assert min(smallest) >= 1.0 / RT2 - 1e-12, min(smallest)
 
 
 class TestFractionalPower:

@@ -994,12 +994,16 @@ def test_the_svd_write_invariant_sees_each_spelling():
         assert bool(_svd_writes(source)) == (source in spellings), source
 
 
-def _own_eigensolves(source):
-    """Where ``koliha_projections`` calls an eigensolver: a name that begins ``eig`` or ``hermitian_eig``."""
+def _functions_named(source, *names):
+    """The function definitions of the source with one of the names, nested ones included."""
+    return [f for f in ast.walk(ast.parse(source)) if isinstance(f, ast.FunctionDef) and f.name in names]
+
+
+def _own_eigensolves(source, name):
+    """Where function ``name`` calls an eigensolver: a name that begins ``eig`` or ``hermitian_eig``."""
     return [
         f"{node.lineno} {ast.unparse(node.func)}"
-        for function in ast.walk(ast.parse(source))
-        if isinstance(function, ast.FunctionDef) and function.name == "koliha_projections"
+        for function in _functions_named(source, name)
         for node in ast.walk(function)
         if isinstance(node, ast.Call)
         and ast.unparse(node.func).split(".")[-1].startswith(("eig", "hermitian_eig"))
@@ -1011,7 +1015,7 @@ def test_koliha_reads_the_pencil_it_shares():
     # one eigh of S that m(Q) is built from
     source = (PACKAGE / "idempotents.py").read_text(encoding="utf-8")
     assert "def koliha_projections(" in source
-    found = _own_eigensolves(source)
+    found = _own_eigensolves(source, "koliha_projections")
     assert not found, found
 
 
@@ -1028,4 +1032,172 @@ def test_the_koliha_eigensolve_invariant_sees_each_spelling():
         "def block_form(t, p, tol):\n    lam, v = hermitian_eigen(p.matrix, tol)",
     ]
     for source in spellings + allowed:
-        assert bool(_own_eigensolves(source)) == (source in spellings), source
+        assert bool(_own_eigensolves(source, "koliha_projections")) == (source in spellings), source
+
+
+def _projector_options(source):
+    """Where ``_column_space_projector`` takes a ``hermitian`` parameter or calls an eigensolver."""
+    found = [
+        f"{function.lineno} parameter {arg.arg}"
+        for function in _functions_named(source, "_column_space_projector")
+        for arg in (*function.args.posonlyargs, *function.args.args, *function.args.kwonlyargs)
+        if arg.arg == "hermitian"
+    ]
+    return found + _own_eigensolves(source, "_column_space_projector")
+
+
+def test_column_space_projector_has_one_kernel():
+    # every operand of range_identities takes the SVD; the Hermitian eigh
+    # branch cost more than the SVD at small n and saved little at large n
+    source = (PACKAGE / "matched.py").read_text(encoding="utf-8")
+    assert "def _column_space_projector(" in source
+    found = _projector_options(source)
+    assert not found, found
+
+
+def test_the_projector_invariant_sees_each_spelling():
+    spellings = [
+        "def _column_space_projector(m, tol, hermitian=False):\n    u, s, _ = np.linalg.svd(m)",
+        "def _column_space_projector(m, tol, *, hermitian):\n    u, s, _ = np.linalg.svd(m)",
+        "def _column_space_projector(m, tol):\n    w, v = hermitian_eigen(m, tol)",
+        "def _column_space_projector(m, tol):\n    w, v = np.linalg.eigh(m)",
+        "def _column_space_projector(m, tol):\n    def basis():\n        return eigh(m)[1]\n    v = basis()",
+    ]
+    allowed = [
+        "def _column_space_projector(m, tol):\n    u, s, _ = np.linalg.svd(m)",
+        "def psd_power(m, power, tol):\n    lam, v = hermitian_eigen(m, tol)",
+        "def range_identities(q, tol, hermitian=True):\n    w, v = q.pencil",
+    ]
+    for source in spellings + allowed:
+        assert bool(_projector_options(source)) == (source in spellings), source
+
+
+STACKERS = ("hstack", "vstack", "column_stack", "concatenate", "block")
+
+
+def _stacked_bases(source):
+    """Where ``range_identities`` stacks arrays: ``np.hstack`` or another stacking call, however spelled."""
+    return [
+        f"{node.lineno} {ast.unparse(node.func)}"
+        for function in _functions_named(source, "range_identities")
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] in STACKERS
+    ]
+
+
+def test_range_identities_stack_no_bases():
+    # each trivial intersection is the rank of an overlap of bases that Q's
+    # SVD and pencil hold, not of an n x n stack of them
+    source = (PACKAGE / "matched.py").read_text(encoding="utf-8")
+    assert "def range_identities(" in source
+    found = _stacked_bases(source)
+    assert not found, found
+
+
+def test_the_stacked_basis_invariant_sees_each_spelling():
+    spellings = [
+        "def range_identities(q, tol):\n    s = np.linalg.svd(np.hstack([a, b]), compute_uv=False)",
+        "def range_identities(q, tol):\n    ab = numpy.concatenate([a, b], axis=1)",
+        "def range_identities(q, tol):\n    ab = column_stack((a, b))",
+        "def range_identities(q, tol):\n    def both():\n        return np.vstack([a.T, b.T])\n    ab = both()",
+    ]
+    allowed = [
+        "def range_identities(q, tol):\n    s = np.linalg.svd(vh[:r] @ v_plus, compute_uv=False)",
+        "def homotopy_witness_block(q, tol):\n    y = np.hstack([a, b])",
+    ]
+    for source in spellings + allowed:
+        assert bool(_stacked_bases(source)) == (source in spellings), source
+
+
+def _spells_adjoint(node):
+    """Whether the node spells M*: ``adjoint(...)``, or a conjugate and a transpose by hand."""
+    text = ast.unparse(node)
+    by_hand = "conj" in text and any(t in text for t in (".T", ".mT", "transpose", "swapaxes"))
+    return _calls(node, "adjoint") or by_hand
+
+
+def _adjoint_gap_verdicts(source):
+    """Where ``distance_report`` or ``range_identities`` calls ``norm_at_most`` on M - M* or M* - M.
+
+    The argument is followed through names the function binds to it, so
+    ``gap = adjoint(m) - m`` then ``norm_at_most(gap, ...)`` is seen too.
+    """
+    found = []
+    for function in _functions_named(source, "distance_report", "range_identities"):
+        bound = {
+            t.id: n.value for n in ast.walk(function) if isinstance(n, ast.Assign)
+            for t in n.targets if isinstance(t, ast.Name)
+        }
+        for node in ast.walk(function):
+            if not _calls(node, "norm_at_most"):
+                continue
+            for arg in (*node.args, *(k.value for k in node.keywords)):
+                seen = set()
+                while isinstance(arg, ast.Name) and arg.id in bound and arg.id not in seen:
+                    seen.add(arg.id)
+                    arg = bound[arg.id]
+                if any(isinstance(n, ast.BinOp) and isinstance(n.op, ast.Sub)
+                       and (_spells_adjoint(n.left) or _spells_adjoint(n.right)) for n in ast.walk(arg)):
+                    found.append(f"{node.lineno} {function.name}: {ast.unparse(node)}")
+    return found
+
+
+def test_projection_verdicts_are_is_projections():
+    # "Q is a projection" has one home, idempotents.is_projection; the
+    # reported norm of Q* - Q in distance_report is a value, not a verdict
+    source = "\n".join((PACKAGE / name).read_text(encoding="utf-8") for name in ("matched.py", "norms.py"))
+    assert "def distance_report(" in source and "def range_identities(" in source
+    found = _adjoint_gap_verdicts(source)
+    assert not found, found
+
+
+def test_the_projection_verdict_invariant_sees_each_spelling():
+    spellings = [
+        "def distance_report(q, tol):\n    p = norm_at_most(qm - adjoint(qm), tol.check)",
+        "def range_identities(q, tol):\n    h = norm_at_most(adjoint(qm) - qm, tol.check)",
+        "def range_identities(q, tol):\n    h = linalg.norm_at_most(q.matrix - q.matrix.conj().T, tol.check)",
+        "def distance_report(q, tol):\n    gap = adjoint(qm) - qm\n    g = gap\n    p = norm_at_most(g, tol.check)",
+        "def distance_report(q, tol):\n    def verdict():\n        return norm_at_most(qm - adjoint(qm), c)\n"
+        "    p = verdict()",
+    ]
+    allowed = [
+        "def distance_report(q, tol):\n    gap = adjoint(qm) - qm\n    n = operator_norm(gap)\n"
+        "    p = is_projection(qm, tol)",
+        "def range_identities(q, tol):\n    ranges_equal = norm_at_most(m - proj_sum, subspace)",
+        "def is_projection(m, tol):\n    return norm_at_most(m - adjoint(m), tol.check)",
+    ]
+    for source in spellings + allowed:
+        assert bool(_adjoint_gap_verdicts(source)) == (source in spellings), source
+
+
+def _public_matched_reads(source):
+    """Where a function calls ``matched_projection``, by any spelling that ends in that name."""
+    return [
+        f"{node.lineno} {function.name}"
+        for function in ast.walk(ast.parse(source)) if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function) if _calls(node, "matched_projection")
+    ]
+
+
+def test_matched_reads_m_through_its_private_name():
+    # the module's own reads of m(Q) go through _matched_pair, so a traced
+    # matched_projection counts only the requests of its callers
+    source = (PACKAGE / "matched.py").read_text(encoding="utf-8")
+    assert "def _matched_pair(" in source
+    found = _public_matched_reads(source)
+    assert not found, found
+
+
+def test_the_private_read_invariant_sees_each_spelling():
+    spellings = [
+        "def range_identities(q, tol):\n    m = matched_projection(q, tol).projection.matrix",
+        "def random_qpp_pair(dim, seed):\n    m = matched.matched_projection(sub, tol)",
+        "def unitary_equivariance(q, u):\n    def inner():\n        return matched_projection(q)\n    m = inner()",
+    ]
+    allowed = [
+        "def range_identities(q, tol):\n    m = _matched_pair(q, tol).projection.matrix",
+        "def matched_projection(q, tol):\n    return _matched_pair(q, tol)",
+        "def battery_route(q):\n    return matched_projection_svd(q)",
+    ]
+    for source in spellings + allowed:
+        assert bool(_public_matched_reads(source)) == (source in spellings), source
