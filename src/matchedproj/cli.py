@@ -34,7 +34,7 @@ from .matched import (
     qpp_checks,
     range_identities,
 )
-from .matrixio import dump, dumps, load_matrix, save_matrix
+from .matrixio import dump, dumps, load_matrix
 from .norms import distance_report
 from .report import Check, all_passed, boolean_check, bracket_check, failures, norm_check
 from .two_by_two import canonical_idempotent, closed_form_p0, grid_minimize
@@ -150,7 +150,7 @@ def cmd_generate(args) -> int:
         q = random_idempotent(args.dim, args.rank, args.offdiag_norm, args.seed, tol)
     except MatchedProjectionError as exc:
         raise ValueError(str(exc)) from exc
-    save_matrix(args.output, q.matrix)
+    dump(q.matrix, args.output)
     print(
         f"wrote {args.output}: dim {args.dim}, rank {args.rank}, "
         f"norm {q.norm:.12f}, defect {q.defect:.3e}"

@@ -176,64 +176,54 @@ def _projection_error(p: np.ndarray, gate: float) -> ValidationError:
     return ValidationError(f"projection defect {_projection_defect(p):.3e} exceeds {gate:.3e}")
 
 
-def _as_stack(m) -> tuple[np.ndarray, bool]:
-    """(stack, single): a (k, n, n) ndarray as a complex stack, anything else as ``as_matrix``'s stack of one."""
+def _as_matrix_or_stack(m) -> np.ndarray:
+    """A (k, n, n) ndarray as a complex stack, anything else as ``as_matrix``'s matrix."""
     if not (isinstance(m, np.ndarray) and m.ndim == 3):
-        return as_matrix(m)[np.newaxis], True
+        return as_matrix(m)
     stack = m.astype(np.complex128, copy=False)
     if stack.shape[1] != stack.shape[2] or stack.shape[1] < 1:
         raise ValueError(f"expected a stack of square matrices, got shape {stack.shape}")
     if not np.isfinite(stack).all():
         raise ValueError("matrix entries must be finite")
-    return stack, False
+    return stack
 
 
 def as_idempotent(m, tol: Tolerances = DEFAULT_TOL) -> Idempotent | list[Idempotent]:
     """Validate ||Q^2 - Q|| <= tol.quadratic(||Q||); a (k, n, n) ndarray gives the list of its k.
 
-    One matrix is certified as a stack of one.  ``certify`` holds each
-    ||Q^2 - Q|| to tol.quadratic(||Q||): a sample is accepted from norm
-    bounds where they settle it, the others take both 2-norms exactly,
-    stacked, and the first one over its gate raises.
+    ``certify`` holds each ||Q^2 - Q|| to tol.quadratic(||Q||), a matrix as
+    one 2-D residual and a stack as one stacked residual: a sample is
+    accepted from norm bounds where they settle it, the others take both
+    2-norms exactly, stacked, and the first one over its gate raises.
     """
-    stack, single = _as_stack(m)
-    certify(stack @ stack - stack, tol.quadratic,
+    qs = _as_matrix_or_stack(m)
+    certify(qs @ qs - qs, tol.quadratic,
             lambda defect, bound, _: ValidationError(f"idempotency defect {defect:.3e} exceeds {bound:.3e}"),
-            stack)
-    samples = [Idempotent(q) for q in stack]
-    return samples[0] if single else samples
+            qs)
+    return Idempotent(qs) if qs.ndim == 2 else [Idempotent(q) for q in qs]
 
 
 def is_projection(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Whether ||M - M*|| <= tol.check and ||M^2 - M|| <= tol.check, each by ``norm_at_most``.
 
-    The Hermitian test comes first: it needs no product, and most non-projections fail it.
+    A (k, n, n) stack is a projection when every slice is.  The Hermitian
+    test comes first: it needs no product, and most non-projections fail it.
     """
     return norm_at_most(m - adjoint(m), tol.check) and norm_at_most(m @ m - m, tol.check)
 
 
 def as_projection(m, tol: Tolerances = DEFAULT_TOL) -> Projection | list[Projection]:
-    """Validate ||P - P*|| <= tol.check, then ||P^2 - P|| <= tol.check; a (k, n, n) ndarray gives the list of its k.
+    """Certify P on ``is_projection``'s verdict; a (k, n, n) ndarray gives the list of its k.
 
-    Each is accepted from norm bounds where they settle it; a rejected input
-    takes both norms exactly for the message.  A stack takes one ``certify``
-    over its 2k residuals, each P's two in a row, so the first failing P is
-    rejected, with a matrix's message.  A matrix keeps its two 2-D
-    residuals: as a stack of one, mq-stream's median ok ops/s fell from
-    2,835 to 2,766 at seed 1 and from 2,846 to 2,733 at seed 7919, each
-    below the lower quartile of 10 alternating runs (``BENCH_30.json``).
+    The verdict decides from norm bounds where they settle it, so clean input
+    takes no 2-norm.  A rejected input raises with the exact
+    max(||P^2 - P||, ||P - P*||) of its first failing P in index order.
     """
-    stack, single = _as_stack(m)
-    if single:
-        p = stack[0]
-        gate, fail = lambda: tol.check, lambda _, bound, __: _projection_error(p, bound)
-        certify(p - adjoint(p), gate, fail)
-        certify(p @ p - p, gate, fail)
-        return Projection(matrix=p)
-    pairs = np.concatenate([stack - np.conj(stack).swapaxes(-1, -2), stack @ stack - stack], axis=-2)
-    certify(pairs.reshape(-1, *stack.shape[1:]), lambda: tol.check,
-            lambda _, gate, k: _projection_error(stack[k // 2], gate))
-    return [Projection(p) for p in stack]
+    ps = _as_matrix_or_stack(m)
+    if not is_projection(ps, tol):
+        bad = next(p for p in ps.reshape(-1, *ps.shape[-2:]) if not is_projection(p, tol))
+        raise _projection_error(bad, tol.check)
+    return Projection(ps) if ps.ndim == 2 else [Projection(p) for p in ps]
 
 
 @per_tolerance

@@ -36,26 +36,27 @@ defect-operator identities of the distance report, ``analyze``'s oracle
 comparisons and every residual-against-a-gate record of the ``verify``
 battery.  A yes/no verdict that steers a computation decides by
 ``norm_at_most``: ``idempotents.is_projection`` (behind the witness
-short-circuits), the dominance equality of ``norms.qpp_minimality``, the
-||P|| > 1/2 tests of ``norms.two_projection_construction`` and the
-battery's branch guards.
+short-circuits and every projection certificate), the dominance equality
+of ``norms.qpp_minimality``, the ||P|| > 1/2 tests of
+``norms.two_projection_construction`` and the battery's branch guards.
 
-A certificate raises where a check would report, and every one goes
-through one kernel, ``certify``: a residual (a matrix or a stack) against
-a gate nondecreasing in its operands' norms, accepted slice by slice from
-``norm_bounds``, with exact norms only for the slices the bounds leave
-unsettled and the caller's message, carrying the exact numbers, for the
-first slice that fails.  Its callers are ``require_hermitian`` (and with
+A certificate raises where a check would report, and every one but the
+projection certificate goes through one kernel, ``certify``: a residual
+(a matrix or a stack) against a gate nondecreasing in its operands' norms,
+accepted slice by slice from ``norm_bounds``, with exact norms only for
+the slices the bounds leave unsettled and the caller's message, carrying
+the exact numbers, for the first slice that fails.  Its callers are ``require_hermitian`` (and with
 it every Hermitian kernel below), ``block_form``'s round trip,
-``idempotents.as_idempotent`` and ``as_projection``, the inverse and
-similarity gates of ``matched._certified_witness``, the four-term
-identity of ``matched.fractional_power_limit`` and the unitarity gate of
-``matched.unitary_equivariance``.  ``as_projection`` certifies each
+``idempotents.as_idempotent`` (a matrix as one 2-D residual, a stack as
+one stacked residual), the inverse and similarity gates of
+``matched._certified_witness``, the four-term identity of
+``matched.fractional_power_limit`` and the unitarity gate of
+``matched.unitary_equivariance``.  ``idempotents.as_projection`` is no
+caller: it raises on ``is_projection``'s verdict, which decides a
 projection built alone (P_R(Q), P_N(Q), m(Q) = V_+ V_+* from the pencil,
-the witnesses' projections, the 2x2 family) as a matrix and each batch as
-one stack: every ``random_projection`` draw, a batch of one included, and
-Koliha's pair P_R(Q), P_R(Q*).  Every gate, fixed or built from norms, is a member of
-``Tolerances``.
+the witnesses' projections, the 2x2 family) as a matrix and a batch (every
+``random_projection`` draw, Koliha's pair P_R(Q), P_R(Q*)) slice by slice.
+Every gate, fixed or built from norms, is a member of ``Tolerances``.
 """
 
 from __future__ import annotations
@@ -154,8 +155,8 @@ def identity(dim: int) -> np.ndarray:
 
 
 def adjoint(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return m.conj().T
+    """Conjugate transpose of a matrix, or of each slice of a (k, n, n) stack."""
+    return m.conj().swapaxes(-1, -2)
 
 
 def operator_norm(m: np.ndarray) -> float | np.ndarray:
@@ -235,10 +236,11 @@ def norm_at_most(m: np.ndarray, bound: float) -> bool:
 def certify(residual: np.ndarray, gate, fail, *operands: np.ndarray, scale: float = 1.0) -> None:
     """Certify scale ||R_k|| <= gate(||A_k||, ...) for each slice k, or raise ``fail(norm, bound, k)``.
 
-    The one bound-first rule of every certificate.  ``residual`` R is a
-    matrix or a (k, n, n) stack, each operand A of the same shape, and
-    ``gate`` maps the operands' norms (floats, or one array per operand) to
-    the gate; it must be nondecreasing in each, so that scale upper(||R_k||)
+    The bound-first rule of every certificate but the projection one
+    (``idempotents.as_projection``).  ``residual`` R is a matrix or a
+    (k, n, n) stack, each operand A of the same shape, and ``gate`` maps the
+    operands' norms (floats, or one array per operand) to the gate; it must
+    be nondecreasing in each, so that scale upper(||R_k||)
     <= gate(lower(||A_k||), ...) from ``norm_bounds`` implies the exact test.
     The slices that the bounds leave unsettled take their exact norms, one
     stacked ``operator_norm`` per quantity, and the first slice whose exact

@@ -277,10 +277,10 @@ class SimilarityWitness:
         return out
 
 
-def _trivial_witness(q: Idempotent, tol: Tolerances) -> SimilarityWitness:
-    """The witness of a projection input: W = I and the constant path."""
+def _trivial_witness(q: Idempotent) -> SimilarityWitness:
+    """The witness of a projection input (its caller's ``is_projection`` verdict): W = I and the constant path."""
     empty = np.zeros((q.dim, 0))
-    return SimilarityWitness(as_projection(q.matrix, tol), empty, empty, np.zeros(0), 0.0)
+    return SimilarityWitness(Projection(q.matrix), empty, empty, np.zeros(0), 0.0)
 
 
 def _nontrivial_rank(r: int, n: int) -> int:
@@ -317,7 +317,7 @@ def homotopy_witness(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> Similarity
     A projection input short-circuits to the trivial witness W = I.
     """
     if is_projection(q.matrix, tol):
-        return _trivial_witness(q, tol)
+        return _trivial_witness(q)
     w, v = q.pencil
     projection = _matched_pair(q, tol).projection
     qm, m, n = q.matrix, projection.matrix, q.dim
@@ -397,7 +397,7 @@ def homotopy_witness_block(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> Simi
     """
     qm, n = q.matrix, q.dim
     if is_projection(qm, tol):
-        return _trivial_witness(q, tol)
+        return _trivial_witness(q)
     form = block_form(qm, koliha_projections(q, tol)[0], tol)
     r = _nontrivial_rank(form.rank, n)
     g, s, hh = np.linalg.svd(form.blocks[1])

@@ -154,10 +154,6 @@ def matrix_from_obj(obj) -> np.ndarray:
     return out
 
 
-def save_matrix(path, m: np.ndarray) -> None:
-    dump(m, path)
-
-
 def load_matrix(path, digest=None) -> np.ndarray:
     """The validated matrix in the file at ``path``, which is opened and read once.
 

@@ -1,6 +1,12 @@
 """Fixtures and input generators shared by the test modules."""
 
+import os
 from collections import Counter
+
+# One OpenBLAS kernel on every x86 machine, set before numpy loads it: the
+# byte-exact golden reports hold their last bits under this kernel, and other
+# kernels (Zen, or an AVX-512 one) round some dot products differently.
+os.environ["OPENBLAS_CORETYPE"] = "Haswell"
 
 import numpy as np
 import pytest

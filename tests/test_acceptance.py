@@ -21,7 +21,9 @@ from matchedproj import (
     grid_minimize,
     homotopy_path,
     homotopy_witness,
+    homotopy_witness_block,
     matched_projection,
+    matched_projection_closed_form,
     matched_via_factor,
     offdiag_distance,
     operator_norm,
@@ -93,9 +95,8 @@ def stress():
 
         # criterion 3: route agreement
         tt, vv = matched_via_factor(q)
-        wit = homotopy_witness(q)
-        block = wit.projection.matrix
-        routes = [m, tt, vv, block]
+        block = homotopy_witness_block(q).projection.matrix
+        routes = [m, tt, vv, matched_projection_closed_form(q), block]
         agree = max(
             operator_norm(routes[i] - routes[j])
             for i in range(len(routes))
@@ -138,10 +139,11 @@ def stress():
                 worst["qpp_equivalence_disagreements"] += 1
 
         # criterion 6: homotopy
+        wit = homotopy_witness(q)
         worst["witness_contraction"] = max(
             worst["witness_contraction"], wit.contraction_norm
         )
-        recon = np.linalg.inv(wit.w) @ block @ wit.w
+        recon = np.linalg.inv(wit.w) @ wit.projection.matrix @ wit.w
         worst["witness_reconstruction"] = max(
             worst["witness_reconstruction"], operator_norm(recon - qm)
         )

@@ -35,7 +35,7 @@ from matchedproj import (
 from matchedproj.battery import run_battery, sabotaged
 from matchedproj.cli import main
 from matchedproj.linalg import require_hermitian
-from matchedproj.matrixio import dump, dumps, load_matrix, matrix_from_obj, save_matrix
+from matchedproj.matrixio import dump, dumps, load_matrix, matrix_from_obj
 from matchedproj.report import Check, norm_check
 from matchedproj.errors import InapplicableHypothesisError, MatrixFileError, ValidationError
 from matchedproj.two_by_two import canonical_idempotent
@@ -103,7 +103,7 @@ class TestMatrixIO:
     def test_roundtrip(self, tmp_path):
         m = as_matrix([[1.0, 1j], [0.5 - 2j, 0.0]])
         path = tmp_path / "m.json"
-        save_matrix(path, m)
+        dump(m, path)
         np.testing.assert_array_equal(load_matrix(path), m)
 
     def test_schema_shape(self):
@@ -116,7 +116,7 @@ class TestMatrixIO:
         ms = edge_matrices(n)
         refs = [reference_obj(m) for m in ms]
         m, ref = ms[-1], refs[-1]
-        cases = [(m, ref) for m, ref in zip(ms, refs)]  # save_matrix
+        cases = [(m, ref) for m, ref in zip(ms, refs)]  # generate
         cases.append((ms, refs))  # path
         cases.append((  # analyze, min2x2
             {"z": [1, {"m": ms}], "checks": [], "matched_projection": m, "x": 0.1},
@@ -320,7 +320,7 @@ class TestAnalyze:
 
     def test_canonical_distances(self, tmp_path):
         q, rep = tmp_path / "q.json", tmp_path / "rep.json"
-        save_matrix(q, as_matrix([[1.0, 1.0], [0.0, 0.0]]))
+        dump(as_matrix([[1.0, 1.0], [0.0, 0.0]]), q)
         assert run("analyze", "--input", q, "--output", rep) == 0
         report = json.loads(rep.read_text())
         assert report["distances"]["d_matched"] == pytest.approx(RT2 / 2, abs=1e-10)
@@ -330,7 +330,7 @@ class TestAnalyze:
 
     def test_projection_input_all_distances_zero(self, tmp_path):
         q, rep = tmp_path / "p.json", tmp_path / "rep.json"
-        save_matrix(q, as_matrix(0.5 * np.array([[1, 1], [1, 1]])))
+        dump(as_matrix(0.5 * np.array([[1, 1], [1, 1]])), q)
         assert run("analyze", "--input", q, "--output", rep) == 0
         report = json.loads(rep.read_text())
         assert report["distances"]["d_matched"] <= 1e-12
@@ -345,7 +345,7 @@ class TestAnalyze:
 
     def test_non_idempotent_is_usage_error(self, tmp_path):
         q = tmp_path / "bad.json"
-        save_matrix(q, as_matrix([[1.0, 1.0], [0.0, 0.5]]))
+        dump(as_matrix([[1.0, 1.0], [0.0, 0.5]]), q)
         assert run("analyze", "--input", q) == 2
 
     def test_missing_file_is_usage_error(self, tmp_path):
@@ -359,7 +359,7 @@ class TestAnalyze:
 
     def test_corrupted_formula_is_math_error(self, tmp_path, monkeypatch, capsys):
         q, rep = tmp_path / "q.json", tmp_path / "rep.json"
-        save_matrix(q, as_matrix([[1.0, 1.0], [0.0, 0.0]]))
+        dump(as_matrix([[1.0, 1.0], [0.0, 0.0]]), q)
         certify = cli.as_idempotent
         monkeypatch.setattr(cli, "as_idempotent", lambda m, tol=None: sabotaged(certify(m, tol)))
         assert run("analyze", "--input", q, "--output", rep) == 1
@@ -369,7 +369,7 @@ class TestAnalyze:
     def test_failed_analysis_leaves_the_output_untouched(self, tmp_path):
         # the report is written only once the analysis is finished
         q, rep = tmp_path / "bad.json", tmp_path / "rep.json"
-        save_matrix(q, as_matrix([[1.0, 1.0], [0.0, 0.5]]))
+        dump(as_matrix([[1.0, 1.0], [0.0, 0.5]]), q)
         rep.write_text("an earlier report\n")
         assert run("analyze", "--input", q, "--output", rep) == 2
         assert rep.read_text() == "an earlier report\n"
@@ -390,7 +390,7 @@ class TestAnalyze:
 
         monkeypatch.setattr(cli, "dumps", recorded)
         q, rep = tmp_path / "q.json", tmp_path / "rep.json"
-        save_matrix(q, random_idempotent(128, 60, 1.0, 5).matrix)
+        dump(random_idempotent(128, 60, 1.0, 5).matrix, q)
         assert traced_peak(lambda: run("analyze", "--input", q, "--output", rep)) < 9_500_000
         assert held[0] < 1_000_000
         # the file is the text of the one dumps call, whose bytes a trace counts
@@ -399,7 +399,7 @@ class TestAnalyze:
 
     def test_missing_output_directory_is_usage_error(self, tmp_path, capsys):
         q, rep = tmp_path / "q.json", tmp_path / "missing" / "rep.json"
-        save_matrix(q, as_matrix([[1.0, 1.0], [0.0, 0.0]]))
+        dump(as_matrix([[1.0, 1.0], [0.0, 0.0]]), q)
         assert run("analyze", "--input", q, "--output", rep) == 2
         assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: {str(rep)!r}\n"
 
@@ -408,14 +408,14 @@ class TestAnalyze:
     def test_non_finite_tolerance_is_usage_error(self, tmp_path, flag, value):
         # a defect-0.56 matrix must not pass as an idempotent under an infinite gate
         q = tmp_path / "bad.json"
-        save_matrix(q, as_matrix([[1.0, 1.0], [0.0, 0.5]]))
+        dump(as_matrix([[1.0, 1.0], [0.0, 0.5]]), q)
         assert run("analyze", "--input", q, f"{flag}={value}") == 2
 
     def test_unreachable_tolerance_is_math_error(self, tmp_path):
         # the exact idempotent passes validation at any gate, but no computed
         # projection can meet a 1e-18 residual bound
         q = tmp_path / "q.json"
-        save_matrix(q, as_matrix([[1.0, 1.0], [0.0, 0.0]]))
+        dump(as_matrix([[1.0, 1.0], [0.0, 0.0]]), q)
         assert run("analyze", "--input", q, "--tol-check", "1e-18") == 1
 
     def test_boolean_dim_is_usage_error(self, tmp_path):
@@ -482,7 +482,7 @@ class TestAnalyze:
     def test_input_is_opened_once(self, tmp_path, monkeypatch):
         # the report's sha256 names the bytes that were parsed, from the one read
         q, rep = tmp_path / "q.json", tmp_path / "rep.json"
-        save_matrix(q, random_idempotent(4, 2, 1.0, 3).matrix)
+        dump(random_idempotent(4, 2, 1.0, 3).matrix, q)
         opened = []
 
         def counting(open_):
@@ -503,7 +503,7 @@ class TestAnalyze:
         # at ||A|| = 1e6 the Koliha projections behind the T/V factor oracle
         # miss certification; the production checks all pass and are reported
         q, rep = tmp_path / "q.json", tmp_path / "rep.json"
-        save_matrix(q, random_idempotent(64, 20, 1e6, 3).matrix)
+        dump(random_idempotent(64, 20, 1e6, 3).matrix, q)
         assert run("analyze", "--input", q, "--output", rep) == 1
         assert "factor oracle: projection defect" in capsys.readouterr().err
         report = json.loads(rep.read_text())
@@ -520,7 +520,7 @@ class TestAnalyze:
         q, rep = tmp_path / "q.json", tmp_path / "rep.json"
         step = np.random.default_rng(5)
         g = step.standard_normal((32, 32)) + 1j * step.standard_normal((32, 32))
-        save_matrix(q, random_idempotent(32, 21, 1e2, 32021).matrix + 1e-8 * g / operator_norm(g))
+        dump(random_idempotent(32, 21, 1e2, 32021).matrix + 1e-8 * g / operator_norm(g), q)
         assert run("analyze", "--input", q, "--output", rep) == 1
         assert "asymmetry" not in capsys.readouterr().err
         report = json.loads(rep.read_text())
@@ -530,13 +530,13 @@ class TestAnalyze:
 
     def test_report_json_round_trips(self, tmp_path):
         q, rep = tmp_path / "q.json", tmp_path / "rep.json"
-        save_matrix(q, as_matrix([[1.0, 1.0], [0.0, 0.0]]))
+        dump(as_matrix([[1.0, 1.0], [0.0, 0.0]]), q)
         assert run("analyze", "--input", q, "--output", rep) == 0
         text = rep.read_text()
         parsed = json.loads(text)
         assert json.dumps(parsed, indent=2, sort_keys=True) + "\n" == text
         # a larger report, whatever its checks say; its m(Q) loads back bitwise
-        save_matrix(q, random_idempotent(64, 20, 1e4, 5).matrix)
+        dump(random_idempotent(64, 20, 1e4, 5).matrix, q)
         assert run("analyze", "--input", q, "--output", rep) in (0, 1)
         text = rep.read_text()
         parsed = json.loads(text)
@@ -548,7 +548,7 @@ class TestAnalyze:
 class TestPath:
     def test_two_samples_are_endpoints(self, tmp_path):
         q, out = tmp_path / "q.json", tmp_path / "path.json"
-        save_matrix(q, as_matrix([[1.0, 1.0], [0.0, 0.0]]))
+        dump(as_matrix([[1.0, 1.0], [0.0, 0.0]]), q)
         assert run("path", "--input", q, "--samples", 2, "--output", out) == 0
         samples = [matrix_from_obj(o) for o in json.loads(out.read_text())]
         assert len(samples) == 2
@@ -558,7 +558,7 @@ class TestPath:
 
     def test_eleven_samples_all_idempotent(self, tmp_path):
         q, out = tmp_path / "q.json", tmp_path / "path.json"
-        save_matrix(q, as_matrix([[1.0, 1.0], [0.0, 0.0]]))
+        dump(as_matrix([[1.0, 1.0], [0.0, 0.0]]), q)
         assert run("path", "--input", q, "--samples", 11, "--output", out) == 0
         for obj in json.loads(out.read_text()):
             s = matrix_from_obj(obj)
@@ -567,19 +567,19 @@ class TestPath:
     def test_projection_gives_constant_path(self, tmp_path):
         q, out = tmp_path / "p.json", tmp_path / "path.json"
         p = 0.5 * np.array([[1, 1], [1, 1]])
-        save_matrix(q, as_matrix(p))
+        dump(as_matrix(p), q)
         assert run("path", "--input", q, "--samples", 5, "--output", out) == 0
         for obj in json.loads(out.read_text()):
             np.testing.assert_allclose(matrix_from_obj(obj), p, atol=1e-12)
 
     def test_invalid_input_is_usage_error(self, tmp_path):
         q = tmp_path / "bad.json"
-        save_matrix(q, as_matrix([[1.0, 1.0], [0.0, 0.5]]))
+        dump(as_matrix([[1.0, 1.0], [0.0, 0.5]]), q)
         assert run("path", "--input", q, "--samples", 3) == 2
 
     def test_zero_samples_is_usage_error(self, tmp_path, capsys):
         q, out = tmp_path / "q.json", tmp_path / "path.json"
-        save_matrix(q, as_matrix([[1.0, 1.0], [0.0, 0.0]]))
+        dump(as_matrix([[1.0, 1.0], [0.0, 0.0]]), q)
         assert run("path", "--input", q, "--samples", 0, "--output", out) == 2
         assert capsys.readouterr().err == "error: samples must be positive\n"
         assert not out.exists()
@@ -587,7 +587,7 @@ class TestPath:
     def test_sabotaged_input_is_math_error(self, tmp_path, monkeypatch, capsys):
         # m(Q) fails its certificate, so the path has no start
         q, out = tmp_path / "q.json", tmp_path / "path.json"
-        save_matrix(q, as_matrix([[1.0, 1.0], [0.0, 0.0]]))
+        dump(as_matrix([[1.0, 1.0], [0.0, 0.0]]), q)
         certify = cli.as_idempotent
         monkeypatch.setattr(cli, "as_idempotent", lambda m, tol=None: sabotaged(certify(m, tol)))
         assert run("path", "--input", q, "--samples", 3, "--output", out) == 1

@@ -24,6 +24,7 @@ from matchedproj import (
     is_projection,
     koliha_projections,
     moore_penrose,
+    norm_at_most,
     null_projection,
     operator_norm,
     random_idempotent,
@@ -42,6 +43,10 @@ NORM_LADDER = (1e-10, 1e-7, 1e-4, 1e-2, 1.0, 1e2, 1e4)
 
 def no_draw(*args, **kwargs):
     raise AssertionError("a random generator was made")
+
+
+def no_certify(*args, **kwargs):
+    raise AssertionError("certify was called")
 
 
 class TestValidation:
@@ -169,6 +174,22 @@ class TestStackedValidation:
             with pytest.raises(ValueError, match=re.escape(f"expected a stack of square matrices, got shape {shape}")):
                 certifier(np.zeros(shape))
 
+    def test_matrix_is_certified_as_one_2d_residual(self, monkeypatch):
+        # a matrix is certified as itself, never as a stack of one
+        residuals = []
+        kernel = idempotents.certify
+        monkeypatch.setattr(
+            idempotents, "certify",
+            lambda residual, *args, **kwargs: residuals.append(residual.shape) or kernel(residual, *args, **kwargs),
+        )
+        q = random_idempotent(5, 2, 1.0, 4).matrix
+        residuals.clear()
+        assert isinstance(as_idempotent(q), idempotents.Idempotent)
+        assert residuals == [(5, 5)]
+        residuals.clear()
+        assert len(as_idempotent(np.stack([q, q, q]))) == 3
+        assert residuals == [(3, 5, 5)]
+
     def test_integer_input_is_certified_complex(self):
         (q,) = as_idempotent(np.array([[[1, 0], [0, 0]]]))
         assert q.matrix.dtype == np.complex128
@@ -249,21 +270,36 @@ class TestStackedProjections:
         assert random_projection(4, [], []) == []
 
     def test_matrix_is_certified_as_2d_residuals(self, monkeypatch):
-        # a matrix keeps its two 2-D certificates, never a stack of one;
-        # a stack takes one certificate over its 2k residuals
-        residuals = []
-        kernel = idempotents.certify
+        # as_projection takes is_projection's verdict: a matrix gives two 2-D
+        # residuals, a stack two stacked ones, and no certify is called
+        bracketed = []
+        verdict = idempotents.norm_at_most
         monkeypatch.setattr(
-            idempotents, "certify",
-            lambda residual, *args, **kwargs: residuals.append(residual.shape) or kernel(residual, *args, **kwargs),
+            idempotents, "norm_at_most", lambda m, bound: bracketed.append(m.shape) or verdict(m, bound)
         )
+        monkeypatch.setattr(idempotents, "certify", no_certify)
         p = random_projection(5, 2, 4).matrix
-        residuals.clear()
+        bracketed.clear()
         as_projection(p)
-        assert residuals == [(5, 5), (5, 5)]
-        residuals.clear()
+        assert bracketed == [(5, 5), (5, 5)]
+        bracketed.clear()
         as_projection(np.stack([p, p, p]))
-        assert residuals == [(6, 5, 5)]
+        assert bracketed == [(3, 5, 5), (3, 5, 5)]
+
+    def test_first_failing_slice_is_named_whichever_test_it_fails(self):
+        # P_0 fails only idempotency and P_1 only Hermiticity, which the
+        # stacked verdict tests first; the message is P_0's
+        p0 = 2.0 * random_projection(3, 1, 5).matrix
+        p1 = random_projection(3, 2, 6).matrix
+        p1[0, 1] += 1e-3
+        assert norm_at_most(p0 - adjoint(p0), 1e-10) and not norm_at_most(p0 @ p0 - p0, 1e-10)
+        assert not norm_at_most(p1 - adjoint(p1), 1e-10)
+        with pytest.raises(ValidationError) as stacked:
+            as_projection(np.stack([p0, p1]))
+        with pytest.raises(ValidationError) as first:
+            as_projection(p0)
+        assert str(stacked.value) == str(first.value)
+        assert f"projection defect {operator_norm(p0 @ p0 - p0):.3e}" in str(stacked.value)
 
 
 class TestMemo:
@@ -273,7 +309,7 @@ class TestMemo:
         q.norm, range_projection(q)
         q.defect
         moved = dataclasses.replace(q, matrix=other.matrix)
-        assert moved.norm == operator_norm(other.matrix)
+        assert moved.norm == other.norm
         assert moved.defect == other.defect
         np.testing.assert_array_equal(
             range_projection(moved).matrix, range_projection(other).matrix

@@ -108,6 +108,13 @@ class TestAdjoint:
             assert operator_norm(adjoint(adjoint(m)) - m) == 0.0
             assert abs(operator_norm(adjoint(m)) - operator_norm(m)) < 1e-12
 
+    def test_stack_gives_each_slice_adjoint_bitwise(self):
+        rng = np.random.default_rng(2)
+        stack = np.stack([random_complex(rng, 4) for _ in range(3)])
+        out = adjoint(stack)
+        assert out.shape == (3, 4, 4)
+        assert out.tobytes() == np.stack([m.conj().T for m in stack]).tobytes()
+
 
 class TestOperatorNorm:
     def test_zero(self):
@@ -165,7 +172,7 @@ def kernel_inputs():
         yield stack
         yield stack[::2]
         yield stack.real
-        yield np.swapaxes(stack.conj(), -1, -2)
+        yield adjoint(stack)
         if dim > 1:
             r = dim // 3 + 1
             yield m[:r, r:]

@@ -1201,3 +1201,55 @@ def test_the_private_read_invariant_sees_each_spelling():
     ]
     for source in spellings + allowed:
         assert bool(_public_matched_reads(source)) == (source in spellings), source
+
+
+# a matrix or a stack is told apart by its rank in the kernels, never by a
+# flag of the certifiers, and as_projection raises on is_projection's verdict
+CERTIFIERS = ("as_idempotent", "as_projection")
+PROJECTION_DECIDERS = ("certify", "norm_at_most", "norm_bracket", "norm_bounds", "operator_norm", "_projection_defect")
+
+
+def _certifier_forks(source):
+    """Where a certifier binds ``single``, or ``as_projection`` decides other than by ``is_projection``."""
+    found = []
+    for function in _functions_named(source, *CERTIFIERS):
+        for node in ast.walk(function):
+            if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) and node.id == "single"
+                    or isinstance(node, ast.arg) and node.arg == "single"):
+                found.append(f"{node.lineno} {function.name} binds single")
+            elif function.name == "as_projection" and any(_calls(node, name) for name in PROJECTION_DECIDERS):
+                found.append(f"{node.lineno} as_projection calls {ast.unparse(node.func)}")
+        if function.name == "as_projection" and not any(_calls(n, "is_projection") for n in ast.walk(function)):
+            found.append(f"{function.lineno} as_projection takes no is_projection verdict")
+    return found
+
+
+def test_certifiers_fork_on_no_flag_and_projections_on_one_predicate():
+    source = (PACKAGE / "idempotents.py").read_text(encoding="utf-8")
+    assert all(f"def {name}(" in source for name in CERTIFIERS)
+    found = _certifier_forks(source)
+    assert not found, found
+
+
+def test_the_certifier_invariant_sees_each_spelling():
+    verdict = "    if not is_projection(ps, tol):\n        raise _projection_error(ps, tol.check)\n"
+    spellings = [
+        "def as_projection(m, tol):\n    stack, single = _as_stack(m)\n" + verdict,
+        "def as_idempotent(m, tol):\n    single = m.ndim == 2",
+        "def as_idempotent(m, tol, *, single=False):\n    pass",
+        "def as_idempotent(m, tol):\n    if (single := m.ndim == 2):\n        pass",
+        "def as_projection(m, tol):\n" + verdict + "    certify(p - adjoint(p), gate, fail)",
+        "def as_projection(m, tol):\n    if not linalg.norm_at_most(m - adjoint(m), tol.check):\n        raise E",
+        "def as_projection(m, tol):\n" + verdict + "    def check(p):\n        certify(p @ p - p, gate, fail)\n"
+        "    check(ps)",
+        "def as_projection(m, tol):\n" + verdict + "    if operator_norm(ps - adjoint(ps)) > tol.check:\n"
+        "        raise E",
+    ]
+    allowed = [
+        "def as_projection(m, tol):\n    ps = _as_matrix_or_stack(m)\n" + verdict,
+        "def as_idempotent(m, tol):\n    certify(qs @ qs - qs, tol.quadratic, fail, qs)",
+        "def random_projection(dim, rank, seed, tol):\n    single = isinstance(rank, int)",
+        "def is_projection(m, tol):\n    return norm_at_most(m - adjoint(m), tol.check)",
+    ]
+    for source in spellings + allowed:
+        assert bool(_certifier_forks(source)) == (source in spellings), source
