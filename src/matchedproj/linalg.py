@@ -216,6 +216,8 @@ def norm_bracket(m: np.ndarray, gate) -> tuple[float, float] | tuple[np.ndarray,
     unsettled slices' exact norms from one stacked SVD.
     """
     lower, upper = norm_bounds(m)
+    if m.ndim == 3 and (upper <= gate).all():
+        return lower, upper  # the common stacked verdict, before the five-ufunc mask
     settled = (upper <= gate) | ((gate < lower) & (lower <= upper) & (upper < math.inf))
     if m.ndim == 2:
         if settled:

@@ -6,7 +6,10 @@ in a one-parameter Halmos family indexed by an angle t and a unimodular
 scalar z.  The squared distance ||P - Q||^2 has an explicit expression in
 (|a|, Re z, t) whose minimum over the family is attained at z = 1 and half
 the angle theta_0 with sin(theta_0) = |a| / sqrt(1 + |a|^2).  The grid
-minimizer here is the brute-force oracle for that closed form.
+minimizer here is the brute-force oracle for that closed form.  It skips
+the blocks of t-rows that a rounding-error floor shows cannot hold the grid
+minimum, and scans every other block in full, so its minimum and argmin are
+those of the full scan bit for bit (``grid_minimize`` gives the argument).
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 
 from .errors import ValidationError, ZeroParameterError
 from .idempotents import Idempotent, Projection, as_idempotent, as_projection
-from .linalg import DEFAULT_TOL, Tolerances, adjoint, operator_norm
+from .linalg import DEFAULT_TOL, EPS, Tolerances, adjoint, operator_norm
 from .report import Check, boolean_check
 
 # t-rows per block of ``grid_minimize``: a block of 32 x 512 objective values
@@ -127,6 +130,43 @@ def grid_minimize(a: complex, points: int, tol: Tolerances = DEFAULT_TOL) -> Gri
     The objective is Lipschitz on the compact domain, so the grid minimum
     must land within an O(step) band above the true optimum; it can never
     fall below it, being a minimum over a subset.
+
+    The grid is scanned in blocks of ``GRID_ROWS`` t-rows.  A block is
+    skipped only when every value it would compute exceeds the grid's
+    computed minimum, so ``min_value``, ``argmin_x`` and ``argmin_t``, and
+    every check built from them, are those of the full scan bit for bit.
+
+    Why a block can be skipped.  With s = sin t, W = 2|cos t sin t| and
+    M = |a|, the objective at fixed t is F(x) = s^2 + M g(mu)/2 with
+    mu = M - W x and g(mu) = mu + sqrt(mu^2 + 4 s^4); g' lies in [0, 2], so
+    F is nonincreasing in x, and no x <= 1 = xs[-1] gives less than x = 1.
+    One call ``distance_objective(a, 1.0, ts)`` gives f_i, the computed
+    value at x = 1, for every row i.  Rounding, to first order with
+    u = eps/2 per operation and |x| <= 1, W <= 1, s^2 <= 1:
+
+    - mu is one product and one difference, within 2u(M + W); g is
+      2-Lipschitz, so g(mu) moves by 4u(M + W);
+    - the squares, the sum, the root and mu + root add u(4(M + W) + 6 s^2).
+      These are absolute errors in |mu| and s^2, so the cancellation of
+      mu + root when mu < 0 is covered;
+    - times M and halved, that is M u(4(M + W) + 3 s^2) <= 2 eps (1 + M)^2;
+      the product by M and the final sum add eps f.
+
+    So a computed value is within 2 eps (1 + M)^2 + eps f of F.  The column
+    and a (GRID_ROWS, 1) block may take np.sin and np.cos through different
+    loops; each is within 1 ulp (numpy's accuracy tests hold float64 sin and
+    cos to 1 ulp), so they differ by 2 eps relative, which moves s^2 and W by
+    5 eps and F by 5 eps (1 + 2M) <= 5 eps (1 + M)^2.  Chaining the three,
+    every value of row i is at least f_i - s_i, and row i's value at x = 1,
+    which is on the grid for points >= 2, at most f_i + s_i, with
+    s_i = 9 eps (1 + M)^2 + 2 eps f_i to first order.  The slack taken,
+    eps (10 (1 + M)^2 + 3 f_i), adds one eps (1 + M)^2 and one eps f_i for
+    the O(eps^2) terms and the rounding of s_i and f_i -+ s_i; underflow
+    adds absolute errors below 1e-300.  A block whose smallest floor
+    f_i - s_i exceeds the ceiling min_i (f_i + s_i) holds no value at or
+    below the minimum and is skipped.  A non-finite floor or ceiling
+    (overflow at huge |a|) skips nothing.  With one block (points <= 32)
+    its floor is at most the ceiling, so the single block is scanned.
     """
     if points < 1:
         raise ValueError("grid size must be positive")
@@ -135,11 +175,19 @@ def grid_minimize(a: complex, points: int, tol: Tolerances = DEFAULT_TOL) -> Gri
     xs = np.linspace(-1.0, 1.0, points)
     ts = np.linspace(0.0, np.pi, points)
 
+    # each t-row's floor and the grid minimum's ceiling, from the rows at x = 1
+    at_one = distance_objective(a, 1.0, ts)
+    slack = EPS * (10.0 * (1.0 + mod) ** 2 + 3.0 * at_one)
+    ceiling = np.min(at_one + slack)
+    floors = np.minimum.reduceat(at_one - slack, np.arange(0, points, GRID_ROWS))
+
     # blocks of t-rows, each scanned row-major; a later block replaces the best
     # only on a strict improvement, so the first row-major minimum wins
     best = np.inf
     best_x, best_t = xs[0], ts[0]
-    for lo in range(0, points, GRID_ROWS):
+    for lo, floor in zip(range(0, points, GRID_ROWS), floors):
+        if -np.inf < ceiling < floor < np.inf:
+            continue  # every value of the block exceeds the grid minimum
         vals = distance_objective(a, xs[None, :], ts[lo : lo + GRID_ROWS, None])
         i, j = np.unravel_index(np.argmin(vals), vals.shape)
         if vals[i, j] < best:

@@ -1253,3 +1253,66 @@ def test_the_certifier_invariant_sees_each_spelling():
     ]
     for source in spellings + allowed:
         assert bool(_certifier_forks(source)) == (source in spellings), source
+
+
+# the grid scan judges the blocks it skips by the formula it scans the others
+# with: grid_minimize takes the objective from distance_objective alone, and
+# its one root, sqrt(optimum), is of a value distance_objective returned
+ROOTS = ("sqrt", "hypot", "power", "float_power")
+
+
+def _second_objective(source):
+    """Where ``grid_minimize`` takes a root of anything but a ``distance_objective`` value."""
+    found = []
+    for function in _functions_named(source, "grid_minimize"):
+        values = {
+            target.id
+            for node in ast.walk(function) if isinstance(node, ast.Assign) and _calls(node.value, "distance_objective")
+            for target in node.targets if isinstance(target, ast.Name)
+        }
+
+        def of_values(*args):
+            return all(isinstance(arg, ast.Name) and arg.id in values for arg in args)
+
+        for node in ast.walk(function):
+            if any(_calls(node, name) for name in ROOTS) and not of_values(*node.args):
+                found.append(f"{node.lineno} {ast.unparse(node.func)}")
+            elif (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow) and not of_values(node.left)
+                  and not (isinstance(node.right, ast.Constant) and isinstance(node.right.value, int))):
+                found.append(f"{node.lineno} ** {ast.unparse(node.right)}")
+        if not values:
+            found.append(f"{function.lineno} grid_minimize binds no distance_objective value")
+    return found
+
+
+def test_grid_scan_evaluates_one_objective():
+    source = (PACKAGE / "two_by_two.py").read_text(encoding="utf-8")
+    assert "def grid_minimize(" in source and "def distance_objective(" in source
+    found = _second_objective(source)
+    assert not found, found
+
+
+def test_the_objective_invariant_sees_each_spelling():
+    head = "def grid_minimize(a, points, tol):\n    vals = distance_objective(a, xs, ts)\n"
+    spellings = [
+        head + "    g = mu + np.sqrt(mu**2 + 4.0 * s2**2)",
+        head + "    g = mu + math.sqrt(mu * mu + 4.0 * s4)",
+        head + "    g = mu + sqrt(mu**2 + 4.0 * s2**2)",
+        head + "    g = mu + np.hypot(mu, 2.0 * s2)",
+        head + "    g = mu + (mu**2 + 4.0 * s2**2) ** 0.5",
+        head + "    g = mu + (mu**2 + 4.0 * s2**2) ** (1 / 2)",
+        head + "    g = mu + np.power(mu**2 + 4.0 * s2**2, 0.5)",
+        head + "    def floor(t):\n        return np.sqrt(t)\n",
+        head + "    r = mu**2 + 4.0 * s2**2\n    g = mu + np.sqrt(r)",
+        head + "    g = mu + np.hypot(mu, s4)",
+        "def grid_minimize(a, points, tol):\n    vals = objective(a, xs, ts)",
+    ]
+    allowed = [
+        head + "    slack = EPS * (10.0 * (1.0 + mod) ** 2 + 3.0 * at_one)",
+        head + "    max_g = np.max(np.cos(2.0 * ts) + mod * np.abs(np.sin(2.0 * ts)))",
+        head + "    optimum = distance_objective(a, 1.0, t0)\n    far = norm_q > np.sqrt(optimum)",
+        "def closed_form_p0(a, tol):\n    b = np.sqrt(1.0 + mod**2)",
+        "def distance_objective(a, x, t):\n    return 0.5 * (2.0 * s2 + mod * (mu + np.sqrt(mu**2 + 4.0 * s2**2)))",
+    ]
+    for source in spellings + allowed:
+        assert bool(_second_objective(source)) == (source in spellings), source

@@ -18,6 +18,7 @@ from matchedproj import (
     matched_projection,
     operator_norm,
     range_projection,
+    two_by_two,
 )
 
 RT2 = np.sqrt(2.0)
@@ -34,6 +35,18 @@ def row_loop_minimum(a, points):
         if vals[i] < best:
             best, best_x, best_t = float(vals[i]), float(xs[i]), float(t)
     return best, best_x, best_t
+
+
+def full_grid_minimum(a, points):
+    """Reference scan, the whole grid in one broadcast: (min_value, argmin_x, argmin_t).
+
+    ``np.argmin`` of the row-major array gives the first row-major minimum.
+    """
+    xs = np.linspace(-1.0, 1.0, points)
+    ts = np.linspace(0.0, np.pi, points)
+    vals = distance_objective(a, xs[None, :], ts[:, None])
+    i, j = np.unravel_index(np.argmin(vals), vals.shape)
+    return float(vals[i, j]), float(xs[j]), float(ts[i])
 
 
 class TestHalmosPoint:
@@ -222,6 +235,48 @@ class TestGridMinimize:
     def test_blocks_equal_the_row_loop(self, a, points):
         gm = grid_minimize(a, points)
         assert (gm.min_value, gm.argmin_x, gm.argmin_t) == row_loop_minimum(a, points)
+
+    # |a| across the range a double resolves, both ends of the argmin checks'
+    # failures (1e-16, 3e12, 1e14), where the slack swamps the objective's
+    # spread (1e14 and up), and the extremes 1e-300 and 1e150
+    EXACT_MODULI = [1e-18, 1e-16, 1e-9, 1e-3, 0.37, 1.0, 42.0, 1e5, 1e9, 3e12, 1e14, 3e14, 1e-300, 1e150]
+    EXACT_POINTS = (1, 2, 31, 32, 33, 64, 100, 512, 513)
+
+    @pytest.mark.parametrize("mod", EXACT_MODULI, ids=[f"{m:g}" for m in EXACT_MODULI])
+    def test_skipping_blocks_changes_no_bit(self, mod, monkeypatch):
+        # against the whole grid as one block, which no floor can skip: every
+        # output and every check's residual and gate compare by ==
+        for a in (mod, complex(mod * np.exp(2.1j))):
+            for points in self.EXACT_POINTS:
+                gm = grid_minimize(a, points)
+                with monkeypatch.context() as whole_grid:
+                    whole_grid.setattr(two_by_two, "GRID_ROWS", points)
+                    whole = grid_minimize(a, points)
+                assert (gm.min_value, gm.argmin_x, gm.argmin_t) == full_grid_minimum(a, points)
+                assert (gm.min_value, gm.argmin_x, gm.argmin_t, gm.optimum, gm.gap) == (
+                    whole.min_value, whole.argmin_x, whole.argmin_t, whole.optimum, whole.gap
+                ), (a, points)
+                assert [(c.name, c.residual, c.tolerance, c.lower) for c in gm.checks] == [
+                    (c.name, c.residual, c.tolerance, c.lower) for c in whole.checks
+                ], (a, points)
+
+    def test_battery_moduli_scan_few_blocks(self, monkeypatch):
+        # the twenty 512-point grids of the battery's static checks: the floor
+        # leaves the blocks around t0 and pi - t0, at most 4 of 16
+        blocks = []
+
+        def counted(a, x, t):
+            vals = distance_objective(a, x, t)
+            if np.ndim(vals) == 2:
+                blocks.append(vals.shape)
+            return vals
+
+        monkeypatch.setattr(two_by_two, "distance_objective", counted)
+        for mod in np.logspace(-2, 2, 20):
+            blocks.clear()
+            grid_minimize(float(mod), 512)
+            assert 1 <= len(blocks) <= 4, (mod, len(blocks))
+            assert all(shape == (two_by_two.GRID_ROWS, 512) for shape in blocks)
 
     def test_peak_allocation_stays_small(self):
         # one 512 x 512 broadcast peaks near 6 MB; blocks of 32 rows near 0.6 MB
