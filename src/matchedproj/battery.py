@@ -24,7 +24,7 @@ another.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable
 
 import numpy as np
@@ -214,15 +214,15 @@ def _core_kernels(rng, dim, tol):
 def _projection_structure(rng, dim, q, tol):
     qm = q.matrix
     scale = tol.relative(q.norm)
-    p_r = range_projection(q, tol)
-    p_n = null_projection(q, tol)
+    p_r = range_projection(q)
+    p_n = null_projection(q)
     yield norm_check("range-projection-absorbs", p_r.matrix @ qm - qm, scale)
     yield norm_check("range-projection-fixed", qm @ p_r.matrix - p_r.matrix, scale)
     # the SVD routes against Koliha's pencil, P_N(Q) = I - P_R(Q*)
-    k_r, k_rs = koliha_projections(q, tol)
+    k_r, k_rs = koliha_projections(q)
     routes = np.stack([p_r.matrix - k_r.matrix, p_n.matrix - (identity(dim) - k_rs.matrix)])
     yield norm_check("range-projection-routes-agree", routes, scale)
-    gap = p_n.matrix - range_projection(complement_of(q, tol), tol).matrix
+    gap = p_n.matrix - range_projection(complement_of(q)).matrix
     yield norm_check("null-is-range-of-complement", gap, scale)
 
     t_mat = complex_gaussian(rng, dim, dim)
@@ -238,28 +238,28 @@ def _matched_identities(rng, dim, q, tol):
     qm = q.matrix
     eye = identity(dim)
     scale = tol.relative(q.norm)
-    m = matched_projection(q, tol).projection.matrix
+    m = matched_projection(q).projection.matrix
 
     # the production pencil route against the four oracles, pairwise
-    tt, vv = matched_via_factor(q, tol)
-    closed = matched_projection_closed_form(q, tol)
-    block = homotopy_witness_block(q, tol).projection.matrix
+    tt, vv = matched_via_factor(q)
+    closed = matched_projection_closed_form(q)
+    block = homotopy_witness_block(q).projection.matrix
     routes = np.stack([m, closed, tt, vv, block, matched_projection_svd(q)])
     first, second = np.triu_indices(len(routes), 1)
     gaps = routes[first] - routes[second]
     gate = tol.route_gate(0.0)
     yield norm_check("matched-routes-agree", gaps, gate)
 
-    fo = factor_oracle(q, tol)
-    p_r = range_projection(q, tol).matrix
+    fo = factor_oracle(q)
+    p_r = range_projection(q).matrix
     recovered = np.stack([fo.t_pinv @ fo.t - p_r, adjoint(fo.v) @ fo.v - p_r])
     yield norm_check("factor-recovers-range-projection", recovered, scale)
 
     # S(Q*) is S(Q) bit for bit and S(I - Q) is -S, so each partner's m is
     # its SVD oracle's: the pencil route would be compared with itself
-    m_star = matched_projection_svd(adjoint_of(q, tol))
+    m_star = matched_projection_svd(adjoint_of(q))
     yield norm_check("matched-of-adjoint", m_star - m, scale)
-    comp = complement_of(q, tol)
+    comp = complement_of(q)
     m_comp = matched_projection_svd(comp)
     reflect = 2.0 * m - eye
     yield norm_check("matched-of-complement", m_comp - (eye - m), scale)
@@ -276,7 +276,7 @@ def _matched_identities(rng, dim, q, tol):
     yield norm_check("pinv-abs-contraction", fo.abs_q_star_pinv, tol.above(1.0))
 
     u = random_unitary(dim, rng)
-    yield Check("unitary-equivariance", unitary_equivariance(q, u, tol), scale)
+    yield Check("unitary-equivariance", unitary_equivariance(q, u), scale)
     # gaps[1:3] are m - TT and m - VV
     yield norm_check("pair-factor-invariants", gaps[1:3], gate)
     yield norm_check("pair-reflection-invariant", adjoint(qm) - reflect @ qm @ reflect, scale)
@@ -290,65 +290,65 @@ def _characterizations_agree(checks: list[Check]) -> bool:
 
 
 def _qpp_suite(rng, dim, q, tol):
-    pair = matched_projection(q, tol)
-    checks = list(qpp_checks(pair.projection, q, tol))
+    pair = matched_projection(q)
+    checks = list(qpp_checks(pair.projection, q))
     holds = all_passed(checks)
     yield boolean_check("matched-pair-is-qpp", holds)
     yield boolean_check("qpp-characterizations-agree", _characterizations_agree(checks))
     if holds:
-        yield boolean_check("qpp-symmetry-closure", qpp_symmetry_closure(pair.projection, q, tol))
+        yield boolean_check("qpp-symmetry-closure", qpp_symmetry_closure(pair.projection, q))
     # a non-pair must fail all three characterizations coherently
     if not norm_at_most(q.matrix - adjoint(q.matrix), 1e-6):
-        bad = list(qpp_checks(range_projection(q, tol), q, tol))
+        bad = list(qpp_checks(range_projection(q), q))
         note = "range-projection partner"
         yield boolean_check("qpp-characterizations-agree", _characterizations_agree(bad)), note
         yield boolean_check("range-partner-not-qpp", not all_passed(bad)), note
 
     p_qpp, q_qpp = random_qpp_pair(dim, int(rng.integers(2**32)), tol)
-    m_qpp = matched_projection(q_qpp, tol).projection.matrix
+    m_qpp = matched_projection(q_qpp).projection.matrix
     commute = p_qpp.matrix @ m_qpp - m_qpp @ p_qpp.matrix
     yield norm_check("qpp-partner-commutes-with-matched", commute, tol.relative(q_qpp.norm))
-    mini = qpp_minimality(p_qpp, q_qpp, tol)
+    mini = qpp_minimality(p_qpp, q_qpp)
     yield from _prefixed("qpp-minimality", mini.checks)
     yield boolean_check("generated-qpp-pair-holds", mini.qpp_holds)
 
 
 def _homotopy(rng, dim, q, tol):
-    wit = homotopy_witness(q, tol)
+    wit = homotopy_witness(q)
     recon = np.linalg.inv(wit.w) @ wit.projection.matrix @ wit.w - q.matrix
     yield boolean_check("witness-contraction", wit.contraction_norm < 1.0)
     # the bound is b / (b + 1) for b = sqrt(1 + ||A||^2), which is ||Q||
     yield Check("witness-contraction-bound", wit.contraction_norm**2, tol.above(q.norm / (q.norm + 1.0)))
     yield norm_check("witness-reconstructs", recon, tol.absolute)
 
-    path = homotopy_path(q, 11, tol)
+    path = homotopy_path(q, 11)
     yield norm_check("path-idempotency", np.stack([p.matrix @ p.matrix - p.matrix for p in path]), tol.absolute)
     ends = np.stack([path[0].matrix - wit.projection.matrix, path[-1].matrix - q.matrix])
     yield norm_check("path-endpoints", ends, tol.relative(q.norm))
 
 
 def _ranges_and_powers(rng, dim, q, tol):
-    yield from _prefixed("ranges", range_identities(q, tol))
-    dists = fractional_power_limit(q, EXPONENT_GRID, tol)
+    yield from _prefixed("ranges", range_identities(q))
+    dists = fractional_power_limit(q, EXPONENT_GRID)
     yield Check("fractional-power-monotone", max([0.0, *np.diff(dists)]), tol.check)
     yield Check("fractional-power-limit", dists[-1], tol.limit)
 
 
 def _norm_suite(rng, dim, q, q2, tol):
-    yield from _prefixed("distance", distance_report(q, tol).checks)
+    yield from _prefixed("distance", distance_report(q).checks)
 
     # 20 candidate projections, drawn, certified and measured as one stack
-    m = matched_projection(q, tol).projection.matrix
+    m = matched_projection(q).projection.matrix
     candidates = _draw_projections(rng, dim, dim, 20, tol)
-    minis = qpp_minimality(candidates, q, tol)
+    minis = qpp_minimality(candidates, q)
     gates = [tol.above_absolute(mini.d_candidate) for mini in minis]
     lower, upper = norm_bracket(np.stack([p.matrix for p in candidates]) - m, np.array(gates))
     for k, (mini, lo, up, gate) in enumerate(zip(minis, lower.tolist(), upper.tolist(), gates)):
         yield bracket_check("projection-closer-to-matched", (lo, up), gate), f"trial {k}"
         yield from _prefixed("any-projection", mini.checks)
 
-    yield from _prefixed("lipschitz", matched_lipschitz_bounds(q, q2, tol).checks)
-    yield from _prefixed("convergence", convergence_report(q, q2, EXPONENT_GRID, tol).checks)
+    yield from _prefixed("lipschitz", matched_lipschitz_bounds(q, q2).checks)
+    yield from _prefixed("convergence", convergence_report(q, q2, EXPONENT_GRID).checks)
 
     p1, p2 = _draw_projections(rng, dim, max(dim // 2, 1), 2, tol)
     if norm_at_most(p1.matrix @ p2.matrix, 0.999):
@@ -374,8 +374,8 @@ def _continuity_probe(rng, dim, tol) -> tuple[Check, float]:
     delta = complex_gaussian(sub, rank, dim - rank)
     delta *= 1e-6 / operator_norm(delta)
     q0, q1 = (as_idempotent(block_idempotent(u, block), tol) for block in (a, a + delta))
-    m0 = matched_projection(q0, tol).projection.matrix
-    m1 = matched_projection(q1, tol).projection.matrix
+    m0 = matched_projection(q0).projection.matrix
+    m1 = matched_projection(q1).projection.matrix
     ratio = operator_norm(m1 - m0) / operator_norm(q1.matrix - q0.matrix)
     return boolean_check("matched-map-continuity-probe", np.isfinite(ratio)), ratio
 
@@ -386,7 +386,7 @@ def _two_by_two(rng, tol):
     a = mod * np.exp(1j * phase)
     problem = closed_form_p0(a, tol)
     q = canonical_idempotent(a, tol)
-    gap = problem.p0.matrix - matched_projection(q, tol).projection.matrix
+    gap = problem.p0.matrix - matched_projection(q).projection.matrix
     yield norm_check("closed-form-is-matched", gap, tol.route_gate(mod))
     # analytic objective against a direct norm computation
     x = float(rng.uniform(-1.0, 1.0))
@@ -413,8 +413,8 @@ def _static_checks(tol: Tolerances):
     """One-shot checks that do not depend on the trial loop, as (context, records) per modulus."""
     for mod, target in ((1e-3, 0.5), (1e3, 1.0)):
         q = canonical_idempotent(mod, tol)
-        d_matched = matched_distance(q, tol)
-        d_range = operator_norm(range_projection(q, tol).matrix - q.matrix)
+        d_matched = matched_distance(q)
+        d_range = operator_norm(range_projection(q).matrix - q.matrix)
         yield f"a={mod:g}", [Check("distance-ratio-asymptotics", abs(d_matched / d_range - target), tol.limit)]
 
     for mod in np.logspace(-2, 2, 20):
@@ -428,10 +428,11 @@ def sabotaged(q: Idempotent) -> Idempotent:
     witness fail their certificates.  Q's SVD and its values (||Q||, the
     rank, |Q|, |Q*|, P_R(Q), P_N(Q)) do not see the scaling, nor do the
     eigenvalues that Koliha's singularity test reads, and the oracles never
-    read V.  The copy has its own analysis, so Q's is left as it was.
+    read V.  The copy, ``replace(q)``, keeps Q's tolerance and has its own
+    analysis, so Q's is left as it was.
     """
     w, v = q.pencil
-    copy = Idempotent(q.matrix)
+    copy = replace(q)
     vars(copy)["pencil"] = (w, 2.0 * v)
     return copy
 

@@ -74,28 +74,28 @@ def _analysis(path: str, tol: Tolerances) -> tuple[dict, list[str], bool]:
     """
     digest = hashlib.sha256()
     q = _load_idempotent(path, tol, digest)
-    pair = matched_projection(q, tol)
+    pair = matched_projection(q)
     m = pair.projection.matrix
-    rep = distance_report(q, tol)
-    checks = list(rep.checks) + range_identities(q, tol)
+    rep = distance_report(q)
+    checks = list(rep.checks) + range_identities(q)
 
     # an oracle that cannot certify its own inputs fails its checks, not the report
     oracle_gate = tol.route_gate(0.0)
     try:
-        tt, vv = matched_via_factor(q, tol)
+        tt, vv = matched_via_factor(q)
         factor_gaps = norm_bracket(m - tt, oracle_gate), norm_bracket(m - vv, oracle_gate)
     except MatchedProjectionError as exc:
         print(f"check failed: factor oracle: {exc}", file=sys.stderr)
         factor_gaps = (math.inf, math.inf), (math.inf, math.inf)
     checks.append(bracket_check("matched_equals_tt_factor", factor_gaps[0], oracle_gate))
     checks.append(bracket_check("matched_equals_vv_factor", factor_gaps[1], oracle_gate))
-    qpp_matched = list(qpp_checks(pair.projection, q, tol))
+    qpp_matched = list(qpp_checks(pair.projection, q))
     # the adjoint reflection Q* = (2m - I) Q (2m - I)
     reflection = next(c for c in qpp_matched if c.name == "adjoint_reflection")
     checks.append(replace(reflection, name="matched_reflection_identity"))
 
-    qpp_range = list(qpp_checks(range_projection(q, tol), q, tol))
-    qpp_null = list(qpp_checks(null_projection(q, tol), q, tol))
+    qpp_range = list(qpp_checks(range_projection(q), q))
+    qpp_null = list(qpp_checks(null_projection(q), q))
     checks.append(boolean_check("matched_pair_is_qpp", all_passed(qpp_matched)))
 
     ok = all_passed(checks)
@@ -160,7 +160,7 @@ def cmd_generate(args) -> int:
 
 def cmd_path(args) -> int:
     tol = _tolerances(args)
-    samples = homotopy_path(_load_idempotent(args.input, tol), args.samples, tol)
+    samples = homotopy_path(_load_idempotent(args.input, tol), args.samples)
     if args.output:
         dump([s.matrix for s in samples], args.output)
     worst = max(s.defect for s in samples)
@@ -181,7 +181,7 @@ def cmd_min2x2(args) -> int:
         raise ValueError("parameter a must be nonzero")
     problem = closed_form_p0(a, tol)
     gm = grid_minimize(a, args.grid, tol)
-    pair = matched_projection(canonical_idempotent(a, tol), tol)
+    pair = matched_projection(canonical_idempotent(a, tol))
     route_gap = problem.p0.matrix - pair.projection.matrix
     checks = [*gm.checks, norm_check("closed_form_is_matched", route_gap, tol.route_gate(abs(a)))]
     ok = all_passed(checks)

@@ -28,32 +28,37 @@ _T = TypeVar("_T")
 
 @dataclass(frozen=True)
 class Idempotent:
-    """A matrix Q with Q^2 = Q, certified by ``as_idempotent``.
+    """A matrix Q with Q^2 = Q, certified by ``as_idempotent`` under the tolerances ``tol``.
 
-    An idempotent carries its own analysis, computed on first use and kept,
-    so every report on the same Q reads it instead of factoring Q again.
+    Q is analysed at the tolerance it was certified under: every function of
+    an idempotent reads ``q.tol`` and takes none of its own.  Another
+    tolerance takes a new certificate, ``as_idempotent(q.matrix, tol)``, or
+    ``dataclasses.replace(q, tol=tol)``.  An idempotent carries its own analysis,
+    computed on first use and kept, so every report on the same Q reads it
+    instead of factoring Q again.
     Values of Q alone are ``cached_property``s from two factorizations.
     The SVD Q = U S V* (``svd``) gives the values of Q itself: ||Q|| = s_0,
     the rank (the singular values of an idempotent are 0 or at least 1, so
     the cut at 1/2 needs no tolerance), the off-diagonal norm nu
     (``offdiag_norm``), |Q| = V S V*, |Q*| = U S U* and
     |Q*|^dag = U_r S_r^(-1) U_r*.  The ``eigh`` of the Hermitian pencil
-    S = Q + Q* - I (``pencil``) gives m(Q) and its witness.  Values per
-    tolerance are kept in the private ``_memo`` by the functions that
-    compute them, each decorated with ``per_tolerance``: P_R(Q) = U_r U_r*,
+    S = Q + Q* - I (``pencil``) gives m(Q) and its witness.  Values that
+    need a certificate or a cutoff at ``q.tol`` are kept in the private ``_memo`` by the functions that
+    compute them, each decorated with ``memoized_on_q``: P_R(Q) = U_r U_r*,
     P_N(Q) = I - V_r V_r*, the certified m(Q), its witness and distance,
     the oracles' records (Koliha's projections and ``matched.factor_oracle``),
     which never read the SVD, and the partners Q* and I - Q (``adjoint_of``,
     ``complement_of``), each a new ``Idempotent``, never Q itself.
-    The idempotent is built from its matrix alone: the certificate decides
+    The idempotent is built from its matrix and ``tol`` alone: the certificate decides
     from O(n^2) norm bounds, and ``defect``, the exact ||Q^2 - Q||, is taken
     on first read and kept.  The matrix must not be mutated: that voids the
     certificate and the analysis alike.  Kept arrays are shared with every
-    caller and are read-only by contract.  ``dataclasses.replace`` starts a
-    fresh analysis.
+    caller and are read-only by contract.  ``dataclasses.replace`` keeps
+    ``tol`` unless told otherwise and starts a fresh analysis.
     """
 
     matrix: np.ndarray
+    tol: Tolerances = DEFAULT_TOL
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
@@ -125,24 +130,21 @@ class Idempotent:
         return (u[:, :r] / s[:r]) @ adjoint(u[:, :r])
 
 
-def per_tolerance(
-    build: Callable[[Idempotent, Tolerances], _T],
-) -> Callable[[Idempotent, Tolerances], _T]:
-    """Memoize ``build(q, tol)`` on Q: kept in ``q._memo`` under ``(build, tol)``.
+def memoized_on_q(build: Callable[[Idempotent], _T]) -> Callable[[Idempotent], _T]:
+    """Memoize ``build(q)`` on Q: kept in ``q._memo`` under the undecorated function itself.
 
-    The key is the undecorated function itself, so a kept value depends on
-    Q, the function and the tolerance alone.  An exception is not kept: the
-    next call runs ``build`` again.  Never memoize a value that refers back
-    to Q (such as a record holding Q): the cycle would outlive the last
-    reference to Q.
+    ``build`` reads Q's tolerance from ``q.tol``, which is fixed with Q, so a
+    kept value depends on Q and the function alone.  An exception is not
+    kept: the next call runs ``build`` again.  Never memoize a value that
+    refers back to Q (such as a record holding Q): the cycle would outlive
+    the last reference to Q.
     """
 
     @wraps(build)
-    def memoized(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> _T:
-        key = (build, tol)
-        if key not in q._memo:
-            q._memo[key] = build(q, tol)
-        return q._memo[key]
+    def memoized(q: Idempotent) -> _T:
+        if build not in q._memo:
+            q._memo[build] = build(q)
+        return q._memo[build]
 
     return memoized
 
@@ -191,6 +193,8 @@ def _as_matrix_or_stack(m) -> np.ndarray:
 def as_idempotent(m, tol: Tolerances = DEFAULT_TOL) -> Idempotent | list[Idempotent]:
     """Validate ||Q^2 - Q|| <= tol.quadratic(||Q||); a (k, n, n) ndarray gives the list of its k.
 
+    Each idempotent keeps ``tol`` as ``q.tol``, the tolerance it is analysed at.
+
     ``certify`` holds each ||Q^2 - Q|| to tol.quadratic(||Q||), a matrix as
     one 2-D residual and a stack as one stacked residual: a sample is
     accepted from norm bounds where they settle it, the others take both
@@ -200,7 +204,7 @@ def as_idempotent(m, tol: Tolerances = DEFAULT_TOL) -> Idempotent | list[Idempot
     certify(qs @ qs - qs, tol.quadratic,
             lambda defect, bound, _: ValidationError(f"idempotency defect {defect:.3e} exceeds {bound:.3e}"),
             qs)
-    return Idempotent(qs) if qs.ndim == 2 else [Idempotent(q) for q in qs]
+    return Idempotent(qs, tol) if qs.ndim == 2 else [Idempotent(q, tol) for q in qs]
 
 
 def is_projection(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -226,47 +230,47 @@ def as_projection(m, tol: Tolerances = DEFAULT_TOL) -> Projection | list[Project
     return Projection(ps) if ps.ndim == 2 else [Projection(p) for p in ps]
 
 
-@per_tolerance
-def adjoint_of(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> Idempotent:
-    """Q*, certified by ``as_idempotent``; memoized on Q per tolerance.
+@memoized_on_q
+def adjoint_of(q: Idempotent) -> Idempotent:
+    """Q*, certified by ``as_idempotent`` at ``q.tol``; memoized on Q.
 
     Nothing of Q's analysis is carried over: an identity between Q and Q*
     compares two independent computations.
     """
-    return as_idempotent(adjoint(q.matrix), tol)
+    return as_idempotent(adjoint(q.matrix), q.tol)
 
 
-@per_tolerance
-def complement_of(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> Idempotent:
-    """I - Q, certified by ``as_idempotent``; memoized on Q per tolerance, as ``adjoint_of``.
+@memoized_on_q
+def complement_of(q: Idempotent) -> Idempotent:
+    """I - Q, certified by ``as_idempotent`` at ``q.tol``; memoized on Q, as ``adjoint_of``.
 
-    I - Q* is ``adjoint_of(complement_of(q, tol), tol)``.
+    I - Q* is ``adjoint_of(complement_of(q))``.
     """
-    return as_idempotent(identity(q.dim) - q.matrix, tol)
+    return as_idempotent(identity(q.dim) - q.matrix, q.tol)
 
 
-@per_tolerance
-def range_projection(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> Projection:
+@memoized_on_q
+def range_projection(q: Idempotent) -> Projection:
     """Orthogonal projection onto the range of Q, U_r U_r* from Q's SVD (r = ``q.rank``).
 
-    Memoized on Q per tolerance.
+    Memoized on Q.
     """
     u_r = q.svd[0][:, : q.rank]
-    return as_projection(u_r @ adjoint(u_r), tol)
+    return as_projection(u_r @ adjoint(u_r), q.tol)
 
 
-@per_tolerance
-def null_projection(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> Projection:
+@memoized_on_q
+def null_projection(q: Idempotent) -> Projection:
     """Orthogonal projection onto the null space of Q, I - V_r V_r* from Q's SVD.
 
-    Memoized on Q per tolerance.
+    Memoized on Q.
     """
     v_r = adjoint(q.svd[2][: q.rank])
-    return as_projection(identity(q.dim) - v_r @ adjoint(v_r), tol)
+    return as_projection(identity(q.dim) - v_r @ adjoint(v_r), q.tol)
 
 
-@per_tolerance
-def koliha_projections(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> tuple[Projection, Projection]:
+@memoized_on_q
+def koliha_projections(q: Idempotent) -> tuple[Projection, Projection]:
     """Oracle: (P_R(Q), P_R(Q*)) as (Q S^(-1), Q* S^(-1)) for the pencil S = Q + Q* - I.
 
     Koliha's formulas, independent of Q's SVD; P_N(Q) = I - P_R(Q*).  S's
@@ -277,10 +281,10 @@ def koliha_projections(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> tuple[Pr
     """
     qm, n = q.matrix, q.dim
     s = qm + adjoint(qm) - identity(n)
-    if numerical_rank(np.sort(np.abs(q.pencil[0]))[::-1], n, tol) < n:
+    if numerical_rank(np.sort(np.abs(q.pencil[0]))[::-1], n, q.tol) < n:
         raise SingularPencilError("Q + Q* - I is numerically singular")
     x = np.linalg.solve(s, np.hstack([adjoint(qm), qm]))
-    return tuple(as_projection(np.stack([adjoint(x[:, :n]), adjoint(x[:, n:])]), tol))
+    return tuple(as_projection(np.stack([adjoint(x[:, :n]), adjoint(x[:, n:])]), q.tol))
 
 
 def complex_gaussian(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:

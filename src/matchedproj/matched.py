@@ -21,15 +21,18 @@ with no inverse and no solve, and ``homotopy_path`` certifies them.  Q's SVD
 serves the values of Q alone: ||Q||, |Q| = V S V*, |Q*| = U S U*,
 |Q*|^dag = U_r S_r^(-1) U_r* and P_R(Q) = U_r U_r* come from it, and every
 function here reads them from Q.  m(Q) (a ``MatchedPair``), its distance to
-Q, its witness and the oracle record are each memoized on Q per tolerance
-(``idempotents.per_tolerance``), and every function here reads m(Q) by
-that memo's private name, ``_matched_pair``.  Relative rank cutoffs all go
-through ``linalg.numerical_rank``.  ``range_identities`` takes one SVD per
-operand whose column space it compares, and decides the trivial
-intersections from overlaps of the bases that the pencil and Q's SVD
-already hold.  The module keeps no state of its own: the
-harness self-test corrupts an input instead, a copy of Q whose cached
-pencil has V scaled by 2 (``battery.sabotaged``).
+Q, its witness and the oracle record are each memoized on Q
+(``idempotents.memoized_on_q``), and every function here reads m(Q) by
+that memo's private name, ``_matched_pair``.  A function of an idempotent
+takes no tolerance: Q is analysed at the tolerance it was certified under,
+``q.tol``, and another tolerance takes a new certificate,
+``as_idempotent(q.matrix, tol)`` or ``dataclasses.replace(q, tol=tol)``.
+Relative rank cutoffs all go through ``linalg.numerical_rank``.
+``range_identities`` takes one SVD per operand whose column space it
+compares, and decides the trivial intersections from overlaps of the
+bases that the pencil and Q's SVD already hold.  The module keeps no
+state of its own: the harness self-test corrupts an input instead, a
+copy of Q whose cached pencil has V scaled by 2 (``battery.sabotaged``).
 
 Four further routes are kept only as independent oracles for ``verify``
 and the tests, never built from Q's pencil vectors.  The SVD formula
@@ -56,7 +59,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -75,7 +78,7 @@ from .idempotents import (
     complement_of,
     is_projection,
     koliha_projections,
-    per_tolerance,
+    memoized_on_q,
     random_idempotent,
     random_unitary,
 )
@@ -108,9 +111,9 @@ class FactorOracle:
     v: np.ndarray
 
 
-@per_tolerance
-def factor_oracle(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> FactorOracle:
-    """The ``FactorOracle`` of Q, never read from Q's SVD; memoized on Q per tolerance.
+@memoized_on_q
+def factor_oracle(q: Idempotent) -> FactorOracle:
+    """The ``FactorOracle`` of Q, never read from Q's SVD; memoized on Q.
 
     |Q*| is ``abs_value(Q*)``, |Q*|^dag = (P_R(Q) P_R(Q*) P_R(Q))^(1/2) from
     ``koliha_projections`` and V = T (|Q*|^dag)^(1/2) (I + |Q*|)^(-1/2) / sqrt 2;
@@ -118,27 +121,32 @@ def factor_oracle(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> FactorOracle:
     product, come from one ``psd_power``.
     """
     abs_qs = abs_value(adjoint(q.matrix))
-    p_r, p_rs = (p.matrix for p in koliha_projections(q, tol))
-    dag, dag_root = psd_power(p_r @ p_rs @ p_r, [0.5, 0.25], tol)
+    p_r, p_rs = (p.matrix for p in koliha_projections(q))
+    dag, dag_root = psd_power(p_r @ p_rs @ p_r, [0.5, 0.25], q.tol)
     t = abs_qs + adjoint(q.matrix)
-    v = np.sqrt(0.5) * t @ dag_root @ psd_power(identity(q.dim) + abs_qs, -0.5, tol)
-    return FactorOracle(abs_qs, dag, t, moore_penrose(t, tol), v)
+    v = np.sqrt(0.5) * t @ dag_root @ psd_power(identity(q.dim) + abs_qs, -0.5, q.tol)
+    return FactorOracle(abs_qs, dag, t, moore_penrose(t, q.tol), v)
 
 
 @dataclass(frozen=True)
 class MatchedPair:
-    """The certified m(Q) of an idempotent; values of Q alone are read from Q itself."""
+    """The certified m(Q) of an idempotent, at the tolerance Q was certified under.
+
+    Values of Q alone are read from Q itself.  m(Q) at another tolerance is
+    the m of a new certificate, ``as_idempotent(q.matrix, tol)`` or
+    ``dataclasses.replace(q, tol=tol)``.
+    """
 
     projection: Projection
 
 
-def matched_projection(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> MatchedPair:
-    """The certified m(Q), memoized on Q per tolerance (``_matched_pair``)."""
-    return _matched_pair(q, tol)
+def matched_projection(q: Idempotent) -> MatchedPair:
+    """The certified m(Q), memoized on Q (``_matched_pair``)."""
+    return _matched_pair(q)
 
 
-@per_tolerance
-def _matched_pair(q: Idempotent, tol: Tolerances) -> MatchedPair:
+@memoized_on_q
+def _matched_pair(q: Idempotent) -> MatchedPair:
     """The certified m(Q), V_+ V_+* from Q's ``pencil`` S = Q + Q* - I.
 
     On one Halmos angle, S = [[1, sigma], [sigma, -1]] has the eigenvalues
@@ -149,13 +157,13 @@ def _matched_pair(q: Idempotent, tol: Tolerances) -> MatchedPair:
     (-1, 1): the sign of each computed eigenvalue needs no cutoff, and
     V_+ V_+* is a projection to the orthonormality of the computed V.
 
-    The pair is memoized on Q per tolerance and does not refer to Q.  This
+    The pair is memoized on Q and does not refer to Q.  This
     module reads it by this private name, so perfbench counts a call of
     ``matched_projection`` only where a caller asks for m(Q).
     """
     w, v = q.pencil
     v_plus = v[:, w > 0.0]
-    return MatchedPair(as_projection(v_plus @ adjoint(v_plus), tol))
+    return MatchedPair(as_projection(v_plus @ adjoint(v_plus), q.tol))
 
 
 def matched_projection_svd(q: Idempotent) -> np.ndarray:
@@ -171,27 +179,27 @@ def matched_projection_svd(q: Idempotent) -> np.ndarray:
     return (w / (2.0 * (1.0 + 1.0 / s[: q.rank]))) @ adjoint(w)
 
 
-@per_tolerance
-def matched_distance(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> float:
-    """||m(Q) - Q||, memoized on Q per tolerance as m(Q) is."""
-    return operator_norm(_matched_pair(q, tol).projection.matrix - q.matrix)
+@memoized_on_q
+def matched_distance(q: Idempotent) -> float:
+    """||m(Q) - Q||, memoized on Q as m(Q) is."""
+    return operator_norm(_matched_pair(q).projection.matrix - q.matrix)
 
 
-def matched_projection_closed_form(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def matched_projection_closed_form(q: Idempotent) -> np.ndarray:
     """Oracle: m(Q) = (1/2) (|Q*| + Q*) |Q*|^dag (|Q*| + I)^(-1) (|Q*| + Q).
 
     Built from ``factor_oracle`` and a solve, never from the production SVD.
     Returned uncertified so that a comparison reports its gap: from
     ||A|| ~ 1e3 up its projection defect exceeds the default check tolerance.
     """
-    fo = factor_oracle(q, tol)
+    fo = factor_oracle(q)
     right = np.linalg.solve(fo.abs_q_star + identity(q.dim), fo.abs_q_star + q.matrix)
     return 0.5 * fo.t @ fo.abs_q_star_pinv @ right
 
 
-def matched_via_factor(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+def matched_via_factor(q: Idempotent) -> tuple[np.ndarray, np.ndarray]:
     """Oracle: (T T^dag, V V*) from ``factor_oracle``; both equal m(Q)."""
-    fo = factor_oracle(q, tol)
+    fo = factor_oracle(q)
     return fo.t @ fo.t_pinv, fo.v @ adjoint(fo.v)
 
 
@@ -208,33 +216,33 @@ def _qpp_matrices(p: Projection, q: Idempotent) -> Iterator[tuple[str, np.ndarra
     yield "abs_reflection", q.abs_q_star - reflect @ q.abs_q @ reflect
 
 
-def qpp_checks(p: Projection, q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> Iterator[Check]:
+def qpp_checks(p: Projection, q: Idempotent) -> Iterator[Check]:
     """The five quasi-projection-pair conditions for (P, Q) as ``norm_check``s, built one at a time.
 
     The three block conditions, then both reflection characterizations,
-    each held to the gate tol.relative(||Q||).  A report takes the list;
+    each held to the gate q.tol.relative(||Q||).  A report takes the list;
     ``is_quasi_projection_pair`` stops at the first that fails.
     """
-    gate = tol.relative(q.norm)
+    gate = q.tol.relative(q.norm)
     for name, mat in _qpp_matrices(p, q):
         yield norm_check(name, mat, gate)
 
 
-def is_quasi_projection_pair(p: Projection, q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> bool:
+def is_quasi_projection_pair(p: Projection, q: Idempotent) -> bool:
     """Whether every condition of ``qpp_checks`` passes; stops at the first that fails."""
-    return all(c.passed for c in qpp_checks(p, q, tol))
+    return all(c.passed for c in qpp_checks(p, q))
 
 
-def qpp_symmetry_closure(p: Projection, q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> bool:
+def qpp_symmetry_closure(p: Projection, q: Idempotent) -> bool:
     """Whether all eight pairs {P, I-P} x {Q, Q*, I-Q, I-Q*} are quasi-projection pairs."""
-    if not is_quasi_projection_pair(p, q, tol):
+    if not is_quasi_projection_pair(p, q):
         raise NotQuasiProjectionPairError("(P, Q) is not a quasi-projection pair")
-    projections = [p, as_projection(identity(q.dim) - p.matrix, tol)]
-    complement = complement_of(q, tol)
-    idempotents = [q, adjoint_of(q, tol), complement, adjoint_of(complement, tol)]
+    projections = [p, as_projection(identity(q.dim) - p.matrix, q.tol)]
+    complement = complement_of(q)
+    idempotents = [q, adjoint_of(q), complement, adjoint_of(complement)]
     pairs = [(a, b) for a in projections for b in idempotents]
     # pairs[0] is (P, Q), whose verdict the guard has just given
-    return all(is_quasi_projection_pair(a, b, tol) for a, b in pairs[1:])
+    return all(is_quasi_projection_pair(a, b) for a, b in pairs[1:])
 
 
 @dataclass(frozen=True)
@@ -292,8 +300,8 @@ def _nontrivial_rank(r: int, n: int) -> int:
     return r
 
 
-@per_tolerance
-def homotopy_witness(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> SimilarityWitness:
+@memoized_on_q
+def homotopy_witness(q: Idempotent) -> SimilarityWitness:
     """(m(Q), W) with Q = W^(-1) m(Q) W and ||I - W|| < 1, from Q's ``pencil`` S = Q + Q* - I.
 
     On one Halmos angle the eigenvector z of S for b = sqrt(1 + sigma^2)
@@ -316,10 +324,10 @@ def homotopy_witness(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> Similarity
 
     A projection input short-circuits to the trivial witness W = I.
     """
-    if is_projection(q.matrix, tol):
+    if is_projection(q.matrix, q.tol):
         return _trivial_witness(q)
     w, v = q.pencil
-    projection = _matched_pair(q, tol).projection
+    projection = _matched_pair(q).projection
     qm, m, n = q.matrix, projection.matrix, q.dim
     if 2 * _nontrivial_rank(int(np.count_nonzero(w > 0.0)), n) > n:
         # I - Q's side: its pencil is -S and its matched projection I - m(Q)
@@ -328,16 +336,11 @@ def homotopy_witness(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> Similarity
     s = w[side]
     x = (qm @ v[:, side]) / np.sqrt(0.5 * s * (s + 1.0))
     e = (m @ x) / (1.0 + s) - x
-    return _certified_witness(q, projection, x, e, 0.5 / s, tol)
+    return _certified_witness(q, projection, x, e, 0.5 / s)
 
 
 def _certified_witness(
-    q: Idempotent,
-    projection: Projection,
-    x: np.ndarray,
-    e: np.ndarray,
-    d: np.ndarray,
-    tol: Tolerances,
+    q: Idempotent, projection: Projection, x: np.ndarray, e: np.ndarray, d: np.ndarray
 ) -> SimilarityWitness:
     """Certify W = I + E X* as a witness of Q = W^(-1) P W, P = ``projection``.
 
@@ -350,17 +353,18 @@ def _certified_witness(
     - the inverse: with the computed r x r defect F = X* E - (D - I),
       X_t W_t - I = -t^2 E Delta_t^(-1) F X*, and t^2 / (1 - t + t d_i)
       <= 1 / d_i on [0, 1], so ||X_t W_t - I|| <= ||E|| ||D^(-1)|| ||F|| for
-      every t.  The gate is tol.relative(||D^(-1)||), where ||D^(-1)||
+      every t.  The gate is q.tol.relative(||D^(-1)||), where ||D^(-1)||
       = 2 ||Q|| <= ||W^(-1)|| ||W||: the allowance the similarity gate gives
       any inverse, at its smallest;
     - the contraction ||I - W|| = ||E|| < 1, the exact 2-norm of an n x r matrix;
-    - the similarity ||W^(-1) P W - Q|| <= tol.relative(||W^(-1)|| ||W||),
+    - the similarity ||W^(-1) P W - Q|| <= q.tol.relative(||W^(-1)|| ||W||),
       with W^(-1) P W the t = 1 sample of the witness's path (``samples``).
 
     The inverse and similarity gates go through ``certify``, so ||F|| and
     the similarity norms are taken exactly only when their norm bounds
     cannot settle a gate.
     """
+    tol = q.tol
     contraction = operator_norm(e)
     d_inv = 1.0 / d
     f = adjoint(x) @ e - np.diag(d - 1.0)
@@ -376,7 +380,7 @@ def _certified_witness(
     return witness
 
 
-def homotopy_witness_block(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> SimilarityWitness:
+def homotopy_witness_block(q: Idempotent) -> SimilarityWitness:
     """Oracle: (m(Q), W) angle by angle over range(Q) + null(Q*), never from Q's SVD.
 
     The basis [U_1 | U_2] comes from the P_R(Q) of ``koliha_projections``
@@ -395,10 +399,10 @@ def homotopy_witness_block(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> Simi
     square root.  W is certified by ``_certified_witness``, as the
     production witness is.  A projection input short-circuits to W = I.
     """
-    qm, n = q.matrix, q.dim
+    qm, n, tol = q.matrix, q.dim, q.tol
     if is_projection(qm, tol):
         return _trivial_witness(q)
-    form = block_form(qm, koliha_projections(q, tol)[0], tol)
+    form = block_form(qm, koliha_projections(q)[0], tol)
     r = _nontrivial_rank(form.rank, n)
     g, s, hh = np.linalg.svd(form.blocks[1])
     k = s.size
@@ -410,12 +414,10 @@ def homotopy_witness_block(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> Simi
     z = x * np.sqrt((b + 1.0) / (2.0 * b)) + y * (s / np.sqrt(2.0 * b * (b + 1.0)))
     d = 0.5 / b
     e = x * (d - 1.0) + y * (s / (2.0 * b * (b + 1.0)))
-    return _certified_witness(q, as_projection(z @ adjoint(z), tol), x, e, d, tol)
+    return _certified_witness(q, as_projection(z @ adjoint(z), tol), x, e, d)
 
 
-def homotopy_path(
-    q: Idempotent, samples: int, tol: Tolerances = DEFAULT_TOL
-) -> list[Idempotent]:
+def homotopy_path(q: Idempotent, samples: int) -> list[Idempotent]:
     """Idempotents Q(t) = W_t^(-1) m(Q) W_t on a uniform grid from m(Q) to Q.
 
     W_t = I + t (W - I) = I + t E X* is invertible for t in [0, 1] because
@@ -428,14 +430,14 @@ def homotopy_path(
 
     The updates of all samples are one (n, k) @ (k, samples n) product, with
     no factorization (``SimilarityWitness.samples``), and ``as_idempotent``
-    certifies the samples as one stack, one stacked norm per quantity.  The
-    sample at t = 0 is m(Q) exactly; a projection input (k = 0) gives
-    m(Q) = Q at every t.
+    certifies the samples at ``q.tol`` as one stack, one stacked norm per
+    quantity.  The sample at t = 0 is m(Q) exactly; a projection input
+    (k = 0) gives m(Q) = Q at every t.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
-    path = homotopy_witness(q, tol).samples(np.linspace(0.0, 1.0, samples))
-    return as_idempotent(path, tol)
+    path = homotopy_witness(q).samples(np.linspace(0.0, 1.0, samples))
+    return as_idempotent(path, q.tol)
 
 
 def _column_space_projector(m: np.ndarray, tol: Tolerances) -> np.ndarray:
@@ -445,7 +447,7 @@ def _column_space_projector(m: np.ndarray, tol: Tolerances) -> np.ndarray:
     return cols @ adjoint(cols)
 
 
-def range_identities(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> list[Check]:
+def range_identities(q: Idempotent) -> list[Check]:
     """Range/kernel identities of m(Q), verified through orthogonal projectors.
 
     Subspace equality is tested as the gap between the corresponding
@@ -467,8 +469,8 @@ def range_identities(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> list[Check
     decides it with no n x n factorization.  "Q is a projection" is
     ``is_projection``'s verdict.
     """
-    qm = q.matrix
-    m = _matched_pair(q, tol).projection.matrix
+    qm, tol = q.matrix, q.tol
+    m = _matched_pair(q).projection.matrix
     eye = identity(q.dim)
     abs_q, abs_qs = q.abs_q, q.abs_q_star
     sum_qs = qm + adjoint(qm)
@@ -503,35 +505,40 @@ def range_identities(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> list[Check
     return checks
 
 
-def fractional_power_limit(
-    q: Idempotent, n_list: list[int], tol: Tolerances = DEFAULT_TOL
-) -> list[float]:
+def exponent_roots(exponents: Sequence[int]) -> list[float]:
+    """The powers 1/n of a grid of exponents n; an empty grid or an n < 1 raises ``ValueError``."""
+    if len(exponents) == 0 or any(n < 1 for n in exponents):
+        raise ValueError("exponents must be positive integers")
+    return [1.0 / n for n in exponents]
+
+
+def fractional_power_limit(q: Idempotent, exponents: Sequence[int]) -> list[float]:
     """Distances ||(m(Q) Q m(Q))^(1/n) - m(Q)|| for the given exponents, one stacked norm.
 
     Verifies on the way that K = m(Q) Q m(Q) is Hermitian, dominates m(Q),
-    and equals (|Q*| + |Q| + Q + Q*) / 4.
+    and equals (|Q*| + |Q| + Q + Q*) / 4.  The exponents are checked by
+    ``exponent_roots`` before any of it.
     """
-    m = _matched_pair(q, tol).projection.matrix
-    qm = q.matrix
+    roots = exponent_roots(exponents)
+    m = _matched_pair(q).projection.matrix
+    qm, tol = q.matrix, q.tol
     k = require_hermitian(m @ qm @ m, tol)
     if not psd_order(m, k, tol):
         raise ValidationError("m(Q) Q m(Q) does not dominate m(Q)")
     gap = k - 0.25 * (q.abs_q_star + q.abs_q + qm + adjoint(qm))
     certify(gap, lambda: tol.relative(q.norm),
             lambda residual, *_: ValidationError(f"four-term identity residual {residual:.3e}"))
-    return operator_norm(psd_power(k, [1.0 / n for n in n_list], tol) - m).tolist()
+    return operator_norm(psd_power(k, roots, tol) - m).tolist()
 
 
-def unitary_equivariance(
-    q: Idempotent, u: np.ndarray, tol: Tolerances = DEFAULT_TOL
-) -> float:
-    """||m(U* Q U) - U* m(Q) U|| for a unitary U; zero in exact arithmetic."""
+def unitary_equivariance(q: Idempotent, u: np.ndarray) -> float:
+    """||m(U* Q U) - U* m(Q) U|| for a unitary U, U* Q U certified at ``q.tol``; zero in exact arithmetic."""
     u = np.asarray(u, dtype=np.complex128)
-    certify(adjoint(u) @ u - identity(q.dim), lambda: tol.check,
+    certify(adjoint(u) @ u - identity(q.dim), lambda: q.tol.check,
             lambda gap, *_: NotUnitaryError(f"U*U - I has norm {gap:.3e}"))
-    conjugated = as_idempotent(adjoint(u) @ q.matrix @ u, tol)
-    inner = _matched_pair(conjugated, tol).projection.matrix
-    outer = adjoint(u) @ _matched_pair(q, tol).projection.matrix @ u
+    conjugated = as_idempotent(adjoint(u) @ q.matrix @ u, q.tol)
+    inner = _matched_pair(conjugated).projection.matrix
+    outer = adjoint(u) @ _matched_pair(q).projection.matrix @ u
     return operator_norm(inner - outer)
 
 
@@ -559,7 +566,7 @@ def random_qpp_pair(
         rank = int(rng.integers(0, d + 1))
         nu = float(rng.uniform(0.0, max_offdiag))
         sub = random_idempotent(d, rank, nu, int(rng.integers(0, 2**63)), tol)
-        m_sub = _matched_pair(sub, tol).projection.matrix
+        m_sub = _matched_pair(sub).projection.matrix
         if rng.integers(0, 2):
             m_sub = np.eye(d) - m_sub
         blocks_q.append(sub.matrix)

@@ -30,7 +30,7 @@ from .linalg import (
     psd_power,
     require_hermitian,
 )
-from .matched import is_quasi_projection_pair, matched_distance, matched_projection
+from .matched import exponent_roots, is_quasi_projection_pair, matched_distance, matched_projection
 from .report import Check, boolean_check, norm_check
 
 
@@ -75,7 +75,7 @@ class DistanceReport:
     checks: list[Check]
 
 
-def distance_report(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> DistanceReport:
+def distance_report(q: Idempotent) -> DistanceReport:
     """All distance identities and inequalities for a single idempotent.
 
     Covers the closed-form distance (``offdiag_distance`` of nu =
@@ -100,18 +100,18 @@ def distance_report(q: Idempotent, tol: Tolerances = DEFAULT_TOL) -> DistanceRep
     the exact ``operator_norm``.  Whether Q is a projection, for
     ``sandwich_equality_iff_projection``, is ``is_projection``'s verdict.
     """
-    qm = q.matrix
+    qm, tol = q.matrix, q.tol
     eye = identity(q.dim)
-    m = matched_projection(q, tol).projection.matrix
-    complement = complement_of(q, tol)
+    m = matched_projection(q).projection.matrix
+    complement = complement_of(q)
 
     norm_q = q.norm
     norm_c = complement.norm
-    d_matched = matched_distance(q, tol)
+    d_matched = matched_distance(q)
     nu = q.offdiag_norm
     d_closed = offdiag_distance(nu)
-    d_range = operator_norm(range_projection(q, tol).matrix - qm)
-    d_null = operator_norm(null_projection(q, tol).matrix - qm)
+    d_range = operator_norm(range_projection(q).matrix - qm)
+    d_null = operator_norm(null_projection(q).matrix - qm)
 
     v_sim = 0.5 * (q.abs_q + complement.abs_q + eye)
 
@@ -219,18 +219,17 @@ class LipschitzBounds:
     checks: list[Check]
 
 
-def matched_lipschitz_bounds(
-    q1: Idempotent, q2: Idempotent, tol: Tolerances = DEFAULT_TOL
-) -> LipschitzBounds:
+def matched_lipschitz_bounds(q1: Idempotent, q2: Idempotent) -> LipschitzBounds:
     """Compare ||m(Q1) - m(Q2)|| against its proven upper bounds.
 
     The scaled bound ||Q1 - Q2|| / (1 - alpha) applies only when the
     compression norm alpha is safely below 1; near 1 it is reported as
-    inapplicable rather than asserted against a meaningless bound.
+    inapplicable rather than asserted against a meaningless bound.  The
+    gates are Q1's (``q1.tol``); each m(Q) comes from its own Q's analysis.
     """
-    eye = identity(q1.dim)
-    m1 = matched_projection(q1, tol).projection.matrix
-    m2 = matched_projection(q2, tol).projection.matrix
+    eye, tol = identity(q1.dim), q1.tol
+    m1 = matched_projection(q1).projection.matrix
+    m2 = matched_projection(q2).projection.matrix
     lhs = operator_norm(m1 - m2)
     comp = eye - m1
     alpha = operator_norm(comp @ q1.matrix @ comp)
@@ -270,26 +269,21 @@ class ConvergenceReport:
     checks: list[Check]
 
 
-def convergence_report(
-    q1: Idempotent,
-    q2: Idempotent,
-    exponents: list[int],
-    tol: Tolerances = DEFAULT_TOL,
-) -> ConvergenceReport:
+def convergence_report(q1: Idempotent, q2: Idempotent, exponents: Sequence[int]) -> ConvergenceReport:
     """Tabulate the three distance families over a finite exponent grid.
 
     Every entry bounds ||m(Q1) - m(Q2)|| from above, and the one-sided
     family converges to it as the exponent grows, so the grid certifies the
-    infimum from both sides.
+    infimum from both sides.  The exponents are checked by
+    ``exponent_roots``; the gates are Q1's (``q1.tol``), and each
+    operand's own values are taken at its own tolerance.
     """
-    if not exponents or any(n < 1 for n in exponents):
-        raise ValueError("exponents must be positive integers")
-    m1 = matched_projection(q1, tol).projection.matrix
-    m2 = matched_projection(q2, tol).projection.matrix
-    k1 = require_hermitian(m1 @ q1.matrix @ m1, tol)
-    k2 = require_hermitian(m2 @ q2.matrix @ m2, tol)
-    roots = [1.0 / n for n in exponents]
-    pow1, pow2 = psd_power(k1, roots, tol), psd_power(k2, roots, tol)
+    roots = exponent_roots(exponents)
+    m1 = matched_projection(q1).projection.matrix
+    m2 = matched_projection(q2).projection.matrix
+    k1 = require_hermitian(m1 @ q1.matrix @ m1, q1.tol)
+    k2 = require_hermitian(m2 @ q2.matrix @ m2, q2.tol)
+    pow1, pow2 = psd_power(k1, roots, q1.tol), psd_power(k2, roots, q2.tol)
 
     # 2-norms from stacked SVDs, one per row of the alpha table and one for
     # beta, gamma and the target, so no stack holds more than 2k + 1 matrices
@@ -303,9 +297,9 @@ def convergence_report(
         [0.0] + [beta[i + 1] - beta[i] for i in range(len(beta) - 1)]
     )
     checks = [
-        Check("grid_bounds_target_below", max(0.0, target - tabulated_min), tol.check),
-        Check("beta_tail_near_target", abs(beta[-1] - target), tol.limit),
-        Check("beta_nonincreasing", monotone_slack, tol.check),
+        Check("grid_bounds_target_below", max(0.0, target - tabulated_min), q1.tol.check),
+        Check("beta_tail_near_target", abs(beta[-1] - target), q1.tol.limit),
+        Check("beta_nonincreasing", monotone_slack, q1.tol.check),
     ]
     return ConvergenceReport(
         alpha=alpha,
@@ -333,8 +327,8 @@ def two_projection_construction(
     q1 = as_idempotent(np.linalg.solve(eye - a @ b, a @ (eye - b)), tol)
     q2 = as_idempotent(np.linalg.solve(eye - b @ a, b @ (eye - a)), tol)
 
-    m1 = matched_projection(q1, tol).projection.matrix
-    m2 = matched_projection(q2, tol).projection.matrix
+    m1 = matched_projection(q1).projection.matrix
+    m2 = matched_projection(q2).projection.matrix
     lhs = operator_norm(m1 - m2)
     gap = operator_norm(q1.matrix - q2.matrix)
     checks = [Check("matched_gap_bounded_by_gap", max(0.0, lhs - gap), tol.check)]
@@ -354,7 +348,7 @@ class MinimalityReport:
 
 
 def qpp_minimality(
-    p: Projection | Sequence[Projection], q: Idempotent, tol: Tolerances = DEFAULT_TOL
+    p: Projection | Sequence[Projection], q: Idempotent
 ) -> MinimalityReport | list[MinimalityReport]:
     """Distance-minimality of m(Q) among quasi-projection-pair partners; a sequence of P gives a list.
 
@@ -372,21 +366,21 @@ def qpp_minimality(
     if len(candidates) == 0:
         return []
     d_candidates = operator_norm(np.stack([c.matrix for c in candidates]) - q.matrix)
-    reports = [_minimality(c, q, float(d), tol) for c, d in zip(candidates, d_candidates)]
+    reports = [_minimality(c, q, float(d)) for c, d in zip(candidates, d_candidates)]
     return reports[0] if single else reports
 
 
-def _minimality(p: Projection, q: Idempotent, d_candidate: float, tol: Tolerances) -> MinimalityReport:
+def _minimality(p: Projection, q: Idempotent, d_candidate: float) -> MinimalityReport:
     """The report of ``qpp_minimality`` for one candidate P at d_candidate = ||P - Q||."""
-    m = matched_projection(q, tol).projection.matrix
-    qm = q.matrix
-    d_matched = matched_distance(q, tol)
+    m = matched_projection(q).projection.matrix
+    qm, tol = q.matrix, q.tol
+    d_matched = matched_distance(q)
     scale, scale_sq = tol.relative(q.norm), tol.quadratic(q.norm)
 
     checks = [
         Check("matched_within_twice_candidate", max(0.0, d_matched - 2.0 * d_candidate), scale)
     ]
-    holds = is_quasi_projection_pair(p, q, tol)
+    holds = is_quasi_projection_pair(p, q)
     if holds:
         diff_m = m - qm
         diff_p = p.matrix - qm

@@ -17,6 +17,7 @@ import pytest
 
 from matchedproj import (
     DEFAULT_TOL,
+    Tolerances,
     adjoint,
     as_matrix,
     as_projection,
@@ -307,6 +308,27 @@ class TestAnalyze:
         rep = tmp_path / "rep.json"
         assert run("analyze", "--input", "q_n8.json", "--output", rep) == 0
         assert rep.read_bytes() == (data / "analyze_n8.json").read_bytes()
+
+    def test_report_at_ten_times_the_check_tolerance(self, tmp_path, monkeypatch):
+        # Q certified at --tol-check 1e-9 is analysed at it: every gate built
+        # from check is ten times the golden's, every fixed gate (a verdict's
+        # 0.5, the subspace gap) is the golden's, and every check still passes.
+        # An analysis that fell back to the default would show the golden's gates
+        data = Path(__file__).parent / "data"
+        monkeypatch.chdir(data)
+        rep = tmp_path / "rep.json"
+        assert run("analyze", "--input", "q_n8.json", "--tol-check", "1e-9", "--output", rep) == 0
+        report, golden = json.loads(rep.read_text()), json.loads((data / "analyze_n8.json").read_text())
+        assert [c["name"] for c in report["checks"]] == [c["name"] for c in golden["checks"]]
+        assert report["all_passed"] is True and all(c["passed"] for c in report["checks"])
+        gates = [(c["tolerance"], g["tolerance"]) for c, g in zip(report["checks"], golden["checks"])]
+        fixed = [(got, want) for got, want in gates if want in (0.5, Tolerances.subspace)]
+        scaled = [(got, want) for got, want in gates if want not in (0.5, Tolerances.subspace)]
+        scaled += [(report["qpp"][k]["gate"], golden["qpp"][k]["gate"]) for k in golden["qpp"]]
+        assert (len(scaled), len(fixed)) == (25, 16)
+        for got, want in scaled:
+            assert got == pytest.approx(10.0 * want, rel=1e-12, abs=0.0)
+        assert all(got == want for got, want in fixed)
 
     def test_generated_file_round_trips(self, tmp_path):
         q, rep = tmp_path / "q.json", tmp_path / "rep.json"
@@ -660,7 +682,7 @@ class TestMin2x2:
         # m(Q) of another parameter: the closed form does not match it, and the record says so
         matched = cli.matched_projection
         other = canonical_idempotent(2.0)
-        monkeypatch.setattr(cli, "matched_projection", lambda q, tol: matched(other, tol))
+        monkeypatch.setattr(cli, "matched_projection", lambda q: matched(other))
         out = tmp_path / "min.json"
         assert run("min2x2", "--a-re", 1, "--grid", 64, "--output", out) == 1
         assert "  FAIL closed_form_is_matched: residual " in capsys.readouterr().out
@@ -794,11 +816,11 @@ class TestVerify:
     @staticmethod
     def per_candidate_records(rng, dim, q, tol, splice):
         """The 20-candidate records as a loop over single candidates draws and tests them."""
-        m = matched_projection(q, tol).projection.matrix
+        m = matched_projection(q).projection.matrix
         for k in range(20):
             p = random_projection(dim, int(rng.integers(0, dim + 1)), int(rng.integers(2**32)), tol)
             p = splice.get(k, p)
-            mini = qpp_minimality(p, q, tol)
+            mini = qpp_minimality(p, q)
             closer = norm_check("projection-closer-to-matched", p.matrix - m, mini.d_candidate + 1e-9)
             yield closer, f"trial {k}"
             for c in mini.checks:
@@ -825,9 +847,9 @@ class TestVerify:
             rng = np.random.default_rng(seed)
             dim = int(rng.integers(2, 13))
             q, q2 = (random_idempotent(dim, int(rng.integers(1, dim)), float(10.0 ** rng.uniform(-2, 1)),
-                                       int(rng.integers(2**32))) for _ in range(2))
+                                       int(rng.integers(2**32)), tol) for _ in range(2))
             splice.clear()
-            splice[seed % 20] = matched_projection(q, tol).projection
+            splice[seed % 20] = matched_projection(q).projection
             suite = battery._norm_suite(np.random.default_rng(seed), dim, q, q2, tol)
             got = [r for r in map(bits, suite)
                    if r[0] == "projection-closer-to-matched" or r[0].startswith("any-projection:")]
@@ -845,7 +867,7 @@ class TestVerify:
             rng = np.random.default_rng(seed)
             dim = int(rng.integers(2, 13))
             q = random_idempotent(dim, int(rng.integers(1, dim)), float(10.0 ** rng.uniform(-2, 2)),
-                                  int(rng.integers(2**32)))
+                                  int(rng.integers(2**32)), tol)
             # the battery's batches: the block-form P, p1 and p2, p_a and p_b
             for max_rank, count in ((dim, 1), (max(dim // 2, 1), 2), (dim, 2)):
                 stacked, looped = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -858,18 +880,26 @@ class TestVerify:
             qm = q.matrix
             x = np.linalg.solve(qm + adjoint(qm) - identity(dim), np.hstack([adjoint(qm), qm]))
             singles = [as_projection(adjoint(x[:, :dim]), tol), as_projection(adjoint(x[:, dim:]), tol)]
-            pair = koliha_projections(q, tol)
+            pair = koliha_projections(q)
             assert [p.matrix.tobytes() for p in pair] == [p.matrix.tobytes() for p in singles]
             # the fractional-power distances against one norm per power
-            m = matched_projection(q, tol).projection.matrix
+            m = matched_projection(q).projection.matrix
             k = require_hermitian(m @ qm @ m, tol)
             powers = psd_power(k, [1.0 / n for n in battery.EXPONENT_GRID], tol)
             want = [operator_norm(p - m).hex() for p in powers]
-            assert [d.hex() for d in fractional_power_limit(q, battery.EXPONENT_GRID, tol)] == want
+            assert [d.hex() for d in fractional_power_limit(q, battery.EXPONENT_GRID)] == want
 
     def test_sabotage_fails_fast(self):
         assert run("verify", "--dim-max", 4, "--trials", 2, "--seed", 7,
                    "--sabotage") == 1
+
+    def test_sabotaged_copy_keeps_the_tolerance_of_q(self, capsys):
+        # the corrupted m(Q) fails its certificate at the tolerance given, not the default's 1.000e-10
+        assert run("verify", "--sabotage", "--trials", 2, "--dim-max", 4, "--seed", 7, "--tol-check", "1e-9") == 1
+        lines = capsys.readouterr().out.splitlines()
+        first = next(line for line in lines if line.startswith("FIRST FAILURE: "))
+        assert "exceeds 1.000e-09" in first
+        assert lines[-1].startswith("reproduce: ") and "--tol-check 1e-09" in lines[-1]
 
     def test_raising_distance_equality_fails_with_its_message(self, monkeypatch, capsys):
         def kkm_distance(p_a, p_b, tol):

@@ -340,14 +340,15 @@ class TestMemo:
         assert dict(factorizations) == {"svd": 1}
 
     def test_projections_keyed_on_tolerance(self):
-        # certified at the default gate, the same projections cannot meet 1e-18
+        # certified at the default gate, the same projections cannot meet 1e-18:
+        # a copy of Q at that tolerance has its own memo and certifies afresh
         q = random_idempotent(6, 2, 3.0, 11)
         range_projection(q), null_projection(q)
-        strict = Tolerances(check=1e-18)
+        strict = dataclasses.replace(q, tol=Tolerances(check=1e-18))
         with pytest.raises(ValidationError):
-            range_projection(q, strict)
+            range_projection(strict)
         with pytest.raises(ValidationError):
-            null_projection(q, strict)
+            null_projection(strict)
 
 
 class TestOffdiagNorm:
@@ -377,9 +378,9 @@ class TestPartners:
         q = random_idempotent(8, 3, 2.0, 5)
         assert complement_of(q) is complement_of(q)
         assert adjoint_of(q) is adjoint_of(q)
-        loose = Tolerances(check=1e-9)
-        assert adjoint_of(q, loose) is not adjoint_of(q)
-        assert complement_of(q, loose) is not complement_of(q)
+        loose = dataclasses.replace(q, tol=Tolerances(check=1e-9))
+        assert adjoint_of(loose) is not adjoint_of(q)
+        assert complement_of(loose) is not complement_of(q)
 
     def test_matrices_are_exact(self):
         q = random_idempotent(8, 3, 2.0, 5)
@@ -389,12 +390,11 @@ class TestPartners:
         assert np.array_equal(adjoint_of(complement_of(q)).matrix, adjoint(comp))
 
     def test_each_partner_certified_at_its_tolerance(self):
-        q = random_idempotent(8, 3, 2.0, 5)
-        strict = Tolerances(check=1e-30)
+        strict = dataclasses.replace(random_idempotent(8, 3, 2.0, 5), tol=Tolerances(check=1e-30))
         with pytest.raises(ValidationError):
-            adjoint_of(q, strict)
+            adjoint_of(strict)
         with pytest.raises(ValidationError):
-            complement_of(q, strict)
+            complement_of(strict)
 
     def test_never_q_itself(self):
         # a partner's partner is a new idempotent of the same matrix, so no
@@ -476,7 +476,7 @@ class TestKolihaProjections:
         loose = Tolerances(check=1.0)
         half = as_idempotent(0.5 * np.eye(2), loose)
         with pytest.raises(SingularPencilError):
-            koliha_projections(half, loose)
+            koliha_projections(half)
 
     def test_failure_is_not_memoized(self, factorizations):
         # each call raises again and no verdict is kept; the pencil's eigh is
@@ -485,15 +485,15 @@ class TestKolihaProjections:
         half = as_idempotent(0.5 * np.eye(2), loose)
         for calls in (1, 2):
             with pytest.raises(SingularPencilError):
-                koliha_projections(half, loose)
+                koliha_projections(half)
             assert factorizations["eigh"] == 1
         assert half._memo == {}
 
     def test_singular_pencil_under_rank_override(self):
         # Q + Q* - I = diag(1, 2e-3) is numerically singular only under a cutoff above 2e-3
-        near = as_idempotent(np.diag([1.0, 0.501]), Tolerances(check=1.0))
+        near = as_idempotent(np.diag([1.0, 0.501]), Tolerances(check=1.0, rank=1e-2))
         with pytest.raises(SingularPencilError):
-            koliha_projections(near, Tolerances(check=1.0, rank=1e-2))
+            koliha_projections(near)
 
 
 class TestNullProjection:

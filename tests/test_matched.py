@@ -25,6 +25,7 @@ from matchedproj import (
     block_form,
     closed_form_p0,
     complement_of,
+    convergence_report,
     distance_report,
     factor_oracle,
     failures,
@@ -35,6 +36,7 @@ from matchedproj import (
     is_quasi_projection_pair,
     koliha_projections,
     matched_distance,
+    matched_lipschitz_bounds,
     matched_projection,
     matched_projection_closed_form,
     matched_via_factor,
@@ -432,7 +434,7 @@ class TestMemo:
         q = random_idempotent(8, 3, 2.0, 5)
         pair = matched_projection(q)
         assert matched_projection(q) is pair
-        assert matched_projection(q, Tolerances(check=1e-9)) is not pair
+        assert matched_projection(replace(q, tol=Tolerances(check=1e-9))) is not pair
         assert homotopy_witness(q).projection is pair.projection
 
     def test_internal_reads_bypass_the_public_name(self, monkeypatch):
@@ -450,11 +452,27 @@ class TestMemo:
         random_qpp_pair(6, 3)
         assert calls == []
 
+    def test_analysis_runs_at_the_tolerance_of_q(self):
+        # Q's tolerance reaches its partners, its path and the sabotaged copy,
+        # and the memo is keyed on the function alone
+        loose = Tolerances(check=1e-9)
+        q = as_idempotent(random_idempotent(8, 3, 2.0, 5).matrix, loose)
+        assert q.tol is loose and replace(q).tol is loose and sabotaged(q).tol is loose
+        assert adjoint_of(q).tol is loose and adjoint_of(complement_of(q)).tol is loose
+        assert all(sample.tol is loose for sample in homotopy_path(q, 3))
+        assert next(qpp_checks(matched_projection(q).projection, q)).tolerance == loose.relative(q.norm)
+        # a function of two idempotents gates at the first one's tolerance
+        other = random_idempotent(8, 4, 1.0, 6)
+        assert {c.tolerance for c in matched_lipschitz_bounds(q, other).checks} == {loose.check}
+        assert convergence_report(q, other, [1, 2]).checks[0].tolerance == loose.check
+        distance_report(q), range_identities(q), matched_via_factor(q)
+        assert q._memo and all(callable(key) for key in q._memo)
+
     def test_core_keyed_on_tolerance(self):
         q = random_idempotent(8, 3, 2.0, 5)
         matched_projection(q)
         with pytest.raises(ValidationError):
-            matched_projection(q, Tolerances(check=1e-18))
+            matched_projection(replace(q, tol=Tolerances(check=1e-18)))
 
 
 class TestMatchedViaFactor:
@@ -575,9 +593,9 @@ class TestQppChecks:
     def test_five_conditions_in_order_under_one_gate(self):
         for p, q in TestQppHolds.pairs():
             assert not qpp_layout_errors(list(qpp_checks(p, q)), q)
-        q = canonical()
         tol = Tolerances(check=1e-12)
-        assert not qpp_layout_errors(list(qpp_checks(range_projection(q), q, tol)), q, tol)
+        q = replace(canonical(), tol=tol)
+        assert not qpp_layout_errors(list(qpp_checks(range_projection(q), q)), q, tol)
 
     def test_the_layout_check_sees_each_spelling(self):
         q = canonical()
@@ -670,7 +688,7 @@ class TestQppHolds:
                     if not 0.0 < check < np.inf:
                         continue
                     tol = Tolerances(check=check)
-                    assert is_quasi_projection_pair(p, q, tol) == self.exact_verdict(p, q, tol)
+                    assert is_quasi_projection_pair(p, replace(q, tol=tol)) == self.exact_verdict(p, q, tol)
 
 
 def recorded_brackets(monkeypatch):
@@ -882,10 +900,10 @@ class TestHomotopy:
         p = matched_projection(q).projection
         d = 0.5 / s
         e = (p.matrix @ u_r) / (1.0 + s) - u_r
-        clean = matched_module._certified_witness(q, p, u_r, e, d, DEFAULT_TOL)
+        clean = matched_module._certified_witness(q, p, u_r, e, d)
         np.testing.assert_array_equal(clean.w, homotopy_witness(q).w)
         with pytest.raises(ValidationError, match="inverse defect"):
-            matched_module._certified_witness(q, p, u_r, e + 1e-3 * u_r, d, DEFAULT_TOL)
+            matched_module._certified_witness(q, p, u_r, e + 1e-3 * u_r, d)
 
     def test_path_rejects_bad_sample_count(self):
         with pytest.raises(ValueError):
@@ -968,6 +986,16 @@ class TestFractionalPower:
         dists = fractional_power_limit(canonical(), exponents)
         assert all(b <= a + 1e-12 for a, b in zip(dists, dists[1:]))
         assert dists[-1] <= 1e-2
+
+    @pytest.mark.parametrize("exponents", [[0], [-2], [], [4, 0]])
+    def test_exponents_checked_as_the_convergence_table_checks_them(self, exponents):
+        # one check for both: a zero used to divide by zero, a negative power
+        # and an empty grid to return distances
+        q = canonical()
+        with pytest.raises(ValueError, match="^exponents must be positive integers$"):
+            fractional_power_limit(q, exponents)
+        with pytest.raises(ValueError, match="^exponents must be positive integers$"):
+            convergence_report(q, q, exponents)
 
 
 class TestUnitaryEquivariance:

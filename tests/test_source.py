@@ -350,8 +350,8 @@ def _hand_rolled_memo(node):
 
 
 def _memo_violations(filename, source):
-    # Q's values are cached_property attributes; values per tolerance go through
-    # idempotents.per_tolerance, the one reader of Q's _memo dict
+    # Q's values are cached_property attributes; values at Q's tolerance go
+    # through idempotents.memoized_on_q, the one reader of Q's _memo dict
     found = []
     for node in ast.walk(ast.parse(source)):
         spelled = _hand_rolled_memo(node)
@@ -378,7 +378,7 @@ def test_the_memo_invariant_sees_each_spelling():
         "key in q._memo": "_memo",
         "getattr(q, '_memo')": "_memo",
     }
-    allowed = ["q.memo", "vars(q)['svd']", "per_tolerance(build)", "q._memory", "getattr(q, name)"]
+    allowed = ["q.memo", "vars(q)['svd']", "memoized_on_q(build)", "q._memory", "getattr(q, name)"]
     for source, name in spellings.items():
         assert {_hand_rolled_memo(n) for n in ast.walk(ast.parse(source))} - {None} == {name}, source
         assert _memo_violations("matched.py", source), source
@@ -1316,3 +1316,71 @@ def test_the_objective_invariant_sees_each_spelling():
     ]
     for source in spellings + allowed:
         assert bool(_second_objective(source)) == (source in spellings), source
+
+
+# an idempotent is analysed at the tolerance it was certified under, q.tol:
+# no function that takes an Idempotent takes a tolerance of its own
+def _names_idempotent(annotation):
+    """Whether an annotation names ``Idempotent``: bare, qualified, quoted, or inside a union or generic."""
+    for node in ast.walk(annotation):
+        if isinstance(node, ast.Name) and node.id == "Idempotent" or isinstance(node, ast.Attribute) and node.attr == "Idempotent":
+            return True
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                quoted = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            if _names_idempotent(quoted):
+                return True
+    return False
+
+
+def _idempotent_functions_taking_tol(source):
+    """Where a function with an ``Idempotent``-annotated parameter has a parameter ``tol``, of any kind."""
+    found = []
+    for function in ast.walk(ast.parse(source)):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = function.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs, *filter(None, (args.vararg, args.kwarg))]
+        if (any(p.annotation is not None and _names_idempotent(p.annotation) for p in params)
+                and any(p.arg == "tol" for p in params)):
+            found.append(f"{function.lineno} {function.name}")
+    return found
+
+
+def test_functions_of_an_idempotent_take_no_tolerance():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    assert all("q: Idempotent" in sources[name] for name in ("idempotents.py", "matched.py", "norms.py"))
+    found = [f"{name}:{v}" for name, text in sources.items() for v in _idempotent_functions_taking_tol(text)]
+    assert not found, found
+
+
+def test_the_idempotent_tolerance_invariant_sees_each_spelling():
+    spellings = [
+        "def f(q: Idempotent, tol):\n    pass",
+        "def f(q: Idempotent, tol: Tolerances = DEFAULT_TOL):\n    pass",
+        "def f(p: Projection, q: Idempotent, tol=DEFAULT_TOL):\n    pass",
+        "def f(q1: Idempotent, q2: Idempotent, exponents, tol):\n    pass",
+        "def f(q: Idempotent, *, tol):\n    pass",
+        "def f(tol, /, q: Idempotent):\n    pass",
+        "def f(q: Idempotent, *tol):\n    pass",
+        "def f(q: idempotents.Idempotent, tol):\n    pass",
+        "def f(q: 'Idempotent', tol):\n    pass",
+        "def f(q: Idempotent | None, tol):\n    pass",
+        "def f(qs: Sequence[Idempotent], tol):\n    pass",
+        "async def f(q: Idempotent, tol):\n    pass",
+        "class A:\n    def f(self, q: Idempotent, tol):\n        pass",
+        "def outer():\n    def inner(q: Idempotent, tol):\n        pass",
+    ]
+    allowed = [
+        "def as_idempotent(m, tol: Tolerances = DEFAULT_TOL):\n    pass",
+        "def random_idempotent(dim, rank, offdiag_norm, seed, tol) -> Idempotent:\n    pass",
+        "def block_form(t_mat, p: Projection, tol):\n    pass",
+        "def f(q: Idempotent):\n    tol = q.tol",
+        "def f(q: Idempotent, samples: int):\n    pass",
+        "def f(q: 'Idempotent | None', tolerance_free):\n    pass",
+        "def run_battery(dim_max, trials, seed, tol):\n    q: Idempotent = random_idempotent(2, 1, 1.0, 0, tol)",
+    ]
+    for source in spellings + allowed:
+        assert bool(_idempotent_functions_taking_tol(source)) == (source in spellings), source
