@@ -86,7 +86,6 @@ from .norms import (
 from .report import Check, all_passed, boolean_check, bracket_check, norm_check
 from .two_by_two import (
     canonical_idempotent,
-    closed_form_p0,
     distance_objective,
     grid_minimize,
     halmos_projection,
@@ -384,28 +383,26 @@ def _two_by_two(rng, tol):
     mod = float(10.0 ** rng.uniform(-2, 2))
     phase = float(rng.uniform(0.0, 2 * np.pi))
     a = mod * np.exp(1j * phase)
-    problem = closed_form_p0(a, tol)
-    q = canonical_idempotent(a, tol)
-    gap = problem.p0.matrix - matched_projection(q).projection.matrix
+    gm = grid_minimize(a, 64, tol)
+    gap = gm.problem.p0.matrix - matched_projection(gm.q).projection.matrix
     yield norm_check("closed-form-is-matched", gap, tol.route_gate(mod))
     # analytic objective against a direct norm computation
     x = float(rng.uniform(-1.0, 1.0))
     t = float(rng.uniform(0.0, np.pi))
     z = complex(x, np.sqrt(max(1.0 - x * x, 0.0)))
     p = halmos_projection(HalmosPoint(z=z, t=t), phase, tol)
-    direct = operator_norm(p.matrix - q.matrix) ** 2
+    direct = operator_norm(p.matrix - gm.q.matrix) ** 2
     objective = abs(distance_objective(a, x, t) - direct)
     yield Check("objective-matches-norm", objective, tol.quadratic(mod))
-    yield from _prefixed("grid", grid_minimize(a, 64, tol).checks)
+    yield from _prefixed("grid", gm.checks)
 
 
 def _family_point(mod: float, tol: Tolerances):
     """The 512-point grid's checks at ``a = mod``, then its argmin against the closed form."""
     gm = grid_minimize(mod, 512, tol)
     yield from _prefixed("family-grid", gm.checks)
-    problem = closed_form_p0(mod, tol)
     p_grid = halmos_projection(HalmosPoint(z=1.0 + 0j, t=gm.argmin_t), 0.0, tol)
-    frob = float(np.linalg.norm(p_grid.matrix - problem.p0.matrix))
+    frob = float(np.linalg.norm(p_grid.matrix - gm.problem.p0.matrix))
     yield Check("family-argmin-matches-closed-form", frob, tol.above(4.0 * (np.pi / 511)))
 
 

@@ -37,7 +37,7 @@ from .matched import (
 from .matrixio import dump, dumps, load_matrix
 from .norms import distance_report
 from .report import Check, all_passed, boolean_check, bracket_check, failures, norm_check
-from .two_by_two import canonical_idempotent, closed_form_p0, grid_minimize
+from .two_by_two import grid_minimize
 
 E_OK, E_MATH, E_USAGE = 0, 1, 2
 A_PART_MAX = 1e150
@@ -179,18 +179,16 @@ def cmd_min2x2(args) -> int:
     a = complex(args.a_re, args.a_im)
     if a == 0:
         raise ValueError("parameter a must be nonzero")
-    problem = closed_form_p0(a, tol)
     gm = grid_minimize(a, args.grid, tol)
-    pair = matched_projection(canonical_idempotent(a, tol))
-    route_gap = problem.p0.matrix - pair.projection.matrix
+    route_gap = gm.problem.p0.matrix - matched_projection(gm.q).projection.matrix
     checks = [*gm.checks, norm_check("closed_form_is_matched", route_gap, tol.route_gate(abs(a)))]
     ok = all_passed(checks)
     record = {
         "a": [a.real, a.imag],
-        "b": problem.b,
-        "theta0": problem.theta0,
-        "t0": problem.t0,
-        "closed_form": problem.p0.matrix,
+        "b": gm.problem.b,
+        "theta0": gm.problem.theta0,
+        "t0": gm.problem.t0,
+        "closed_form": gm.problem.p0.matrix,
         "grid": {
             "points": args.grid,
             "min_value": gm.min_value,

@@ -39,10 +39,10 @@ and the tests, never built from Q's pencil vectors.  The SVD formula
 m(Q) = W D^(-1) W*, W = U_r + V_r, D = 2 (I + S_r^(-1)), reads Q's SVD
 (``matched_projection_svd``); S(Q*) is S(Q) bit for bit and S(I - Q) is -S,
 so it is what the m of a partner Q* or I - Q is compared with.  The next
-two read one record per Q, ``factor_oracle``: |Q*| from its own
-``abs_value(Q*)``, |Q*|^dag from the memoized Koliha projections of
-``koliha_projections``, T = |Q*| + Q*, T^dag and V; the block witness takes
-P_R(Q) from the same projections:
+two read one record per Q, ``factor_oracle``: |Q*| and (I + |Q*|)^(-1/2)
+from one SVD of Q* of its own, |Q*|^dag from the memoized Koliha projections
+of ``koliha_projections``, T = |Q*| + Q*, T^dag and V; the block witness
+takes P_R(Q) from the same projections:
 
 - the closed formula (1/2) (|Q*| + Q*) |Q*|^dag (|Q*| + I)^(-1) (|Q*| + Q)
   (``matched_projection_closed_form``);
@@ -85,7 +85,6 @@ from .idempotents import (
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
-    abs_value,
     adjoint,
     certify,
     identity,
@@ -102,7 +101,11 @@ from .report import Check, boolean_check, norm_check
 
 @dataclass(frozen=True)
 class FactorOracle:
-    """Oracle values of Q: |Q*|, |Q*|^dag, T = |Q*| + Q*, T^dag and V; T T^dag = V V* = m(Q)."""
+    """Oracle values of Q: |Q*|, |Q*|^dag, T = |Q*| + Q*, T^dag and V; T T^dag = V V* = m(Q).
+
+    |Q*| and the factor (I + |Q*|)^(-1/2) of V come from one SVD of Q*
+    (``factor_oracle``), never from Q's memoized ``svd``.
+    """
 
     abs_q_star: np.ndarray
     abs_q_star_pinv: np.ndarray
@@ -115,16 +118,19 @@ class FactorOracle:
 def factor_oracle(q: Idempotent) -> FactorOracle:
     """The ``FactorOracle`` of Q, never read from Q's SVD; memoized on Q.
 
-    |Q*| is ``abs_value(Q*)``, |Q*|^dag = (P_R(Q) P_R(Q*) P_R(Q))^(1/2) from
-    ``koliha_projections`` and V = T (|Q*|^dag)^(1/2) (I + |Q*|)^(-1/2) / sqrt 2;
-    |Q*|^dag and its square root, the powers 1/2 and 1/4 of the same
-    product, come from one ``psd_power``.
+    One SVD of its own, Q* = U S V*, gives |Q*| = V S V* (``abs_value``'s
+    formula, bit for bit) and (I + |Q*|)^(-1/2) = V (I + S)^(-1/2) V*; the
+    eigenvalues 1 + s_i are at least 1, so that power needs no rank cutoff.
+    |Q*|^dag = (P_R(Q) P_R(Q*) P_R(Q))^(1/2) from ``koliha_projections`` and
+    its square root, the powers 1/2 and 1/4 of the same product, come from
+    one ``psd_power``; V = T (|Q*|^dag)^(1/2) (I + |Q*|)^(-1/2) / sqrt 2.
     """
-    abs_qs = abs_value(adjoint(q.matrix))
+    _, s, vh = np.linalg.svd(adjoint(q.matrix))
+    abs_qs = (adjoint(vh) * s) @ vh
     p_r, p_rs = (p.matrix for p in koliha_projections(q))
     dag, dag_root = psd_power(p_r @ p_rs @ p_r, [0.5, 0.25], q.tol)
     t = abs_qs + adjoint(q.matrix)
-    v = np.sqrt(0.5) * t @ dag_root @ psd_power(identity(q.dim) + abs_qs, -0.5, q.tol)
+    v = np.sqrt(0.5) * t @ dag_root @ ((adjoint(vh) / np.sqrt(1.0 + s)) @ vh)
     return FactorOracle(abs_qs, dag, t, moore_penrose(t, q.tol), v)
 
 
@@ -506,8 +512,8 @@ def range_identities(q: Idempotent) -> list[Check]:
 
 
 def exponent_roots(exponents: Sequence[int]) -> list[float]:
-    """The powers 1/n of a grid of exponents n; an empty grid or an n < 1 raises ``ValueError``."""
-    if len(exponents) == 0 or any(n < 1 for n in exponents):
+    """The powers 1/n of a nonempty grid of integers n >= 1; any other grid raises ``ValueError``."""
+    if len(exponents) == 0 or any(not (n >= 1 and float(n).is_integer()) for n in exponents):
         raise ValueError("exponents must be positive integers")
     return [1.0 / n for n in exponents]
 

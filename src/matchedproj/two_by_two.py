@@ -113,7 +113,11 @@ def closed_form_p0(a: complex, tol: Tolerances = DEFAULT_TOL) -> TwoByTwoProblem
 
 @dataclass(frozen=True)
 class GridMinimum:
-    """Brute-force minimum of the distance objective over [-1, 1] x [0, pi]."""
+    """Brute-force minimum of the distance objective over [-1, 1] x [0, pi].
+
+    It carries the certified ``closed_form_p0(a)`` it was compared with and
+    Q = ``canonical_idempotent(a)``, so a caller reads them here, not rebuilt.
+    """
 
     min_value: float
     argmin_x: float
@@ -122,6 +126,8 @@ class GridMinimum:
     gap: float
     grid_tolerance: float
     checks: list[Check]
+    problem: TwoByTwoProblem
+    q: Idempotent
 
 
 def grid_minimize(a: complex, points: int, tol: Tolerances = DEFAULT_TOL) -> GridMinimum:
@@ -228,4 +234,6 @@ def grid_minimize(a: complex, points: int, tol: Tolerances = DEFAULT_TOL) -> Gri
         gap=gap,
         grid_tolerance=lipschitz,
         checks=checks,
+        problem=problem,
+        q=q,
     )

@@ -33,6 +33,7 @@ from matchedproj import (
     homotopy_path,
     homotopy_witness,
     homotopy_witness_block,
+    identity,
     is_quasi_projection_pair,
     koliha_projections,
     matched_distance,
@@ -45,6 +46,7 @@ from matchedproj import (
     null_projection,
     numerical_rank,
     operator_norm,
+    psd_power,
     qpp_checks,
     qpp_symmetry_closure,
     random_idempotent,
@@ -363,13 +365,14 @@ class TestFactorizationCount:
         assert factor_oracle(q).v is first
         assert sum(factorizations.values()) == after_first
 
-    def test_factor_oracle_takes_two_eigendecompositions(self, factorizations):
-        # |Q*|^dag and its square root from one psd_power, then (I + |Q*|)^(-1/2)
+    def test_factor_oracle_takes_one_eigendecomposition(self, factorizations):
+        # |Q*|^dag and its square root from one psd_power; |Q*| and
+        # (I + |Q*|)^(-1/2) from one SVD of Q*, and T^dag from one more
         q = random_idempotent(8, 3, 2.0, 5)
         koliha_projections(q)
         factorizations.clear()
         factor_oracle(q)
-        assert factorizations["eigh"] == 2, dict(factorizations)
+        assert factorizations["eigh"] == 1, dict(factorizations)
         assert factorizations["svd"] == 2, dict(factorizations)
 
     def test_factor_oracle_never_reads_the_svd(self):
@@ -490,6 +493,21 @@ class TestMatchedViaFactor:
         tt, vv = matched_via_factor(canonical())
         np.testing.assert_allclose(tt, MATCHED_CANONICAL, atol=1e-12)
         np.testing.assert_allclose(vv, MATCHED_CANONICAL, atol=1e-12)
+
+    def test_one_svd_of_q_star_matches_the_eigh_route(self):
+        # |Q*| is abs_value(Q*) bit for bit; (I + |Q*|)^(-1/2) from the same
+        # SVD differs from psd_power's eigh of I + |Q*| by rounding alone, at
+        # most 0.84 n eps (1 + ||Q||) in V over n <= 64, every rank and these
+        # norms, so 4 n eps (1 + ||Q||) bounds it
+        for q in envelope_inputs((1e-10, 1e-2, 1.0, 1e2, 1e4)):
+            fo = factor_oracle(q)
+            abs_qs = abs_value(adjoint(q.matrix))
+            assert np.array_equal(fo.abs_q_star, abs_qs)
+            p_r, p_rs = (p.matrix for p in koliha_projections(q))
+            root = psd_power(p_r @ p_rs @ p_r, [0.5, 0.25], q.tol)[1]
+            eigh_route = np.sqrt(0.5) * fo.t @ root @ psd_power(identity(q.dim) + abs_qs, -0.5, q.tol)
+            gap = operator_norm(fo.v - eigh_route)
+            assert gap <= 4 * q.dim * EPS * (1.0 + operator_norm(q.matrix)), (q.dim, gap)
 
     def test_gram_sides_give_range_projection(self):
         fo = factor_oracle(canonical())
@@ -987,15 +1005,19 @@ class TestFractionalPower:
         assert all(b <= a + 1e-12 for a, b in zip(dists, dists[1:]))
         assert dists[-1] <= 1e-2
 
-    @pytest.mark.parametrize("exponents", [[0], [-2], [], [4, 0]])
+    @pytest.mark.parametrize("exponents", [[0], [-2], [], [4, 0], [1.5], [2, 2.5]])
     def test_exponents_checked_as_the_convergence_table_checks_them(self, exponents):
-        # one check for both: a zero used to divide by zero, a negative power
-        # and an empty grid to return distances
+        # one check for both: a zero used to divide by zero, a negative power,
+        # an empty grid and a fractional exponent to return distances
         q = canonical()
         with pytest.raises(ValueError, match="^exponents must be positive integers$"):
             fractional_power_limit(q, exponents)
         with pytest.raises(ValueError, match="^exponents must be positive integers$"):
             convergence_report(q, q, exponents)
+
+    def test_integral_exponents_of_any_type_are_accepted(self):
+        q = canonical()
+        assert fractional_power_limit(q, [2.0, np.int64(4)]) == fractional_power_limit(q, [2, 4])
 
 
 class TestUnitaryEquivariance:

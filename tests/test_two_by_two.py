@@ -1,5 +1,6 @@
 """Tests for the 2x2 closed-form minimization and its brute-force oracle."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -22,6 +23,18 @@ from matchedproj import (
 )
 
 RT2 = np.sqrt(2.0)
+
+
+def same_bits(x, y):
+    """Whether x and y are equal bit for bit: each compared field of a dataclass, or as arrays."""
+    if dataclasses.is_dataclass(x):
+        return type(x) is type(y) and all(
+            same_bits(getattr(x, f.name), getattr(y, f.name)) for f in dataclasses.fields(x) if f.compare
+        )
+    if x is None or y is None:
+        return x is y
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
 def row_loop_minimum(a, points):
@@ -215,6 +228,16 @@ class TestGridMinimize:
         flat = grid_minimize(2.0, 128)
         turned = grid_minimize(2j, 128)
         assert flat.min_value == pytest.approx(turned.min_value, abs=1e-12)
+
+    SHARED_CASES = [(a, points) for a in (1e-3, 1 + 1j, 1e3) for points in (1, 64, 512)]
+
+    @pytest.mark.parametrize("a, points", SHARED_CASES, ids=[f"{a}-{p}" for a, p in SHARED_CASES])
+    def test_carries_the_problem_and_q_it_built(self, a, points):
+        # the battery and min2x2 read these, so they must be what the
+        # builders give, every field bit for bit
+        gm = grid_minimize(a, points)
+        assert same_bits(gm.problem, closed_form_p0(a))
+        assert same_bits(gm.q, canonical_idempotent(a))
 
     def test_zero_rejected(self):
         with pytest.raises(ZeroParameterError):
