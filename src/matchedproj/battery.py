@@ -92,9 +92,6 @@ from .two_by_two import (
     HalmosPoint,
 )
 
-EXPONENT_GRID = [2**k for k in range(11)]
-
-
 @dataclass(frozen=True)
 class Trial:
     """The context of a record made in a trial: its seed and dimension."""
@@ -328,7 +325,7 @@ def _homotopy(rng, dim, q, tol):
 
 def _ranges_and_powers(rng, dim, q, tol):
     yield from _prefixed("ranges", range_identities(q))
-    dists = fractional_power_limit(q, EXPONENT_GRID)
+    dists = fractional_power_limit(q)
     yield Check("fractional-power-monotone", max([0.0, *np.diff(dists)]), tol.check)
     yield Check("fractional-power-limit", dists[-1], tol.limit)
 
@@ -347,7 +344,7 @@ def _norm_suite(rng, dim, q, q2, tol):
         yield from _prefixed("any-projection", mini.checks)
 
     yield from _prefixed("lipschitz", matched_lipschitz_bounds(q, q2).checks)
-    yield from _prefixed("convergence", convergence_report(q, q2, EXPONENT_GRID).checks)
+    yield from _prefixed("convergence", convergence_report(q, q2).checks)
 
     p1, p2 = _draw_projections(rng, dim, max(dim // 2, 1), 2, tol)
     if norm_at_most(p1.matrix @ p2.matrix, 0.999):

@@ -46,7 +46,7 @@ NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?|-(inf|infinity|nan
 
 
 def _tolerances(args) -> Tolerances:
-    return Tolerances(check=args.tol_check, rank=args.tol_rank)
+    return Tolerances(check=args.tol_check, rank=getattr(args, "tol_rank", None))
 
 
 def _verdict_to_obj(checks: list[Check]) -> dict:
@@ -253,21 +253,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_tols(p):
+    def add_tols(p, rank: bool):
         p.add_argument(
             "--tol-check", type=float, default=DEFAULT_TOL.check, help="identity residual tolerance"
         )
-        p.add_argument(
-            "--tol-rank",
-            type=float,
-            default=None,
-            help="relative rank cutoff factor (default dim * machine epsilon)",
-        )
+        # only analyze and verify run a rank cutoff
+        if rank:
+            p.add_argument(
+                "--tol-rank",
+                type=float,
+                default=None,
+                help="relative rank cutoff factor (default dim * machine epsilon)",
+            )
 
     p = sub.add_parser("analyze", help="verify all identities for an idempotent from a JSON file")
     p.add_argument("--input", required=True)
     p.add_argument("--output", default=None, help="write the full JSON report here")
-    add_tols(p)
+    add_tols(p, rank=True)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("generate", help="write a seeded random idempotent to a JSON file")
@@ -276,14 +278,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--offdiag-norm", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", required=True)
-    add_tols(p)
+    add_tols(p, rank=False)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("path", help="sample the homotopy from m(Q) to Q")
     p.add_argument("--input", required=True)
     p.add_argument("--samples", type=int, default=11)
     p.add_argument("--output", default=None)
-    add_tols(p)
+    add_tols(p, rank=False)
     p.set_defaults(func=cmd_path)
 
     p = sub.add_parser("min2x2", help="2x2 closed-form minimum against the grid oracle")
@@ -291,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a-im", type=float, default=0.0)
     p.add_argument("--grid", type=int, default=512)
     p.add_argument("--output", default=None)
-    add_tols(p)
+    add_tols(p, rank=False)
     p.set_defaults(func=cmd_min2x2)
 
     p = sub.add_parser("verify", help="run the randomized invariant battery")
@@ -299,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sabotage", action="store_true", help=argparse.SUPPRESS)
-    add_tols(p)
+    add_tols(p, rank=True)
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -21,7 +21,8 @@ with no inverse and no solve, and ``homotopy_path`` certifies them.  Q's SVD
 serves the values of Q alone: ||Q||, |Q| = V S V*, |Q*| = U S U*,
 |Q*|^dag = U_r S_r^(-1) U_r* and P_R(Q) = U_r U_r* come from it, and every
 function here reads them from Q.  m(Q) (a ``MatchedPair``), its distance to
-Q, its witness and the oracle record are each memoized on Q
+Q, its witness, the oracle record and K = m(Q) Q m(Q) with its powers over
+the fixed ``EXPONENT_GRID`` (``fractional_powers``) are each memoized on Q
 (``idempotents.memoized_on_q``), and every function here reads m(Q) by
 that memo's private name, ``_matched_pair``.  A function of an idempotent
 takes no tolerance: Q is analysed at the tolerance it was certified under,
@@ -59,7 +60,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -511,30 +512,40 @@ def range_identities(q: Idempotent) -> list[Check]:
     return checks
 
 
-def exponent_roots(exponents: Sequence[int]) -> list[float]:
-    """The powers 1/n of a nonempty grid of integers n >= 1; any other grid raises ``ValueError``."""
-    if len(exponents) == 0 or any(not (n >= 1 and float(n).is_integer()) for n in exponents):
-        raise ValueError("exponents must be positive integers")
-    return [1.0 / n for n in exponents]
+EXPONENT_GRID = tuple(2**k for k in range(11))
 
 
-def fractional_power_limit(q: Idempotent, exponents: Sequence[int]) -> list[float]:
-    """Distances ||(m(Q) Q m(Q))^(1/n) - m(Q)|| for the given exponents, one stacked norm.
+@memoized_on_q
+def fractional_powers(q: Idempotent) -> tuple[np.ndarray, np.ndarray]:
+    """(K, K^(1/n) for n in ``EXPONENT_GRID``), K = m(Q) Q m(Q); memoized on Q.
+
+    K is certified Hermitian (``require_hermitian``) and its powers are one
+    stack from one ``psd_power``, so the distance table of
+    ``fractional_power_limit`` and both operands of ``norms.convergence_report``
+    share one eigendecomposition of K.
+    """
+    m = _matched_pair(q).projection.matrix
+    k = require_hermitian(m @ q.matrix @ m, q.tol)
+    return k, psd_power(k, [1.0 / n for n in EXPONENT_GRID], q.tol)
+
+
+def fractional_power_limit(q: Idempotent) -> list[float]:
+    """Distances ||(m(Q) Q m(Q))^(1/n) - m(Q)|| for n in ``EXPONENT_GRID``, one stacked norm.
 
     Verifies on the way that K = m(Q) Q m(Q) is Hermitian, dominates m(Q),
-    and equals (|Q*| + |Q| + Q + Q*) / 4.  The exponents are checked by
-    ``exponent_roots`` before any of it.
+    and equals (|Q*| + |Q| + Q + Q*) / 4.  K and its powers are read from
+    ``fractional_powers``; the dominance and four-term certificates run on
+    every call.
     """
-    roots = exponent_roots(exponents)
     m = _matched_pair(q).projection.matrix
     qm, tol = q.matrix, q.tol
-    k = require_hermitian(m @ qm @ m, tol)
+    k, powers = fractional_powers(q)
     if not psd_order(m, k, tol):
         raise ValidationError("m(Q) Q m(Q) does not dominate m(Q)")
     gap = k - 0.25 * (q.abs_q_star + q.abs_q + qm + adjoint(qm))
     certify(gap, lambda: tol.relative(q.norm),
             lambda residual, *_: ValidationError(f"four-term identity residual {residual:.3e}"))
-    return operator_norm(psd_power(k, roots, tol) - m).tolist()
+    return operator_norm(powers - m).tolist()
 
 
 def unitary_equivariance(q: Idempotent, u: np.ndarray) -> float:

@@ -13,7 +13,6 @@ from .idempotents import (
     Projection,
     as_idempotent,
     complement_of,
-    is_projection,
     null_projection,
     range_projection,
 )
@@ -27,10 +26,8 @@ from .linalg import (
     norm_at_most,
     operator_norm,
     psd_order,
-    psd_power,
-    require_hermitian,
 )
-from .matched import exponent_roots, is_quasi_projection_pair, matched_distance, matched_projection
+from .matched import fractional_powers, is_quasi_projection_pair, matched_distance, matched_projection
 from .report import Check, boolean_check, norm_check
 
 
@@ -80,7 +77,8 @@ def distance_report(q: Idempotent) -> DistanceReport:
 
     Covers the closed-form distance (``offdiag_distance`` of nu =
     ``q.offdiag_norm``; the range gap's closed form is nu itself), the
-    sandwich between half the range-gap and the full range-gap, the chain
+    sandwich (1/2) ||P_R(Q) - Q|| <= ||m(Q) - Q|| <= ||P_R(Q) - Q||, with
+    equality on either side iff Q is a projection, the chain
     through ||Q|| = ||I - Q||, the similarity through
     V = (|Q| + |I - Q| + I)/2, and the quadratic identities tying
     (Q* - Q)(Q* - Q)* to the defect operator D.  The residuals of the
@@ -97,8 +95,16 @@ def distance_report(q: Idempotent) -> DistanceReport:
     which is the 2-norm of the symmetrized operand and so within
     ||M - M*|| / 2, plus rounding, of ||M||.  An operand too far from
     Hermitian for ``require_hermitian`` fails its PSD check and its norm is
-    the exact ``operator_norm``.  Whether Q is a projection, for
-    ``sandwich_equality_iff_projection``, is ``is_projection``'s verdict.
+    the exact ``operator_norm``.
+
+    ``sandwich_equality_iff_projection`` holds each gap of the sandwich to
+    its closed form in nu: the lower gap ||m(Q) - Q|| - ||P_R(Q) - Q|| / 2 to
+    ``offdiag_distance(nu)`` - nu / 2, and the upper gap
+    ||P_R(Q) - Q|| - ||m(Q) - Q|| to nu - ``offdiag_distance(nu)``.  Both
+    closed forms vanish iff nu = 0, that is iff Q is a projection, so one
+    residual at the gate relative(||Q||) decides the statement at every nu;
+    a yes/no verdict on whether the lower gap, about nu^2 / 4, is within a
+    gate cannot once nu is small.
     """
     qm, tol = q.matrix, q.tol
     eye = identity(q.dim)
@@ -186,15 +192,9 @@ def distance_report(q: Idempotent) -> DistanceReport:
     if norm_q > 0.5 and norm_c > 0.5:
         checks.append(Check("norm_equals_complement_norm", abs(norm_q - norm_c), scale))
 
-    lower_tight = abs(0.5 * d_range - d_matched) <= scale
-    upper_tight = abs(d_matched - d_range) <= scale
-    projection = is_projection(qm, tol)
-    checks.append(
-        boolean_check(
-            "sandwich_equality_iff_projection",
-            (lower_tight == projection) and (upper_tight == projection),
-        )
-    )
+    lower_gap, upper_gap = d_matched - 0.5 * d_range, d_range - d_matched
+    sandwich = max(abs(lower_gap - (d_closed - 0.5 * nu)), abs(upper_gap - (nu - d_closed)))
+    checks.append(Check("sandwich_equality_iff_projection", sandwich, scale))
 
     return DistanceReport(
         norm_q=norm_q,
@@ -269,27 +269,24 @@ class ConvergenceReport:
     checks: list[Check]
 
 
-def convergence_report(q1: Idempotent, q2: Idempotent, exponents: Sequence[int]) -> ConvergenceReport:
-    """Tabulate the three distance families over a finite exponent grid.
+def convergence_report(q1: Idempotent, q2: Idempotent) -> ConvergenceReport:
+    """Tabulate the three distance families over ``matched.EXPONENT_GRID``.
 
     Every entry bounds ||m(Q1) - m(Q2)|| from above, and the one-sided
     family converges to it as the exponent grows, so the grid certifies the
-    infimum from both sides.  The exponents are checked by
-    ``exponent_roots``; the gates are Q1's (``q1.tol``), and each
-    operand's own values are taken at its own tolerance.
+    infimum from both sides.  Each operand's powers are its memoized
+    ``fractional_powers``, taken at its own tolerance; the gates are Q1's
+    (``q1.tol``).
     """
-    roots = exponent_roots(exponents)
     m1 = matched_projection(q1).projection.matrix
     m2 = matched_projection(q2).projection.matrix
-    k1 = require_hermitian(m1 @ q1.matrix @ m1, q1.tol)
-    k2 = require_hermitian(m2 @ q2.matrix @ m2, q2.tol)
-    pow1, pow2 = psd_power(k1, roots, q1.tol), psd_power(k2, roots, q2.tol)
+    pow1, pow2 = fractional_powers(q1)[1], fractional_powers(q2)[1]
 
     # 2-norms from stacked SVDs, one per row of the alpha table and one for
     # beta, gamma and the target, so no stack holds more than 2k + 1 matrices
     alpha = np.array([operator_norm(a - pow2) for a in pow1])
     rest = operator_norm(np.concatenate([pow1 - m2, m1 - pow2, [m1 - m2]]))
-    k = len(exponents)
+    k = len(pow1)
     beta, gamma, target = rest[:k], rest[k:-1], float(rest[-1])
 
     tabulated_min = min(alpha.min(), beta.min(), gamma.min())

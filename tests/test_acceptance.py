@@ -331,7 +331,6 @@ class TestCriterion9:
 class TestCriterion10:
     def test_convergence_tables(self):
         rng = np.random.default_rng(MASTER_SEED + 10)
-        exponents = [2**k for k in range(11)]
         worst_tail = 0.0
         worst_floor = 0.0
         for _ in range(100):
@@ -344,7 +343,7 @@ class TestCriterion10:
                 dim, int(rng.integers(1, dim)), float(10.0 ** rng.uniform(-2, 1)),
                 int(rng.integers(2**32)),
             )
-            rep = convergence_report(q1, q2, exponents)
+            rep = convergence_report(q1, q2)
             worst_tail = max(worst_tail, abs(rep.beta[-1] - rep.target))
             floor = rep.target - min(rep.alpha.min(), rep.beta.min(), rep.gamma.min())
             worst_floor = max(worst_floor, floor)

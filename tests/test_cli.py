@@ -37,6 +37,7 @@ from matchedproj import (
 from matchedproj.battery import run_battery, sabotaged
 from matchedproj.cli import main
 from matchedproj.linalg import require_hermitian
+from matchedproj.matched import EXPONENT_GRID
 from matchedproj.matrixio import dump, dumps, load_matrix, matrix_from_obj
 from matchedproj.report import Check, norm_check
 from matchedproj.errors import InapplicableHypothesisError, MatrixFileError, ValidationError
@@ -326,7 +327,8 @@ class TestAnalyze:
         fixed = [(got, want) for got, want in gates if want in (0.5, Tolerances.subspace)]
         scaled = [(got, want) for got, want in gates if want not in (0.5, Tolerances.subspace)]
         scaled += [(report["qpp"][k]["gate"], golden["qpp"][k]["gate"]) for k in golden["qpp"]]
-        assert (len(scaled), len(fixed)) == (25, 16)
+        # (25, 16) while sandwich_equality_iff_projection was a yes/no verdict
+        assert (len(scaled), len(fixed)) == (26, 15)
         for got, want in scaled:
             assert got == pytest.approx(10.0 * want, rel=1e-12, abs=0.0)
         assert all(got == want for got, want in fixed)
@@ -744,6 +746,37 @@ class TestMemoryError:
         assert capsys.readouterr() == ("", "error: MemoryError\n")
 
 
+class TestRankCutoffFlag:
+    # --tol-rank is taken only by the commands that run a rank cutoff
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("generate", "--dim", 2, "--rank", 1, "--output", "q.json"),
+            ("path", "--input", "q.json"),
+            ("min2x2", "--a-re", 1),
+        ],
+        ids=["generate", "path", "min2x2"],
+    )
+    def test_rejected_where_no_rank_cutoff_runs(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        dump(as_matrix([[1.0, 1.0], [0.0, 0.0]]), "q.json")
+        with pytest.raises(SystemExit) as stop:
+            run(*argv, "--tol-rank", "1e-12")
+        assert stop.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.endswith("error: unrecognized arguments: --tol-rank 1e-12\n"), err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("analyze", "--input", "q.json"), ("verify", "--trials", 1, "--dim-max", 4)],
+        ids=["analyze", "verify"],
+    )
+    def test_accepted_where_a_rank_cutoff_runs(self, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        dump(as_matrix([[1.0, 1.0], [0.0, 0.0]]), "q.json")
+        assert run(*argv, "--tol-rank", "1e-12") == 0
+
+
 class TestVerify:
     @pytest.mark.parametrize(
         "flags, code, last_line",
@@ -805,9 +838,11 @@ class TestVerify:
         # of its own are both read (the generated quasi-projection pair's Q
         # and the two static canonical Q) now takes the pencil's eigh beside
         # its SVD; 296 while the factor oracle took (I + |Q*|)^(-1/2) from an
-        # eigh of its own rather than from its SVD of Q*
+        # eigh of its own rather than from its SVD of Q*; 294 while the
+        # fractional-power table and the convergence table each took an eigh
+        # of Q's m(Q) Q m(Q), which they now share (matched.fractional_powers)
         run_battery(12, 2, 7)
-        assert sum(factorizations.values()) <= 294, dict(factorizations)
+        assert sum(factorizations.values()) <= 292, dict(factorizations)
         assert factorizations["qr"] <= 22, dict(factorizations)
         assert factorizations["svdvals"] <= 162, dict(factorizations)
 
@@ -890,9 +925,9 @@ class TestVerify:
             # the fractional-power distances against one norm per power
             m = matched_projection(q).projection.matrix
             k = require_hermitian(m @ qm @ m, tol)
-            powers = psd_power(k, [1.0 / n for n in battery.EXPONENT_GRID], tol)
+            powers = psd_power(k, [1.0 / n for n in EXPONENT_GRID], tol)
             want = [operator_norm(p - m).hex() for p in powers]
-            assert [d.hex() for d in fractional_power_limit(q, battery.EXPONENT_GRID)] == want
+            assert [d.hex() for d in fractional_power_limit(q)] == want
 
     def test_sabotage_fails_fast(self):
         assert run("verify", "--dim-max", 4, "--trials", 2, "--seed", 7,

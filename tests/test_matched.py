@@ -34,6 +34,7 @@ from matchedproj import (
     homotopy_witness,
     homotopy_witness_block,
     identity,
+    is_projection,
     is_quasi_projection_pair,
     koliha_projections,
     matched_distance,
@@ -407,6 +408,8 @@ class TestMemo:
             homotopy_path(q, 3)
             distance_report(q)
             range_identities(q)
+            fractional_power_limit(q)
+            convergence_report(q, random_idempotent(8, 4, 1.0, 6))
             del q
             assert alive() is None
         finally:
@@ -450,7 +453,7 @@ class TestMemo:
         matched_distance(q)
         homotopy_path(q, 3)
         range_identities(q)
-        fractional_power_limit(q, [2])
+        fractional_power_limit(q)
         unitary_equivariance(q, np.eye(8))
         random_qpp_pair(6, 3)
         assert calls == []
@@ -467,7 +470,7 @@ class TestMemo:
         # a function of two idempotents gates at the first one's tolerance
         other = random_idempotent(8, 4, 1.0, 6)
         assert {c.tolerance for c in matched_lipschitz_bounds(q, other).checks} == {loose.check}
-        assert convergence_report(q, other, [1, 2]).checks[0].tolerance == loose.check
+        assert convergence_report(q, other).checks[0].tolerance == loose.check
         distance_report(q), range_identities(q), matched_via_factor(q)
         assert q._memo and all(callable(key) for key in q._memo)
 
@@ -818,6 +821,14 @@ class TestSymmetryClosure:
 
 
 class TestHomotopy:
+    def test_full_rank_non_projection_is_numerically_trivial(self):
+        # certified as an idempotent but not as a projection, with both pencil
+        # eigenvalues 1 +- 1.5e-10 positive: rank 2 = n, in the defect band
+        q = as_idempotent(np.array([[1.0, 1.5e-10], [0.0, 1.0]]))
+        assert not is_projection(q.matrix, q.tol)
+        with pytest.raises(ValidationError, match="^idempotent is numerically trivial but not a projection$"):
+            homotopy_witness(q)
+
     def test_projection_gives_trivial_witness(self):
         p = random_projection(5, 2, 19)
         wit = homotopy_witness(as_idempotent(p.matrix))
@@ -990,34 +1001,37 @@ class TestRangeIdentities:
 class TestFractionalPower:
     def test_projection_all_zero(self):
         p = random_projection(4, 2, 73)
-        dists = fractional_power_limit(as_idempotent(p.matrix), [1, 2, 4])
+        dists = fractional_power_limit(as_idempotent(p.matrix))
         assert max(dists) <= 1e-12
 
     def test_canonical_gap_positive(self):
         # the compression m(Q) Q m(Q) is rank one with trace (1 + sqrt 2)/2,
         # so its gap to m(Q) is that eigenvalue minus 1
-        dists = fractional_power_limit(canonical(), [1])
+        dists = fractional_power_limit(canonical())
         assert dists[0] == pytest.approx((RT2 - 1.0) / 2.0, abs=1e-12)
 
     def test_monotone_decrease(self):
-        exponents = [2**k for k in range(11)]
-        dists = fractional_power_limit(canonical(), exponents)
+        dists = fractional_power_limit(canonical())
         assert all(b <= a + 1e-12 for a, b in zip(dists, dists[1:]))
         assert dists[-1] <= 1e-2
 
-    @pytest.mark.parametrize("exponents", [[0], [-2], [], [4, 0], [1.5], [2, 2.5]])
-    def test_exponents_checked_as_the_convergence_table_checks_them(self, exponents):
-        # one check for both: a zero used to divide by zero, a negative power,
-        # an empty grid and a fractional exponent to return distances
-        q = canonical()
-        with pytest.raises(ValueError, match="^exponents must be positive integers$"):
-            fractional_power_limit(q, exponents)
-        with pytest.raises(ValueError, match="^exponents must be positive integers$"):
-            convergence_report(q, q, exponents)
+    def test_tables_share_one_eigh_of_the_compression(self, factorizations):
+        # Q's m(Q) Q m(Q) and its powers are memoized, so the convergence
+        # table takes an eigh for Q2 alone (3 while each table took its own)
+        q, q2 = random_idempotent(8, 3, 2.0, 5), random_idempotent(8, 4, 1.0, 6)
+        matched_projection(q), matched_projection(q2)
+        factorizations.clear()
+        fractional_power_limit(q)
+        convergence_report(q, q2)
+        assert factorizations["eigh"] == 2, dict(factorizations)
 
-    def test_integral_exponents_of_any_type_are_accepted(self):
+    def test_dominance_certified_on_every_call(self, monkeypatch):
+        # the memo keeps K and its powers, never the verdicts on them
         q = canonical()
-        assert fractional_power_limit(q, [2.0, np.int64(4)]) == fractional_power_limit(q, [2, 4])
+        fractional_power_limit(q)
+        monkeypatch.setattr(matched_module, "psd_order", lambda *args: False)
+        with pytest.raises(ValidationError, match=r"^m\(Q\) Q m\(Q\) does not dominate m\(Q\)$"):
+            fractional_power_limit(q)
 
 
 class TestUnitaryEquivariance:

@@ -31,7 +31,9 @@ from matchedproj import (
     range_projection,
     two_projection_construction,
 )
+from matchedproj import norms
 from matchedproj.linalg import EPS, hermitian_eigvals, require_hermitian
+from matchedproj.matched import EXPONENT_GRID
 
 from conftest import envelope_inputs
 
@@ -167,6 +169,24 @@ class TestDistanceReport:
             for name in ("closed_form_agreement", "range_gap_closed_form"):
                 assert checks[name].passed, (q.dim, q.rank, checks[name])
 
+    def test_sandwich_decided_near_a_projection(self):
+        # the sandwich's lower gap, about nu^2 / 4, is below every gate from
+        # nu = 1e-8 down, so a verdict on whether it was within the gate
+        # called such a Q a projection and failed the check
+        for q in envelope_inputs((0.0, 1e-10, 1e-8, 1e-6, 1e-4), dims=(2, 8, 16)):
+            sandwich = {c.name: c for c in distance_report(q).checks}["sandwich_equality_iff_projection"]
+            assert sandwich.passed, (q.dim, q.rank, sandwich)
+
+    @pytest.mark.parametrize("nu", [0.0, 1e-8, 2.0])
+    def test_sandwich_fails_off_its_closed_forms(self, monkeypatch, nu):
+        # ||m(Q) - Q|| moved 1e-6 off its closed form opens gaps that the
+        # closed forms in nu do not have, on a projection (nu = 0) as elsewhere
+        exact = norms.matched_distance
+        monkeypatch.setattr(norms, "matched_distance", lambda q: exact(q) + 1e-6)
+        checks = {c.name: c for c in distance_report(random_idempotent(8, 3, nu, 5)).checks}
+        sandwich = checks["sandwich_equality_iff_projection"]
+        assert not sandwich.passed and sandwich.residual == pytest.approx(1e-6, rel=1e-6), sandwich
+
     def test_eigenvalue_norms_within_the_skew_part_and_rounding(self):
         """max |lambda| of ``hermitian_eigvals(M)`` is within ||M - M*|| / 2 + 4 n eps ||M|| of ||M||.
 
@@ -235,14 +255,14 @@ class TestConvergenceReport:
     def test_equal_projections(self):
         p = random_projection(4, 2, 29)
         q = as_idempotent(p.matrix)
-        rep = convergence_report(q, q, [1, 2, 4])
+        rep = convergence_report(q, q)
         assert rep.target <= 1e-12
         assert rep.alpha.max() <= 1e-10
         assert rep.beta.max() <= 1e-10
 
     def test_canonical_pair_beta_drops_to_zero(self):
         q = canonical_idempotent(1.0)
-        rep = convergence_report(q, q, [2**k for k in range(11)])
+        rep = convergence_report(q, q)
         assert rep.target <= 1e-12
         assert rep.beta[0] > 0.1  # the compression is visibly above m(Q) at n = 1
         assert rep.beta[-1] <= 3e-3
@@ -254,22 +274,21 @@ class TestConvergenceReport:
             dim = int(rng.integers(2, 8))
             q1 = random_idempotent(dim, int(rng.integers(1, dim)), 2.0, int(rng.integers(2**32)))
             q2 = random_idempotent(dim, int(rng.integers(1, dim)), 2.0, int(rng.integers(2**32)))
-            rep = convergence_report(q1, q2, [2**k for k in range(11)])
+            rep = convergence_report(q1, q2)
             assert all_passed(rep.checks), [c.name for c in failures(rep.checks)]
             assert rep.alpha.min() >= rep.target - 1e-10
 
     def test_tables_equal_per_slice_norms(self):
         # a stacked SVD runs the same LAPACK call on each slice as operator_norm
         rng = np.random.default_rng(37)
-        exponents = [2**k for k in range(11)]
-        roots = [1.0 / n for n in exponents]
+        roots = [1.0 / n for n in EXPONENT_GRID]
         for _ in range(60):
             q1 = random_stress_idempotent(rng, dim_max=12)
             q2 = random_idempotent(
                 q1.dim, int(rng.integers(1, q1.dim)), float(10.0 ** rng.uniform(-2, 1)),
                 int(rng.integers(2**32)),
             )
-            rep = convergence_report(q1, q2, exponents)
+            rep = convergence_report(q1, q2)
             m1 = matched_projection(q1).projection.matrix
             m2 = matched_projection(q2).projection.matrix
             pow1 = psd_power(require_hermitian(m1 @ q1.matrix @ m1), roots)
@@ -280,13 +299,6 @@ class TestConvergenceReport:
             np.testing.assert_array_equal(rep.beta, [operator_norm(a - m2) for a in pow1])
             np.testing.assert_array_equal(rep.gamma, [operator_norm(m1 - b) for b in pow2])
             assert rep.target == operator_norm(m1 - m2)
-
-    def test_rejects_bad_exponents(self):
-        q = canonical_idempotent(1.0)
-        with pytest.raises(ValueError):
-            convergence_report(q, q, [])
-        with pytest.raises(ValueError):
-            convergence_report(q, q, [0])
 
 
 class TestTwoProjectionConstruction:
