@@ -265,7 +265,8 @@ def _matched_identities(rng, dim, q, tol):
     )
     yield norm_check("abs-product-gives-q", q.abs_q_star @ q.abs_q - qm, scale)
     yield norm_check("abs-product-gives-qstar", q.abs_q @ q.abs_q_star - adjoint(qm), scale)
-    yield norm_check("sandwich-pinv-gives-abs", adjoint(qm) @ q.abs_q_star_pinv @ qm - q.abs_q, scale)
+    # Koliha's |Q*|^dag against |Q| from Q's SVD: two independent routes
+    yield norm_check("sandwich-pinv-gives-abs", adjoint(qm) @ fo.abs_q_star_pinv @ qm - q.abs_q, scale)
     yield norm_check(
         "pinv-abs-route-agreement", fo.abs_q_star_pinv - moore_penrose(fo.abs_q_star, tol), tol.check
     )

@@ -36,13 +36,14 @@ class Idempotent:
     ``dataclasses.replace(q, tol=tol)``.  An idempotent carries its own analysis,
     computed on first use and kept, so every report on the same Q reads it
     instead of factoring Q again.
-    Values of Q alone are ``cached_property``s from two factorizations.
-    The SVD Q = U S V* (``svd``) gives the values of Q itself: ||Q|| = s_0,
-    the rank (the singular values of an idempotent are 0 or at least 1, so
-    the cut at 1/2 needs no tolerance), the off-diagonal norm nu
-    (``offdiag_norm``), |Q| = V S V*, |Q*| = U S U* and
-    |Q*|^dag = U_r S_r^(-1) U_r*.  The ``eigh`` of the Hermitian pencil
-    S = Q + Q* - I (``pencil``) gives m(Q) and its witness.  Values that
+    Values of Q alone are ``cached_property``s from two factorizations,
+    each with one role, and no value of Q is built by both.  The ``eigh`` of
+    the Hermitian pencil S = Q + Q* - I (``pencil``) makes m(Q), its witness
+    and the path.  The SVD Q = U S V* (``svd``) is the reference for the
+    values of Q itself: ||Q|| = s_0, the rank (the singular values of an
+    idempotent are 0 or at least 1, so the cut at 1/2 needs no tolerance),
+    the off-diagonal norm nu (``offdiag_norm``), |Q| = V S V* and
+    |Q*| = U S U*.  Values that
     need a certificate or a cutoff at ``q.tol`` are kept in the private ``_memo`` by the functions that
     compute them, each decorated with ``memoized_on_q``: P_R(Q) = U_r U_r*,
     P_N(Q) = I - V_r V_r*, the certified m(Q), its witness and distance,
@@ -121,13 +122,6 @@ class Idempotent:
         """|Q*| = (Q Q*)^(1/2) = U S U*."""
         u, s, _ = self.svd
         return (u * s) @ adjoint(u)
-
-    @cached_property
-    def abs_q_star_pinv(self) -> np.ndarray:
-        """|Q*|^dag = U_r S_r^(-1) U_r*."""
-        u, s, _ = self.svd
-        r = self.rank
-        return (u[:, :r] / s[:r]) @ adjoint(u[:, :r])
 
 
 def memoized_on_q(build: Callable[[Idempotent], _T]) -> Callable[[Idempotent], _T]:

@@ -17,11 +17,15 @@ gives the similarity witness W = I + E X* with Q = W^(-1) m(Q) W,
 of I - Q, when 2r > n).  The witness, a ``SimilarityWitness``, holds E, X
 and the diagonal d of X* E + I.  W^(-1) has a closed form, so its
 ``samples`` are the homotopy from m(Q) to Q as low-rank updates of m(Q),
-with no inverse and no solve, and ``homotopy_path`` certifies them.  Q's SVD
-serves the values of Q alone: ||Q||, |Q| = V S V*, |Q*| = U S U*,
-|Q*|^dag = U_r S_r^(-1) U_r* and P_R(Q) = U_r U_r* come from it, and every
-function here reads them from Q.  m(Q) (a ``MatchedPair``), its distance to
-Q, its witness, the oracle record and K = m(Q) Q m(Q) with its powers over
+with no inverse and no solve, and ``homotopy_path`` certifies them.  The
+two factorizations of Q have one role each, and no value of Q is built by
+both: the pencil makes m(Q), the witness and the path, and Q's SVD is the
+reference for the values of Q alone, ||Q||, |Q| = V S V*, |Q*| = U S U* and
+P_R(Q) = U_r U_r*, which every function here reads from Q.  |Q*|^dag is
+not one of them: the factor oracle holds it, by Koliha's route (below),
+and the battery holds Q* |Q*|^dag Q = |Q| against Q's SVD.  m(Q) (a
+``MatchedPair``), its distance to Q, its witness, the oracle record and
+K = m(Q) Q m(Q) with its powers over
 the fixed ``EXPONENT_GRID`` (``fractional_powers``) are each memoized on Q
 (``idempotents.memoized_on_q``), and every function here reads m(Q) by
 that memo's private name, ``_matched_pair``.  A function of an idempotent

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import runpy
 import shlex
 import subprocess
 import sys
@@ -795,6 +796,26 @@ class TestVerify:
             *lines, reproduce = lines
             assert reproduce.startswith("reproduce: python -m matchedproj verify --trials 1 ")
         assert lines[-1].startswith(last_line)
+
+    @pytest.mark.parametrize(
+        "argv, code, marker",
+        [
+            (("verify", "--trials", "1", "--dim-max", "4"), 0, "all checks passed"),
+            (("verify", "--sabotage", "--trials", "2", "--dim-max", "4", "--seed", "7"), 1, "FIRST FAILURE: "),
+            (("analyze", "--input", "absent.json"), 2, "error: "),
+        ],
+        ids=["pass", "sabotage", "missing_input"],
+    )
+    def test_module_exits_with_the_command_code(self, tmp_path, monkeypatch, capsys, argv, code, marker):
+        # python -m matchedproj in this process: __main__ hands main()'s code to sys.exit
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(sys, "argv", ["matchedproj", *argv])
+        with pytest.raises(SystemExit) as done:
+            runpy.run_module("matchedproj", run_name="__main__")
+        assert done.value.code == code
+        out, err = capsys.readouterr()
+        # a usage error is the command's own, not argparse's "matchedproj: error: "
+        assert any(line.startswith(marker) for line in (err if code == 2 else out).splitlines())
 
     @pytest.mark.parametrize(
         "flags",

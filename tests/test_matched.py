@@ -109,6 +109,23 @@ class TestMpInverseAbsQstar:
             )
             assert operator_norm(factor_oracle(q).abs_q_star_pinv) <= 1.0 + 1e-10
 
+    def test_battery_sandwich_reads_this_record(self):
+        # the battery holds Q* |Q*|^dag Q = |Q| with this |Q*|^dag against Q's
+        # SVD, so a copy of Q whose memo holds it scaled by 1 + 1e-6 fails
+        q = random_idempotent(6, 3, 2.0, 7)
+        fo = factor_oracle(q)
+        scaled = replace(fo, abs_q_star_pinv=(1.0 + 1e-6) * fo.abs_q_star_pinv)
+        bad = replace(q)
+        bad._memo[factor_oracle.__wrapped__] = scaled
+
+        def sandwich(q):
+            checks = battery_module._matched_identities(np.random.default_rng(0), q.dim, q, q.tol)
+            return next(c for c in checks if c.name == "sandwich-pinv-gives-abs")
+
+        assert sandwich(q).passed
+        assert not sandwich(bad).passed
+        assert factor_oracle(bad) is scaled
+
 
 class TestMatchedProjection:
     def test_projection_is_its_own_match(self):
@@ -175,7 +192,7 @@ class TestMatchedProjection:
             assert operator_norm((2 * m - eye) @ (2 * qm - eye) - rhs) <= scale
             assert operator_norm(q.abs_q_star @ q.abs_q - qm) <= scale
             assert operator_norm(q.abs_q @ q.abs_q_star - adjoint(qm)) <= scale
-            sandwich = adjoint(qm) @ q.abs_q_star_pinv @ qm
+            sandwich = adjoint(qm) @ factor_oracle(q).abs_q_star_pinv @ qm
             assert operator_norm(sandwich - q.abs_q) <= scale
 
 
@@ -309,7 +326,7 @@ class TestFactorizationCount:
         matched_projection(q)
         per_call = sum(factorizations.values())
         assert per_call <= 1, dict(factorizations)
-        for name in ("abs_q", "abs_q_star", "abs_q_star_pinv"):
+        for name in ("abs_q", "abs_q_star"):
             getattr(q, name)
         assert sum(factorizations.values()) == per_call + 1, dict(factorizations)
 
@@ -933,6 +950,19 @@ class TestHomotopy:
         np.testing.assert_array_equal(clean.w, homotopy_witness(q).w)
         with pytest.raises(ValidationError, match="inverse defect"):
             matched_module._certified_witness(q, p, u_r, e + 1e-3 * u_r, d)
+
+    def test_contraction_certificate_rejects_a_long_factor(self):
+        # a part (I - X X*) Z of E leaves X* E = D - I, so the inverse gate
+        # passes, but ||E|| >= 2 is no contraction
+        q = random_idempotent(8, 3, 2.0, 5)
+        wit = homotopy_witness(q)
+        x = wit.x
+        z = np.random.default_rng(3).standard_normal(x.shape)
+        long_part = z - x @ (adjoint(x) @ z)
+        e = wit.e + 2.0 * long_part / operator_norm(long_part)
+        assert operator_norm(adjoint(x) @ (e - wit.e)) <= 1e-14
+        with pytest.raises(ValidationError, match="witness contraction norm"):
+            matched_module._certified_witness(q, wit.projection, x, e, wit.d)
 
     def test_path_rejects_bad_sample_count(self):
         with pytest.raises(ValueError):

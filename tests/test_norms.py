@@ -7,6 +7,8 @@ from matchedproj import (
     HalmosPoint,
     InapplicableHypothesisError,
     NotHermitianError,
+    Projection,
+    ValidationError,
     adjoint,
     all_passed,
     as_idempotent,
@@ -123,6 +125,13 @@ class TestKkmDistance:
             p2 = random_projection(dim, int(rng.integers(0, dim + 1)), int(rng.integers(2**32)))
             d = kkm_distance(p1, p2)
             assert d == pytest.approx(operator_norm(p1.matrix - p2.matrix), abs=1e-12)
+
+    def test_uncertified_idempotents_break_the_equality(self):
+        # two non-Hermitian idempotents: both products have norm sqrt 2, their difference 1
+        p1 = Projection(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+        p2 = Projection(np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex))
+        with pytest.raises(ValidationError, match="projection-distance equality violated"):
+            kkm_distance(p1, p2)
 
 
 class TestDistanceReport:

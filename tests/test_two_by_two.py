@@ -8,6 +8,8 @@ import pytest
 
 from matchedproj import (
     HalmosPoint,
+    Tolerances,
+    ValidationError,
     ZeroParameterError,
     all_passed,
     canonical_idempotent,
@@ -193,6 +195,11 @@ class TestClosedFormP0:
     def test_zero_rejected(self):
         with pytest.raises(ZeroParameterError):
             closed_form_p0(0.0)
+
+    def test_half_angle_identity_checked(self):
+        # sin(t0) cos(t0) = |a| / 2b holds to rounding, not to 1e-300
+        with pytest.raises(ValidationError, match="half-angle identity failed"):
+            closed_form_p0(1.0, Tolerances(check=1e-300))
 
 
 class TestGridMinimize:
