@@ -222,11 +222,11 @@ def _projection_structure(rng, dim, q, tol):
     yield norm_check("null-is-range-of-complement", gap, scale)
 
     t_mat = complex_gaussian(rng, dim, dim)
-    form = block_form(t_mat, _draw_projections(rng, dim, dim, 1, tol)[0], tol)
+    form = block_form(t_mat, _draw_projections(rng, dim, dim, 1, tol)[0])
     gate = tol.relative(operator_norm(t_mat))
     yield norm_check("block-roundtrip", form.reassemble() - t_mat, gate)
     # the two lower blocks differ in shape, so their larger norm is taken exactly
-    lower = max(operator_norm(b) for b in block_form(qm, p_r, tol).blocks[2:])
+    lower = max(operator_norm(b) for b in block_form(qm, p_r).blocks[2:])
     yield Check("range-block-form-upper-triangular", lower, scale)
 
 
@@ -349,11 +349,11 @@ def _norm_suite(rng, dim, q, q2, tol):
 
     p1, p2 = _draw_projections(rng, dim, max(dim // 2, 1), 2, tol)
     if norm_at_most(p1.matrix @ p2.matrix, 0.999):
-        yield from _prefixed("two-projections", two_projection_construction(p1, p2, tol)[2])
+        yield from _prefixed("two-projections", two_projection_construction(p1, p2)[2])
 
     p_a, p_b = _draw_projections(rng, dim, dim, 2, tol)
     try:
-        kkm_distance(p_a, p_b, tol)
+        kkm_distance(p_a, p_b)
     except MatchedProjectionError as exc:
         yield boolean_check("projection-distance-equality", False), str(exc)
     else:

@@ -31,9 +31,10 @@ class Idempotent:
     """A matrix Q with Q^2 = Q, certified by ``as_idempotent`` under the tolerances ``tol``.
 
     Q is analysed at the tolerance it was certified under: every function of
-    an idempotent reads ``q.tol`` and takes none of its own.  Another
-    tolerance takes a new certificate, ``as_idempotent(q.matrix, tol)``, or
-    ``dataclasses.replace(q, tol=tol)``.  An idempotent carries its own analysis,
+    an idempotent reads ``q.tol`` and takes none of its own.  A certificate
+    at another tolerance is ``as_idempotent(q.matrix, tol)``;
+    ``dataclasses.replace(q, tol=tol)`` changes the tolerance Q is analysed
+    at without certifying Q again.  An idempotent carries its own analysis,
     computed on first use and kept, so every report on the same Q reads it
     instead of factoring Q again.
     Values of Q alone are ``cached_property``s from two factorizations,
@@ -147,12 +148,17 @@ def memoized_on_q(build: Callable[[Idempotent], _T]) -> Callable[[Idempotent], _
 class Projection:
     """A self-adjoint idempotent, certified by max(||P^2 - P||, ||P - P*||) <= tol.check.
 
-    ``as_projection`` certifies from O(n^2) norm bounds and so takes no 2-norm
-    on clean input; ``defect``, the exact max(||P^2 - P||, ||P - P*||), is
-    taken on first read and kept.  The matrix must not be mutated.
+    P is analysed at the tolerance it was certified under, ``p.tol``, as an
+    ``Idempotent`` is: a function of projections takes no tolerance of its
+    own and builds its gates from the first one's.  A certificate at another
+    tolerance is ``as_projection(p.matrix, tol)``.  ``as_projection``
+    certifies from O(n^2) norm bounds and so takes no 2-norm on clean input;
+    ``defect``, the exact max(||P^2 - P||, ||P - P*||), is taken on first
+    read and kept.  The matrix must not be mutated.
     """
 
     matrix: np.ndarray
+    tol: Tolerances = DEFAULT_TOL
 
     @property
     def dim(self) -> int:
@@ -213,15 +219,16 @@ def is_projection(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
 def as_projection(m, tol: Tolerances = DEFAULT_TOL) -> Projection | list[Projection]:
     """Certify P on ``is_projection``'s verdict; a (k, n, n) ndarray gives the list of its k.
 
-    The verdict decides from norm bounds where they settle it, so clean input
-    takes no 2-norm.  A rejected input raises with the exact
+    Each projection keeps ``tol`` as ``p.tol``, the tolerance it is analysed
+    at.  The verdict decides from norm bounds where they settle it, so clean
+    input takes no 2-norm.  A rejected input raises with the exact
     max(||P^2 - P||, ||P - P*||) of its first failing P in index order.
     """
     ps = _as_matrix_or_stack(m)
     if not is_projection(ps, tol):
         bad = next(p for p in ps.reshape(-1, *ps.shape[-2:]) if not is_projection(p, tol))
         raise _projection_error(bad, tol.check)
-    return Projection(ps) if ps.ndim == 2 else [Projection(p) for p in ps]
+    return Projection(ps, tol) if ps.ndim == 2 else [Projection(p, tol) for p in ps]
 
 
 @memoized_on_q
@@ -383,13 +390,14 @@ class BlockForm:
         return self.u @ np.vstack([top, bottom]) @ adjoint(self.u)
 
 
-def block_form(t_mat: np.ndarray, p: Projection, tol: Tolerances = DEFAULT_TOL) -> BlockForm:
+def block_form(t_mat: np.ndarray, p: Projection) -> BlockForm:
     """Block decomposition of T induced by a projection (eigenvalue-1 columns first).
 
-    The blocks must reassemble T within tol.relative(||T||) (``certify``),
-    so the exact norms are taken only near that gate.
+    P's eigenbasis is taken at ``p.tol``, and the blocks must reassemble T
+    within p.tol.relative(||T||) (``certify``), so the exact norms are taken
+    only near that gate.
     """
-    t_mat = as_matrix(t_mat)
+    t_mat, tol = as_matrix(t_mat), p.tol
     lam, v = hermitian_eigen(p.matrix, tol)
     ones = lam > 0.5
     u = np.hstack([v[:, ones], v[:, ~ones]])

@@ -335,10 +335,10 @@ def moore_penrose(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return (vh.conj().T * inv) @ u.conj().T
 
 
-def is_psd_spectrum(w: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Whether ascending eigenvalues ``w`` are those of a PSD matrix: w_0 >= -tol.psd_slack(max |w|)."""
+def is_psd_spectrum(w: np.ndarray) -> bool:
+    """Whether ascending eigenvalues ``w`` are those of a PSD matrix: w_0 >= -Tolerances.psd (1 + max |w|), a fixed gate."""
     scale = float(np.abs(w).max()) if w.size else 0.0
-    return bool(w.min() >= -tol.psd_slack(scale))
+    return bool(w.min() >= -DEFAULT_TOL.psd_slack(scale))
 
 
 def psd_order(a: np.ndarray, b: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -348,4 +348,4 @@ def psd_order(a: np.ndarray, b: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bo
     """
     require_hermitian(a, tol)
     require_hermitian(b, tol)
-    return is_psd_spectrum(hermitian_eigvals(b - a, tol), tol)
+    return is_psd_spectrum(hermitian_eigvals(b - a, tol))

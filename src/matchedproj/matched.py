@@ -30,8 +30,9 @@ the fixed ``EXPONENT_GRID`` (``fractional_powers``) are each memoized on Q
 (``idempotents.memoized_on_q``), and every function here reads m(Q) by
 that memo's private name, ``_matched_pair``.  A function of an idempotent
 takes no tolerance: Q is analysed at the tolerance it was certified under,
-``q.tol``, and another tolerance takes a new certificate,
-``as_idempotent(q.matrix, tol)`` or ``dataclasses.replace(q, tol=tol)``.
+``q.tol``.  A certificate at another tolerance is
+``as_idempotent(q.matrix, tol)``; ``dataclasses.replace(q, tol=tol)``
+changes the tolerance Q is analysed at without certifying Q again.
 Relative rank cutoffs all go through ``linalg.numerical_rank``.
 ``range_identities`` takes one SVD per operand whose column space it
 compares, and decides the trivial intersections from overlaps of the
@@ -144,8 +145,9 @@ class MatchedPair:
     """The certified m(Q) of an idempotent, at the tolerance Q was certified under.
 
     Values of Q alone are read from Q itself.  m(Q) at another tolerance is
-    the m of a new certificate, ``as_idempotent(q.matrix, tol)`` or
-    ``dataclasses.replace(q, tol=tol)``.
+    the m of a new certificate, ``as_idempotent(q.matrix, tol)``, or of
+    ``dataclasses.replace(q, tol=tol)``, which is analysed at ``tol``
+    without certifying Q again.
     """
 
     projection: Projection
@@ -245,10 +247,13 @@ def is_quasi_projection_pair(p: Projection, q: Idempotent) -> bool:
 
 
 def qpp_symmetry_closure(p: Projection, q: Idempotent) -> bool:
-    """Whether all eight pairs {P, I-P} x {Q, Q*, I-Q, I-Q*} are quasi-projection pairs."""
+    """Whether all eight pairs {P, I-P} x {Q, Q*, I-Q, I-Q*} are quasi-projection pairs.
+
+    I - P is certified at ``p.tol``.
+    """
     if not is_quasi_projection_pair(p, q):
         raise NotQuasiProjectionPairError("(P, Q) is not a quasi-projection pair")
-    projections = [p, as_projection(identity(q.dim) - p.matrix, q.tol)]
+    projections = [p, as_projection(identity(q.dim) - p.matrix, p.tol)]
     complement = complement_of(q)
     idempotents = [q, adjoint_of(q), complement, adjoint_of(complement)]
     pairs = [(a, b) for a in projections for b in idempotents]
@@ -299,7 +304,7 @@ class SimilarityWitness:
 def _trivial_witness(q: Idempotent) -> SimilarityWitness:
     """The witness of a projection input (its caller's ``is_projection`` verdict): W = I and the constant path."""
     empty = np.zeros((q.dim, 0))
-    return SimilarityWitness(Projection(q.matrix), empty, empty, np.zeros(0), 0.0)
+    return SimilarityWitness(Projection(q.matrix, q.tol), empty, empty, np.zeros(0), 0.0)
 
 
 def _nontrivial_rank(r: int, n: int) -> int:
@@ -413,7 +418,7 @@ def homotopy_witness_block(q: Idempotent) -> SimilarityWitness:
     qm, n, tol = q.matrix, q.dim, q.tol
     if is_projection(qm, tol):
         return _trivial_witness(q)
-    form = block_form(qm, koliha_projections(q)[0], tol)
+    form = block_form(qm, koliha_projections(q)[0])
     r = _nontrivial_rank(form.rank, n)
     g, s, hh = np.linalg.svd(form.blocks[1])
     k = s.size

@@ -17,8 +17,6 @@ from .idempotents import (
     range_projection,
 )
 from .linalg import (
-    DEFAULT_TOL,
-    Tolerances,
     adjoint,
     hermitian_eigvals,
     identity,
@@ -42,15 +40,15 @@ def offdiag_distance(nu: float) -> float:
     return 0.5 * (nu + nu**2 / (1.0 + np.sqrt(1.0 + nu**2)))
 
 
-def kkm_distance(p1: Projection, p2: Projection, tol: Tolerances = DEFAULT_TOL) -> float:
-    """max(||P1 (I - P2)||, ||(I - P1) P2||), certified equal to ||P1 - P2||."""
+def kkm_distance(p1: Projection, p2: Projection) -> float:
+    """max(||P1 (I - P2)||, ||(I - P1) P2||), certified equal to ||P1 - P2|| within p1.tol.check."""
     eye = identity(p1.dim)
     d = max(
         operator_norm(p1.matrix @ (eye - p2.matrix)),
         operator_norm((eye - p1.matrix) @ p2.matrix),
     )
     direct = operator_norm(p1.matrix - p2.matrix)
-    if abs(d - direct) > tol.check:
+    if abs(d - direct) > p1.tol.check:
         raise ValidationError(
             f"projection-distance equality violated: {d:.12e} vs {direct:.12e}"
         )
@@ -140,7 +138,7 @@ def distance_report(q: Idempotent) -> DistanceReport:
 
     def psd_check(name: str, w: np.ndarray | None) -> Check:
         """0 <= x in the Loewner order, from x's ``spectrum``; an x too far from Hermitian fails it."""
-        return boolean_check(name, w is not None and is_psd_spectrum(w, tol))
+        return boolean_check(name, w is not None and is_psd_spectrum(w))
 
     (w_d, norm_d), (w_range, norm_range), (w_null, norm_null), (w_x, norm_x), (w_y, norm_y) = (
         spectrum(x) for x in (d_op, -cross_range, -cross_null, x_op, y_op)
@@ -307,16 +305,16 @@ def convergence_report(q1: Idempotent, q2: Idempotent) -> ConvergenceReport:
     )
 
 
-def two_projection_construction(
-    p1: Projection, p2: Projection, tol: Tolerances = DEFAULT_TOL
-) -> tuple[Idempotent, Idempotent, list[Check]]:
+def two_projection_construction(p1: Projection, p2: Projection) -> tuple[Idempotent, Idempotent, list[Check]]:
     """Idempotents (I - P1 P2)^(-1) P1 (I - P2) and its mirror, with their bounds.
 
-    Requires ||P1 P2|| < 1.  For the resulting pair the matched projections
-    satisfy ||m(Q1) - m(Q2)|| <= ||Q1 - Q2||, and if both projections are
-    nonzero the gap ||Q1 - Q2|| is at least 1.
+    Requires ||P1 P2|| < 1, with P1's margin ``p1.tol.below(1.0)``; both
+    idempotents are certified, and the bounds gated, at ``p1.tol``.  For the
+    resulting pair the matched projections satisfy
+    ||m(Q1) - m(Q2)|| <= ||Q1 - Q2||, and if both projections are nonzero
+    the gap ||Q1 - Q2|| is at least 1.
     """
-    eye = identity(p1.dim)
+    eye, tol = identity(p1.dim), p1.tol
     a, b = p1.matrix, p2.matrix
     prod_norm = operator_norm(a @ b)
     if prod_norm >= tol.below(1.0):

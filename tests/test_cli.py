@@ -963,7 +963,7 @@ class TestVerify:
         assert lines[-1].startswith("reproduce: ") and "--tol-check 1e-09" in lines[-1]
 
     def test_raising_distance_equality_fails_with_its_message(self, monkeypatch, capsys):
-        def kkm_distance(p_a, p_b, tol):
+        def kkm_distance(p_a, p_b):
             raise InapplicableHypothesisError("no common distance")
 
         monkeypatch.setattr(battery, "kkm_distance", kkm_distance)

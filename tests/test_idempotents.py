@@ -208,6 +208,13 @@ class TestStackedProjections:
         u = (qmat * (d / np.abs(d)))[:, :rank]
         return u @ adjoint(u)
 
+    def test_each_slice_keeps_the_tolerance(self):
+        loose = Tolerances(check=1e-6)
+        stack = np.stack([p.matrix for p in random_projection(4, [1, 2, 3], [5, 6, 7])])
+        assert [p.tol for p in as_projection(stack, loose)] == [loose] * 3
+        assert as_projection(stack[0], loose).tol == loose
+        assert [p.tol for p in random_projection(4, [1, 2], [5, 6], loose)] == [loose] * 2
+
     @pytest.mark.parametrize("dim", [1, 2, 5, 12, 16])
     def test_each_slice_is_its_stack_of_one_bitwise(self, dim):
         rng = np.random.default_rng(dim)
@@ -618,6 +625,20 @@ class TestBlockForm:
             assert operator_norm(form.reassemble() - t) <= 1e-10 * (
                 1 + operator_norm(t)
             )
+
+    def test_analysed_at_the_tolerance_of_the_projection(self):
+        # P + K with K skew-Hermitian, ||K|| = 1e-8: an asymmetry of 2e-8, which a
+        # 1e-6 certificate accepts and the default 1e-10 would not
+        k = idempotents.complex_gaussian(np.random.default_rng(11), 6, 6)
+        k -= adjoint(k)
+        k *= 1e-8 / operator_norm(k)
+        loose = Tolerances(check=1e-6)
+        p = as_projection(random_projection(6, 3, 4).matrix + k, loose)
+        with pytest.raises(ValidationError):
+            as_projection(p.matrix)
+        form = block_form(p.matrix, p)
+        assert form.rank == 3
+        assert operator_norm(form.reassemble() - p.matrix) <= loose.relative(operator_norm(p.matrix))
 
     def test_split_matches_projection_rank(self):
         p = as_projection(np.diag([1.0, 1.0, 0.0]))

@@ -853,6 +853,11 @@ class TestHomotopy:
         assert wit.contraction_norm == 0.0
         assert operator_norm(wit.projection.matrix - p.matrix) <= 1e-12
 
+    def test_trivial_witness_keeps_the_tolerance_of_q(self):
+        loose = Tolerances(check=1e-6)
+        q = as_idempotent(random_projection(5, 2, 19).matrix, loose)
+        assert homotopy_witness(q).projection.tol == loose
+
     def test_canonical_contraction_bound(self):
         # ||I - W||^2 <= ||B|| / (||B|| + 1) with ||B|| = sqrt(2)
         wit = homotopy_witness(canonical())

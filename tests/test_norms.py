@@ -8,6 +8,7 @@ from matchedproj import (
     InapplicableHypothesisError,
     NotHermitianError,
     Projection,
+    Tolerances,
     ValidationError,
     adjoint,
     all_passed,
@@ -334,6 +335,17 @@ class TestTwoProjectionConstruction:
         p = random_projection(4, 2, 41)
         with pytest.raises(InapplicableHypothesisError):
             two_projection_construction(p, p)
+
+    def test_margin_is_the_first_projections(self):
+        # ||P1 P2|| = cos(theta) = 1 - 1e-8: below the default margin 1 - 1e-10,
+        # not below the margin 1 - 1e-6 of projections certified at 1e-6
+        theta = np.sqrt(2e-8)
+        v = np.array([[np.cos(theta)], [np.sin(theta)], [0.0]])
+        p1, p2 = np.diag([1.0, 0.0, 0.0]), v @ v.T
+        assert all_passed(two_projection_construction(as_projection(p1), as_projection(p2))[2])
+        loose = Tolerances(check=1e-6)
+        with pytest.raises(InapplicableHypothesisError):
+            two_projection_construction(as_projection(p1, loose), as_projection(p2, loose))
 
     def test_random_applicable_pairs(self):
         rng = np.random.default_rng(43)

@@ -1318,32 +1318,35 @@ def test_the_objective_invariant_sees_each_spelling():
         assert bool(_second_objective(source)) == (source in spellings), source
 
 
-# an idempotent is analysed at the tolerance it was certified under, q.tol:
-# no function that takes an Idempotent takes a tolerance of its own
-def _names_idempotent(annotation):
-    """Whether an annotation names ``Idempotent``: bare, qualified, quoted, or inside a union or generic."""
+# an idempotent or a projection is analysed at the tolerance it was certified
+# under, q.tol or p.tol: no function that takes one takes a tolerance of its own
+CERTIFIED = {"Idempotent", "Projection"}
+
+
+def _names_certified(annotation):
+    """Whether an annotation names ``Idempotent`` or ``Projection``: bare, qualified, quoted, or inside a union or generic."""
     for node in ast.walk(annotation):
-        if isinstance(node, ast.Name) and node.id == "Idempotent" or isinstance(node, ast.Attribute) and node.attr == "Idempotent":
+        if isinstance(node, ast.Name) and node.id in CERTIFIED or isinstance(node, ast.Attribute) and node.attr in CERTIFIED:
             return True
         if isinstance(node, ast.Constant) and isinstance(node.value, str):
             try:
                 quoted = ast.parse(node.value, mode="eval")
             except SyntaxError:
                 continue
-            if _names_idempotent(quoted):
+            if _names_certified(quoted):
                 return True
     return False
 
 
-def _idempotent_functions_taking_tol(source):
-    """Where a function with an ``Idempotent``-annotated parameter has a parameter ``tol``, of any kind."""
+def _certified_functions_taking_tol(source):
+    """Where a function with an ``Idempotent``- or ``Projection``-annotated parameter has a parameter ``tol``, of any kind."""
     found = []
     for function in ast.walk(ast.parse(source)):
         if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
         args = function.args
         params = [*args.posonlyargs, *args.args, *args.kwonlyargs, *filter(None, (args.vararg, args.kwarg))]
-        if (any(p.annotation is not None and _names_idempotent(p.annotation) for p in params)
+        if (any(p.annotation is not None and _names_certified(p.annotation) for p in params)
                 and any(p.arg == "tol" for p in params)):
             found.append(f"{function.lineno} {function.name}")
     return found
@@ -1352,7 +1355,8 @@ def _idempotent_functions_taking_tol(source):
 def test_functions_of_an_idempotent_take_no_tolerance():
     sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
     assert all("q: Idempotent" in sources[name] for name in ("idempotents.py", "matched.py", "norms.py"))
-    found = [f"{name}:{v}" for name, text in sources.items() for v in _idempotent_functions_taking_tol(text)]
+    assert all("p: Projection" in sources[name] for name in ("idempotents.py", "matched.py", "norms.py"))
+    found = [f"{name}:{v}" for name, text in sources.items() for v in _certified_functions_taking_tol(text)]
     assert not found, found
 
 
@@ -1372,15 +1376,21 @@ def test_the_idempotent_tolerance_invariant_sees_each_spelling():
         "async def f(q: Idempotent, tol):\n    pass",
         "class A:\n    def f(self, q: Idempotent, tol):\n        pass",
         "def outer():\n    def inner(q: Idempotent, tol):\n        pass",
+        "def block_form(t_mat, p: Projection, tol):\n    pass",
+        "def f(p: 'Projection', tol):\n    pass",
+        "def f(p: Projection | None, tol):\n    pass",
+        "def f(ps: Sequence[Projection], tol):\n    pass",
+        "def f(p: Projection, q: Idempotent, tol):\n    pass",
     ]
     allowed = [
         "def as_idempotent(m, tol: Tolerances = DEFAULT_TOL):\n    pass",
         "def random_idempotent(dim, rank, offdiag_norm, seed, tol) -> Idempotent:\n    pass",
-        "def block_form(t_mat, p: Projection, tol):\n    pass",
+        "def as_projection(m, tol: Tolerances = DEFAULT_TOL) -> Projection:\n    pass",
+        "def random_projection(dim, rank, seed, tol) -> Projection | list[Projection]:\n    pass",
         "def f(q: Idempotent):\n    tol = q.tol",
         "def f(q: Idempotent, samples: int):\n    pass",
         "def f(q: 'Idempotent | None', tolerance_free):\n    pass",
         "def run_battery(dim_max, trials, seed, tol):\n    q: Idempotent = random_idempotent(2, 1, 1.0, 0, tol)",
     ]
     for source in spellings + allowed:
-        assert bool(_idempotent_functions_taking_tol(source)) == (source in spellings), source
+        assert bool(_certified_functions_taking_tol(source)) == (source in spellings), source
