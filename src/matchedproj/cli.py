@@ -79,11 +79,11 @@ def _analysis(path: str, tol: Tolerances) -> tuple[dict, list[str], bool]:
     rep = distance_report(q)
     checks = list(rep.checks) + range_identities(q)
 
-    # an oracle that cannot certify its own inputs fails its checks, not the report
+    # an oracle that cannot certify its own inputs fails its checks, not the
+    # report; T T^dag and V V* are freed once bracketed
     oracle_gate = tol.route_gate(0.0)
     try:
-        tt, vv = matched_via_factor(q)
-        factor_gaps = norm_bracket(m - tt, oracle_gate), norm_bracket(m - vv, oracle_gate)
+        factor_gaps = [norm_bracket(m - x, oracle_gate) for x in matched_via_factor(q)]
     except MatchedProjectionError as exc:
         print(f"check failed: factor oracle: {exc}", file=sys.stderr)
         factor_gaps = (math.inf, math.inf), (math.inf, math.inf)
@@ -135,8 +135,8 @@ def cmd_analyze(args) -> int:
     report, lines, ok = _analysis(args.input, _tolerances(args))
     if args.output:
         # one string, not dump's pieces: perfbench's tracer times the write and
-        # counts its bytes by dumps alone, and this write peaks below the
-        # factor oracle's step of _analysis (measured at n = 128 to 512)
+        # counts its bytes by dumps alone, and this write peaks below
+        # _analysis (measured at n = 128 to 512)
         Path(args.output).write_text(dumps(report), encoding="utf-8")
     print("\n".join(lines))
     return E_OK if ok else E_MATH

@@ -130,13 +130,18 @@ def factor_oracle(q: Idempotent) -> FactorOracle:
     |Q*|^dag = (P_R(Q) P_R(Q*) P_R(Q))^(1/2) from ``koliha_projections`` and
     its square root, the powers 1/2 and 1/4 of the same product, come from
     one ``psd_power``; V = T (|Q*|^dag)^(1/2) (I + |Q*|)^(-1/2) / sqrt 2.
+
+    Koliha's solve and the power run first, while none of the record's
+    values is held; the SVD's V* and the 1/4 power go before T^dag, and
+    each field is an array of its own, so the memo keeps five n x n arrays.
     """
+    p_r, p_rs = (p.matrix for p in koliha_projections(q))
+    dag, dag_root = map(np.copy, psd_power(p_r @ p_rs @ p_r, [0.5, 0.25], q.tol))
     _, s, vh = np.linalg.svd(adjoint(q.matrix))
     abs_qs = (adjoint(vh) * s) @ vh
-    p_r, p_rs = (p.matrix for p in koliha_projections(q))
-    dag, dag_root = psd_power(p_r @ p_rs @ p_r, [0.5, 0.25], q.tol)
     t = abs_qs + adjoint(q.matrix)
     v = np.sqrt(0.5) * t @ dag_root @ ((adjoint(vh) / np.sqrt(1.0 + s)) @ vh)
+    del vh, dag_root
     return FactorOracle(abs_qs, dag, t, moore_penrose(t, q.tol), v)
 
 

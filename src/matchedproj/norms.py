@@ -65,8 +65,6 @@ class DistanceReport:
     d_matched_closed: float
     d_range: float
     d_null: float
-    v_sim: np.ndarray
-    d_op: np.ndarray
     checks: list[Check]
 
 
@@ -201,8 +199,6 @@ def distance_report(q: Idempotent) -> DistanceReport:
         d_matched_closed=d_closed,
         d_range=d_range,
         d_null=d_null,
-        v_sim=v_sim,
-        d_op=d_op,
         checks=checks,
     )
 

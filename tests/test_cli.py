@@ -402,10 +402,11 @@ class TestAnalyze:
 
     def test_peak_memory(self, tmp_path, monkeypatch):
         # Q's analysis is freed before the report is encoded: then only m(Q)
-        # (256 KB) and the report's scalars are held, and the factor oracle
-        # sets the peak, measured here at 8.30 MB with numpy 2.4.6 (the write
-        # adds 2.8 MB to what is held).  Holding the analysis (6.5 MB) through
-        # the write peaked at 10.67 MB; the ceiling is halfway between the two
+        # (256 KB) and the report's scalars are held, and the analysis sets
+        # the peak, measured at 8.30 MB with numpy 2.4.6 when this ceiling was
+        # set (the write adds 2.8 MB to what is held).  Holding the analysis
+        # (6.5 MB) through the write peaked at 10.67 MB; the ceiling is halfway
+        # between the two
         held, written = [], []
         encode = cli.dumps
 
@@ -422,6 +423,18 @@ class TestAnalyze:
         # the file is the text of the one dumps call, whose bytes a trace counts
         assert len(written) == 1 and rep.read_text(encoding="utf-8") == written[0]
         assert json.loads(written[0])["all_passed"] is True
+
+    def test_analysis_holds_no_unread_matrix(self, tmp_path):
+        # the distance report keeps scalars and checks only, the factor oracle
+        # frees V* and its 1/4 power before T's pseudo-inverse and its record
+        # owns each array, and T T^dag and V V* go once their gaps are
+        # bracketed.  Measured 7.24 MB with numpy 2.4.6, against 8.55 MB while
+        # the report kept V and D, |Q*|^dag kept psd_power's (2, n, n) stack
+        # alive and T T^dag and V V* lived to the end; the ceiling, between
+        # the two, leaves 9% headroom
+        q = tmp_path / "q.json"
+        dump(random_idempotent(128, 60, 1.0, 5).matrix, q)
+        assert traced_peak(lambda: cli._analysis(str(q), DEFAULT_TOL)) < 7_900_000
 
     def test_missing_output_directory_is_usage_error(self, tmp_path, capsys):
         q, rep = tmp_path / "q.json", tmp_path / "missing" / "rep.json"

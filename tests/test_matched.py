@@ -2,7 +2,7 @@
 
 import gc
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -528,6 +528,18 @@ class TestMatchedViaFactor:
             eigh_route = np.sqrt(0.5) * fo.t @ root @ psd_power(identity(q.dim) + abs_qs, -0.5, q.tol)
             gap = operator_norm(fo.v - eigh_route)
             assert gap <= 4 * q.dim * EPS * (1.0 + operator_norm(q.matrix)), (q.dim, gap)
+
+    def test_record_owns_its_arrays(self):
+        # a field that is a view keeps its whole base alive in Q's memo, as
+        # |Q*|^dag, slice 0 of psd_power's (2, n, n) stack, kept the 1/4 power
+        q = random_idempotent(8, 3, 2.0, 5)
+        fo = factor_oracle(q)
+        for field in fields(fo):
+            value = getattr(fo, field.name)
+            assert value.base is None or value.base.nbytes <= value.nbytes, field.name
+        # the copy is the power itself, bit for bit
+        p_r, p_rs = (p.matrix for p in koliha_projections(q))
+        assert np.array_equal(fo.abs_q_star_pinv, psd_power(p_r @ p_rs @ p_r, [0.5, 0.25], q.tol)[0])
 
     def test_gram_sides_give_range_projection(self):
         fo = factor_oracle(canonical())

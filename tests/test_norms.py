@@ -15,6 +15,7 @@ from matchedproj import (
     as_idempotent,
     as_projection,
     canonical_idempotent,
+    complement_of,
     convergence_report,
     distance_report,
     failures,
@@ -138,11 +139,17 @@ class TestKkmDistance:
 class TestDistanceReport:
     def test_projection_input(self):
         p = random_projection(5, 2, 13)
-        rep = distance_report(as_idempotent(p.matrix))
+        q = as_idempotent(p.matrix)
+        rep = distance_report(q)
         assert rep.d_matched <= 1e-12
         assert rep.d_range <= 1e-12
-        assert operator_norm(rep.v_sim - np.eye(5)) <= 1e-12
-        assert operator_norm(rep.d_op) <= 1e-12
+        # the similarity V = (|Q| + |I - Q| + I)/2 and the defect operator
+        # D = -m (I - Q) m - (I - m) Q (I - m), built as distance_report builds them
+        eye, m = np.eye(5), matched_projection(q).projection.matrix
+        v_sim = 0.5 * (q.abs_q + complement_of(q).abs_q + eye)
+        d_op = -m @ (eye - q.matrix) @ m - (eye - m) @ q.matrix @ (eye - m)
+        assert operator_norm(v_sim - eye) <= 1e-12
+        assert operator_norm(d_op) <= 1e-12
         assert all_passed(rep.checks), [c.name for c in failures(rep.checks)]
 
     def test_canonical_frozen_values(self):
