@@ -17,7 +17,9 @@ and certificate per batch: the block-form P of ``_projection_structure``,
 and in ``_norm_suite`` the 20 candidates (also measured as one stack), the
 pair p1, p2 of the two-projection construction and the pair p_a, p_b of
 the distance equality.  Koliha's pair P_R(Q), P_R(Q*) is certified as one
-stack, and the fractional-power distances are one stacked norm.  A batch
+stack, and the fractional-power distances are one stacked norm, as are
+the exact norms of ``_core_kernels`` and each pair of the continuity
+probe, the draws' norms taken after the draws, which do not read them.  A batch
 is one computed step, whose records are then yielded one slice after
 another.
 """
@@ -188,18 +190,19 @@ def _draw_projections(rng, dim, max_rank, count, tol) -> list[Projection]:
 
 def _core_kernels(rng, dim, tol):
     m = complex_gaussian(rng, dim, dim)
-    norm = operator_norm(m)
+    # a rank-deficient copy for the pseudoinverse involution
+    deficient = m.copy()
+    deficient[:, 0] = deficient[:, 1] if dim > 1 else 0.0
+    norm, norm_adjoint, norm_gram, norm_deficient = operator_norm(
+        np.stack([m, adjoint(m), adjoint(m) @ m, deficient])).tolist()
     scale = tol.quadratic(norm)
     abs_m = abs_value(m)
     yield boolean_check("adjoint-involution", np.array_equal(adjoint(adjoint(m)), m))
-    yield Check("adjoint-isometry", abs(operator_norm(adjoint(m)) - norm), tol.relative(norm))
-    yield Check("cstar-identity", abs(operator_norm(adjoint(m) @ m) - norm**2), scale)
+    yield Check("adjoint-isometry", abs(norm_adjoint - norm), tol.relative(norm))
+    yield Check("cstar-identity", abs(norm_gram - norm**2), scale)
     yield norm_check("abs-value-square", abs_m @ abs_m - adjoint(m) @ m, scale)
 
-    # pseudoinverse involution on a full-rank and a rank-deficient input
-    deficient = m.copy()
-    deficient[:, 0] = deficient[:, 1] if dim > 1 else 0.0
-    for label, mat, mat_norm in (("full", m, norm), ("deficient", deficient, operator_norm(deficient))):
+    for label, mat, mat_norm in (("full", m, norm), ("deficient", deficient, norm_deficient)):
         back = moore_penrose(moore_penrose(mat, tol), tol)
         yield norm_check("pseudoinverse-involution", back - mat, tol.relative(mat_norm)), label
 
@@ -366,14 +369,16 @@ def _continuity_probe(rng, dim, tol) -> tuple[Check, float]:
     nu = float(10.0 ** rng.uniform(-1, 1))
     sub = np.random.default_rng(int(rng.integers(2**32)))
     a = complex_gaussian(sub, rank, dim - rank)
-    a *= nu / operator_norm(a)
     u = random_unitary(dim, sub)
     delta = complex_gaussian(sub, rank, dim - rank)
-    delta *= 1e-6 / operator_norm(delta)
+    norm_a, norm_delta = operator_norm(np.stack([a, delta])).tolist()
+    a *= nu / norm_a
+    delta *= 1e-6 / norm_delta
     q0, q1 = (as_idempotent(block_idempotent(u, block), tol) for block in (a, a + delta))
     m0 = matched_projection(q0).projection.matrix
     m1 = matched_projection(q1).projection.matrix
-    ratio = operator_norm(m1 - m0) / operator_norm(q1.matrix - q0.matrix)
+    gap_m, gap_q = operator_norm(np.stack([m1 - m0, q1.matrix - q0.matrix])).tolist()
+    ratio = gap_m / gap_q
     return boolean_check("matched-map-continuity-probe", np.isfinite(ratio)), ratio
 
 

@@ -405,5 +405,5 @@ def block_form(t_mat: np.ndarray, p: Projection) -> BlockForm:
     x = adjoint(u) @ t_mat @ u
     form = BlockForm(u=u, rank=r, blocks=(x[:r, :r], x[:r, r:], x[r:, :r], x[r:, r:]))
     certify(form.reassemble() - t_mat, tol.relative,
-            lambda gap, *_: ValidationError(f"block round-trip residual {gap:.3e}"), t_mat)
+            lambda gap, bound, _: ValidationError(f"block round-trip residual {gap:.3e} exceeds {bound:.3e}"), t_mat)
     return form

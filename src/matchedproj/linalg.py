@@ -8,7 +8,14 @@ distances, the norms of non-Hermitian operands compared with a closed form,
 idempotency and projection defects (on first read), contraction norms,
 convergence tables and the gates scaled by a norm.  A norm that an SVD
 taken anyway already holds is read from it: ||Q|| and ||I - Q|| are the
-first singular values of the SVDs that Q and its complement keep.
+first singular values of the SVDs that Q and its complement keep.  The
+exact norms that one report takes of operands of one shape are one stacked
+call, each slice bitwise the norm of that matrix alone: the Lipschitz
+bounds, the projection distance, the two-projection construction, the
+2x2 grid's ||Q|| and ||I - Q||, and the battery's kernels and continuity
+probe.  ``norms.distance_report`` takes its norms one at a time, so that
+``analyze`` copies no n x n operands into a stack while it holds its
+analysis.
 
 The pencil S = Q + Q* - I, Hermitian bit for bit, is factored once by
 ``eigh`` (``Idempotent.pencil``): its eigenvectors of positive eigenvalue
@@ -265,7 +272,7 @@ def certify(residual: np.ndarray, gate, fail, *operands: np.ndarray, scale: floa
 def require_hermitian(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Return the symmetrized matrix, certified ||M - M*|| <= tol.relative(||M||) (``certify``)."""
     certify(m - adjoint(m), tol.relative,
-            lambda gap, *_: NotHermitianError(f"asymmetry {gap:.3e} exceeds tolerance"), m)
+            lambda gap, bound, _: NotHermitianError(f"asymmetry {gap:.3e} exceeds {bound:.3e}"), m)
     return (m + adjoint(m)) / 2.0
 
 
@@ -337,8 +344,7 @@ def moore_penrose(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 
 def is_psd_spectrum(w: np.ndarray) -> bool:
     """Whether ascending eigenvalues ``w`` are those of a PSD matrix: w_0 >= -Tolerances.psd (1 + max |w|), a fixed gate."""
-    scale = float(np.abs(w).max()) if w.size else 0.0
-    return bool(w.min() >= -DEFAULT_TOL.psd_slack(scale))
+    return bool(w.min() >= -DEFAULT_TOL.psd_slack(float(np.abs(w).max())))
 
 
 def psd_order(a: np.ndarray, b: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:

@@ -64,7 +64,6 @@ by one function, ``_certified_witness``; only the certificate is shared.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -272,7 +271,8 @@ class SimilarityWitness:
 
     X is n x r with orthonormal columns and X* E = D - I, D diagonal with
     entries ``d`` (``_certified_witness``); r = 0 gives W = I.  ``samples``
-    is the path from m(Q) to Q that ``homotopy_path`` samples.
+    is the path from m(Q) to Q that ``homotopy_path`` samples, built from
+    the fields alone on each call: the witness keeps no products of them.
     """
 
     projection: Projection
@@ -285,24 +285,20 @@ class SimilarityWitness:
     def w(self) -> np.ndarray:
         return identity(self.e.shape[0]) + self.e @ adjoint(self.x)
 
-    @cached_property
-    def _rank_r_form(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """G = m E X*, X* m and X* G for m = m(Q), so that m W_t = m + t G."""
-        m = self.projection.matrix
-        g = (m @ self.e) @ adjoint(self.x)
-        return g, adjoint(self.x) @ m, adjoint(self.x) @ g
-
     def samples(self, t: np.ndarray) -> np.ndarray:
-        """The (k, n, n) stack of Q(t) = W_t^(-1) m W_t for the k values in ``t``."""
-        (n, r), k = self.e.shape, t.size
-        g, x_m, x_g = self._rank_r_form
+        """The (k, n, n) stack of Q(t) = M_t + E C_t (X* m + t X* G) for the k values in ``t``.
+
+        M_t = m + t G is m W_t, G = m E X* for m = m(Q), and C_t = -t Delta_t^(-1)
+        is diagonal.  X* m and X* G are formed once per call, and the k rank-r
+        updates are one batched product, added into the one output stack.
+        """
+        m, x_star = self.projection.matrix, adjoint(self.x)
+        g = (m @ self.e) @ x_star
+        x_m, x_g = x_star @ m, x_star @ g
         c = -t / (1.0 + np.multiply.outer(self.d - 1.0, t))
-        # laid out (r, k, n), so that E times it is one product: update[i, j]
-        # is row i of C_t X* (m + t G) at t = t[j]
-        rows = x_m[:, np.newaxis] + t[:, np.newaxis] * x_g[:, np.newaxis]
-        update = c[:, :, np.newaxis] * rows
-        out = np.multiply.outer(t, g) + self.projection.matrix
-        out += (self.e @ update.reshape(r, k * n)).reshape(n, k, n).transpose(1, 0, 2)
+        out = np.multiply.outer(t, g)
+        out += m
+        out += self.e @ (c.T[:, :, np.newaxis] * (x_m + t[:, np.newaxis, np.newaxis] * x_g))
         return out
 
 
@@ -449,7 +445,7 @@ def homotopy_path(q: Idempotent, samples: int) -> list[Idempotent]:
 
         Q(t) = X_t m W_t = (m + t G) + E C_t X* (m + t G),  C_t = -t Delta_t^(-1).
 
-    The updates of all samples are one (n, k) @ (k, samples n) product, with
+    The updates of all samples are one batched product over the stack, with
     no factorization (``SimilarityWitness.samples``), and ``as_idempotent``
     certifies the samples at ``q.tol`` as one stack, one stacked norm per
     quantity.  The sample at t = 0 is m(Q) exactly; a projection input
@@ -558,7 +554,7 @@ def fractional_power_limit(q: Idempotent) -> list[float]:
         raise ValidationError("m(Q) Q m(Q) does not dominate m(Q)")
     gap = k - 0.25 * (q.abs_q_star + q.abs_q + qm + adjoint(qm))
     certify(gap, lambda: tol.relative(q.norm),
-            lambda residual, *_: ValidationError(f"four-term identity residual {residual:.3e}"))
+            lambda residual, bound, _: ValidationError(f"four-term identity residual {residual:.3e} exceeds {bound:.3e}"))
     return operator_norm(powers - m).tolist()
 
 
@@ -566,24 +562,20 @@ def unitary_equivariance(q: Idempotent, u: np.ndarray) -> float:
     """||m(U* Q U) - U* m(Q) U|| for a unitary U, U* Q U certified at ``q.tol``; zero in exact arithmetic."""
     u = np.asarray(u, dtype=np.complex128)
     certify(adjoint(u) @ u - identity(q.dim), lambda: q.tol.check,
-            lambda gap, *_: NotUnitaryError(f"U*U - I has norm {gap:.3e}"))
+            lambda gap, bound, _: NotUnitaryError(f"unitarity defect {gap:.3e} exceeds {bound:.3e}"))
     conjugated = as_idempotent(adjoint(u) @ q.matrix @ u, q.tol)
     inner = _matched_pair(conjugated).projection.matrix
     outer = adjoint(u) @ _matched_pair(q).projection.matrix @ u
     return operator_norm(inner - outer)
 
 
-def random_qpp_pair(
-    dim: int,
-    seed: int,
-    tol: Tolerances = DEFAULT_TOL,
-    max_offdiag: float = 2.0,
-) -> tuple[Projection, Idempotent]:
+def random_qpp_pair(dim: int, seed: int, tol: Tolerances = DEFAULT_TOL) -> tuple[Projection, Idempotent]:
     """Seeded quasi-projection pair (P, Q), not always the matched one.
 
     Built as a unitarily scrambled direct sum Q1 + Q2 paired with a block
     choice from {m(Qi), I - m(Qi)}, which always satisfies the reflection
-    identity Q* = (2P - I) Q (2P - I).
+    identity Q* = (2P - I) Q (2P - I).  Each Qi's off-diagonal norm is
+    uniform on [0, 2].
     """
     rng = np.random.default_rng(seed)
     if dim < 2:
@@ -595,7 +587,7 @@ def random_qpp_pair(
     blocks_q, blocks_p = [], []
     for d in (d1, d2):
         rank = int(rng.integers(0, d + 1))
-        nu = float(rng.uniform(0.0, max_offdiag))
+        nu = float(rng.uniform(0.0, 2.0))
         sub = random_idempotent(d, rank, nu, int(rng.integers(0, 2**63)), tol)
         m_sub = _matched_pair(sub).projection.matrix
         if rng.integers(0, 2):

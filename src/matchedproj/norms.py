@@ -43,11 +43,9 @@ def offdiag_distance(nu: float) -> float:
 def kkm_distance(p1: Projection, p2: Projection) -> float:
     """max(||P1 (I - P2)||, ||(I - P1) P2||), certified equal to ||P1 - P2|| within p1.tol.check."""
     eye = identity(p1.dim)
-    d = max(
-        operator_norm(p1.matrix @ (eye - p2.matrix)),
-        operator_norm((eye - p1.matrix) @ p2.matrix),
-    )
-    direct = operator_norm(p1.matrix - p2.matrix)
+    a, b = p1.matrix, p2.matrix
+    left, right, direct = operator_norm(np.stack([a @ (eye - b), (eye - a) @ b, a - b])).tolist()
+    d = max(left, right)
     if abs(d - direct) > p1.tol.check:
         raise ValidationError(
             f"projection-distance equality violated: {d:.12e} vs {direct:.12e}"
@@ -224,20 +222,16 @@ def matched_lipschitz_bounds(q1: Idempotent, q2: Idempotent) -> LipschitzBounds:
     eye, tol = identity(q1.dim), q1.tol
     m1 = matched_projection(q1).projection.matrix
     m2 = matched_projection(q2).projection.matrix
-    lhs = operator_norm(m1 - m2)
     comp = eye - m1
-    alpha = operator_norm(comp @ q1.matrix @ comp)
-    gap = operator_norm(q1.matrix - q2.matrix)
+    a, b = q1.matrix, q2.matrix
+    lhs, alpha, gap, cross_left, cross_right, mixed_left, mixed_right = operator_norm(np.stack([
+        m1 - m2, comp @ a @ comp, a - b, m1 - b, a - m2, m1 @ a - m2 @ b, a @ m1 - b @ m2,
+    ])).tolist()
 
     scaled = gap / (1.0 - alpha) if alpha <= 1.0 - 1e-6 else None
-    min_bound = min(
-        operator_norm(m1 - q2.matrix), operator_norm(q1.matrix - m2)
-    )
-    mixed_left = operator_norm(m1 @ q1.matrix - m2 @ q2.matrix)
-    mixed_right = operator_norm(q1.matrix @ m1 - q2.matrix @ m2)
 
     checks = [
-        Check("bounded_by_min_of_cross_gaps", max(0.0, lhs - min_bound), tol.check),
+        Check("bounded_by_min_of_cross_gaps", max(0.0, lhs - min(cross_left, cross_right)), tol.check),
         Check("bounded_by_mixed_left", max(0.0, lhs - mixed_left), tol.check),
         Check("bounded_by_mixed_right", max(0.0, lhs - mixed_right), tol.check),
     ]
@@ -320,8 +314,7 @@ def two_projection_construction(p1: Projection, p2: Projection) -> tuple[Idempot
 
     m1 = matched_projection(q1).projection.matrix
     m2 = matched_projection(q2).projection.matrix
-    lhs = operator_norm(m1 - m2)
-    gap = operator_norm(q1.matrix - q2.matrix)
+    lhs, gap = operator_norm(np.stack([m1 - m2, q1.matrix - q2.matrix])).tolist()
     checks = [Check("matched_gap_bounded_by_gap", max(0.0, lhs - gap), tol.check)]
     if not norm_at_most(a, 0.5) and not norm_at_most(b, 0.5):
         checks.append(Check("gap_at_least_one", max(0.0, 1.0 - gap), tol.check))

@@ -207,8 +207,7 @@ def grid_minimize(a: complex, points: int, tol: Tolerances = DEFAULT_TOL) -> Gri
     lipschitz = (2.0 + 3.0 * mod) * dt + mod * dx
 
     q = canonical_idempotent(a, tol)
-    norm_q = operator_norm(q.matrix)
-    norm_comp = operator_norm(np.eye(2) - q.matrix)
+    norm_q, norm_comp = operator_norm(np.stack([q.matrix, np.eye(2) - q.matrix])).tolist()
     scale = tol.relative(problem.b)
 
     checks = [

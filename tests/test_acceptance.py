@@ -308,7 +308,7 @@ class TestCriterion9:
         while survivors < 100 and attempts < 3000:
             attempts += 1
             dim = int(rng.integers(2, 9))
-            p, q = random_qpp_pair(dim, int(rng.integers(2**32)), max_offdiag=1.2)
+            p, q = random_qpp_pair(dim, int(rng.integers(2**32)))
             if operator_norm(p.matrix - q.matrix) >= 1.0 - 1e-6:
                 continue
             survivors += 1

@@ -35,9 +35,10 @@ from matchedproj import (
     random_projection,
     two_by_two,
 )
+from matchedproj import norms as norms_module
 from matchedproj.battery import run_battery, sabotaged
 from matchedproj.cli import main
-from matchedproj.linalg import require_hermitian
+from matchedproj.linalg import norm_at_most, require_hermitian
 from matchedproj.matched import EXPONENT_GRID
 from matchedproj.matrixio import dump, dumps, load_matrix, matrix_from_obj
 from matchedproj.report import Check, norm_check
@@ -874,11 +875,13 @@ class TestVerify:
         # its SVD; 296 while the factor oracle took (I + |Q*|)^(-1/2) from an
         # eigh of its own rather than from its SVD of Q*; 294 while the
         # fractional-power table and the convergence table each took an eigh
-        # of Q's m(Q) Q m(Q), which they now share (matched.fractional_powers)
+        # of Q's m(Q) Q m(Q), which they now share (matched.fractional_powers);
+        # 292, 162 of them svdvals, while the reports took their same-shape
+        # exact 2-norms one call at a time rather than as one stack
         run_battery(12, 2, 7)
-        assert sum(factorizations.values()) <= 292, dict(factorizations)
+        assert sum(factorizations.values()) <= 242, dict(factorizations)
         assert factorizations["qr"] <= 22, dict(factorizations)
-        assert factorizations["svdvals"] <= 162, dict(factorizations)
+        assert factorizations["svdvals"] <= 112, dict(factorizations)
 
     def test_dim_max_below_two_is_usage_error(self, capsys):
         # a dim-max below 2 used to run 2 x 2 trials and pass
@@ -933,6 +936,51 @@ class TestVerify:
             names.update(r[0] for r in got)
         assert "any-projection:psd_dominance_left" in names
         assert "any-projection:small_distance_forces_matched" in names
+
+    def test_stacked_norms_are_the_per_call_norms_bitwise(self, monkeypatch):
+        # each report's same-shape norms are one stacked operator_norm; with a
+        # per-call operator_norm in its place, every value keeps its bits
+        tol = DEFAULT_TOL
+
+        def bits(value):
+            if isinstance(value, tuple):
+                return tuple(map(bits, value))
+            if isinstance(value, list):
+                return [bits(v) for v in value]
+            if isinstance(value, Check):
+                return value.name, bits((value.residual, value.tolerance, value.lower))
+            return value if value is None or isinstance(value, str) else float(value).hex()
+
+        def reports(seed):
+            rng = np.random.default_rng(seed)
+            dim = int(rng.integers(2, 13))
+            q, q2 = (random_idempotent(dim, int(rng.integers(1, dim)), float(10.0 ** rng.uniform(-2, 1)),
+                                       int(rng.integers(2**32)), tol) for _ in range(2))
+            p1, p2 = random_projection(dim, [1, 1], [seed, seed + 1], tol)
+            p_a, p_b = random_projection(dim, [dim // 2, dim - 1], [seed + 2, seed + 3], tol)
+            lipschitz = norms_module.matched_lipschitz_bounds(q, q2)
+            two = []
+            if norm_at_most(p1.matrix @ p2.matrix, 0.999):
+                two = norms_module.two_projection_construction(p1, p2)[2]
+            return bits([
+                list(battery._core_kernels(np.random.default_rng(seed), dim, tol)),
+                list(battery._continuity_probe(np.random.default_rng(seed), dim, tol)),
+                [lipschitz.lhs, lipschitz.alpha, lipschitz.scaled_bound, lipschitz.checks],
+                norms_module.kkm_distance(p_a, p_b),
+                two,
+                two_by_two.grid_minimize(float(10.0 ** rng.uniform(-2, 2)), 64, tol).checks,
+            ])
+
+        stacked = [reports(seed) for seed in range(6)]
+        exact = operator_norm
+
+        def per_call(m):
+            return exact(m) if m.ndim == 2 else np.array([exact(s) for s in m])
+
+        for module in (battery, norms_module, two_by_two):
+            monkeypatch.setattr(module, "operator_norm", per_call)
+        assert [reports(seed) for seed in range(6)] == stacked
+        assert any(entry[4] for entry in stacked)
 
     def test_batches_are_their_one_at_a_time_forms_bitwise(self):
         # each batch is one stack; every slice is what its own call gave

@@ -11,6 +11,7 @@ from matchedproj import (
     DEFAULT_TOL,
     Check,
     Idempotent,
+    NotHermitianError,
     NotQuasiProjectionPairError,
     NotUnitaryError,
     Projection,
@@ -21,6 +22,7 @@ from matchedproj import (
     adjoint_of,
     all_passed,
     as_idempotent,
+    as_matrix,
     as_projection,
     block_form,
     closed_form_p0,
@@ -62,6 +64,8 @@ from matchedproj import battery as battery_module
 from matchedproj import matched as matched_module
 from matchedproj import report as report_module
 from matchedproj.battery import _characterizations_agree, run_battery, sabotaged
+from matchedproj.idempotents import complex_gaussian
+from matchedproj.linalg import require_hermitian
 
 from conftest import envelope_inputs
 
@@ -1104,6 +1108,53 @@ class TestUnitaryEquivariance:
     def test_rejects_non_unitary(self):
         with pytest.raises(NotUnitaryError):
             unitary_equivariance(canonical(), 2.0 * np.eye(2))
+
+
+class TestCertificateMessages:
+    """Each certificate names its quantity's exact norm and the bound it exceeds."""
+
+    @staticmethod
+    def raised(exc_type, call):
+        with pytest.raises(exc_type) as info:
+            call()
+        return str(info.value)
+
+    def test_asymmetry(self):
+        m = as_matrix([[1.0, 1e-3], [0.0, 1.0]])
+        gap, bound = operator_norm(m - adjoint(m)), DEFAULT_TOL.relative(operator_norm(m))
+        message = self.raised(NotHermitianError, lambda: require_hermitian(m))
+        assert message == f"asymmetry {gap:.3e} exceeds {bound:.3e}"
+
+    def test_block_round_trip(self):
+        # an exactly Hermitian P, and a gate below the round trip's rounding;
+        # the same blocks at a loose gate give the residual
+        rng = np.random.default_rng(3)
+        t_mat, p = complex_gaussian(rng, 6, 6), random_projection(6, 3, 11).matrix
+        p = (p + adjoint(p)) / 2.0
+        tight = Tolerances(check=1e-30)
+        form = block_form(t_mat, Projection(p, Tolerances(check=1.0)))
+        gap = operator_norm(form.reassemble() - t_mat)
+        bound = tight.relative(operator_norm(t_mat))
+        assert gap > bound
+        message = self.raised(ValidationError, lambda: block_form(t_mat, Projection(p, tight)))
+        assert message == f"block round-trip residual {gap:.3e} exceeds {bound:.3e}"
+
+    def test_four_term_identity(self):
+        # a copy of Q whose |Q*| is off by 1e-3 I; m(Q) and K come from the pencil
+        q = random_idempotent(5, 2, 1.5, 8)
+        copy = replace(q)
+        vars(copy)["abs_q_star"] = q.abs_q_star + 1e-3 * identity(5)
+        k = matched_module.fractional_powers(copy)[0]
+        gap = operator_norm(k - 0.25 * (copy.abs_q_star + q.abs_q + q.matrix + adjoint(q.matrix)))
+        bound = q.tol.relative(q.norm)
+        message = self.raised(ValidationError, lambda: fractional_power_limit(copy))
+        assert message == f"four-term identity residual {gap:.3e} exceeds {bound:.3e}"
+
+    def test_unitarity(self):
+        u = 1.001 * np.eye(2)
+        gap = operator_norm(adjoint(u) @ u - identity(2))
+        message = self.raised(NotUnitaryError, lambda: unitary_equivariance(canonical(), u))
+        assert message == f"unitarity defect {gap:.3e} exceeds {DEFAULT_TOL.check:.3e}"
 
 
 class TestGeneratedQppPairs:
