@@ -201,7 +201,9 @@ def as_idempotent(m, tol: Tolerances = DEFAULT_TOL) -> Idempotent | list[Idempot
     2-norms exactly, stacked, and the first one over its gate raises.
     """
     qs = _as_matrix_or_stack(m)
-    certify(qs @ qs - qs, tol.quadratic,
+    residual = qs @ qs
+    residual -= qs
+    certify(residual, tol.quadratic,
             lambda defect, bound, _: ValidationError(f"idempotency defect {defect:.3e} exceeds {bound:.3e}"),
             qs)
     return Idempotent(qs, tol) if qs.ndim == 2 else [Idempotent(q, tol) for q in qs]

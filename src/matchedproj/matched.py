@@ -34,9 +34,11 @@ takes no tolerance: Q is analysed at the tolerance it was certified under,
 ``as_idempotent(q.matrix, tol)``; ``dataclasses.replace(q, tol=tol)``
 changes the tolerance Q is analysed at without certifying Q again.
 Relative rank cutoffs all go through ``linalg.numerical_rank``.
-``range_identities`` takes one SVD per operand whose column space it
-compares, and decides the trivial intersections from overlaps of the
-bases that the pencil and Q's SVD already hold.  The module keeps no
+``range_identities`` factors none of the operands whose column spaces it
+compares: each factors through Q's SVD bases with a nonsingular middle
+factor, so their ranges and projectors come from Q's SVD and one thin SVD
+of the overlap U_perp* V_r, and the trivial intersections from overlaps
+of the bases that the pencil and Q's SVD already hold.  The module keeps no
 state of its own: the harness self-test corrupts an input instead, a
 copy of Q whose cached pencil has V scaled by 2 (``battery.sabotaged``).
 
@@ -86,6 +88,7 @@ from .idempotents import (
     memoized_on_q,
     random_idempotent,
     random_unitary,
+    range_projection,
 )
 from .linalg import (
     DEFAULT_TOL,
@@ -221,14 +224,20 @@ def matched_via_factor(q: Idempotent) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _qpp_matrices(p: Projection, q: Idempotent) -> Iterator[tuple[str, np.ndarray]]:
-    """The residual matrices of the five quasi-projection-pair conditions, built one at a time."""
+    """The residual matrices of the five quasi-projection-pair conditions, built one at a time.
+
+    Q* - Q is formed once, I - P only for the two block residuals that read
+    it and 2P - I only for the two reflections, so no identity matrix is held
+    through all five.
+    """
     pm, qm = p.matrix, q.matrix
-    eye = identity(q.dim)
-    comp = eye - pm
-    reflect = 2.0 * pm - eye
-    yield "block_range", pm @ (adjoint(qm) - qm) @ pm
+    skew = adjoint(qm) - qm
+    yield "block_range", pm @ skew @ pm
+    comp = identity(q.dim) - pm
     yield "block_cross", pm @ (adjoint(qm) + qm) @ comp
-    yield "block_null", comp @ (adjoint(qm) - qm) @ comp
+    yield "block_null", comp @ skew @ comp
+    del skew, comp
+    reflect = 2.0 * pm - identity(q.dim)
     yield "adjoint_reflection", adjoint(qm) - reflect @ qm @ reflect
     yield "abs_reflection", q.abs_q_star - reflect @ q.abs_q @ reflect
 
@@ -457,23 +466,56 @@ def homotopy_path(q: Idempotent, samples: int) -> list[Idempotent]:
     return as_idempotent(path, q.tol)
 
 
-def _column_space_projector(m: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """The orthoprojector U_r U_r* onto range(M), r the ``numerical_rank`` of M's singular values."""
-    u, s, _ = np.linalg.svd(m)
-    cols = u[:, : numerical_rank(s, m.shape[0], tol)]
-    return cols @ adjoint(cols)
-
-
 def range_identities(q: Idempotent) -> list[Check]:
-    """Range/kernel identities of m(Q), verified through orthogonal projectors.
+    """Range/kernel identities of m(Q), each column space read from Q's SVD, no operand factored.
 
-    Subspace equality is tested as the gap between the corresponding
-    orthoprojectors, each from one SVD of its operand
-    (``_column_space_projector``); each gap and product residual is a
-    bracketed check (``norm_check``).  The kernel identity needs no
-    factorization of its own: for any M, ker(M) = range(M*)^perp, so
-    ker(|Q*| + Q) = range(|Q*| + Q*)^perp, and its orthoprojector is I minus
-    the one the first range identity takes.
+    With Q = U_r S_r V_r* (r = ``q.rank``), idempotency gives V_r* U_r =
+    S_r^(-1), so W = U_r + V_r has orthogonal columns, W* W = D =
+    2 (I + S_r^(-1)), and each operand factors through W or X = [U_r | V_r]
+    with a nonsingular middle factor:
+
+        |Q*| + Q* = W S_r U_r*,   |Q| + Q = W S_r V_r*,   |Q*| + |Q| + Q + Q* = W S_r W*,
+        Q + Q* = U_r S_r V_r* + V_r S_r U_r*,   |Q*| + |Q| = U_r S_r U_r* + V_r S_r V_r*.
+
+    - U_r*, V_r* and S_r W* map onto C^r, so the first three have range W,
+      and ker(|Q*| + Q) = ker(U_r S_r W*) = range(W)^perp.
+    - |Q*| + |Q| = X diag(S_r, S_r) X* has a positive middle factor, so its
+      range is range X.
+    - So is that of Q + Q*.  Let (Q + Q*) x = 0 and y = Q x.  Then Q* x = -y,
+      so Q y = y and Q* y = y, and |y|^2 = <Q x, y> = <x, Q* y> = <x, y> =
+      <x, Q y> = <Q* x, y> = -|y|^2.  So Q x = Q* x = 0: ker(Q + Q*) is
+      null Q cap null Q*, and the range of the Hermitian Q + Q* is its
+      complement, range Q + range Q* = range X.
+
+    The factorizations are held as the residuals of Q = U_r S_r V_r*,
+    |Q*| = U_r S_r U_r* and |Q| = V_r S_r V_r* at q.tol.relative(||Q||); an
+    operand's residual is the sum of its terms'.  No rank is decided for an
+    operand whose small eigenvalues are about sigma^2 / 2.  The projectors
+    come from Q's SVD: P_W = W D^(-1) W* onto range W
+    (``matched_projection_svd``), and P_X = P_R(Q) + B B* onto range X
+    (``range_projection``), B = U_perp G_k for the thin SVD G Sigma H* of
+    the (n - r) x r overlap U_perp* V_r.  Its singular values are the sines
+    sigma_i / sqrt(1 + sigma_i^2) of the angles between range Q and range
+    Q*, of scale ||V_r|| = 1, so k counts those above X's rank cutoff, the
+    rank factor of n (n eps by default).  Each gap compares m(Q) from the
+    pencil with one of these projectors, two independent routes, at the
+    fixed ``Tolerances.subspace``.  A range identity is one record, a stack
+    of its gap and its operands' residuals, the residuals scaled by
+    subspace / relative(||Q||) so that every slice meets the record's gate
+    exactly when it meets its own.  The two products are held at
+    relative(||Q||).
+
+    "range m(Q) = range(Q + Q*) iff Q is a projection" compares
+    ||m(Q) - P_X|| <= subspace with ``is_projection``.  Two projections of
+    different rank are at distance 1, and rank m(Q) = r, rank P_X = r + k,
+    so the left side holds iff k = 0, that is iff nu = max sigma_i is below
+    X's cutoff, up to rounding of order n eps; then P_X = P_R(Q), which is
+    within sin(arctan(nu) / 2) <= nu / 2 of m(Q).  On one angle Q - Q* =
+    [[0, sigma], [-sigma, 0]], so ``is_projection`` holds iff nu <=
+    tol.check.  The sides agree for nu below X's cutoff and above
+    tol.check.  In the band between, about n eps < nu <= tol.check, Q is a
+    projection at its tolerance while range Q and range Q* are told apart,
+    and the check may fail: there the paper's "iff" is not asserted.
 
     The trivial intersections are read from bases that Q already holds: the
     range and kernel of m(Q) are spanned by V_+ and V_- of the ``pencil``
@@ -483,41 +525,49 @@ def range_identities(q: Idempotent) -> list[Check]:
     full column rank: V_r* V_+ for range m(Q) and null Q, U_perp* V_- for
     null m(Q) and range Q.  In the Halmos two-subspace form each overlap's
     singular values are cos(theta_i / 2) >= 1/sqrt 2, so ``numerical_rank``
-    decides it with no n x n factorization.  "Q is a projection" is
-    ``is_projection``'s verdict.
+    decides it with no n x n factorization.
     """
-    qm, tol = q.matrix, q.tol
+    qm, tol, r = q.matrix, q.tol, q.rank
     m = _matched_pair(q).projection.matrix
-    eye = identity(q.dim)
-    abs_q, abs_qs = q.abs_q, q.abs_q_star
-    sum_qs = qm + adjoint(qm)
-    proj_sum = _column_space_projector(sum_qs, tol)
-    proj_absqs_qstar = _column_space_projector(abs_qs + adjoint(qm), tol)
-
+    u, s, vh = q.svd
+    u_r, v_r = u[:, :r], adjoint(vh[:r])
+    us = u_r * s[:r]
     gate, subspace = tol.relative(q.norm), tol.subspace
+    # the residuals of Q = U_r S_r V_r*, |Q*| = U_r S_r U_r* and
+    # |Q| = V_r S_r V_r*, scaled from relative(||Q||) to the records' gate
+    r_q, r_abs_qs, r_abs_q = qm - us @ vh[:r], q.abs_q_star - us @ adjoint(u_r), q.abs_q - (v_r * s[:r]) @ vh[:r]
+    for residual in (r_q, r_abs_qs, r_abs_q):
+        residual *= subspace / gate
+
+    def held(name, *slices):
+        return norm_check(name, np.stack(slices), subspace)
+
+    g, sines, _ = np.linalg.svd(adjoint(u[:, r:]) @ v_r, full_matrices=False)
+    b = u[:, r:] @ g[:, : np.count_nonzero(sines > tol.rank_factor(q.dim))]
+    p_x = range_projection(q).matrix + b @ adjoint(b)
+    inside = held("range_mq_inside_range_q_plus_qstar", m - p_x @ m, r_q + adjoint(r_q))
+    ranges_equal = norm_at_most(m - p_x, subspace)
+    del p_x
+    gap_w = m - matched_projection_svd(q)
     checks = [
-        norm_check("range_mq_eq_range_absqstar_plus_qstar", m - proj_absqs_qstar, subspace),
-        norm_check("range_mq_eq_range_absq_plus_q", m - _column_space_projector(abs_q + qm, tol), subspace),
-        norm_check("kernel_mq_eq_kernel_absqstar_plus_q", (eye - m) - (eye - proj_absqs_qstar), subspace),
-        norm_check("range_mq_inside_range_q_plus_qstar", (eye - proj_sum) @ m, subspace),
-        norm_check("range_q_plus_qstar_eq_range_absqstar_plus_absq",
-                   proj_sum - _column_space_projector(abs_qs + abs_q, tol), subspace),
-        norm_check("range_mq_eq_range_four_term_sum",
-                   m - _column_space_projector(abs_qs + abs_q + sum_qs, tol), subspace),
-        norm_check("mq_times_qstar", m @ adjoint(qm) - 0.5 * (abs_qs + adjoint(qm)), gate),
-        norm_check("mq_times_q", m @ qm - 0.5 * (abs_q + qm), gate),
+        held("range_mq_eq_range_absqstar_plus_qstar", gap_w, r_abs_qs + adjoint(r_q)),
+        held("range_mq_eq_range_absq_plus_q", gap_w, r_abs_q + r_q),
+        held("kernel_mq_eq_kernel_absqstar_plus_q", -gap_w, r_abs_qs + r_q),
+        inside,
+        held("range_q_plus_qstar_eq_range_absqstar_plus_absq", r_q + adjoint(r_q), r_abs_qs + r_abs_q),
+        held("range_mq_eq_range_four_term_sum", gap_w, r_abs_qs + r_abs_q + r_q + adjoint(r_q)),
+        norm_check("mq_times_qstar", m @ adjoint(qm) - 0.5 * (q.abs_q_star + adjoint(qm)), gate),
+        norm_check("mq_times_q", m @ qm - 0.5 * (q.abs_q + qm), gate),
     ]
 
     w, v = q.pencil
-    u, _, vh = q.svd
     for name, overlap in (
-        ("range_mq_meets_null_q_trivially", vh[: q.rank] @ v[:, w > 0.0]),
-        ("null_mq_meets_range_q_trivially", adjoint(u[:, q.rank :]) @ v[:, w <= 0.0]),
+        ("range_mq_meets_null_q_trivially", vh[:r] @ v[:, w > 0.0]),
+        ("null_mq_meets_range_q_trivially", adjoint(u[:, r:]) @ v[:, w <= 0.0]),
     ):
         rank = numerical_rank(np.linalg.svd(overlap, compute_uv=False), q.dim, tol)
         checks.append(boolean_check(name, rank == overlap.shape[1]))
 
-    ranges_equal = norm_at_most(m - proj_sum, subspace)
     checks.append(boolean_check("range_equality_iff_projection", ranges_equal == is_projection(qm, tol)))
     return checks
 

@@ -509,14 +509,17 @@ class TestAnalyze:
         # |Q*| + |Q| and the four-term sum) take an SVD, not an eigh, since
         # their eigh cost more than the SVD at small n: svd 6 -> 9, eigh 6 -> 3.
         # 27 (eigh 3) while the V V* oracle took (I + |Q*|)^(-1/2) from an
-        # eigh of its own rather than from its SVD of Q*
+        # eigh of its own rather than from its SVD of Q*; 26 (svd 9) while
+        # range_identities took one SVD per compared operand, where it now
+        # reads range W and range X from Q's SVD and one thin SVD of the
+        # (n - r) x r overlap U_perp* V_r: svd 9 -> 5
         q = tmp_path / "q.json"
         assert run("generate", "--dim", 8, "--rank", 3, "--offdiag-norm", 2,
                    "--seed", 42, "--output", q) == 0
         factorizations.clear()
         assert run("analyze", "--input", q) == 0
-        assert sum(factorizations.values()) <= 26, dict(factorizations)
-        assert factorizations["svd"] <= 9, dict(factorizations)
+        assert sum(factorizations.values()) <= 22, dict(factorizations)
+        assert factorizations["svd"] <= 5, dict(factorizations)
         assert factorizations["eigh"] <= 2, dict(factorizations)
         assert factorizations["svdvals"] <= 8, dict(factorizations)
         assert factorizations["solve"] == 1, dict(factorizations)

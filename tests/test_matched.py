@@ -1048,6 +1048,92 @@ class TestRangeIdentities:
                     smallest.append(np.linalg.svd(overlap, compute_uv=False).min())
         assert min(smallest) >= 1.0 / RT2 - 1e-12, min(smallest)
 
+    def test_nu_sweep_holds_every_range_identity_and_the_iff_outside_its_band(self):
+        """Every decade of nu from 1e-14 to 1e6, and nu = 0, for n in {16, 32, 64}, two ranks, two seeds.
+
+        Every record but the "iff" passes at every nu.  The iff's sides
+        disagree only in the band the docstring derives, between X's rank
+        cutoff (the sines of the angles between range Q and range Q*, about
+        nu, against n eps) and ``is_projection``'s tol.check (||Q - Q*|| = nu);
+        outside it, with a factor of 2 on either end for rounding, it passes.
+        """
+        band = []
+        for dim in (16, 32, 64):
+            cutoff = DEFAULT_TOL.rank_factor(dim)
+            for rank in (dim // 4, 3 * dim // 4):
+                for seed in (1, 2):
+                    for nu in (0.0, *(10.0**e for e in range(-14, 7))):
+                        q = random_idempotent(dim, rank, nu, 1000 * dim + 10 * rank + seed)
+                        checks = {c.name: c.passed for c in range_identities(q)}
+                        iff = checks.pop("range_equality_iff_projection")
+                        assert all(checks.values()), (dim, rank, seed, nu, [k for k, v in checks.items() if not v])
+                        if nu <= 0.5 * cutoff or nu >= 2.0 * DEFAULT_TOL.check:
+                            assert iff, (dim, rank, seed, nu)
+                        else:
+                            band.append(iff)
+        # the band is where the paper's "iff" meets rounding: n eps < nu <= check
+        assert band and not all(band)
+
+    @staticmethod
+    def _rotated(m, eps, seed):
+        """e^(i eps H) m e^(-i eps H) for a seeded Hermitian H of norm 1: a projection whose range moved by about eps."""
+        h = complex_gaussian(np.random.default_rng(seed), *m.shape)
+        lam, v = np.linalg.eigh(h + adjoint(h))
+        u = (v * np.exp(1j * eps * lam / np.abs(lam).max())) @ adjoint(v)
+        return u @ m @ adjoint(u)
+
+    def test_each_mended_check_fails_when_m_is_rotated(self, monkeypatch):
+        # range m(Q) moved by 1e-6 out of range W and range X (rank 5 of 16,
+        # so range X is a proper subspace), and, for a projection input, out
+        # of range Q + Q* = range Q: each gap exceeds Tolerances.subspace
+        mended = ["range_mq_eq_range_absqstar_plus_qstar", "range_mq_eq_range_absq_plus_q",
+                  "kernel_mq_eq_kernel_absqstar_plus_q", "range_mq_inside_range_q_plus_qstar",
+                  "range_mq_eq_range_four_term_sum"]
+        for q, names in ((random_idempotent(16, 5, 1.0, 3), mended),
+                         (as_idempotent(random_projection(16, 5, 3).matrix), ["range_equality_iff_projection"])):
+            assert all_passed(range_identities(q))
+            rotated = matched_module.MatchedPair(Projection(self._rotated(
+                matched_projection(q).projection.matrix, 1e-6, 4), q.tol))
+            with monkeypatch.context() as patch:
+                patch.setattr(matched_module, "_matched_pair", lambda _: rotated)
+                checks = {c.name: c.passed for c in range_identities(q)}
+            assert not any(checks[name] for name in names), checks
+
+    def test_each_factorization_check_fails_when_the_svd_is_rotated(self):
+        # V of Q's SVD rotated by 1e-6: every operand's factorization residual
+        # exceeds relative(||Q||), and range(Q + Q*) = range(|Q*| + |Q|), the
+        # one identity that reads no m(Q), fails with the others
+        q = random_idempotent(16, 5, 1.0, 3)
+        u, s, vh = q.svd
+        vars(q)["svd"] = (u, s, self._rotated(vh, 1e-6, 5))
+        checks = {c.name: c.passed for c in range_identities(q)}
+        held = [name for name in checks if name.startswith(("range_mq_eq", "kernel", "range_mq_inside", "range_q_"))]
+        assert len(held) == 6 and not any(checks[name] for name in held), checks
+
+    def test_iff_fails_for_a_q_above_the_band_called_a_projection(self):
+        # nu = 1e-6 is above the band, and Q certified at check 1e-5 is a
+        # projection to that tolerance, but range Q and range Q* differ
+        q = as_idempotent(random_idempotent(16, 5, 1e-6, 3).matrix, Tolerances(check=1e-5))
+        assert is_projection(q.matrix, q.tol)
+        checks = {c.name: c.passed for c in range_identities(q)}
+        assert not checks["range_equality_iff_projection"]
+
+    def test_warm_q_takes_no_svd_of_an_n_by_n_operand(self, monkeypatch):
+        # with Q's SVD, pencil, m(Q) and P_R(Q) memoized, the column spaces
+        # come from them: one thin SVD of the (n - r) x r overlap U_perp* V_r
+        # and the singular values of the two trivial-intersection overlaps
+        q = random_idempotent(64, 20, 1.0, 9)
+        range_identities(q)
+        shapes, svd = [], np.linalg.svd
+
+        def recorded(a, full_matrices=True, compute_uv=True, *args, **kwargs):
+            shapes.append((a.shape, compute_uv))
+            return svd(a, full_matrices, compute_uv, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recorded)
+        range_identities(q)
+        assert shapes == [((44, 20), True), ((20, 20), False), ((44, 44), False)], shapes
+
 
 class TestFractionalPower:
     def test_projection_all_zero(self):

@@ -1035,43 +1035,6 @@ def test_the_koliha_eigensolve_invariant_sees_each_spelling():
         assert bool(_own_eigensolves(source, "koliha_projections")) == (source in spellings), source
 
 
-def _projector_options(source):
-    """Where ``_column_space_projector`` takes a ``hermitian`` parameter or calls an eigensolver."""
-    found = [
-        f"{function.lineno} parameter {arg.arg}"
-        for function in _functions_named(source, "_column_space_projector")
-        for arg in (*function.args.posonlyargs, *function.args.args, *function.args.kwonlyargs)
-        if arg.arg == "hermitian"
-    ]
-    return found + _own_eigensolves(source, "_column_space_projector")
-
-
-def test_column_space_projector_has_one_kernel():
-    # every operand of range_identities takes the SVD; the Hermitian eigh
-    # branch cost more than the SVD at small n and saved little at large n
-    source = (PACKAGE / "matched.py").read_text(encoding="utf-8")
-    assert "def _column_space_projector(" in source
-    found = _projector_options(source)
-    assert not found, found
-
-
-def test_the_projector_invariant_sees_each_spelling():
-    spellings = [
-        "def _column_space_projector(m, tol, hermitian=False):\n    u, s, _ = np.linalg.svd(m)",
-        "def _column_space_projector(m, tol, *, hermitian):\n    u, s, _ = np.linalg.svd(m)",
-        "def _column_space_projector(m, tol):\n    w, v = hermitian_eigen(m, tol)",
-        "def _column_space_projector(m, tol):\n    w, v = np.linalg.eigh(m)",
-        "def _column_space_projector(m, tol):\n    def basis():\n        return eigh(m)[1]\n    v = basis()",
-    ]
-    allowed = [
-        "def _column_space_projector(m, tol):\n    u, s, _ = np.linalg.svd(m)",
-        "def psd_power(m, power, tol):\n    lam, v = hermitian_eigen(m, tol)",
-        "def range_identities(q, tol, hermitian=True):\n    w, v = q.pencil",
-    ]
-    for source in spellings + allowed:
-        assert bool(_projector_options(source)) == (source in spellings), source
-
-
 STACKERS = ("hstack", "vstack", "column_stack", "concatenate", "block")
 
 
