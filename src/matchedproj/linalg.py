@@ -199,11 +199,8 @@ def norm_bounds(m: np.ndarray) -> tuple[float, float]:
     the computed largest singular value within a few n eps of the exact one,
     and 4 n eps covers both.
     """
-    sq = np.conjugate(m)
-    # in place, one temporary fewer; numpy multiplies a lone element in place
-    # by another loop, which rounds apart from the out-of-place product
-    sq = sq * m if sq.size == 1 else np.multiply(sq, m, out=sq)
-    cols = np.add.reduce(sq.real, axis=-2)
+    sq = (m.conj() * m).real
+    cols = np.add.reduce(sq, axis=-2)
     slack = 4.0 * max(m.shape[-2:]) * EPS
     if m.ndim == 2:
         lower, upper = math.sqrt(np.maximum.reduce(cols)), math.sqrt(np.add.reduce(cols))

@@ -37,10 +37,11 @@ Relative rank cutoffs all go through ``linalg.numerical_rank``.
 ``range_identities`` factors none of the operands whose column spaces it
 compares: each factors through Q's SVD bases with a nonsingular middle
 factor, so their ranges and projectors come from Q's SVD and one thin SVD
-of the overlap U_perp* V_r, and the trivial intersections from overlaps
-of the bases that the pencil and Q's SVD already hold.  The module keeps no
-state of its own: the harness self-test corrupts an input instead, a
-copy of Q whose cached pencil has V scaled by 2 (``battery.sabotaged``).
+of the (n - r) x r block U_perp* Q* U_r, and the trivial intersections
+from overlaps of the bases that the pencil and Q's SVD already hold.  The
+module keeps no state of its own: the harness self-test corrupts an input
+instead, a copy of Q whose cached pencil has V scaled by 2
+(``battery.sabotaged``).
 
 Four further routes are kept only as independent oracles for ``verify``
 and the tests, never built from Q's pencil vectors.  The SVD formula
@@ -65,7 +66,7 @@ by one function, ``_certified_witness``; only the certificate is shared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator
 
 import numpy as np
@@ -487,35 +488,41 @@ def range_identities(q: Idempotent) -> list[Check]:
       null Q cap null Q*, and the range of the Hermitian Q + Q* is its
       complement, range Q + range Q* = range X.
 
-    The factorizations are held as the residuals of Q = U_r S_r V_r*,
-    |Q*| = U_r S_r U_r* and |Q| = V_r S_r V_r* at q.tol.relative(||Q||); an
-    operand's residual is the sum of its terms'.  No rank is decided for an
-    operand whose small eigenvalues are about sigma^2 / 2.  The projectors
-    come from Q's SVD: P_W = W D^(-1) W* onto range W
+    The factorizations all hold when Q = U_r S_r V_r* does, so one residual
+    is held, Q - U_r S_r V_r* at q.tol.relative(||Q||): |Q*| = U S U* and
+    |Q| = V S V* are built from the same SVD, and their residuals against
+    U_r S_r U_r* and V_r S_r V_r* have the same norm s_(r+1).  No rank is
+    decided for an operand whose small eigenvalues are about sigma^2 / 2.
+    The projectors come from Q's SVD: P_W = W D^(-1) W* onto range W
     (``matched_projection_svd``), and P_X = P_R(Q) + B B* onto range X
     (``range_projection``), B = U_perp G_k for the thin SVD G Sigma H* of
-    the (n - r) x r overlap U_perp* V_r.  Its singular values are the sines
-    sigma_i / sqrt(1 + sigma_i^2) of the angles between range Q and range
-    Q*, of scale ||V_r|| = 1, so k counts those above X's rank cutoff, the
-    rank factor of n (n eps by default).  Each gap compares m(Q) from the
-    pencil with one of these projectors, two independent routes, at the
-    fixed ``Tolerances.subspace``.  A range identity is one record, a stack
-    of its gap and its operands' residuals, the residuals scaled by
-    subspace / relative(||Q||) so that every slice meets the record's gate
-    exactly when it meets its own.  The two products are held at
+    the (n - r) x r matrix U_perp* V_r S_r = U_perp* Q* U_r.  On the basis
+    [U_r | U_perp], Q = [[I, A], [0, 0]] and this is A*, whose singular
+    values are the tangents sigma_i of the angles theta_i between range Q
+    and range Q*; its column space is that of the overlap U_perp* V_r,
+    whose singular values are their sines.  Each gap compares m(Q) from
+    the pencil with one of these projectors, two independent routes, at
+    the fixed ``Tolerances.subspace``.  A range identity is one record, a stack of
+    its gap and Q's residual, the residual scaled by subspace /
+    relative(||Q||) so that each slice meets the record's gate exactly when
+    it meets its own.  The three identities with range W, and the kernel
+    identity, whose projectors I - m(Q) and I - P_W differ by the same gap,
+    share one record's values.  The two products are held at
     relative(||Q||).
 
     "range m(Q) = range(Q + Q*) iff Q is a projection" compares
-    ||m(Q) - P_X|| <= subspace with ``is_projection``.  Two projections of
-    different rank are at distance 1, and rank m(Q) = r, rank P_X = r + k,
-    so the left side holds iff k = 0, that is iff nu = max sigma_i is below
-    X's cutoff, up to rounding of order n eps; then P_X = P_R(Q), which is
-    within sin(arctan(nu) / 2) <= nu / 2 of m(Q).  On one angle Q - Q* =
-    [[0, sigma], [-sigma, 0]], so ``is_projection`` holds iff nu <=
-    tol.check.  The sides agree for nu below X's cutoff and above
-    tol.check.  In the band between, about n eps < nu <= tol.check, Q is a
-    projection at its tolerance while range Q and range Q* are told apart,
-    and the check may fail: there the paper's "iff" is not asserted.
+    ||m(Q) - P_X|| <= subspace with ``is_projection``, and k is decided by
+    the quantity and cutoff ``is_projection`` reads: Q - Q* = [[0, A],
+    [-A*, 0]] on the same basis, so ||Q - Q*|| = ||A|| = nu = max sigma_i,
+    and k counts the sigma_i > tol.check.  Two projections of different
+    rank are at distance 1, and rank m(Q) = r, rank P_X = r + k, so for
+    nu > tol.check both sides are false.  For nu <= tol.check, k = 0 and
+    P_X = P_R(Q), within sin(arctan(nu) / 2) <= nu / 2 <= tol.check / 2 of
+    m(Q), so both sides are true when tol.check <= 2 subspace, as at the
+    defaults (1e-10 against 1e-8).  The sides can part only where the two
+    routes to nu round to opposite sides of tol.check, and, at a tolerance
+    check above 2 subspace, for nu in (2 subspace, tol.check], where Q is a
+    projection at its tolerance but m(Q) is not within subspace of P_R(Q).
 
     The trivial intersections are read from bases that Q already holds: the
     range and kernel of m(Q) are spanned by V_+ and V_- of the ``pencil``
@@ -530,32 +537,28 @@ def range_identities(q: Idempotent) -> list[Check]:
     qm, tol, r = q.matrix, q.tol, q.rank
     m = _matched_pair(q).projection.matrix
     u, s, vh = q.svd
-    u_r, v_r = u[:, :r], adjoint(vh[:r])
-    us = u_r * s[:r]
     gate, subspace = tol.relative(q.norm), tol.subspace
-    # the residuals of Q = U_r S_r V_r*, |Q*| = U_r S_r U_r* and
-    # |Q| = V_r S_r V_r*, scaled from relative(||Q||) to the records' gate
-    r_q, r_abs_qs, r_abs_q = qm - us @ vh[:r], q.abs_q_star - us @ adjoint(u_r), q.abs_q - (v_r * s[:r]) @ vh[:r]
-    for residual in (r_q, r_abs_qs, r_abs_q):
-        residual *= subspace / gate
+    # the residual of Q = U_r S_r V_r*, scaled from relative(||Q||) to the records' gate
+    r_q = qm - (u[:, :r] * s[:r]) @ vh[:r]
+    r_q *= subspace / gate
 
-    def held(name, *slices):
-        return norm_check(name, np.stack(slices), subspace)
+    def held(name, gap):
+        return norm_check(name, np.stack((gap, r_q)), subspace)
 
-    g, sines, _ = np.linalg.svd(adjoint(u[:, r:]) @ v_r, full_matrices=False)
-    b = u[:, r:] @ g[:, : np.count_nonzero(sines > tol.rank_factor(q.dim))]
+    g, tangents, _ = np.linalg.svd((adjoint(u[:, r:]) @ adjoint(vh[:r])) * s[:r], full_matrices=False)
+    b = u[:, r:] @ g[:, : np.count_nonzero(tangents > tol.check)]
     p_x = range_projection(q).matrix + b @ adjoint(b)
-    inside = held("range_mq_inside_range_q_plus_qstar", m - p_x @ m, r_q + adjoint(r_q))
+    inside = held("range_mq_inside_range_q_plus_qstar", m - p_x @ m)
     ranges_equal = norm_at_most(m - p_x, subspace)
     del p_x
-    gap_w = m - matched_projection_svd(q)
+    on_w = held("range_mq_eq_range_absqstar_plus_qstar", m - matched_projection_svd(q))
     checks = [
-        held("range_mq_eq_range_absqstar_plus_qstar", gap_w, r_abs_qs + adjoint(r_q)),
-        held("range_mq_eq_range_absq_plus_q", gap_w, r_abs_q + r_q),
-        held("kernel_mq_eq_kernel_absqstar_plus_q", -gap_w, r_abs_qs + r_q),
+        on_w,
+        replace(on_w, name="range_mq_eq_range_absq_plus_q"),
+        replace(on_w, name="kernel_mq_eq_kernel_absqstar_plus_q"),
         inside,
-        held("range_q_plus_qstar_eq_range_absqstar_plus_absq", r_q + adjoint(r_q), r_abs_qs + r_abs_q),
-        held("range_mq_eq_range_four_term_sum", gap_w, r_abs_qs + r_abs_q + r_q + adjoint(r_q)),
+        norm_check("range_q_plus_qstar_eq_range_absqstar_plus_absq", r_q, subspace),
+        replace(on_w, name="range_mq_eq_range_four_term_sum"),
         norm_check("mq_times_qstar", m @ adjoint(qm) - 0.5 * (q.abs_q_star + adjoint(qm)), gate),
         norm_check("mq_times_q", m @ qm - 0.5 * (q.abs_q + qm), gate),
     ]

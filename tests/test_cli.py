@@ -512,7 +512,7 @@ class TestAnalyze:
         # eigh of its own rather than from its SVD of Q*; 26 (svd 9) while
         # range_identities took one SVD per compared operand, where it now
         # reads range W and range X from Q's SVD and one thin SVD of the
-        # (n - r) x r overlap U_perp* V_r: svd 9 -> 5
+        # (n - r) x r block U_perp* Q* U_r: svd 9 -> 5
         q = tmp_path / "q.json"
         assert run("generate", "--dim", 8, "--rank", 3, "--offdiag-norm", 2,
                    "--seed", 42, "--output", q) == 0
