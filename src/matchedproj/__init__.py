@@ -56,6 +56,7 @@ from .matched import (
     FactorOracle,
     MatchedPair,
     SimilarityWitness,
+    abs_q_star_pinv,
     factor_oracle,
     fractional_power_limit,
     homotopy_path,

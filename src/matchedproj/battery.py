@@ -61,6 +61,7 @@ from .linalg import (
     psd_power,
 )
 from .matched import (
+    abs_q_star_pinv,
     factor_oracle,
     fractional_power_limit,
     homotopy_path,
@@ -269,11 +270,10 @@ def _matched_identities(rng, dim, q, tol):
     yield norm_check("abs-product-gives-q", q.abs_q_star @ q.abs_q - qm, scale)
     yield norm_check("abs-product-gives-qstar", q.abs_q @ q.abs_q_star - adjoint(qm), scale)
     # Koliha's |Q*|^dag against |Q| from Q's SVD: two independent routes
-    yield norm_check("sandwich-pinv-gives-abs", adjoint(qm) @ fo.abs_q_star_pinv @ qm - q.abs_q, scale)
-    yield norm_check(
-        "pinv-abs-route-agreement", fo.abs_q_star_pinv - moore_penrose(fo.abs_q_star, tol), tol.check
-    )
-    yield norm_check("pinv-abs-contraction", fo.abs_q_star_pinv, tol.above(1.0))
+    dag = abs_q_star_pinv(q)
+    yield norm_check("sandwich-pinv-gives-abs", adjoint(qm) @ dag @ qm - q.abs_q, scale)
+    yield norm_check("pinv-abs-route-agreement", dag - moore_penrose(fo.abs_q_star, tol), tol.check)
+    yield norm_check("pinv-abs-contraction", dag, tol.above(1.0))
 
     u = random_unitary(dim, rng)
     yield Check("unitary-equivariance", unitary_equivariance(q, u), scale)

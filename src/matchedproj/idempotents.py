@@ -48,7 +48,8 @@ class Idempotent:
     need a certificate or a cutoff at ``q.tol`` are kept in the private ``_memo`` by the functions that
     compute them, each decorated with ``memoized_on_q``: P_R(Q) = U_r U_r*,
     P_N(Q) = I - V_r V_r*, the certified m(Q), its witness and distance,
-    the oracles' records (Koliha's projections and ``matched.factor_oracle``),
+    the oracles' values (Koliha's projections, ``matched.factor_oracle`` and
+    ``matched.abs_q_star_pinv``),
     which never read the SVD, and the partners Q* and I - Q (``adjoint_of``,
     ``complement_of``), each a new ``Idempotent``, never Q itself.
     The idempotent is built from its matrix and ``tol`` alone: the certificate decides

@@ -88,8 +88,7 @@ class Tolerances:
     epsilon``).  The fixed gates are class constants: ``psd``, the slack on
     negative eigenvalues in ``psd_order``; ``subspace``, the gap between two
     orthoprojectors for "these subspaces are equal"; ``route``, the factor
-    on ``check`` for two routes to m(Q), fixed though V V*'s error grows
-    with ||Q|| (CHANGES.md); ``absolute``, an absolute slack on residuals
+    on ``check`` for two routes to m(Q); ``absolute``, an absolute slack on residuals
     that are zero in exact arithmetic; ``limit``, the distance of a finite
     table's last entry from its limit.  The methods are the gate formulas,
     each nondecreasing in its norm argument, so a gate of lower bounds on

@@ -22,9 +22,9 @@ two factorizations of Q have one role each, and no value of Q is built by
 both: the pencil makes m(Q), the witness and the path, and Q's SVD is the
 reference for the values of Q alone, ||Q||, |Q| = V S V*, |Q*| = U S U* and
 P_R(Q) = U_r U_r*, which every function here reads from Q.  |Q*|^dag is
-not one of them: the factor oracle holds it, by Koliha's route (below),
+not one of them: ``abs_q_star_pinv`` takes it by Koliha's route (below),
 and the battery holds Q* |Q*|^dag Q = |Q| against Q's SVD.  m(Q) (a
-``MatchedPair``), its distance to Q, its witness, the oracle record and
+``MatchedPair``), its distance to Q, its witness, the oracle values and
 K = m(Q) Q m(Q) with its powers over
 the fixed ``EXPONENT_GRID`` (``fractional_powers``) are each memoized on Q
 (``idempotents.memoized_on_q``), and every function here reads m(Q) by
@@ -48,10 +48,11 @@ and the tests, never built from Q's pencil vectors.  The SVD formula
 m(Q) = W D^(-1) W*, W = U_r + V_r, D = 2 (I + S_r^(-1)), reads Q's SVD
 (``matched_projection_svd``); S(Q*) is S(Q) bit for bit and S(I - Q) is -S,
 so it is what the m of a partner Q* or I - Q is compared with.  The next
-two read one record per Q, ``factor_oracle``: |Q*| and (I + |Q*|)^(-1/2)
-from one SVD of Q* of its own, |Q*|^dag from the memoized Koliha projections
-of ``koliha_projections``, T = |Q*| + Q*, T^dag and V; the block witness
-takes P_R(Q) from the same projections:
+two read one record per Q, ``factor_oracle``: |Q*|, T = |Q*| + Q*, T^dag
+and V, all from one SVD of Q* of its own; the closed formula also reads
+|Q*|^dag = (P_R(Q) P_R(Q*) P_R(Q))^(1/2) from the memoized Koliha
+projections of ``koliha_projections`` (``abs_q_star_pinv``), and the block
+witness takes P_R(Q) from the same projections:
 
 - the closed formula (1/2) (|Q*| + Q*) |Q*|^dag (|Q*| + I)^(-1) (|Q*| + Q)
   (``matched_projection_closed_form``);
@@ -110,14 +111,13 @@ from .report import Check, boolean_check, norm_check
 
 @dataclass(frozen=True)
 class FactorOracle:
-    """Oracle values of Q: |Q*|, |Q*|^dag, T = |Q*| + Q*, T^dag and V; T T^dag = V V* = m(Q).
+    """Oracle values of Q: |Q*|, T = |Q*| + Q*, T^dag and V; T T^dag = V V* = m(Q).
 
-    |Q*| and the factor (I + |Q*|)^(-1/2) of V come from one SVD of Q*
-    (``factor_oracle``), never from Q's memoized ``svd``.
+    Each comes from one SVD of Q* (``factor_oracle``), never from Q's
+    memoized ``svd``.
     """
 
     abs_q_star: np.ndarray
-    abs_q_star_pinv: np.ndarray
     t: np.ndarray
     t_pinv: np.ndarray
     v: np.ndarray
@@ -128,24 +128,34 @@ def factor_oracle(q: Idempotent) -> FactorOracle:
     """The ``FactorOracle`` of Q, never read from Q's SVD; memoized on Q.
 
     One SVD of its own, Q* = U S V*, gives |Q*| = V S V* (``abs_value``'s
-    formula, bit for bit) and (I + |Q*|)^(-1/2) = V (I + S)^(-1/2) V*; the
-    eigenvalues 1 + s_i are at least 1, so that power needs no rank cutoff.
-    |Q*|^dag = (P_R(Q) P_R(Q*) P_R(Q))^(1/2) from ``koliha_projections`` and
-    its square root, the powers 1/2 and 1/4 of the same product, come from
-    one ``psd_power``; V = T (|Q*|^dag)^(1/2) (I + |Q*|)^(-1/2) / sqrt 2.
+    formula, bit for bit), T = |Q*| + Q* = (U + V) S V* and
 
-    Koliha's solve and the power run first, while none of the record's
-    values is held; the SVD's V* and the 1/4 power go before T^dag, and
-    each field is an array of its own, so the memo keeps five n x n arrays.
+        V = T V_r (S_r (I + S_r))^(-1/2) V_r* / sqrt 2,
+
+    r the number of singular values above 1/2, the cut of ``Idempotent.rank``,
+    which needs no tolerance.  Idempotency gives U_r* V_r = S_r^(-1), so
+    V V* = W S_r (I + S_r)^(-1) W* / 2 for W = U_r + V_r, which is m(Q) as
+    ``matched_projection_svd`` writes it, and V* V = V_r V_r* = P_R(Q).
+    T^dag is ``moore_penrose``'s.
     """
-    p_r, p_rs = (p.matrix for p in koliha_projections(q))
-    dag, dag_root = map(np.copy, psd_power(p_r @ p_rs @ p_r, [0.5, 0.25], q.tol))
     _, s, vh = np.linalg.svd(adjoint(q.matrix))
     abs_qs = (adjoint(vh) * s) @ vh
     t = abs_qs + adjoint(q.matrix)
-    v = np.sqrt(0.5) * t @ dag_root @ ((adjoint(vh) / np.sqrt(1.0 + s)) @ vh)
-    del vh, dag_root
-    return FactorOracle(abs_qs, dag, t, moore_penrose(t, q.tol), v)
+    r = np.count_nonzero(s > 0.5)
+    v_r = adjoint(vh[:r])
+    v = np.sqrt(0.5) * (t @ v_r / np.sqrt(s[:r] * (1.0 + s[:r]))) @ adjoint(v_r)
+    return FactorOracle(abs_qs, t, moore_penrose(t, q.tol), v)
+
+
+@memoized_on_q
+def abs_q_star_pinv(q: Idempotent) -> np.ndarray:
+    """Oracle: |Q*|^dag = (P_R(Q) P_R(Q*) P_R(Q))^(1/2), one ``psd_power`` of Koliha's projections; memoized on Q.
+
+    Read from ``koliha_projections``, never from an SVD, so the battery's
+    Q* |Q*|^dag Q = |Q| holds it against Q's SVD as an independent route.
+    """
+    p_r, p_rs = (p.matrix for p in koliha_projections(q))
+    return psd_power(p_r @ p_rs @ p_r, 0.5, q.tol)
 
 
 @dataclass(frozen=True)
@@ -209,13 +219,14 @@ def matched_distance(q: Idempotent) -> float:
 def matched_projection_closed_form(q: Idempotent) -> np.ndarray:
     """Oracle: m(Q) = (1/2) (|Q*| + Q*) |Q*|^dag (|Q*| + I)^(-1) (|Q*| + Q).
 
-    Built from ``factor_oracle`` and a solve, never from the production SVD.
+    Built from ``factor_oracle``, ``abs_q_star_pinv`` and a solve, never
+    from the production SVD.
     Returned uncertified so that a comparison reports its gap: from
     ||A|| ~ 1e3 up its projection defect exceeds the default check tolerance.
     """
     fo = factor_oracle(q)
     right = np.linalg.solve(fo.abs_q_star + identity(q.dim), fo.abs_q_star + q.matrix)
-    return 0.5 * fo.t @ fo.abs_q_star_pinv @ right
+    return 0.5 * fo.t @ abs_q_star_pinv(q) @ right
 
 
 def matched_via_factor(q: Idempotent) -> tuple[np.ndarray, np.ndarray]:

@@ -426,10 +426,9 @@ class TestAnalyze:
         assert json.loads(written[0])["all_passed"] is True
 
     def test_analysis_holds_no_unread_matrix(self, tmp_path):
-        # the distance report keeps scalars and checks only, the factor oracle
-        # frees V* and its 1/4 power before T's pseudo-inverse and its record
-        # owns each array, and T T^dag and V V* go once their gaps are
-        # bracketed.  Measured 7.24 MB with numpy 2.4.6, against 8.55 MB while
+        # the distance report keeps scalars and checks only, the factor
+        # oracle's record owns each array, and T T^dag and V V* go once their gaps are
+        # bracketed.  Measured 6.71 MB with numpy 2.4.6, against 8.55 MB while
         # the report kept V and D, |Q*|^dag kept psd_power's (2, n, n) stack
         # alive and T T^dag and V V* lived to the end; the ceiling, between
         # the two, leaves 9% headroom
@@ -512,17 +511,19 @@ class TestAnalyze:
         # eigh of its own rather than from its SVD of Q*; 26 (svd 9) while
         # range_identities took one SVD per compared operand, where it now
         # reads range W and range X from Q's SVD and one thin SVD of the
-        # (n - r) x r block U_perp* Q* U_r: svd 9 -> 5
+        # (n - r) x r block U_perp* Q* U_r: svd 9 -> 5.  22 (eigh 2, solve 1)
+        # while the V V* oracle took (P_R(Q) P_R(Q*) P_R(Q))^(1/4) from an
+        # eigh of Koliha's projections, where it now takes V from its SVD of Q*
         q = tmp_path / "q.json"
         assert run("generate", "--dim", 8, "--rank", 3, "--offdiag-norm", 2,
                    "--seed", 42, "--output", q) == 0
         factorizations.clear()
         assert run("analyze", "--input", q) == 0
-        assert sum(factorizations.values()) <= 22, dict(factorizations)
+        assert sum(factorizations.values()) <= 20, dict(factorizations)
         assert factorizations["svd"] <= 5, dict(factorizations)
-        assert factorizations["eigh"] <= 2, dict(factorizations)
+        assert factorizations["eigh"] <= 1, dict(factorizations)
         assert factorizations["svdvals"] <= 8, dict(factorizations)
-        assert factorizations["solve"] == 1, dict(factorizations)
+        assert factorizations["solve"] == 0, dict(factorizations)
 
     def test_input_is_opened_once(self, tmp_path, monkeypatch):
         # the report's sha256 names the bytes that were parsed, from the one read
@@ -544,17 +545,16 @@ class TestAnalyze:
         digest = json.loads(rep.read_text())["input"]["sha256"]
         assert digest == hashlib.sha256(q.read_bytes()).hexdigest()
 
-    def test_oracle_failure_fails_its_checks_only(self, tmp_path, capsys):
-        # at ||A|| = 1e6 the Koliha projections behind the T/V factor oracle
-        # miss certification; the production checks all pass and are reported
+    def test_far_from_a_projection_passes_every_check(self, tmp_path, capsys):
+        # at ||A|| = 1e6 Koliha's projections miss their certificate, and the
+        # T/V factor oracle, built from its own SVD of Q*, reads none of them
         q, rep = tmp_path / "q.json", tmp_path / "rep.json"
         dump(random_idempotent(64, 20, 1e6, 3).matrix, q)
-        assert run("analyze", "--input", q, "--output", rep) == 1
-        assert "factor oracle: projection defect" in capsys.readouterr().err
+        assert run("analyze", "--input", q, "--output", rep) == 0
+        assert capsys.readouterr().err == ""
         report = json.loads(rep.read_text())
-        failed = [c["name"] for c in report["checks"] if not c["passed"]]
-        assert failed == ["matched_equals_tt_factor", "matched_equals_vv_factor"]
-        assert report["all_passed"] is False
+        assert [c["name"] for c in report["checks"] if not c["passed"]] == []
+        assert report["all_passed"] is True
 
     def test_non_hermitian_defect_operator_fails_its_check_only(self, tmp_path, capsys):
         # a 1e-8 Gaussian step off an idempotent of ||A|| = 1e2 (n = 32, rank

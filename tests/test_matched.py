@@ -17,6 +17,7 @@ from matchedproj import (
     Projection,
     Tolerances,
     ValidationError,
+    abs_q_star_pinv,
     abs_value,
     adjoint,
     adjoint_of,
@@ -84,7 +85,7 @@ class TestMpInverseAbsQstar:
     def test_projection_fixed(self):
         p = random_projection(5, 2, 3)
         q = as_idempotent(p.matrix)
-        assert operator_norm(factor_oracle(q).abs_q_star_pinv - p.matrix) <= 1e-12
+        assert operator_norm(abs_q_star_pinv(q) - p.matrix) <= 1e-12
 
     def test_canonical_frozen(self):
         # oracle: P_R(Q)) = diag(1, 0) and P_R(Q*) projects onto span{(1,1)},
@@ -92,14 +93,14 @@ class TestMpInverseAbsQstar:
         v = np.array([[1.0], [1.0]]) / RT2
         triple = np.diag([1.0, 0.0]) @ (v @ v.T) @ np.diag([1.0, 0.0])
         np.testing.assert_allclose(triple, np.diag([0.5, 0.0]), atol=1e-15)
-        out = factor_oracle(canonical()).abs_q_star_pinv
+        out = abs_q_star_pinv(canonical())
         np.testing.assert_allclose(out, np.diag([1.0 / RT2, 0.0]), atol=1e-13)
 
     def test_agrees_with_direct_pseudoinverse(self):
         for seed in range(25):
             q = random_idempotent(6, 3, 2.0, seed)
             direct = moore_penrose(abs_value(adjoint(q.matrix)))
-            assert operator_norm(factor_oracle(q).abs_q_star_pinv - direct) <= 1e-10
+            assert operator_norm(abs_q_star_pinv(q) - direct) <= 1e-10
 
     def test_contraction_200_trials(self):
         rng = np.random.default_rng(5150)
@@ -111,16 +112,15 @@ class TestMpInverseAbsQstar:
                 float(10.0 ** rng.uniform(-2, 1)),
                 int(rng.integers(2**32)),
             )
-            assert operator_norm(factor_oracle(q).abs_q_star_pinv) <= 1.0 + 1e-10
+            assert operator_norm(abs_q_star_pinv(q)) <= 1.0 + 1e-10
 
     def test_battery_sandwich_reads_this_record(self):
         # the battery holds Q* |Q*|^dag Q = |Q| with this |Q*|^dag against Q's
         # SVD, so a copy of Q whose memo holds it scaled by 1 + 1e-6 fails
         q = random_idempotent(6, 3, 2.0, 7)
-        fo = factor_oracle(q)
-        scaled = replace(fo, abs_q_star_pinv=(1.0 + 1e-6) * fo.abs_q_star_pinv)
+        scaled = (1.0 + 1e-6) * abs_q_star_pinv(q)
         bad = replace(q)
-        bad._memo[factor_oracle.__wrapped__] = scaled
+        bad._memo[abs_q_star_pinv.__wrapped__] = scaled
 
         def sandwich(q):
             checks = battery_module._matched_identities(np.random.default_rng(0), q.dim, q, q.tol)
@@ -128,7 +128,7 @@ class TestMpInverseAbsQstar:
 
         assert sandwich(q).passed
         assert not sandwich(bad).passed
-        assert factor_oracle(bad) is scaled
+        assert abs_q_star_pinv(bad) is scaled
 
 
 class TestMatchedProjection:
@@ -196,7 +196,7 @@ class TestMatchedProjection:
             assert operator_norm((2 * m - eye) @ (2 * qm - eye) - rhs) <= scale
             assert operator_norm(q.abs_q_star @ q.abs_q - qm) <= scale
             assert operator_norm(q.abs_q @ q.abs_q_star - adjoint(qm)) <= scale
-            sandwich = adjoint(qm) @ factor_oracle(q).abs_q_star_pinv @ qm
+            sandwich = adjoint(qm) @ abs_q_star_pinv(q) @ qm
             assert operator_norm(sandwich - q.abs_q) <= scale
 
 
@@ -387,14 +387,12 @@ class TestFactorizationCount:
         assert factor_oracle(q).v is first
         assert sum(factorizations.values()) == after_first
 
-    def test_factor_oracle_takes_one_eigendecomposition(self, factorizations):
-        # |Q*|^dag and its square root from one psd_power; |Q*| and
-        # (I + |Q*|)^(-1/2) from one SVD of Q*, and T^dag from one more
+    def test_factor_oracle_takes_two_svds(self, factorizations):
+        # |Q*|, T and V from one SVD of Q*, and T^dag from one more; no
+        # Koliha solve and no eigendecomposition
         q = random_idempotent(8, 3, 2.0, 5)
-        koliha_projections(q)
-        factorizations.clear()
         factor_oracle(q)
-        assert factorizations["eigh"] == 1, dict(factorizations)
+        assert factorizations["eigh"] == factorizations["solve"] == 0, dict(factorizations)
         assert factorizations["svd"] == 2, dict(factorizations)
 
     def test_factor_oracle_never_reads_the_svd(self):
@@ -405,7 +403,7 @@ class TestFactorizationCount:
     def test_oracles_share_one_record(self, factorizations):
         q = random_idempotent(8, 3, 2.0, 5)
         oracles = (
-            lambda q: factor_oracle(q).abs_q_star_pinv,
+            abs_q_star_pinv,
             matched_projection_closed_form,
             matched_via_factor,
         )
@@ -518,32 +516,29 @@ class TestMatchedViaFactor:
         np.testing.assert_allclose(tt, MATCHED_CANONICAL, atol=1e-12)
         np.testing.assert_allclose(vv, MATCHED_CANONICAL, atol=1e-12)
 
-    def test_one_svd_of_q_star_matches_the_eigh_route(self):
-        # |Q*| is abs_value(Q*) bit for bit; (I + |Q*|)^(-1/2) from the same
-        # SVD differs from psd_power's eigh of I + |Q*| by rounding alone, at
-        # most 0.84 n eps (1 + ||Q||) in V over n <= 64, every rank and these
-        # norms, so 4 n eps (1 + ||Q||) bounds it
-        for q in envelope_inputs((1e-10, 1e-2, 1.0, 1e2, 1e4)):
+    def test_both_factors_within_the_rounding_envelope(self):
+        # |Q*| is abs_value(Q*) bit for bit, and T T^dag and V V* come from
+        # one SVD of Q*: over n <= 64, ranks on both sides of 2r > n and
+        # these norms, each was within 1.6 n eps (1 + ||Q||) of m(Q)
+        for q in envelope_inputs((1e-10, 1e-4, 1e-2, 1.0, 1e2, 1e4, 1e6), dims=(2, 8, 32, 64)):
             fo = factor_oracle(q)
-            abs_qs = abs_value(adjoint(q.matrix))
-            assert np.array_equal(fo.abs_q_star, abs_qs)
-            p_r, p_rs = (p.matrix for p in koliha_projections(q))
-            root = psd_power(p_r @ p_rs @ p_r, [0.5, 0.25], q.tol)[1]
-            eigh_route = np.sqrt(0.5) * fo.t @ root @ psd_power(identity(q.dim) + abs_qs, -0.5, q.tol)
-            gap = operator_norm(fo.v - eigh_route)
-            assert gap <= 4 * q.dim * EPS * (1.0 + operator_norm(q.matrix)), (q.dim, gap)
+            assert np.array_equal(fo.abs_q_star, abs_value(adjoint(q.matrix)))
+            m = matched_projection(q).projection.matrix
+            bound = 4 * q.dim * EPS * (1.0 + operator_norm(q.matrix))
+            for name, route in zip(("T T^dag", "V V*"), matched_via_factor(q)):
+                gap = operator_norm(m - route)
+                assert gap <= bound, (name, q.dim, q.rank, gap, bound)
 
     def test_record_owns_its_arrays(self):
         # a field that is a view keeps its whole base alive in Q's memo, as
-        # |Q*|^dag, slice 0 of psd_power's (2, n, n) stack, kept the 1/4 power
+        # |Q*|^dag did while it was slice 0 of psd_power's (2, n, n) stack
         q = random_idempotent(8, 3, 2.0, 5)
         fo = factor_oracle(q)
-        for field in fields(fo):
-            value = getattr(fo, field.name)
-            assert value.base is None or value.base.nbytes <= value.nbytes, field.name
-        # the copy is the power itself, bit for bit
+        for value in [getattr(fo, field.name) for field in fields(fo)] + [abs_q_star_pinv(q)]:
+            assert value.base is None or value.base.nbytes <= value.nbytes
+        # Koliha's |Q*|^dag is the power itself, bit for bit
         p_r, p_rs = (p.matrix for p in koliha_projections(q))
-        assert np.array_equal(fo.abs_q_star_pinv, psd_power(p_r @ p_rs @ p_r, [0.5, 0.25], q.tol)[0])
+        assert np.array_equal(abs_q_star_pinv(q), psd_power(p_r @ p_rs @ p_r, 0.5, q.tol))
 
     def test_gram_sides_give_range_projection(self):
         fo = factor_oracle(canonical())
