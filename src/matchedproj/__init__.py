@@ -12,7 +12,6 @@ from .errors import (
     MatchedProjectionError,
     MatrixFileError,
     NotHermitianError,
-    NotQuasiProjectionPairError,
     NotUnitaryError,
     SingularPencilError,
     ValidationError,

@@ -14,7 +14,9 @@ before the next is computed, so a trial that raises keeps every record
 made before the raise.  A batch of operators is one (k, n, n) stack.
 Every random projection comes from ``_draw_projections``, one stacked draw
 and certificate per batch: the block-form P of ``_projection_structure``,
-and in ``_norm_suite`` the 20 candidates (also measured as one stack), the
+and in ``_norm_suite`` the 20 candidates (also measured as one stack, and
+given no quasi-projection-pair verdict: a random projection is no partner
+of Q, so its record is the factor-2 bound of ``qpp_minimality``), the
 pair p1, p2 of the two-projection construction and the pair p_a, p_b of
 the distance equality.  Koliha's pair P_R(Q), P_R(Q*) is certified as one
 stack, and the fractional-power distances are one stacked norm, as are
@@ -337,15 +339,17 @@ def _ranges_and_powers(rng, dim, q, tol):
 def _norm_suite(rng, dim, q, q2, tol):
     yield from _prefixed("distance", distance_report(q).checks)
 
-    # 20 candidate projections, drawn, certified and measured as one stack
+    # 20 candidate projections, drawn, certified and measured as one stack;
+    # a random P is no partner of Q, so its one bound is the factor-2 bound
     m = matched_projection(q).projection.matrix
-    candidates = _draw_projections(rng, dim, dim, 20, tol)
-    minis = qpp_minimality(candidates, q)
-    gates = [tol.above_absolute(mini.d_candidate) for mini in minis]
-    lower, upper = norm_bracket(np.stack([p.matrix for p in candidates]) - m, np.array(gates))
-    for k, (mini, lo, up, gate) in enumerate(zip(minis, lower.tolist(), upper.tolist(), gates)):
+    candidates = np.stack([p.matrix for p in _draw_projections(rng, dim, dim, 20, tol)])
+    d_candidates = operator_norm(candidates - q.matrix).tolist()
+    d_matched, scale = matched_distance(q), tol.relative(q.norm)
+    gates = [tol.above_absolute(d) for d in d_candidates]
+    lower, upper = norm_bracket(candidates - m, np.array(gates))
+    for k, (d, lo, up, gate) in enumerate(zip(d_candidates, lower.tolist(), upper.tolist(), gates)):
         yield bracket_check("projection-closer-to-matched", (lo, up), gate), f"trial {k}"
-        yield from _prefixed("any-projection", mini.checks)
+        yield Check("any-projection:matched_within_twice_candidate", max(0.0, d_matched - 2.0 * d), scale)
 
     yield from _prefixed("lipschitz", matched_lipschitz_bounds(q, q2).checks)
     yield from _prefixed("convergence", convergence_report(q, q2).checks)

@@ -138,8 +138,8 @@ def cmd_analyze(args) -> int:
 
 def cmd_generate(args) -> int:
     tol = _tolerances(args)
-    if args.offdiag_norm > 1e3:
-        raise ValueError("--offdiag-norm capped at 1e3 (conditioning)")
+    if args.offdiag_norm > 1e6:
+        raise ValueError("--offdiag-norm capped at 1e6 (conditioning)")
     try:
         q = random_idempotent(args.dim, args.rank, args.offdiag_norm, args.seed, tol)
     except MatchedProjectionError as exc:

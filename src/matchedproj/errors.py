@@ -29,10 +29,6 @@ class ZeroParameterError(MatchedProjectionError):
     """The canonical 2x2 family needs a nonzero off-diagonal parameter."""
 
 
-class NotQuasiProjectionPairError(MatchedProjectionError):
-    """Operation requires a quasi-projection pair."""
-
-
 class InapplicableHypothesisError(MatchedProjectionError):
     """Hypothesis of the underlying statement fails for these inputs."""
 

@@ -43,8 +43,10 @@ class Idempotent:
     and the path.  The SVD Q = U S V* (``svd``) is the reference for the
     values of Q itself: ||Q|| = s_0, the rank (the singular values of an
     idempotent are 0 or at least 1, so the cut at 1/2 needs no tolerance),
-    the off-diagonal norm nu (``offdiag_norm``), |Q| = V S V* and
-    |Q*| = U S U*.  Values that
+    |Q| = V S V*, |Q*| = U S U* and the block U_perp* Q* U_r, whose thin SVD
+    (``offdiag_svd``, memoized with its left vectors until Q is freed) gives
+    the off-diagonal norm nu (``offdiag_norm``) and the column spaces of
+    ``matched.range_identities``.  Values that
     need a certificate or a cutoff at ``q.tol`` are kept in the private ``_memo`` by the functions that
     compute them, each decorated with ``memoized_on_q``: P_R(Q) = U_r U_r*,
     P_N(Q) = I - V_r V_r*, the certified m(Q), its witness and distance,
@@ -101,17 +103,27 @@ class Idempotent:
         return int(np.count_nonzero(self.svd[1] > 0.5))
 
     @cached_property
-    def offdiag_norm(self) -> float:
-        """nu = ||Y|| for Y = S_r V_r* U_perp, the r x (n - r) block of U* Q U = [[I, Y], [0, 0]].
+    def offdiag_svd(self) -> tuple[np.ndarray, np.ndarray]:
+        """(G, sigma) of the thin SVD G diag(sigma) H* of Y* = U_perp* V_r S_r, (n - r) x r.
 
-        ||Q|| = sqrt(1 + nu^2), but nu, unlike ||Q|| - 1, carries no
-        cancellation when Q is near a projection.  0 when r is 0 or n.
+        Y = S_r V_r* U_perp is the r x (n - r) block of U* Q U = [[I, Y], [0, 0]];
+        sigma, descending, are the tangents of Q's Halmos angles.  H is not
+        kept.  Empty when r is 0 or n.
         """
         u, s, vh = self.svd
         r = self.rank
-        if r in (0, self.dim):
-            return 0.0
-        return operator_norm(s[:r, np.newaxis] * (vh[:r] @ u[:, r:]))
+        g, sigma, _ = np.linalg.svd((adjoint(u[:, r:]) @ adjoint(vh[:r])) * s[:r], full_matrices=False)
+        return g, sigma
+
+    @cached_property
+    def offdiag_norm(self) -> float:
+        """nu = ||Y||, the largest of ``offdiag_svd``'s sigma; 0 when r is 0 or n.
+
+        ||Q|| = sqrt(1 + nu^2), but nu, unlike ||Q|| - 1, carries no
+        cancellation when Q is near a projection.
+        """
+        sigma = self.offdiag_svd[1]
+        return float(sigma[0]) if sigma.size else 0.0
 
     @cached_property
     def abs_q(self) -> np.ndarray:

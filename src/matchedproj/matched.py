@@ -72,11 +72,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import (
-    NotQuasiProjectionPairError,
-    NotUnitaryError,
-    ValidationError,
-)
+from .errors import NotUnitaryError, ValidationError
 from .idempotents import (
     Idempotent,
     Projection,
@@ -274,16 +270,13 @@ def is_quasi_projection_pair(p: Projection, q: Idempotent) -> bool:
 def qpp_symmetry_closure(p: Projection, q: Idempotent) -> bool:
     """Whether all eight pairs {P, I-P} x {Q, Q*, I-Q, I-Q*} are quasi-projection pairs.
 
-    I - P is certified at ``p.tol``.
+    The pairs are decided lazily, (P, Q) first, and the first that is no
+    pair gives False.  I - P is certified at ``p.tol``.
     """
-    if not is_quasi_projection_pair(p, q):
-        raise NotQuasiProjectionPairError("(P, Q) is not a quasi-projection pair")
     projections = [p, as_projection(identity(q.dim) - p.matrix, p.tol)]
     complement = complement_of(q)
     idempotents = [q, adjoint_of(q), complement, adjoint_of(complement)]
-    pairs = [(a, b) for a in projections for b in idempotents]
-    # pairs[0] is (P, Q), whose verdict the guard has just given
-    return all(is_quasi_projection_pair(a, b) for a, b in pairs[1:])
+    return all(is_quasi_projection_pair(a, b) for a in projections for b in idempotents)
 
 
 @dataclass(frozen=True)
@@ -507,7 +500,8 @@ def range_identities(q: Idempotent) -> list[Check]:
     The projectors come from Q's SVD: P_W = W D^(-1) W* onto range W
     (``matched_projection_svd``), and P_X = P_R(Q) + B B* onto range X
     (``range_projection``), B = U_perp G_k for the thin SVD G Sigma H* of
-    the (n - r) x r matrix U_perp* V_r S_r = U_perp* Q* U_r.  On the basis
+    the (n - r) x r matrix U_perp* V_r S_r = U_perp* Q* U_r, which Q keeps
+    (``Idempotent.offdiag_svd``).  On the basis
     [U_r | U_perp], Q = [[I, A], [0, 0]] and this is A*, whose singular
     values are the tangents sigma_i of the angles theta_i between range Q
     and range Q*; its column space is that of the overlap U_perp* V_r,
@@ -556,7 +550,7 @@ def range_identities(q: Idempotent) -> list[Check]:
     def held(name, gap):
         return norm_check(name, np.stack((gap, r_q)), subspace)
 
-    g, tangents, _ = np.linalg.svd((adjoint(u[:, r:]) @ adjoint(vh[:r])) * s[:r], full_matrices=False)
+    g, tangents = q.offdiag_svd
     b = u[:, r:] @ g[:, : np.count_nonzero(tangents > tol.check)]
     p_x = range_projection(q).matrix + b @ adjoint(b)
     inside = held("range_mq_inside_range_q_plus_qstar", m - p_x @ m)

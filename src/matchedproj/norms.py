@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -331,34 +330,20 @@ class MinimalityReport:
     checks: list[Check]
 
 
-def qpp_minimality(
-    p: Projection | Sequence[Projection], q: Idempotent
-) -> MinimalityReport | list[MinimalityReport]:
-    """Distance-minimality of m(Q) among quasi-projection-pair partners; a sequence of P gives a list.
+def qpp_minimality(p: Projection, q: Idempotent) -> MinimalityReport:
+    """Distance-minimality of m(Q) among the quasi-projection-pair partners of Q.
 
-    Always verifies ||m(Q) - Q|| <= 2 ||P - Q||.  When (P, Q) is a
-    quasi-projection pair it additionally verifies the PSD dominance of
-    (P - Q)(P - Q)* over the matched counterpart (with equality exactly at
-    P = m(Q)), the sharp factor-one bound, and the small-distance rigidity:
-    ||P - Q|| < 1 forces P = m(Q) and ||Q|| < 5/3.  Every ||P - Q|| of a
-    sequence comes from one stacked ``operator_norm``, one P's as a stack of
-    one; the quasi-projection-pair verdict and the checks it gates are taken
-    per candidate.
+    Always verifies ||m(Q) - Q|| <= 2 ||P - Q||, the one bound for any
+    projection P.  When (P, Q) is a quasi-projection pair it additionally
+    verifies the PSD dominance of (P - Q)(P - Q)* over the matched
+    counterpart (with equality exactly at P = m(Q)), the sharp factor-one
+    bound, and the small-distance rigidity: ||P - Q|| < 1 forces P = m(Q)
+    and ||Q|| < 5/3.
     """
-    single = isinstance(p, Projection)
-    candidates = [p] if single else p
-    if len(candidates) == 0:
-        return []
-    d_candidates = operator_norm(np.stack([c.matrix for c in candidates]) - q.matrix)
-    reports = [_minimality(c, q, float(d)) for c, d in zip(candidates, d_candidates)]
-    return reports[0] if single else reports
-
-
-def _minimality(p: Projection, q: Idempotent, d_candidate: float) -> MinimalityReport:
-    """The report of ``qpp_minimality`` for one candidate P at d_candidate = ||P - Q||."""
     m = matched_projection(q).projection.matrix
     qm, tol = q.matrix, q.tol
     d_matched = matched_distance(q)
+    d_candidate = operator_norm(p.matrix - qm)
     scale, scale_sq = tol.relative(q.norm), tol.quadratic(q.norm)
 
     checks = [

@@ -26,15 +26,18 @@ from matchedproj import (
     cli,
     fractional_power_limit,
     identity,
+    is_quasi_projection_pair,
     koliha_projections,
     matched_projection,
     operator_norm,
     psd_power,
+    qpp_checks,
     qpp_minimality,
     random_idempotent,
     random_projection,
     two_by_two,
 )
+from matchedproj import matched as matched_module
 from matchedproj import norms as norms_module
 from matchedproj.battery import run_battery, sabotaged
 from matchedproj.cli import main
@@ -283,9 +286,20 @@ class TestGenerate:
         assert not out.exists()
 
     def test_offdiag_cap(self, tmp_path, capsys):
-        assert run("generate", "--dim", 4, "--rank", 2, "--offdiag-norm", 1e4,
+        assert run("generate", "--dim", 4, "--rank", 2, "--offdiag-norm", 1e7,
                    "--output", tmp_path / "x.json") == 2
-        assert capsys.readouterr().err == "error: --offdiag-norm capped at 1e3 (conditioning)\n"
+        assert capsys.readouterr().err == "error: --offdiag-norm capped at 1e6 (conditioning)\n"
+        assert not (tmp_path / "x.json").exists()
+
+    def test_offdiag_norm_at_the_cap_is_written(self, tmp_path):
+        # 1e6 is the edge analyze is certified at; the file is the matrix of
+        # random_idempotent itself, as the library writes it
+        out, direct = tmp_path / "x.json", tmp_path / "direct.json"
+        assert run("generate", "--dim", 8, "--rank", 3, "--offdiag-norm", 1e6, "--seed", 2,
+                   "--output", out) == 0
+        dump(random_idempotent(8, 3, 1e6, 2).matrix, direct)
+        assert out.read_bytes() == direct.read_bytes()
+        assert run("analyze", "--input", out) == 0
 
     def test_negative_offdiag_norm_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "x.json"
@@ -513,16 +527,18 @@ class TestAnalyze:
         # reads range W and range X from Q's SVD and one thin SVD of the
         # (n - r) x r block U_perp* Q* U_r: svd 9 -> 5.  22 (eigh 2, solve 1)
         # while the V V* oracle took (P_R(Q) P_R(Q*) P_R(Q))^(1/4) from an
-        # eigh of Koliha's projections, where it now takes V from its SVD of Q*
+        # eigh of Koliha's projections, where it now takes V from its SVD of Q*.
+        # 20 (svdvals 8) while nu took the singular values of the block
+        # S_r V_r* U_perp apart from range_identities' thin SVD of its adjoint
         q = tmp_path / "q.json"
         assert run("generate", "--dim", 8, "--rank", 3, "--offdiag-norm", 2,
                    "--seed", 42, "--output", q) == 0
         factorizations.clear()
         assert run("analyze", "--input", q) == 0
-        assert sum(factorizations.values()) <= 20, dict(factorizations)
+        assert sum(factorizations.values()) <= 19, dict(factorizations)
         assert factorizations["svd"] <= 5, dict(factorizations)
         assert factorizations["eigh"] <= 1, dict(factorizations)
-        assert factorizations["svdvals"] <= 8, dict(factorizations)
+        assert factorizations["svdvals"] <= 7, dict(factorizations)
         assert factorizations["solve"] == 0, dict(factorizations)
 
     def test_input_is_opened_once(self, tmp_path, monkeypatch):
@@ -880,11 +896,13 @@ class TestVerify:
         # fractional-power table and the convergence table each took an eigh
         # of Q's m(Q) Q m(Q), which they now share (matched.fractional_powers);
         # 292, 162 of them svdvals, while the reports took their same-shape
-        # exact 2-norms one call at a time rather than as one stack
+        # exact 2-norms one call at a time rather than as one stack; 234, 112
+        # of them svdvals, while nu took the singular values of Q's
+        # off-diagonal block apart from range_identities' thin SVD of it
         run_battery(12, 2, 7)
-        assert sum(factorizations.values()) <= 242, dict(factorizations)
+        assert sum(factorizations.values()) <= 232, dict(factorizations)
         assert factorizations["qr"] <= 22, dict(factorizations)
-        assert factorizations["svdvals"] <= 112, dict(factorizations)
+        assert factorizations["svdvals"] <= 110, dict(factorizations)
 
     def test_dim_max_below_two_is_usage_error(self, capsys):
         # a dim-max below 2 used to run 2 x 2 trials and pass
@@ -901,14 +919,15 @@ class TestVerify:
             p = random_projection(dim, int(rng.integers(0, dim + 1)), int(rng.integers(2**32)), tol)
             p = splice.get(k, p)
             mini = qpp_minimality(p, q)
+            assert mini.qpp_holds == (k in splice)
             closer = norm_check("projection-closer-to-matched", p.matrix - m, mini.d_candidate + 1e-9)
             yield closer, f"trial {k}"
-            for c in mini.checks:
-                yield Check(f"any-projection:{c.name}", c.residual, c.tolerance, c.lower), ""
+            twice = mini.checks[0]
+            yield Check(f"any-projection:{twice.name}", twice.residual, twice.tolerance, twice.lower), ""
 
     def test_candidate_stack_is_the_per_candidate_loop_bitwise(self, monkeypatch):
-        # m(Q) is spliced into each trial's stack, so its quasi-projection-pair
-        # branch runs beside the random candidates' others
+        # m(Q) is spliced into each trial's stack: a partner of Q, it still
+        # gets the factor-2 record alone, as every candidate does
         tol = DEFAULT_TOL
         stacked = battery.random_projection
         splice = {}
@@ -937,8 +956,45 @@ class TestVerify:
             want = [bits(r) for r in reference]
             assert got == want, seed
             names.update(r[0] for r in got)
-        assert "any-projection:psd_dominance_left" in names
-        assert "any-projection:small_distance_forces_matched" in names
+        assert names == {"projection-closer-to-matched", "any-projection:matched_within_twice_candidate"}
+
+    def test_norm_suite_takes_no_partner_verdict(self, monkeypatch):
+        # every quasi-projection-pair verdict builds its residuals through
+        # matched._qpp_matrices; the 20 candidates of _norm_suite take none
+        tol, seen = DEFAULT_TOL, []
+        build = matched_module._qpp_matrices
+        monkeypatch.setattr(matched_module, "_qpp_matrices", lambda p, q: seen.append(p) or build(p, q))
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            dim = int(rng.integers(2, 13))
+            q, q2 = (random_idempotent(dim, int(rng.integers(1, dim)), float(10.0 ** rng.uniform(-2, 1)),
+                                       int(rng.integers(2**32)), tol) for _ in range(2))
+            records = list(battery._norm_suite(rng, dim, q, q2, tol))
+            assert sum(r[0].name == "projection-closer-to-matched" for r in records if isinstance(r, tuple)) == 20
+        assert seen == []
+        # the counter sees a verdict where one is taken
+        list(battery._qpp_suite(np.random.default_rng(0), q.dim, q, tol))
+        assert seen
+
+    def test_no_random_candidate_is_a_partner(self):
+        # the premise of the candidates' one record: over the battery's own
+        # draws (nu in [1e-2, 10], rank in [1, n - 1]) no candidate is a
+        # partner of Q.  P = 0 and P = I, the ranks the draws reach that are
+        # closest to a partner, fail block_null and block_range by
+        # ||Q* - Q|| = nu >= 1e-2; a nu below tol.check would make them
+        # partners of a nearly-projection Q
+        tol = DEFAULT_TOL
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            dim = int(rng.integers(2, 13))
+            nu = float(10.0 ** rng.uniform(-2.0, 1.0))
+            q = random_idempotent(dim, int(rng.integers(1, dim)), nu, int(rng.integers(2**32)), tol)
+            candidates = battery._draw_projections(rng, dim, dim, 20, tol)
+            assert not any(is_quasi_projection_pair(p, q) for p in candidates), seed
+            for matrix, failing in ((np.zeros((dim, dim)), "block_null"), (identity(dim), "block_range")):
+                blocks = {c.name: c for c in qpp_checks(as_projection(matrix, tol), q) if c.name.startswith("block")}
+                assert [name for name, c in blocks.items() if not c.passed] == [failing], seed
+                assert blocks[failing].lower <= nu * (1 + 1e-12) and blocks[failing].residual >= nu * (1 - 1e-12)
 
     def test_stacked_norms_are_the_per_call_norms_bitwise(self, monkeypatch):
         # each report's same-shape norms are one stacked operator_norm; with a

@@ -369,12 +369,17 @@ class TestOffdiagNorm:
             assert random_idempotent(dim, rank, 1.0, 3).offdiag_norm == 0.0
 
     def test_memoized_from_the_one_svd(self, factorizations):
+        # one thin SVD of the (n - r) x r block, then none: nu and the
+        # range identities' column spaces read the same memoized factors
         q = random_idempotent(8, 3, 2.0, 5)
         q.svd
         factorizations.clear()
         first = q.offdiag_norm
-        assert q.offdiag_norm == first
-        assert dict(factorizations) == {"svdvals": 1}
+        assert dict(factorizations) == {"svd": 1}
+        g, sigma = q.offdiag_svd
+        assert g.shape == (5, 3) and first == sigma[0]
+        assert q.offdiag_norm == first and q.offdiag_svd[0] is g
+        assert dict(factorizations) == {"svd": 1}
 
 
 class TestPartners:

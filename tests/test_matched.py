@@ -12,7 +12,6 @@ from matchedproj import (
     Check,
     Idempotent,
     NotHermitianError,
-    NotQuasiProjectionPairError,
     NotUnitaryError,
     Projection,
     Tolerances,
@@ -838,10 +837,16 @@ class TestSymmetryClosure:
         assert qpp_symmetry_closure(p, q)
         assert dict(factorizations) == {"svd": 1}
 
-    def test_non_pair_raises(self):
-        q = canonical()
-        with pytest.raises(NotQuasiProjectionPairError):
-            qpp_symmetry_closure(range_projection(q), q)
+    def test_range_partner_of_a_non_projection_fails_every_pair(self):
+        # P_R(Q) is no partner of a Q that is not a projection, and no pair of
+        # {P_R(Q), I - P_R(Q)} x {Q, Q*, I - Q, I - Q*} is one on its own
+        for q in [canonical()] + [random_idempotent(6, 3, 2.0, seed) for seed in range(5)]:
+            p = range_projection(q)
+            assert not qpp_symmetry_closure(p, q)
+            complement = complement_of(q)
+            for a in (p, as_projection(identity(q.dim) - p.matrix)):
+                for b in (q, adjoint_of(q), complement, adjoint_of(complement)):
+                    assert not is_quasi_projection_pair(a, b)
 
     def test_perturbed_idempotent_hits_validation_gate(self):
         rng = np.random.default_rng(3)
@@ -1117,9 +1122,10 @@ class TestRangeIdentities:
         assert not checks["range_equality_iff_projection"]
 
     def test_warm_q_takes_no_svd_of_an_n_by_n_operand(self, monkeypatch):
-        # with Q's SVD, pencil, m(Q) and P_R(Q) memoized, the column spaces
-        # come from them: one thin SVD of the (n - r) x r block U_perp* Q* U_r
-        # and the singular values of the two trivial-intersection overlaps
+        # with Q's SVD, its off-diagonal block's thin SVD, the pencil, m(Q)
+        # and P_R(Q) memoized, the column spaces come from them: the only
+        # SVDs left are the singular values of the two trivial-intersection
+        # overlaps
         q = random_idempotent(64, 20, 1.0, 9)
         range_identities(q)
         shapes, svd = [], np.linalg.svd
@@ -1130,7 +1136,7 @@ class TestRangeIdentities:
 
         monkeypatch.setattr(np.linalg, "svd", recorded)
         range_identities(q)
-        assert shapes == [((44, 20), True), ((20, 20), False), ((44, 44), False)], shapes
+        assert shapes == [((20, 20), False), ((44, 44), False)], shapes
 
 
 class TestFractionalPower:

@@ -575,7 +575,7 @@ NON_GATE_CONSTANTS = {
     ("battery.py", "_qpp_suite", 1e-6): "selects a Q far enough from Hermitian that P_R(Q) is no partner",
     ("battery.py", "_norm_suite", 0.999): "selects pairs with ||P1 P2|| < 1, the construction's hypothesis",
     ("norms.py", "matched_lipschitz_bounds", 1e-6): "the 1 - 1e-6 margin below which the scaled bound applies",
-    ("norms.py", "_minimality", 1e-6): "the 1 - 1e-6 margin of the small-distance hypothesis",
+    ("norms.py", "qpp_minimality", 1e-6): "the 1 - 1e-6 margin of the small-distance hypothesis",
     ("norms.py", "two_projection_construction", 0.5): "||P|| > 1/2 tells a nonzero projection",
     ("two_by_two.py", "HalmosPoint.__post_init__", 1e-10): "HalmosPoint's test that |z| = 1",
     ("report.py", "boolean_check", 0.5): "a yes/no verdict as the residual 0 or 1 against 1/2",
@@ -842,7 +842,8 @@ def test_the_draw_invariant_sees_each_spelling():
         assert bool(_projections_outside_the_draw(source)) == (source in spellings), source
 
 
-# each of these is now the batch input of its single name
+# each of these was folded into its single name; qpp_minimality's batch
+# input is gone too, since no caller has a batch of partner candidates
 FOLDED_PLURALS = ("as_idempotents", "as_projections", "random_projections", "qpp_minimalities")
 
 
@@ -856,8 +857,9 @@ def _folded_plurals(source):
 
 
 def test_one_function_per_operation():
-    # one input or a batch goes to one name: as_idempotent, as_projection,
-    # random_projection and qpp_minimality each take a stack or a sequence
+    # one input or a batch goes to one name: as_idempotent, as_projection
+    # and random_projection each take a stack or a sequence, and
+    # qpp_minimality takes one candidate
     sources = sorted(PACKAGE.glob("*.py"))
     assert sources
     found = [f"{path.name}: {hit}" for path in sources for hit in _folded_plurals(path.read_text(encoding="utf-8"))]
@@ -876,7 +878,7 @@ def test_the_folded_plurals_invariant_sees_each_spelling():
     allowed = [
         "from .idempotents import as_idempotent, as_projection, random_projection",
         "ps = idempotents.random_projection(dim, ranks, seeds, tol)",
-        "reports = qpp_minimality(candidates, q, tol)",
+        "report = qpp_minimality(p, q)",
         "def _draw_projections(rng, dim, max_rank, count, tol):\n    pass",
     ]
     for source in spellings + allowed:
