@@ -67,16 +67,15 @@ from .matched import (
     matched_projection_closed_form,
     matched_projection_svd,
     matched_via_factor,
+    null_distance,
     qpp_checks,
     qpp_symmetry_closure,
     random_qpp_pair,
+    range_distance,
     range_identities,
     unitary_equivariance,
 )
 from .norms import (
-    ConvergenceReport,
-    DistanceReport,
-    LipschitzBounds,
     MinimalityReport,
     convergence_report,
     distance_report,

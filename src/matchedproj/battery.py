@@ -8,10 +8,13 @@ that broke it.  Trial 0 of a battery at seed S is the trial with seed S, so
 suite is a generator of records, a ``report.Check`` or a ``(Check, note)``
 pair: a residual against its gate is a ``norm_check`` (decided from O(n^2)
 bounds where they settle it), a value against a closed form an exact
-``Check``, and a yes/no verdict a ``boolean_check``.  ``_record_checks``,
-the one function that knows the report and the trial, tallies each record
-before the next is computed, so a trial that raises keeps every record
-made before the raise.  A batch of operators is one (k, n, n) stack.
+``Check``, and a yes/no verdict a ``boolean_check``.  A report of
+``norms`` is its list of checks, and a distance of Q alone is read from
+Q's memo (``matched_distance``, ``range_distance``), never taken again
+here.  ``_record_checks``, the one function that knows the report and the
+trial, tallies each record before the next is computed, so a trial that
+raises keeps every record made before the raise.  A batch of operators is
+one (k, n, n) stack.
 Every random projection comes from ``_draw_projections``, one stacked draw
 and certificate per batch: the block-form P of ``_projection_structure``,
 and in ``_norm_suite`` the 20 candidates (also measured as one stack, and
@@ -77,6 +80,7 @@ from .matched import (
     qpp_checks,
     qpp_symmetry_closure,
     random_qpp_pair,
+    range_distance,
     range_identities,
     unitary_equivariance,
 )
@@ -337,7 +341,7 @@ def _ranges_and_powers(rng, dim, q, tol):
 
 
 def _norm_suite(rng, dim, q, q2, tol):
-    yield from _prefixed("distance", distance_report(q).checks)
+    yield from _prefixed("distance", distance_report(q))
 
     # 20 candidate projections, drawn, certified and measured as one stack;
     # a random P is no partner of Q, so its one bound is the factor-2 bound
@@ -351,8 +355,8 @@ def _norm_suite(rng, dim, q, q2, tol):
         yield bracket_check("projection-closer-to-matched", (lo, up), gate), f"trial {k}"
         yield Check("any-projection:matched_within_twice_candidate", max(0.0, d_matched - 2.0 * d), scale)
 
-    yield from _prefixed("lipschitz", matched_lipschitz_bounds(q, q2).checks)
-    yield from _prefixed("convergence", convergence_report(q, q2).checks)
+    yield from _prefixed("lipschitz", matched_lipschitz_bounds(q, q2))
+    yield from _prefixed("convergence", convergence_report(q, q2))
 
     p1, p2 = _draw_projections(rng, dim, max(dim // 2, 1), 2, tol)
     if norm_at_most(p1.matrix @ p2.matrix, 0.999):
@@ -417,9 +421,8 @@ def _static_checks(tol: Tolerances):
     """One-shot checks that do not depend on the trial loop, as (context, records) per modulus."""
     for mod, target in ((1e-3, 0.5), (1e3, 1.0)):
         q = canonical_idempotent(mod, tol)
-        d_matched = matched_distance(q)
-        d_range = operator_norm(range_projection(q).matrix - q.matrix)
-        yield f"a={mod:g}", [Check("distance-ratio-asymptotics", abs(d_matched / d_range - target), tol.limit)]
+        ratio = matched_distance(q) / range_distance(q)
+        yield f"a={mod:g}", [Check("distance-ratio-asymptotics", abs(ratio - target), tol.limit)]
 
     for mod in np.logspace(-2, 2, 20):
         yield f"a={mod:.3g}", _family_point(float(mod), tol)

@@ -21,6 +21,7 @@ from .errors import MatchedProjectionError
 from .idempotents import (
     Idempotent,
     as_idempotent,
+    complement_of,
     null_projection,
     random_idempotent,
     range_projection,
@@ -28,13 +29,16 @@ from .idempotents import (
 from .linalg import DEFAULT_TOL, Tolerances, norm_bracket
 from .matched import (
     homotopy_path,
+    matched_distance,
     matched_projection,
     matched_via_factor,
+    null_distance,
     qpp_checks,
+    range_distance,
     range_identities,
 )
 from .matrixio import dump, dumps, load_matrix
-from .norms import distance_report
+from .norms import distance_report, offdiag_distance
 from .report import Check, all_passed, boolean_check, bracket_check, failures, norm_check
 from .two_by_two import grid_minimize
 
@@ -75,8 +79,7 @@ def _analysis(path: str, tol: Tolerances) -> tuple[dict, list[str], bool]:
     q = _load_idempotent(path, tol, digest)
     pair = matched_projection(q)
     m = pair.projection.matrix
-    rep = distance_report(q)
-    checks = list(rep.checks) + range_identities(q)
+    checks = distance_report(q) + range_identities(q)
 
     # T T^dag and V V* are freed once bracketed
     oracle_gate = tol.route_gate(0.0)
@@ -93,19 +96,20 @@ def _analysis(path: str, tol: Tolerances) -> tuple[dict, list[str], bool]:
     checks.append(boolean_check("matched_pair_is_qpp", all_passed(qpp_matched)))
 
     ok = all_passed(checks)
+    distances = {
+        "norm_q": q.norm,
+        "norm_complement": complement_of(q).norm,
+        "d_matched": matched_distance(q),
+        "d_matched_closed": offdiag_distance(q.offdiag_norm),
+        "d_range": range_distance(q),
+        "d_null": null_distance(q),
+    }
     report = {
         "input": {"path": path, "sha256": digest.hexdigest(), "dim": q.dim},
         "tolerances": {"check": tol.check, "psd": tol.psd, "rank": tol.rank},
         "idempotent_defect": q.defect,
         "matched_projection": m,
-        "distances": {
-            "norm_q": rep.norm_q,
-            "norm_complement": rep.norm_complement,
-            "d_matched": rep.d_matched,
-            "d_matched_closed": rep.d_matched_closed,
-            "d_range": rep.d_range,
-            "d_null": rep.d_null,
-        },
+        "distances": distances,
         "checks": [c.as_dict() for c in checks],
         "qpp": {
             "matched": _verdict_to_obj(qpp_matched),
@@ -117,8 +121,8 @@ def _analysis(path: str, tol: Tolerances) -> tuple[dict, list[str], bool]:
     bad = failures(checks)
     lines = [
         f"dim {q.dim}, idempotent defect {q.defect:.3e}",
-        f"d_matched {rep.d_matched:.6f} (closed form {rep.d_matched_closed:.6f}), "
-        f"d_range {rep.d_range:.6f}, d_null {rep.d_null:.6f}",
+        "d_matched {d_matched:.6f} (closed form {d_matched_closed:.6f}), "
+        "d_range {d_range:.6f}, d_null {d_null:.6f}".format(**distances),
         f"checks: {len(checks) - len(bad)}/{len(checks)} passed",
         *(f"  FAIL {c.name}: {c.describe()} > {c.tolerance:.3e}" for c in bad),
     ]

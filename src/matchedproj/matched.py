@@ -24,9 +24,10 @@ reference for the values of Q alone, ||Q||, |Q| = V S V*, |Q*| = U S U* and
 P_R(Q) = U_r U_r*, which every function here reads from Q.  |Q*|^dag is
 not one of them: ``abs_q_star_pinv`` takes it by Koliha's route (below),
 and the battery holds Q* |Q*|^dag Q = |Q| against Q's SVD.  m(Q) (a
-``MatchedPair``), its distance to Q, its witness, the oracle values and
-K = m(Q) Q m(Q) with its powers over
-the fixed ``EXPONENT_GRID`` (``fractional_powers``) are each memoized on Q
+``MatchedPair``), its distance to Q, the distances ||P_R(Q) - Q|| and
+||P_N(Q) - Q|| (``range_distance``, ``null_distance``), its witness, the
+oracle values and K = m(Q) Q m(Q) with its powers over the fixed
+``EXPONENT_GRID`` (``fractional_powers``) are each memoized on Q
 (``idempotents.memoized_on_q``), and every function here reads m(Q) by
 that memo's private name, ``_matched_pair``.  A function of an idempotent
 takes no tolerance: Q is analysed at the tolerance it was certified under,
@@ -84,6 +85,7 @@ from .idempotents import (
     is_projection,
     koliha_projections,
     memoized_on_q,
+    null_projection,
     random_idempotent,
     random_unitary,
     range_projection,
@@ -210,6 +212,18 @@ def matched_projection_svd(q: Idempotent) -> np.ndarray:
 def matched_distance(q: Idempotent) -> float:
     """||m(Q) - Q||, memoized on Q as m(Q) is."""
     return operator_norm(_matched_pair(q).projection.matrix - q.matrix)
+
+
+@memoized_on_q
+def range_distance(q: Idempotent) -> float:
+    """||P_R(Q) - Q||, memoized on Q; its closed form is nu = ``q.offdiag_norm``."""
+    return operator_norm(range_projection(q).matrix - q.matrix)
+
+
+@memoized_on_q
+def null_distance(q: Idempotent) -> float:
+    """||P_N(Q) - Q||, memoized on Q."""
+    return operator_norm(null_projection(q).matrix - q.matrix)
 
 
 def matched_projection_closed_form(q: Idempotent) -> np.ndarray:

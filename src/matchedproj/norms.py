@@ -1,4 +1,14 @@
-"""Norm identities, inequalities, closed forms, and convergence tables for m(Q)."""
+"""Norm identities, inequalities, closed forms and convergence checks for m(Q).
+
+Each report returns its list of ``report.Check``, and a record only where a
+caller reads more: ``MinimalityReport`` (the battery reads its verdict) and
+``two_projection_construction``'s two idempotents.  The values of Q alone
+that the reports compare are read from where Q keeps them: ||Q|| and
+||I - Q|| from the SVDs of Q and ``complement_of(q)``, ||m(Q) - Q||,
+||P_R(Q) - Q|| and ||P_N(Q) - Q|| from their memos on Q
+(``matched.matched_distance``, ``range_distance``, ``null_distance``), and
+the closed form of the first from ``offdiag_distance(q.offdiag_norm)``.
+"""
 
 from __future__ import annotations
 
@@ -12,8 +22,6 @@ from .idempotents import (
     Projection,
     as_idempotent,
     complement_of,
-    null_projection,
-    range_projection,
 )
 from .linalg import (
     adjoint,
@@ -24,7 +32,14 @@ from .linalg import (
     operator_norm,
     psd_order,
 )
-from .matched import fractional_powers, is_quasi_projection_pair, matched_distance, matched_projection
+from .matched import (
+    fractional_powers,
+    is_quasi_projection_pair,
+    matched_distance,
+    matched_projection,
+    null_distance,
+    range_distance,
+)
 from .report import Check, boolean_check, norm_check
 
 
@@ -52,20 +67,7 @@ def kkm_distance(p1: Projection, p2: Projection) -> float:
     return d
 
 
-@dataclass(frozen=True)
-class DistanceReport:
-    """Distances from Q to its distinguished projections, with all cross-checks."""
-
-    norm_q: float
-    norm_complement: float
-    d_matched: float
-    d_matched_closed: float
-    d_range: float
-    d_null: float
-    checks: list[Check]
-
-
-def distance_report(q: Idempotent) -> DistanceReport:
+def distance_report(q: Idempotent) -> list[Check]:
     """All distance identities and inequalities for a single idempotent.
 
     Covers the closed-form distance (``offdiag_distance`` of nu =
@@ -109,8 +111,8 @@ def distance_report(q: Idempotent) -> DistanceReport:
     d_matched = matched_distance(q)
     nu = q.offdiag_norm
     d_closed = offdiag_distance(nu)
-    d_range = operator_norm(range_projection(q).matrix - qm)
-    d_null = operator_norm(null_projection(q).matrix - qm)
+    d_range = range_distance(q)
+    d_null = null_distance(q)
 
     v_sim = 0.5 * (q.abs_q + complement.abs_q + eye)
 
@@ -188,35 +190,16 @@ def distance_report(q: Idempotent) -> DistanceReport:
     lower_gap, upper_gap = d_matched - 0.5 * d_range, d_range - d_matched
     sandwich = max(abs(lower_gap - (d_closed - 0.5 * nu)), abs(upper_gap - (nu - d_closed)))
     checks.append(Check("sandwich_equality_iff_projection", sandwich, scale))
-
-    return DistanceReport(
-        norm_q=norm_q,
-        norm_complement=norm_c,
-        d_matched=d_matched,
-        d_matched_closed=d_closed,
-        d_range=d_range,
-        d_null=d_null,
-        checks=checks,
-    )
+    return checks
 
 
-@dataclass(frozen=True)
-class LipschitzBounds:
-    """Upper bounds on ||m(Q1) - m(Q2)|| and whether each one held."""
-
-    lhs: float
-    alpha: float
-    scaled_bound: float | None
-    checks: list[Check]
-
-
-def matched_lipschitz_bounds(q1: Idempotent, q2: Idempotent) -> LipschitzBounds:
+def matched_lipschitz_bounds(q1: Idempotent, q2: Idempotent) -> list[Check]:
     """Compare ||m(Q1) - m(Q2)|| against its proven upper bounds.
 
     The scaled bound ||Q1 - Q2|| / (1 - alpha) applies only when the
-    compression norm alpha is safely below 1; near 1 it is reported as
-    inapplicable rather than asserted against a meaningless bound.  The
-    gates are Q1's (``q1.tol``); each m(Q) comes from its own Q's analysis.
+    compression norm alpha is safely below 1; near 1 it is left out rather
+    than asserted against a meaningless bound.  The gates are Q1's
+    (``q1.tol``); each m(Q) comes from its own Q's analysis.
     """
     eye, tol = identity(q1.dim), q1.tol
     m1 = matched_projection(q1).projection.matrix
@@ -227,37 +210,18 @@ def matched_lipschitz_bounds(q1: Idempotent, q2: Idempotent) -> LipschitzBounds:
         m1 - m2, comp @ a @ comp, a - b, m1 - b, a - m2, m1 @ a - m2 @ b, a @ m1 - b @ m2,
     ])).tolist()
 
-    scaled = gap / (1.0 - alpha) if alpha <= 1.0 - 1e-6 else None
-
     checks = [
         Check("bounded_by_min_of_cross_gaps", max(0.0, lhs - min(cross_left, cross_right)), tol.check),
         Check("bounded_by_mixed_left", max(0.0, lhs - mixed_left), tol.check),
         Check("bounded_by_mixed_right", max(0.0, lhs - mixed_right), tol.check),
     ]
-    if scaled is not None:
-        checks.append(Check("bounded_by_scaled_gap", max(0.0, lhs - scaled), tol.check))
-
-    return LipschitzBounds(
-        lhs=lhs,
-        alpha=alpha,
-        scaled_bound=scaled,
-        checks=checks,
-    )
+    if alpha <= 1.0 - 1e-6:
+        checks.append(Check("bounded_by_scaled_gap", max(0.0, lhs - gap / (1.0 - alpha)), tol.check))
+    return checks
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
-    """Fractional-power distance tables whose infimum is ||m(Q1) - m(Q2)||."""
-
-    alpha: np.ndarray
-    beta: np.ndarray
-    gamma: np.ndarray
-    target: float
-    checks: list[Check]
-
-
-def convergence_report(q1: Idempotent, q2: Idempotent) -> ConvergenceReport:
-    """Tabulate the three distance families over ``matched.EXPONENT_GRID``.
+def convergence_report(q1: Idempotent, q2: Idempotent) -> list[Check]:
+    """Check the three distance families over ``matched.EXPONENT_GRID``.
 
     Every entry bounds ||m(Q1) - m(Q2)|| from above, and the one-sided
     family converges to it as the exponent grows, so the grid certifies the
@@ -277,21 +241,12 @@ def convergence_report(q1: Idempotent, q2: Idempotent) -> ConvergenceReport:
     beta, gamma, target = rest[:k], rest[k:-1], float(rest[-1])
 
     tabulated_min = min(alpha.min(), beta.min(), gamma.min())
-    monotone_slack = max(
-        [0.0] + [beta[i + 1] - beta[i] for i in range(len(beta) - 1)]
-    )
-    checks = [
+    monotone_slack = max([0.0, *np.diff(beta)])
+    return [
         Check("grid_bounds_target_below", max(0.0, target - tabulated_min), q1.tol.check),
         Check("beta_tail_near_target", abs(beta[-1] - target), q1.tol.limit),
         Check("beta_nonincreasing", monotone_slack, q1.tol.check),
     ]
-    return ConvergenceReport(
-        alpha=alpha,
-        beta=beta,
-        gamma=gamma,
-        target=target,
-        checks=checks,
-    )
 
 
 def two_projection_construction(p1: Projection, p2: Projection) -> tuple[Idempotent, Idempotent, list[Check]]:
@@ -322,9 +277,11 @@ def two_projection_construction(p1: Projection, p2: Projection) -> tuple[Idempot
 
 @dataclass(frozen=True)
 class MinimalityReport:
-    """How close a candidate projection comes to the matched one."""
+    """How close a candidate projection comes to the matched one.
 
-    d_matched: float
+    ||m(Q) - Q|| is not kept here: it is ``matched_distance(q)``.
+    """
+
     d_candidate: float
     qpp_holds: bool
     checks: list[Check]
@@ -381,7 +338,6 @@ def qpp_minimality(p: Projection, q: Idempotent) -> MinimalityReport:
                 )
             )
     return MinimalityReport(
-        d_matched=d_matched,
         d_candidate=d_candidate,
         qpp_holds=holds,
         checks=checks,

@@ -42,11 +42,6 @@ class HalmosPoint:
         if not 0.0 <= self.t <= np.pi:
             raise ValueError(f"angle {self.t!r} outside [0, pi]")
 
-    @property
-    def x(self) -> float:
-        """Re z, the only part of z the distance objective sees."""
-        return self.z.real
-
 
 def canonical_idempotent(a: complex, tol: Tolerances = DEFAULT_TOL) -> Idempotent:
     """The 2x2 idempotent [[1, a], [0, 0]]; its norm is sqrt(1 + |a|^2)."""

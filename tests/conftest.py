@@ -1,7 +1,8 @@
 """Fixtures and input generators shared by the test modules."""
 
+import importlib.util
 import os
-from collections import Counter
+from pathlib import Path
 
 # One OpenBLAS kernel on every x86 machine, set before numpy loads it: the
 # byte-exact golden reports hold their last bits under this kernel, and other
@@ -13,34 +14,21 @@ import pytest
 
 from matchedproj import random_idempotent
 
+_spec = importlib.util.spec_from_file_location(
+    "linalg_calls", Path(__file__).parents[1] / "tools" / "linalg_calls.py")
+linalg_calls_tool = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(linalg_calls_tool)
+
 
 @pytest.fixture
-def factorizations(monkeypatch):
-    """Count dense factorizations in numpy.linalg.
+def factorizations():
+    """Count dense factorizations in numpy.linalg, as ``tools/linalg_calls.py`` counts them.
 
     An SVD without vectors counts as "svdvals" (an exact 2-norm or a rank
     test), a full one as "svd" (a factorization of the matrix).
     """
-    counts = Counter()
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    for name in ("eig", "eigh", "eigvals", "eigvalsh", "solve", "inv",
-                 "qr", "cholesky", "lstsq", "pinv"):
-        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
-    svd = np.linalg.svd
-
-    def counted_svd(a, full_matrices=True, compute_uv=True, *args, **kwargs):
-        counts["svd" if compute_uv else "svdvals"] += 1
-        return svd(a, full_matrices, compute_uv, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counted_svd)
-    return counts
+    with linalg_calls_tool.counted_linalg() as counts:
+        yield counts
 
 
 @pytest.fixture

@@ -343,10 +343,10 @@ class TestCriterion10:
                 dim, int(rng.integers(1, dim)), float(10.0 ** rng.uniform(-2, 1)),
                 int(rng.integers(2**32)),
             )
-            rep = convergence_report(q1, q2)
-            worst_tail = max(worst_tail, abs(rep.beta[-1] - rep.target))
-            floor = rep.target - min(rep.alpha.min(), rep.beta.min(), rep.gamma.min())
-            worst_floor = max(worst_floor, floor)
+            # the residuals are |beta[-1] - target| and max(0, target - grid minimum)
+            checks = {c.name: c for c in convergence_report(q1, q2)}
+            worst_tail = max(worst_tail, checks["beta_tail_near_target"].residual)
+            worst_floor = max(worst_floor, checks["grid_bounds_target_below"].residual)
         ok = worst_tail <= 1e-2 and worst_floor <= 1e-9
         report(
             10,

@@ -21,20 +21,26 @@ from matchedproj import (
     Tolerances,
     adjoint,
     as_matrix,
+    as_idempotent,
     as_projection,
     battery,
     cli,
+    complement_of,
     fractional_power_limit,
     identity,
     is_quasi_projection_pair,
     koliha_projections,
+    matched_distance,
     matched_projection,
+    null_distance,
+    offdiag_distance,
     operator_norm,
     psd_power,
     qpp_checks,
     qpp_minimality,
     random_idempotent,
     random_projection,
+    range_distance,
     two_by_two,
 )
 from matchedproj import matched as matched_module
@@ -541,6 +547,25 @@ class TestAnalyze:
         assert factorizations["svdvals"] <= 7, dict(factorizations)
         assert factorizations["solve"] == 0, dict(factorizations)
 
+    def test_distances_are_the_values_q_keeps(self, tmp_path):
+        # the report's distances block, bit for bit, is read from Q's SVDs,
+        # its memos and the closed form in nu of a fresh certificate of Q
+        q_path, out = tmp_path / "q.json", tmp_path / "report.json"
+        assert run("generate", "--dim", 12, "--rank", 5, "--offdiag-norm", 3,
+                   "--seed", 8, "--output", q_path) == 0
+        assert run("analyze", "--input", q_path, "--output", out) == 0
+        q = as_idempotent(load_matrix(q_path))
+        kept = {
+            "norm_q": q.norm,
+            "norm_complement": complement_of(q).norm,
+            "d_matched": matched_distance(q),
+            "d_matched_closed": offdiag_distance(q.offdiag_norm),
+            "d_range": range_distance(q),
+            "d_null": null_distance(q),
+        }
+        distances = json.loads(out.read_text())["distances"]
+        assert {k: float(v).hex() for k, v in distances.items()} == {k: float(v).hex() for k, v in kept.items()}
+
     def test_input_is_opened_once(self, tmp_path, monkeypatch):
         # the report's sha256 names the bytes that were parsed, from the one read
         q, rep = tmp_path / "q.json", tmp_path / "rep.json"
@@ -1017,14 +1042,13 @@ class TestVerify:
                                        int(rng.integers(2**32)), tol) for _ in range(2))
             p1, p2 = random_projection(dim, [1, 1], [seed, seed + 1], tol)
             p_a, p_b = random_projection(dim, [dim // 2, dim - 1], [seed + 2, seed + 3], tol)
-            lipschitz = norms_module.matched_lipschitz_bounds(q, q2)
             two = []
             if norm_at_most(p1.matrix @ p2.matrix, 0.999):
                 two = norms_module.two_projection_construction(p1, p2)[2]
             return bits([
                 list(battery._core_kernels(np.random.default_rng(seed), dim, tol)),
                 list(battery._continuity_probe(np.random.default_rng(seed), dim, tol)),
-                [lipschitz.lhs, lipschitz.alpha, lipschitz.scaled_bound, lipschitz.checks],
+                norms_module.matched_lipschitz_bounds(q, q2),
                 norms_module.kkm_distance(p_a, p_b),
                 two,
                 two_by_two.grid_minimize(float(10.0 ** rng.uniform(-2, 2)), 64, tol).checks,

@@ -46,6 +46,7 @@ from matchedproj import (
     matched_via_factor,
     moore_penrose,
     norm_bracket,
+    null_distance,
     null_projection,
     numerical_rank,
     operator_norm,
@@ -56,6 +57,7 @@ from matchedproj import (
     random_projection,
     random_qpp_pair,
     random_unitary,
+    range_distance,
     range_identities,
     range_projection,
     unitary_equivariance,
@@ -232,7 +234,7 @@ class TestProductionRoute:
         # these 100 inputs, and its witness raised on one
         for q in envelope_inputs((1e4, 1e6), dims=(16, 32), every_rank=True):
             checks = [
-                *distance_report(q).checks,
+                *distance_report(q),
                 *qpp_checks(matched_projection(q).projection, q),
                 *range_identities(q),
             ]
@@ -438,7 +440,7 @@ class TestMemo:
 
         def results():
             return (*q.svd, matched_projection(q).projection.matrix,
-                    homotopy_witness(q).w, distance_report(q).d_matched)
+                    homotopy_witness(q).w, matched_distance(q), range_distance(q), null_distance(q))
 
         def analysis():
             return {**vars(q), **q._memo}
@@ -487,8 +489,8 @@ class TestMemo:
         assert next(qpp_checks(matched_projection(q).projection, q)).tolerance == loose.relative(q.norm)
         # a function of two idempotents gates at the first one's tolerance
         other = random_idempotent(8, 4, 1.0, 6)
-        assert {c.tolerance for c in matched_lipschitz_bounds(q, other).checks} == {loose.check}
-        assert convergence_report(q, other).checks[0].tolerance == loose.check
+        assert {c.tolerance for c in matched_lipschitz_bounds(q, other)} == {loose.check}
+        assert convergence_report(q, other)[0].tolerance == loose.check
         distance_report(q), range_identities(q), matched_via_factor(q)
         assert q._memo and all(callable(key) for key in q._memo)
 

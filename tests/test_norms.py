@@ -1,4 +1,4 @@
-"""Tests for the norm identities, bounds, and convergence tables."""
+"""Tests for the norm identities, bounds, convergence checks and the distances Q keeps."""
 
 import numpy as np
 import pytest
@@ -22,8 +22,10 @@ from matchedproj import (
     halmos_projection,
     identity,
     kkm_distance,
+    matched_distance,
     matched_lipschitz_bounds,
     matched_projection,
+    null_distance,
     null_projection,
     offdiag_distance,
     operator_norm,
@@ -32,6 +34,7 @@ from matchedproj import (
     random_idempotent,
     random_projection,
     random_qpp_pair,
+    range_distance,
     range_projection,
     two_projection_construction,
 )
@@ -140,9 +143,9 @@ class TestDistanceReport:
     def test_projection_input(self):
         p = random_projection(5, 2, 13)
         q = as_idempotent(p.matrix)
-        rep = distance_report(q)
-        assert rep.d_matched <= 1e-12
-        assert rep.d_range <= 1e-12
+        checks = distance_report(q)
+        assert matched_distance(q) <= 1e-12
+        assert range_distance(q) <= 1e-12
         # the similarity V = (|Q| + |I - Q| + I)/2 and the defect operator
         # D = -m (I - Q) m - (I - m) Q (I - m), built as distance_report builds them
         eye, m = np.eye(5), matched_projection(q).projection.matrix
@@ -150,39 +153,56 @@ class TestDistanceReport:
         d_op = -m @ (eye - q.matrix) @ m - (eye - m) @ q.matrix @ (eye - m)
         assert operator_norm(v_sim - eye) <= 1e-12
         assert operator_norm(d_op) <= 1e-12
-        assert all_passed(rep.checks), [c.name for c in failures(rep.checks)]
+        assert all_passed(checks), [c.name for c in failures(checks)]
 
     def test_canonical_frozen_values(self):
-        rep = distance_report(canonical_idempotent(1.0))
-        assert rep.norm_q == pytest.approx(RT2, abs=1e-14)
-        assert rep.d_matched == pytest.approx(RT2 / 2.0, abs=1e-12)
-        assert rep.d_matched_closed == pytest.approx(RT2 / 2.0, abs=1e-14)
-        assert rep.d_range == pytest.approx(1.0, abs=1e-12)
-        assert all_passed(rep.checks), [c.name for c in failures(rep.checks)]
+        q = canonical_idempotent(1.0)
+        checks = distance_report(q)
+        assert q.norm == pytest.approx(RT2, abs=1e-14)
+        assert matched_distance(q) == pytest.approx(RT2 / 2.0, abs=1e-12)
+        assert offdiag_distance(q.offdiag_norm) == pytest.approx(RT2 / 2.0, abs=1e-14)
+        assert range_distance(q) == pytest.approx(1.0, abs=1e-12)
+        # P_N(Q) - Q = [[-1, -3], [-1, 1]] / 2, whose norm is the golden ratio
+        assert null_distance(q) == pytest.approx((1.0 + np.sqrt(5.0)) / 2.0, abs=1e-12)
+        assert all_passed(checks), [c.name for c in failures(checks)]
 
     def test_canonical_sandwich_strict(self):
-        rep = distance_report(canonical_idempotent(1.0))
-        assert 0.5 * rep.d_range < rep.d_matched - 1e-3
-        assert rep.d_matched < rep.d_range - 1e-3
+        q = canonical_idempotent(1.0)
+        assert 0.5 * range_distance(q) < matched_distance(q) - 1e-3
+        assert matched_distance(q) < range_distance(q) - 1e-3
 
     def test_eigenvalue_oracle_for_distance(self):
         # ||m(Q) - Q||^2 equals (b - 1)(b + a) / 2 on the canonical family
         for a in (0.3, 1.0, 2.5, 10.0):
-            rep = distance_report(canonical_idempotent(a))
             b = np.sqrt(1 + a * a)
-            assert rep.d_matched**2 == pytest.approx(0.5 * (b - 1) * (b + a), rel=1e-10)
+            d_matched = matched_distance(canonical_idempotent(a))
+            assert d_matched**2 == pytest.approx(0.5 * (b - 1) * (b + a), rel=1e-10)
 
     def test_random(self):
         rng = np.random.default_rng(17)
         for _ in range(30):
-            rep = distance_report(random_stress_idempotent(rng))
-            assert all_passed(rep.checks), [c.name for c in failures(rep.checks)]
+            checks = distance_report(random_stress_idempotent(rng))
+            assert all_passed(checks), [c.name for c in failures(checks)]
+
+    def test_distances_are_memoized_exact_norms(self, factorizations):
+        # on a cold memo each distance is one exact 2-norm of P - Q, and a
+        # second read takes none; Q's SVD and partners are built beforehand
+        rng = np.random.default_rng(19)
+        for _ in range(8):
+            q = random_stress_idempotent(rng, dim_max=12)
+            range_projection(q), null_projection(q)
+            for distance, p in ((range_distance, range_projection(q)), (null_distance, null_projection(q))):
+                factorizations.clear()
+                d = distance(q)
+                assert dict(factorizations) == {"svdvals": 1}
+                assert distance(q) is d and dict(factorizations) == {"svdvals": 1}
+                assert d.hex() == operator_norm(p.matrix - q.matrix).hex()
 
     def test_closed_forms_near_a_projection(self):
         # the closed forms read nu = ||Y||; taken from ||Q|| they missed their
         # gate by up to 180x at ||A|| = 1e-10 and on every identity with n >= 8
         for q in envelope_inputs((0.0, 1e-10, 1e-8, 1e-6, 1e-4), dims=(2, 8, 16)):
-            checks = {c.name: c for c in distance_report(q).checks}
+            checks = {c.name: c for c in distance_report(q)}
             for name in ("closed_form_agreement", "range_gap_closed_form"):
                 assert checks[name].passed, (q.dim, q.rank, checks[name])
 
@@ -191,7 +211,7 @@ class TestDistanceReport:
         # nu = 1e-8 down, so a verdict on whether it was within the gate
         # called such a Q a projection and failed the check
         for q in envelope_inputs((0.0, 1e-10, 1e-8, 1e-6, 1e-4), dims=(2, 8, 16)):
-            sandwich = {c.name: c for c in distance_report(q).checks}["sandwich_equality_iff_projection"]
+            sandwich = {c.name: c for c in distance_report(q)}["sandwich_equality_iff_projection"]
             assert sandwich.passed, (q.dim, q.rank, sandwich)
 
     @pytest.mark.parametrize("nu", [0.0, 1e-8, 2.0])
@@ -200,7 +220,7 @@ class TestDistanceReport:
         # closed forms in nu do not have, on a projection (nu = 0) as elsewhere
         exact = norms.matched_distance
         monkeypatch.setattr(norms, "matched_distance", lambda q: exact(q) + 1e-6)
-        checks = {c.name: c for c in distance_report(random_idempotent(8, 3, nu, 5)).checks}
+        checks = {c.name: c for c in distance_report(random_idempotent(8, 3, nu, 5))}
         sandwich = checks["sandwich_equality_iff_projection"]
         assert not sandwich.passed and sandwich.residual == pytest.approx(1e-6, rel=1e-6), sandwich
 
@@ -233,30 +253,45 @@ class TestDistanceReport:
 
     def test_trivial_idempotents(self):
         for mat in (np.zeros((3, 3)), np.eye(3), np.eye(8)):
-            rep = distance_report(as_idempotent(mat))
-            assert rep.d_matched <= 1e-13
-            assert all_passed(rep.checks), [c.name for c in failures(rep.checks)]
+            q = as_idempotent(mat)
+            checks = distance_report(q)
+            assert matched_distance(q) <= 1e-13
+            assert all_passed(checks), [c.name for c in failures(checks)]
 
 
 class TestLipschitzBounds:
     def test_identical_inputs(self):
         q = canonical_idempotent(1.0)
-        out = matched_lipschitz_bounds(q, q)
-        assert out.lhs <= 1e-12
-        assert all_passed(out.checks)
+        assert all_passed(matched_lipschitz_bounds(q, q))
 
-    def test_projection_first_argument_zeroes_alpha(self):
+    def test_projection_first_argument_zeroes_alpha(self, monkeypatch):
         p = random_projection(4, 2, 19)
         q1 = as_idempotent(p.matrix)
         q2 = random_idempotent(4, 2, 1.0, 21)
-        out = matched_lipschitz_bounds(q1, q2)
-        assert out.alpha <= 1e-12
-        assert out.scaled_bound is not None
-        # with alpha = 0 the scaled bound reduces to the plain gap
-        assert out.scaled_bound == pytest.approx(
-            operator_norm(q1.matrix - q2.matrix), rel=1e-9
-        )
-        assert all_passed(out.checks), [c.name for c in failures(out.checks)]
+        checks = matched_lipschitz_bounds(q1, q2)
+        assert all_passed(checks), [c.name for c in failures(checks)]
+
+        # lift ||m(Q1) - m(Q2)|| to 2 ||Q1 - Q2||, so the scaled-gap residual
+        # is lhs - ||Q1 - Q2|| / (1 - alpha) > 0 and reads alpha
+        stacked, norms_seen = norms.operator_norm, []
+
+        def lifted(m):
+            out = stacked(m)
+            out[0] = 2.0 * out[2]
+            norms_seen.append(out)
+            return out
+
+        monkeypatch.setattr(norms, "operator_norm", lifted)
+        lifted_checks = {c.name: c for c in matched_lipschitz_bounds(q1, q2)}
+        (norms_of_stack,) = norms_seen
+        lhs, alpha, gap = norms_of_stack[:3].tolist()
+        # m(Q1) = Q1, so alpha = ||(1 - Q1) Q1 (1 - Q1)|| is rounding and the
+        # scaled bound is ||Q1 - Q2|| to within it
+        assert alpha <= 4.0 * EPS
+        assert gap == pytest.approx(operator_norm(q1.matrix - q2.matrix), rel=1e-15)
+        residual = lifted_checks["bounded_by_scaled_gap"].residual
+        assert residual.hex() == (lhs - gap / (1.0 - alpha)).hex()
+        assert residual == pytest.approx(gap, rel=8.0 * EPS)
 
     def test_random_pairs(self):
         rng = np.random.default_rng(23)
@@ -264,26 +299,24 @@ class TestLipschitzBounds:
             dim = int(rng.integers(2, 8))
             q1 = random_idempotent(dim, int(rng.integers(1, dim)), 1.5, int(rng.integers(2**32)))
             q2 = random_idempotent(dim, int(rng.integers(1, dim)), 1.5, int(rng.integers(2**32)))
-            out = matched_lipschitz_bounds(q1, q2)
-            assert all_passed(out.checks), [c.name for c in failures(out.checks)]
+            checks = matched_lipschitz_bounds(q1, q2)
+            assert all_passed(checks), [c.name for c in failures(checks)]
 
 
 class TestConvergenceReport:
     def test_equal_projections(self):
         p = random_projection(4, 2, 29)
         q = as_idempotent(p.matrix)
-        rep = convergence_report(q, q)
-        assert rep.target <= 1e-12
-        assert rep.alpha.max() <= 1e-10
-        assert rep.beta.max() <= 1e-10
+        checks = {c.name: c for c in convergence_report(q, q)}
+        # the target is 0, so the tail residual is the last beta itself
+        assert checks["beta_tail_near_target"].residual <= 1e-10
+        assert all_passed(checks.values())
 
     def test_canonical_pair_beta_drops_to_zero(self):
         q = canonical_idempotent(1.0)
-        rep = convergence_report(q, q)
-        assert rep.target <= 1e-12
-        assert rep.beta[0] > 0.1  # the compression is visibly above m(Q) at n = 1
-        assert rep.beta[-1] <= 3e-3
-        assert all_passed(rep.checks), [c.name for c in failures(rep.checks)]
+        checks = convergence_report(q, q)
+        assert {c.name: c for c in checks}["beta_tail_near_target"].residual <= 3e-3
+        assert all_passed(checks), [c.name for c in failures(checks)]
 
     def test_random_pairs(self):
         rng = np.random.default_rng(31)
@@ -291,11 +324,11 @@ class TestConvergenceReport:
             dim = int(rng.integers(2, 8))
             q1 = random_idempotent(dim, int(rng.integers(1, dim)), 2.0, int(rng.integers(2**32)))
             q2 = random_idempotent(dim, int(rng.integers(1, dim)), 2.0, int(rng.integers(2**32)))
-            rep = convergence_report(q1, q2)
-            assert all_passed(rep.checks), [c.name for c in failures(rep.checks)]
-            assert rep.alpha.min() >= rep.target - 1e-10
+            checks = convergence_report(q1, q2)
+            assert all_passed(checks), [c.name for c in failures(checks)]
+            assert {c.name: c for c in checks}["grid_bounds_target_below"].residual <= 1e-10
 
-    def test_tables_equal_per_slice_norms(self):
+    def test_checks_equal_per_slice_norms(self):
         # a stacked SVD runs the same LAPACK call on each slice as operator_norm
         rng = np.random.default_rng(37)
         roots = [1.0 / n for n in EXPONENT_GRID]
@@ -305,17 +338,21 @@ class TestConvergenceReport:
                 q1.dim, int(rng.integers(1, q1.dim)), float(10.0 ** rng.uniform(-2, 1)),
                 int(rng.integers(2**32)),
             )
-            rep = convergence_report(q1, q2)
             m1 = matched_projection(q1).projection.matrix
             m2 = matched_projection(q2).projection.matrix
             pow1 = psd_power(require_hermitian(m1 @ q1.matrix @ m1), roots)
             pow2 = psd_power(require_hermitian(m2 @ q2.matrix @ m2), roots)
-            np.testing.assert_array_equal(
-                rep.alpha, [[operator_norm(a - b) for b in pow2] for a in pow1]
-            )
-            np.testing.assert_array_equal(rep.beta, [operator_norm(a - m2) for a in pow1])
-            np.testing.assert_array_equal(rep.gamma, [operator_norm(m1 - b) for b in pow2])
-            assert rep.target == operator_norm(m1 - m2)
+            alpha = [operator_norm(a - b) for a in pow1 for b in pow2]
+            beta = [operator_norm(a - m2) for a in pow1]
+            gamma = [operator_norm(m1 - b) for b in pow2]
+            target = operator_norm(m1 - m2)
+            expected = [
+                ("grid_bounds_target_below", max(0.0, target - min(alpha + beta + gamma)), q1.tol.check),
+                ("beta_tail_near_target", abs(beta[-1] - target), q1.tol.limit),
+                ("beta_nonincreasing", max([0.0, *np.diff(beta)]), q1.tol.check),
+            ]
+            got = [(c.name, c.residual, c.tolerance) for c in convergence_report(q1, q2)]
+            assert [(n, float(r).hex(), t) for n, r, t in got] == [(n, float(r).hex(), t) for n, r, t in expected]
 
 
 class TestTwoProjectionConstruction:
@@ -383,15 +420,15 @@ class TestQppMinimality:
         q = canonical_idempotent(1.0)
         rep = qpp_minimality(range_projection(q), q)
         assert not rep.qpp_holds
-        assert rep.d_matched == pytest.approx(RT2 / 2.0, abs=1e-12)
+        assert matched_distance(q) == pytest.approx(RT2 / 2.0, abs=1e-12)
         assert rep.d_candidate == pytest.approx(1.0, abs=1e-12)
-        assert rep.d_matched <= 2.0 * rep.d_candidate + 1e-12
+        assert matched_distance(q) <= 2.0 * rep.d_candidate + 1e-12
         assert all_passed(rep.checks)
 
     def test_null_partner(self):
         q = canonical_idempotent(1.0)
         rep = qpp_minimality(null_projection(q), q)
-        assert rep.d_matched <= 2.0 * rep.d_candidate + 1e-12
+        assert matched_distance(q) <= 2.0 * rep.d_candidate + 1e-12
         assert all_passed(rep.checks)
 
     def test_generated_qpp_pairs(self):

@@ -79,10 +79,6 @@ class TestHalmosPoint:
         with pytest.raises(ValueError):
             HalmosPoint(z=1.0 + 0j, t=4.0)
 
-    def test_x_is_real_part(self):
-        p = HalmosPoint(z=np.exp(1j * np.pi / 3), t=0.5)
-        assert p.x == pytest.approx(0.5, abs=1e-12)
-
 
 class TestCanonicalIdempotent:
     def test_unit_parameter(self):
