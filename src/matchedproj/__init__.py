@@ -76,7 +76,6 @@ from .matched import (
     unitary_equivariance,
 )
 from .norms import (
-    MinimalityReport,
     convergence_report,
     distance_report,
     kkm_distance,

@@ -19,10 +19,15 @@ Every random projection comes from ``_draw_projections``, one stacked draw
 and certificate per batch: the block-form P of ``_projection_structure``,
 and in ``_norm_suite`` the 20 candidates (also measured as one stack, and
 given no quasi-projection-pair verdict: a random projection is no partner
-of Q, so its record is the factor-2 bound of ``qpp_minimality``), the
-pair p1, p2 of the two-projection construction and the pair p_a, p_b of
-the distance equality.  Koliha's pair P_R(Q), P_R(Q*) is certified as one
-stack, and the fractional-power distances are one stacked norm, as are
+of Q, so its one record is the factor-2 bound, the first record of
+``qpp_minimality`` and the only one that holds for any projection, taken
+from the stacked distances), the pair p1, p2 of the two-projection
+construction and the pair p_a, p_b of the distance equality.  The one
+partner ``qpp_minimality`` is given, the generated quasi-projection pair of
+``_qpp_suite``, has its verdict decided once there, by
+``is_quasi_projection_pair``, and recorded after the theorem's records.
+Koliha's pair P_R(Q), P_R(Q*) is certified as one stack, and the
+fractional-power distances are one stacked norm, as are
 the exact norms of ``_core_kernels`` and each pair of the continuity
 probe, the draws' norms taken after the draws, which do not read them.  A batch
 is one computed step, whose records are then yielded one slice after
@@ -72,6 +77,7 @@ from .matched import (
     homotopy_path,
     homotopy_witness,
     homotopy_witness_block,
+    is_quasi_projection_pair,
     matched_distance,
     matched_projection,
     matched_projection_closed_form,
@@ -314,9 +320,8 @@ def _qpp_suite(rng, dim, q, tol):
     m_qpp = matched_projection(q_qpp).projection.matrix
     commute = p_qpp.matrix @ m_qpp - m_qpp @ p_qpp.matrix
     yield norm_check("qpp-partner-commutes-with-matched", commute, tol.relative(q_qpp.norm))
-    mini = qpp_minimality(p_qpp, q_qpp)
-    yield from _prefixed("qpp-minimality", mini.checks)
-    yield boolean_check("generated-qpp-pair-holds", mini.qpp_holds)
+    yield from _prefixed("qpp-minimality", qpp_minimality(p_qpp, q_qpp))
+    yield boolean_check("generated-qpp-pair-holds", is_quasi_projection_pair(p_qpp, q_qpp))
 
 
 def _homotopy(rng, dim, q, tol):

@@ -1,9 +1,11 @@
 """Norm identities, inequalities, closed forms and convergence checks for m(Q).
 
 Each report returns its list of ``report.Check``, and a record only where a
-caller reads more: ``MinimalityReport`` (the battery reads its verdict) and
-``two_projection_construction``'s two idempotents.  The values of Q alone
-that the reports compare are read from where Q keeps them: ||Q|| and
+caller reads more: ``two_projection_construction``'s two idempotents.
+``qpp_minimality`` lists the minimality theorem's conclusions for a partner
+P of Q, which its caller decides; of a projection that is no partner, a
+caller reads the first record, the factor-2 bound, alone.  The values of Q
+alone that the reports compare are read from where Q keeps them: ||Q|| and
 ||I - Q|| from the SVDs of Q and ``complement_of(q)``, ||m(Q) - Q||,
 ||P_R(Q) - Q|| and ||P_N(Q) - Q|| from their memos on Q
 (``matched.matched_distance``, ``range_distance``, ``null_distance``), and
@@ -11,8 +13,6 @@ the closed form of the first from ``offdiag_distance(q.offdiag_norm)``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +34,6 @@ from .linalg import (
 )
 from .matched import (
     fractional_powers,
-    is_quasi_projection_pair,
     matched_distance,
     matched_projection,
     null_distance,
@@ -275,70 +274,38 @@ def two_projection_construction(p1: Projection, p2: Projection) -> tuple[Idempot
     return q1, q2, checks
 
 
-@dataclass(frozen=True)
-class MinimalityReport:
-    """How close a candidate projection comes to the matched one.
-
-    ||m(Q) - Q|| is not kept here: it is ``matched_distance(q)``.
-    """
-
-    d_candidate: float
-    qpp_holds: bool
-    checks: list[Check]
-
-
-def qpp_minimality(p: Projection, q: Idempotent) -> MinimalityReport:
+def qpp_minimality(p: Projection, q: Idempotent) -> list[Check]:
     """Distance-minimality of m(Q) among the quasi-projection-pair partners of Q.
 
-    Always verifies ||m(Q) - Q|| <= 2 ||P - Q||, the one bound for any
-    projection P.  When (P, Q) is a quasi-projection pair it additionally
-    verifies the PSD dominance of (P - Q)(P - Q)* over the matched
-    counterpart (with equality exactly at P = m(Q)), the sharp factor-one
-    bound, and the small-distance rigidity: ||P - Q|| < 1 forces P = m(Q)
-    and ||Q|| < 5/3.
+    P must be a partner of Q, which the caller decides with
+    ``is_quasi_projection_pair``; the records are the theorem's conclusions
+    under that hypothesis.  The first, ||m(Q) - Q|| <= 2 ||P - Q||, holds for
+    any projection P, so it alone applies to a P that is no partner.  The
+    rest are the PSD dominance of (P - Q)(P - Q)* and of (P - Q)*(P - Q) over
+    their matched counterparts (with equality exactly at P = m(Q)), the sharp
+    factor-one bound, and the small-distance rigidity: ||P - Q|| < 1 forces
+    P = m(Q) and ||Q|| < 5/3.
     """
     m = matched_projection(q).projection.matrix
     qm, tol = q.matrix, q.tol
     d_matched = matched_distance(q)
-    d_candidate = operator_norm(p.matrix - qm)
+    diff_m, diff_p = m - qm, p.matrix - qm
+    d_candidate = operator_norm(diff_p)
+    to_matched = operator_norm(p.matrix - m)
     scale, scale_sq = tol.relative(q.norm), tol.quadratic(q.norm)
+    left_m, left_p = diff_m @ adjoint(diff_m), diff_p @ adjoint(diff_p)
+    right_m, right_p = adjoint(diff_m) @ diff_m, adjoint(diff_p) @ diff_p
+    dominance_tight = norm_at_most(left_p - left_m, scale_sq)
 
     checks = [
-        Check("matched_within_twice_candidate", max(0.0, d_matched - 2.0 * d_candidate), scale)
+        Check("matched_within_twice_candidate", max(0.0, d_matched - 2.0 * d_candidate), scale),
+        boolean_check("psd_dominance_left", psd_order(left_m, left_p, tol)),
+        boolean_check("psd_dominance_right", psd_order(right_m, right_p, tol)),
+        Check("matched_within_candidate", max(0.0, d_matched - d_candidate), scale),
+        boolean_check("dominance_equality_iff_matched", dominance_tight == (to_matched <= scale)),
     ]
-    holds = is_quasi_projection_pair(p, q)
-    if holds:
-        diff_m = m - qm
-        diff_p = p.matrix - qm
-        left_m, left_p = diff_m @ adjoint(diff_m), diff_p @ adjoint(diff_p)
-        right_m, right_p = adjoint(diff_m) @ diff_m, adjoint(diff_p) @ diff_p
-        checks.append(boolean_check("psd_dominance_left", psd_order(left_m, left_p, tol)))
-        checks.append(boolean_check("psd_dominance_right", psd_order(right_m, right_p, tol)))
-        checks.append(
-            Check("matched_within_candidate", max(0.0, d_matched - d_candidate), scale)
-        )
-        dominance_tight = norm_at_most(left_p - left_m, scale_sq)
-        to_matched = operator_norm(p.matrix - m)
-        candidate_is_matched = to_matched <= scale
-        checks.append(
-            boolean_check(
-                "dominance_equality_iff_matched", dominance_tight == candidate_is_matched
-            )
-        )
-        # strict hypotheses degenerate at round-off; require a real margin below 1
-        if d_candidate < 1.0 - 1e-6:
-            checks.append(
-                Check("small_distance_forces_matched", to_matched, scale)
-            )
-            checks.append(
-                Check(
-                    "small_distance_bounds_norm",
-                    max(0.0, q.norm - 5.0 / 3.0),
-                    tol.check,
-                )
-            )
-    return MinimalityReport(
-        d_candidate=d_candidate,
-        qpp_holds=holds,
-        checks=checks,
-    )
+    # strict hypotheses degenerate at round-off; require a real margin below 1
+    if d_candidate < 1.0 - 1e-6:
+        checks.append(Check("small_distance_forces_matched", to_matched, scale))
+        checks.append(Check("small_distance_bounds_norm", max(0.0, q.norm - 5.0 / 3.0), tol.check))
+    return checks

@@ -943,11 +943,10 @@ class TestVerify:
         for k in range(20):
             p = random_projection(dim, int(rng.integers(0, dim + 1)), int(rng.integers(2**32)), tol)
             p = splice.get(k, p)
-            mini = qpp_minimality(p, q)
-            assert mini.qpp_holds == (k in splice)
-            closer = norm_check("projection-closer-to-matched", p.matrix - m, mini.d_candidate + 1e-9)
+            assert is_quasi_projection_pair(p, q) == (k in splice)
+            closer = norm_check("projection-closer-to-matched", p.matrix - m, operator_norm(p.matrix - q.matrix) + 1e-9)
             yield closer, f"trial {k}"
-            twice = mini.checks[0]
+            twice = qpp_minimality(p, q)[0]
             yield Check(f"any-projection:{twice.name}", twice.residual, twice.tolerance, twice.lower), ""
 
     def test_candidate_stack_is_the_per_candidate_loop_bitwise(self, monkeypatch):
@@ -1000,6 +999,29 @@ class TestVerify:
         # the counter sees a verdict where one is taken
         list(battery._qpp_suite(np.random.default_rng(0), q.dim, q, tol))
         assert seen
+
+    def test_qpp_suite_decides_the_generated_pair_once(self, monkeypatch):
+        # with a generated "pair" that is none, P_R(Q) of [[1, 1], [0, 0]],
+        # the suite still records the theorem's conclusions, then the
+        # failed verdict, which it takes once
+        tol, q = DEFAULT_TOL, canonical_idempotent(1.0)
+        p = battery.range_projection(q)
+        monkeypatch.setattr(battery, "random_qpp_pair", lambda *args: (p, q))
+        verdicts = []
+        decide = battery.is_quasi_projection_pair
+        monkeypatch.setattr(battery, "is_quasi_projection_pair", lambda a, b: verdicts.append(a) or decide(a, b))
+        records = [r if isinstance(r, Check) else r[0] for r in battery._qpp_suite(np.random.default_rng(0), 2, q, tol)]
+        assert [a is p for a in verdicts] == [True]
+        names = [c.name for c in records]
+        tail = [
+            "qpp-minimality:matched_within_twice_candidate", "qpp-minimality:psd_dominance_left",
+            "qpp-minimality:psd_dominance_right", "qpp-minimality:matched_within_candidate",
+            "qpp-minimality:dominance_equality_iff_matched", "generated-qpp-pair-holds",
+        ]
+        assert names[-len(tail):] == tail
+        passed = {c.name: c.passed for c in records[-len(tail):]}
+        assert not passed["generated-qpp-pair-holds"]
+        assert not passed["qpp-minimality:psd_dominance_left"]
 
     def test_no_random_candidate_is_a_partner(self):
         # the premise of the candidates' one record: over the battery's own

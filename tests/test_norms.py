@@ -21,6 +21,7 @@ from matchedproj import (
     failures,
     halmos_projection,
     identity,
+    is_quasi_projection_pair,
     kkm_distance,
     matched_distance,
     matched_lipschitz_bounds,
@@ -409,34 +410,36 @@ class TestQppMinimality:
     def test_matched_pair_detected_as_equality_case(self):
         q = canonical_idempotent(1.0)
         pair = matched_projection(q)
-        rep = qpp_minimality(pair.projection, q)
-        assert rep.qpp_holds
-        names = {c.name: c for c in rep.checks}
+        assert is_quasi_projection_pair(pair.projection, q)
+        checks = qpp_minimality(pair.projection, q)
+        names = {c.name: c for c in checks}
         assert names["dominance_equality_iff_matched"].passed
         assert names["small_distance_forces_matched"].passed
-        assert all_passed(rep.checks), [c.name for c in failures(rep.checks)]
+        assert all_passed(checks), [c.name for c in failures(checks)]
 
     def test_range_partner_two_times_bound(self):
+        # P_R(Q) is no partner of Q, so only the factor-2 record applies to it
         q = canonical_idempotent(1.0)
-        rep = qpp_minimality(range_projection(q), q)
-        assert not rep.qpp_holds
+        p = range_projection(q)
+        assert not is_quasi_projection_pair(p, q)
         assert matched_distance(q) == pytest.approx(RT2 / 2.0, abs=1e-12)
-        assert rep.d_candidate == pytest.approx(1.0, abs=1e-12)
-        assert matched_distance(q) <= 2.0 * rep.d_candidate + 1e-12
-        assert all_passed(rep.checks)
+        assert operator_norm(p.matrix - q.matrix) == pytest.approx(1.0, abs=1e-12)
+        twice = qpp_minimality(p, q)[0]
+        assert twice.name == "matched_within_twice_candidate"
+        assert twice.residual == 0.0 and twice.passed
 
     def test_null_partner(self):
         q = canonical_idempotent(1.0)
-        rep = qpp_minimality(null_projection(q), q)
-        assert matched_distance(q) <= 2.0 * rep.d_candidate + 1e-12
-        assert all_passed(rep.checks)
+        twice = qpp_minimality(null_projection(q), q)[0]
+        assert twice.name == "matched_within_twice_candidate"
+        assert twice.residual == 0.0 and twice.passed
 
     def test_generated_qpp_pairs(self):
         for seed in range(40):
             p, q = random_qpp_pair(6, seed)
-            rep = qpp_minimality(p, q)
-            assert rep.qpp_holds
-            assert all_passed(rep.checks), [c.name for c in failures(rep.checks)]
+            assert is_quasi_projection_pair(p, q)
+            checks = qpp_minimality(p, q)
+            assert all_passed(checks), [c.name for c in failures(checks)]
 
     def test_any_projection_twice_bound(self):
         rng = np.random.default_rng(47)
@@ -444,19 +447,39 @@ class TestQppMinimality:
             dim = int(rng.integers(2, 8))
             q = random_stress_idempotent(rng, dim_max=dim)
             p = random_projection(q.dim, int(rng.integers(0, q.dim + 1)), int(rng.integers(2**32)))
-            rep = qpp_minimality(p, q)
-            assert all_passed(rep.checks), [c.name for c in failures(rep.checks)]
+            twice = qpp_minimality(p, q)[0]
+            assert twice.name == "matched_within_twice_candidate"
+            assert twice.passed, twice
 
     def test_candidate_distance_is_the_exact_norm(self):
-        # random candidates and Q's three distinguished partners: each
-        # ||P - Q|| is the 2-D operator_norm, bit for bit
+        # random candidates and Q's three distinguished partners: the
+        # factor-2 residual is built from the 2-D operator_norm of P - Q,
+        # bit for bit
         rng = np.random.default_rng(59)
         for _ in range(8):
             q = random_stress_idempotent(rng, dim_max=12)
             p = random_projection(q.dim, int(rng.integers(0, q.dim + 1)), int(rng.integers(2**32)))
             for c in (p, matched_projection(q).projection, range_projection(q), null_projection(q)):
-                rep = qpp_minimality(c, q)
-                assert rep.d_candidate.hex() == operator_norm(c.matrix - q.matrix).hex()
+                want = max(0.0, matched_distance(q) - 2.0 * operator_norm(c.matrix - q.matrix))
+                assert qpp_minimality(c, q)[0].residual.hex() == want.hex()
+
+    def test_conclusions_are_listed_for_any_projection(self):
+        # for [[1, 1], [0, 0]] P_R(Q) is no partner, and the theorem's
+        # dominance fails for it; m(Q), the partner, passes every record
+        q = canonical_idempotent(1.0)
+        full = [
+            "matched_within_twice_candidate", "psd_dominance_left", "psd_dominance_right",
+            "matched_within_candidate", "dominance_equality_iff_matched",
+        ]
+        p = range_projection(q)
+        checks = {c.name: c for c in qpp_minimality(p, q)}
+        assert list(checks) == full
+        assert not checks["psd_dominance_left"].passed
+        assert checks["matched_within_twice_candidate"].passed
+        m = matched_projection(q).projection
+        checks = qpp_minimality(m, q)
+        assert [c.name for c in checks] == full + ["small_distance_forces_matched", "small_distance_bounds_norm"]
+        assert all_passed(checks), [c.name for c in failures(checks)]
 
 
 class TestProjectionDistanceBound:

@@ -223,6 +223,56 @@ def test_the_qpp_path_invariant_sees_each_spelling():
         assert bool(_qpp_matrices_outside_qpp_checks(source)) == (source in spellings), source
 
 
+# a partner theorem takes its partner: norms lists the conclusions, and the
+# caller that holds a candidate decides whether it is one
+PAIR_VERDICTS = ("is_quasi_projection_pair", "qpp_checks")
+
+
+def _pair_verdicts(source):
+    """Where the source imports, names or looks up ``is_quasi_projection_pair`` or ``qpp_checks``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            named = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Constant):
+            named = [node.value]
+        else:
+            named = [getattr(node, "id", None) or getattr(node, "attr", None)]
+        found += [f"{node.lineno} {name}" for name in named if name in PAIR_VERDICTS]
+    return found
+
+
+def test_norms_takes_no_pair_verdict():
+    source = (PACKAGE / "norms.py").read_text(encoding="utf-8")
+    assert "def qpp_minimality(" in source
+    found = _pair_verdicts(source)
+    assert not found, found
+
+
+def test_the_pair_verdict_invariant_sees_each_spelling():
+    spellings = [
+        "holds = is_quasi_projection_pair(p, q)",
+        "holds = matched.is_quasi_projection_pair(p, q)",
+        "checks = list(qpp_checks(p, q))",
+        "from .matched import is_quasi_projection_pair as is_pair",
+        "from .matched import (\n    matched_distance,\n    qpp_checks,\n)",
+        "def qpp_minimality(p, q):\n    def holds():\n        return all(c.passed for c in qpp_checks(p, q))\n"
+        "    return holds()",
+        "holds = getattr(matched, 'is_quasi_projection_pair')(p, q)",
+        "decide = is_quasi_projection_pair",
+    ]
+    allowed = [
+        "def qpp_minimality(p, q):\n"
+        "    \"\"\"P must be a partner, which the caller decides with ``is_quasi_projection_pair``.\"\"\"\n"
+        "    return checks",
+        "checks = qpp_minimality(p, q)",
+        "from .matched import matched_distance, matched_projection",
+        "dominant = psd_order(left_m, left_p, tol)",
+    ]
+    for source in spellings + allowed:
+        assert bool(_pair_verdicts(source)) == (source in spellings), source
+
+
 def _battery_record_violations(source):
     """Where the source records a tally outside ``_record_checks`` or compares an exact norm.
 
@@ -669,7 +719,7 @@ def test_the_gate_invariant_sees_each_spelling():
         "linalg.norm_bracket(m, gate=0.5)",
         "certify(r, lambda: 1e-9, fail)",
         "SUBSPACE_TOL = 1e-8",
-        "gates = [mini.d_candidate + 1e-9 for mini in minis]",
+        "gates = [d + 1e-9 for d in d_candidates]",
         "def _qpp_suite(rng, dim, q, tol):\n    if norm_at_most(m, 1e-5):\n        pass",
         "class HalmosPoint:\n    def check(self):\n        return abs(self.z) - 1.0 > 1e-10",
         "class Tolerances:\n    check: float = 1e-10\n\n\nbound = Tolerances.check * 2",
@@ -683,7 +733,7 @@ def test_the_gate_invariant_sees_each_spelling():
         "norm_check('range_mq_inside_range_q_plus_qstar', r, tol.subspace)",
         "Check('fractional-power-limit', dists[-1], tol.limit)",
         "Check('argmin_x_at_one', abs(best_x - 1.0), tol.above(dx))",
-        "gates = [tol.above_absolute(mini.d_candidate) for mini in minis]",
+        "gates = [tol.above_absolute(d) for d in d_candidates]",
         "Check('grid_min_near_optimum', abs(gap), (2.0 + 3.0 * mod) * dt + mod * dx)",
         "certify(r, lambda: tol.check, fail)",
         "if abs(d - direct) > tol.check:\n    pass",
