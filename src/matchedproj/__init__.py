@@ -87,7 +87,6 @@ from .norms import (
 from .report import Check, all_passed, failures
 from .two_by_two import (
     GridMinimum,
-    HalmosPoint,
     TwoByTwoProblem,
     canonical_idempotent,
     closed_form_p0,

@@ -104,7 +104,6 @@ from .two_by_two import (
     distance_objective,
     grid_minimize,
     halmos_projection,
-    HalmosPoint,
 )
 
 @dataclass(frozen=True)
@@ -161,10 +160,6 @@ class BatteryReport:
     def first_failing(self) -> CheckTally | None:
         """The first tally, in the order the checks first ran, that recorded a failure."""
         return next((t for t in self.tallies.values() if t.failed), None)
-
-    def first_failure(self) -> str | None:
-        t = self.first_failing()
-        return None if t is None else f"{t.name}: {t.first_failure}"
 
 
 Record = Check | tuple[Check, str]
@@ -406,7 +401,7 @@ def _two_by_two(rng, tol):
     x = float(rng.uniform(-1.0, 1.0))
     t = float(rng.uniform(0.0, np.pi))
     z = complex(x, np.sqrt(max(1.0 - x * x, 0.0)))
-    p = halmos_projection(HalmosPoint(z=z, t=t), phase, tol)
+    p = halmos_projection(z, t, phase, tol)
     direct = operator_norm(p.matrix - gm.q.matrix) ** 2
     objective = abs(distance_objective(a, x, t) - direct)
     yield Check("objective-matches-norm", objective, tol.quadratic(mod))
@@ -417,7 +412,7 @@ def _family_point(mod: float, tol: Tolerances):
     """The 512-point grid's checks at ``a = mod``, then its argmin against the closed form."""
     gm = grid_minimize(mod, 512, tol)
     yield from _prefixed("family-grid", gm.checks)
-    p_grid = halmos_projection(HalmosPoint(z=1.0 + 0j, t=gm.argmin_t), 0.0, tol)
+    p_grid = halmos_projection(1.0, gm.argmin_t, 0.0, tol)
     frob = float(np.linalg.norm(p_grid.matrix - gm.problem.p0.matrix))
     yield Check("family-argmin-matches-closed-form", frob, tol.above(4.0 * (np.pi / 511)))
 

@@ -223,8 +223,9 @@ def cmd_verify(args) -> int:
     if report.all_passed:
         print(f"all checks passed over {args.trials} trials")
         return E_OK
-    print(f"FIRST FAILURE: {report.first_failure()}")
-    print(f"reproduce: {_reproduction(args, report.first_failing().first_seed)}")
+    first = report.first_failing()
+    print(f"FIRST FAILURE: {first.name}: {first.first_failure}")
+    print(f"reproduce: {_reproduction(args, first.first_seed)}")
     return E_MATH
 
 

@@ -216,9 +216,7 @@ def as_idempotent(m, tol: Tolerances = DEFAULT_TOL) -> Idempotent | list[Idempot
     qs = _as_matrix_or_stack(m)
     residual = qs @ qs
     residual -= qs
-    certify(residual, tol.quadratic,
-            lambda defect, bound, _: ValidationError(f"idempotency defect {defect:.3e} exceeds {bound:.3e}"),
-            qs)
+    certify(residual, tol.quadratic, ValidationError, "idempotency defect", qs)
     return Idempotent(qs, tol) if qs.ndim == 2 else [Idempotent(q, tol) for q in qs]
 
 
@@ -419,6 +417,5 @@ def block_form(t_mat: np.ndarray, p: Projection) -> BlockForm:
     r = int(np.count_nonzero(ones))
     x = adjoint(u) @ t_mat @ u
     form = BlockForm(u=u, rank=r, blocks=(x[:r, :r], x[:r, r:], x[r:, :r], x[r:, r:]))
-    certify(form.reassemble() - t_mat, tol.relative,
-            lambda gap, bound, _: ValidationError(f"block round-trip residual {gap:.3e} exceeds {bound:.3e}"), t_mat)
+    certify(form.reassemble() - t_mat, tol.relative, ValidationError, "block round-trip residual", t_mat)
     return form

@@ -51,8 +51,9 @@ A certificate raises where a check would report, and every one but the
 projection certificate goes through one kernel, ``certify``: a residual
 (a matrix or a stack) against a gate nondecreasing in its operands' norms,
 accepted slice by slice from ``norm_bounds``, with exact norms only for
-the slices the bounds leave unsettled and the caller's message, carrying
-the exact numbers, for the first slice that fails.  Its callers are ``require_hermitian`` (and with
+the slices the bounds leave unsettled.  The first slice that fails raises
+the caller's error class with one message, the caller's label followed by
+the exact norm and gate.  Its callers are ``require_hermitian`` (and with
 it every Hermitian kernel below), ``block_form``'s round trip,
 ``idempotents.as_idempotent`` (a matrix as one 2-D residual, a stack as
 one stacked residual), the inverse and similarity gates of
@@ -241,8 +242,9 @@ def norm_at_most(m: np.ndarray, bound: float) -> bool:
     return within if m.ndim == 2 else bool(within.all())
 
 
-def certify(residual: np.ndarray, gate, fail, *operands: np.ndarray, scale: float = 1.0) -> None:
-    """Certify scale ||R_k|| <= gate(||A_k||, ...) for each slice k, or raise ``fail(norm, bound, k)``.
+def certify(residual: np.ndarray, gate, error: type[Exception], label: str, *operands: np.ndarray,
+            scale: float = 1.0) -> None:
+    """Certify scale ||R_k|| <= gate(||A_k||, ...) for each slice k, or raise ``error`` under ``label``.
 
     The bound-first rule of every certificate but the projection one
     (``idempotents.as_projection``).  ``residual`` R is a matrix or a
@@ -252,9 +254,10 @@ def certify(residual: np.ndarray, gate, fail, *operands: np.ndarray, scale: floa
     <= gate(lower(||A_k||), ...) from ``norm_bounds`` implies the exact test.
     The slices that the bounds leave unsettled take their exact norms, one
     stacked ``operator_norm`` per quantity, and the first slice whose exact
-    scale ||R_k|| is not within gate(||A_k||, ...) raises the exception that
-    ``fail`` builds from that norm, that gate and k (0 for a matrix).  So a
-    message carries exact numbers, and a NaN norm never passes.
+    scale ||R_k|| is not within gate(||A_k||, ...) raises
+    ``error(f"{label} {norm:.3e} exceeds {bound:.3e}")`` with that norm and
+    that gate.  So a message carries exact numbers, and a NaN norm never
+    passes.
     """
     settled = scale * norm_bounds(residual)[1] <= gate(*[norm_bounds(a)[0] for a in operands])
     if settled if residual.ndim == 2 else settled.all():
@@ -263,15 +266,14 @@ def certify(residual: np.ndarray, gate, fail, *operands: np.ndarray, scale: floa
     r, *ops = (m.reshape(-1, *m.shape[-2:])[unsettled] for m in (residual, *operands))
     norms = scale * operator_norm(r)
     bounds = np.broadcast_to(gate(*(operator_norm(a) for a in ops)), norms.shape)
-    for k, norm, bound in zip(unsettled, norms, bounds):
+    for norm, bound in zip(norms, bounds):
         if not norm <= bound:
-            raise fail(norm, bound, int(k))
+            raise error(f"{label} {norm:.3e} exceeds {bound:.3e}")
 
 
 def require_hermitian(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Return the symmetrized matrix, certified ||M - M*|| <= tol.relative(||M||) (``certify``)."""
-    certify(m - adjoint(m), tol.relative,
-            lambda gap, bound, _: NotHermitianError(f"asymmetry {gap:.3e} exceeds {bound:.3e}"), m)
+    certify(m - adjoint(m), tol.relative, NotHermitianError, "asymmetry", m)
     return (m + adjoint(m)) / 2.0
 
 

@@ -413,15 +413,14 @@ def _certified_witness(
     contraction = operator_norm(e)
     d_inv = 1.0 / d
     f = adjoint(x) @ e - np.diag(d - 1.0)
-    certify(f, lambda: tol.relative(d_inv.max()), lambda defect, bound, _: ValidationError(
-        f"closed-form inverse defect {defect:.3e} exceeds {bound:.3e}"), scale=contraction * d_inv.max())
+    certify(f, lambda: tol.relative(d_inv.max()), ValidationError, "closed-form inverse defect",
+            scale=contraction * d_inv.max())
     if contraction >= 1.0:
         raise ValidationError(f"witness contraction norm {contraction:.6f} not < 1")
     witness = SimilarityWitness(projection, e, x, d, contraction)
     w_inv = identity(q.dim) - (e * d_inv) @ adjoint(x)
     certify(witness.samples(np.ones(1))[0] - q.matrix, lambda a, b: tol.relative(a * b),
-            lambda residual, bound, _: ValidationError(
-                f"similarity residual {residual:.3e} exceeds {bound:.3e}"), w_inv, witness.w)
+            ValidationError, "similarity residual", w_inv, witness.w)
     return witness
 
 
@@ -625,16 +624,14 @@ def fractional_power_limit(q: Idempotent) -> list[float]:
     if not psd_order(m, k, tol):
         raise ValidationError("m(Q) Q m(Q) does not dominate m(Q)")
     gap = k - 0.25 * (q.abs_q_star + q.abs_q + qm + adjoint(qm))
-    certify(gap, lambda: tol.relative(q.norm),
-            lambda residual, bound, _: ValidationError(f"four-term identity residual {residual:.3e} exceeds {bound:.3e}"))
+    certify(gap, lambda: tol.relative(q.norm), ValidationError, "four-term identity residual")
     return operator_norm(powers - m).tolist()
 
 
 def unitary_equivariance(q: Idempotent, u: np.ndarray) -> float:
     """||m(U* Q U) - U* m(Q) U|| for a unitary U, U* Q U certified at ``q.tol``; zero in exact arithmetic."""
     u = np.asarray(u, dtype=np.complex128)
-    certify(adjoint(u) @ u - identity(q.dim), lambda: q.tol.check,
-            lambda gap, bound, _: NotUnitaryError(f"unitarity defect {gap:.3e} exceeds {bound:.3e}"))
+    certify(adjoint(u) @ u - identity(q.dim), lambda: q.tol.check, NotUnitaryError, "unitarity defect")
     conjugated = as_idempotent(adjoint(u) @ q.matrix @ u, q.tol)
     inner = _matched_pair(conjugated).projection.matrix
     outer = adjoint(u) @ _matched_pair(q).projection.matrix @ u

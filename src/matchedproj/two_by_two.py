@@ -28,21 +28,6 @@ from .report import Check, boolean_check
 GRID_ROWS = 32
 
 
-@dataclass(frozen=True)
-class HalmosPoint:
-    """Coordinates (z, t) of a non-trivial 2x2 projection; |z| = 1, t in [0, pi]."""
-
-    z: complex
-    t: float
-
-    def __post_init__(self):
-        # chained comparisons, so that NaN, which fails them all, is rejected too
-        if not -1e-10 <= abs(self.z) - 1.0 <= 1e-10:
-            raise ValueError(f"|z| = {abs(self.z)!r} is not 1")
-        if not 0.0 <= self.t <= np.pi:
-            raise ValueError(f"angle {self.t!r} outside [0, pi]")
-
-
 def canonical_idempotent(a: complex, tol: Tolerances = DEFAULT_TOL) -> Idempotent:
     """The 2x2 idempotent [[1, a], [0, 0]]; its norm is sqrt(1 + |a|^2)."""
     if a == 0:
@@ -51,13 +36,13 @@ def canonical_idempotent(a: complex, tol: Tolerances = DEFAULT_TOL) -> Idempoten
 
 
 def halmos_projection(
-    point: HalmosPoint, theta: float, tol: Tolerances = DEFAULT_TOL
+    z: complex, t: float, theta: float, tol: Tolerances = DEFAULT_TOL
 ) -> Projection:
-    """The projection at (z, t), rotated by diag(1, e^(-i theta))."""
-    c, s = np.cos(point.t), np.sin(point.t)
+    """The projection at (z, t), rotated by diag(1, e^(-i theta)); certified, so |z| must be 1."""
+    c, s = np.cos(t), np.sin(t)
     w = abs(c * s)
     inner = np.array(
-        [[c**2, np.conj(point.z) * w], [point.z * w, s**2]], dtype=np.complex128
+        [[c**2, np.conj(z) * w], [z * w, s**2]], dtype=np.complex128
     )
     u = np.diag([1.0, np.exp(-1j * theta)])
     return as_projection(u @ inner @ adjoint(u), tol)

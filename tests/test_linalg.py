@@ -338,11 +338,15 @@ class TestRequireHermitian:
 
 
 class Failed(Exception):
-    """What ``certify`` raises in these tests: the failing norm, its gate and its slice."""
+    """The error class ``certify`` raises in these tests, under ``LABEL``."""
 
 
-def failed(norm, bound, k):
-    return Failed(norm, bound, k)
+LABEL = "test residual"
+
+
+def message(norm, bound):
+    """The message ``certify`` gives a failing slice of exact norm ``norm`` and gate ``bound``."""
+    return f"{LABEL} {norm:.3e} exceeds {bound:.3e}"
 
 
 # each gate shape, as a function of the tolerances, and how many operands it reads
@@ -396,28 +400,28 @@ class TestCertify:
         m = np.diag([2.0, 1.0]).astype(complex)
         r = np.zeros((2, 2), dtype=complex)
         r[0, 1] = 1e-3
-        certify(r, Tolerances(check=1e-2).relative, failed, m)
+        certify(r, Tolerances(check=1e-2).relative, Failed, LABEL, m)
         assert linalg_calls == []
         with pytest.raises(Failed) as info:
-            certify(r, Tolerances(check=1e-5).relative, failed, m)
-        assert info.value.args == (operator_norm(r), 1e-5 * (1.0 + operator_norm(m)), 0)
+            certify(r, Tolerances(check=1e-5).relative, Failed, LABEL, m)
+        assert str(info.value) == message(operator_norm(r), 1e-5 * (1.0 + operator_norm(m)))
 
     def test_near_gate_decided_exactly(self):
         # ||r|| just inside and just outside check (1 + ||m||), where the
         # Frobenius bound of r (sqrt 2 times its norm) cannot accept
         m = np.diag([1.0, 0.5]).astype(complex)
         r = np.eye(2, dtype=complex)
-        certify(r, Tolerances(check=1.0 / 1.999).relative, failed, m)
+        certify(r, Tolerances(check=1.0 / 1.999).relative, Failed, LABEL, m)
         with pytest.raises(Failed) as info:
-            certify(r, Tolerances(check=1.0 / 2.001).relative, failed, m)
-        assert info.value.args[0] == 1.0
+            certify(r, Tolerances(check=1.0 / 2.001).relative, Failed, LABEL, m)
+        assert str(info.value) == message(1.0, 2.0 / 2.001)
 
     @pytest.mark.parametrize("stacked", [False, True], ids=["matrix", "stack"])
     @pytest.mark.parametrize("shape", sorted(GATE_SHAPES))
     def test_verdict_is_the_exact_test_at_the_gate(self, shape, stacked):
         # with the check at 1 -/+ 1e-9 of each slice's exact ratio, that slice
-        # just fails or just passes; the kernel names the first failing
-        # slice, with its exact norm and gate, as the exact test does
+        # just fails or just passes; the kernel's message carries the exact
+        # norm and gate of the first failing slice, as the exact test finds it
         residual, operands = certify_inputs(shape, stacked)
         slices = len(residual) if stacked else 1
         failures = 0
@@ -430,12 +434,11 @@ class TestCertify:
                     assert expected is not None and expected[0] <= k, (shape, k)
                     failures += 1
                 if expected is None:
-                    certify(residual, gate, failed, *operands)
+                    certify(residual, gate, Failed, LABEL, *operands)
                     continue
                 with pytest.raises(Failed) as info:
-                    certify(residual, gate, failed, *operands)
-                assert [float(x).hex() for x in info.value.args[:2]] == [float(x).hex() for x in expected[1:]]
-                assert info.value.args[2] == expected[0], (shape, k, factor)
+                    certify(residual, gate, Failed, LABEL, *operands)
+                assert str(info.value) == message(*expected[1:]), (shape, k, factor)
         assert failures == slices
 
     def test_scaled_residual_is_compared_bitwise(self):
@@ -448,11 +451,11 @@ class TestCertify:
             expected = exact_failure(residual, gate, [], scale)
             assert (expected is None) == (factor > 1.0)
             if expected is None:
-                certify(residual, gate, failed, scale=scale)
+                certify(residual, gate, Failed, LABEL, scale=scale)
                 continue
             with pytest.raises(Failed) as info:
-                certify(residual, gate, failed, scale=scale)
-            assert info.value.args == (*expected[1:], expected[0])
+                certify(residual, gate, Failed, LABEL, scale=scale)
+            assert str(info.value) == message(*expected[1:])
 
     @pytest.mark.parametrize("stacked", [False, True], ids=["matrix", "stack"])
     @pytest.mark.parametrize("shape", sorted(GATE_SHAPES))
@@ -462,7 +465,7 @@ class TestCertify:
         residual, operands = certify_inputs(shape, stacked)
         ratio = max(unit_ratio(shape, residual, operands, k) for k in range(len(residual) if stacked else 1))
         linalg_calls.clear()
-        certify(residual, GATE_SHAPES[shape][0](Tolerances(check=100.0 * ratio)), failed, *operands)
+        certify(residual, GATE_SHAPES[shape][0](Tolerances(check=100.0 * ratio)), Failed, LABEL, *operands)
         assert linalg_calls == []
 
     def test_unsettled_slices_take_one_stacked_norm_per_quantity(self, linalg_calls):
@@ -471,7 +474,7 @@ class TestCertify:
         # one of their operands
         eye = np.eye(4, dtype=complex)
         residual = np.stack([eye, 0.5 * eye, eye])
-        certify(residual, Tolerances(check=1.5).relative, failed, np.zeros_like(residual))
+        certify(residual, Tolerances(check=1.5).relative, Failed, LABEL, np.zeros_like(residual))
         assert linalg_calls == ["svd", "svd"]
 
 

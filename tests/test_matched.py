@@ -857,6 +857,15 @@ class TestSymmetryClosure:
             as_idempotent(noisy)
 
 
+def witness_factors(q):
+    """(m(Q), U_r, E, D) built from the pencil as ``homotopy_witness`` builds them (2r < n)."""
+    w, v = q.pencil
+    s = w[w > 0.0]
+    u_r = (q.matrix @ v[:, w > 0.0]) / np.sqrt(0.5 * s * (s + 1.0))
+    p = matched_projection(q).projection
+    return p, u_r, (p.matrix @ u_r) / (1.0 + s) - u_r, 0.5 / s
+
+
 class TestHomotopy:
     def test_full_rank_non_projection_is_numerically_trivial(self):
         # certified as an idempotent but not as a projection, with both pencil
@@ -965,12 +974,7 @@ class TestHomotopy:
         # exceeds its gate; the clean factor, built from the pencil as the
         # route builds it (2r < n, so on Q's own side), passes
         q = random_idempotent(8, 3, 2.0, 5)
-        w, v = q.pencil
-        s = w[w > 0.0]
-        u_r = (q.matrix @ v[:, w > 0.0]) / np.sqrt(0.5 * s * (s + 1.0))
-        p = matched_projection(q).projection
-        d = 0.5 / s
-        e = (p.matrix @ u_r) / (1.0 + s) - u_r
+        p, u_r, e, d = witness_factors(q)
         clean = matched_module._certified_witness(q, p, u_r, e, d)
         np.testing.assert_array_equal(clean.w, homotopy_witness(q).w)
         with pytest.raises(ValidationError, match="inverse defect"):
@@ -1210,6 +1214,36 @@ class TestCertificateMessages:
         with pytest.raises(exc_type) as info:
             call()
         return str(info.value)
+
+    def test_idempotency(self):
+        # ||Q^2 - Q|| = 1/4 against check (1 + ||Q||^2) = 2e-10
+        message = self.raised(ValidationError, lambda: as_idempotent([[1, 0], [0, 0.5]]))
+        assert message == "idempotency defect 2.500e-01 exceeds 2.000e-10"
+
+    def test_closed_form_inverse(self):
+        # E shifted along U_r: F = U_r* E - (D - I) moves by 1e-3 I, and the
+        # bound ||E|| ||D^-1|| ||F|| exceeds relative(||D^-1||)
+        q = random_idempotent(8, 3, 2.0, 5)
+        p, u_r, e, d = witness_factors(q)
+        e = e + 1e-3 * u_r
+        f = adjoint(u_r) @ e - np.diag(d - 1.0)
+        defect = operator_norm(e) * (1.0 / d).max() * operator_norm(f)
+        bound = q.tol.relative((1.0 / d).max())
+        message = self.raised(ValidationError, lambda: matched_module._certified_witness(q, p, u_r, e, d))
+        assert message == f"closed-form inverse defect {defect:.3e} exceeds {bound:.3e}"
+
+    def test_similarity(self):
+        # the factors of Q with another idempotent's m(Q): W is still a
+        # certified contraction, but W^-1 P W is not Q
+        q = random_idempotent(8, 3, 2.0, 5)
+        _, u_r, e, d = witness_factors(q)
+        p = matched_projection(random_idempotent(8, 3, 2.0, 6)).projection
+        witness = matched_module.SimilarityWitness(p, e, u_r, d, operator_norm(e))
+        residual = operator_norm(witness.samples(np.ones(1))[0] - q.matrix)
+        w_inv = identity(8) - (e * (1.0 / d)) @ adjoint(u_r)
+        bound = q.tol.relative(operator_norm(w_inv) * operator_norm(witness.w))
+        message = self.raised(ValidationError, lambda: matched_module._certified_witness(q, p, u_r, e, d))
+        assert message == f"similarity residual {residual:.3e} exceeds {bound:.3e}"
 
     def test_asymmetry(self):
         m = as_matrix([[1.0, 1e-3], [0.0, 1.0]])

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from matchedproj import (
-    HalmosPoint,
     InapplicableHypothesisError,
     NotHermitianError,
     Projection,
@@ -118,7 +117,7 @@ class TestKkmDistance:
 
     def test_halmos_quarter_turn(self):
         p1 = as_projection(np.diag([1.0, 0.0]))
-        p2 = halmos_projection(HalmosPoint(z=1.0 + 0j, t=np.pi / 4), 0.0)
+        p2 = halmos_projection(1.0, np.pi / 4, 0.0)
         d = kkm_distance(p1, p2)
         assert d == pytest.approx(RT2 / 2.0, abs=1e-12)
         assert d == pytest.approx(operator_norm(p1.matrix - p2.matrix), abs=1e-12)

@@ -627,7 +627,6 @@ NON_GATE_CONSTANTS = {
     ("norms.py", "matched_lipschitz_bounds", 1e-6): "the 1 - 1e-6 margin below which the scaled bound applies",
     ("norms.py", "qpp_minimality", 1e-6): "the 1 - 1e-6 margin of the small-distance hypothesis",
     ("norms.py", "two_projection_construction", 0.5): "||P|| > 1/2 tells a nonzero projection",
-    ("two_by_two.py", "HalmosPoint.__post_init__", 1e-10): "HalmosPoint's test that |z| = 1",
     ("report.py", "boolean_check", 0.5): "a yes/no verdict as the residual 0 or 1 against 1/2",
 }
 
@@ -688,17 +687,43 @@ def _gate_violations(filename, source):
     return sorted(set(found), key=lambda f: int(f.split()[0]))
 
 
+def _literals_by_scope(source):
+    """(enclosing function, |value|) of each numeric literal of the source, scoped as ``_gate_violations`` scopes."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        value = _literal(node)
+        if value is not None:
+            found.add((scope, abs(value)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def _stale_exemptions(sources):
+    """The ``NON_GATE_CONSTANTS`` entries whose literal is not in their module and function."""
+    return [
+        key for key in NON_GATE_CONSTANTS
+        if key[0] not in sources or key[1:] not in _literals_by_scope(sources[key[0]])
+    ]
+
+
 def test_gates_live_on_tolerances():
     # every gate formula and fixed gate is a member of linalg.Tolerances, so
-    # a derived bound replaces one method, not each call site
+    # a derived bound replaces one method, not each call site; and no
+    # exemption outlives the literal it was written for
     tree = ast.parse((PACKAGE / "linalg.py").read_text(encoding="utf-8"))
     cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Tolerances")
     assert {n.target.id for n in cls.body if isinstance(n, ast.AnnAssign)} == GATE_MEMBERS | {"rank"}
-    found = [
-        f"{path.name}:{v}" for path in sorted(PACKAGE.glob("*.py"))
-        for v in _gate_violations(path.name, path.read_text(encoding="utf-8"))
-    ]
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    found = [f"{name}:{v}" for name, text in sources.items() for v in _gate_violations(name, text)]
     assert not found, found
+    stale = _stale_exemptions(sources)
+    assert not stale, stale
 
 
 def test_the_gate_invariant_sees_each_spelling():
@@ -717,11 +742,11 @@ def test_the_gate_invariant_sees_each_spelling():
         "report.norm_check('x', m, 5)",
         "norm_at_most(m, -0.25)",
         "linalg.norm_bracket(m, gate=0.5)",
-        "certify(r, lambda: 1e-9, fail)",
+        "certify(r, lambda: 1e-9, ValidationError, 'unitarity defect')",
         "SUBSPACE_TOL = 1e-8",
         "gates = [d + 1e-9 for d in d_candidates]",
         "def _qpp_suite(rng, dim, q, tol):\n    if norm_at_most(m, 1e-5):\n        pass",
-        "class HalmosPoint:\n    def check(self):\n        return abs(self.z) - 1.0 > 1e-10",
+        "def halmos_projection(z, t, theta, tol):\n    if abs(abs(z) - 1.0) > 1e-10:\n        raise ValueError",
         "class Tolerances:\n    check: float = 1e-10\n\n\nbound = Tolerances.check * 2",
     ]
     allowed = [
@@ -735,7 +760,7 @@ def test_the_gate_invariant_sees_each_spelling():
         "Check('argmin_x_at_one', abs(best_x - 1.0), tol.above(dx))",
         "gates = [tol.above_absolute(d) for d in d_candidates]",
         "Check('grid_min_near_optimum', abs(gap), (2.0 + 3.0 * mod) * dt + mod * dx)",
-        "certify(r, lambda: tol.check, fail)",
+        "certify(r, lambda: tol.check, NotUnitaryError, 'unitarity defect')",
         "if abs(d - direct) > tol.check:\n    pass",
         "report = {'check': tol.check, 'psd': tol.psd}",
         "r = q.rank - 1",
@@ -748,11 +773,94 @@ def test_the_gate_invariant_sees_each_spelling():
     # the class body of Tolerances in linalg.py, and a listed constant in its own module and function
     tolerances = "class Tolerances:\n    psd: ClassVar[float] = 1e-10\n\n    def relative(self, s):\n" \
                  "        return self.check * (1.0 + s)"
-    halmos = "class HalmosPoint:\n    def __post_init__(self):\n        if not -1e-10 <= abs(self.z) - 1.0 <= 1e-10:\n" \
-             "            pass"
-    for filename, source in (("linalg.py", tolerances), ("two_by_two.py", halmos)):
+    verdict = "def boolean_check(name, ok):\n    return Check(name, 0.0 if ok else 1.0, 0.5)"
+    for filename, source in (("linalg.py", tolerances), ("report.py", verdict)):
         assert not _gate_violations(filename, source), source
         assert _gate_violations("battery.py", source), source
+    # an exemption is live only where its literal is: the same value in
+    # another function, or another value in its own, leaves it stale
+    key = ("report.py", "boolean_check", 0.5)
+    assert key not in _stale_exemptions({"report.py": verdict})
+    for source in (
+        "def boolean_check(name, ok):\n    return Check(name, 0.0 if ok else 1.0, HALF)",
+        "def describe(check):\n    return check.residual > 0.5",
+        "def boolean_check(name, ok):\n    return Check(name, 0.0 if ok else 1.0, 0.25)",
+    ):
+        assert key in _stale_exemptions({"report.py": source}), source
+
+
+# where a failed certificate's message is spelled: (module, function)
+MESSAGE_BUILDERS = {("linalg.py", "certify"), ("idempotents.py", "_projection_error")}
+
+
+def _message_violations(filename, source):
+    """Where the source spells a certificate message outside ``MESSAGE_BUILDERS``, or calls ``certify`` badly.
+
+    A message is an f-string holding "exceeds".  A ``certify`` call passes an
+    error class third (no lambda) and a string literal fourth as its label,
+    by position or by keyword.
+    """
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.JoinedStr) and (filename, scope) not in MESSAGE_BUILDERS and any(
+            isinstance(part, ast.Constant) and "exceeds" in part.value for part in node.values
+        ):
+            found.append(f"{node.lineno} message spelled in {scope or 'the module'}")
+        if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "certify":
+            errors = node.args[2:3] + [k.value for k in node.keywords if k.arg == "error"]
+            labels = node.args[3:4] + [k.value for k in node.keywords if k.arg == "label"]
+            if any(isinstance(e, ast.Lambda) for e in errors):
+                found.append(f"{node.lineno} certify builds its error")
+            if not (len(labels) == 1 and isinstance(labels[0], ast.Constant) and isinstance(labels[0].value, str)):
+                found.append(f"{node.lineno} certify takes no literal label")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_certificate_messages_have_one_spelling():
+    # "<label> <norm> exceeds <gate>" is built by certify alone, and by the
+    # projection certificate, which is no certify caller; each caller names
+    # its quantity by a literal label
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    assert "def certify(" in sources["linalg.py"] and "def _projection_error(" in sources["idempotents.py"]
+    found = [f"{name}:{v}" for name, text in sources.items() for v in _message_violations(name, text)]
+    assert not found, found
+
+
+def test_the_message_invariant_sees_each_spelling():
+    kernel = "def certify(residual, gate, error, label, *operands):\n" \
+             "    raise error(f'{label} {norm:.3e} exceeds {bound:.3e}')"
+    projection = "def _projection_error(p, gate):\n" \
+                 "    return ValidationError(f'projection defect {_projection_defect(p):.3e} exceeds {gate:.3e}')"
+    spellings = [
+        ("matched.py", "def unitary_equivariance(q, u):\n    certify(r, gate, lambda gap, bound, _: "
+                       "NotUnitaryError(f'unitarity defect {gap:.3e} exceeds {bound:.3e}'))"),
+        ("linalg.py", "certify(r, gate, error=lambda message: NotHermitianError(message), label='asymmetry')"),
+        ("matched.py", "def fractional_power_limit(q):\n    certify(gap, gate, ValidationError, LABEL)"),
+        ("matched.py", "certify(gap, gate, ValidationError, f'{name} residual')"),
+        ("matched.py", "certify(gap, gate, ValidationError)"),
+        ("matched.py", "def _certified_witness(q):\n    raise ValidationError(f'contraction {c:.6f} exceeds 1')"),
+        ("matched.py", kernel),
+        ("linalg.py", "def require_hermitian(m, tol):\n    raise NotHermitianError(f'{gap:.3e} exceeds {b:.3e}')"),
+        ("matched.py", projection),
+    ]
+    allowed = [
+        ("linalg.py", kernel),
+        ("idempotents.py", projection),
+        ("linalg.py", "certify(m - adjoint(m), tol.relative, NotHermitianError, 'asymmetry', m)"),
+        ("matched.py", "certify(f, gate, ValidationError, 'closed-form inverse defect', scale=s)"),
+        ("matched.py", "linalg.certify(r, gate, error=NotUnitaryError, label='unitarity defect')"),
+        ("matched.py", "raise ValidationError(f'witness contraction norm {c:.6f} not < 1')"),
+        ("matched.py", "def f(q):\n    \"\"\"The gate that the residual exceeds.\"\"\""),
+    ]
+    for filename, source in spellings + allowed:
+        assert bool(_message_violations(filename, source)) == ((filename, source) in spellings), source
 
 
 def _norm_bounds_named(source):
@@ -787,7 +895,7 @@ def test_the_norm_bounds_invariant_sees_each_spelling():
         "from .linalg import norm_bounds",
         "__all__ = ['norm_bounds']",
         "norm_bracket(m, gate)",
-        "certify(r, tol.relative, fail, m)",
+        "certify(r, tol.relative, NotHermitianError, 'asymmetry', m)",
         "lower, upper = norm_bracket(stack, gates)",
     ]
     for source in spellings + allowed:
@@ -1242,16 +1350,17 @@ def test_the_certifier_invariant_sees_each_spelling():
         "def as_idempotent(m, tol):\n    single = m.ndim == 2",
         "def as_idempotent(m, tol, *, single=False):\n    pass",
         "def as_idempotent(m, tol):\n    if (single := m.ndim == 2):\n        pass",
-        "def as_projection(m, tol):\n" + verdict + "    certify(p - adjoint(p), gate, fail)",
+        "def as_projection(m, tol):\n" + verdict + "    certify(p - adjoint(p), gate, ValidationError, 'asymmetry')",
         "def as_projection(m, tol):\n    if not linalg.norm_at_most(m - adjoint(m), tol.check):\n        raise E",
-        "def as_projection(m, tol):\n" + verdict + "    def check(p):\n        certify(p @ p - p, gate, fail)\n"
+        "def as_projection(m, tol):\n" + verdict + "    def check(p):\n        certify(p @ p - p, gate, ValidationError, 'idempotency defect')\n"
         "    check(ps)",
         "def as_projection(m, tol):\n" + verdict + "    if operator_norm(ps - adjoint(ps)) > tol.check:\n"
         "        raise E",
     ]
     allowed = [
         "def as_projection(m, tol):\n    ps = _as_matrix_or_stack(m)\n" + verdict,
-        "def as_idempotent(m, tol):\n    certify(qs @ qs - qs, tol.quadratic, fail, qs)",
+        "def as_idempotent(m, tol):\n"
+        "    certify(qs @ qs - qs, tol.quadratic, ValidationError, 'idempotency defect', qs)",
         "def random_projection(dim, rank, seed, tol):\n    single = isinstance(rank, int)",
         "def is_projection(m, tol):\n    return norm_at_most(m - adjoint(m), tol.check)",
     ]

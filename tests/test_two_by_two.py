@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from matchedproj import (
-    HalmosPoint,
     Tolerances,
     ValidationError,
     ZeroParameterError,
@@ -64,22 +63,6 @@ def full_grid_minimum(a, points):
     return float(vals[i, j]), float(xs[j]), float(ts[i])
 
 
-class TestHalmosPoint:
-    def test_rejects_off_circle(self):
-        with pytest.raises(ValueError):
-            HalmosPoint(z=2.0 + 0j, t=0.5)
-
-    @pytest.mark.parametrize("z", [complex("nan"), complex("nan+nanj")], ids=["nan", "nan_nan"])
-    def test_rejects_nan_z(self, z):
-        # NaN fails every comparison, so the test of |z| = 1 must not pass it
-        with pytest.raises(ValueError, match=r"\|z\| = nan is not 1"):
-            HalmosPoint(z=z, t=0.5)
-
-    def test_rejects_bad_angle(self):
-        with pytest.raises(ValueError):
-            HalmosPoint(z=1.0 + 0j, t=4.0)
-
-
 class TestCanonicalIdempotent:
     def test_unit_parameter(self):
         q = canonical_idempotent(1.0)
@@ -102,25 +85,36 @@ class TestCanonicalIdempotent:
 
 
 class TestHalmosProjection:
+    def test_rejects_off_circle(self):
+        # |z| = 2 puts the point off the family; the projection certificate rejects it at tol.check
+        with pytest.raises(ValidationError, match=r"^projection defect 5\.311e-01 exceeds 1\.000e-10$"):
+            halmos_projection(2.0, 0.5, 0.0)
+
+    @pytest.mark.parametrize("z", [complex("nan"), complex("nan+nanj")], ids=["nan", "nan_nan"])
+    def test_rejects_nan_z(self, z):
+        # NaN fails every comparison, so it must be rejected before any certificate reads it
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            halmos_projection(z, 0.5, 0.0)
+
     def test_angle_zero(self):
-        p = halmos_projection(HalmosPoint(z=1j, t=0.0), 0.7)
+        p = halmos_projection(1j, 0.0, 0.7)
         np.testing.assert_allclose(p.matrix, np.diag([1.0, 0.0]), atol=1e-14)
 
     def test_right_angle(self):
-        p = halmos_projection(HalmosPoint(z=1j, t=np.pi / 2), 0.7)
+        p = halmos_projection(1j, np.pi / 2, 0.7)
         np.testing.assert_allclose(p.matrix, np.diag([0.0, 1.0]), atol=1e-14)
 
     def test_optimal_point_reproduces_closed_form(self):
         problem = closed_form_p0(1.0)
-        p = halmos_projection(HalmosPoint(z=1.0 + 0j, t=problem.t0), 0.0)
+        p = halmos_projection(1.0, problem.t0, 0.0)
         np.testing.assert_allclose(p.matrix, problem.p0.matrix, atol=1e-13)
 
     def test_all_points_are_projections(self):
         rng = np.random.default_rng(3)
         for _ in range(25):
             z = np.exp(1j * rng.uniform(0, 2 * np.pi))
-            point = HalmosPoint(z=complex(z), t=float(rng.uniform(0, np.pi)))
-            p = halmos_projection(point, float(rng.uniform(0, 2 * np.pi)))
+            t = float(rng.uniform(0, np.pi))
+            p = halmos_projection(complex(z), t, float(rng.uniform(0, 2 * np.pi)))
             assert p.defect <= 1e-12
 
 
@@ -150,7 +144,7 @@ class TestDistanceObjective:
             x = float(rng.uniform(-1, 1))
             t = float(rng.uniform(0, np.pi))
             z = complex(x, np.sqrt(max(1 - x * x, 0.0)))
-            p = halmos_projection(HalmosPoint(z=z, t=t), theta)
+            p = halmos_projection(z, t, theta)
             q = canonical_idempotent(a)
             direct = operator_norm(p.matrix - q.matrix) ** 2
             assert distance_objective(a, x, t) == pytest.approx(
@@ -217,7 +211,7 @@ class TestGridMinimize:
         # the grid argmin maps through the projection family onto m(Q)
         gm = grid_minimize(1.0, 1024)
         t_low = min(gm.argmin_t, np.pi - gm.argmin_t)
-        p = halmos_projection(HalmosPoint(z=1.0 + 0j, t=t_low), 0.0)
+        p = halmos_projection(1.0, t_low, 0.0)
         m = matched_projection(canonical_idempotent(1.0)).projection.matrix
         assert np.linalg.norm(p.matrix - m) <= 4.0 * np.pi / 1023
 
