@@ -6,17 +6,7 @@ quasi-projection-pair partners.  Everything is finite-dimensional, dense,
 and machine-verified at configurable tolerances.
 """
 
-from .errors import (
-    BadRankError,
-    InapplicableHypothesisError,
-    MatchedProjectionError,
-    MatrixFileError,
-    NotHermitianError,
-    NotUnitaryError,
-    SingularPencilError,
-    ValidationError,
-    ZeroParameterError,
-)
+from .errors import MatchedProjectionError, ValidationError
 from .idempotents import (
     BlockForm,
     Idempotent,

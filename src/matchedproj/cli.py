@@ -144,10 +144,7 @@ def cmd_generate(args) -> int:
     tol = _tolerances(args)
     if args.offdiag_norm > 1e6:
         raise ValueError("--offdiag-norm capped at 1e6 (conditioning)")
-    try:
-        q = random_idempotent(args.dim, args.rank, args.offdiag_norm, args.seed, tol)
-    except MatchedProjectionError as exc:
-        raise ValueError(str(exc)) from exc
+    q = random_idempotent(args.dim, args.rank, args.offdiag_norm, args.seed, tol)
     dump(q.matrix, args.output)
     print(
         f"wrote {args.output}: dim {args.dim}, rank {args.rank}, "
@@ -175,8 +172,6 @@ def cmd_min2x2(args) -> int:
                 f"{flag} must be finite and at most {A_PART_MAX:g} in magnitude, not {part!r}"
             )
     a = complex(args.a_re, args.a_im)
-    if a == 0:
-        raise ValueError("parameter a must be nonzero")
     gm = grid_minimize(a, args.grid, tol)
     route_gap = gm.problem.p0.matrix - matched_projection(gm.q).projection.matrix
     checks = [*gm.checks, norm_check("closed_form_is_matched", route_gap, tol.route_gate(abs(a)))]

@@ -1,37 +1,17 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+The package raises two kinds of error, each with one meaning.  An argument
+that fails a check needing no numerical gate (a shape, a finite entry, a
+rank or count out of range, a parameter that must be nonzero, a malformed
+matrix file) raises the built-in ``ValueError``.  A computed norm held to a
+gate that it fails, on an input or on a result, raises ``ValidationError``,
+the one subclass of ``MatchedProjectionError``.
+"""
 
 
 class MatchedProjectionError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors: a certificate the computation could not meet."""
 
 
 class ValidationError(MatchedProjectionError):
-    """A certified wrapper (idempotent, projection, ...) failed its defect bound."""
-
-
-class NotHermitianError(MatchedProjectionError):
-    """Operation requires a Hermitian matrix."""
-
-
-class NotUnitaryError(MatchedProjectionError):
-    """Operation requires a unitary matrix."""
-
-
-class SingularPencilError(MatchedProjectionError):
-    """Q + Q* - I is numerically singular, so the input is not a clean idempotent."""
-
-
-class BadRankError(MatchedProjectionError):
-    """Requested rank lies outside [0, dim]."""
-
-
-class ZeroParameterError(MatchedProjectionError):
-    """The canonical 2x2 family needs a nonzero off-diagonal parameter."""
-
-
-class InapplicableHypothesisError(MatchedProjectionError):
-    """Hypothesis of the underlying statement fails for these inputs."""
-
-
-class MatrixFileError(MatchedProjectionError):
-    """Matrix JSON file is malformed or inconsistent."""
+    """A computed norm failed its gate, on an input (idempotent, Hermitian, ...) or on a result."""

@@ -8,7 +8,7 @@ from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
-from .errors import BadRankError, SingularPencilError, ValidationError
+from .errors import ValidationError
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
@@ -216,7 +216,7 @@ def as_idempotent(m, tol: Tolerances = DEFAULT_TOL) -> Idempotent | list[Idempot
     qs = _as_matrix_or_stack(m)
     residual = qs @ qs
     residual -= qs
-    certify(residual, tol.quadratic, ValidationError, "idempotency defect", qs)
+    certify(residual, tol.quadratic, "idempotency defect", qs)
     return Idempotent(qs, tol) if qs.ndim == 2 else [Idempotent(q, tol) for q in qs]
 
 
@@ -290,13 +290,13 @@ def koliha_projections(q: Idempotent) -> tuple[Projection, Projection]:
     Koliha's formulas, independent of Q's SVD; P_N(Q) = I - P_R(Q*).  S's
     singular values are the |lambda| of Q's memoized ``pencil``, one stacked
     solve S^(-1) [Q* | Q] gives both projections as adjoints, and one stacked
-    ``as_projection`` certifies the pair.  Raises ``SingularPencilError``
+    ``as_projection`` certifies the pair.  Raises ``ValidationError``
     if S is numerically singular.  Memoized.
     """
     qm, n = q.matrix, q.dim
     s = qm + adjoint(qm) - identity(n)
     if numerical_rank(np.sort(np.abs(q.pencil[0]))[::-1], n, q.tol) < n:
-        raise SingularPencilError("Q + Q* - I is numerically singular")
+        raise ValidationError("Q + Q* - I is numerically singular")
     x = np.linalg.solve(s, np.hstack([adjoint(qm), qm]))
     return tuple(as_projection(np.stack([adjoint(x[:, :n]), adjoint(x[:, n:])]), q.tol))
 
@@ -344,7 +344,7 @@ def random_idempotent(
     if dim < 1:
         raise ValueError(f"dim must be at least 1, not {dim}")
     if not 0 <= rank <= dim:
-        raise BadRankError(f"rank {rank} outside [0, {dim}]")
+        raise ValueError(f"rank {rank} outside [0, {dim}]")
     if not 0.0 <= offdiag_norm < np.inf:
         raise ValueError(f"offdiag_norm must be finite and nonnegative, not {offdiag_norm}")
     rng = np.random.default_rng(seed)
@@ -375,7 +375,7 @@ def random_projection(
         raise ValueError(f"ranks and seeds differ in length: {len(ranks)} and {len(seeds)}")
     for r in ranks:
         if not 0 <= r <= dim:
-            raise BadRankError(f"rank {r} outside [0, {dim}]")
+            raise ValueError(f"rank {r} outside [0, {dim}]")
     if len(seeds) == 0:
         return []
     gaussians = np.stack([complex_gaussian(np.random.default_rng(s), dim, dim) for s in seeds])
@@ -417,5 +417,5 @@ def block_form(t_mat: np.ndarray, p: Projection) -> BlockForm:
     r = int(np.count_nonzero(ones))
     x = adjoint(u) @ t_mat @ u
     form = BlockForm(u=u, rank=r, blocks=(x[:r, :r], x[:r, r:], x[r:, :r], x[r:, r:]))
-    certify(form.reassemble() - t_mat, tol.relative, ValidationError, "block round-trip residual", t_mat)
+    certify(form.reassemble() - t_mat, tol.relative, "block round-trip residual", t_mat)
     return form

@@ -52,8 +52,8 @@ projection certificate goes through one kernel, ``certify``: a residual
 (a matrix or a stack) against a gate nondecreasing in its operands' norms,
 accepted slice by slice from ``norm_bounds``, with exact norms only for
 the slices the bounds leave unsettled.  The first slice that fails raises
-the caller's error class with one message, the caller's label followed by
-the exact norm and gate.  Its callers are ``require_hermitian`` (and with
+``ValidationError`` with one message, the caller's label followed by the
+exact norm and gate.  Its callers are ``require_hermitian`` (and with
 it every Hermitian kernel below), ``block_form``'s round trip,
 ``idempotents.as_idempotent`` (a matrix as one 2-D residual, a stack as
 one stacked residual), the inverse and similarity gates of
@@ -75,7 +75,7 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .errors import NotHermitianError
+from .errors import ValidationError
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -242,9 +242,8 @@ def norm_at_most(m: np.ndarray, bound: float) -> bool:
     return within if m.ndim == 2 else bool(within.all())
 
 
-def certify(residual: np.ndarray, gate, error: type[Exception], label: str, *operands: np.ndarray,
-            scale: float = 1.0) -> None:
-    """Certify scale ||R_k|| <= gate(||A_k||, ...) for each slice k, or raise ``error`` under ``label``.
+def certify(residual: np.ndarray, gate, label: str, *operands: np.ndarray, scale: float = 1.0) -> None:
+    """Certify scale ||R_k|| <= gate(||A_k||, ...) for each slice k, or raise ``ValidationError`` under ``label``.
 
     The bound-first rule of every certificate but the projection one
     (``idempotents.as_projection``).  ``residual`` R is a matrix or a
@@ -255,9 +254,9 @@ def certify(residual: np.ndarray, gate, error: type[Exception], label: str, *ope
     The slices that the bounds leave unsettled take their exact norms, one
     stacked ``operator_norm`` per quantity, and the first slice whose exact
     scale ||R_k|| is not within gate(||A_k||, ...) raises
-    ``error(f"{label} {norm:.3e} exceeds {bound:.3e}")`` with that norm and
-    that gate.  So a message carries exact numbers, and a NaN norm never
-    passes.
+    ``ValidationError(f"{label} {norm:.3e} exceeds {bound:.3e}")`` with that
+    norm and that gate.  So a message carries exact numbers, and a NaN norm
+    never passes.
     """
     settled = scale * norm_bounds(residual)[1] <= gate(*[norm_bounds(a)[0] for a in operands])
     if settled if residual.ndim == 2 else settled.all():
@@ -268,12 +267,12 @@ def certify(residual: np.ndarray, gate, error: type[Exception], label: str, *ope
     bounds = np.broadcast_to(gate(*(operator_norm(a) for a in ops)), norms.shape)
     for norm, bound in zip(norms, bounds):
         if not norm <= bound:
-            raise error(f"{label} {norm:.3e} exceeds {bound:.3e}")
+            raise ValidationError(f"{label} {norm:.3e} exceeds {bound:.3e}")
 
 
 def require_hermitian(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Return the symmetrized matrix, certified ||M - M*|| <= tol.relative(||M||) (``certify``)."""
-    certify(m - adjoint(m), tol.relative, NotHermitianError, "asymmetry", m)
+    certify(m - adjoint(m), tol.relative, "asymmetry", m)
     return (m + adjoint(m)) / 2.0
 
 
@@ -285,7 +284,7 @@ def hermitian_eigen(
 
 
 def hermitian_eigvals(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """The eigenvalues, ascending, of ``require_hermitian(M)``; raises ``NotHermitianError`` as it does.
+    """The eigenvalues, ascending, of ``require_hermitian(M)``; raises ``ValidationError`` as it does.
 
     max |w| is the 2-norm of the symmetrized matrix, within ||M - M*|| / 2 of
     ||M|| before rounding, so a Hermitian operand's norm and its Loewner

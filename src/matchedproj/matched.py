@@ -73,7 +73,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import NotUnitaryError, ValidationError
+from .errors import ValidationError
 from .idempotents import (
     Idempotent,
     Projection,
@@ -413,14 +413,13 @@ def _certified_witness(
     contraction = operator_norm(e)
     d_inv = 1.0 / d
     f = adjoint(x) @ e - np.diag(d - 1.0)
-    certify(f, lambda: tol.relative(d_inv.max()), ValidationError, "closed-form inverse defect",
-            scale=contraction * d_inv.max())
+    certify(f, lambda: tol.relative(d_inv.max()), "closed-form inverse defect", scale=contraction * d_inv.max())
     if contraction >= 1.0:
         raise ValidationError(f"witness contraction norm {contraction:.6f} not < 1")
     witness = SimilarityWitness(projection, e, x, d, contraction)
     w_inv = identity(q.dim) - (e * d_inv) @ adjoint(x)
     certify(witness.samples(np.ones(1))[0] - q.matrix, lambda a, b: tol.relative(a * b),
-            ValidationError, "similarity residual", w_inv, witness.w)
+            "similarity residual", w_inv, witness.w)
     return witness
 
 
@@ -624,14 +623,14 @@ def fractional_power_limit(q: Idempotent) -> list[float]:
     if not psd_order(m, k, tol):
         raise ValidationError("m(Q) Q m(Q) does not dominate m(Q)")
     gap = k - 0.25 * (q.abs_q_star + q.abs_q + qm + adjoint(qm))
-    certify(gap, lambda: tol.relative(q.norm), ValidationError, "four-term identity residual")
+    certify(gap, lambda: tol.relative(q.norm), "four-term identity residual")
     return operator_norm(powers - m).tolist()
 
 
 def unitary_equivariance(q: Idempotent, u: np.ndarray) -> float:
     """||m(U* Q U) - U* m(Q) U|| for a unitary U, U* Q U certified at ``q.tol``; zero in exact arithmetic."""
     u = np.asarray(u, dtype=np.complex128)
-    certify(adjoint(u) @ u - identity(q.dim), lambda: q.tol.check, NotUnitaryError, "unitarity defect")
+    certify(adjoint(u) @ u - identity(q.dim), lambda: q.tol.check, "unitarity defect")
     conjugated = as_idempotent(adjoint(u) @ q.matrix @ u, q.tol)
     inner = _matched_pair(conjugated).projection.matrix
     outer = adjoint(u) @ _matched_pair(q).projection.matrix @ u

@@ -26,8 +26,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MatrixFileError
-
 
 def _matrix_pieces(m: np.ndarray, indent: int):
     """The matrix object of ``m`` in json's ``indent=2`` layout, at ``indent`` spaces.
@@ -112,7 +110,7 @@ def _row_values(row, i: int, n: int) -> list:
     the walk takes ``isinstance``, so subclasses such as ``np.float64`` load.
     """
     if not isinstance(row, list) or len(row) != n:
-        raise MatrixFileError(f"row {i} must hold {n} entries")
+        raise ValueError(f"row {i} must hold {n} entries")
     if set(map(type, row)) == {list} and set(map(len, row)) == {2}:
         values = list(chain.from_iterable(row))
         if set(map(type, values)) <= {int, float}:
@@ -123,14 +121,14 @@ def _row_values(row, i: int, n: int) -> list:
             or len(pair) != 2
             or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)
         ):
-            raise MatrixFileError(f"entry ({i}, {j}) must be an [re, im] pair")
+            raise ValueError(f"entry ({i}, {j}) must be an [re, im] pair")
     return [v for pair in row for v in pair]
 
 
 def matrix_from_obj(obj) -> np.ndarray:
     """Parse and validate the matrix schema."""
     if not isinstance(obj, dict) or "dim" not in obj or "entries" not in obj:
-        raise MatrixFileError("expected an object with 'dim' and 'entries'")
+        raise ValueError("expected an object with 'dim' and 'entries'")
     dim = obj["dim"]
     # JSON true/false load as bool, a subclass of int: rejected explicitly
     if (
@@ -139,18 +137,18 @@ def matrix_from_obj(obj) -> np.ndarray:
         or not all(isinstance(d, int) and not isinstance(d, bool) and d >= 1 for d in dim)
         or dim[0] != dim[1]
     ):
-        raise MatrixFileError(f"'dim' must be [n, n] with n >= 1, got {dim!r}")
+        raise ValueError(f"'dim' must be [n, n] with n >= 1, got {dim!r}")
     n = dim[0]
     entries = obj["entries"]
     if not isinstance(entries, list) or len(entries) != n:
-        raise MatrixFileError(f"'entries' must hold {n} rows")
+        raise ValueError(f"'entries' must hold {n} rows")
     rows = [_row_values(row, i, n) for i, row in enumerate(entries)]
     try:
         out = np.array(rows, dtype=np.float64).view(np.complex128)
     except OverflowError as exc:  # an integer literal beyond the largest double
-        raise MatrixFileError("matrix entries must be finite") from exc
+        raise ValueError("matrix entries must be finite") from exc
     if not np.isfinite(out).all():
-        raise MatrixFileError("matrix entries must be finite")
+        raise ValueError("matrix entries must be finite")
     return out
 
 
@@ -164,16 +162,16 @@ def load_matrix(path, digest=None) -> np.ndarray:
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
-        raise MatrixFileError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     if digest is not None:
         digest.update(data)
     try:
         text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
     except UnicodeDecodeError as exc:
-        raise MatrixFileError(f"{path} is not UTF-8 text: {exc}") from exc
+        raise ValueError(f"{path} is not UTF-8 text: {exc}") from exc
     try:
         obj = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
         # json's scanner recurses once per nesting level
-        raise MatrixFileError(f"{path} is not valid JSON: {exc}") from exc
+        raise ValueError(f"{path} is not valid JSON: {exc}") from exc
     return matrix_from_obj(obj)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InapplicableHypothesisError, NotHermitianError, ValidationError
+from .errors import ValidationError
 from .idempotents import (
     Idempotent,
     Projection,
@@ -128,7 +128,7 @@ def distance_report(q: Idempotent) -> list[Check]:
         """(eigenvalues, ||x||) from ``hermitian_eigvals``, or (None, ``operator_norm(x)``) if x is not Hermitian."""
         try:
             w = hermitian_eigvals(x, tol)
-        except NotHermitianError:
+        except ValidationError:
             return None, operator_norm(x)
         return w, float(np.abs(w).max())
 
@@ -261,7 +261,7 @@ def two_projection_construction(p1: Projection, p2: Projection) -> tuple[Idempot
     a, b = p1.matrix, p2.matrix
     prod_norm = operator_norm(a @ b)
     if prod_norm >= tol.below(1.0):
-        raise InapplicableHypothesisError(f"||P1 P2|| = {prod_norm:.6f} is not < 1")
+        raise ValidationError(f"||P1 P2|| = {prod_norm:.6f} is not < 1")
     q1 = as_idempotent(np.linalg.solve(eye - a @ b, a @ (eye - b)), tol)
     q2 = as_idempotent(np.linalg.solve(eye - b @ a, b @ (eye - a)), tol)
 

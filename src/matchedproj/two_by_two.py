@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, ZeroParameterError
+from .errors import ValidationError
 from .idempotents import Idempotent, Projection, as_idempotent, as_projection
 from .linalg import DEFAULT_TOL, EPS, Tolerances, adjoint, operator_norm
 from .report import Check, boolean_check
@@ -31,7 +31,7 @@ GRID_ROWS = 32
 def canonical_idempotent(a: complex, tol: Tolerances = DEFAULT_TOL) -> Idempotent:
     """The 2x2 idempotent [[1, a], [0, 0]]; its norm is sqrt(1 + |a|^2)."""
     if a == 0:
-        raise ZeroParameterError("parameter a must be nonzero")
+        raise ValueError("parameter a must be nonzero")
     return as_idempotent([[1.0, a], [0.0, 0.0]], tol)
 
 
@@ -78,7 +78,7 @@ class TwoByTwoProblem:
 def closed_form_p0(a: complex, tol: Tolerances = DEFAULT_TOL) -> TwoByTwoProblem:
     """The nearest projection (1/2b) [[b+1, a], [conj(a), b-1]], b = sqrt(1+|a|^2)."""
     if a == 0:
-        raise ZeroParameterError("parameter a must be nonzero")
+        raise ValueError("parameter a must be nonzero")
     mod = abs(a)
     b = np.sqrt(1.0 + mod**2)
     theta0 = np.arctan(mod)  # sin = |a|/b, cos = 1/b
@@ -154,9 +154,9 @@ def grid_minimize(a: complex, points: int, tol: Tolerances = DEFAULT_TOL) -> Gri
     (overflow at huge |a|) skips nothing.  With one block (points <= 32)
     its floor is at most the ceiling, so the single block is scanned.
     """
+    problem = closed_form_p0(a, tol)
     if points < 1:
         raise ValueError("grid size must be positive")
-    problem = closed_form_p0(a, tol)
     mod = abs(a)
     xs = np.linspace(-1.0, 1.0, points)
     ts = np.linspace(0.0, np.pi, points)

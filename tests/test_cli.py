@@ -51,7 +51,7 @@ from matchedproj.linalg import norm_at_most, require_hermitian
 from matchedproj.matched import EXPONENT_GRID
 from matchedproj.matrixio import dump, dumps, load_matrix, matrix_from_obj
 from matchedproj.report import Check, norm_check
-from matchedproj.errors import InapplicableHypothesisError, MatrixFileError, ValidationError
+from matchedproj.errors import ValidationError
 from matchedproj.two_by_two import canonical_idempotent
 
 RT2 = np.sqrt(2.0)
@@ -208,7 +208,7 @@ class TestMatrixIO:
         else:  # the first fault in row-major order is named
             entries[63].pop()
             entries[10][5] = None
-        with pytest.raises(MatrixFileError) as excinfo:
+        with pytest.raises(ValueError) as excinfo:
             matrix_from_obj(obj)
         assert str(excinfo.value) == DEEP_FAULTS[fault]
 
@@ -231,15 +231,15 @@ class TestMatrixIO:
         assert matrix_from_obj(obj)[7, 7] == 2.5 - 1j
 
     def test_rejects_ragged(self):
-        with pytest.raises(MatrixFileError):
+        with pytest.raises(ValueError, match="^row 0 must hold 2 entries$"):
             matrix_from_obj({"dim": [2, 2], "entries": [[[1, 0]], [[0, 0], [1, 0]]]})
 
     def test_rejects_rectangular_dim(self):
-        with pytest.raises(MatrixFileError):
+        with pytest.raises(ValueError, match=r"^'dim' must be \[n, n\] with n >= 1, got \[2, 3\]$"):
             matrix_from_obj({"dim": [2, 3], "entries": []})
 
     def test_rejects_non_finite(self):
-        with pytest.raises(MatrixFileError):
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
             matrix_from_obj(
                 {"dim": [1, 1], "entries": [[[float("inf"), 0.0]]]}
             )
@@ -247,13 +247,13 @@ class TestMatrixIO:
     def test_rejects_garbage_file(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("not json")
-        with pytest.raises(MatrixFileError):
+        with pytest.raises(ValueError, match="bad.json is not valid JSON: "):
             load_matrix(path)
 
     def test_rejects_non_utf8_file(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_bytes(b"\xff\xfe")
-        with pytest.raises(MatrixFileError, match="is not UTF-8 text"):
+        with pytest.raises(ValueError, match="is not UTF-8 text"):
             load_matrix(path)
 
 
@@ -695,6 +695,9 @@ class TestMin2x2:
     def test_zero_parameter_is_usage_error(self, capsys):
         assert run("min2x2", "--a-re", 0, "--a-im", 0) == 2
         assert capsys.readouterr().err == "error: parameter a must be nonzero\n"
+        # the parameter is checked before the grid size
+        assert run("min2x2", "--a-re", 0, "--grid", 0) == 2
+        assert capsys.readouterr().err == "error: parameter a must be nonzero\n"
 
     @pytest.mark.parametrize(
         "flags, named",
@@ -1130,7 +1133,7 @@ class TestVerify:
 
     def test_raising_distance_equality_fails_with_its_message(self, monkeypatch, capsys):
         def kkm_distance(p_a, p_b):
-            raise InapplicableHypothesisError("no common distance")
+            raise ValidationError("no common distance")
 
         monkeypatch.setattr(battery, "kkm_distance", kkm_distance)
         report = run_battery(4, 2, 7)

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from matchedproj import (
-    NotHermitianError,
     Tolerances,
+    ValidationError,
     abs_value,
     adjoint,
     as_matrix,
@@ -319,7 +319,7 @@ class TestRequireHermitian:
 
     def test_rejection_reports_the_exact_gap(self):
         m = as_matrix([[1.0, 1e-3], [0.0, 1.0]])
-        with pytest.raises(NotHermitianError, match=f"asymmetry {operator_norm(m - adjoint(m)):.3e} "):
+        with pytest.raises(ValidationError, match=f"^asymmetry {operator_norm(m - adjoint(m)):.3e} "):
             require_hermitian(m)
 
     def test_near_gate_decided_exactly(self):
@@ -333,12 +333,8 @@ class TestRequireHermitian:
             if ok:
                 require_hermitian(m)
             else:
-                with pytest.raises(NotHermitianError):
+                with pytest.raises(ValidationError, match="^asymmetry "):
                     require_hermitian(m)
-
-
-class Failed(Exception):
-    """The error class ``certify`` raises in these tests, under ``LABEL``."""
 
 
 LABEL = "test residual"
@@ -400,10 +396,10 @@ class TestCertify:
         m = np.diag([2.0, 1.0]).astype(complex)
         r = np.zeros((2, 2), dtype=complex)
         r[0, 1] = 1e-3
-        certify(r, Tolerances(check=1e-2).relative, Failed, LABEL, m)
+        certify(r, Tolerances(check=1e-2).relative, LABEL, m)
         assert linalg_calls == []
-        with pytest.raises(Failed) as info:
-            certify(r, Tolerances(check=1e-5).relative, Failed, LABEL, m)
+        with pytest.raises(ValidationError) as info:
+            certify(r, Tolerances(check=1e-5).relative, LABEL, m)
         assert str(info.value) == message(operator_norm(r), 1e-5 * (1.0 + operator_norm(m)))
 
     def test_near_gate_decided_exactly(self):
@@ -411,9 +407,9 @@ class TestCertify:
         # Frobenius bound of r (sqrt 2 times its norm) cannot accept
         m = np.diag([1.0, 0.5]).astype(complex)
         r = np.eye(2, dtype=complex)
-        certify(r, Tolerances(check=1.0 / 1.999).relative, Failed, LABEL, m)
-        with pytest.raises(Failed) as info:
-            certify(r, Tolerances(check=1.0 / 2.001).relative, Failed, LABEL, m)
+        certify(r, Tolerances(check=1.0 / 1.999).relative, LABEL, m)
+        with pytest.raises(ValidationError) as info:
+            certify(r, Tolerances(check=1.0 / 2.001).relative, LABEL, m)
         assert str(info.value) == message(1.0, 2.0 / 2.001)
 
     @pytest.mark.parametrize("stacked", [False, True], ids=["matrix", "stack"])
@@ -434,10 +430,10 @@ class TestCertify:
                     assert expected is not None and expected[0] <= k, (shape, k)
                     failures += 1
                 if expected is None:
-                    certify(residual, gate, Failed, LABEL, *operands)
+                    certify(residual, gate, LABEL, *operands)
                     continue
-                with pytest.raises(Failed) as info:
-                    certify(residual, gate, Failed, LABEL, *operands)
+                with pytest.raises(ValidationError) as info:
+                    certify(residual, gate, LABEL, *operands)
                 assert str(info.value) == message(*expected[1:]), (shape, k, factor)
         assert failures == slices
 
@@ -451,10 +447,10 @@ class TestCertify:
             expected = exact_failure(residual, gate, [], scale)
             assert (expected is None) == (factor > 1.0)
             if expected is None:
-                certify(residual, gate, Failed, LABEL, scale=scale)
+                certify(residual, gate, LABEL, scale=scale)
                 continue
-            with pytest.raises(Failed) as info:
-                certify(residual, gate, Failed, LABEL, scale=scale)
+            with pytest.raises(ValidationError) as info:
+                certify(residual, gate, LABEL, scale=scale)
             assert str(info.value) == message(*expected[1:])
 
     @pytest.mark.parametrize("stacked", [False, True], ids=["matrix", "stack"])
@@ -465,7 +461,7 @@ class TestCertify:
         residual, operands = certify_inputs(shape, stacked)
         ratio = max(unit_ratio(shape, residual, operands, k) for k in range(len(residual) if stacked else 1))
         linalg_calls.clear()
-        certify(residual, GATE_SHAPES[shape][0](Tolerances(check=100.0 * ratio)), Failed, LABEL, *operands)
+        certify(residual, GATE_SHAPES[shape][0](Tolerances(check=100.0 * ratio)), LABEL, *operands)
         assert linalg_calls == []
 
     def test_unsettled_slices_take_one_stacked_norm_per_quantity(self, linalg_calls):
@@ -474,7 +470,7 @@ class TestCertify:
         # one of their operands
         eye = np.eye(4, dtype=complex)
         residual = np.stack([eye, 0.5 * eye, eye])
-        certify(residual, Tolerances(check=1.5).relative, Failed, LABEL, np.zeros_like(residual))
+        certify(residual, Tolerances(check=1.5).relative, LABEL, np.zeros_like(residual))
         assert linalg_calls == ["svd", "svd"]
 
 
@@ -485,7 +481,7 @@ class TestHermitianEigvals:
         np.testing.assert_array_equal(hermitian_eigvals(m), np.linalg.eigvalsh(require_hermitian(m)))
 
     def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitianError):
+        with pytest.raises(ValidationError, match="^asymmetry "):
             hermitian_eigvals(as_matrix([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_psd_order_decides_from_it(self):
@@ -526,7 +522,7 @@ class TestHermitianEigen:
             assert operator_norm(adjoint(v) @ v - np.eye(dim)) <= 1e-10
 
     def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitianError):
+        with pytest.raises(ValidationError, match="^asymmetry "):
             hermitian_eigen(as_matrix([[0.0, 1.0], [0.0, 0.0]]))
 
 
@@ -638,7 +634,7 @@ class TestPsdOrder:
         assert psd_order(m, m @ q.matrix @ m)
 
     def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitianError):
+        with pytest.raises(ValidationError, match="^asymmetry "):
             psd_order(as_matrix([[0.0, 1.0], [0.0, 0.0]]), np.eye(2, dtype=complex))
 
 

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from matchedproj import (
-    InapplicableHypothesisError,
-    NotHermitianError,
     Projection,
     Tolerances,
     ValidationError,
@@ -241,7 +239,7 @@ class TestDistanceReport:
             for m in hermitian_operands(q):
                 try:
                     w = hermitian_eigvals(m)
-                except NotHermitianError:
+                except ValidationError:
                     continue
                 exact = operator_norm(m)
                 bound = 0.5 * operator_norm(m - adjoint(m)) + 4.0 * q.dim * EPS * exact
@@ -377,7 +375,7 @@ class TestTwoProjectionConstruction:
 
     def test_overlapping_ranges_rejected(self):
         p = random_projection(4, 2, 41)
-        with pytest.raises(InapplicableHypothesisError):
+        with pytest.raises(ValidationError, match=r"^\|\|P1 P2\|\| = 1\.000000 is not < 1$"):
             two_projection_construction(p, p)
 
     def test_margin_is_the_first_projections(self):
@@ -388,7 +386,7 @@ class TestTwoProjectionConstruction:
         p1, p2 = np.diag([1.0, 0.0, 0.0]), v @ v.T
         assert all_passed(two_projection_construction(as_projection(p1), as_projection(p2))[2])
         loose = Tolerances(check=1e-6)
-        with pytest.raises(InapplicableHypothesisError):
+        with pytest.raises(ValidationError, match=r"^\|\|P1 P2\|\| = 1\.000000 is not < 1$"):
             two_projection_construction(as_projection(p1, loose), as_projection(p2, loose))
 
     def test_random_applicable_pairs(self):

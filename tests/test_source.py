@@ -1,6 +1,7 @@
 """Structural checks on the package source."""
 
 import ast
+import builtins
 import sys
 from pathlib import Path
 
@@ -599,13 +600,82 @@ def test_the_exit_code_invariant_sees_each_spelling():
         "    except (ValueError, OSError) as exc:\n        print(exc)\n        return E_USAGE",
         "def _load_idempotent(path, tol):\n    try:\n        return as_idempotent(load_matrix(path), tol)\n"
         "    except MatchedProjectionError as exc:\n        raise ValueError(str(exc)) from exc",
-        "def cmd_min2x2(args):\n    if a == 0:\n        raise ValueError('parameter a must be nonzero')\n"
+        "def cmd_min2x2(args):\n    if not abs(part) <= A_PART_MAX:\n        raise ValueError('--a-re must be finite')\n"
         "    return E_OK if ok else E_MATH",
         "def cmd_path(args):\n    try:\n        go()\n    except KeyError:\n        raise",
         "E_OK, E_MATH, E_USAGE = 0, 1, 2",
     ]
     for source in spellings + allowed:
         assert bool(_exit_code_policy_violations(source)) == (source in spellings), source
+
+
+# the package's two error classes and each one's base; a bad argument raises
+# the built-in ValueError, a failed gate ValidationError
+ERROR_CLASSES = {"MatchedProjectionError": "Exception", "ValidationError": "MatchedProjectionError"}
+BUILTIN_EXCEPTIONS = {
+    name for name, value in vars(builtins).items() if isinstance(value, type) and issubclass(value, BaseException)
+}
+
+
+def _error_class_violations(filename, source):
+    """Where the source defines an error class beyond ``ERROR_CLASSES``, or errors.py misses one.
+
+    errors.py defines exactly the classes of ``ERROR_CLASSES``, each on its
+    base.  Any other module defines no class whose base is, by its last
+    dotted name, a built-in exception, one of ``ERROR_CLASSES`` or a class
+    of that source already derived from one.
+    """
+    classes = sorted(
+        (node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ClassDef)),
+        key=lambda node: node.lineno,
+    )
+    bases = {node.name: [ast.unparse(base).split(".")[-1] for base in node.bases] for node in classes}
+    if filename == "errors.py":
+        want = {name: [base] for name, base in ERROR_CLASSES.items()}
+        return [f"{name} is {bases.get(name)}, not {want.get(name)}" for name in sorted(set(bases) | set(want))
+                if bases.get(name) != want.get(name)]
+    found, errors = [], BUILTIN_EXCEPTIONS | set(ERROR_CLASSES)
+    for node in classes:
+        if errors.intersection(bases[node.name]):
+            found.append(f"{node.lineno} {node.name} is an error class")
+            errors.add(node.name)
+    return found
+
+
+def test_errors_py_alone_defines_the_two_error_classes():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    assert "errors.py" in sources and "linalg.py" in sources
+    found = [f"{name}:{v}" for name, text in sources.items() for v in _error_class_violations(name, text)]
+    assert not found, found
+
+
+def test_the_error_class_invariant_sees_each_spelling():
+    base = "class MatchedProjectionError(Exception):\n    pass\n\n\n"
+    both = base + "class ValidationError(MatchedProjectionError):\n    pass\n"
+    spellings = [
+        ("errors.py", both + "class NotHermitianError(MatchedProjectionError):\n    pass"),
+        ("errors.py", both + "class BadRankError(ValueError):\n    pass"),
+        ("errors.py", both + "class Marker:\n    pass"),
+        ("errors.py", base),
+        ("errors.py", base + "class ValidationError(ValueError):\n    pass"),
+        ("idempotents.py", "class SingularPencilError(MatchedProjectionError):\n    pass"),
+        ("matrixio.py", "class MatrixFileError(ValueError):\n    pass"),
+        ("norms.py", "class InapplicableHypothesisError(errors.ValidationError):\n    pass"),
+        ("two_by_two.py", "class ZeroParameterError(Exception):\n    pass"),
+        ("cli.py", "class UsageError(Exception):\n    pass\n\n\nclass BadFlag(UsageError):\n    pass"),
+        ("matched.py", "def f():\n    class NotUnitaryError(ArithmeticError):\n        pass"),
+        ("battery.py", "class Stop(BaseException):\n    pass"),
+    ]
+    allowed = [
+        ("errors.py", both),
+        ("errors.py", '"""Exception types."""\n\n\n' + both.replace("pass", '"""A docstring."""')),
+        ("idempotents.py", "@dataclass(frozen=True)\nclass Idempotent:\n    matrix: np.ndarray"),
+        ("battery.py", "class Trial(NamedTuple):\n    seed: int"),
+        ("cli.py", "raise ValueError('parameter a must be nonzero')"),
+        ("linalg.py", "from .errors import ValidationError\n\n\nclass Tolerances:\n    pass"),
+    ]
+    for filename, source in spellings + allowed:
+        assert bool(_error_class_violations(filename, source)) == ((filename, source) in spellings), source
 
 
 # the members of linalg.Tolerances that hold a gate; only its methods do arithmetic on them
@@ -742,7 +812,7 @@ def test_the_gate_invariant_sees_each_spelling():
         "report.norm_check('x', m, 5)",
         "norm_at_most(m, -0.25)",
         "linalg.norm_bracket(m, gate=0.5)",
-        "certify(r, lambda: 1e-9, ValidationError, 'unitarity defect')",
+        "certify(r, lambda: 1e-9, 'unitarity defect')",
         "SUBSPACE_TOL = 1e-8",
         "gates = [d + 1e-9 for d in d_candidates]",
         "def _qpp_suite(rng, dim, q, tol):\n    if norm_at_most(m, 1e-5):\n        pass",
@@ -760,7 +830,7 @@ def test_the_gate_invariant_sees_each_spelling():
         "Check('argmin_x_at_one', abs(best_x - 1.0), tol.above(dx))",
         "gates = [tol.above_absolute(d) for d in d_candidates]",
         "Check('grid_min_near_optimum', abs(gap), (2.0 + 3.0 * mod) * dt + mod * dx)",
-        "certify(r, lambda: tol.check, NotUnitaryError, 'unitarity defect')",
+        "certify(r, lambda: tol.check, 'unitarity defect')",
         "if abs(d - direct) > tol.check:\n    pass",
         "report = {'check': tol.check, 'psd': tol.psd}",
         "r = q.rank - 1",
@@ -796,9 +866,10 @@ MESSAGE_BUILDERS = {("linalg.py", "certify"), ("idempotents.py", "_projection_er
 def _message_violations(filename, source):
     """Where the source spells a certificate message outside ``MESSAGE_BUILDERS``, or calls ``certify`` badly.
 
-    A message is an f-string holding "exceeds".  A ``certify`` call passes an
-    error class third (no lambda) and a string literal fourth as its label,
-    by position or by keyword.
+    A message is an f-string holding "exceeds".  A ``certify`` call passes a
+    string literal third as its label, by position or by keyword, and no
+    error: no ``error`` keyword, and past its gate no lambda and no name of
+    an exception class.
     """
     found = []
 
@@ -810,10 +881,13 @@ def _message_violations(filename, source):
         ):
             found.append(f"{node.lineno} message spelled in {scope or 'the module'}")
         if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "certify":
-            errors = node.args[2:3] + [k.value for k in node.keywords if k.arg == "error"]
-            labels = node.args[3:4] + [k.value for k in node.keywords if k.arg == "label"]
-            if any(isinstance(e, ast.Lambda) for e in errors):
-                found.append(f"{node.lineno} certify builds its error")
+            labels = node.args[2:3] + [k.value for k in node.keywords if k.arg == "label"]
+            rest = node.args[2:] + [k.value for k in node.keywords if k.arg != "gate"]
+            if any(k.arg == "error" for k in node.keywords) or any(
+                isinstance(a, ast.Lambda) or ast.unparse(a).split(".")[-1].endswith(("Error", "Exception"))
+                for a in rest
+            ):
+                found.append(f"{node.lineno} certify is passed an error")
             if not (len(labels) == 1 and isinstance(labels[0], ast.Constant) and isinstance(labels[0].value, str)):
                 found.append(f"{node.lineno} certify takes no literal label")
         for child in ast.iter_child_nodes(node):
@@ -834,28 +908,36 @@ def test_certificate_messages_have_one_spelling():
 
 
 def test_the_message_invariant_sees_each_spelling():
-    kernel = "def certify(residual, gate, error, label, *operands):\n" \
-             "    raise error(f'{label} {norm:.3e} exceeds {bound:.3e}')"
+    kernel = "def certify(residual, gate, label, *operands):\n" \
+             "    raise ValidationError(f'{label} {norm:.3e} exceeds {bound:.3e}')"
     projection = "def _projection_error(p, gate):\n" \
                  "    return ValidationError(f'projection defect {_projection_defect(p):.3e} exceeds {gate:.3e}')"
     spellings = [
         ("matched.py", "def unitary_equivariance(q, u):\n    certify(r, gate, lambda gap, bound, _: "
-                       "NotUnitaryError(f'unitarity defect {gap:.3e} exceeds {bound:.3e}'))"),
-        ("linalg.py", "certify(r, gate, error=lambda message: NotHermitianError(message), label='asymmetry')"),
-        ("matched.py", "def fractional_power_limit(q):\n    certify(gap, gate, ValidationError, LABEL)"),
-        ("matched.py", "certify(gap, gate, ValidationError, f'{name} residual')"),
-        ("matched.py", "certify(gap, gate, ValidationError)"),
+                       "ValidationError(f'unitarity defect {gap:.3e} exceeds {bound:.3e}'))"),
+        ("linalg.py", "certify(r, gate, error=lambda message: ValidationError(message), label='asymmetry')"),
+        ("linalg.py", "certify(m - adjoint(m), tol.relative, ValidationError, 'asymmetry', m)"),
+        ("linalg.py", "certify(m - adjoint(m), tol.relative, 'asymmetry', m, error=ValidationError)"),
+        ("matched.py", "certify(f, gate, ValidationError, 'closed-form inverse defect', scale=s)"),
+        ("matched.py", "linalg.certify(r, gate, error=ValidationError, label='unitarity defect')"),
+        ("matched.py", "certify(r, gate, 'unitarity defect', errors.ValidationError)"),
+        ("matched.py", "certify(r, gate, 'unitarity defect', lambda message: ValueError(message))"),
+        ("matched.py", "def fractional_power_limit(q):\n    certify(gap, gate, LABEL)"),
+        ("matched.py", "certify(gap, gate, f'{name} residual')"),
+        ("matched.py", "certify(gap, gate)"),
         ("matched.py", "def _certified_witness(q):\n    raise ValidationError(f'contraction {c:.6f} exceeds 1')"),
         ("matched.py", kernel),
-        ("linalg.py", "def require_hermitian(m, tol):\n    raise NotHermitianError(f'{gap:.3e} exceeds {b:.3e}')"),
+        ("linalg.py", "def require_hermitian(m, tol):\n    raise ValidationError(f'{gap:.3e} exceeds {b:.3e}')"),
         ("matched.py", projection),
     ]
     allowed = [
         ("linalg.py", kernel),
         ("idempotents.py", projection),
-        ("linalg.py", "certify(m - adjoint(m), tol.relative, NotHermitianError, 'asymmetry', m)"),
-        ("matched.py", "certify(f, gate, ValidationError, 'closed-form inverse defect', scale=s)"),
-        ("matched.py", "linalg.certify(r, gate, error=NotUnitaryError, label='unitarity defect')"),
+        ("linalg.py", "certify(m - adjoint(m), tol.relative, 'asymmetry', m)"),
+        ("matched.py", "certify(f, gate, 'closed-form inverse defect', scale=s)"),
+        ("matched.py", "linalg.certify(r, gate, label='unitarity defect')"),
+        ("matched.py", "certify(r, gate=lambda: tol.check, label='unitarity defect')"),
+        ("matched.py", "certify(r, lambda a, b: tol.relative(a * b), 'similarity residual', w_inv, w)"),
         ("matched.py", "raise ValidationError(f'witness contraction norm {c:.6f} not < 1')"),
         ("matched.py", "def f(q):\n    \"\"\"The gate that the residual exceeds.\"\"\""),
     ]
@@ -895,7 +977,7 @@ def test_the_norm_bounds_invariant_sees_each_spelling():
         "from .linalg import norm_bounds",
         "__all__ = ['norm_bounds']",
         "norm_bracket(m, gate)",
-        "certify(r, tol.relative, NotHermitianError, 'asymmetry', m)",
+        "certify(r, tol.relative, 'asymmetry', m)",
         "lower, upper = norm_bracket(stack, gates)",
     ]
     for source in spellings + allowed:
@@ -1350,9 +1432,9 @@ def test_the_certifier_invariant_sees_each_spelling():
         "def as_idempotent(m, tol):\n    single = m.ndim == 2",
         "def as_idempotent(m, tol, *, single=False):\n    pass",
         "def as_idempotent(m, tol):\n    if (single := m.ndim == 2):\n        pass",
-        "def as_projection(m, tol):\n" + verdict + "    certify(p - adjoint(p), gate, ValidationError, 'asymmetry')",
+        "def as_projection(m, tol):\n" + verdict + "    certify(p - adjoint(p), gate, 'asymmetry')",
         "def as_projection(m, tol):\n    if not linalg.norm_at_most(m - adjoint(m), tol.check):\n        raise E",
-        "def as_projection(m, tol):\n" + verdict + "    def check(p):\n        certify(p @ p - p, gate, ValidationError, 'idempotency defect')\n"
+        "def as_projection(m, tol):\n" + verdict + "    def check(p):\n        certify(p @ p - p, gate, 'idempotency defect')\n"
         "    check(ps)",
         "def as_projection(m, tol):\n" + verdict + "    if operator_norm(ps - adjoint(ps)) > tol.check:\n"
         "        raise E",
@@ -1360,7 +1442,7 @@ def test_the_certifier_invariant_sees_each_spelling():
     allowed = [
         "def as_projection(m, tol):\n    ps = _as_matrix_or_stack(m)\n" + verdict,
         "def as_idempotent(m, tol):\n"
-        "    certify(qs @ qs - qs, tol.quadratic, ValidationError, 'idempotency defect', qs)",
+        "    certify(qs @ qs - qs, tol.quadratic, 'idempotency defect', qs)",
         "def random_projection(dim, rank, seed, tol):\n    single = isinstance(rank, int)",
         "def is_projection(m, tol):\n    return norm_at_most(m - adjoint(m), tol.check)",
     ]

@@ -9,7 +9,6 @@ import pytest
 from matchedproj import (
     Tolerances,
     ValidationError,
-    ZeroParameterError,
     all_passed,
     canonical_idempotent,
     closed_form_p0,
@@ -80,7 +79,7 @@ class TestCanonicalIdempotent:
         assert gap == pytest.approx(3.0, abs=1e-12)
 
     def test_zero_rejected(self):
-        with pytest.raises(ZeroParameterError):
+        with pytest.raises(ValueError, match="^parameter a must be nonzero$"):
             canonical_idempotent(0.0)
 
 
@@ -183,7 +182,7 @@ class TestClosedFormP0:
             )
 
     def test_zero_rejected(self):
-        with pytest.raises(ZeroParameterError):
+        with pytest.raises(ValueError, match="^parameter a must be nonzero$"):
             closed_form_p0(0.0)
 
     def test_half_angle_identity_checked(self):
@@ -237,7 +236,7 @@ class TestGridMinimize:
         assert same_bits(gm.q, canonical_idempotent(a))
 
     def test_zero_rejected(self):
-        with pytest.raises(ZeroParameterError):
+        with pytest.raises(ValueError, match="^parameter a must be nonzero$"):
             grid_minimize(0.0, 16)
 
     def test_empty_grid_rejected(self):
