@@ -359,16 +359,10 @@ def _norm_suite(rng, dim, q, q2, tol):
     yield from _prefixed("convergence", convergence_report(q, q2))
 
     p1, p2 = _draw_projections(rng, dim, max(dim // 2, 1), 2, tol)
-    if norm_at_most(p1.matrix @ p2.matrix, 0.999):
-        yield from _prefixed("two-projections", two_projection_construction(p1, p2)[2])
+    yield from _prefixed("two-projections", two_projection_construction(p1, p2))
 
     p_a, p_b = _draw_projections(rng, dim, dim, 2, tol)
-    try:
-        kkm_distance(p_a, p_b)
-    except MatchedProjectionError as exc:
-        yield boolean_check("projection-distance-equality", False), str(exc)
-    else:
-        yield boolean_check("projection-distance-equality", True)
+    yield replace(kkm_distance(p_a, p_b), name="projection-distance-equality")
 
 
 def _continuity_probe(rng, dim, tol) -> tuple[Check, float]:

@@ -244,6 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="matchedproj",
         description="Analyze idempotent matrices and their matched projections.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -260,13 +261,13 @@ def build_parser() -> argparse.ArgumentParser:
                 help="relative rank cutoff factor (default dim * machine epsilon)",
             )
 
-    p = sub.add_parser("analyze", help="verify all identities for an idempotent from a JSON file")
+    p = sub.add_parser("analyze", help="verify all identities for an idempotent from a JSON file", allow_abbrev=False)
     p.add_argument("--input", required=True)
     p.add_argument("--output", default=None, help="write the full JSON report here")
     add_tols(p, rank=True)
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("generate", help="write a seeded random idempotent to a JSON file")
+    p = sub.add_parser("generate", help="write a seeded random idempotent to a JSON file", allow_abbrev=False)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--offdiag-norm", type=float, default=1.0)
@@ -275,14 +276,14 @@ def build_parser() -> argparse.ArgumentParser:
     add_tols(p, rank=False)
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("path", help="sample the homotopy from m(Q) to Q")
+    p = sub.add_parser("path", help="sample the homotopy from m(Q) to Q", allow_abbrev=False)
     p.add_argument("--input", required=True)
     p.add_argument("--samples", type=int, default=11)
     p.add_argument("--output", default=None)
     add_tols(p, rank=False)
     p.set_defaults(func=cmd_path)
 
-    p = sub.add_parser("min2x2", help="2x2 closed-form minimum against the grid oracle")
+    p = sub.add_parser("min2x2", help="2x2 closed-form minimum against the grid oracle", allow_abbrev=False)
     p.add_argument("--a-re", type=float, default=0.0)
     p.add_argument("--a-im", type=float, default=0.0)
     p.add_argument("--grid", type=int, default=512)
@@ -290,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_tols(p, rank=False)
     p.set_defaults(func=cmd_min2x2)
 
-    p = sub.add_parser("verify", help="run the randomized invariant battery")
+    p = sub.add_parser("verify", help="run the randomized invariant battery", allow_abbrev=False)
     p.add_argument("--dim-max", type=int, default=8)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)

@@ -165,9 +165,8 @@ class Projection:
     ``Idempotent`` is: a function of projections takes no tolerance of its
     own and builds its gates from the first one's.  A certificate at another
     tolerance is ``as_projection(p.matrix, tol)``.  ``as_projection``
-    certifies from O(n^2) norm bounds and so takes no 2-norm on clean input;
-    ``defect``, the exact max(||P^2 - P||, ||P - P*||), is taken on first
-    read and kept.  The matrix must not be mutated.
+    certifies from O(n^2) norm bounds and so takes no 2-norm on clean input.
+    The matrix must not be mutated.
     """
 
     matrix: np.ndarray
@@ -177,18 +176,11 @@ class Projection:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @cached_property
-    def defect(self) -> float:
-        return _projection_defect(self.matrix)
-
-
-def _projection_defect(p: np.ndarray) -> float:
-    return max(operator_norm(p @ p - p), operator_norm(p - adjoint(p)))
-
 
 def _projection_error(p: np.ndarray, gate: float) -> ValidationError:
     """The rejection of P by a projection certificate, with its exact max(||P^2 - P||, ||P - P*||)."""
-    return ValidationError(f"projection defect {_projection_defect(p):.3e} exceeds {gate:.3e}")
+    defect = max(operator_norm(p @ p - p), operator_norm(p - adjoint(p)))
+    return ValidationError(f"projection defect {defect:.3e} exceeds {gate:.3e}")
 
 
 def _as_matrix_or_stack(m) -> np.ndarray:

@@ -5,17 +5,17 @@ the first value of a singular-values-only SVD, ``np.linalg.svd(m,
 compute_uv=False)`` (a (k, n, n) stack gives the k norms); it is taken
 wherever a number is read as a value and no factorization already gives it:
 distances, the norms of non-Hermitian operands compared with a closed form,
-idempotency and projection defects (on first read), contraction norms,
-convergence tables and the gates scaled by a norm.  A norm that an SVD
-taken anyway already holds is read from it: ||Q|| and ||I - Q|| are the
-first singular values of the SVDs that Q and its complement keep.  The
-exact norms that one report takes of operands of one shape are one stacked
-call, each slice bitwise the norm of that matrix alone: the Lipschitz
-bounds, the projection distance, the two-projection construction, the
-2x2 grid's ||Q|| and ||I - Q||, and the battery's kernels and continuity
-probe.  ``norms.distance_report`` takes its norms one at a time, so that
-``analyze`` copies no n x n operands into a stack while it holds its
-analysis.
+an idempotent's defect (on first read) and a rejected projection's,
+contraction norms, convergence tables and the gates scaled by a norm.  A
+norm that an SVD taken anyway already holds is read from it: ||Q|| and
+||I - Q|| are the first singular values of the SVDs that Q and its
+complement keep.  The exact norms that one report takes of operands of one
+shape are one stacked call, each slice bitwise the norm of that matrix
+alone: the Lipschitz bounds, the projection distance, the two-projection
+construction, the 2x2 grid's ||Q|| and ||I - Q||, and the battery's kernels
+and continuity probe.  ``norms.distance_report`` takes its norms one at a
+time, so that ``analyze`` copies no n x n operands into a stack while it
+holds its analysis.
 
 The pencil S = Q + Q* - I, Hermitian bit for bit, is factored once by
 ``eigh`` (``Idempotent.pencil``): its eigenvectors of positive eigenvalue
@@ -44,8 +44,9 @@ comparisons and every residual-against-a-gate record of the ``verify``
 battery.  A yes/no verdict that steers a computation decides by
 ``norm_at_most``: ``idempotents.is_projection`` (behind the witness
 short-circuits and every projection certificate), the dominance equality
-of ``norms.qpp_minimality``, the ||P|| > 1/2 tests of
-``norms.two_projection_construction`` and the battery's branch guards.
+of ``norms.qpp_minimality``, the hypothesis ||P1 P2|| < 1 (with its
+margin) and the ||P|| > 1/2 tests of ``norms.two_projection_construction``,
+and the battery's branch guard.
 
 A certificate raises where a check would report, and every one but the
 projection certificate goes through one kernel, ``certify``: a residual
@@ -134,10 +135,6 @@ class Tolerances:
     def above_absolute(self, value):
         """value + absolute: a bound held up to a fixed slack."""
         return value + self.absolute
-
-    def below(self, value):
-        """value - check: a strict bound with a margin for round-off."""
-        return value - self.check
 
     def psd_slack(self, s):
         """psd (1 + s): how far below zero a PSD spectrum of norm s may reach."""

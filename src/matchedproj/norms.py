@@ -1,15 +1,17 @@
 """Norm identities, inequalities, closed forms and convergence checks for m(Q).
 
-Each report returns its list of ``report.Check``, and a record only where a
-caller reads more: ``two_projection_construction``'s two idempotents.
-``qpp_minimality`` lists the minimality theorem's conclusions for a partner
-P of Q, which its caller decides; of a projection that is no partner, a
-caller reads the first record, the factor-2 bound, alone.  The values of Q
-alone that the reports compare are read from where Q keeps them: ||Q|| and
-||I - Q|| from the SVDs of Q and ``complement_of(q)``, ||m(Q) - Q||,
-||P_R(Q) - Q|| and ||P_N(Q) - Q|| from their memos on Q
-(``matched.matched_distance``, ``range_distance``, ``null_distance``), and
-the closed form of the first from ``offdiag_distance(q.offdiag_norm)``.
+Each report returns its checks, a list of ``report.Check`` (``kkm_distance``
+its one), and no other value.  ``two_projection_construction`` decides its
+own hypothesis, ||P1 P2|| < 1 with a margin, and returns no record for a
+pair outside it.  ``qpp_minimality`` lists the minimality theorem's
+conclusions for a partner P of Q, which its caller decides; of a projection
+that is no partner, a caller reads the first record, the factor-2 bound,
+alone.  The values of Q alone that the reports compare are read from where
+Q keeps them: ||Q|| and ||I - Q|| from the SVDs of Q and
+``complement_of(q)``, ||m(Q) - Q||, ||P_R(Q) - Q|| and ||P_N(Q) - Q|| from
+their memos on Q (``matched.matched_distance``, ``range_distance``,
+``null_distance``), and the closed form of the first from
+``offdiag_distance(q.offdiag_norm)``.
 """
 
 from __future__ import annotations
@@ -53,17 +55,12 @@ def offdiag_distance(nu: float) -> float:
     return 0.5 * (nu + nu**2 / (1.0 + np.sqrt(1.0 + nu**2)))
 
 
-def kkm_distance(p1: Projection, p2: Projection) -> float:
-    """max(||P1 (I - P2)||, ||(I - P1) P2||), certified equal to ||P1 - P2|| within p1.tol.check."""
+def kkm_distance(p1: Projection, p2: Projection) -> Check:
+    """The check ||P1 - P2|| = max(||P1 (I - P2)||, ||(I - P1) P2||), within p1.tol.check, from one stacked norm."""
     eye = identity(p1.dim)
     a, b = p1.matrix, p2.matrix
     left, right, direct = operator_norm(np.stack([a @ (eye - b), (eye - a) @ b, a - b])).tolist()
-    d = max(left, right)
-    if abs(d - direct) > p1.tol.check:
-        raise ValidationError(
-            f"projection-distance equality violated: {d:.12e} vs {direct:.12e}"
-        )
-    return d
+    return Check("projection_distance_equality", abs(max(left, right) - direct), p1.tol.check)
 
 
 def distance_report(q: Idempotent) -> list[Check]:
@@ -248,20 +245,19 @@ def convergence_report(q1: Idempotent, q2: Idempotent) -> list[Check]:
     ]
 
 
-def two_projection_construction(p1: Projection, p2: Projection) -> tuple[Idempotent, Idempotent, list[Check]]:
-    """Idempotents (I - P1 P2)^(-1) P1 (I - P2) and its mirror, with their bounds.
+def two_projection_construction(p1: Projection, p2: Projection) -> list[Check]:
+    """The bounds on the idempotents (I - P1 P2)^(-1) P1 (I - P2) and its mirror, if ||P1 P2|| < 1.
 
-    Requires ||P1 P2|| < 1, with P1's margin ``p1.tol.below(1.0)``; both
-    idempotents are certified, and the bounds gated, at ``p1.tol``.  For the
-    resulting pair the matched projections satisfy
-    ||m(Q1) - m(Q2)|| <= ||Q1 - Q2||, and if both projections are nonzero
-    the gap ||Q1 - Q2|| is at least 1.
+    The hypothesis is decided with a margin, ||P1 P2|| <= 0.999 by
+    ``norm_at_most``; a pair outside it gets no records.  Both idempotents
+    are certified, and the bounds gated, at ``p1.tol``.  For the resulting
+    pair the matched projections satisfy ||m(Q1) - m(Q2)|| <= ||Q1 - Q2||,
+    and if both projections are nonzero the gap ||Q1 - Q2|| is at least 1.
     """
     eye, tol = identity(p1.dim), p1.tol
     a, b = p1.matrix, p2.matrix
-    prod_norm = operator_norm(a @ b)
-    if prod_norm >= tol.below(1.0):
-        raise ValidationError(f"||P1 P2|| = {prod_norm:.6f} is not < 1")
+    if not norm_at_most(a @ b, 0.999):
+        return []
     q1 = as_idempotent(np.linalg.solve(eye - a @ b, a @ (eye - b)), tol)
     q2 = as_idempotent(np.linalg.solve(eye - b @ a, b @ (eye - a)), tol)
 
@@ -271,7 +267,7 @@ def two_projection_construction(p1: Projection, p2: Projection) -> tuple[Idempot
     checks = [Check("matched_gap_bounded_by_gap", max(0.0, lhs - gap), tol.check)]
     if not norm_at_most(a, 0.5) and not norm_at_most(b, 0.5):
         checks.append(Check("gap_at_least_one", max(0.0, 1.0 - gap), tol.check))
-    return q1, q2, checks
+    return checks
 
 
 def qpp_minimality(p: Projection, q: Idempotent) -> list[Check]:

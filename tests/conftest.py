@@ -12,7 +12,7 @@ os.environ["OPENBLAS_CORETYPE"] = "Haswell"
 import numpy as np
 import pytest
 
-from matchedproj import random_idempotent
+from matchedproj import adjoint, operator_norm, random_idempotent
 
 _spec = importlib.util.spec_from_file_location(
     "linalg_calls", Path(__file__).parents[1] / "tools" / "linalg_calls.py")
@@ -57,3 +57,9 @@ def envelope_inputs(norms, dims=(1, 2, 8, 32), every_rank=False):
         for rank in range(dim + 1) if every_rank else sorted(mixed):
             for nu in norms:
                 yield random_idempotent(dim, rank, nu, 1000 * dim + rank)
+
+
+def projection_defect(p):
+    """max(||P^2 - P||, ||P - P*||) of a projection, the exact 2-norms."""
+    m = p.matrix
+    return max(operator_norm(m @ m - m), operator_norm(m - adjoint(m)))

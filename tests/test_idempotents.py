@@ -30,7 +30,7 @@ from matchedproj import (
 )
 from matchedproj import idempotents
 
-from conftest import envelope_inputs
+from conftest import envelope_inputs, projection_defect
 
 RT2 = np.sqrt(2.0)
 EPS = np.finfo(np.float64).eps
@@ -62,19 +62,13 @@ class TestValidation:
 
     def test_projection_accepts_orthogonal(self):
         p = as_projection(0.5 * np.array([[1, 1], [1, 1]]))
-        assert p.defect <= 1e-15
+        assert projection_defect(p) <= 1e-15
 
     def test_projection_certified_without_factorization(self, linalg_calls):
         u = np.linalg.qr(np.random.default_rng(3).standard_normal((16, 5)))[0]
         linalg_calls.clear()
         as_projection(u @ u.T)
         assert linalg_calls == []
-
-    def test_projection_defect_is_the_exact_max(self):
-        u = np.linalg.qr(np.random.default_rng(4).standard_normal((16, 5)) + 0j)[0]
-        pm = u @ adjoint(u)
-        exact = max(operator_norm(pm @ pm - pm), operator_norm(pm - adjoint(pm)))
-        assert as_projection(pm).defect == exact
 
     def test_projection_rejection_reports_the_exact_defect(self):
         pm = as_matrix([[1.0, 1e-6], [0.0, 0.0]])
@@ -248,11 +242,12 @@ class TestStackedProjections:
         # at a gate just above or below P's exact defect the bounds settle
         # nothing, and each slice is decided, and worded, as as_projection does
         p = random_projection(6, 3, 3)
-        assert p.defect > 0.0
+        defect = projection_defect(p)
+        assert defect > 0.0
         stack = np.stack([p.matrix, p.matrix])
-        above = Tolerances(check=p.defect * (1.0 + 1e-9))
+        above = Tolerances(check=defect * (1.0 + 1e-9))
         assert [s.matrix.tobytes() for s in as_projection(stack, above)] == [p.matrix.tobytes()] * 2
-        below = Tolerances(check=p.defect * (1.0 - 1e-9))
+        below = Tolerances(check=defect * (1.0 - 1e-9))
         with pytest.raises(ValidationError) as stacked:
             as_projection(stack, below)
         with pytest.raises(ValidationError) as single:
@@ -452,7 +447,7 @@ class TestRangeProjection:
         # these 20 inputs; U_r U_r* and I - V_r V_r* are exact to round-off
         for q in envelope_inputs((1e6,), dims=(4, 8, 16, 32)):
             p_r, p_n = range_projection(q), null_projection(q)
-            assert max(p_r.defect, p_n.defect) <= 16 * q.dim * EPS
+            assert max(projection_defect(p_r), projection_defect(p_n)) <= 16 * q.dim * EPS
             scale = 1e-10 * (1 + q.norm)
             assert operator_norm(p_r.matrix @ q.matrix - q.matrix) <= scale
             assert operator_norm(q.matrix @ p_n.matrix) <= scale

@@ -84,7 +84,6 @@ class TestTolerances:
                     (tol.route_gate(0.0), 10.0 * c),
                     (tol.above(x), x + c),
                     (tol.above_absolute(x), x + 1e-9),
-                    (tol.below(x), x - c),
                     (tol.psd_slack(x), 1e-10 * (1.0 + x)),
                 ]
                 for got, inline in pairs:

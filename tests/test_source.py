@@ -609,6 +609,56 @@ def test_the_exit_code_invariant_sees_each_spelling():
         assert bool(_exit_code_policy_violations(source)) == (source in spellings), source
 
 
+def _battery_catch_violations(source):
+    """Where the source has a ``try`` outside ``run_battery``."""
+    tree = ast.parse(source)
+    in_driver = {
+        id(n) for f in ast.walk(tree)
+        if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)) and f.name == "run_battery"
+        for n in ast.walk(f)
+    }
+    return [
+        f"{node.lineno} try outside run_battery"
+        for node in ast.walk(tree)
+        if isinstance(node, TRY_NODES) and id(node) not in in_driver
+    ]
+
+
+def test_the_battery_catches_only_in_run_battery():
+    # a report decides its own hypothesis and returns its checks, so no suite
+    # guards a report or turns its raise back into a record; run_battery
+    # alone records a raise, as a failed trial or a failed static check
+    source = (PACKAGE / "battery.py").read_text(encoding="utf-8")
+    assert "def run_battery(" in source
+    found = _battery_catch_violations(source)
+    assert not found, found
+
+
+def test_the_battery_catch_invariant_sees_each_spelling():
+    spellings = [
+        "def _norm_suite(rng, dim, q, q2, tol):\n    try:\n        kkm_distance(p_a, p_b)\n"
+        "    except MatchedProjectionError as exc:\n        yield boolean_check('projection-distance-equality', False)",
+        "def _static_checks(tol):\n    try:\n        q = canonical_idempotent(1e-3, tol)\n    except ValueError:\n        raise",
+        "def _spectrum(x):\n    try:\n        return hermitian_eigvals(x)\n    finally:\n        pass",
+        "def _qpp_suite(rng, dim, q, tol):\n    def verdict():\n        try:\n            go()\n"
+        "        except ValidationError:\n            return False",
+        "try:\n    import scipy\nexcept ImportError:\n    scipy = None",
+    ]
+    if sys.version_info >= (3, 11):  # except* is a syntax error before 3.11
+        spellings.append("def _homotopy(rng, dim, q, tol):\n    try:\n        go()\n    except* ValueError:\n        pass")
+    allowed = [
+        "def run_battery(dim_max, trials, seed, tol):\n    try:\n        go()\n"
+        "    except MatchedProjectionError as exc:\n        record(exc)",
+        "def run_battery(dim_max, trials, seed, tol):\n    for trial in range(trials):\n        try:\n            go()\n"
+        "        except MatchedProjectionError:\n            record(trial)",
+        "def _norm_suite(rng, dim, q, q2, tol):\n    yield replace(kkm_distance(p_a, p_b), name='projection-distance-equality')",
+        "def _norm_suite(rng, dim, q, q2, tol):\n    yield from _prefixed('two-projections', two_projection_construction(p1, p2))",
+        "with open(path) as f:\n    pass",
+    ]
+    for source in spellings + allowed:
+        assert bool(_battery_catch_violations(source)) == (source in spellings), source
+
+
 # the package's two error classes and each one's base; a bad argument raises
 # the built-in ValueError, a failed gate ValidationError
 ERROR_CLASSES = {"MatchedProjectionError": "Exception", "ValidationError": "MatchedProjectionError"}
@@ -693,10 +743,10 @@ GATE_ARGUMENTS = {
 NON_GATE_CONSTANTS = {
     ("battery.py", "_continuity_probe", 1e-6): "the continuity probe's step in A",
     ("battery.py", "_qpp_suite", 1e-6): "selects a Q far enough from Hermitian that P_R(Q) is no partner",
-    ("battery.py", "_norm_suite", 0.999): "selects pairs with ||P1 P2|| < 1, the construction's hypothesis",
     ("norms.py", "matched_lipschitz_bounds", 1e-6): "the 1 - 1e-6 margin below which the scaled bound applies",
     ("norms.py", "qpp_minimality", 1e-6): "the 1 - 1e-6 margin of the small-distance hypothesis",
     ("norms.py", "two_projection_construction", 0.5): "||P|| > 1/2 tells a nonzero projection",
+    ("norms.py", "two_projection_construction", 0.999): "the margin of the construction's hypothesis ||P1 P2|| < 1",
     ("report.py", "boolean_check", 0.5): "a yes/no verdict as the residual 0 or 1 against 1/2",
 }
 
@@ -818,12 +868,13 @@ def test_the_gate_invariant_sees_each_spelling():
         "def _qpp_suite(rng, dim, q, tol):\n    if norm_at_most(m, 1e-5):\n        pass",
         "def halmos_projection(z, t, theta, tol):\n    if abs(abs(z) - 1.0) > 1e-10:\n        raise ValueError",
         "class Tolerances:\n    check: float = 1e-10\n\n\nbound = Tolerances.check * 2",
+        "def _norm_suite(rng, dim, q, q2, tol):\n    if norm_at_most(p1.matrix @ p2.matrix, 0.999):\n        pass",
     ]
     allowed = [
         "gate = tol.relative(q.norm)",
         "scale_sq = tol.quadratic(norm_q)",
         "gate = tol.route_gate(abs(a))",
-        "if prod_norm >= tol.below(1.0):\n    pass",
+        "if prod_norm >= tol.above(1.0):\n    pass",
         "ok = w.min() >= -tol.psd_slack(scale)",
         "norm_check('range_mq_inside_range_q_plus_qstar', r, tol.subspace)",
         "Check('fractional-power-limit', dists[-1], tol.limit)",
@@ -836,7 +887,6 @@ def test_the_gate_invariant_sees_each_spelling():
         "r = q.rank - 1",
         "if contraction >= 1.0:\n    pass",
         "def _continuity_probe(rng, dim, tol):\n    delta *= 1e-6 / operator_norm(delta)",
-        "def _norm_suite(rng, dim, q, q2, tol):\n    if norm_at_most(p1.matrix @ p2.matrix, 0.999):\n        pass",
     ]
     for source in spellings + allowed:
         assert bool(_gate_violations("battery.py", source)) == (source in spellings), source
@@ -844,7 +894,8 @@ def test_the_gate_invariant_sees_each_spelling():
     tolerances = "class Tolerances:\n    psd: ClassVar[float] = 1e-10\n\n    def relative(self, s):\n" \
                  "        return self.check * (1.0 + s)"
     verdict = "def boolean_check(name, ok):\n    return Check(name, 0.0 if ok else 1.0, 0.5)"
-    for filename, source in (("linalg.py", tolerances), ("report.py", verdict)):
+    hypothesis = "def two_projection_construction(p1, p2):\n    if not norm_at_most(a @ b, 0.999):\n        return []"
+    for filename, source in (("linalg.py", tolerances), ("report.py", verdict), ("norms.py", hypothesis)):
         assert not _gate_violations(filename, source), source
         assert _gate_violations("battery.py", source), source
     # an exemption is live only where its literal is: the same value in
@@ -911,7 +962,7 @@ def test_the_message_invariant_sees_each_spelling():
     kernel = "def certify(residual, gate, label, *operands):\n" \
              "    raise ValidationError(f'{label} {norm:.3e} exceeds {bound:.3e}')"
     projection = "def _projection_error(p, gate):\n" \
-                 "    return ValidationError(f'projection defect {_projection_defect(p):.3e} exceeds {gate:.3e}')"
+                 "    return ValidationError(f'projection defect {defect:.3e} exceeds {gate:.3e}')"
     spellings = [
         ("matched.py", "def unitary_equivariance(q, u):\n    certify(r, gate, lambda gap, bound, _: "
                        "ValidationError(f'unitarity defect {gap:.3e} exceeds {bound:.3e}'))"),
@@ -1400,7 +1451,7 @@ def test_the_private_read_invariant_sees_each_spelling():
 # a matrix or a stack is told apart by its rank in the kernels, never by a
 # flag of the certifiers, and as_projection raises on is_projection's verdict
 CERTIFIERS = ("as_idempotent", "as_projection")
-PROJECTION_DECIDERS = ("certify", "norm_at_most", "norm_bracket", "norm_bounds", "operator_norm", "_projection_defect")
+PROJECTION_DECIDERS = ("certify", "norm_at_most", "norm_bracket", "norm_bounds", "operator_norm")
 
 
 def _certifier_forks(source):

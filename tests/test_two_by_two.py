@@ -22,6 +22,8 @@ from matchedproj import (
     two_by_two,
 )
 
+from conftest import projection_defect
+
 RT2 = np.sqrt(2.0)
 
 
@@ -114,7 +116,7 @@ class TestHalmosProjection:
             z = np.exp(1j * rng.uniform(0, 2 * np.pi))
             t = float(rng.uniform(0, np.pi))
             p = halmos_projection(complex(z), t, float(rng.uniform(0, 2 * np.pi)))
-            assert p.defect <= 1e-12
+            assert projection_defect(p) <= 1e-12
 
 
 class TestDistanceObjective:
